@@ -39,7 +39,6 @@ from .solvers import (
 from .algorithms import (
     WeaknessSequence,
     RelaxationSchedule,
-    EpsilonSchedule,
     epsilon_schedule,
     TraceRecord,
     GreedyTrace,

@@ -41,7 +41,7 @@ from .config import ExperimentConfig, stable_seed
 from .dictionaries import generate_dictionary, make_target
 from .spaces import LpSpace, _functional_rows, _norm_rows, norming_functional
 
-__all__ = ["ALL_CRITERIA"]
+__all__ = ["ALL_CRITERIA", "format_criterion_line"]
 
 _PS = (1.5, 2.0, 3.0, 4.0)
 _RUN_PS = (1.5, 2.0, 3.0)
@@ -391,6 +391,17 @@ def criterion_determinism(seed=0, profile="full") -> CheckReport:
                 if not same:
                     details.append(f"config {idx}: {name} differs between runs")
     return _finish("determinism", margins, 2 * len(configs), 0.0, details)
+
+
+def format_criterion_line(number: int, name: str, report: CheckReport) -> str:
+    """The one-line PASS/FAIL summary ``verify`` prints for a criterion."""
+    status = "PASS" if report.passed else "FAIL"
+    margin = report.worst_margin
+    margin_text = f"{margin:.3e}" if np.isfinite(margin) else str(margin)
+    return (
+        f"{status}  criterion {number:2d} {name}: "
+        f"worst_margin={margin_text} samples={report.samples}"
+    )
 
 
 ALL_CRITERIA = (

@@ -1,28 +1,31 @@
 """The four greedy loops, their schedules, and per-iteration traces.
 
-All runners share the shape: select an atom against the norming functional
-of the current residual, update the running approximant G_m, record one
-trace row. A run stops early once the residual norm falls below 1e-12
-(the norming functional is undefined at zero) and the stop reason is
-recorded.
+All four algorithms run one shared loop: select an atom against the
+norming functional of the current residual, update the running
+approximant G_m, record one trace row. They differ only in the selector
+and the update rule. A run stops early, and records the stop reason,
+once the residual norm falls below 1e-12 (``residual_below_threshold``:
+the norming functional is undefined at zero) or when every atom
+annihilates the functional (``stagnated_zero_dual_norm``: no atom can
+reduce the residual).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionaries import Dictionary, TargetSpec, dict_dual_norm, eps_select, weak_select
+from .dictionaries import Dictionary, TargetSpec, eps_select, weak_select
 from .solvers import SolverConfig, minimize_free_relax, minimize_over_line
 from .spaces import LpSpace, SmoothnessParams, lp_norm, norming_functional, smoothness_params
 
 __all__ = [
     "WeaknessSequence",
     "RelaxationSchedule",
-    "EpsilonSchedule",
     "epsilon_schedule",
     "TraceRecord",
     "GreedyTrace",
@@ -145,17 +148,6 @@ def epsilon_schedule(K1: float, params: SmoothnessParams, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1; got {n}")
     return K1 * params.gamma ** (1.0 / params.q) * float(n) ** (-1.0 / params.p_dual)
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """The tolerance sequence eps_n bound to one space's smoothness data."""
-
-    K1: float
-    params: SmoothnessParams
-
-    def value(self, n: int) -> float:
-        return epsilon_schedule(self.K1, self.params, n)
 
 
 @dataclass
@@ -301,7 +293,25 @@ def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
     return meta, records
 
 
-def _start_run(space: LpSpace, dictionary: Dictionary, target: TargetSpec, iters: int):
+
+
+def _greedy_loop(
+    space: LpSpace,
+    dictionary: Dictionary,
+    target: TargetSpec,
+    iters: int,
+    algorithm: str,
+    select,
+    update,
+) -> GreedyTrace:
+    """The iteration all four algorithms share.
+
+    Step m builds the norming functional F of the residual f - G_{m-1} and
+    calls ``select(m, F)`` for a Selection. ``update(m, G_{m-1}, sel, phi)``
+    returns ``(G_m, lam, w_or_r, eps_m, solver_converged)``. A selection
+    with zero dual norm ends the run: every atom annihilates F, so no
+    update can reduce the residual.
+    """
     if dictionary.space is not space and dictionary.space != space:
         raise ValueError("dictionary was built for a different space")
     if int(iters) < 1:
@@ -310,7 +320,36 @@ def _start_run(space: LpSpace, dictionary: Dictionary, target: TargetSpec, iters
     norm0 = lp_norm(space, f)
     if norm0 == 0.0:
         raise ValueError("target.f must be nonzero")
-    return f, norm0
+    trace = GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0)
+    G = np.zeros(space.dim, dtype=np.complex128)
+    residual = f
+    current = norm0
+    for m in range(1, int(iters) + 1):
+        if current <= RESIDUAL_STOP:
+            trace.stop_reason = "residual_below_threshold"
+            break
+        sel = select(m, norming_functional(space, residual))
+        if sel.dual_norm == 0.0:
+            trace.stop_reason = "stagnated_zero_dual_norm"
+            break
+        G, lam, w_or_r, eps_m, converged = update(m, G, sel, dictionary.atoms[sel.index])
+        residual = f - G
+        current = lp_norm(space, residual)
+        trace.records.append(
+            TraceRecord(
+                m=m,
+                selected_index=sel.index,
+                phase=sel.phase,
+                lam=complex(lam),
+                w_or_r=complex(w_or_r),
+                residual_norm=current,
+                dual_norm=sel.dual_norm,
+                eps_m=eps_m,
+                solver_converged=converged,
+            )
+        )
+        trace.approximants.append(G.copy())
+    return trace
 
 
 def run_wgafr(
@@ -330,39 +369,16 @@ def run_wgafr(
     never increases because (w, lam) = (0, 0) is always available.
     """
     cfg = cfg or SolverConfig()
-    f, norm0 = _start_run(space, dictionary, target, iters)
-    trace = GreedyTrace(algorithm="wgafr", initial_residual_norm=norm0)
-    G = np.zeros(space.dim, dtype=np.complex128)
-    f_m = f.copy()
-    current = norm0
-    for m in range(1, int(iters) + 1):
-        if current <= RESIDUAL_STOP:
-            trace.stop_reason = "residual_below_threshold"
-            break
-        F = norming_functional(space, f_m)
-        dual_value, _ = dict_dual_norm(F, dictionary)
-        sel = weak_select(F, dictionary, tau.value(m), policy)
-        phi = dictionary.atoms[sel.index]
-        result = minimize_free_relax(space, f, G, phi, cfg)
+
+    def update(m, G, sel, phi):
+        result = minimize_free_relax(space, target.f, G, phi, cfg)
         w, lam = result.minimizer
-        G = (1.0 - w) * G + lam * phi
-        f_m = f - G
-        current = lp_norm(space, f_m)
-        trace.records.append(
-            TraceRecord(
-                m=m,
-                selected_index=sel.index,
-                phase=sel.phase,
-                lam=complex(lam),
-                w_or_r=complex(w),
-                residual_norm=current,
-                dual_norm=dual_value,
-                eps_m=None,
-                solver_converged=result.converged,
-            )
-        )
-        trace.approximants.append(G.copy())
-    return trace
+        return (1.0 - w) * G + lam * phi, lam, w, None, result.converged
+
+    return _greedy_loop(
+        space, dictionary, target, iters, "wgafr",
+        lambda m, F: weak_select(F, dictionary, tau.value(m), policy), update,
+    )
 
 
 def run_gawr(
@@ -382,70 +398,43 @@ def run_gawr(
     G_m = (1 - r_m) G_{m-1} + lam_m phi_m.
     """
     cfg = cfg or SolverConfig()
-    f, norm0 = _start_run(space, dictionary, target, iters)
-    trace = GreedyTrace(algorithm="gawr", initial_residual_norm=norm0)
-    G = np.zeros(space.dim, dtype=np.complex128)
-    f_m = f.copy()
-    current = norm0
-    for m in range(1, int(iters) + 1):
-        if current <= RESIDUAL_STOP:
-            trace.stop_reason = "residual_below_threshold"
-            break
-        F = norming_functional(space, f_m)
-        dual_value, _ = dict_dual_norm(F, dictionary)
-        sel = weak_select(F, dictionary, tau.value(m), policy)
-        phi = dictionary.atoms[sel.index]
+
+    def update(m, G, sel, phi):
         r_m = r.value(m)
-        base = f - (1.0 - r_m) * G
-        result = minimize_over_line(space, base, phi, cfg)
+        result = minimize_over_line(space, target.f - (1.0 - r_m) * G, phi, cfg)
         lam = result.minimizer[0]
-        G = (1.0 - r_m) * G + lam * phi
-        f_m = f - G
-        current = lp_norm(space, f_m)
-        trace.records.append(
-            TraceRecord(
-                m=m,
-                selected_index=sel.index,
-                phase=sel.phase,
-                lam=complex(lam),
-                w_or_r=complex(r_m),
-                residual_norm=current,
-                dual_norm=dual_value,
-                eps_m=None,
-                solver_converged=result.converged,
-            )
-        )
-        trace.approximants.append(G.copy())
-    return trace
+        return (1.0 - r_m) * G + lam * phi, lam, r_m, None, result.converged
+
+    return _greedy_loop(
+        space, dictionary, target, iters, "gawr",
+        lambda m, F: weak_select(F, dictionary, tau.value(m), policy), update,
+    )
 
 
-def _run_incremental(
+def _averaging(
     space: LpSpace,
     dictionary: Dictionary,
     target: TargetSpec,
     K1: float,
-    iters: int,
     policy: str,
     mode: str,
-    algorithm: str,
-) -> GreedyTrace:
-    f, norm0 = _start_run(space, dictionary, target, iters)
-    params = smoothness_params(space)
-    trace = GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0)
-    G = np.zeros(space.dim, dtype=np.complex128)
+):
+    """Selector and update rule of the two incremental loops.
+
+    Step m picks phi_m with ``eps_select`` at tolerance eps_m, then averages:
+    G_m = (1 - 1/m) G_{m-1} + nu_m phi_m / m, where nu_m is the selection's
+    phase (1 in plain mode). G_m must equal (1/m) sum_j nu_j phi_j; a
+    running sum asserts this at every step.
+    """
+    eps = functools.partial(epsilon_schedule, K1, smoothness_params(space))
     running_sum = np.zeros(space.dim, dtype=np.complex128)
-    f_m = f.copy()
-    current = norm0
-    for m in range(1, int(iters) + 1):
-        if current <= RESIDUAL_STOP:
-            trace.stop_reason = "residual_below_threshold"
-            break
-        eps_m = epsilon_schedule(K1, params, m)
-        F = norming_functional(space, f_m)
-        dual_value, _ = dict_dual_norm(F, dictionary)
-        sel = eps_select(F, dictionary, f, eps_m, mode=mode, policy=policy)
-        phi = dictionary.atoms[sel.index]
-        nu = sel.phase  # 1 in plain mode
+
+    def select(m, F):
+        return eps_select(F, dictionary, target.f, eps(m), mode=mode, policy=policy)
+
+    def update(m, G, sel, phi):
+        nonlocal running_sum
+        nu = sel.phase
         # The m = 1 step needs no special-casing: (1 - 1/1) = 0 literally.
         G = (1.0 - 1.0 / m) * G + nu * phi / m
         running_sum = running_sum + nu * phi
@@ -454,23 +443,9 @@ def _run_incremental(
             raise AssertionError(
                 f"barycentric representation drifted by {drift:.3e} at step {m}"
             )
-        f_m = f - G
-        current = lp_norm(space, f_m)
-        trace.records.append(
-            TraceRecord(
-                m=m,
-                selected_index=sel.index,
-                phase=nu,
-                lam=complex(nu / m),
-                w_or_r=complex(1.0 / m),
-                residual_norm=current,
-                dual_norm=dual_value,
-                eps_m=eps_m,
-                solver_converged=True,
-            )
-        )
-        trace.approximants.append(G.copy())
-    return trace
+        return G, nu / m, 1.0 / m, eps(m), True
+
+    return select, update
 
 
 def run_iac(
@@ -480,7 +455,6 @@ def run_iac(
     K1: float,
     iters: int,
     policy: str = "argmax",
-    cfg: SolverConfig | None = None,
 ) -> GreedyTrace:
     """Incremental loop with phase-aligned atoms, for targets in A_1(D).
 
@@ -489,16 +463,14 @@ def run_iac(
     G_m = (1 - 1/m) G_{m-1} + nu_m phi_m / m with |nu_m| = 1. G_m always
     equals (1/m) sum_j nu_j phi_j, asserted at every step.
     """
-    del cfg  # no inner solver; accepted for interface uniformity
     if target.membership != "a1":
         raise ValueError(
             f"run_iac requires an a1 target; got membership={target.membership!r}"
         )
     if target.eps != 0.0:
         raise ValueError("run_iac requires an exact target (eps = 0)")
-    return _run_incremental(
-        space, dictionary, target, K1, iters, policy, mode="circle", algorithm="iac"
-    )
+    select, update = _averaging(space, dictionary, target, K1, policy, "circle")
+    return _greedy_loop(space, dictionary, target, iters, "iac", select, update)
 
 
 def run_iacc(
@@ -508,23 +480,20 @@ def run_iacc(
     K1: float,
     iters: int,
     policy: str = "argmax",
-    cfg: SolverConfig | None = None,
 ) -> GreedyTrace:
     """Incremental loop without phases, for targets in conv(D).
 
     The update G_m = (1 - 1/m) G_{m-1} + phi_m / m keeps G_m a true convex
     combination of atoms (weights count_j / m), asserted at every step.
     """
-    del cfg
     if target.membership != "conv":
         raise ValueError(
             f"run_iacc requires a conv target; got membership={target.membership!r}"
         )
     if target.eps != 0.0:
         raise ValueError("run_iacc requires an exact target (eps = 0)")
-    trace = _run_incremental(
-        space, dictionary, target, K1, iters, policy, mode="plain", algorithm="iacc"
-    )
+    select, update = _averaging(space, dictionary, target, K1, policy, "plain")
+    trace = _greedy_loop(space, dictionary, target, iters, "iacc", select, update)
     # Convexity of the stored representation: weights are count/m by
     # construction; verify the invariant on the recorded selections.
     for step, record in enumerate(trace.records, start=1):

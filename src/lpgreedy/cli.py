@@ -27,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a Cartesian parameter sweep")
     p_sweep.add_argument("--spec", required=True, help="sweep spec (JSON)")
     p_sweep.add_argument("--out", required=True, help="output directory for the summary CSV")
-    p_sweep.add_argument("--workers", type=int, default=None, help="max concurrent cells")
 
     p_verify = sub.add_parser("verify", help="run the verification battery")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
             return 1 if failed else 0
         if args.command == "sweep":
             spec = SweepSpec.load(args.spec)
-            rows = run_sweep(spec, out_dir=args.out, max_workers=args.workers)
+            rows = run_sweep(spec, out_dir=args.out)
             errors = sum(1 for row in rows if row["error"])
             print(f"{len(rows)} cells, {errors} failed; summary in {args.out}/sweep_summary.csv")
             return 1 if errors else 0

@@ -116,12 +116,14 @@ class Selection:
     """One selection: atom index, aligning phase, and the raw value F(g).
 
     ``phase`` is the complex conjugate of sign F(g), so phase * value is
-    |value| whenever value is nonzero.
+    |value| whenever value is nonzero. ``dual_norm`` is max_i |F(g_i)|,
+    taken from the same scan of the dictionary that made the selection.
     """
 
     index: int
     phase: complex
     value: complex
+    dual_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,16 +252,14 @@ def weak_select(
     dictionary: Dictionary,
     t: float,
     policy: str = "argmax",
-    seed: int = 0,
 ) -> Selection:
     """Pick an atom with |F(g)| >= t * max_i |F(g_i)|.
 
     ``argmax`` returns the maximizer itself; ``first_qualifying`` returns
     the smallest index over the threshold, which exercises weakness t < 1
-    nontrivially. Both policies are deterministic (``seed`` is reserved
-    for future randomized policies). When every value is zero the
-    selection degenerates to index 0 with phase 1; callers detect the
-    stagnation through the zero value.
+    nontrivially. Both policies are deterministic. When every value is
+    zero the selection degenerates to index 0 with phase 1; callers detect
+    the stagnation through the zero dual norm.
     """
     t = float(t)
     if not 0.0 < t <= 1.0:
@@ -270,8 +270,9 @@ def weak_select(
     values = dictionary.atoms @ F.coeffs
     mags = np.abs(values)
     best = int(np.argmax(mags))
-    if mags[best] == 0.0:
-        return Selection(index=0, phase=1.0 + 0.0j, value=0.0 + 0.0j)
+    dual_norm = float(mags[best])
+    if dual_norm == 0.0:
+        return Selection(index=0, phase=1.0 + 0.0j, value=0.0 + 0.0j, dual_norm=0.0)
     if policy == "argmax":
         idx = best
     else:
@@ -279,7 +280,7 @@ def weak_select(
         idx = int(np.argmax(qualifying))  # smallest qualifying index
     value = complex(values[idx])
     phase = complex(np.conj(complex_sign(value)))
-    return Selection(index=idx, phase=phase, value=value)
+    return Selection(index=idx, phase=phase, value=value, dual_norm=dual_norm)
 
 
 def eps_select(
@@ -309,7 +310,8 @@ def eps_select(
     _check_functional(F, dictionary)
     f = _as_vector(dictionary.space, f, "f")
     values = dictionary.atoms @ F.coeffs
-    scores = np.abs(values) if mode == "circle" else values.real
+    mags = np.abs(values)
+    scores = mags if mode == "circle" else values.real
     threshold = float(np.dot(F.coeffs, f).real) - eps_m
     if policy == "argmax":
         idx = int(np.argmax(scores))
@@ -332,7 +334,7 @@ def eps_select(
         phase = complex(np.conj(complex_sign(value)))
     else:
         phase = 1.0 + 0.0j
-    return Selection(index=idx, phase=phase, value=value)
+    return Selection(index=idx, phase=phase, value=value, dual_norm=float(mags.max()))
 
 
 def make_target(

@@ -7,15 +7,12 @@ mismatched trace/report pairs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import itertools
 import json
 import os
 import sys
-
-import numpy as np
 
 from .algorithms import (
     GreedyTrace,
@@ -117,9 +114,9 @@ def run_experiment(
             space, dictionary, target, tau, config.relaxation(), a.iters, a.policy, cfg
         )
     elif a.id == "iac":
-        trace = run_iac(space, dictionary, target, a.k1, a.iters, a.policy, cfg)
+        trace = run_iac(space, dictionary, target, a.k1, a.iters, a.policy)
     else:
-        trace = run_iacc(space, dictionary, target, a.k1, a.iters, a.policy, cfg)
+        trace = run_iacc(space, dictionary, target, a.k1, a.iters, a.policy)
     trace.config_hash = config.hash()
 
     params = smoothness_params(space)
@@ -242,14 +239,11 @@ def _run_cell(args):
     return row
 
 
-def run_sweep(
-    spec: SweepSpec, out_dir: str | None = None, max_workers: int | None = None
-) -> list[dict]:
+def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
     """Cartesian product of axes x replicate seeds; one summary row per cell.
 
-    Cells run concurrently; rows are merged in deterministic cell order.
-    Per-cell failures land in the row's ``error`` column and do not stop
-    the sweep.
+    Cells run one after another in deterministic cell order. Per-cell
+    failures land in the row's ``error`` column and do not stop the sweep.
     """
     spec.validate()
     paths = [path for path, _ in spec.axes]
@@ -276,11 +270,7 @@ def run_sweep(
                 config = exc
             jobs.append((cell_index, replicate, dict(zip(paths, combo)), config))
         cell_index += 1
-    if max_workers == 1 or len(jobs) == 1:
-        rows = [_run_cell(job) for job in jobs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_run_cell, jobs))
+    rows = [_run_cell(job) for job in jobs]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         buf = io.StringIO()
@@ -309,14 +299,7 @@ def verify_suite(seed: int = 0, profile: str = "quick", stream=None) -> tuple[in
     for number, name, fn in acceptance.ALL_CRITERIA:
         report = fn(seed=seed, profile=profile)
         reports.append(report)
-        status = "PASS" if report.passed else "FAIL"
-        margin = report.worst_margin
-        margin_text = f"{margin:.3e}" if np.isfinite(margin) else str(margin)
-        print(
-            f"{status}  criterion {number:2d} {name}: "
-            f"worst_margin={margin_text} samples={report.samples}",
-            file=stream,
-        )
+        print(acceptance.format_criterion_line(number, name, report), file=stream)
     exit_code = 0 if all(r.passed for r in reports) else 1
     print(
         f"{sum(r.passed for r in reports)}/{len(reports)} criteria passed",

@@ -5,10 +5,9 @@ failure) and asserts the criterion's report. The same battery backs
 ``lpgreedy verify --profile full``.
 """
 
-import numpy as np
 import pytest
 
-from lpgreedy.acceptance import ALL_CRITERIA
+from lpgreedy.acceptance import ALL_CRITERIA, format_criterion_line
 
 SEED = 0
 
@@ -20,13 +19,7 @@ SEED = 0
 )
 def test_acceptance_criterion(number, name, criterion):
     report = criterion(seed=SEED, profile="full")
-    status = "PASS" if report.passed else "FAIL"
-    margin = report.worst_margin
-    margin_text = f"{margin:.3e}" if np.isfinite(margin) else str(margin)
-    print(
-        f"{status}  criterion {number:2d} {name}: "
-        f"worst_margin={margin_text} samples={report.samples}"
-    )
+    print(format_criterion_line(number, name, report))
     assert report.applicable, report.details
     assert report.passed, (
         f"criterion {number} ({name}) failed: worst_margin={report.worst_margin!r}, "

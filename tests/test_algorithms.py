@@ -3,15 +3,17 @@ import numpy as np
 import pytest
 
 from lpgreedy import (
-    EpsilonSchedule,
+    Dictionary,
     InfeasibleSelectionError,
     LpSpace,
     RelaxationSchedule,
     TargetSpec,
     WeaknessSequence,
+    dict_dual_norm,
     epsilon_schedule,
     generate_dictionary,
     make_target,
+    norming_functional,
     read_trace_csv,
     run_gawr,
     run_iac,
@@ -85,8 +87,7 @@ class TestSchedules:
 
     def test_epsilon_schedule_decreasing(self):
         params = smoothness_params(LpSpace(3.0, 4))
-        sched = EpsilonSchedule(K1=1.0, params=params)
-        values = [sched.value(n) for n in range(1, 20)]
+        values = [epsilon_schedule(1.0, params, n) for n in range(1, 20)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
 
@@ -299,6 +300,48 @@ class TestIacc:
         a1_target = make_target(d, "a1", 2, seed=25)
         with pytest.raises(ValueError, match="conv"):
             run_iacc(space, d, a1_target, 1.0, 3)
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("with_zero_atom", [True, False])
+    @pytest.mark.parametrize("loop", ["wgafr", "gawr"])
+    def test_zero_dual_norm_stops_run(self, loop, with_zero_atom):
+        # The target e3 has disjoint support from every atom, so F(g) = 0
+        # for each atom g and no step can reduce the residual.
+        space = LpSpace(1.5, 3)
+        atoms = [[1, 0, 0], [0, 1, 0]]
+        if with_zero_atom:
+            atoms = [[0, 0, 0]] + atoms
+        d = Dictionary(space=space, atoms=np.array(atoms, dtype=complex))
+        tau = WeaknessSequence.constant(1.0)
+        target = exact_target([0, 0, 1])
+        if loop == "wgafr":
+            trace = run_wgafr(space, d, target, tau, 5)
+        else:
+            trace = run_gawr(space, d, target, tau, RelaxationSchedule.harmonic(), 5)
+        assert trace.stop_reason == "stagnated_zero_dual_norm"
+        assert trace.records == [] and trace.approximants == []
+        assert trace.residual_norms().tolist() == [1.0]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("loop", ["wgafr", "gawr", "iac", "iacc"])
+    def test_recorded_dual_norm_is_full_scan(self, loop, p):
+        space = LpSpace(p, 6)
+        d = generate_dictionary(space, 12, "gaussian", seed=30)
+        target = make_target(d, "conv" if loop == "iacc" else "a1", 3, seed=31)
+        tau = WeaknessSequence.constant(1.0)
+        runs = {
+            "wgafr": lambda: run_wgafr(space, d, target, tau, 6),
+            "gawr": lambda: run_gawr(space, d, target, tau, RelaxationSchedule.harmonic(), 6),
+            "iac": lambda: run_iac(space, d, target, 1.0, 6),
+            "iacc": lambda: run_iacc(space, d, target, 1.0, 6),
+        }
+        trace = runs[loop]()
+        assert len(trace.records) == 6
+        previous = [np.zeros(space.dim, dtype=complex)] + trace.approximants[:-1]
+        for record, G in zip(trace.records, previous):
+            F = norming_functional(space, target.f - G)
+            assert record.dual_norm == dict_dual_norm(F, d)[0]
 
 
 class TestTraceSerialization:
