@@ -24,6 +24,7 @@ from .spaces import (
     SmoothnessParams,
     _functional_rows,
     _norm_rows,
+    _rho_values,
     apply_functional,
     lp_norm,
     norming_functional,
@@ -139,9 +140,7 @@ def check_ll0(space: LpSpace, n_samples: int, seed: int, tol: float = 1e-9) -> C
     ny = _norm_rows(space.p, y)
     coeffs = _functional_rows(space.p, x, nx)
     mid = _norm_rows(space.p, x + u[:, None] * y) - nx - (u * (coeffs * y).sum(axis=1).real)
-    upper = 2.0 * nx * np.array(
-        [rho_bound(space, ui) for ui in np.abs(u) * ny / nx]
-    )
+    upper = 2.0 * nx * _rho_values(space.p, np.abs(u) * ny / nx)
     margins = np.concatenate([mid, upper - mid])
     details = []
     if margins.min() < -tol:
@@ -168,6 +167,21 @@ def _default_lambda_grid(res_prev, t_m, params, A_eps, points=101):
     return np.append(grid, ml1_optimal_lambda(res_prev, t_m, params, A_eps))
 
 
+def _ml1_step_report(space, norms, m, A_eps, eps, t_m, lambda_grid, slack, grid_points):
+    prev, curr = norms[m - 1], norms[m]
+    params = smoothness_params(space)
+    if lambda_grid is None:
+        lambda_grid = _default_lambda_grid(prev, t_m, params, A_eps, grid_points)
+    lams = np.asarray(lambda_grid, dtype=float)
+    rhs = prev * (
+        1.0
+        - lams * t_m / A_eps * (1.0 - eps / prev)
+        + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
+    )
+    margins = rhs - curr
+    return _finish(f"ml1_step_{m}", margins, lams.size, slack)
+
+
 def check_ml1_step(
     space: LpSpace,
     trace: GreedyTrace,
@@ -190,18 +204,7 @@ def check_ml1_step(
     norms = trace.residual_norms()
     if not 1 <= m <= len(trace.records):
         raise ValueError(f"step {m} outside trace of length {len(trace.records)}")
-    prev, curr = norms[m - 1], norms[m]
-    params = smoothness_params(space)
-    if lambda_grid is None:
-        lambda_grid = _default_lambda_grid(prev, t_m, params, A_eps, grid_points)
-    lams = np.asarray(lambda_grid, dtype=float)
-    rhs = prev * (
-        1.0
-        - lams * t_m / A_eps * (1.0 - eps / prev)
-        + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
-    )
-    margins = rhs - curr
-    return _finish(f"ml1_step_{m}", margins, lams.size, slack)
+    return _ml1_step_report(space, norms, m, A_eps, eps, t_m, lambda_grid, slack, grid_points)
 
 
 def check_ml1_trace(
@@ -215,12 +218,13 @@ def check_ml1_trace(
     grid_points: int = 101,
 ) -> CheckReport:
     """check_ml1_step at every recorded step, margins merged."""
+    norms = trace.residual_norms()
     margins = []
     details = []
     for record in trace.records:
-        rep = check_ml1_step(
+        rep = _ml1_step_report(
             space,
-            trace,
+            norms,
             record.m,
             A_eps,
             eps,
@@ -233,6 +237,27 @@ def check_ml1_trace(
         if not rep.passed:
             details.append(f"step {record.m}: margin {rep.worst_margin:.3e}")
     return _finish("ml1_per_step", margins, len(trace.records), slack, details)
+
+
+def _ml3_step_report(space, trace, norms, m, A_eps, eps, t, r_m, f_norm, slack):
+    prev, curr = norms[m - 1], norms[m]
+    if r_m is None:
+        r_m = trace.records[m - 1].w_or_r.real
+    if f_norm is None:
+        f_norm = trace.initial_residual_norm
+    if r_m == 0.0 or prev <= eps:
+        return CheckReport(
+            name=f"ml3_step_{m}",
+            passed=True,
+            worst_margin=float("inf"),
+            samples=0,
+            tolerance=slack,
+            applicable=False,
+            details=[f"skipped: r_m={r_m!r}, prev={prev!r}, eps={eps!r}"],
+        )
+    u = r_m * (f_norm + A_eps / t) / ((1.0 - r_m) * prev)
+    rhs = prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u))
+    return _finish(f"ml3_step_{m}", [rhs - curr], 1, slack)
 
 
 def check_ml3_step(
@@ -256,24 +281,7 @@ def check_ml3_step(
     norms = trace.residual_norms()
     if not 1 <= m <= len(trace.records):
         raise ValueError(f"step {m} outside trace of length {len(trace.records)}")
-    prev, curr = norms[m - 1], norms[m]
-    if r_m is None:
-        r_m = trace.records[m - 1].w_or_r.real
-    if f_norm is None:
-        f_norm = trace.initial_residual_norm
-    if r_m == 0.0 or prev <= eps:
-        return CheckReport(
-            name=f"ml3_step_{m}",
-            passed=True,
-            worst_margin=float("inf"),
-            samples=0,
-            tolerance=slack,
-            applicable=False,
-            details=[f"skipped: r_m={r_m!r}, prev={prev!r}, eps={eps!r}"],
-        )
-    u = r_m * (f_norm + A_eps / t) / ((1.0 - r_m) * prev)
-    rhs = prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u))
-    return _finish(f"ml3_step_{m}", [rhs - curr], 1, slack)
+    return _ml3_step_report(space, trace, norms, m, A_eps, eps, t, r_m, f_norm, slack)
 
 
 def check_ml3_trace(
@@ -285,11 +293,12 @@ def check_ml3_trace(
     slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """check_ml3_step at every applicable step, margins merged."""
+    norms = trace.residual_norms()
     margins = []
     details = []
     applicable_steps = 0
     for record in trace.records:
-        rep = check_ml3_step(space, trace, record.m, A_eps, eps, t, slack=slack)
+        rep = _ml3_step_report(space, trace, norms, record.m, A_eps, eps, t, None, None, slack)
         if not rep.applicable:
             continue
         applicable_steps += 1

@@ -96,6 +96,9 @@ class SmoothnessParams:
     p_dual: float
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _as_vector(space: LpSpace, v, name: str = "v") -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.shape != (space.dim,):
@@ -119,12 +122,16 @@ def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
 def _functional_rows(p: float, h: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Row-wise norming-functional coefficients; rows of ``h`` must be nonzero.
 
-    The conjugate sign is e^{-i arg(h_i)}, which stays exact for subnormal
-    entries where the direct division h/|h| can overflow; arg(0) = 0 gives
-    the sign-of-zero convention for free.
+    The conjugate sign is conj(h_i) / |h_i|, exact to rounding while |h_i|
+    is a normal float. A subnormal |h_i| has lost bits, so below the normal
+    range it is e^{-i arg(h_i)}, which costs a few times more per entry
+    (at zero the coefficient is 0 either way).
     """
     mags = np.abs(h)
-    conj_signs = np.exp(-1j * np.angle(h))
+    conj_signs = np.conj(h) / np.maximum(mags, _TINY)
+    small = mags < _TINY
+    if small.any():
+        conj_signs[small] = np.exp(-1j * np.angle(h[small]))
     return conj_signs * (mags / norms[..., None]) ** (p - 1.0)
 
 
@@ -172,6 +179,13 @@ def apply_functional(F: DualFunctional, x) -> complex:
     return complex(np.dot(F.coeffs, arr))
 
 
+def _rho_values(p: float, u):
+    """rho_bound's formula for a float or an array of u >= 0, unvalidated."""
+    if p <= 2.0:
+        return u**p / p
+    return (p - 1.0) * u * u / 2.0
+
+
 def rho_bound(space: LpSpace, u: float) -> float:
     """Upper bound for the modulus of smoothness of l_p at u >= 0.
 
@@ -181,9 +195,7 @@ def rho_bound(space: LpSpace, u: float) -> float:
     u = float(u)
     if not np.isfinite(u) or u < 0.0:
         raise ValueError(f"u must be finite and nonnegative; got {u!r}")
-    if space.p <= 2.0:
-        return u**space.p / space.p
-    return (space.p - 1.0) * u * u / 2.0
+    return _rho_values(space.p, u)
 
 
 def smoothness_params(space: LpSpace) -> SmoothnessParams:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpgreedy import solvers
 from lpgreedy import (
     DependentBasisError,
     LpSpace,
@@ -272,3 +273,143 @@ class TestSolverConfig:
             SolverConfig(armijo_c=1.0)
         with pytest.raises(ValueError, match="backtrack_factor"):
             SolverConfig(backtrack_factor=0.0)
+
+
+def _rand(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _certified_solves(p, dim=8, instances=6, seed=61):
+    """SolveResults of all three entry points on seeded random instances.
+
+    best_approx_subspace returns (coeffs, residual), so its SolveResult is
+    recomputed through the descent it wraps and checked to coincide.
+    """
+    space = LpSpace(p, dim)
+    rng = np.random.default_rng([seed, int(100 * p)])
+    results = []
+    for _ in range(instances):
+        base, direction = _rand(rng, dim), _rand(rng, dim)
+        results.append(minimize_over_line(space, base, direction))
+        f, G, phi = _rand(rng, dim), _rand(rng, dim), _rand(rng, dim)
+        results.append(minimize_free_relax(space, f, G, phi))
+        basis = list(_rand(rng, 3, dim))
+        B = np.column_stack(basis)
+        x0 = np.linalg.lstsq(B, f, rcond=None)[0]
+        res = solvers._descend(space, f, B, SolverConfig(), x0)
+        coeffs, _ = best_approx_subspace(space, f, basis)
+        np.testing.assert_array_equal(coeffs, res.minimizer)
+        results.append(res)
+    return results
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 3.0, 8.0, 32.0, 64.0])
+    def test_gap_is_certified(self, p):
+        for res in _certified_solves(p):
+            assert res.gap >= -1e-15 * res.value
+            if res.converged:
+                assert res.gap <= 1e-12 * res.value
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_gap_bounds_distance_to_optimum(self, p):
+        # a truncated solve's value exceeds the converged one by at most its gap
+        space = LpSpace(p, 8)
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            f, G, phi = _rand(rng, 8), _rand(rng, 8), _rand(rng, 8)
+            best = minimize_free_relax(space, f, G, phi)
+            early = minimize_free_relax(space, f, G, phi, SolverConfig(max_iters=1))
+            assert best.converged
+            assert early.value - best.value <= early.gap * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_dependent_directions(self, p):
+        # G_prev parallel to phi: the pair spans one direction, and the
+        # certificate must see one constraint, not an arbitrary second one
+        space = LpSpace(p, 6)
+        rng = np.random.default_rng(79)
+        for _ in range(5):
+            f, phi = _rand(rng, 6), _rand(rng, 6)
+            res = minimize_free_relax(space, f, (0.5 - 1j) * phi, phi)
+            line = minimize_over_line(space, f, phi)
+            assert res.converged
+            assert -1e-15 * res.value <= res.gap <= 1e-12 * res.value
+            assert res.value == pytest.approx(line.value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_more_directions_than_dimension(self, p):
+        # dim 1: G_prev and phi are always parallel, and phi alone fits f
+        space = LpSpace(p, 1)
+        res = minimize_free_relax(space, [1.0], [2.0], [3.0 - 1.0j])
+        w, lam = res.minimizer
+        assert res.converged and res.value == 0.0 and res.gap == 0.0
+        assert abs(1.0 - (1.0 - w) * 2.0 - lam * (3.0 - 1.0j)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+    def test_minimizer_is_first_order_optimal(self, p):
+        # the value is flat at the minimizer, so a certified value alone
+        # leaves the minimizer accurate to about sqrt(eps); the returned one
+        # meets the gradient tolerance (per unit-norm direction)
+        space = LpSpace(p, 8)
+        rng = np.random.default_rng(83)
+        tol = SolverConfig().grad_tol
+        for _ in range(10):
+            f, G, phi = _rand(rng, 8), _rand(rng, 8), _rand(rng, 8)
+            w, lam = minimize_free_relax(space, f, G, phi).minimizer
+            F = norming_functional(space, f - (1.0 - w) * G - lam * phi)
+            assert abs(apply_functional(F, G)) <= tol * np.linalg.norm(G)
+            assert abs(apply_functional(F, phi)) <= tol * np.linalg.norm(phi)
+
+    def test_hilbert_path_is_least_squares(self):
+        space = LpSpace(2.0, 7)
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            base, direction = _rand(rng, 7), _rand(rng, 7)
+            res = minimize_over_line(space, base, direction)
+            expected = np.linalg.lstsq(direction[:, None], base, rcond=None)[0]
+            np.testing.assert_allclose(res.minimizer, expected, rtol=0, atol=1e-12)
+            assert res.converged and res.iterations == 0
+            assert abs(res.gap) <= 1e-15 * res.value
+
+            f, G, phi = _rand(rng, 7), _rand(rng, 7), _rand(rng, 7)
+            res = minimize_free_relax(space, f, G, phi)
+            u = np.linalg.lstsq(np.column_stack([G, phi]), f, rcond=None)[0]
+            np.testing.assert_allclose(res.minimizer, [1.0 - u[0], u[1]], rtol=0, atol=1e-12)
+            assert res.converged and res.iterations == 0
+            assert abs(res.gap) <= 1e-15 * res.value
+
+    @pytest.mark.parametrize("p,budget", [(1.5, 10), (3.0, 10), (64.0, 20)])
+    def test_newton_iteration_budget(self, p, budget):
+        # second-order convergence: a first-order method needs tens of steps
+        # here; at p = 64 Newton on (1/p) sum |r_i|^p needs about 37
+        space = LpSpace(p, 16)
+        rng = np.random.default_rng(73)
+        iterations = []
+        for _ in range(20):
+            res = minimize_free_relax(space, _rand(rng, 16), _rand(rng, 16), _rand(rng, 16))
+            assert res.converged
+            iterations.append(res.iterations)
+        assert np.mean(iterations) <= budget
+
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8])
+    def test_residual_entry_driven_to_zero(self, p):
+        # direction e_j: the minimizer zeroes entry j, where |r_j|^p has its
+        # kink; Newton alone shrinks that entry only linearly or stalls
+        space = LpSpace(p, 4)
+        rng = np.random.default_rng(97)
+        for j in range(4):
+            base = _rand(rng, 4)
+            res = minimize_over_line(space, base, np.eye(4)[j])
+            assert res.converged and res.iterations <= 10
+            assert res.value == pytest.approx(lp_norm(LpSpace(p, 3), np.delete(base, j)), rel=1e-14)
+
+    def test_converges_near_p_one(self):
+        # at p = 1.01 the Newton model overshoots residual entries headed for
+        # zero by a factor 1/(p-1); the IRLS fallback keeps it within budget
+        space = LpSpace(1.01, 16)
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            res = minimize_free_relax(space, _rand(rng, 16), _rand(rng, 16), _rand(rng, 16))
+            assert res.converged
+            assert res.gap <= 1e-12 * res.value

@@ -141,6 +141,16 @@ class TestNormingFunctional:
                 F_rot.coeffs, np.conj(rot) * F.coeffs, atol=1e-12
             )
 
+    def test_subnormal_entry_sign(self):
+        # |5e-324 (1 + i)| rounds to 5e-324, so h/|h| would have modulus
+        # sqrt(2); the coefficient must keep the exact phase and modulus
+        space = LpSpace(1.5, 2)
+        tiny = 5e-324 * (1 + 1j)
+        coeff = norming_functional(space, [1.0, tiny]).coeffs[1]
+        expected = (np.abs(tiny) / lp_norm(space, [1.0, tiny])) ** 0.5
+        assert abs(coeff) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert np.angle(coeff) == pytest.approx(-np.pi / 4, rel=1e-12)
+
     @given(
         st.integers(min_value=0, max_value=3),
         st.lists(
