@@ -1,0 +1,187 @@
+"""Byte-identity check: do two source trees write the same outputs?
+
+    python bench/same_outputs.py --baseline OTHER/src
+
+Loads the lpgreedy of ``OTHER/src`` (e.g. a ``git clone`` of the parent
+commit) and then the one in ``src/`` next to this script, and has each
+write the same fixed set of outputs into its own temporary directory:
+
+* the trace CSV and report JSON of 98 seeded runs: the four algorithms x
+  p in {1.5, 2, 3, 8} x 3 seeds x both selection policies, plus
+  ``wgafr``/``gawr`` on a canonical dictionary;
+* ``verify --profile quick`` and ``--profile full`` output at seed 0;
+* the ``sweep_summary.csv`` of sweeps over each algorithm, including
+  cells with invalid values and a sweep without axes;
+* the outcome of 54,000 seeded ``weak_select``/``eps_select`` calls (3,000
+  random dictionaries and functionals with zero atoms, duplicate atoms
+  and functionals that vanish on every atom): index, phase, value and
+  dual norm, or the type of the exception raised. Signed zeros are
+  normalized, so two selections agree when they compare equal.
+
+Lists every file that differs or exists on one side only, and exits 1 if
+there is any. The trees run one after the other, never interleaved, so
+imports made inside a function resolve to the tree being run. Takes about
+a minute, most of it in the two ``--profile full`` batteries.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from run_bench import HERE_SRC, load_package
+
+ALGORITHMS = ("wgafr", "gawr", "iac", "iacc")
+RUN_PS = (1.5, 2.0, 3.0, 8.0)
+RUN_SEEDS = (0, 1, 2)
+POLICIES = ("argmax", "first_qualifying")
+SELECT_TRIALS = 3000
+
+
+def run_configs():
+    """(name, config dict) of the fixed run set."""
+    for algo in ALGORITHMS:
+        membership = "conv" if algo == "iacc" else "a1"
+        eps = 0.05 if algo in ("wgafr", "gawr") else 0.0
+        for p in RUN_PS:
+            for seed in RUN_SEEDS:
+                for policy in POLICIES:
+                    yield f"{algo}-p{p}-s{seed}-{policy}", {
+                        "space": {"p": p, "dim": 12},
+                        "dictionary": {"kind": "gaussian", "count": 24, "seed": seed},
+                        "target": {"membership": membership, "sparsity": 5, "eps": eps,
+                                   "seed": 100 + seed},
+                        "algorithm": {"id": algo, "iters": 20, "policy": policy,
+                                      "t": 1.0 if policy == "argmax" else 0.5},
+                    }
+    for algo in ("wgafr", "gawr"):
+        yield f"{algo}-canonical", {
+            "space": {"p": 1.5, "dim": 12},
+            "dictionary": {"kind": "canonical", "count": 12, "seed": 0},
+            "target": {"membership": "a1", "sparsity": 4, "eps": 0.0, "seed": 3},
+            "algorithm": {"id": algo, "iters": 20},
+        }
+
+
+def sweep_specs():
+    """(name, sweep spec object) over every algorithm, bad cells included."""
+    for algo in ALGORITHMS:
+        base = {
+            "space": {"p": 2.0, "dim": 8},
+            "dictionary": {"kind": "gaussian", "count": 16, "seed": 5},
+            "target": {"membership": "conv" if algo == "iacc" else "a1", "sparsity": 4},
+            "algorithm": {"id": algo, "iters": 6},
+        }
+        yield f"{algo}-p", {"base": base, "axes": [["space.p", [1.5, 3.0, 0.5]]],
+                            "replicate_seeds": 2}
+        yield f"{algo}-solver", {
+            "base": base,
+            "axes": [["solver.grad_tol", [1e-10, -1.0]], ["space.p", [1.5, 3.0]]],
+        }
+        yield f"{algo}-no-axes", {"base": base, "axes": [], "replicate_seeds": 3}
+
+
+def _selection_line(call) -> str:
+    try:
+        sel = call()
+    except Exception as exc:  # the raised type is part of the outcome
+        return f"raise {type(exc).__name__}"
+    return f"{sel.index} {sel.phase + 0j!r} {sel.value + 0j!r} {sel.dual_norm!r}"
+
+
+def selection_lines(pkg) -> list[str]:
+    rng = np.random.default_rng(20240)
+    lines = []
+    for trial in range(SELECT_TRIALS):
+        p = (1.5, 2.0, 3.0)[int(rng.integers(3))]
+        dim = int(rng.integers(1, 6))
+        count = int(rng.integers(1, 9))
+        atoms = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        atoms /= ((np.abs(atoms) ** p).sum(axis=1) ** (1.0 / p))[:, None]
+        atoms[rng.random(count) < 0.2] = 0.0
+        duplicate = rng.random(count) < 0.3
+        atoms[duplicate] = atoms[int(rng.integers(count))]
+        coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        kind = trial % 5
+        if kind == 0:
+            coeffs[:] = 0.0
+        elif kind == 1 and dim > 1:  # no atom reaches the last coordinate
+            atoms[:, -1] = 0.0
+            coeffs[:-1] = 0.0
+        weights = rng.random(count)
+        weights /= weights.sum()
+        target = int(rng.integers(3))
+        if target == 0:
+            f = weights @ atoms  # in conv(D)
+        elif target == 1:
+            f = (weights * np.exp(2j * np.pi * rng.random(count))) @ atoms  # in A_1(D)
+        else:
+            f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        space = pkg.LpSpace(p, dim)
+        d = pkg.Dictionary(space, atoms)
+        F = pkg.DualFunctional(coeffs)
+        for t in (1.0, 0.5, 0.1):
+            for policy in POLICIES:
+                lines.append(_selection_line(lambda: pkg.weak_select(F, d, t, policy)))
+        for eps in (0.0, 0.05, 1.0):
+            for mode in ("circle", "plain"):
+                for policy in POLICIES:
+                    lines.append(_selection_line(
+                        lambda: pkg.eps_select(F, d, f, eps, mode=mode, policy=policy)
+                    ))
+    return lines
+
+
+def write_outputs(pkg, out: Path) -> None:
+    for name, data in run_configs():
+        pkg.run_experiment(pkg.ExperimentConfig.from_dict(data), out_dir=str(out / "runs" / name))
+    for profile in ("quick", "full"):
+        with open(out / f"verify_{profile}.txt", "w") as fh:
+            pkg.verify_suite(seed=0, profile=profile, stream=fh)
+    for name, obj in sweep_specs():
+        pkg.run_sweep(pkg.SweepSpec.from_json_obj(obj), out_dir=str(out / "sweeps" / name))
+    (out / "selections.txt").write_text("\n".join(selection_lines(pkg)) + "\n")
+
+
+def differing_files(a: Path, b: Path) -> tuple[int, list[str]]:
+    """(files compared, relative paths that differ or exist on one side only)."""
+    def files(root):
+        return {
+            str(Path(dirpath, name).relative_to(root))
+            for dirpath, _, names in os.walk(root) for name in names
+        }
+
+    names = sorted(files(a) | files(b))
+    differ = [
+        name for name in names
+        if not ((a / name).is_file() and (b / name).is_file()
+                and (a / name).read_bytes() == (b / name).read_bytes())
+    ]
+    return len(names), differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", type=Path, required=True,
+                        help="src/ directory of the tree to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"baseline": args.baseline.resolve(), "change": HERE_SRC}
+        for label, src in sides.items():
+            out = Path(tmp, label)
+            out.mkdir()
+            write_outputs(load_package(src), out)
+        compared, differ = differing_files(Path(tmp, "baseline"), Path(tmp, "change"))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{compared} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,6 +73,7 @@ from .config import (
     SweepSpec,
     ConfigError,
 )
-from .harness import run_experiment, run_sweep, verify_suite
+from .harness import run_experiment, run_sweep
+from .acceptance import verify_suite
 
 __version__ = "0.1.0"

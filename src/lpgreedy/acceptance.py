@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import filecmp
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -37,11 +38,12 @@ from .analysis import (
     check_orthogonality,
     fit_log_slope,
 )
-from .config import ExperimentConfig, stable_seed
+from .config import ConfigError, ExperimentConfig, stable_seed
 from .dictionaries import generate_dictionary, make_target
+from .harness import run_experiment
 from .spaces import LpSpace, _functional_rows, _norm_rows, norming_functional
 
-__all__ = ["ALL_CRITERIA", "format_criterion_line"]
+__all__ = ["ALL_CRITERIA", "format_criterion_line", "verify_suite"]
 
 _PS = (1.5, 2.0, 3.0, 4.0)
 _RUN_PS = (1.5, 2.0, 3.0)
@@ -354,8 +356,6 @@ def criterion_sequence_bounds(seed=0, profile="full") -> CheckReport:
 
 def criterion_determinism(seed=0, profile="full") -> CheckReport:
     """Identical configs produce byte-identical trace CSV and report JSON."""
-    from .harness import run_experiment
-
     del profile
     configs = [
         ExperimentConfig.from_dict(
@@ -420,3 +420,26 @@ ALL_CRITERIA = (
     (13, "sequence_bounds", criterion_sequence_bounds),
     (14, "determinism", criterion_determinism),
 )
+
+
+def verify_suite(seed: int = 0, profile: str = "quick", stream=None) -> tuple[int, list[CheckReport]]:
+    """Run the full property battery; print one pass/fail line per criterion.
+
+    ``quick`` is a scaled-down smoke profile; ``full`` runs the complete
+    acceptance battery. Returns (exit_code, reports) with exit code 0 only
+    if every criterion passed.
+    """
+    if profile not in ("quick", "full"):
+        raise ConfigError(f"profile: must be 'quick' or 'full'; got {profile!r}")
+    stream = stream if stream is not None else sys.stdout
+    reports = []
+    for number, name, fn in ALL_CRITERIA:
+        report = fn(seed=seed, profile=profile)
+        reports.append(report)
+        print(format_criterion_line(number, name, report), file=stream)
+    exit_code = 0 if all(r.passed for r in reports) else 1
+    print(
+        f"{sum(r.passed for r in reports)}/{len(reports)} criteria passed",
+        file=stream,
+    )
+    return exit_code, reports

@@ -142,8 +142,8 @@ class RelaxationSchedule:
 def epsilon_schedule(K1: float, params: SmoothnessParams, n: int) -> float:
     """K1 * gamma^(1/q) * n^(-1/p_dual), the incremental selection tolerance."""
     K1 = float(K1)
-    if K1 <= 0.0:
-        raise ValueError(f"K1 must be > 0; got {K1}")
+    if not 0.0 < K1 < np.inf:
+        raise ValueError(f"K1 must be finite and > 0; got {K1}")
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1; got {n}")
@@ -189,9 +189,6 @@ class GreedyTrace:
         return np.array(
             [self.initial_residual_norm] + [r.residual_norm for r in self.records]
         )
-
-    def selections(self) -> list[tuple[int, complex]]:
-        return [(r.selected_index, r.phase) for r in self.records]
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -291,8 +288,6 @@ def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return meta, records
-
-
 
 
 def _greedy_loop(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import GreedyTrace, WeaknessSequence
-from .dictionaries import Dictionary, dict_dual_norm
+from .dictionaries import Dictionary, _scan
 from .solvers import SolverConfig, best_approx_subspace
 from .spaces import (
     DualFunctional,
@@ -539,8 +539,9 @@ def check_dual_norm_supremum(
     rng = np.random.default_rng(seed)
     n = int(n_samples)
     count = len(dictionary)
-    values = dictionary.atoms @ F.coeffs
-    abs_max, idx_abs = dict_dual_norm(F, dictionary)
+    values, mags = _scan(F, dictionary)
+    idx_abs = int(np.argmax(mags))
+    abs_max = float(mags[idx_abs])
     re_max = float(values.real.max())
 
     w = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))

@@ -9,8 +9,9 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, SweepSpec
+from .acceptance import verify_suite
 from .dictionaries import InfeasibleSelectionError
-from .harness import run_experiment, run_sweep, verify_suite
+from .harness import run_experiment, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -89,9 +89,6 @@ class Dictionary:
     def __len__(self) -> int:
         return self.atoms.shape[0]
 
-    def element(self, index: int) -> np.ndarray:
-        return self.atoms[index]
-
     def to_json_obj(self) -> dict:
         return {
             "schema": "lpgreedy.dictionary.v1",
@@ -238,11 +235,40 @@ def _check_functional(F: DualFunctional, dictionary: Dictionary) -> None:
         )
 
 
-def dict_dual_norm(F: DualFunctional, dictionary: Dictionary) -> tuple[float, int]:
-    """max_i |F(g_i)| together with the smallest attaining index."""
+def _scan(F: DualFunctional, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
+    """F(g_i) and |F(g_i)| for every atom: the one pass over the dictionary."""
     _check_functional(F, dictionary)
     values = dictionary.atoms @ F.coeffs
-    mags = np.abs(values)
+    return values, np.abs(values)
+
+
+def _pick(
+    values, scores, threshold: float, dual_norm: float, policy: str, phased: bool
+) -> Selection | None:
+    """The atom whose score reaches ``threshold``, or None if none does.
+
+    ``argmax`` takes the best score, ``first_qualifying`` the smallest
+    qualifying index; ties go to the smallest index. A ``phased`` selection
+    aligns the atom by conj(sign F(g)), an unphased one keeps phase 1.
+    ``dual_norm`` (max |F(g)| of the same scan) is stored in the Selection.
+    """
+    if policy == "argmax":
+        idx = int(np.argmax(scores))
+        if scores[idx] < threshold:
+            return None
+    else:
+        qualifying = scores >= threshold
+        idx = int(np.argmax(qualifying))
+        if not qualifying[idx]:
+            return None
+    value = complex(values[idx])
+    phase = complex(np.conj(complex_sign(value))) if phased else 1.0 + 0.0j
+    return Selection(index=idx, phase=phase, value=value, dual_norm=dual_norm)
+
+
+def dict_dual_norm(F: DualFunctional, dictionary: Dictionary) -> tuple[float, int]:
+    """max_i |F(g_i)| together with the smallest attaining index."""
+    _, mags = _scan(F, dictionary)
     idx = int(np.argmax(mags))  # first occurrence wins ties
     return float(mags[idx]), idx
 
@@ -258,29 +284,17 @@ def weak_select(
     ``argmax`` returns the maximizer itself; ``first_qualifying`` returns
     the smallest index over the threshold, which exercises weakness t < 1
     nontrivially. Both policies are deterministic. When every value is
-    zero the selection degenerates to index 0 with phase 1; callers detect
-    the stagnation through the zero dual norm.
+    zero every atom qualifies, so the selection is index 0 with phase 1;
+    callers detect the stagnation through the zero dual norm.
     """
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1]; got {t}")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
-    _check_functional(F, dictionary)
-    values = dictionary.atoms @ F.coeffs
-    mags = np.abs(values)
-    best = int(np.argmax(mags))
-    dual_norm = float(mags[best])
-    if dual_norm == 0.0:
-        return Selection(index=0, phase=1.0 + 0.0j, value=0.0 + 0.0j, dual_norm=0.0)
-    if policy == "argmax":
-        idx = best
-    else:
-        qualifying = mags >= t * mags[best]
-        idx = int(np.argmax(qualifying))  # smallest qualifying index
-    value = complex(values[idx])
-    phase = complex(np.conj(complex_sign(value)))
-    return Selection(index=idx, phase=phase, value=value, dual_norm=dual_norm)
+    values, mags = _scan(F, dictionary)
+    dual_norm = float(mags.max())
+    return _pick(values, mags, t * dual_norm, dual_norm, policy, phased=True)
 
 
 def eps_select(
@@ -301,40 +315,24 @@ def eps_select(
     threshold, ties always to the smallest index.
     """
     eps_m = float(eps_m)
-    if eps_m < 0.0:
-        raise ValueError(f"eps_m must be >= 0; got {eps_m}")
+    if not 0.0 <= eps_m < np.inf:
+        raise ValueError(f"eps_m must be finite and >= 0; got {eps_m}")
     if mode not in SELECTION_MODES:
         raise ValueError(f"mode must be one of {SELECTION_MODES}; got {mode!r}")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
-    _check_functional(F, dictionary)
+    values, mags = _scan(F, dictionary)
     f = _as_vector(dictionary.space, f, "f")
-    values = dictionary.atoms @ F.coeffs
-    mags = np.abs(values)
     scores = mags if mode == "circle" else values.real
     threshold = float(np.dot(F.coeffs, f).real) - eps_m
-    if policy == "argmax":
-        idx = int(np.argmax(scores))
-        if scores[idx] < threshold:
-            raise InfeasibleSelectionError(
-                f"no atom within eps_m={eps_m:g} of the target functional value; "
-                f"best score {scores[idx]!r} < required {threshold!r} "
-                f"(target violates its {mode} membership contract)"
-            )
-    else:
-        qualifying = scores >= threshold
-        if not qualifying.any():
-            raise InfeasibleSelectionError(
-                f"no atom within eps_m={eps_m:g} of the target functional value "
-                f"(target violates its {mode} membership contract)"
-            )
-        idx = int(np.argmax(qualifying))
-    value = complex(values[idx])
-    if mode == "circle":
-        phase = complex(np.conj(complex_sign(value)))
-    else:
-        phase = 1.0 + 0.0j
-    return Selection(index=idx, phase=phase, value=value, dual_norm=float(mags.max()))
+    sel = _pick(values, scores, threshold, float(mags.max()), policy, phased=mode == "circle")
+    if sel is None:
+        raise InfeasibleSelectionError(
+            f"no atom within eps_m={eps_m:g} of the target functional value; "
+            f"best score {scores.max()!r} < required {threshold!r} "
+            f"(target violates its {mode} membership contract)"
+        )
+    return sel
 
 
 def make_target(
@@ -362,8 +360,8 @@ def make_target(
             f"sparsity must lie in [1, {len(dictionary)}]; got {sparsity}"
         )
     eps = float(eps)
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0; got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0; got {eps}")
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(len(dictionary), size=sparsity, replace=False))
     moduli = rng.uniform(0.5, 1.5, size=sparsity)

@@ -1,4 +1,4 @@
-"""Seeded experiment execution, sweeps, and the verification battery.
+"""Seeded experiment execution and sweeps.
 
 Outputs are a pure function of the config text: no clocks, no environment
 lookups. Every file embeds the config hash and the readers refuse
@@ -12,7 +12,6 @@ import io
 import itertools
 import json
 import os
-import sys
 
 from .algorithms import (
     GreedyTrace,
@@ -32,14 +31,13 @@ from .analysis import (
     check_mt2_bound,
     fit_log_slope,
 )
-from .config import ConfigError, ExperimentConfig, SweepSpec, stable_seed
+from .config import ExperimentConfig, SweepSpec, stable_seed
 from .dictionaries import generate_dictionary, make_target
 from .spaces import LpSpace, smoothness_params
 
 __all__ = [
     "run_experiment",
     "run_sweep",
-    "verify_suite",
     "read_report_json",
     "load_run",
     "stable_seed",
@@ -198,38 +196,34 @@ def load_run(trace_path, report_path):
     return meta, records, report
 
 
-def _run_cell(args):
-    cell_index, replicate, assignments, config = args
-    row = {
-        "cell": cell_index,
-        "replicate": replicate,
-        "axes": json.dumps(assignments, sort_keys=True),
-        "dictionary_seed": "",
-        "target_seed": "",
-        "final_residual": "",
-        "slope": "",
-        "checks_passed": "",
-        "checks_total": "",
-        "pass_rate": "",
-        "error": "",
-        "config_hash": "",
-    }
-    if isinstance(config, ConfigError):
-        row["error"] = f"ConfigError: {config}"
-        return row
-    row["dictionary_seed"] = config.dictionary.seed
-    row["target_seed"] = config.target.seed
+def _run_cell(base: ExperimentConfig, cell: int, replicate: int, assignments: dict) -> dict:
+    """One sweep row: edit the base config once, run it and summarize it.
+
+    Any failure, a bad cell value included, lands in the row's ``error``
+    column; the seed columns stay empty when the config edit itself fails.
+    """
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(cell=cell, replicate=replicate, axes=json.dumps(assignments, sort_keys=True))
     try:
+        config = base.with_fields(
+            {
+                **assignments,
+                "dictionary.seed": stable_seed(base.dictionary.seed, cell, replicate, "dict"),
+                "target.seed": stable_seed(base.target.seed, cell, replicate, "target"),
+            }
+        )
+        row["dictionary_seed"] = config.dictionary.seed
+        row["target_seed"] = config.target.seed
         trace, reports = run_experiment(config)
         applicable = [r for r in reports if r.applicable]
         passed = sum(1 for r in applicable if r.passed)
         norms = trace.residual_norms()
         row["final_residual"] = repr(float(norms[-1]))
+        n = len(trace.records)
         try:
-            n = len(trace.records)
             row["slope"] = repr(fit_log_slope(trace, (max(2, n // 10), n)).slope)
         except ValueError:
-            row["slope"] = ""
+            pass  # too few usable steps for a fit: the slope stays empty
         row["checks_passed"] = passed
         row["checks_total"] = len(applicable)
         row["pass_rate"] = repr(passed / len(applicable)) if applicable else ""
@@ -247,30 +241,11 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
     """
     spec.validate()
     paths = [path for path, _ in spec.axes]
-    value_lists = [values for _, values in spec.axes]
-    jobs = []
-    cell_index = 0
-    for combo in itertools.product(*value_lists) if value_lists else [()]:
+    rows = []
+    for cell, combo in enumerate(itertools.product(*(values for _, values in spec.axes))):
+        assignments = dict(zip(paths, combo))
         for replicate in range(int(spec.replicate_seeds)):
-            # Bad cell values are tallied as that cell's failure instead of
-            # aborting the sweep; validation happens inside the cell.
-            try:
-                config = spec.base
-                for path, value in zip(paths, combo):
-                    config = config.with_field(path, value)
-                config = config.with_field(
-                    "dictionary.seed",
-                    stable_seed(spec.base.dictionary.seed, cell_index, replicate, "dict"),
-                )
-                config = config.with_field(
-                    "target.seed",
-                    stable_seed(spec.base.target.seed, cell_index, replicate, "target"),
-                )
-            except ConfigError as exc:
-                config = exc
-            jobs.append((cell_index, replicate, dict(zip(paths, combo)), config))
-        cell_index += 1
-    rows = [_run_cell(job) for job in jobs]
+            rows.append(_run_cell(spec.base, cell, replicate, assignments))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         buf = io.StringIO()
@@ -281,28 +256,3 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
         with open(os.path.join(out_dir, "sweep_summary.csv"), "w", newline="") as fh:
             fh.write(buf.getvalue())
     return rows
-
-
-def verify_suite(seed: int = 0, profile: str = "quick", stream=None) -> tuple[int, list[CheckReport]]:
-    """Run the full property battery; print one pass/fail line per criterion.
-
-    ``quick`` is a scaled-down smoke profile; ``full`` runs the complete
-    acceptance battery. Returns (exit_code, reports) with exit code 0 only
-    if every criterion passed.
-    """
-    from . import acceptance  # local import: acceptance builds on this module
-
-    if profile not in ("quick", "full"):
-        raise ConfigError(f"profile: must be 'quick' or 'full'; got {profile!r}")
-    stream = stream if stream is not None else sys.stdout
-    reports = []
-    for number, name, fn in acceptance.ALL_CRITERIA:
-        report = fn(seed=seed, profile=profile)
-        reports.append(report)
-        print(acceptance.format_criterion_line(number, name, report), file=stream)
-    exit_code = 0 if all(r.passed for r in reports) else 1
-    print(
-        f"{sum(r.passed for r in reports)}/{len(reports)} criteria passed",
-        file=stream,
-    )
-    return exit_code, reports

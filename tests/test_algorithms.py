@@ -98,6 +98,12 @@ class TestSchedules:
         with pytest.raises(ValueError, match="n"):
             epsilon_schedule(1.0, params, 0)
 
+    def test_epsilon_schedule_non_finite_k1(self):
+        params = smoothness_params(LpSpace(2.0, 4))
+        for K1 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="K1"):
+                epsilon_schedule(K1, params, 1)
+
 
 class TestWgafr:
     def test_one_term_target(self):

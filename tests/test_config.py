@@ -64,6 +64,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="grad_tol"):
             sample_config(solver={"grad_tol": -1.0})
 
+    @pytest.mark.parametrize(
+        "section,name", [("target", "eps"), ("algorithm", "k1"), ("checks", "slack")]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_names_field(self, section, name, value):
+        config = sample_config(**{section: {name: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{name}: must be finite"):
+            config.validate()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration section"):
             ExperimentConfig.from_dict({"spce": {"p": 2.0}})
@@ -129,14 +138,24 @@ class TestHash:
 
 class TestWithField:
     def test_sets_nested_field(self):
-        config = sample_config().with_field("space.p", 3.0)
+        config = sample_config().with_fields({"space.p": 3.0})
         assert config.space.p == 3.0
 
     def test_unknown_path_rejected(self):
         with pytest.raises(ConfigError, match="space.zzz"):
-            sample_config().with_field("space.zzz", 1)
+            sample_config().with_fields({"space.zzz": 1})
         with pytest.raises(ConfigError, match="no such"):
-            sample_config().with_field("p", 1)
+            sample_config().with_fields({"p": 1})
+
+    def test_two_paths_equal_two_edits(self):
+        both = sample_config().with_fields({"space.p": 3.0, "solver.max_iters": 7})
+        one = sample_config().with_fields({"space.p": 3.0})
+        assert both == one.with_fields({"solver.max_iters": 7})
+        assert (both.space.p, both.solver.max_iters) == (3.0, 7)
+
+    def test_unknown_path_named_among_several(self):
+        with pytest.raises(ConfigError, match="algorithm.zzz"):
+            sample_config().with_fields({"space.p": 3.0, "algorithm.zzz": 1})
 
 
 class TestSweepSpec:

@@ -137,6 +137,24 @@ class TestWeakSelect:
             with pytest.raises(ValueError, match="t must"):
                 weak_select(F, d, t=t)
 
+    def test_duplicate_atoms_tie_to_smallest_index(self):
+        space = LpSpace(2.0, 2)
+        # |F| = (0.5, 1, 1, 1): atoms 1 and 3 are the same atom, atom 2 ties them.
+        d = Dictionary(space, np.array([[0.5, 0], [0, 1], [1, 0], [0, 1]], dtype=complex))
+        F = DualFunctional(np.array([1.0, 1.0], dtype=complex))
+        for policy in ("argmax", "first_qualifying"):
+            assert weak_select(F, d, 1.0, policy).index == 1
+            for mode in ("circle", "plain"):
+                assert eps_select(F, d, d.atoms[1], 0.0, mode=mode, policy=policy).index == 1
+
+    def test_zero_atom_never_qualifies_while_dual_norm_positive(self):
+        space = LpSpace(2.0, 2)
+        d = Dictionary(space, np.array([[0, 0], [0.1, 0], [1, 0]], dtype=complex))
+        F = DualFunctional(np.array([1.0, 0.0], dtype=complex))
+        for t, expected in ((0.5, 2), (0.1, 1), (1e-6, 1)):
+            sel = weak_select(F, d, t, policy="first_qualifying")
+            assert (sel.index, sel.dual_norm) == (expected, 1.0)
+
     def test_matches_dual_norm_argmax(self):
         space = LpSpace(3.0, 6)
         d = generate_dictionary(space, 12, "gaussian", seed=2)
@@ -193,6 +211,33 @@ class TestEpsSelect:
         with pytest.raises(InfeasibleSelectionError):
             eps_select(F, d, f, eps_m=0.0, mode="plain")
 
+    def test_functional_vanishing_on_every_atom(self):
+        space = LpSpace(2.0, 3)
+        d = Dictionary(space, np.array([[1, 0, 0], [0, 0.5, 0]], dtype=complex))
+        F = DualFunctional(np.array([0, 0, 1.0], dtype=complex))
+        for mode in ("circle", "plain"):
+            for policy in ("argmax", "first_qualifying"):
+                sel = eps_select(F, d, d.atoms[1], 0.0, mode=mode, policy=policy)
+                assert (sel.index, sel.phase, sel.value, sel.dual_norm) == (0, 1.0, 0.0, 0.0)
+                with pytest.raises(InfeasibleSelectionError):
+                    eps_select(F, d, [0, 0, 1], 0.5, mode=mode, policy=policy)
+
+    def test_infeasible_circle_target_under_both_policies(self):
+        space = LpSpace(2.0, 2)
+        d = generate_dictionary(space, 2, "canonical")
+        f = np.array([2.0, 0.0], dtype=complex)  # twice an atom: outside A_1(D)
+        F = norming_functional(space, f)
+        for policy in ("argmax", "first_qualifying"):
+            with pytest.raises(InfeasibleSelectionError, match="circle"):
+                eps_select(F, d, f, eps_m=0.5, mode="circle", policy=policy)
+
+    def test_non_finite_eps_rejected(self):
+        d = generate_dictionary(LpSpace(2.0, 2), 2, "canonical")
+        F = DualFunctional(np.ones(2, dtype=complex))
+        for eps_m in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps_m"):
+                eps_select(F, d, [1, 0], eps_m, mode="plain")
+
     def test_negative_eps_rejected(self):
         d = generate_dictionary(LpSpace(2.0, 2), 2, "canonical")
         F = DualFunctional(np.ones(2, dtype=complex))
@@ -232,6 +277,12 @@ class TestMakeTarget:
             make_target(d, "a1", 5)
         with pytest.raises(ValueError, match="sparsity"):
             make_target(d, "a1", 0)
+
+    def test_non_finite_eps_rejected(self):
+        d = generate_dictionary(LpSpace(2.0, 4), 4, "canonical")
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps"):
+                make_target(d, "a1", 2, eps=eps)
 
     def test_deterministic(self):
         d = generate_dictionary(LpSpace(2.0, 6), 12, "gaussian", seed=6)

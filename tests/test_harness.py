@@ -155,6 +155,38 @@ class TestRunSweep:
         assert "space.p" in rows[0]["error"]
         assert rows[1]["error"] == ""
 
+    def test_bad_solver_cell_leaves_seeds_empty(self):
+        spec = SweepSpec(
+            base=minimal_config(dictionary={"kind": "gaussian", "count": 8}),
+            axes=[("solver.grad_tol", [1e-10, -1.0])],
+            replicate_seeds=1,
+        )
+        good, bad = run_sweep(spec)
+        assert bad["error"].startswith("ConfigError: solver: ")
+        assert "grad_tol" in bad["error"]
+        assert (bad["dictionary_seed"], bad["target_seed"]) == ("", "")
+        assert good["error"] == "" and good["dictionary_seed"] != ""
+
+    def test_bad_p_cell_keeps_seeds(self):
+        spec = SweepSpec(
+            base=minimal_config(dictionary={"kind": "gaussian", "count": 8}),
+            axes=[("space.p", [0.5])],
+            replicate_seeds=1,
+        )
+        (row,) = run_sweep(spec)
+        assert row["error"].startswith("ConfigError: space.p: ")
+        assert isinstance(row["dictionary_seed"], int)
+        assert isinstance(row["target_seed"], int)
+
+    def test_axis_less_sweep_replicates_cell_zero(self):
+        spec = SweepSpec(base=minimal_config(), axes=[], replicate_seeds=3)
+        rows = run_sweep(spec)
+        assert [(r["cell"], r["replicate"], r["axes"]) for r in rows] == [
+            (0, 0, "{}"), (0, 1, "{}"), (0, 2, "{}")
+        ]
+        assert all(r["error"] == "" for r in rows)
+        assert len({r["dictionary_seed"] for r in rows}) == 3
+
     def test_iac_sweep_slopes_track_dual_exponent(self):
         # fitted slope should be at or below the -1/p_dual prediction
         spec = SweepSpec(
