@@ -1,20 +1,28 @@
-"""Inner-solver micro-benchmark: time per solve and per iteration.
+"""Layer micro-benchmark: inner solve, loop step, norm and functional.
 
     python bench/run_bench.py --out BENCH.json [--baseline OTHER/src]
 
-Times ``minimize_over_line`` and ``minimize_free_relax`` of the lpgreedy in
-``src/`` next to this script ("change") and, with ``--baseline``, of a
-second source tree ("parent", e.g. a ``git clone`` of the parent commit)
-on the same seeded random instances at p in {1.5, 2, 3} and dim in
-{16, 2048}. Both packages are imported into this one process and their
-``REPEATS`` repeats alternate, so drifts in host speed hit both alike.
-Each repeat times one pass over the instances with ``time.perf_counter``;
-a case reports the median over repeats of the mean time per call, that
-time divided by the mean iterations per solve, the iteration counts, the
-number of unconverged solves and, where the result carries one, the
-largest relative duality gap. The JSON also records the ``src/`` line
-count and commit of each tree (and whether its ``src/`` has edits not yet
-committed), the machine and the package versions.
+Times three layers of the lpgreedy in ``src/`` next to this script
+("change") and, with ``--baseline``, of a second source tree ("parent",
+e.g. a ``git clone`` of the parent commit) on the same seeded inputs at p
+in {1.5, 2, 3}:
+
+* the inner solve, ``minimize_over_line`` and ``minimize_free_relax`` at
+  dim 16 and 2048: time per call and per Newton iteration, the iteration
+  counts, the number of unconverged solves and, where the result carries
+  one, the largest relative duality gap;
+* one loop step of ``run_wgafr`` and ``run_gawr`` at dim 16 (count 32
+  Gaussian dictionaries, A_1 targets of sparsity 8, t = 1, 10 steps per
+  run): time per step, steps run and steps whose solve did not converge;
+* ``lp_norm`` and ``norming_functional`` at dim 16 and 2048: time per call.
+
+Both packages are imported into this one process and their ``REPEATS``
+repeats alternate, so drifts in host speed hit both alike. Each repeat
+times one pass over a case's inputs with ``time.perf_counter``; a case
+reports the median over repeats of the mean time per call (or per step).
+The JSON also records the ``src/`` line count and commit of each tree (and
+whether its ``src/`` has edits not yet committed), the machine and the
+package versions.
 """
 
 from __future__ import annotations
@@ -34,9 +42,15 @@ import numpy as np
 import scipy
 
 HERE_SRC = Path(__file__).resolve().parents[1] / "src"
-ENTRIES = ("minimize_over_line", "minimize_free_relax")
+SOLVES = ("minimize_over_line", "minimize_free_relax")
+LOOPS = ("run_wgafr", "run_gawr")
+NORMS = ("lp_norm", "norming_functional")
+ENTRIES = SOLVES + LOOPS + NORMS
 PS = (1.5, 2.0, 3.0)
+# Inputs per case, by dim; a loop case runs LOOP_RUNS runs at LOOP_DIM.
 INSTANCES = {16: 40, 2048: 8}
+NORM_INSTANCES = {16: 400, 2048: 100}
+LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 30
 REPEATS = 7
 
 
@@ -52,30 +66,55 @@ def load_package(src: Path):
 
 
 def instances(entry: str, p: float, dim: int):
+    """The seeded inputs of one case: vectors, or loop-run seeds."""
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
-    count = 2 if entry == "minimize_over_line" else 3
+    if entry in LOOPS:
+        return [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(LOOP_RUNS)]
+    count = {"minimize_over_line": 2, "minimize_free_relax": 3}.get(entry, 1)
+    n = (NORM_INSTANCES if entry in NORMS else INSTANCES)[dim]
     return [
         [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(count)]
-        for _ in range(INSTANCES[dim])
+        for _ in range(n)
     ]
 
 
-def solve_all(pkg, entry, p, dim, cases):
+def prepare(pkg, entry, p, dim, data):
+    """A call that runs the case once through ``pkg`` and returns its results."""
     space = pkg.LpSpace(p, dim)
     fn = getattr(pkg, entry)
-    return [fn(space, *args) for args in cases]
+    if entry not in LOOPS:
+        return lambda: [fn(space, *args) for args in data]
+    tau = pkg.WeaknessSequence.constant(1.0)
+    extra = (pkg.RelaxationSchedule.harmonic(),) if entry == "run_gawr" else ()
+    runs = []
+    for dict_seed, target_seed in data:
+        dictionary = pkg.generate_dictionary(space, LOOP_COUNT, "gaussian", dict_seed)
+        target = pkg.make_target(dictionary, "a1", LOOP_SPARSITY, 0.0, target_seed)
+        runs.append((dictionary, target))
+    return lambda: [fn(space, d, t, tau, *extra, LOOP_ITERS) for d, t in runs]
 
 
-def timed_pass(pkg, entry, p, dim, cases) -> float:
+def timed_pass(run, units: int) -> float:
     start = time.perf_counter()
-    solve_all(pkg, entry, p, dim, cases)
-    return (time.perf_counter() - start) / len(cases)
+    run()
+    return (time.perf_counter() - start) / units
 
 
-def outcome(results) -> dict:
+def outcome(entry, results) -> dict:
+    """Deterministic counters of one pass, and the units its time is divided by."""
+    if entry in LOOPS:
+        records = [rec for trace in results for rec in trace.records]
+        return {
+            "units": len(records),
+            "steps": len(records),
+            "unconverged_steps": sum(not rec.solver_converged for rec in records),
+        }
+    if entry in NORMS:
+        return {"units": len(results)}
     iters = [r.iterations for r in results]
     gaps = [r.gap / r.value for r in results if getattr(r, "gap", None) is not None and r.value > 0]
     return {
+        "units": len(results),
         "iters_mean": statistics.fmean(iters),
         "iters_max": max(iters),
         "unconverged": sum(not r.converged for r in results),
@@ -127,41 +166,45 @@ def main(argv=None) -> int:
     pkgs = {label: load_package(src) for label, src in trees.items()}
     cases = {
         (entry, p, dim): instances(entry, p, dim)
-        for entry in ENTRIES for p in PS for dim in INSTANCES
+        for entry in ENTRIES for p in PS
+        for dim in ((LOOP_DIM,) if entry in LOOPS else INSTANCES)
     }
-    # Untimed warm-up pass, which also records iterations and convergence.
-    outcomes = {
-        (label, key): outcome(solve_all(pkg, *key, data))
+    runs = {
+        (label, key): prepare(pkg, *key, data)
         for label, pkg in pkgs.items() for key, data in cases.items()
     }
-    times = {(label, key): [] for label in pkgs for key in cases}
+    # Untimed warm-up pass, which also records the deterministic counters.
+    outcomes = {(label, key): outcome(key[0], run()) for (label, key), run in runs.items()}
+    times = {run_key: [] for run_key in runs}
     labels = list(pkgs)
     for rep in range(REPEATS):
         for label in labels if rep % 2 == 0 else labels[::-1]:
-            for key, data in cases.items():
-                times[label, key].append(timed_pass(pkgs[label], *key, data))
+            for key in cases:
+                units = outcomes[label, key]["units"]
+                times[label, key].append(timed_pass(runs[label, key], units))
 
     results = []
     for key in cases:
         entry, p, dim = key
+        unit = "step" if entry in LOOPS else "call"
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
         for label in pkgs:
-            call_s = statistics.median(times[label, key])
-            stats = outcomes[label, key]
-            row[label] = {
-                "call_us": 1e6 * call_s,
-                "iter_us": 1e6 * call_s / stats["iters_mean"] if stats["iters_mean"] else None,
-                **stats,
-            }
+            unit_s = statistics.median(times[label, key])
+            stats = dict(outcomes[label, key])
+            del stats["units"]
+            row[label] = {f"{unit}_us": 1e6 * unit_s}
+            if entry in SOLVES:
+                row[label]["iter_us"] = 1e6 * unit_s / stats["iters_mean"] if stats["iters_mean"] else None
+            row[label].update(stats)
         if "parent" in pkgs:
-            row["call_speedup"] = row["parent"]["call_us"] / row["change"]["call_us"]
+            row[f"{unit}_speedup"] = row["parent"][f"{unit}_us"] / row["change"][f"{unit}_us"]
         results.append(row)
         print(json.dumps(row))
 
     report = {
-        "bench": "inner solve per call and per iteration (bench/run_bench.py)",
+        "bench": "inner solve, loop step, norm and functional (bench/run_bench.py)",
         "repeats": REPEATS,
-        "statistic": "median over repeats of the mean wall time per call",
+        "statistic": "median over repeats of the mean wall time per call or loop step",
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},
         "results": results,

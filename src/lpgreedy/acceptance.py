@@ -41,7 +41,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, stable_seed
 from .dictionaries import generate_dictionary, make_target
 from .harness import run_experiment
-from .spaces import LpSpace, _functional_rows, _norm_rows, norming_functional
+from .spaces import LpSpace, _norm_rows, _norming_coeffs, norming_functional
 
 __all__ = ["ALL_CRITERIA", "format_criterion_line", "verify_suite"]
 
@@ -62,7 +62,7 @@ def criterion_duality_identities(seed=0, profile="full") -> CheckReport:
         rng = np.random.default_rng(stable_seed(seed, "duality", p))
         h = _complex_rows(rng, (n, dim))
         norms = _norm_rows(p, h)
-        coeffs = _functional_rows(p, h, norms)
+        coeffs = _norming_coeffs(p, h, norms[:, None])
         value_gap = np.abs((coeffs * h).sum(axis=1) - norms) / norms
         dual_gap = np.abs(_norm_rows(p / (p - 1.0), coeffs) - 1.0)
         margins.append(tol - value_gap)

@@ -15,13 +15,22 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dictionaries import Dictionary, TargetSpec, eps_select, weak_select
 from .solvers import SolverConfig, minimize_free_relax, minimize_over_line
-from .spaces import LpSpace, SmoothnessParams, lp_norm, norming_functional, smoothness_params
+from .spaces import (
+    DualFunctional,
+    LpSpace,
+    SmoothnessParams,
+    _norm_vec,
+    _norming_coeffs,
+    lp_norm,
+    smoothness_params,
+)
 
 __all__ = [
     "WeaknessSequence",
@@ -303,9 +312,12 @@ def _greedy_loop(
 
     Step m builds the norming functional F of the residual f - G_{m-1} and
     calls ``select(m, F)`` for a Selection. ``update(m, G_{m-1}, sel, phi)``
-    returns ``(G_m, lam, w_or_r, eps_m, solver_converged)``. A selection
-    with zero dual norm ends the run: every atom annihilates F, so no
-    update can reduce the residual.
+    returns ``(G_m, lam, w_or_r, eps_m, solver_converged)`` with G_m a new
+    array, which the trace keeps without a copy. A selection with zero dual
+    norm ends the run: every atom annihilates F, so no update can reduce
+    the residual. The target is checked once; the residuals the loop makes
+    are not checked again, except that a non-finite one raises ValueError
+    at the step that made it.
     """
     if dictionary.space is not space and dictionary.space != space:
         raise ValueError("dictionary was built for a different space")
@@ -316,6 +328,7 @@ def _greedy_loop(
     if norm0 == 0.0:
         raise ValueError("target.f must be nonzero")
     trace = GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0)
+    p = space.p
     G = np.zeros(space.dim, dtype=np.complex128)
     residual = f
     current = norm0
@@ -323,13 +336,15 @@ def _greedy_loop(
         if current <= RESIDUAL_STOP:
             trace.stop_reason = "residual_below_threshold"
             break
-        sel = select(m, norming_functional(space, residual))
+        sel = select(m, DualFunctional._wrap(_norming_coeffs(p, residual, current)))
         if sel.dual_norm == 0.0:
             trace.stop_reason = "stagnated_zero_dual_norm"
             break
         G, lam, w_or_r, eps_m, converged = update(m, G, sel, dictionary.atoms[sel.index])
         residual = f - G
-        current = lp_norm(space, residual)
+        current = _norm_vec(p, residual)
+        if math.isnan(current):
+            raise ValueError("v contains non-finite entries")  # lp_norm's text
         trace.records.append(
             TraceRecord(
                 m=m,
@@ -343,7 +358,7 @@ def _greedy_loop(
                 solver_converged=converged,
             )
         )
-        trace.approximants.append(G.copy())
+        trace.approximants.append(G)
     return trace
 
 

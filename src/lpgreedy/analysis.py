@@ -22,8 +22,8 @@ from .spaces import (
     DualFunctional,
     LpSpace,
     SmoothnessParams,
-    _functional_rows,
     _norm_rows,
+    _norming_coeffs,
     _rho_values,
     apply_functional,
     lp_norm,
@@ -138,7 +138,7 @@ def check_ll0(space: LpSpace, n_samples: int, seed: int, tol: float = 1e-9) -> C
     u = rng.uniform(-2.0, 2.0, size=n)
     nx = _norm_rows(space.p, x)
     ny = _norm_rows(space.p, y)
-    coeffs = _functional_rows(space.p, x, nx)
+    coeffs = _norming_coeffs(space.p, x, nx[:, None])
     mid = _norm_rows(space.p, x + u[:, None] * y) - nx - (u * (coeffs * y).sum(axis=1).real)
     upper = 2.0 * nx * _rho_values(space.p, np.abs(u) * ny / nx)
     margins = np.concatenate([mid, upper - mid])

@@ -96,11 +96,11 @@ class ExperimentConfig:
         s, d, t, a = self.space, self.dictionary, self.target, self.algorithm
         if not 1.0 < float(s.p) <= P_MAX:
             raise ConfigError(f"space.p: must satisfy 1 < p <= {P_MAX:g}; got {s.p!r}")
-        if int(s.dim) < 1:
+        if _integer("space.dim", s.dim) < 1:
             raise ConfigError(f"space.dim: must be >= 1; got {s.dim!r}")
         if d.kind not in DICTIONARY_KINDS:
             raise ConfigError(f"dictionary.kind: must be one of {DICTIONARY_KINDS}; got {d.kind!r}")
-        if int(d.count) < 1:
+        if _integer("dictionary.count", d.count) < 1:
             raise ConfigError(f"dictionary.count: must be >= 1; got {d.count!r}")
         if d.kind == "canonical" and int(d.count) != int(s.dim):
             raise ConfigError(
@@ -113,7 +113,7 @@ class ExperimentConfig:
             )
         if t.membership not in MEMBERSHIPS:
             raise ConfigError(f"target.membership: must be one of {MEMBERSHIPS}; got {t.membership!r}")
-        if not 1 <= int(t.sparsity) <= int(d.count):
+        if not 1 <= _integer("target.sparsity", t.sparsity) <= int(d.count):
             raise ConfigError(
                 f"target.sparsity: must lie in [1, dictionary.count={d.count}]; got {t.sparsity!r}"
             )
@@ -121,7 +121,7 @@ class ExperimentConfig:
             raise ConfigError(f"target.eps: must be finite and >= 0; got {t.eps!r}")
         if a.id not in ALGORITHM_IDS:
             raise ConfigError(f"algorithm.id: must be one of {ALGORITHM_IDS}; got {a.id!r}")
-        if int(a.iters) < 1:
+        if _integer("algorithm.iters", a.iters) < 1:
             raise ConfigError(f"algorithm.iters: must be >= 1; got {a.iters!r}")
         if a.policy not in POLICIES:
             raise ConfigError(f"algorithm.policy: must be one of {POLICIES}; got {a.policy!r}")
@@ -159,7 +159,7 @@ class ExperimentConfig:
             )
         if not 0.0 <= float(self.checks.slack) < math.inf:
             raise ConfigError(f"checks.slack: must be finite and >= 0; got {self.checks.slack!r}")
-        if int(self.checks.lambda_points) < 2:
+        if _integer("checks.lambda_points", self.checks.lambda_points) < 2:
             raise ConfigError(f"checks.lambda_points: must be >= 2; got {self.checks.lambda_points!r}")
 
     # -- schedules -----------------------------------------------------
@@ -262,11 +262,25 @@ class ExperimentConfig:
         """A copy with each dotted path in ``changes`` (e.g. 'space.p') set to its value."""
         data = self.to_dict()
         for path, value in changes.items():
-            parts = path.split(".")
-            if len(parts) != 2 or parts[0] not in data or parts[1] not in data[parts[0]]:
-                raise ConfigError(f"{path}: no such configuration field")
-            data[parts[0]][parts[1]] = value
+            section, name = _field_path(data, path)
+            data[section][name] = value
         return ExperimentConfig.from_dict(data)
+
+
+def _field_path(data: dict, path: str) -> tuple[str, str]:
+    """(section, field) of a dotted path into ``data``, a config's ``to_dict()``."""
+    parts = path.split(".")
+    if len(parts) != 2 or parts[0] not in data or parts[1] not in data[parts[0]]:
+        raise ConfigError(f"{path}: no such configuration field")
+    return parts[0], parts[1]
+
+
+def _integer(path: str, value) -> int:
+    """int(value); a ConfigError naming ``path`` where there is none (NaN, inf)."""
+    try:
+        return int(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ConfigError(f"{path}: must be an integer; got {value!r}") from None
 
 
 def _format_value(value) -> str:
@@ -308,13 +322,19 @@ class SweepSpec:
     replicate_seeds: int = 1
 
     def validate(self) -> None:
+        """Check the base config, the replicate count and the axis paths.
+
+        Axis values are not checked here: a bad value fails its own cells,
+        wherever it is listed, and the sweep records the error in their rows.
+        """
         self.base.validate()
-        if int(self.replicate_seeds) < 1:
+        if _integer("replicate_seeds", self.replicate_seeds) < 1:
             raise ConfigError(f"replicate_seeds: must be >= 1; got {self.replicate_seeds!r}")
+        fields = self.base.to_dict()
         for path, values in self.axes:
             if not values:
                 raise ConfigError(f"axes.{path}: empty value list")
-            self.base.with_fields({path: values[0]})  # raises on unknown path
+            _field_path(fields, path)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SweepSpec":
@@ -322,7 +342,8 @@ class SweepSpec:
             raise ConfigError("base: sweep spec requires a base config object")
         base = ExperimentConfig.from_dict(obj["base"])
         axes = [(str(path), list(values)) for path, values in obj.get("axes", [])]
-        return cls(base=base, axes=axes, replicate_seeds=int(obj.get("replicate_seeds", 1)))
+        replicate_seeds = _integer("replicate_seeds", obj.get("replicate_seeds", 1))
+        return cls(base=base, axes=axes, replicate_seeds=replicate_seeds)
 
     @classmethod
     def load(cls, path) -> "SweepSpec":

@@ -13,12 +13,14 @@ solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv, zgeqrf, zgesv, zungqr
 
-from .spaces import _TINY, LpSpace, _as_vector, _functional_rows, _norm_rows
+from .spaces import _TINY, LpSpace, _as_vector, _norm_rows, _norm_vec, _norming_coeffs
 
 __all__ = [
     "SolverConfig",
@@ -71,8 +73,14 @@ class SolverConfig:
     def __post_init__(self):
         if not self.grad_tol > 0.0:
             raise ValueError(f"solver.grad_tol must be > 0; got {self.grad_tol!r}")
-        if int(self.max_iters) < 1:
-            raise ValueError(f"solver.max_iters must be >= 1; got {self.max_iters!r}")
+        if self.grad_tol == math.inf:
+            raise ValueError(f"solver.grad_tol must be finite; got {self.grad_tol!r}")
+        try:
+            max_iters = int(self.max_iters)
+        except (OverflowError, TypeError, ValueError):  # NaN, inf, not a number
+            max_iters = None
+        if max_iters is None or max_iters < 1:
+            raise ValueError(f"solver.max_iters must be an integer >= 1; got {self.max_iters!r}")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError(f"solver.armijo_c must lie in (0, 1); got {self.armijo_c!r}")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -100,10 +108,6 @@ class SolveResult:
     gap: float
 
 
-def _norm(p: float, x: np.ndarray) -> float:
-    return float(_norm_rows(p, x[None, :])[0])
-
-
 def _combine(cols: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """cols @ coeffs, summed column by column.
 
@@ -117,24 +121,49 @@ def _combine(cols: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """a^{-1} b for a small square real or complex a; None if a is exactly singular.
+
+    Calls LAPACK gesv directly, the routine numpy.linalg.solve wraps, with
+    the same result bit for bit and without numpy's per-call checks.
+    """
+    _, _, x, info = (zgesv if a.dtype == np.complex128 else dgesv)(a, b)
+    return None if info > 0 else x
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of a complex matrix; the factors of numpy.linalg.qr, bit for bit.
+
+    Returns Q and the leading rows of the LAPACK factorization, whose upper
+    triangle is R; below the diagonal they hold Householder vectors, not
+    zeros. Q is copied to C order: LAPACK returns it in Fortran order, and
+    a product with a Fortran-order Q takes another BLAS path that can
+    change the last bit.
+    """
+    factored, tau, _, _ = zgeqrf(a)
+    k = min(a.shape)
+    q, _, _ = zungqr(factored[:, :k], tau)
+    return np.ascontiguousarray(q), factored[:k]
+
+
 def _descent_step(hess: np.ndarray, grad: np.ndarray, value: float) -> np.ndarray:
     """Solve hess @ step = -value * grad; steepest descent if that does not descend."""
-    try:
-        step = np.linalg.solve(hess, -value * grad)
-    except np.linalg.LinAlgError:
+    step = _solve(hess, -value * grad)
+    if step is None:
         return -value * grad
     return step if grad @ step < 0.0 else -value * grad
 
 
-def _armijo(p, r, dr, value, slope, cfg, t_min):
-    """First t = 1, b, b^2, ... >= t_min with Armijo decrease of ||r + t dr||.
+def _backtrack(p, r, dr, value, slope, cfg):
+    """First t = b, b^2, ... >= _MIN_STEP with Armijo decrease of ||r + t dr||.
 
-    Returns (t, residual, value) there, or None.
+    The full step t = 1 has been tried already. Returns (t, residual,
+    value) there, or None.
     """
-    t = 1.0
-    while t >= t_min:
+    t = cfg.backtrack_factor
+    while t >= _MIN_STEP:
         r_trial = r + t * dr
-        value_trial = _norm(p, r_trial)
+        value_trial = _norm_vec(p, r_trial)
         if value_trial <= value + cfg.armijo_c * t * slope:
             return t, r_trial, value_trial
         t *= cfg.backtrack_factor
@@ -153,7 +182,7 @@ def _lower_bound(q, functional, curv, moved, span, r) -> float:
     """
     cert = functional - curv * np.conj(moved)
     cert -= _combine(span, cert @ np.conj(span))
-    cert_norm = _norm(q, cert)
+    cert_norm = _norm_vec(q, cert)
     return abs(cert @ r) / cert_norm if cert_norm > 0.0 else 0.0
 
 
@@ -202,40 +231,44 @@ def _descend(
     y_start = x0 * scales
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
     conj_cols = np.conj(cols)
-    span, tri = np.linalg.qr(conj_cols)
+    span, tri = _qr(conj_cols)
     free = np.zeros(cols.shape[1], dtype=bool)
-    free[: min(cols.shape)] = np.abs(np.diag(tri)) > RANK_TOL
+    free[: min(cols.shape)] = np.abs(tri.diagonal()) > RANK_TOL
     if not free.all():
         # A column within RANK_TOL of the span of the ones before it (or past
         # the dimension) adds no direction: its coefficient stays at the
         # start and the rest is solved.
         base = base - _combine(cols[:, ~free], y_start[~free])
         cols, conj_cols = cols[:, free], conj_cols[:, free]
-        span, tri = np.linalg.qr(conj_cols)
+        span, tri = _qr(conj_cols)
     if p == 2.0:
-        # Least squares through the QR above: cols = conj(span) @ conj(tri).
-        y = np.linalg.solve(np.conj(tri), base @ span)
+        # Least squares through the QR above: cols = conj(span) @ conj(tri),
+        # with tri square and upper triangular once its lower part is zeroed.
+        for j in range(1, tri.shape[0]):
+            tri[j, :j] = 0.0
+        y = _solve(np.conj(tri), base @ span)
+        if y is None:
+            raise np.linalg.LinAlgError("Singular matrix")
         budget = 0
     else:
         y = y_start[free]
         budget = cfg.max_iters
     r = base - _combine(cols, y)
-    value = _norm(p, r)
+    value = _norm_vec(p, r)
     iterations = 0
     converged = False
     while value > RESIDUAL_FLOOR:
         lower = None
         mags = np.abs(r)
-        functional = _functional_rows(p, r[None, :], np.array([value]))[0]
+        functional = _norming_coeffs(p, r, value)
         grad_c = -np.conj(functional @ cols)  # zero at the minimizer
         grad = grad_c.view(np.float64)  # gradient of ||r|| in (Re y_j, Im y_j)
         curv = np.maximum(mags / value, _RHO_FLOOR) ** (p - 2.0)
         gram = (conj_cols.T * curv) @ cols  # sum_i w_i C_i^H C_i
         # One solve gives the IRLS direction value * beta and the weighted
         # correction of the certificate.
-        try:
-            beta = np.linalg.solve(gram, -grad_c)
-        except np.linalg.LinAlgError:
+        beta = _solve(gram, -grad_c)
+        if beta is None:
             beta = -grad_c
         moved = _combine(cols, beta)
         if budget == 0 or np.sqrt(grad @ grad) <= cfg.grad_tol:
@@ -268,7 +301,7 @@ def _descend(
                 # of the bound.
                 converged = True
                 r_trial = r + dr
-                value_trial = _norm(p, r_trial)
+                value_trial = _norm_vec(p, r_trial)
                 if value_trial - lower <= _GAP_RESOLUTION * value_trial:
                     y, r, value = y + dy, r_trial, value_trial
                     iterations += 1
@@ -277,16 +310,20 @@ def _descend(
         irls_slope = value * float(grad @ beta.view(np.float64))
         if p < 2.0 and irls_slope < 0.0:
             options.append((value * beta, -value * moved, irls_slope))
-        # The lowest full step that passes the Armijo test wins; when none
-        # passes, the last direction backtracks.
+        # The full steps are evaluated together, one row each (the 1-D norm
+        # is the cheaper one for a single row). The lowest one that passes the
+        # Armijo test wins; when none passes, the last direction backtracks.
+        trials = r + np.array([d_r for _, d_r, _ in options])
+        trial_values = _norm_rows(p, trials) if len(options) > 1 else [_norm_vec(p, trials[0])]
         accepted = None
-        for d_y, d_r, d_slope in options:
-            found = _armijo(p, r, d_r, value, d_slope, cfg, 1.0)
-            if found is not None and (accepted is None or found[2] < accepted[2]):
-                accepted, dy = found, d_y
+        for (d_y, _, d_slope), r_trial, value_trial in zip(options, trials, trial_values):
+            if value_trial <= value + cfg.armijo_c * d_slope and (
+                accepted is None or value_trial < accepted[2]
+            ):
+                accepted, dy = (1.0, r_trial, float(value_trial)), d_y
         if accepted is None:
             dy, dr, slope = options[-1]
-            accepted = _armijo(p, r, dr, value, slope, cfg, _MIN_STEP)
+            accepted = _backtrack(p, r, dr, value, slope, cfg)
             if accepted is None:
                 # Step size hit the numerical floor; no further progress possible.
                 break

@@ -72,11 +72,23 @@ class DualFunctional:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("functional coefficients must form a nonempty vector")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("functional coefficients contain non-finite entries")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _wrap(cls, coeffs: np.ndarray) -> "DualFunctional":
+        """Wrap a fresh, finite, nonempty complex128 vector without checks or a copy.
+
+        For coefficients this package has just computed; the vector is
+        frozen in place.
+        """
+        F = object.__new__(cls)
+        coeffs.setflags(write=False)
+        object.__setattr__(F, "coeffs", coeffs)
+        return F
 
     @property
     def dim(self) -> int:
@@ -105,7 +117,7 @@ def _as_vector(space: LpSpace, v, name: str = "v") -> np.ndarray:
         raise ValueError(
             f"{name} has shape {arr.shape}, expected ({space.dim},) for this space"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -119,26 +131,42 @@ def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
     return np.where(scale > 0.0, safe * sums ** (1.0 / p), 0.0)
 
 
-def _functional_rows(p: float, h: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Row-wise norming-functional coefficients; rows of ``h`` must be nonzero.
+def _norm_vec(p: float, a: np.ndarray) -> float:
+    """The l_p norm of one vector; NaN if an entry is not finite.
 
-    The conjugate sign is conj(h_i) / |h_i|, exact to rounding while |h_i|
-    is a normal float. A subnormal |h_i| has lost bits, so below the normal
-    range it is e^{-i arg(h_i)}, which costs a few times more per entry
-    (at zero the coefficient is 0 either way).
+    For finite entries it is ``_norm_rows(p, a[None])[0]`` bit for bit. The
+    root stays a ufunc on a one-element array for that: a Python-float
+    power differs from numpy's in the last bit for about one vector in
+    twenty.
+    """
+    mags = np.abs(a)
+    scale = mags.max()
+    if scale == 0.0:
+        return 0.0
+    sums = ((mags / scale) ** p).sum(keepdims=True)
+    return float((scale * sums ** (1.0 / p))[0])
+
+
+def _norming_coeffs(p: float, h: np.ndarray, norm) -> np.ndarray:
+    """Norming-functional coefficients of a nonzero vector or of nonzero rows.
+
+    ``norm`` is the norm of ``h`` (a float) or, for rows, a column of row
+    norms (shape ``(rows, 1)``). The conjugate sign is conj(h_i) / |h_i|,
+    exact to rounding while |h_i| is a normal float. A subnormal |h_i| has
+    lost bits, so below the normal range it is e^{-i arg(h_i)}, which costs
+    a few times more per entry (at zero the coefficient is 0 either way).
     """
     mags = np.abs(h)
     conj_signs = np.conj(h) / np.maximum(mags, _TINY)
     small = mags < _TINY
     if small.any():
         conj_signs[small] = np.exp(-1j * np.angle(h[small]))
-    return conj_signs * (mags / norms[..., None]) ** (p - 1.0)
+    return conj_signs * (mags / norm) ** (p - 1.0)
 
 
 def lp_norm(space: LpSpace, v) -> float:
     """(sum_i |v_i|^p)^(1/p); nonnegative and zero only for the zero vector."""
-    arr = _as_vector(space, v)
-    return float(_norm_rows(space.p, arr[None, :])[0])
+    return _norm_vec(space.p, _as_vector(space, v))
 
 
 def complex_sign(z) -> complex:
@@ -160,11 +188,10 @@ def norming_functional(space: LpSpace, h) -> DualFunctional:
     optimization.
     """
     arr = _as_vector(space, h, "h")
-    norm = float(_norm_rows(space.p, arr[None, :])[0])
+    norm = _norm_vec(space.p, arr)
     if norm == 0.0:
         raise ValueError("norming functional is undefined for the zero vector")
-    coeffs = _functional_rows(space.p, arr[None, :], np.array([norm]))[0]
-    return DualFunctional(coeffs)
+    return DualFunctional._wrap(_norming_coeffs(space.p, arr, norm))
 
 
 def apply_functional(F: DualFunctional, x) -> complex:

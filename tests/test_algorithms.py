@@ -20,7 +20,9 @@ from lpgreedy import (
     run_iacc,
     run_wgafr,
     smoothness_params,
+    weak_select,
 )
+from lpgreedy.algorithms import _greedy_loop
 from lpgreedy.analysis import check_barycentric, check_monotone
 
 
@@ -348,6 +350,28 @@ class TestSharedLoop:
         for record, G in zip(trace.records, previous):
             F = norming_functional(space, target.f - G)
             assert record.dual_norm == dict_dual_norm(F, d)[0]
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_residual_raises_at_its_step(self, bad):
+        space = LpSpace(1.5, 4)
+        d = generate_dictionary(space, 8, "gaussian", seed=3)
+        target = make_target(d, "a1", 3, seed=4)
+        steps = []
+
+        def select(m, F):
+            return weak_select(F, d, 1.0)
+
+        def update(m, G, sel, phi):
+            steps.append(m)
+            G = 0.5 * G + 0.25 * phi
+            if m == 3:
+                G[1] = bad
+            return G, 0.25, 0.5, None, True
+
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _greedy_loop(space, d, target, 6, "wgafr", select, update)
+        assert steps == [1, 2, 3]
 
 
 class TestTraceSerialization:

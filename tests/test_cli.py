@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lpgreedy import ExperimentConfig
 from lpgreedy.cli import main
 
@@ -41,6 +43,19 @@ class TestRunCommand:
         path.write_text("space.p = 1.0\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "space.p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["solver.grad_tol = Infinity", "solver.max_iters = Infinity", "space.dim = Infinity",
+         "algorithm.iters = NaN", "target.sparsity = NaN"],
+    )
+    def test_non_finite_value_refused_by_field(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"space.p = 1.5\n{line}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert line.split(" = ")[0] in err
 
     def test_missing_config_exits_2(self, tmp_path):
         missing = tmp_path / "nope.txt"

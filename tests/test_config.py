@@ -63,6 +63,11 @@ class TestValidation:
     def test_solver_ranges_surface_as_config_errors(self):
         with pytest.raises(ConfigError, match="grad_tol"):
             sample_config(solver={"grad_tol": -1.0})
+        with pytest.raises(ConfigError, match="solver.grad_tol must be finite"):
+            sample_config(solver={"grad_tol": float("inf")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="solver.max_iters must be an integer"):
+                sample_config(solver={"max_iters": value})
 
     @pytest.mark.parametrize(
         "section,name", [("target", "eps"), ("algorithm", "k1"), ("checks", "slack")]
@@ -71,6 +76,17 @@ class TestValidation:
     def test_non_finite_float_names_field(self, section, name, value):
         config = sample_config(**{section: {name: value}})
         with pytest.raises(ConfigError, match=f"{section}.{name}: must be finite"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "section,name",
+        [("space", "dim"), ("dictionary", "count"), ("target", "sparsity"),
+         ("algorithm", "iters"), ("checks", "lambda_points")],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_integer_names_field(self, section, name, value):
+        config = sample_config(**{section: {name: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{name}: must be an integer"):
             config.validate()
 
     def test_unknown_section_rejected(self):
@@ -187,6 +203,15 @@ class TestSweepSpec:
             {"base": sample_config().to_dict(), "axes": [["space.zzz", [1]]]}
         )
         with pytest.raises(ConfigError, match="space.zzz"):
+            spec.validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_replicate_seeds_names_field(self, value):
+        obj = {"base": sample_config().to_dict(), "replicate_seeds": value}
+        with pytest.raises(ConfigError, match="replicate_seeds: must be an integer"):
+            SweepSpec.from_json_obj(obj)
+        spec = SweepSpec(base=sample_config(), replicate_seeds=value)
+        with pytest.raises(ConfigError, match="replicate_seeds: must be an integer"):
             spec.validate()
 
     def test_load(self, tmp_path):

@@ -167,6 +167,20 @@ class TestRunSweep:
         assert (bad["dictionary_seed"], bad["target_seed"]) == ("", "")
         assert good["error"] == "" and good["dictionary_seed"] != ""
 
+    @pytest.mark.parametrize("values", [[-1.0, 1e-10], [1e-10, -1.0]])
+    def test_bad_value_fails_its_own_row_in_either_order(self, values):
+        spec = SweepSpec(
+            base=minimal_config(dictionary={"kind": "gaussian", "count": 8}),
+            axes=[("solver.grad_tol", values)],
+            replicate_seeds=1,
+        )
+        rows = run_sweep(spec)
+        bad = values.index(-1.0)
+        assert rows[bad]["error"] == (
+            "ConfigError: solver: solver.grad_tol must be > 0; got -1.0"
+        )
+        assert rows[1 - bad]["error"] == "" and rows[1 - bad]["checks_total"] > 0
+
     def test_bad_p_cell_keeps_seeds(self):
         spec = SweepSpec(
             base=minimal_config(dictionary={"kind": "gaussian", "count": 8}),

@@ -273,6 +273,12 @@ class TestSolverConfig:
             SolverConfig(armijo_c=1.0)
         with pytest.raises(ValueError, match="backtrack_factor"):
             SolverConfig(backtrack_factor=0.0)
+        # grad_tol = inf would stop every solve at its first iterate
+        with pytest.raises(ValueError, match="solver.grad_tol must be finite"):
+            SolverConfig(grad_tol=float("inf"))
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="solver.max_iters must be an integer"):
+                SolverConfig(max_iters=value)
 
 
 def _rand(rng, *shape):
@@ -413,3 +419,70 @@ class TestDualityGap:
             res = minimize_free_relax(space, _rand(rng, 16), _rand(rng, 16), _rand(rng, 16))
             assert res.converged
             assert res.gap <= 1e-12 * res.value
+
+
+def _singular_gesv(a, b):
+    """A gesv that reports every matrix exactly singular (info > 0), with junk in x."""
+    return a, None, np.full_like(b, 1e3), 1
+
+
+class TestLapackPaths:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_solve_matches_numpy_and_reports_singular(self, dtype):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 4):
+            a = rng.standard_normal((n, n)).astype(dtype)
+            b = rng.standard_normal(n).astype(dtype)
+            if dtype is complex:
+                a += 1j * rng.standard_normal((n, n))
+                b += 1j * rng.standard_normal(n)
+            assert solvers._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+            assert solvers._solve(np.zeros((n, n), dtype), b) is None
+
+    def test_singular_hessian_falls_back_to_steepest_descent(self, monkeypatch):
+        monkeypatch.setattr(solvers, "dgesv", _singular_gesv)
+        grad = np.array([0.5, -2.0])
+        step = solvers._descent_step(np.eye(2), grad, 3.0)
+        np.testing.assert_array_equal(step, -3.0 * grad)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("singular", ["zgesv", "dgesv"])
+    def test_singular_solves_fall_back(self, monkeypatch, p, singular):
+        # zgesv solves the weighted Gram system (IRLS direction, certificate
+        # correction), dgesv the Newton system; each falls back to the gradient.
+        rng = np.random.default_rng([7, int(10 * p)])
+        space = LpSpace(p, 12)
+        cases = [(_rand(rng, 12), _rand(rng, 12), _rand(rng, 12)) for _ in range(4)]
+        exact = [minimize_free_relax(space, *case) for case in cases]
+        monkeypatch.setattr(solvers, singular, _singular_gesv)
+        cfg = SolverConfig(max_iters=60)
+        for (f, G, phi), want in zip(cases, exact):
+            res = minimize_free_relax(space, f, G, phi, cfg)
+            assert np.all(np.isfinite(res.minimizer))
+            assert want.value - 1e-12 * want.value <= res.value <= lp_norm(space, f - G)
+            assert res.gap >= -1e-15 * res.value
+            if singular == "zgesv":  # Newton itself is intact, and so is the certificate
+                assert res.converged
+                assert res.value == pytest.approx(want.value, rel=1e-14)
+                assert res.gap <= 1e-14 * res.value
+
+    def test_singular_least_squares_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "zgesv", _singular_gesv)
+        with pytest.raises(np.linalg.LinAlgError):
+            minimize_over_line(LpSpace(2.0, 4), np.ones(4), np.arange(4.0))
+
+    @pytest.mark.parametrize("dim", [2, 12, 16, 2048])
+    def test_p2_minimizer_bit_equal_to_numpy_qr(self, dim):
+        # The exact p = 2 path must give numpy.linalg.solve on numpy.linalg.qr.
+        space = LpSpace(2.0, dim)
+        rng = np.random.default_rng([11, dim])
+        for _ in range(5):
+            f, G, phi = _rand(rng, dim), _rand(rng, dim), _rand(rng, dim)
+            for result, base, directions in [
+                (minimize_over_line(space, f, phi), f, phi[:, None]),
+                (minimize_free_relax(space, f, G, phi), f - G, np.column_stack([-G, phi])),
+            ]:
+                scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
+                span, tri = np.linalg.qr(np.conj(directions / scales[None, :]))
+                want = np.linalg.solve(np.conj(tri), base @ span) / scales
+                assert result.minimizer.tobytes() == want.tobytes()

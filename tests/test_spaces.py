@@ -14,6 +14,7 @@ from lpgreedy import (
     rho_bound,
     smoothness_params,
 )
+from lpgreedy.spaces import _norm_rows, _norm_vec, _norming_coeffs
 
 PS = (1.5, 2.0, 3.0, 4.0)
 
@@ -172,6 +173,45 @@ class TestNormingFunctional:
         F = norming_functional(space, h)
         assert abs(apply_functional(F, h) - norm) <= 1e-9 * norm
         assert abs(lp_norm(LpSpace(p / (p - 1.0), 3), F.coeffs) - 1.0) <= 1e-9
+
+
+class TestOneVectorKernels:
+    """The 1-D norm and functional reproduce the row forms bit for bit."""
+
+    @staticmethod
+    def rows(p, dim):
+        rng = np.random.default_rng([dim, int(100 * p)])
+        rows = rng.standard_normal((24, dim)) + 1j * rng.standard_normal((24, dim))
+        rows[1] *= 1e-310  # every entry subnormal
+        rows[2, ::2] = 5e-324 * (1 + 1j)  # normal and subnormal entries mixed
+        rows[3] *= 1e300
+        rows[4] = 0.0
+        return rows
+
+    @pytest.mark.parametrize("dim", [1, 12, 16, 2048])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 8.0, 64.0])
+    def test_bit_equal_to_row_forms(self, p, dim):
+        rows = self.rows(p, dim)
+        norms = _norm_rows(p, rows)
+        nonzero = norms > 0.0
+        coeffs = _norming_coeffs(p, rows[nonzero], norms[nonzero, None])
+        space = LpSpace(p, dim)
+        assert _norm_vec(p, rows[4]) == 0.0 == lp_norm(space, rows[4])
+        for row, norm, want in zip(rows[nonzero], norms[nonzero], coeffs):
+            assert np.float64(_norm_vec(p, row)).tobytes() == norm.tobytes()
+            assert np.float64(lp_norm(space, row)).tobytes() == norm.tobytes()
+            assert _norming_coeffs(p, row, _norm_vec(p, row)).tobytes() == want.tobytes()
+            assert norming_functional(space, row).coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, np.nan)])
+    def test_non_finite_norm_is_nan(self, bad):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_norm_vec(1.5, np.array([1.0, bad], dtype=complex)))
+
+    def test_functional_is_frozen(self):
+        F = norming_functional(LpSpace(1.5, 3), [1.0, 2.0j, -1.0])
+        with pytest.raises(ValueError):
+            F.coeffs[0] = 0.0
 
 
 class TestApplyFunctional:
