@@ -9,6 +9,13 @@ write the same fixed set of outputs into its own temporary directory:
 * the trace CSV and report JSON of 98 seeded runs: the four algorithms x
   p in {1.5, 2, 3, 8} x 3 seeds x both selection policies, plus
   ``wgafr``/``gawr`` on a canonical dictionary;
+* for each ``wgafr`` (``gawr``) run, the CheckReport JSON of
+  ``check_ml1_step`` (``check_ml3_step``) at every step;
+* the CheckReport JSON of ``check_orthogonality`` on 40 random
+  subspace instances per p in {1.5, 2, 3, 4} (dim 6, 3 basis vectors,
+  100 competitors, as in ``verify`` criterion 3), once with the default
+  ``func_tol`` and once with a ``func_tol`` so loose that the worst
+  margin is a competitor's;
 * ``verify --profile quick`` and ``--profile full`` output at seed 0;
 * the ``sweep_summary.csv`` of sweeps over each algorithm, including
   cells with invalid values and a sweep without axes;
@@ -21,12 +28,13 @@ write the same fixed set of outputs into its own temporary directory:
 Lists every file that differs or exists on one side only, and exits 1 if
 there is any. The trees run one after the other, never interleaved, so
 imports made inside a function resolve to the tree being run. Takes about
-a minute, most of it in the two ``--profile full`` batteries.
+40 s on a 2-vCPU host, most of it in the two ``--profile full`` batteries.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -41,6 +49,8 @@ RUN_PS = (1.5, 2.0, 3.0, 8.0)
 RUN_SEEDS = (0, 1, 2)
 POLICIES = ("argmax", "first_qualifying")
 SELECT_TRIALS = 3000
+ORTHO_PS = (1.5, 2.0, 3.0, 4.0)
+ORTHO_INSTANCES = 40
 
 
 def run_configs():
@@ -137,9 +147,53 @@ def selection_lines(pkg) -> list[str]:
     return lines
 
 
+def step_reports(pkg, config, trace) -> list[dict]:
+    """The per-step checker report of a wgafr/gawr run at every step."""
+    space, _, target = pkg.harness._build(config)
+    tau = config.weakness()
+    if config.algorithm.id == "wgafr":
+        reports = [
+            pkg.check_ml1_step(space, trace, r.m, target.A_eps, target.eps, tau.value(r.m),
+                               grid_points=config.checks.lambda_points)
+            for r in trace.records
+        ]
+    else:
+        reports = [
+            pkg.check_ml3_step(space, trace, r.m, target.A_eps, target.eps, tau.t)
+            for r in trace.records
+        ]
+    return [report.to_json_obj() for report in reports]
+
+
+def orthogonality_reports(pkg) -> list[dict]:
+    reports = []
+    for p in ORTHO_PS:
+        space = pkg.LpSpace(p, 6)
+        for i in range(ORTHO_INSTANCES):
+            rng = np.random.default_rng([ORTHO_PS.index(p), i])
+            f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            basis = list(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+            # At the default func_tol the functional margins are the worst; at
+            # func_tol = 1e3 the competitor margins are.
+            for func_tol in (1e-7, 1e3):
+                report = pkg.check_orthogonality(
+                    space, f, basis, n_competitors=100, seed=i, func_tol=func_tol
+                )
+                reports.append(report.to_json_obj())
+    return reports
+
+
 def write_outputs(pkg, out: Path) -> None:
     for name, data in run_configs():
-        pkg.run_experiment(pkg.ExperimentConfig.from_dict(data), out_dir=str(out / "runs" / name))
+        config = pkg.ExperimentConfig.from_dict(data)
+        trace, _ = pkg.run_experiment(config, out_dir=str(out / "runs" / name))
+        if config.algorithm.id in ("wgafr", "gawr"):
+            (out / "runs" / name / "step_checks.json").write_text(
+                json.dumps(step_reports(pkg, config, trace), indent=1) + "\n"
+            )
+    (out / "orthogonality.json").write_text(
+        json.dumps(orthogonality_reports(pkg), indent=1) + "\n"
+    )
     for profile in ("quick", "full"):
         with open(out / f"verify_{profile}.txt", "w") as fh:
             pkg.verify_suite(seed=0, profile=profile, stream=fh)

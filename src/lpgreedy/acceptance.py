@@ -204,10 +204,10 @@ def criterion_mt2_explicit_bound(seed=0, profile="full") -> CheckReport:
         target = make_target(dictionary, "a1", 8, 0.0, stable_seed(seed, "mt2-target", i))
         trace = run_wgafr(space, dictionary, target, WeaknessSequence.constant(1.0), iters)
         norms = trace.residual_norms()
-        for record in trace.records:
-            margins.append(400.0 / (1.0 + record.m) - norms[record.m] ** 2)
+        m = np.arange(1, norms.size)
+        margins.append(400.0 / (1.0 + m) - norms[1:] ** 2)
         steps += len(trace.records)
-    return _finish("mt2_explicit_bound", margins, steps, 0.0)
+    return _finish("mt2_explicit_bound", np.concatenate(margins), steps, 0.0)
 
 
 def criterion_orthonormal_exactness(seed=0, profile="full") -> CheckReport:

@@ -100,17 +100,16 @@ class RateFit:
     r_squared: float
 
 
-def _finish(name, margins, samples, tolerance, details=None, applicable=True):
+def _finish(name, margins, samples, tolerance, details=None):
     worst = float(min(margins)) if len(margins) else float("inf")
-    return CheckReport(
-        name=name,
-        passed=bool(worst >= -tolerance),
-        worst_margin=worst,
-        samples=samples,
-        tolerance=tolerance,
-        applicable=applicable,
-        details=details or [],
-    )
+    passed = bool(worst >= -tolerance)
+    return CheckReport(name, passed, worst, samples, tolerance, details=details or [])
+
+
+def _not_applicable(name, details, samples=0, tolerance=0.0, passed=True):
+    """Report for data outside a checker's hypotheses: worst margin +inf, or -inf if failed."""
+    worst = float("inf") if passed else float("-inf")
+    return CheckReport(name, passed, worst, samples, tolerance, applicable=False, details=details)
 
 
 def reports_to_csv(reports) -> str:
@@ -162,24 +161,41 @@ def ml1_optimal_lambda(
     )
 
 
-def _default_lambda_grid(res_prev, t_m, params, A_eps, points=101):
-    grid = np.linspace(0.0, 1.0, points)
-    return np.append(grid, ml1_optimal_lambda(res_prev, t_m, params, A_eps))
+def _ml1_margins(space, norms, t, A_eps, eps, lambda_grid, grid_points):
+    """ml1 margins: one row per step of ``norms``, one column per lambda.
 
-
-def _ml1_step_report(space, norms, m, A_eps, eps, t_m, lambda_grid, slack, grid_points):
-    prev, curr = norms[m - 1], norms[m]
+    ``norms`` is [||f_{m0-1}||, ..., ||f_M||] and ``t`` holds the weakness
+    factors of steps m0..M. The default grid is ``grid_points`` points on
+    [0, 1] plus each step's lambda from ml1_optimal_lambda.
+    """
     params = smoothness_params(space)
+    prev, curr = norms[:-1, None], norms[1:, None]
     if lambda_grid is None:
-        lambda_grid = _default_lambda_grid(prev, t_m, params, A_eps, grid_points)
-    lams = np.asarray(lambda_grid, dtype=float)
+        lams = np.empty((prev.shape[0], grid_points + 1))
+        lams[:, :-1] = np.linspace(0.0, 1.0, grid_points)
+        lams[:, -1] = [
+            ml1_optimal_lambda(r, t_m, params, A_eps) for r, t_m in zip(norms[:-1], t)
+        ]
+    else:
+        lams = np.asarray(lambda_grid, dtype=float)
+    t = np.asarray(t, dtype=float)[:, None]
     rhs = prev * (
         1.0
-        - lams * t_m / A_eps * (1.0 - eps / prev)
+        - lams * t / A_eps * (1.0 - eps / prev)
         + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
     )
-    margins = rhs - curr
-    return _finish(f"ml1_step_{m}", margins, lams.size, slack)
+    return rhs - curr
+
+
+def _failing_steps(steps, worst, slack) -> list[str]:
+    return [f"step {m}: margin {w:.3e}" for m, w in zip(steps, worst) if not w >= -slack]
+
+
+def _step_norms(trace: GreedyTrace, m: int) -> np.ndarray:
+    """[||f_{m-1}||, ||f_m||], refusing a step outside the trace."""
+    if not 1 <= m <= len(trace.records):
+        raise ValueError(f"step {m} outside trace of length {len(trace.records)}")
+    return trace.residual_norms()[m - 1 : m + 1]
 
 
 def check_ml1_step(
@@ -201,10 +217,9 @@ def check_ml1_step(
     is ``grid_points`` points on [0, 1] plus the lambda where the explicit
     rate derivation is tight.
     """
-    norms = trace.residual_norms()
-    if not 1 <= m <= len(trace.records):
-        raise ValueError(f"step {m} outside trace of length {len(trace.records)}")
-    return _ml1_step_report(space, norms, m, A_eps, eps, t_m, lambda_grid, slack, grid_points)
+    norms = _step_norms(trace, m)
+    margins = _ml1_margins(space, norms, [t_m], A_eps, eps, lambda_grid, grid_points)[0]
+    return _finish(f"ml1_step_{m}", margins, margins.size, slack)
 
 
 def check_ml1_trace(
@@ -218,46 +233,19 @@ def check_ml1_trace(
     grid_points: int = 101,
 ) -> CheckReport:
     """check_ml1_step at every recorded step, margins merged."""
-    norms = trace.residual_norms()
-    margins = []
-    details = []
-    for record in trace.records:
-        rep = _ml1_step_report(
-            space,
-            norms,
-            record.m,
-            A_eps,
-            eps,
-            tau.value(record.m),
-            lambda_grid,
-            slack,
-            grid_points,
-        )
-        margins.append(rep.worst_margin)
-        if not rep.passed:
-            details.append(f"step {record.m}: margin {rep.worst_margin:.3e}")
-    return _finish("ml1_per_step", margins, len(trace.records), slack, details)
+    steps = [record.m for record in trace.records]
+    t = [tau.value(m) for m in steps]
+    margins = _ml1_margins(space, trace.residual_norms(), t, A_eps, eps, lambda_grid, grid_points)
+    worst = margins.min(axis=1, initial=np.inf)
+    return _finish("ml1_per_step", worst, len(steps), slack, _failing_steps(steps, worst, slack))
 
 
-def _ml3_step_report(space, trace, norms, m, A_eps, eps, t, r_m, f_norm, slack):
-    prev, curr = norms[m - 1], norms[m]
-    if r_m is None:
-        r_m = trace.records[m - 1].w_or_r.real
-    if f_norm is None:
-        f_norm = trace.initial_residual_norm
+def _ml3_margin(space, prev, curr, r_m, f_norm, A_eps, eps, t):
+    """One step's ml3 margin; None outside the recursion's hypotheses."""
     if r_m == 0.0 or prev <= eps:
-        return CheckReport(
-            name=f"ml3_step_{m}",
-            passed=True,
-            worst_margin=float("inf"),
-            samples=0,
-            tolerance=slack,
-            applicable=False,
-            details=[f"skipped: r_m={r_m!r}, prev={prev!r}, eps={eps!r}"],
-        )
+        return None
     u = r_m * (f_norm + A_eps / t) / ((1.0 - r_m) * prev)
-    rhs = prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u))
-    return _finish(f"ml3_step_{m}", [rhs - curr], 1, slack)
+    return prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u)) - curr
 
 
 def check_ml3_step(
@@ -278,10 +266,16 @@ def check_ml3_step(
     Steps with r_m = 0 or ||f_{m-1}|| <= eps are outside the recursion's
     hypotheses and are reported as not applicable.
     """
-    norms = trace.residual_norms()
-    if not 1 <= m <= len(trace.records):
-        raise ValueError(f"step {m} outside trace of length {len(trace.records)}")
-    return _ml3_step_report(space, trace, norms, m, A_eps, eps, t, r_m, f_norm, slack)
+    prev, curr = _step_norms(trace, m)
+    if r_m is None:
+        r_m = trace.records[m - 1].w_or_r.real
+    if f_norm is None:
+        f_norm = trace.initial_residual_norm
+    margin = _ml3_margin(space, prev, curr, r_m, f_norm, A_eps, eps, t)
+    if margin is None:
+        details = [f"skipped: r_m={r_m!r}, prev={prev!r}, eps={eps!r}"]
+        return _not_applicable(f"ml3_step_{m}", details, tolerance=slack)
+    return _finish(f"ml3_step_{m}", [margin], 1, slack)
 
 
 def check_ml3_trace(
@@ -293,19 +287,15 @@ def check_ml3_trace(
     slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """check_ml3_step at every applicable step, margins merged."""
-    norms = trace.residual_norms()
-    margins = []
-    details = []
-    applicable_steps = 0
-    for record in trace.records:
-        rep = _ml3_step_report(space, trace, norms, record.m, A_eps, eps, t, None, None, slack)
-        if not rep.applicable:
-            continue
-        applicable_steps += 1
-        margins.append(rep.worst_margin)
-        if not rep.passed:
-            details.append(f"step {record.m}: margin {rep.worst_margin:.3e}")
-    return _finish("ml3_per_step", margins, applicable_steps, slack, details)
+    norms, f_norm = trace.residual_norms(), trace.initial_residual_norm
+    margins = {}
+    for r in trace.records:
+        prev, curr = norms[r.m - 1], norms[r.m]
+        margin = _ml3_margin(space, prev, curr, r.w_or_r.real, f_norm, A_eps, eps, t)
+        if margin is not None:
+            margins[r.m] = margin
+    worst = list(margins.values())
+    return _finish("ml3_per_step", worst, len(worst), slack, _failing_steps(margins, worst, slack))
 
 
 def check_mt2_bound(
@@ -362,23 +352,13 @@ def check_hl1(x_seq, C1: float, a_seq, slack: float = 1e-12) -> CheckReport:
             problems.append("a_seq entries must be nonnegative")
         if x[0] > C1 + slack:
             problems.append(f"x_0={x[0]!r} exceeds C1={C1!r}")
-        for m in range(x.size - 1):
-            if x[m + 1] > x[m] * (1.0 - x[m] * a[m]) + slack:
-                problems.append(
-                    f"recursion fails at m={m}: {x[m + 1]!r} > "
-                    f"{x[m] * (1.0 - x[m] * a[m])!r}"
-                )
-                break
+        bound = x[:-1] * (1.0 - x[:-1] * a[: x.size - 1])
+        failed = np.flatnonzero(x[1:] > bound + slack)
+        if failed.size:
+            m = failed[0]
+            problems.append(f"recursion fails at m={m}: {x[m + 1]!r} > {bound[m]!r}")
     if problems:
-        return CheckReport(
-            name="hl1",
-            passed=False,
-            worst_margin=float("-inf"),
-            samples=x.size,
-            tolerance=slack,
-            applicable=False,
-            details=problems,
-        )
+        return _not_applicable("hl1", problems, x.size, slack, passed=False)
     bounds = 1.0 / (1.0 / C1 + np.concatenate([[0.0], np.cumsum(a[: x.size - 1])]))
     margins = bounds - x
     return _finish("hl1", margins, x.size, slack)
@@ -423,15 +403,7 @@ def check_ml4(
                     problems.append(f"decay hypothesis fails at v={v}")
                     break
     if problems:
-        return CheckReport(
-            name="ml4",
-            passed=False,
-            worst_margin=float("-inf"),
-            samples=a.size,
-            tolerance=slack,
-            applicable=False,
-            details=problems,
-        )
+        return _not_applicable("ml4", problems, a.size, slack, passed=False)
     n = np.arange(1, a.size + 1, dtype=float)
     ratios = a * n**alpha / A
     details = [
@@ -507,18 +479,17 @@ def check_orthogonality(
     if res_norm <= 1e-10:
         raise ValueError("f lies in span(basis); the certificate is degenerate")
     F = norming_functional(space, residual)
-    margins = [func_tol - abs(apply_functional(F, b)) for b in basis]
-    rng = np.random.default_rng(seed)
+    func_margins = [func_tol - abs(apply_functional(F, b)) for b in basis]
     B = np.column_stack([np.asarray(b, dtype=np.complex128) for b in basis])
     scale = float(np.abs(coeffs).mean()) + 1.0
-    k = len(basis)
-    for _ in range(int(n_competitors)):
-        offset = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        g = B @ (coeffs + offset)
-        margins.append(
-            lp_norm(space, np.asarray(f, dtype=np.complex128) - g) + comp_tol - res_norm
-        )
-    return _finish("ll1_certificate", margins, k + int(n_competitors), 0.0)
+    n, k = int(n_competitors), len(basis)
+    # Row i holds competitor i's real then imaginary offset draws, the
+    # order in which one competitor at a time would draw them.
+    z = np.random.default_rng(seed).standard_normal((n, 2, k))
+    W = coeffs + scale * (z[:, 0] + 1j * z[:, 1])
+    g = np.matmul(B, W[..., None])[..., 0]
+    comp_margins = _norm_rows(space.p, np.asarray(f, dtype=np.complex128) - g) + comp_tol - res_norm
+    return _finish("ll1_certificate", np.concatenate([func_margins, comp_margins]), k + n, 0.0)
 
 
 def check_dual_norm_supremum(
@@ -619,9 +590,8 @@ def check_monotone(trace: GreedyTrace, slack: float = DEFAULT_SLACK) -> CheckRep
 def check_trivial_step(trace: GreedyTrace, slack: float = 1e-10) -> CheckReport:
     """Trivial-step safety of the incremental loops: ||f_m|| <= ||f_{m-1}|| + 2/m."""
     norms = trace.residual_norms()
-    margins = [
-        norms[r.m - 1] + 2.0 / r.m + slack - norms[r.m] for r in trace.records
-    ]
+    m = np.arange(1, norms.size)
+    margins = norms[:-1] + 2.0 / m + slack - norms[1:]
     return _finish("trivial_step_bound", margins, len(trace.records), 0.0)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .algorithms import RelaxationSchedule, WeaknessSequence
 from .dictionaries import DICTIONARY_KINDS, MEMBERSHIPS, POLICIES
 from .solvers import SolverConfig
-from .spaces import P_MAX
+from .spaces import P_MAX, _whole
 
 __all__ = ["ConfigError", "ExperimentConfig", "SweepSpec", "ALGORITHM_IDS", "stable_seed"]
 
@@ -276,11 +276,11 @@ def _field_path(data: dict, path: str) -> tuple[str, str]:
 
 
 def _integer(path: str, value) -> int:
-    """int(value); a ConfigError naming ``path`` where there is none (NaN, inf)."""
-    try:
-        return int(value)
-    except (OverflowError, TypeError, ValueError):
-        raise ConfigError(f"{path}: must be an integer; got {value!r}") from None
+    """The whole number ``value``; a ConfigError naming ``path`` for 16.5, NaN or inf."""
+    number = _whole(value)
+    if number is None:
+        raise ConfigError(f"{path}: must be an integer; got {value!r}")
+    return number
 
 
 def _format_value(value) -> str:

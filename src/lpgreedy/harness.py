@@ -23,6 +23,7 @@ from .algorithms import (
 )
 from .analysis import (
     CheckReport,
+    _not_applicable,
     check_barycentric,
     check_trivial_step,
     check_ml1_trace,
@@ -143,13 +144,8 @@ def run_experiment(
             )
         else:
             reports.append(
-                CheckReport(
-                    name="ml3_per_step",
-                    passed=True,
-                    worst_margin=float("inf"),
-                    samples=0,
-                    applicable=False,
-                    details=["recursion is stated for constant weakness only"],
+                _not_applicable(
+                    "ml3_per_step", ["recursion is stated for constant weakness only"]
                 )
             )
     else:

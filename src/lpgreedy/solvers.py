@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgesv, zgeqrf, zgesv, zungqr
 
-from .spaces import _TINY, LpSpace, _as_vector, _norm_rows, _norm_vec, _norming_coeffs
+from .spaces import _TINY, LpSpace, _as_vector, _norm_rows, _norm_vec, _norming_coeffs, _whole
 
 __all__ = [
     "SolverConfig",
@@ -41,8 +41,9 @@ RANK_TOL = 1e-10
 _MIN_STEP = 1e-18
 
 # Relative duality gap below which value and lower bound agree to a few
-# units in the last place: no representable improvement is left.
-_GAP_RESOLUTION = 4.0 * np.finfo(float).eps
+# units in the last place: no representable improvement is left. A Python
+# float, so that the gap test yields a JSON-serializable bool.
+_GAP_RESOLUTION = 4.0 * float(np.finfo(float).eps)
 
 # Floor on |rho_i| = |r_i| / ||r|| inside the Newton weights |rho_i|^(p-2),
 # which are infinite at a zero residual entry when p < 2 (as in IRLS). It
@@ -75,10 +76,7 @@ class SolverConfig:
             raise ValueError(f"solver.grad_tol must be > 0; got {self.grad_tol!r}")
         if self.grad_tol == math.inf:
             raise ValueError(f"solver.grad_tol must be finite; got {self.grad_tol!r}")
-        try:
-            max_iters = int(self.max_iters)
-        except (OverflowError, TypeError, ValueError):  # NaN, inf, not a number
-            max_iters = None
+        max_iters = _whole(self.max_iters)
         if max_iters is None or max_iters < 1:
             raise ValueError(f"solver.max_iters must be an integer >= 1; got {self.max_iters!r}")
         if not 0.0 < self.armijo_c < 1.0:
@@ -183,7 +181,7 @@ def _lower_bound(q, functional, curv, moved, span, r) -> float:
     cert = functional - curv * np.conj(moved)
     cert -= _combine(span, cert @ np.conj(span))
     cert_norm = _norm_vec(q, cert)
-    return abs(cert @ r) / cert_norm if cert_norm > 0.0 else 0.0
+    return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
 
 
 def _descend(

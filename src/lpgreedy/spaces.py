@@ -29,6 +29,15 @@ __all__ = [
 P_MAX = 64.0
 
 
+def _whole(value) -> int | None:
+    """int(value) for a whole number such as 16 or 16.0; None for 16.5, NaN, inf or "16"."""
+    try:
+        number = int(value)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return number if number == value else None
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """Complex l_p^n, exponent ``p`` in (1, 64], dimension ``dim`` >= 1.
@@ -46,8 +55,8 @@ class LpSpace:
             raise ValueError(
                 f"space.p must satisfy 1 < p <= {P_MAX:g}; got {self.p!r}"
             )
-        dim = int(self.dim)
-        if dim < 1:
+        dim = _whole(self.dim)
+        if dim is None or dim < 1:
             raise ValueError(f"space.dim must be a positive integer; got {self.dim!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)

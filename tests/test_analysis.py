@@ -9,6 +9,7 @@ from lpgreedy import (
     TraceRecord,
     WeaknessSequence,
     apply_functional,
+    best_approx_subspace,
     check_condition_43,
     check_dual_norm_supremum,
     check_hl1,
@@ -31,7 +32,7 @@ from lpgreedy import (
     run_wgafr,
     smoothness_params,
 )
-from lpgreedy.analysis import check_trivial_step, check_monotone
+from lpgreedy.analysis import check_barycentric, check_monotone, check_trivial_step
 
 
 def trace_from_norms(norms, algorithm="wgafr", w_or_r=None):
@@ -413,3 +414,92 @@ class TestTraceChecks:
             )
             assert ml1.passed
             assert mt2.passed
+
+
+def _weakness(kind, iters):
+    if kind == "constant":
+        return WeaknessSequence.constant(0.5)
+    return WeaknessSequence.general([1.0 / (1.0 + 0.1 * m) for m in range(iters)])
+
+
+class TestOneRulePerInequality:
+    """A trace checker's worst margin is the minimum of its step checker's."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["constant", "general"])
+    @pytest.mark.parametrize("grid", [None, [0.0, 0.05, 0.3, 1.0]])
+    def test_ml1_trace_is_min_of_steps(self, p, kind, grid):
+        space = LpSpace(p, 10)
+        d = generate_dictionary(space, 20, "gaussian", seed=int(10 * p))
+        target = make_target(d, "a1", 3, eps=0.05, seed=int(10 * p) + 1)
+        tau = _weakness(kind, 25)
+        trace = run_wgafr(space, d, target, tau, 25, "first_qualifying")
+        steps = [
+            check_ml1_step(space, trace, r.m, target.A_eps, target.eps, tau.value(r.m),
+                           lambda_grid=grid, grid_points=31)
+            for r in trace.records
+        ]
+        report = check_ml1_trace(space, trace, tau, target.A_eps, target.eps,
+                                 lambda_grid=grid, grid_points=31)
+        assert report.worst_margin == min(s.worst_margin for s in steps)
+        assert report.samples == len(steps) == len(trace.records) > 0
+        assert all(s.samples == (32 if grid is None else len(grid)) for s in steps)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["constant", "general"])
+    def test_ml3_trace_is_min_of_steps(self, p, kind):
+        space = LpSpace(p, 10)
+        d = generate_dictionary(space, 20, "gaussian", seed=int(7 * p))
+        target = make_target(d, "a1", 3, eps=0.05, seed=int(7 * p) + 1)
+        tau = _weakness(kind, 40)
+        # the recursion holds with any constant t <= every t_m
+        t = tau.t if kind == "constant" else min(tau.values)
+        trace = run_gawr(space, d, target, tau, RelaxationSchedule.harmonic(), 40)
+        steps = [
+            check_ml3_step(space, trace, r.m, target.A_eps, target.eps, t)
+            for r in trace.records
+        ]
+        applicable = [s for s in steps if s.applicable]
+        report = check_ml3_trace(space, trace, target.A_eps, target.eps, t)
+        assert report.worst_margin == min(s.worst_margin for s in applicable)
+        assert report.samples == len(applicable) == sum(s.samples for s in steps) > 0
+
+    def test_empty_trace(self):
+        space = LpSpace(2.0, 4)
+        d = generate_dictionary(space, 4, "canonical")
+        trace = trace_from_norms([1.0])
+        tau = WeaknessSequence.constant(1.0)
+        reports = [
+            check_ml1_trace(space, trace, tau, 1.0, 0.0),
+            check_ml1_trace(space, trace, tau, 1.0, 0.0, lambda_grid=[0.0, 0.5]),
+            check_ml3_trace(space, trace, 1.0, 0.0, 1.0),
+            check_mt2_bound(trace, smoothness_params(space), 1.0, 0.0, tau),
+            check_monotone(trace),
+            check_trivial_step(trace),
+            check_barycentric(trace, d),
+        ]
+        for report in reports:
+            assert report.worst_margin == float("inf") and report.samples == 0, report.name
+            assert report.passed, report.name
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_orthogonality_matches_per_competitor_norms(self, p):
+        space = LpSpace(p, 6)
+        rng = np.random.default_rng(int(4 * p))
+        for seed in range(5):
+            f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            basis = list(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+            report = check_orthogonality(space, f, basis, n_competitors=50, seed=seed)
+            coeffs, residual = best_approx_subspace(space, f, basis)
+            res_norm = lp_norm(space, residual)
+            F = norming_functional(space, residual)
+            margins = [1e-7 - abs(apply_functional(F, b)) for b in basis]
+            B = np.column_stack(basis)
+            scale = float(np.abs(coeffs).mean()) + 1.0
+            comp_rng = np.random.default_rng(seed)
+            for _ in range(50):
+                offset = scale * (comp_rng.standard_normal(3) + 1j * comp_rng.standard_normal(3))
+                g = B @ (coeffs + offset)
+                margins.append(lp_norm(space, f - g) + 1e-9 - res_norm)
+            assert report.worst_margin == min(margins)
+            assert report.samples == 53

@@ -57,6 +57,13 @@ class TestRunCommand:
         assert err.startswith("config error: ")
         assert line.split(" = ")[0] in err
 
+    def test_fractional_dim_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("space.p = 1.5\nspace.dim = 16.5\ndictionary.count = 32\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "space.dim: must be an integer; got 16.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         missing = tmp_path / "nope.txt"
         assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == 2

@@ -4,6 +4,7 @@ import pytest
 
 from lpgreedy import ConfigError, ExperimentConfig
 from lpgreedy.config import SweepSpec, stable_seed
+from lpgreedy.harness import run_experiment
 
 
 def sample_config(**overrides):
@@ -88,6 +89,29 @@ class TestValidation:
         config = sample_config(**{section: {name: value}})
         with pytest.raises(ConfigError, match=f"{section}.{name}: must be an integer"):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "path",
+        ["space.dim", "dictionary.count", "target.sparsity", "algorithm.iters",
+         "checks.lambda_points", "solver.max_iters"],
+    )
+    def test_fractional_integer_names_field(self, path):
+        section, name = path.split(".")
+        with pytest.raises(ConfigError, match=f"{path}:? must be an integer.*; got 16.5"):
+            sample_config(**{section: {name: 16.5}}).validate()
+
+    def test_fractional_replicate_seeds_refused(self):
+        spec = {"base": sample_config().to_dict(), "replicate_seeds": 16.5}
+        with pytest.raises(ConfigError, match="replicate_seeds: must be an integer; got 16.5"):
+            SweepSpec.from_json_obj(spec)
+
+    def test_integral_floats_accepted(self):
+        config = sample_config(
+            space={"dim": 8.0}, target={"sparsity": 3.0}, solver={"max_iters": 50.0}
+        )
+        config.validate()
+        trace, _ = run_experiment(config)
+        assert trace.approximants[0].shape == (8,)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration section"):

@@ -94,6 +94,23 @@ class TestRunExperiment:
                 "details",
             }
 
+    @pytest.mark.parametrize("algorithm", ["wgafr", "gawr"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_unconverged_trace_serializes(self, algorithm, p):
+        config = minimal_config(
+            space={"p": p, "dim": 12},
+            dictionary={"kind": "gaussian", "count": 24},
+            target={"sparsity": 5},
+            algorithm={"id": algorithm, "iters": 15},
+            solver={"max_iters": 2},
+        )
+        trace, _ = run_experiment(config)
+        converged = [r.solver_converged for r in trace.records]
+        assert not all(converged)  # the run does have unconverged steps
+        assert all(type(c) is bool for c in converged)
+        obj = json.loads(json.dumps(trace.to_json_obj()))
+        assert [r["solver_converged"] for r in obj["records"]] == converged
+
     def test_infeasible_membership_surfaces(self):
         # CONV target fed to IAC via a hand-built config is caught upstream
         # by validation; a lying target is surfaced by the selector instead.

@@ -276,9 +276,10 @@ class TestSolverConfig:
         # grad_tol = inf would stop every solve at its first iterate
         with pytest.raises(ValueError, match="solver.grad_tol must be finite"):
             SolverConfig(grad_tol=float("inf"))
-        for value in (float("inf"), float("nan")):
+        for value in (float("inf"), float("nan"), 7.5):
             with pytest.raises(ValueError, match="solver.max_iters must be an integer"):
                 SolverConfig(max_iters=value)
+        assert SolverConfig(max_iters=7.0).max_iters == 7.0
 
 
 def _rand(rng, *shape):

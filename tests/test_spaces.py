@@ -40,6 +40,11 @@ class TestLpSpace:
         with pytest.raises(ValueError, match="space.dim"):
             LpSpace(2.0, 0)
 
+    def test_rejects_fractional_dim(self):
+        with pytest.raises(ValueError, match="space.dim must be a positive integer; got 16.5"):
+            LpSpace(2.0, 16.5)
+        assert LpSpace(2.0, 16.0).dim == 16
+
     def test_p_conjugate(self):
         assert LpSpace(2.0, 2).p_conjugate == 2.0
         assert LpSpace(1.5, 2).p_conjugate == pytest.approx(3.0, abs=1e-15)
