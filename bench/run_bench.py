@@ -1,8 +1,8 @@
-"""Layer micro-benchmark: inner solve, loop step, norm and functional.
+"""Layer micro-benchmark: inner solve, loop step, norm, functional, sweep cell.
 
     python bench/run_bench.py --out BENCH.json [--baseline OTHER/src]
 
-Times three layers of the lpgreedy in ``src/`` next to this script
+Times the layers of the lpgreedy in ``src/`` next to this script
 ("change") and, with ``--baseline``, of a second source tree ("parent",
 e.g. a ``git clone`` of the parent commit) on the same seeded inputs at p
 in {1.5, 2, 3}:
@@ -14,7 +14,19 @@ in {1.5, 2, 3}:
 * one loop step of ``run_wgafr`` and ``run_gawr`` at dim 16 (count 32
   Gaussian dictionaries, A_1 targets of sparsity 8, t = 1, 10 steps per
   run): time per step, steps run and steps whose solve did not converge;
-* ``lp_norm`` and ``norming_functional`` at dim 16 and 2048: time per call.
+* ``lp_norm`` and ``norming_functional`` at dim 16 and 2048: time per call;
+* the bookkeeping of one sweep cell, per call, on cells shaped like the
+  ``sweep_grid`` benchmark workload (dim 12, count 24 Gaussian
+  dictionaries, targets of sparsity 6, 6 steps): ``with_fields`` (the
+  cell's one config edit), ``hash``, ``_build`` (space, dictionary and
+  target), ``fit_log_slope`` and each checker of the ``run_experiment``
+  suites, called as that suite calls it (``check_barycentric`` and
+  ``check_trivial_step`` on iac and iacc traces, ``check_monotone``,
+  ``check_ml1_trace`` and ``check_mt2_bound`` on wgafr traces,
+  ``check_ml3_trace`` on gawr traces);
+* ``run_sweep`` end to end: per p, SWEEP_RUNS sweeps of CELL_REPLICATES
+  replicates for each of the four algorithms, each writing its summary
+  CSV into a temporary directory; time per cell.
 
 Both packages are imported into this one process and their ``REPEATS``
 repeats alternate, so drifts in host speed hit both alike. Each repeat
@@ -35,6 +47,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -45,12 +58,29 @@ HERE_SRC = Path(__file__).resolve().parents[1] / "src"
 SOLVES = ("minimize_over_line", "minimize_free_relax")
 LOOPS = ("run_wgafr", "run_gawr")
 NORMS = ("lp_norm", "norming_functional")
-ENTRIES = SOLVES + LOOPS + NORMS
+# Sweep-cell bookkeeping, each entry with the algorithms whose cells it times.
+CELL_PARTS = {
+    "with_fields": ("iac",),
+    "hash": ("iac",),
+    "_build": ("iac",),
+    "fit_log_slope": ("iac", "iacc"),
+    "check_barycentric": ("iac", "iacc"),
+    "check_trivial_step": ("iac", "iacc"),
+    "check_monotone": ("wgafr",),
+    "check_ml1_trace": ("wgafr",),
+    "check_mt2_bound": ("wgafr",),
+    "check_ml3_trace": ("gawr",),
+}
+SWEEPS = ("run_sweep",)
+ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS
 PS = (1.5, 2.0, 3.0)
 # Inputs per case, by dim; a loop case runs LOOP_RUNS runs at LOOP_DIM.
 INSTANCES = {16: 40, 2048: 8}
 NORM_INSTANCES = {16: 400, 2048: 100}
 LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 30
+CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
+# A run_sweep case runs SWEEP_RUNS sweeps per algorithm, CELL_REPLICATES cells each.
+SWEEP_RUNS, CELL_REPLICATES = 5, 3
 REPEATS = 7
 
 
@@ -68,8 +98,9 @@ def load_package(src: Path):
 def instances(entry: str, p: float, dim: int):
     """The seeded inputs of one case: vectors, or loop-run seeds."""
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
-    if entry in LOOPS:
-        return [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(LOOP_RUNS)]
+    if entry in LOOPS or entry in CELL_PARTS or entry in SWEEPS:
+        runs = LOOP_RUNS if entry in LOOPS else CELL_RUNS if entry in CELL_PARTS else SWEEP_RUNS
+        return [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
     count = {"minimize_over_line": 2, "minimize_free_relax": 3}.get(entry, 1)
     n = (NORM_INSTANCES if entry in NORMS else INSTANCES)[dim]
     return [
@@ -78,8 +109,90 @@ def instances(entry: str, p: float, dim: int):
     ]
 
 
+def cell_config(pkg, algorithm, p, dict_seed, target_seed):
+    """The config of one sweep cell shaped like the ``sweep_grid`` workload's."""
+    return pkg.ExperimentConfig.from_dict(
+        {
+            "space": {"p": p, "dim": CELL_DIM},
+            "dictionary": {"kind": "gaussian", "count": CELL_COUNT, "seed": dict_seed},
+            "target": {
+                "membership": "conv" if algorithm == "iacc" else "a1",
+                "sparsity": CELL_SPARSITY,
+                "seed": target_seed,
+            },
+            "algorithm": {"id": algorithm, "iters": CELL_ITERS},
+        }
+    )
+
+
+def prepare_cell_part(pkg, entry, p, data):
+    """A call that runs one cell-bookkeeping case once, as ``run_experiment`` does."""
+    algorithms = CELL_PARTS[entry]
+    configs = [
+        cell_config(pkg, algorithms[i % len(algorithms)], p, *seeds)
+        for i, seeds in enumerate(data)
+    ]
+    if entry == "with_fields":
+        edits = [{"space.p": p, "dictionary.seed": d, "target.seed": t} for d, t in data]
+        base = configs[0]
+        return lambda: [base.with_fields(edit) for edit in edits]
+    if entry == "hash":
+        return lambda: [config.hash() for config in configs]
+    if entry == "_build":
+        return lambda: [pkg.harness._build(config) for config in configs]
+    calls = [suite_call(pkg, entry, config) for config in configs]
+    return lambda: [call() for call in calls]
+
+
+def suite_call(pkg, entry, config):
+    """A call of one checker, or of the slope fit, on the config's trace as the suite makes it."""
+    space, dictionary, target = pkg.harness._build(config)
+    trace, _ = pkg.run_experiment(config)
+    tau, slack, n = config.weakness(), config.checks.slack, len(trace.records)
+    if entry == "fit_log_slope":
+        return lambda: pkg.fit_log_slope(trace, (max(2, n // 10), n))
+    if entry == "check_barycentric":
+        return lambda: pkg.analysis.check_barycentric(trace, dictionary)
+    if entry == "check_trivial_step":
+        return lambda: pkg.check_trivial_step(trace)
+    if entry == "check_monotone":
+        return lambda: pkg.check_monotone(trace, slack)
+    if entry == "check_ml1_trace":
+        return lambda: pkg.check_ml1_trace(
+            space, trace, tau, target.A_eps, target.eps, slack=slack,
+            grid_points=config.checks.lambda_points,
+        )
+    if entry == "check_mt2_bound":
+        params = pkg.smoothness_params(space)
+        return lambda: pkg.check_mt2_bound(trace, params, target.A_eps, target.eps, tau, slack)
+    return lambda: pkg.check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)
+
+
+def prepare_sweep(pkg, p, data):
+    """A call that runs the sweeps of one run_sweep case at ``p`` and returns all rows.
+
+    The sweeps write their summary CSV into a temporary directory that lives
+    as long as the call does.
+    """
+    out_dir = tempfile.TemporaryDirectory(prefix="run_bench_sweep_")
+    specs = [
+        pkg.SweepSpec(
+            base=cell_config(pkg, algorithm, p, dict_seed, target_seed),
+            axes=[],
+            replicate_seeds=CELL_REPLICATES,
+        )
+        for dict_seed, target_seed in data
+        for algorithm in ("wgafr", "gawr", "iac", "iacc")
+    ]
+    return lambda: [row for spec in specs for row in pkg.run_sweep(spec, out_dir.name)]
+
+
 def prepare(pkg, entry, p, dim, data):
     """A call that runs the case once through ``pkg`` and returns its results."""
+    if entry in CELL_PARTS:
+        return prepare_cell_part(pkg, entry, p, data)
+    if entry in SWEEPS:
+        return prepare_sweep(pkg, p, data)
     space = pkg.LpSpace(p, dim)
     fn = getattr(pkg, entry)
     if entry not in LOOPS:
@@ -109,8 +222,11 @@ def outcome(entry, results) -> dict:
             "steps": len(records),
             "unconverged_steps": sum(not rec.solver_converged for rec in records),
         }
-    if entry in NORMS:
+    if entry in NORMS or entry in CELL_PARTS:
         return {"units": len(results)}
+    if entry in SWEEPS:
+        return {"units": len(results), "cells": len(results),
+                "failed_cells": sum(1 for row in results if row["error"] or row["pass_rate"] != "1.0")}
     iters = [r.iterations for r in results]
     gaps = [r.gap / r.value for r in results if getattr(r, "gap", None) is not None and r.value > 0]
     return {
@@ -167,7 +283,11 @@ def main(argv=None) -> int:
     cases = {
         (entry, p, dim): instances(entry, p, dim)
         for entry in ENTRIES for p in PS
-        for dim in ((LOOP_DIM,) if entry in LOOPS else INSTANCES)
+        for dim in (
+            (LOOP_DIM,) if entry in LOOPS
+            else (CELL_DIM,) if entry in CELL_PARTS or entry in SWEEPS
+            else INSTANCES
+        )
     }
     runs = {
         (label, key): prepare(pkg, *key, data)
@@ -186,7 +306,7 @@ def main(argv=None) -> int:
     results = []
     for key in cases:
         entry, p, dim = key
-        unit = "step" if entry in LOOPS else "call"
+        unit = "step" if entry in LOOPS else "cell" if entry in SWEEPS else "call"
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
         for label in pkgs:
             unit_s = statistics.median(times[label, key])
@@ -202,9 +322,9 @@ def main(argv=None) -> int:
         print(json.dumps(row))
 
     report = {
-        "bench": "inner solve, loop step, norm and functional (bench/run_bench.py)",
+        "bench": "inner solve, loop step, norm, functional and sweep cell (bench/run_bench.py)",
         "repeats": REPEATS,
-        "statistic": "median over repeats of the mean wall time per call or loop step",
+        "statistic": "median over repeats of the mean wall time per call, loop step or sweep cell",
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},
         "results": results,

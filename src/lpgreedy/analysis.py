@@ -607,14 +607,18 @@ def check_barycentric(
     convex variant the implied weights must additionally be nonnegative
     reals summing to one within ``weight_tol``.
     """
+    records = trace.records[: len(trace.approximants)]
+    phases = np.array([record.phase for record in records], dtype=np.complex128)
+    atoms = dictionary.atoms[[record.selected_index for record in records]]
+    # cumsum adds row by row, so row m is the running sum phi_1 + ... + phi_m.
+    rebuilt = np.cumsum(phases[:, None] * atoms, axis=0)
+    rebuilt /= np.array([record.m for record in records])[:, None]
+    stored = np.reshape(trace.approximants[: len(records)], rebuilt.shape)
+    drifts = np.abs(rebuilt - stored).max(axis=1).tolist()
     margins = []
     details = []
-    running = np.zeros(dictionary.space.dim, dtype=np.complex128)
     counts: dict[int, int] = {}
-    for record, stored in zip(trace.records, trace.approximants):
-        running = running + complex(record.phase) * dictionary.atoms[record.selected_index]
-        rebuilt = running / record.m
-        drift = float(np.abs(rebuilt - stored).max())
+    for record, drift in zip(records, drifts):
         margins.append(tol - drift)
         if drift > tol:
             details.append(f"step {record.m}: drift {drift:.3e}")

@@ -80,6 +80,25 @@ class OutputSection:
     report_json: str = "report.json"
 
 
+# Section name -> (class, field names in order, names of the integer fields).
+_SECTIONS = {
+    key: (
+        section_cls,
+        tuple(f.name for f in dataclasses.fields(section_cls)),
+        frozenset(f.name for f in dataclasses.fields(section_cls) if f.type in ("int", int)),
+    )
+    for key, section_cls in (
+        ("space", SpaceSection),
+        ("dictionary", DictionarySection),
+        ("target", TargetSection),
+        ("algorithm", AlgorithmSection),
+        ("solver", SolverConfig),
+        ("checks", ChecksSection),
+        ("output", OutputSection),
+    )
+}
+
+
 @dataclass
 class ExperimentConfig:
     space: SpaceSection = field(default_factory=SpaceSection)
@@ -180,28 +199,30 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """``dataclasses.asdict(self)`` (same keys, same order), copied field by field."""
+        data = {}
+        for key, (_, names, _) in _SECTIONS.items():
+            fields = vars(getattr(self, key))
+            data[key] = {
+                name: list(v) if isinstance(v := fields[name], list) else v for name in names
+            }
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        sections = {
-            "space": SpaceSection,
-            "dictionary": DictionarySection,
-            "target": TargetSection,
-            "algorithm": AlgorithmSection,
-            "solver": SolverConfig,
-            "checks": ChecksSection,
-            "output": OutputSection,
-        }
+        """The config of ``to_dict`` form; a whole float in an integer field becomes an int."""
         kwargs = {}
         for key, value in data.items():
-            if key not in sections:
+            if key not in _SECTIONS:
                 raise ConfigError(f"{key}: unknown configuration section")
-            section_cls = sections[key]
-            valid = {f.name for f in dataclasses.fields(section_cls)}
-            unknown = set(value) - valid
+            section_cls, valid, integers = _SECTIONS[key]
+            unknown = set(value).difference(valid)
             if unknown:
                 raise ConfigError(f"{key}.{sorted(unknown)[0]}: unknown field")
+            value = {
+                name: int(v) if name in integers and isinstance(v, float) and v.is_integer() else v
+                for name, v in value.items()
+            }
             try:
                 kwargs[key] = section_cls(**value)
             except (TypeError, ValueError) as exc:

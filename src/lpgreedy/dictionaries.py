@@ -59,7 +59,8 @@ class Dictionary:
     """Ordered finite list of atoms with norm at most one.
 
     ``atoms`` is a (count, dim) complex array, one atom per row, frozen
-    after construction.
+    after construction. An array that is already read-only and owns its
+    memory is kept as it is; any other input is copied.
     """
 
     space: LpSpace
@@ -82,7 +83,8 @@ class Dictionary:
                 f"every atom must have norm <= 1 + {ATOM_NORM_TOL:g}; "
                 f"worst is {norms.max()!r}"
             )
-        atoms = atoms.copy()
+        if atoms.flags.writeable or not atoms.flags.owndata:
+            atoms = atoms.copy()
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
 
@@ -211,9 +213,8 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
         atoms = np.eye(space.dim, dtype=np.complex128)
     elif kind == "gaussian":
         rng = np.random.default_rng(seed)
-        atoms = rng.standard_normal((count, space.dim)) + 1j * rng.standard_normal(
-            (count, space.dim)
-        )
+        atoms = rng.standard_normal((count, space.dim)).astype(np.complex128)
+        atoms.imag = rng.standard_normal((count, space.dim))
         atoms /= _norm_rows(space.p, atoms)[:, None]
     else:  # fourier_frame
         if count < space.dim:
@@ -224,6 +225,7 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
         j = np.arange(space.dim)[None, :]
         atoms = np.exp(2j * np.pi * k * j / count)
         atoms /= _norm_rows(space.p, atoms)[:, None]
+    atoms.setflags(write=False)  # so Dictionary keeps this array instead of copying it
     return Dictionary(space=space, atoms=atoms, kind=kind, seed=seed)
 
 

@@ -215,11 +215,10 @@ def _run_cell(base: ExperimentConfig, cell: int, replicate: int, assignments: di
         passed = sum(1 for r in applicable if r.passed)
         norms = trace.residual_norms()
         row["final_residual"] = repr(float(norms[-1]))
-        n = len(trace.records)
-        try:
-            row["slope"] = repr(fit_log_slope(trace, (max(2, n // 10), n)).slope)
-        except ValueError:
-            pass  # too few usable steps for a fit: the slope stays empty
+        # The one slope fit of the cell: the rate_slope report's, if the suite has one.
+        rate = next((r for r in reports if r.name == "rate_slope"), None) or _diag_slope(trace)
+        if rate.details[0].startswith("slope="):  # else too few usable steps: stays empty
+            row["slope"] = rate.details[0].removeprefix("slope=")
         row["checks_passed"] = passed
         row["checks_total"] = len(applicable)
         row["pass_rate"] = repr(passed / len(applicable)) if applicable else ""

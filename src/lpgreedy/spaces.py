@@ -136,7 +136,9 @@ def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     scale = mags.max(axis=-1)
     safe = np.where(scale > 0.0, scale, 1.0)
-    sums = ((mags / safe[..., None]) ** p).sum(axis=-1)
+    mags /= safe[..., None]
+    mags **= p  # in place, and bit for bit ``mags ** p``
+    sums = mags.sum(axis=-1)
     return np.where(scale > 0.0, safe * sums ** (1.0 / p), 0.0)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,11 @@ from lpgreedy import (
     rho_bound,
     run_gawr,
     run_iac,
+    run_iacc,
     run_wgafr,
     smoothness_params,
 )
-from lpgreedy.analysis import check_barycentric, check_monotone, check_trivial_step
+from lpgreedy.analysis import _finish, check_barycentric, check_monotone, check_trivial_step
 
 
 def trace_from_norms(norms, algorithm="wgafr", w_or_r=None):
@@ -503,3 +506,72 @@ class TestOneRulePerInequality:
                 margins.append(lp_norm(space, f - g) + 1e-9 - res_norm)
             assert report.worst_margin == min(margins)
             assert report.samples == 53
+
+
+def _barycentric_reference(trace, dictionary, tol=1e-10, weight_tol=1e-12):
+    """check_barycentric as one running sum per step, the form it replaced."""
+    margins, details, counts = [], [], {}
+    running = np.zeros(dictionary.space.dim, dtype=np.complex128)
+    for record, stored in zip(trace.records, trace.approximants):
+        running = running + complex(record.phase) * dictionary.atoms[record.selected_index]
+        drift = float(np.abs(running / record.m - stored).max())
+        margins.append(tol - drift)
+        if drift > tol:
+            details.append(f"step {record.m}: drift {drift:.3e}")
+        if trace.algorithm == "iacc":
+            counts[record.selected_index] = counts.get(record.selected_index, 0) + 1
+            weights = [c / record.m for c in counts.values()]
+            margins.append(min(weights))
+            margins.append(weight_tol - abs(sum(weights) - 1.0))
+            if abs(record.phase - 1.0) > weight_tol:
+                margins.append(-abs(record.phase - 1.0))
+                details.append(f"step {record.m}: non-unit weight phase")
+    return _finish("barycentric_reconstruction", margins, len(trace.records), 0.0, details)
+
+
+class TestBarycentricRebuild:
+    """One cumulative sum rebuilds every G_m exactly as the running sum does."""
+
+    def traces(self, algorithm):
+        for seed, p in enumerate([1.5, 2.0, 3.0, 8.0]):
+            space = LpSpace(p, 12)
+            d = generate_dictionary(space, 24, "gaussian", seed=seed)
+            target = make_target(d, "conv" if algorithm == "iacc" else "a1", 5, seed=50 + seed)
+            run = run_iacc if algorithm == "iacc" else run_iac
+            yield d, run(space, d, target, 1.0, 40)
+
+    @pytest.mark.parametrize("algorithm", ["iac", "iacc"])
+    def test_matches_running_sum(self, algorithm):
+        for d, trace in self.traces(algorithm):
+            report = check_barycentric(trace, d)
+            assert report.passed
+            for tol in (1e-10, 0.0):
+                got = check_barycentric(trace, d, tol)
+                assert got == _barycentric_reference(trace, d, tol)
+
+    @pytest.mark.parametrize("algorithm", ["iac", "iacc"])
+    def test_perturbed_approximant_fails(self, algorithm):
+        # the perturbed step sets the worst margin, so its rebuilt G_m shows to the bit
+        for d, trace in self.traces(algorithm):
+            stored = list(trace.approximants)
+            for k in range(len(stored)):
+                trace.approximants = stored[:k] + [stored[k] + 1e-9] + stored[k + 1 :]
+                report = check_barycentric(trace, d)
+                assert not report.passed
+                assert report.details == [f"step {k + 1}: drift 1.000e-09"]
+                assert report == _barycentric_reference(trace, d)
+
+    def test_non_unit_iacc_phase_fails(self):
+        for d, trace in self.traces("iacc"):
+            trace.records[4] = dataclasses.replace(trace.records[4], phase=1j)
+            report = check_barycentric(trace, d)
+            assert not report.passed
+            assert "step 5: non-unit weight phase" in report.details
+            assert report == _barycentric_reference(trace, d)
+
+    def test_approximants_shorter_than_records(self):
+        d, trace = next(self.traces("iac"))
+        trace.approximants = trace.approximants[:7]
+        report = check_barycentric(trace, d)
+        assert report.samples == 40
+        assert report == _barycentric_reference(trace, d)

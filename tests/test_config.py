@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -113,6 +114,23 @@ class TestValidation:
         trace, _ = run_experiment(config)
         assert trace.approximants[0].shape == (8,)
 
+    @pytest.mark.parametrize(
+        "path",
+        ["space.dim", "dictionary.count", "dictionary.seed", "target.sparsity",
+         "target.seed", "algorithm.iters", "solver.max_iters", "checks.lambda_points"],
+    )
+    def test_integral_float_is_the_int(self, path):
+        section, name = path.split(".")
+        whole = sample_config().to_dict()[section][name]
+        config = sample_config(**{section: {name: float(whole)}})
+        assert type(getattr(getattr(config, section), name)) is int
+        assert config.to_text() == sample_config().to_text()
+        assert config.hash() == sample_config().hash()
+        text = sample_config().to_text().replace(f"{path} = {whole}\n", f"{path} = {whole}.0\n")
+        assert f"{path} = {whole}.0" in text
+        assert ExperimentConfig.from_text(text).hash() == sample_config().hash()
+        assert sample_config().with_fields({path: float(whole)}).hash() == sample_config().hash()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration section"):
             ExperimentConfig.from_dict({"spce": {"p": 2.0}})
@@ -170,6 +188,28 @@ class TestHash:
         b = sample_config(target={"seed": 5})
         assert a.hash() != b.hash()
 
+    def test_default_hash_pinned(self):
+        assert ExperimentConfig().hash() == (
+            "698a59336950d5564c0d9345c2470dc400e6fa093051d085eab4e40cc3299c50"
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(),
+            sample_config(
+                algorithm={"tau": [0.5] * 12, "r_kind": "custom", "r_values": [0.25] * 12}
+            ),
+        ],
+    )
+    def test_to_dict_is_asdict(self, config):
+        data = config.to_dict()
+        assert data == dataclasses.asdict(config)
+        assert [list(v) for v in data.values()] == [
+            list(v) for v in dataclasses.asdict(config).values()
+        ]
+        assert list(data) == [f.name for f in dataclasses.fields(config)]
+
     def test_stable_seed_deterministic(self):
         assert stable_seed(1, "x", 2) == stable_seed(1, "x", 2)
         assert stable_seed(1, "x", 2) != stable_seed(1, "x", 3)
@@ -192,6 +232,14 @@ class TestWithField:
         one = sample_config().with_fields({"space.p": 3.0})
         assert both == one.with_fields({"solver.max_iters": 7})
         assert (both.space.p, both.solver.max_iters) == (3.0, 7)
+
+    def test_result_lists_are_copies(self):
+        base = sample_config(algorithm={"tau": [0.5] * 12})
+        edited = base.with_fields({"space.p": 3.0})
+        edited.algorithm.tau[0] = 1.0
+        edited.algorithm.tau.append(1.0)
+        base.to_dict()["algorithm"]["tau"].append(1.0)
+        assert base.algorithm.tau == [0.5] * 12
 
     def test_unknown_path_named_among_several(self):
         with pytest.raises(ConfigError, match="algorithm.zzz"):

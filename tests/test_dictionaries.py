@@ -17,6 +17,7 @@ from lpgreedy import (
     norming_functional,
     weak_select,
 )
+from lpgreedy.spaces import _norm_rows
 
 
 class TestGenerateDictionary:
@@ -58,6 +59,32 @@ class TestGenerateDictionary:
         d = generate_dictionary(LpSpace(2.0, 4), 4, "canonical")
         with pytest.raises(ValueError):
             d.atoms[0, 0] = 5.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_gaussian_draw_pinned(self, p):
+        # real parts are the first standard_normal draw, imaginary parts the second
+        space = LpSpace(p, 12)
+        rng = np.random.default_rng(5)
+        atoms = rng.standard_normal((24, 12)) + 1j * rng.standard_normal((24, 12))
+        atoms /= _norm_rows(p, atoms)[:, None]
+        d = generate_dictionary(space, 24, "gaussian", seed=5)
+        assert d.atoms.tobytes() == atoms.tobytes()
+        assert not d.atoms.flags.writeable
+
+    def test_writable_input_is_copied(self):
+        space = LpSpace(2.0, 2)
+        atoms = np.array([[1.0 + 0j, 0.0], [0.0, 1.0]])
+        d = Dictionary(space=space, atoms=atoms)
+        atoms[0, 0] = 0.5
+        assert d.atoms[0, 0] == 1.0 and not d.atoms.flags.writeable
+        frozen_view = np.eye(2, dtype=complex)[::-1]
+        frozen_view.setflags(write=False)  # read-only, but another array owns the memory
+        assert not np.shares_memory(Dictionary(space=space, atoms=frozen_view).atoms, frozen_view)
+
+    def test_read_only_owned_input_kept(self):
+        atoms = np.eye(3, dtype=complex)
+        atoms.setflags(write=False)
+        assert Dictionary(space=LpSpace(2.0, 3), atoms=atoms).atoms is atoms
 
     def test_overnorm_atom_rejected(self):
         space = LpSpace(2.0, 2)

@@ -1,8 +1,10 @@
+import collections
 import json
+import sys
 
 import pytest
 
-from lpgreedy import ExperimentConfig
+from lpgreedy import ExperimentConfig, analysis, dictionaries, fit_log_slope, harness, solvers
 from lpgreedy.config import SweepSpec
 from lpgreedy.harness import load_run, read_report_json, run_experiment, run_sweep
 
@@ -234,3 +236,101 @@ class TestRunSweep:
         slopes = {json.loads(r["axes"])["space.p"]: float(r["slope"]) for r in rows}
         assert slopes[2.0] <= -0.4  # p_dual = 2 -> -0.5 predicted
         assert slopes[1.5] <= -0.23  # p_dual = 3 -> -1/3 predicted
+
+    @pytest.mark.parametrize("algorithm", ["wgafr", "iac", "iacc"])
+    @pytest.mark.parametrize("iters", [2, 12])
+    def test_row_slope_is_the_cell_fit(self, algorithm, iters):
+        base = minimal_config(
+            dictionary={"kind": "gaussian", "count": 16},
+            space={"dim": 8},
+            target={"membership": "conv" if algorithm == "iacc" else "a1", "sparsity": 4},
+            algorithm={"id": algorithm, "iters": iters},
+        )
+        rows = run_sweep(SweepSpec(base=base, axes=[("space.p", [1.5, 3.0])], replicate_seeds=2))
+        for row in rows:
+            config = base.with_fields(
+                {
+                    **json.loads(row["axes"]),
+                    "dictionary.seed": row["dictionary_seed"],
+                    "target.seed": row["target_seed"],
+                }
+            )
+            trace, reports = run_experiment(config)
+            n = len(trace.records)
+            try:
+                fit = repr(fit_log_slope(trace, (max(2, n // 10), n)).slope)
+            except ValueError:
+                fit = ""
+            assert row["error"] == "" and row["slope"] == fit
+            assert (fit == "") == (iters == 2)
+            if algorithm != "wgafr":
+                (rate,) = [r for r in reports if r.name == "rate_slope"]
+                if fit:
+                    assert rate.details[0] == f"slope={fit}"
+                else:
+                    assert rate.details[0].startswith("slope unavailable: ")
+
+
+class TestTracedSurface:
+    """A sweep reaches the loops through the public names a span tracer wraps,
+    and fits each cell's rate slope once.
+
+    Each name is replaced wherever an lpgreedy module holds it, as a tracer
+    rebinds it, so a call that bypasses the public name is not counted.
+    """
+
+    NAMES = (
+        (harness, "run_experiment"),
+        (dictionaries, "weak_select"),
+        (dictionaries, "eps_select"),
+        (solvers, "minimize_free_relax"),
+        (solvers, "minimize_over_line"),
+        (analysis, "fit_log_slope"),
+    )
+
+    def count_calls(self, monkeypatch):
+        calls = collections.Counter()
+        steps = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if name == "run_experiment":
+                    steps.append(len(result[0].records))
+                return result
+
+            return call
+
+        for module, name in self.NAMES:
+            original = getattr(module, name)
+            wrapper = counted(name, original)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "lpgreedy":
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, wrapper)
+        return calls, steps
+
+    @pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
+    def test_one_run_experiment_and_fit_per_cell_one_selection_per_step(
+        self, monkeypatch, algorithm
+    ):
+        base = minimal_config(
+            dictionary={"kind": "gaussian", "count": 16},
+            space={"dim": 8},
+            target={"membership": "conv" if algorithm == "iacc" else "a1", "sparsity": 4},
+            algorithm={"id": algorithm, "iters": 6},
+        )
+        spec = SweepSpec(base=base, axes=[("space.p", [1.5, 2.0, 3.0])], replicate_seeds=2)
+        calls, steps = self.count_calls(monkeypatch)
+        rows = run_sweep(spec)
+        assert [row["error"] for row in rows] == [""] * 6
+        assert calls["run_experiment"] == len(rows) == len(steps)
+        assert sum(steps) == 6 * 6
+        select = "eps_select" if algorithm in ("iac", "iacc") else "weak_select"
+        solve = {"wgafr": "minimize_free_relax", "gawr": "minimize_over_line"}.get(algorithm)
+        expected = {"run_experiment": len(rows), "fit_log_slope": len(rows), select: sum(steps)}
+        if solve is not None:
+            expected[solve] = sum(steps)
+        assert dict(calls) == expected
