@@ -1,4 +1,4 @@
-"""Layer micro-benchmark: inner solve, loop step, norm, functional, sweep cell.
+"""Layer micro-benchmark: inner solve, loop step, norm, functional, sweep cell, verify.
 
     python bench/run_bench.py --out BENCH.json [--baseline OTHER/src]
 
@@ -26,12 +26,17 @@ in {1.5, 2, 3}:
   ``check_ml3_trace`` on gawr traces);
 * ``run_sweep`` end to end: per p, SWEEP_RUNS sweeps of CELL_REPLICATES
   replicates for each of the four algorithms, each writing its summary
-  CSV into a temporary directory; time per cell.
+  CSV into a temporary directory; time per cell;
+* each criterion of the ``verify`` battery at ``--profile full``, seed 0:
+  time per criterion, with its verdict and worst margin.
 
-Both packages are imported into this one process and their ``REPEATS``
-repeats alternate, so drifts in host speed hit both alike. Each repeat
+Both packages are imported into this one process. Each case runs its
+``REPEATS`` repeats on the two trees back to back, alternating which goes
+first, so drifts in host speed hit both alike. Each repeat
 times one pass over a case's inputs with ``time.perf_counter``; a case
-reports the median over repeats of the mean time per call (or per step).
+reports the median over repeats of the mean time per call (or per step),
+and the first and third quartiles of those repeat times, so a ratio can be
+read against the spread of its own repeats.
 The JSON also records the ``src/`` line count and commit of each tree (and
 whether its ``src/`` has edits not yet committed), the machine and the
 package versions.
@@ -81,6 +86,8 @@ LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 30
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 # A run_sweep case runs SWEEP_RUNS sweeps per algorithm, CELL_REPLICATES cells each.
 SWEEP_RUNS, CELL_REPLICATES = 5, 3
+# The verify rows: one per criterion, each run once per repeat.
+VERIFY_PROFILE, VERIFY_SEED = "full", 0
 REPEATS = 7
 
 
@@ -189,6 +196,9 @@ def prepare_sweep(pkg, p, data):
 
 def prepare(pkg, entry, p, dim, data):
     """A call that runs the case once through ``pkg`` and returns its results."""
+    if entry.startswith("verify_"):
+        criterion = {number: fn for number, _, fn in pkg.acceptance.ALL_CRITERIA}[data[0]]
+        return lambda: [criterion(seed=VERIFY_SEED, profile=VERIFY_PROFILE)]
     if entry in CELL_PARTS:
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS:
@@ -224,6 +234,8 @@ def outcome(entry, results) -> dict:
         }
     if entry in NORMS or entry in CELL_PARTS:
         return {"units": len(results)}
+    if entry.startswith("verify_"):
+        return {"units": 1, "passed": results[0].passed, "worst_margin": results[0].worst_margin}
     if entry in SWEEPS:
         return {"units": len(results), "cells": len(results),
                 "failed_cells": sum(1 for row in results if row["error"] or row["pass_rate"] != "1.0")}
@@ -289,6 +301,11 @@ def main(argv=None) -> int:
             else INSTANCES
         )
     }
+    # A verify case's one instance is its criterion number.
+    cases.update(
+        ((f"verify_{number:02d}_{name}", None, None), [number])
+        for number, name, _ in pkgs["change"].acceptance.ALL_CRITERIA
+    )
     runs = {
         (label, key): prepare(pkg, *key, data)
         for label, pkg in pkgs.items() for key, data in cases.items()
@@ -298,21 +315,28 @@ def main(argv=None) -> int:
     times = {run_key: [] for run_key in runs}
     labels = list(pkgs)
     for rep in range(REPEATS):
-        for label in labels if rep % 2 == 0 else labels[::-1]:
-            for key in cases:
+        for key in cases:
+            for label in labels if rep % 2 == 0 else labels[::-1]:
                 units = outcomes[label, key]["units"]
                 times[label, key].append(timed_pass(runs[label, key], units))
 
     results = []
     for key in cases:
         entry, p, dim = key
-        unit = "step" if entry in LOOPS else "cell" if entry in SWEEPS else "call"
+        verify = entry.startswith("verify_")
+        unit = (
+            "criterion" if verify else "step" if entry in LOOPS
+            else "cell" if entry in SWEEPS else "call"
+        )
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
+        if verify:
+            row.update(profile=VERIFY_PROFILE, seed=VERIFY_SEED)
         for label in pkgs:
             unit_s = statistics.median(times[label, key])
+            q1, _, q3 = statistics.quantiles(times[label, key], n=4)
             stats = dict(outcomes[label, key])
             del stats["units"]
-            row[label] = {f"{unit}_us": 1e6 * unit_s}
+            row[label] = {f"{unit}_us": 1e6 * unit_s, f"{unit}_us_quartiles": [1e6 * q1, 1e6 * q3]}
             if entry in SOLVES:
                 row[label]["iter_us"] = 1e6 * unit_s / stats["iters_mean"] if stats["iters_mean"] else None
             row[label].update(stats)
@@ -322,9 +346,15 @@ def main(argv=None) -> int:
         print(json.dumps(row))
 
     report = {
-        "bench": "inner solve, loop step, norm, functional and sweep cell (bench/run_bench.py)",
+        "bench": (
+            "inner solve, loop step, norm, functional, sweep cell and verify criterion "
+            "(bench/run_bench.py)"
+        ),
         "repeats": REPEATS,
-        "statistic": "median over repeats of the mean wall time per call, loop step or sweep cell",
+        "statistic": (
+            "median over repeats of the mean wall time per call, loop step, sweep cell or "
+            "verify criterion, with the first and third quartiles of the repeats"
+        ),
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},
         "results": results,

@@ -16,7 +16,9 @@ write the same fixed set of outputs into its own temporary directory:
   100 competitors, as in ``verify`` criterion 3), once with the default
   ``func_tol`` and once with a ``func_tol`` so loose that the worst
   margin is a competitor's;
-* ``verify --profile quick`` and ``--profile full`` output at seed 0;
+* ``verify --profile quick`` and ``--profile full`` output at seed 0, and
+  the CheckReport JSON of each criterion, whose margins keep every digit
+  that the 4-digit printed line drops;
 * the ``sweep_summary.csv`` of sweeps over each algorithm, including
   cells with invalid values and a sweep without axes;
 * the outcome of 54,000 seeded ``weak_select``/``eps_select`` calls (3,000
@@ -196,7 +198,12 @@ def write_outputs(pkg, out: Path) -> None:
     )
     for profile in ("quick", "full"):
         with open(out / f"verify_{profile}.txt", "w") as fh:
-            pkg.verify_suite(seed=0, profile=profile, stream=fh)
+            _, reports = pkg.verify_suite(seed=0, profile=profile, stream=fh)
+        (out / f"verify_{profile}").mkdir()
+        for (number, name, _), report in zip(pkg.acceptance.ALL_CRITERIA, reports):
+            (out / f"verify_{profile}" / f"{number:02d}_{name}.json").write_text(
+                json.dumps(report.to_json_obj(), indent=1) + "\n"
+            )
     for name, obj in sweep_specs():
         pkg.run_sweep(pkg.SweepSpec.from_json_obj(obj), out_dir=str(out / "sweeps" / name))
     (out / "selections.txt").write_text("\n".join(selection_lines(pkg)) + "\n")

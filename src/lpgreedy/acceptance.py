@@ -15,31 +15,18 @@ import tempfile
 
 import numpy as np
 
-from .algorithms import (
-    RelaxationSchedule,
-    WeaknessSequence,
-    run_gawr,
-    run_iac,
-    run_iacc,
-    run_wgafr,
-)
 from .analysis import (
     CheckReport,
     _finish,
-    check_barycentric,
     check_dual_norm_supremum,
     check_hl1,
     check_ll0,
-    check_trivial_step,
-    check_ml1_trace,
-    check_ml3_trace,
     check_ml4,
-    check_monotone,
     check_orthogonality,
     fit_log_slope,
 )
 from .config import ConfigError, ExperimentConfig, stable_seed
-from .dictionaries import generate_dictionary, make_target
+from .dictionaries import generate_dictionary
 from .harness import run_experiment
 from .spaces import LpSpace, _norm_rows, _norming_coeffs, norming_functional
 
@@ -51,6 +38,44 @@ _RUN_PS = (1.5, 2.0, 3.0)
 
 def _complex_rows(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _config(dict_seed, target_seed, algorithm, p, iters, dim=12, count=24, **fields):
+    """One battery run as a config, edited from the ExperimentConfig defaults.
+
+    ``fields`` are bare field names: ``kind``, ``membership`` and ``sparsity``
+    go to their sections, any other name to ``algorithm``. The checks are set
+    to the criteria's stated tolerances, not left at the ChecksSection
+    defaults, so a change of those defaults cannot loosen ``verify``.
+    """
+    sections = {"kind": "dictionary", "membership": "target", "sparsity": "target"}
+    changes = {
+        "space.p": p,
+        "space.dim": dim,
+        "dictionary.count": count,
+        "dictionary.seed": dict_seed,
+        "target.seed": target_seed,
+        "algorithm.id": algorithm,
+        "algorithm.iters": iters,
+        "checks.slack": 1e-8,
+        "checks.lambda_points": 101,
+    }
+    changes.update({f"{sections.get(name, 'algorithm')}.{name}": v for name, v in fields.items()})
+    return ExperimentConfig().with_fields(changes)
+
+
+def _run(seed, tag, i, algorithm, p, iters, **fields):
+    """Run ``i`` of a criterion: its trace and its ``run_experiment`` reports by name."""
+    dict_seed = stable_seed(seed, tag + "dict", i)
+    target_seed = stable_seed(seed, tag + "target", i)
+    trace, reports = run_experiment(_config(dict_seed, target_seed, algorithm, p, iters, **fields))
+    return trace, {report.name: report for report in reports}
+
+
+def _merged(name, reports, shift):
+    """A criterion report: each report's worst margin moved by ``shift``, samples summed."""
+    margins = [report.worst_margin + shift for report in reports]
+    return _finish(name, margins, sum(report.samples for report in reports), 0.0)
 
 
 def criterion_duality_identities(seed=0, profile="full") -> CheckReport:
@@ -73,13 +98,11 @@ def criterion_duality_identities(seed=0, profile="full") -> CheckReport:
 def criterion_ll0_sandwich(seed=0, profile="full") -> CheckReport:
     """Two-sided smoothness sandwich, 1e-9 absolute slack, zero violations."""
     n = 10_000 if profile == "full" else 1000
-    margins = []
-    samples = 0
-    for p, dim in zip(_PS, (8, 16, 32, 64)):
-        report = check_ll0(LpSpace(p, dim), n, stable_seed(seed, "ll0", p), tol=1e-9)
-        margins.append(report.worst_margin + report.tolerance)
-        samples += report.samples
-    return _finish("ll0_sandwich", margins, samples, 0.0)
+    reports = [
+        check_ll0(LpSpace(p, dim), n, stable_seed(seed, "ll0", p), tol=1e-9)
+        for p, dim in zip(_PS, (8, 16, 32, 64))
+    ]
+    return _merged("ll0_sandwich", reports, 1e-9)
 
 
 def criterion_ll1_certificate(seed=0, profile="full") -> CheckReport:
@@ -109,100 +132,63 @@ def criterion_ll2_ll3_sampling(seed=0, profile="full") -> CheckReport:
     """Hull suprema never exceed the dictionary max; sampled sup attains it."""
     n = 500 if profile == "full" else 100
     functionals = 3 if profile == "full" else 1
-    margins = []
-    samples = 0
+    reports = []
     for p in _PS:
         space = LpSpace(p, 12)
         dictionary = generate_dictionary(space, 24, "gaussian", stable_seed(seed, "ll2-dict", p))
         for i in range(functionals):
             rng = np.random.default_rng(stable_seed(seed, "ll2-h", p, i))
             F = norming_functional(space, _complex_rows(rng, 12))
-            report = check_dual_norm_supremum(
-                F, dictionary, n_samples=n, seed=stable_seed(seed, "ll2-s", p, i)
+            reports.append(
+                check_dual_norm_supremum(
+                    F, dictionary, n_samples=n, seed=stable_seed(seed, "ll2-s", p, i)
+                )
             )
-            margins.append(report.worst_margin)
-            samples += report.samples
-    return _finish("ll2_ll3_sampling", margins, samples, 0.0)
+    return _merged("ll2_ll3_sampling", reports, 0.0)
 
 
-def _wgafr_case(seed, i, p, t, policy, iters, eps=0.0):
-    space = LpSpace(p, 12)
-    dictionary = generate_dictionary(space, 24, "gaussian", stable_seed(seed, "dict", i))
-    target = make_target(dictionary, "a1", 4, eps, stable_seed(seed, "target", i))
-    tau = WeaknessSequence.constant(t)
-    trace = run_wgafr(space, dictionary, target, tau, iters, policy)
-    return space, dictionary, target, tau, trace
+# The (t, policy) pairs the free-relaxation criteria alternate between.
+_WGAFR_MODES = ({"t": 1.0, "policy": "argmax"}, {"t": 0.5, "policy": "first_qualifying"})
 
 
 def criterion_wgafr_monotonicity(seed=0, profile="full") -> CheckReport:
     """Residual norms never increase, 1e-8 slack, every step of every run."""
-    runs = 50 if profile == "full" else 6
-    iters = 40 if profile == "full" else 25
-    margins = []
-    steps = 0
+    runs, iters = (50, 40) if profile == "full" else (6, 25)
+    reports = []
     for i in range(runs):
-        p = _RUN_PS[i % 3]
-        t, policy = ((1.0, "argmax"), (0.5, "first_qualifying"))[i % 2]
-        _, _, _, _, trace = _wgafr_case(seed, i, p, t, policy, iters)
-        report = check_monotone(trace, slack=1e-8)
-        margins.append(report.worst_margin)
-        steps += report.samples
-    return _finish("wgafr_monotonicity", margins, steps, 0.0)
+        _, suite = _run(seed, "", i, "wgafr", _RUN_PS[i % 3], iters, **_WGAFR_MODES[i % 2])
+        reports.append(suite["residual_monotone"])
+    return _merged("wgafr_monotonicity", reports, 0.0)
 
 
 def criterion_ml1_per_step(seed=0, profile="full") -> CheckReport:
     """Free-relaxation residual recursion at every step and grid point."""
-    runs = 50 if profile == "full" else 6
-    iters = 50 if profile == "full" else 25
-    margins = []
-    steps = 0
+    runs, iters = (50, 50) if profile == "full" else (6, 25)
+    reports = []
     for i in range(runs):
-        p = _RUN_PS[i % 3]
-        t, policy = ((1.0, "argmax"), (0.5, "first_qualifying"))[i % 2]
-        space, _, target, tau, trace = _wgafr_case(seed, 1000 + i, p, t, policy, iters)
-        report = check_ml1_trace(space, trace, tau, target.A_eps, target.eps, slack=1e-8)
-        margins.append(report.worst_margin + 1e-8)
-        steps += report.samples
-    return _finish("ml1_per_step", margins, steps, 0.0)
+        mode = _WGAFR_MODES[i % 2]
+        _, suite = _run(seed, "", 1000 + i, "wgafr", _RUN_PS[i % 3], iters, **mode)
+        reports.append(suite["ml1_per_step"])
+    return _merged("ml1_per_step", reports, 1e-8)
 
 
 def criterion_ml3_per_step(seed=0, profile="full") -> CheckReport:
     """Relaxed-loop residual recursion with r_k = 2/(k+2), every step."""
-    runs = 50 if profile == "full" else 6
-    iters = 60 if profile == "full" else 30
-    margins = []
-    steps = 0
+    runs, iters = (50, 60) if profile == "full" else (6, 30)
+    reports = []
     for i in range(runs):
-        p = _RUN_PS[i % 3]
-        t = (1.0, 0.5)[i % 2]
-        space = LpSpace(p, 12)
-        dictionary = generate_dictionary(space, 24, "gaussian", stable_seed(seed, "ml3-dict", i))
-        target = make_target(dictionary, "a1", 4, 0.0, stable_seed(seed, "ml3-target", i))
-        trace = run_gawr(
-            space,
-            dictionary,
-            target,
-            WeaknessSequence.constant(t),
-            RelaxationSchedule.harmonic(),
-            iters,
-        )
-        report = check_ml3_trace(space, trace, target.A_eps, target.eps, t, slack=1e-8)
-        margins.append(report.worst_margin + 1e-8)
-        steps += report.samples
-    return _finish("ml3_per_step", margins, steps, 0.0)
+        _, suite = _run(seed, "ml3-", i, "gawr", _RUN_PS[i % 3], iters, t=(1.0, 0.5)[i % 2])
+        reports.append(suite["ml3_per_step"])
+    return _merged("ml3_per_step", reports, 1e-8)
 
 
 def criterion_mt2_explicit_bound(seed=0, profile="full") -> CheckReport:
     """||f_m||^2 <= 400/(1+m) for l_2, t = 1, exact unit-mass targets."""
-    runs = 50 if profile == "full" else 4
-    iters = 500 if profile == "full" else 150
+    runs, iters = (50, 500) if profile == "full" else (4, 150)
     margins = []
     steps = 0
     for i in range(runs):
-        space = LpSpace(2.0, 16)
-        dictionary = generate_dictionary(space, 32, "gaussian", stable_seed(seed, "mt2-dict", i))
-        target = make_target(dictionary, "a1", 8, 0.0, stable_seed(seed, "mt2-target", i))
-        trace = run_wgafr(space, dictionary, target, WeaknessSequence.constant(1.0), iters)
+        trace, _ = _run(seed, "mt2-", i, "wgafr", 2.0, iters, dim=16, count=32, sparsity=8)
         norms = trace.residual_norms()
         m = np.arange(1, norms.size)
         margins.append(400.0 / (1.0 + m) - norms[1:] ** 2)
@@ -218,11 +204,11 @@ def criterion_orthonormal_exactness(seed=0, profile="full") -> CheckReport:
     runs = 0
     for k in ks:
         for j in range(seeds_per_k):
-            space = LpSpace(2.0, 8)
-            dictionary = generate_dictionary(space, 8, "canonical")
-            target = make_target(dictionary, "a1", k, 0.0, stable_seed(seed, "exact", k, j))
-            trace = run_wgafr(space, dictionary, target, WeaknessSequence.constant(1.0), k + 2)
-            norms = trace.residual_norms()
+            target_seed = stable_seed(seed, "exact", k, j)
+            config = _config(
+                0, target_seed, "wgafr", 2.0, k + 2, dim=8, count=8, kind="canonical", sparsity=k
+            )
+            norms = run_experiment(config)[0].residual_norms()
             if len(norms) <= k:
                 margins.append(float("-inf"))  # run stopped before k steps
                 continue
@@ -232,72 +218,53 @@ def criterion_orthonormal_exactness(seed=0, profile="full") -> CheckReport:
     return _finish("orthonormal_exactness", margins, runs, 0.0)
 
 
-def criterion_iac_rate(seed=0, profile="full") -> CheckReport:
-    """Incremental rate: slope <= -0.4 on >= 90% of runs; trivial-step bound always."""
-    runs = 50 if profile == "full" else 8
-    iters = 200 if profile == "full" else 120
-    needed = 45 if profile == "full" else 6
+def _rate(name, seed, profile, algorithm, iters, bound, also=None) -> CheckReport:
+    """Rate criterion: fitted slope <= ``bound`` on 45 of 50 runs (quick: 6 of 8).
+
+    With ``also`` set, the worst margin of that suite report over all runs
+    is the criterion's second margin.
+    """
+    runs, needed = (50, 45) if profile == "full" else (8, 6)
     slopes = []
-    step_bound_margins = []
+    suites = []
     for i in range(runs):
-        space = LpSpace(2.0, 16)
-        dictionary = generate_dictionary(space, 32, "gaussian", stable_seed(seed, "iac-dict", i))
-        target = make_target(dictionary, "a1", 6, 0.0, stable_seed(seed, "iac-target", i))
-        trace = run_iac(space, dictionary, target, K1=1.0, iters=iters)
+        trace, suite = _run(
+            seed, algorithm + "-", i, algorithm, 2.0, iters, dim=16, count=32, sparsity=6
+        )
         slopes.append(fit_log_slope(trace, (10, iters)).slope)
-        step_bound_margins.append(check_trivial_step(trace).worst_margin)
-    qualifying = sum(1 for s in slopes if s <= -0.4)
-    margins = [float(qualifying - needed), min(step_bound_margins)]
+        suites.append(suite)
+    qualifying = sum(1 for s in slopes if s <= bound)
+    margins = [float(qualifying - needed)]
+    if also is not None:
+        margins.append(min(suite[also].worst_margin for suite in suites))
     details = [
         f"qualifying_runs={qualifying}/{runs} (need {needed})",
         f"median_slope={float(np.median(slopes))!r}",
     ]
-    return _finish("iac_rate", margins, runs, 0.0, details)
+    return _finish(name, margins, runs, 0.0, details)
+
+
+def criterion_iac_rate(seed=0, profile="full") -> CheckReport:
+    """Incremental rate: slope <= -0.4 on >= 90% of runs; trivial-step bound always."""
+    iters = 200 if profile == "full" else 120
+    return _rate("iac_rate", seed, profile, "iac", iters, -0.4, also="trivial_step_bound")
 
 
 def criterion_iacc_barycentric(seed=0, profile="full") -> CheckReport:
     """Every stored incremental approximant rebuilds from its selections."""
-    runs = 20 if profile == "full" else 4
-    iters = 150 if profile == "full" else 80
-    margins = []
-    steps = 0
+    runs, iters = (20, 150) if profile == "full" else (4, 80)
+    reports = []
     for i in range(runs):
         p = _RUN_PS[i % 3]
-        space = LpSpace(p, 12)
-        dictionary = generate_dictionary(space, 24, "gaussian", stable_seed(seed, "iacc-dict", i))
-        target = make_target(dictionary, "conv", 5, 0.0, stable_seed(seed, "iacc-target", i))
-        trace = run_iacc(space, dictionary, target, K1=1.0, iters=iters)
-        report = check_barycentric(trace, dictionary, tol=1e-10, weight_tol=1e-12)
-        margins.append(report.worst_margin)
-        steps += report.samples
-    return _finish("iacc_barycentric", margins, steps, 0.0)
+        _, suite = _run(seed, "iacc-", i, "iacc", p, iters, membership="conv", sparsity=5)
+        reports.append(suite["barycentric_reconstruction"])
+    return _merged("iacc_barycentric", reports, 0.0)
 
 
 def criterion_gawr_rate_proxy(seed=0, profile="full") -> CheckReport:
     """Relaxed-loop rate proxy: slope <= -0.35 on >= 90% of runs."""
-    runs = 50 if profile == "full" else 8
     iters = 300 if profile == "full" else 150
-    needed = 45 if profile == "full" else 6
-    slopes = []
-    for i in range(runs):
-        space = LpSpace(2.0, 16)
-        dictionary = generate_dictionary(space, 32, "gaussian", stable_seed(seed, "gawr-dict", i))
-        target = make_target(dictionary, "a1", 6, 0.0, stable_seed(seed, "gawr-target", i))
-        trace = run_gawr(
-            space,
-            dictionary,
-            target,
-            WeaknessSequence.constant(1.0),
-            RelaxationSchedule.harmonic(),
-            iters,
-        )
-        slopes.append(fit_log_slope(trace, (10, iters)).slope)
-    qualifying = sum(1 for s in slopes if s <= -0.35)
-    details = [
-        f"qualifying_runs={qualifying}/{runs} (need {needed})",
-        f"median_slope={float(np.median(slopes))!r}",
-    ]
-    return _finish("gawr_rate_proxy", [float(qualifying - needed)], runs, 0.0, details)
+    return _rate("gawr_rate_proxy", seed, profile, "gawr", iters, -0.35)
 
 
 def _synthetic_hl1(rng, length=60):
@@ -333,24 +300,16 @@ def criterion_sequence_bounds(seed=0, profile="full") -> CheckReport:
     count = 100 if profile == "full" else 20
     margins = []
     details = []
-    for i in range(count):
-        rng = np.random.default_rng(stable_seed(seed, "hl1-seq", i))
-        x, C1, a = _synthetic_hl1(rng)
-        report = check_hl1(x, C1, a)
-        if not report.applicable:
-            margins.append(float("-inf"))
-            details.append(f"hl1 sequence {i} inapplicable: {report.details}")
-        else:
-            margins.append(report.worst_margin + report.tolerance)
-    for i in range(count):
-        rng = np.random.default_rng(stable_seed(seed, "ml4-seq", i))
-        a, alpha, gamma_param, A = _synthetic_ml4(rng)
-        report = check_ml4(a, alpha, gamma_param, A)
-        if not report.applicable:
-            margins.append(float("-inf"))
-            details.append(f"ml4 sequence {i} inapplicable: {report.details}")
-        else:
-            margins.append(report.worst_margin + report.tolerance)
+    sequences = (("hl1", _synthetic_hl1, check_hl1), ("ml4", _synthetic_ml4, check_ml4))
+    for tag, synthetic, check in sequences:
+        for i in range(count):
+            rng = np.random.default_rng(stable_seed(seed, tag + "-seq", i))
+            report = check(*synthetic(rng))
+            if not report.applicable:
+                margins.append(float("-inf"))
+                details.append(f"{tag} sequence {i} inapplicable: {report.details}")
+            else:
+                margins.append(report.worst_margin + report.tolerance)
     return _finish("sequence_bounds", margins, 2 * count, 0.0, details)
 
 
@@ -358,22 +317,8 @@ def criterion_determinism(seed=0, profile="full") -> CheckReport:
     """Identical configs produce byte-identical trace CSV and report JSON."""
     del profile
     configs = [
-        ExperimentConfig.from_dict(
-            {
-                "space": {"p": 2.0, "dim": 8},
-                "dictionary": {"kind": "gaussian", "count": 16, "seed": int(seed) + 3},
-                "target": {"membership": "a1", "sparsity": 3, "eps": 0.0, "seed": int(seed) + 4},
-                "algorithm": {"id": "wgafr", "iters": 15, "t": 1.0},
-            }
-        ),
-        ExperimentConfig.from_dict(
-            {
-                "space": {"p": 1.5, "dim": 8},
-                "dictionary": {"kind": "gaussian", "count": 16, "seed": int(seed) + 5},
-                "target": {"membership": "a1", "sparsity": 3, "eps": 0.0, "seed": int(seed) + 6},
-                "algorithm": {"id": "iac", "iters": 25, "k1": 1.0},
-            }
-        ),
+        _config(int(seed) + 3, int(seed) + 4, "wgafr", 2.0, 15, dim=8, count=16, sparsity=3),
+        _config(int(seed) + 5, int(seed) + 6, "iac", 1.5, 25, dim=8, count=16, sparsity=3),
     ]
     margins = []
     details = []

@@ -130,6 +130,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"dictionary.count: fourier_frame requires count >= space.dim; got {d.count!r}"
             )
+        for path, seed in (("dictionary.seed", d.seed), ("target.seed", t.seed)):
+            if _integer(path, seed) < 0:
+                raise ConfigError(f"{path}: must be >= 0; got {seed!r}")
         if t.membership not in MEMBERSHIPS:
             raise ConfigError(f"target.membership: must be one of {MEMBERSHIPS}; got {t.membership!r}")
         if not 1 <= _integer("target.sparsity", t.sparsity) <= int(d.count):

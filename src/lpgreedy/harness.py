@@ -106,24 +106,11 @@ def run_experiment(
     cfg = config.solver
     a = config.algorithm
     tau = config.weakness()
+    slack = config.checks.slack
     if a.id == "wgafr":
         trace = run_wgafr(space, dictionary, target, tau, a.iters, a.policy, cfg)
-    elif a.id == "gawr":
-        trace = run_gawr(
-            space, dictionary, target, tau, config.relaxation(), a.iters, a.policy, cfg
-        )
-    elif a.id == "iac":
-        trace = run_iac(space, dictionary, target, a.k1, a.iters, a.policy)
-    else:
-        trace = run_iacc(space, dictionary, target, a.k1, a.iters, a.policy)
-    trace.config_hash = config.hash()
-
-    params = smoothness_params(space)
-    slack = config.checks.slack
-    reports: list[CheckReport] = []
-    if a.id == "wgafr":
-        reports.append(check_monotone(trace, slack))
-        reports.append(
+        reports = [
+            check_monotone(trace, slack),
             check_ml1_trace(
                 space,
                 trace,
@@ -132,26 +119,29 @@ def run_experiment(
                 target.eps,
                 slack=slack,
                 grid_points=config.checks.lambda_points,
-            )
-        )
-        reports.append(
-            check_mt2_bound(trace, params, target.A_eps, target.eps, tau, slack)
-        )
+            ),
+            check_mt2_bound(
+                trace, smoothness_params(space), target.A_eps, target.eps, tau, slack
+            ),
+        ]
     elif a.id == "gawr":
+        trace = run_gawr(
+            space, dictionary, target, tau, config.relaxation(), a.iters, a.policy, cfg
+        )
         if tau.kind == "constant":
-            reports.append(
-                check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)
-            )
+            reports = [check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)]
         else:
-            reports.append(
-                _not_applicable(
-                    "ml3_per_step", ["recursion is stated for constant weakness only"]
-                )
-            )
+            details = ["recursion is stated for constant weakness only"]
+            reports = [_not_applicable("ml3_per_step", details)]
     else:
-        reports.append(check_trivial_step(trace))
-        reports.append(check_barycentric(trace, dictionary))
-        reports.append(_diag_slope(trace))
+        run = run_iac if a.id == "iac" else run_iacc
+        trace = run(space, dictionary, target, a.k1, a.iters, a.policy)
+        reports = [
+            check_trivial_step(trace),
+            check_barycentric(trace, dictionary),
+            _diag_slope(trace),
+        ]
+    trace.config_hash = config.hash()
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

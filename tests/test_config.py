@@ -101,6 +101,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{path}:? must be an integer.*; got 16.5"):
             sample_config(**{section: {name: 16.5}}).validate()
 
+    @pytest.mark.parametrize("path", ["dictionary.seed", "target.seed"])
+    @pytest.mark.parametrize(
+        "value,message",
+        [(3.5, "must be an integer; got 3.5"), (-1, "must be >= 0; got -1"),
+         (float("nan"), "must be an integer; got nan"),
+         (float("inf"), "must be an integer; got inf")],
+    )
+    def test_bad_seed_names_field(self, path, value, message):
+        section, name = path.split(".")
+        config = sample_config(**{section: {name: value}})
+        with pytest.raises(ConfigError, match=f"{path}: {message}"):
+            config.validate()
+        with pytest.raises(ConfigError, match=f"{path}: {message}"):
+            run_experiment(config)
+
+    def test_sweep_with_bad_base_seed_refused(self):
+        spec = SweepSpec(base=sample_config(target={"seed": 2.5}), axes=[("space.p", [1.5])])
+        with pytest.raises(ConfigError, match="target.seed: must be an integer; got 2.5"):
+            spec.validate()
+
     def test_fractional_replicate_seeds_refused(self):
         spec = {"base": sample_config().to_dict(), "replicate_seeds": 16.5}
         with pytest.raises(ConfigError, match="replicate_seeds: must be an integer; got 16.5"):
