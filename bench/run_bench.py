@@ -8,7 +8,8 @@ e.g. a ``git clone`` of the parent commit) on the same seeded inputs at p
 in {1.5, 2, 3}:
 
 * the inner solve, ``minimize_over_line`` and ``minimize_free_relax`` at
-  dim 16 and 2048: time per call and per Newton iteration, the iteration
+  dim 16 and 2048, and ``minimize_free_relax`` at dim 16 also at p in
+  EDGE_PS: time per call and per Newton iteration, the iteration
   counts, the number of unconverged solves and, where the result carries
   one, the largest relative duality gap;
 * one loop step of ``run_wgafr`` and ``run_gawr`` at dim 16 (count 32
@@ -79,6 +80,8 @@ CELL_PARTS = {
 SWEEPS = ("run_sweep",)
 ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS
 PS = (1.5, 2.0, 3.0)
+# The ends of the p range, where Newton takes the most iterations.
+EDGE_PS = (1.01, 8.0, 64.0)
 # Inputs per case, by dim; a loop case runs LOOP_RUNS runs at LOOP_DIM.
 INSTANCES = {16: 40, 2048: 8}
 NORM_INSTANCES = {16: 400, 2048: 100}
@@ -301,6 +304,9 @@ def main(argv=None) -> int:
             else INSTANCES
         )
     }
+    cases.update(
+        (("minimize_free_relax", p, 16), instances("minimize_free_relax", p, 16)) for p in EDGE_PS
+    )
     # A verify case's one instance is its criterion number.
     cases.update(
         ((f"verify_{number:02d}_{name}", None, None), [number])

@@ -28,7 +28,11 @@ write the same fixed set of outputs into its own temporary directory:
   normalized, so two selections agree when they compare equal.
 
 Lists every file that differs or exists on one side only, and exits 1 if
-there is any. The trees run one after the other, never interleaved, so
+there is any. For a differing file it also prints the largest relative
+and absolute differences over the numbers in it, or that its text around
+the numbers changed, and every change of a discrete field: a trace's
+``selected_index``, ``solver_converged`` or ``stop_reason``, a report's
+``passed``, a selection's index, or a ``verify`` verdict. The trees run one after the other, never interleaved, so
 imports made inside a function resolve to the tree being run. Takes about
 40 s on a 2-vCPU host, most of it in the two ``--profile full`` batteries.
 """
@@ -36,8 +40,10 @@ imports made inside a function resolve to the tree being run. Takes about
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -226,6 +232,77 @@ def differing_files(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(names), differ
 
 
+# A number as the outputs print one: repr of a float or an int, inf or nan.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+DISCRETE = ("selected_index", "stop_reason", "solver_converged", "passed")
+
+
+def max_differences(text_a: str, text_b: str) -> tuple[float, float] | None:
+    """Largest |a - b| / max(|a|, |b|) and largest |a - b| over the paired numbers of two texts.
+
+    None when the texts differ outside their numbers (or in how many they
+    hold). The absolute difference tells a change at round-off level (say
+    1e-20 -> 1e-17, relative difference 1) from one in a value of order one.
+    """
+    if NUMBER.split(text_a) != NUMBER.split(text_b):
+        return None
+    worst_rel = worst_abs = 0.0
+    for a, b in zip(NUMBER.findall(text_a), NUMBER.findall(text_b)):
+        if a != b:
+            x, y = float(a), float(b)
+            scale = max(abs(x), abs(y))  # 0 for 0.0 against -0.0
+            worst_rel = max(worst_rel, abs(x - y) / scale if scale > 0.0 else 0.0)
+            worst_abs = max(worst_abs, abs(x - y))
+    return worst_rel, worst_abs
+
+
+def discrete_fields(name: str, text: str) -> list[tuple[str, str]]:
+    """(field at location, value) of every discrete field in one output file."""
+    fields = []
+    if name.endswith(".csv"):
+        lines = text.splitlines()
+        for line in lines:
+            if line.startswith("#"):
+                fields += [(f"{key} (header)", value) for key, _, value in
+                           (item.partition("=") for item in line.split()) if key in DISCRETE]
+        rows = csv.DictReader(line for line in lines if not line.startswith("#"))
+        for i, row in enumerate(rows):
+            fields += [(f"{key} row {i}", row[key]) for key in DISCRETE if key in row]
+    elif name.endswith(".json"):
+        def walk(obj, where):
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    if key in DISCRETE:
+                        fields.append((f"{key} at {where or '/'}", repr(value)))
+                    walk(value, f"{where}/{key}")
+            elif isinstance(obj, list):
+                for i, value in enumerate(obj):
+                    walk(value, f"{where}/{i}")
+        walk(json.loads(text), "")
+    elif name == "selections.txt":
+        fields = [(f"selected_index line {i}", line.split()[0])
+                  for i, line in enumerate(text.splitlines()) if not line.startswith("raise")]
+    elif name.startswith("verify_"):
+        fields = [(f"passed line {i}", line.split()[0])
+                  for i, line in enumerate(text.splitlines()) if line.startswith(("PASS", "FAIL"))]
+    return fields
+
+
+def describe_difference(name: str, a: Path, b: Path) -> str:
+    """How one output file differs between two trees, in one line."""
+    if not (a.is_file() and b.is_file()):
+        return "only on one side"
+    text_a, text_b = a.read_text(), b.read_text()
+    worst = max_differences(text_a, text_b)
+    parts = ["text around the numbers differs" if worst is None
+             else "max relative difference {:.3g}, max absolute difference {:.3g}".format(*worst)]
+    fields_a, fields_b = discrete_fields(name, text_a), discrete_fields(name, text_b)
+    if len(fields_a) != len(fields_b):
+        parts.append(f"{len(fields_a)} vs {len(fields_b)} discrete fields")
+    parts += [f"{where}: {x} -> {y}" for (where, x), (_, y) in zip(fields_a, fields_b) if x != y]
+    return "; ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, required=True,
@@ -238,8 +315,9 @@ def main(argv=None) -> int:
             out.mkdir()
             write_outputs(load_package(src), out)
         compared, differ = differing_files(Path(tmp, "baseline"), Path(tmp, "change"))
-    for name in differ:
-        print(f"differs: {name}")
+        for name in differ:
+            detail = describe_difference(name, Path(tmp, "baseline", name), Path(tmp, "change", name))
+            print(f"differs: {name} ({detail})")
     print(f"{compared} files compared, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -332,6 +332,10 @@ def _parse_value(text: str, lineno: int):
         return text
 
 
+# Config fields that each sweep cell sets itself, from stable_seed.
+_DERIVED_SEEDS = ("dictionary.seed", "target.seed")
+
+
 @dataclass
 class SweepSpec:
     """Cartesian sweep: a base config, axis value lists, replicate count.
@@ -350,6 +354,7 @@ class SweepSpec:
 
         Axis values are not checked here: a bad value fails its own cells,
         wherever it is listed, and the sweep records the error in their rows.
+        An axis over a seed is refused, since every cell derives its seeds.
         """
         self.base.validate()
         if _integer("replicate_seeds", self.replicate_seeds) < 1:
@@ -359,6 +364,11 @@ class SweepSpec:
             if not values:
                 raise ConfigError(f"axes.{path}: empty value list")
             _field_path(fields, path)
+            if path in _DERIVED_SEEDS:
+                raise ConfigError(
+                    f"axes.{path}: every cell derives its seeds from the base config's "
+                    "seeds; vary replicate_seeds or the base seed instead"
+                )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SweepSpec":

@@ -238,6 +238,10 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-        with open(os.path.join(out_dir, "sweep_summary.csv"), "w", newline="") as fh:
+        # Written over the old file and cut to length after: truncating a
+        # non-empty file on open makes ext4 flush it on close.
+        fd = os.open(os.path.join(out_dir, "sweep_summary.csv"), os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline="") as fh:
             fh.write(buf.getvalue())
+            fh.truncate()
     return rows

@@ -20,7 +20,15 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgesv, zgeqrf, zgesv, zungqr
 
-from .spaces import _TINY, LpSpace, _as_vector, _norm_rows, _norm_vec, _norming_coeffs, _whole
+from .spaces import (
+    _TINY,
+    LpSpace,
+    _as_vector,
+    _norm_mags,
+    _norm_vec,
+    _norming_coeffs,
+    _whole,
+)
 
 __all__ = [
     "SolverConfig",
@@ -156,32 +164,158 @@ def _backtrack(p, r, dr, value, slope, cfg):
     """First t = b, b^2, ... >= _MIN_STEP with Armijo decrease of ||r + t dr||.
 
     The full step t = 1 has been tried already. Returns (t, residual,
-    value) there, or None.
+    value, |residual|) there, or None.
     """
     t = cfg.backtrack_factor
     while t >= _MIN_STEP:
         r_trial = r + t * dr
-        value_trial = _norm_vec(p, r_trial)
+        mags_trial = np.abs(r_trial)
+        value_trial = _norm_mags(p, mags_trial)
         if value_trial <= value + cfg.armijo_c * t * slope:
-            return t, r_trial, value_trial
+            return t, r_trial, value_trial, mags_trial
         t *= cfg.backtrack_factor
     return None
 
 
-def _lower_bound(q, functional, curv, moved, span, r) -> float:
+def _lower_bound(q, cert, span, r) -> float:
     """Duality lower bound |c @ r| / ||c||_q on the infimum.
 
-    c is the norming functional of r minus its correction curv * conj(moved)
-    in the metric of the Newton weights (so the bound tightens as fast as
-    Newton converges), projected exactly onto {c : c @ cols = 0} through
-    the orthonormal basis ``span`` of conj(cols). Any such c gives
+    c is ``cert`` (overwritten) projected exactly onto {c : c @ cols = 0}
+    through the orthonormal basis ``span`` of conj(cols). Any such c gives
     ||base - cols @ y|| >= |c @ base| / ||c||_q for every y, and
     c @ r == c @ base because c annihilates the columns.
     """
-    cert = functional - curv * np.conj(moved)
     cert -= _combine(span, cert @ np.conj(span))
     cert_norm = _norm_vec(q, cert)
     return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
+
+
+def _irls(cols, hw, grad):
+    """The IRLS direction per unit value, beta = -hw^{-1} grad, and cols @ beta.
+
+    beta is returned as complex coefficients; it is -grad when hw is
+    exactly singular.
+    """
+    beta = _solve(hw, -grad)
+    beta = (-grad if beta is None else beta).view(np.complex128)
+    return beta, _combine(cols, beta)
+
+
+def _real_blocks(cols, conj_cols):
+    """(-cols, -conj(cols), jac_t): the per-solve arrays of :func:`_newton_model`.
+
+    In the interleaved real coordinates y.view(float) = (Re y_0, Im y_0,
+    ...), the residual map y -> r = base - cols @ y has the Jacobian J
+    whose columns are -cols[:, j].view(float) (along Re y_j) and
+    -(1j cols[:, j]).view(float) (along Im y_j). ``jac_t`` is -J^T, one
+    row per real coordinate; only J^T W J is formed from it.
+    """
+    k = cols.shape[1]
+    jac_t = np.concatenate([cols, 1j * cols]).T.copy().view(np.float64).reshape(2 * k, -1)
+    return -cols, -conj_cols, jac_t
+
+
+def _newton_model(p, r, mags, value, neg_conj, jac_t):
+    """Gradient and Newton Hessian at the residual r, with mags = |r| and value = ||r||.
+
+    Returns (unit, weights, curv, grad, hw, hess): unit = r / |r| (0 at an
+    exact zero), weights = |rho|^(p-1) (so conj(unit) * weights is the
+    norming functional of r), curv = w, grad the gradient of ||r||, hess
+    the Hessian of ||r||^2 / 2 (see :func:`_descend`) and
+    hw = sum_i w_i J_i^T J_i, all in y.view(float). For a complex
+    scalar u, the 2k-vector J_i^T (Re u, Im u) of residual entry i is
+    (u * neg_conj[i]).view(float), so each term is a product of real
+    blocks weighted by w_i.
+    """
+    rho = mags / value
+    curv = np.maximum(rho, _RHO_FLOOR) ** (p - 2.0)
+    unit = r / np.maximum(mags, _TINY)  # 0 at an exact zero: no radial term there
+    if np.minimum.reduce(mags) < _TINY:
+        # A subnormal |r_i| has lost bits: its sign comes from the angle.
+        sub = (mags < _TINY) & (mags > 0.0)
+        unit[sub] = np.exp(1j * np.angle(r[sub]))
+    v = (unit[:, None] * neg_conj).view(np.float64)  # row i is J_i^T rho_hat_i
+    weights = rho ** (p - 1.0)
+    grad = weights @ v
+    hw = (jac_t * curv.repeat(2)) @ jac_t.T
+    hess = hw + (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad)
+    return unit, weights, curv, grad, hw, hess
+
+
+def _newton(p, q, base, cols, conj_cols, span, y, cfg):
+    """Damped Newton from ``y`` for p != 2; see :func:`_descend`.
+
+    Returns (minimizer, value, converged, iterations, lower), where
+    ``lower`` is the certified lower bound at the returned iterate (None
+    once the residual is an exact fit). The magnitudes |r| of a step's
+    accepted trial point serve the next iteration.
+    """
+    neg_cols, neg_conj, jac_t = _real_blocks(cols, conj_cols)
+    r = base - _combine(cols, y)
+    mags = np.abs(r)
+    value = _norm_mags(p, mags)
+    iterations = 0
+    converged = False
+    while value > RESIDUAL_FLOOR:
+        moved = None
+        unit, weights, curv, grad, hw, hess = _newton_model(p, r, mags, value, neg_conj, jac_t)
+        if math.sqrt(grad @ grad) <= cfg.grad_tol:
+            converged = True
+            break
+        if iterations == cfg.max_iters:
+            break
+        step = _descent_step(hess, grad, value)
+        slope = float(grad @ step)
+        dy = step.view(np.complex128)
+        dr = _combine(neg_cols, dy)
+        options = [(dy, dr, slope)]
+        if p < 2.0:
+            beta, moved = _irls(cols, hw, grad)
+            irls_slope = value * float(grad @ beta.view(np.float64))
+            if irls_slope < 0.0:
+                options.append((value * beta, -value * moved, irls_slope))
+        if -slope <= _CERTIFY_BELOW * value:
+            if moved is None:
+                _, moved = _irls(cols, hw, grad)
+            lower = _lower_bound(q, np.conj(unit) * weights - curv * np.conj(moved), span, r)
+            if value - lower <= _GAP_RESOLUTION * value:
+                # The value is flat to second order at the minimizer, so it
+                # reaches float resolution while the minimizer is accurate to
+                # about sqrt(eps) only. One full Newton step sharpens the
+                # minimizer; it is kept if the value stays within resolution
+                # of the bound.
+                r_trial = r + dr
+                value_trial = _norm_vec(p, r_trial)
+                if value_trial - lower <= _GAP_RESOLUTION * value_trial:
+                    y, value = y + dy, value_trial
+                    iterations += 1
+                return y, value, True, iterations, lower
+        # The lowest full step that passes the Armijo test wins; when none
+        # passes, the last direction backtracks.
+        accepted = None
+        for d_y, d_r, d_slope in options:
+            r_trial = r + d_r
+            mags_trial = np.abs(r_trial)
+            value_trial = _norm_mags(p, mags_trial)
+            if value_trial <= value + cfg.armijo_c * d_slope and (
+                accepted is None or value_trial < accepted[2]
+            ):
+                accepted, dy = (1.0, r_trial, value_trial, mags_trial), d_y
+        if accepted is None:
+            dy, dr, slope = options[-1]
+            accepted = _backtrack(p, r, dr, value, slope, cfg)
+            if accepted is None:
+                # Step size hit the numerical floor; no further progress possible.
+                break
+        t, r, value, mags = accepted
+        y = y + t * dy
+        iterations += 1
+    if value <= RESIDUAL_FLOOR:
+        return y, value, converged, iterations, None
+    if moved is None:
+        _, moved = _irls(cols, hw, grad)
+    lower = _lower_bound(q, np.conj(unit) * weights - curv * np.conj(moved), span, r)
+    return y, value, converged, iterations, lower
 
 
 def _descend(
@@ -198,8 +332,7 @@ def _descend(
     which has the minimizers of ||r|| and is exactly quadratic in a residual
     dominated by one entry, in the real parametrization (Re y, Im y). With
     rho = r / ||r|| and w_i = |rho_i|^(p-2), the gradient of ||r|| is
-    sum_i |rho_i|^(p-1) J_i^T rho_hat_i and the Hessian, divided by the
-    weight scale ||r||^(p-2), is
+    sum_i |rho_i|^(p-1) J_i^T rho_hat_i and the Hessian of ||r||^2 / 2 is
 
         sum_i w_i J_i^T (I + (p-2) rho_hat_i rho_hat_i^T) J_i - (p-2) g g^T.
 
@@ -215,7 +348,11 @@ def _descend(
     minimizer and no step is taken.
 
     The duality certificate of :func:`_lower_bound` (Boyd & Vandenberghe,
-    Convex Optimization, ch. 5) is built at the last iterate and, before
+    Convex Optimization, ch. 5) projects the norming functional of r, less
+    its correction w * conj(cols @ beta) in the metric of the Newton
+    weights (beta the IRLS direction, so the bound tightens as fast as
+    Newton converges; at p = 2 the correction lies in the projected-out
+    span and is left out). It is built at the last iterate and, before
     that, once the Newton step predicts a relative decrease below
     ``_CERTIFY_BELOW``; earlier its gap could not reach float resolution.
     ``gap`` is the value minus that bound. The solve stops when the
@@ -224,6 +361,7 @@ def _descend(
     stays within resolution of the bound.
     """
     p = space.p
+    q = space.p_conjugate
     scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
     cols = directions / scales[None, :]
     y_start = x0 * scales
@@ -247,92 +385,18 @@ def _descend(
         y = _solve(np.conj(tri), base @ span)
         if y is None:
             raise np.linalg.LinAlgError("Singular matrix")
-        budget = 0
+        r = base - _combine(cols, y)
+        value = _norm_vec(p, r)
+        converged, iterations, lower = True, 0, None
+        if value > RESIDUAL_FLOOR:
+            lower = _lower_bound(q, _norming_coeffs(p, r, value), span, r)
     else:
-        y = y_start[free]
-        budget = cfg.max_iters
-    r = base - _combine(cols, y)
-    value = _norm_vec(p, r)
-    iterations = 0
-    converged = False
-    while value > RESIDUAL_FLOOR:
-        lower = None
-        mags = np.abs(r)
-        functional = _norming_coeffs(p, r, value)
-        grad_c = -np.conj(functional @ cols)  # zero at the minimizer
-        grad = grad_c.view(np.float64)  # gradient of ||r|| in (Re y_j, Im y_j)
-        curv = np.maximum(mags / value, _RHO_FLOOR) ** (p - 2.0)
-        gram = (conj_cols.T * curv) @ cols  # sum_i w_i C_i^H C_i
-        # One solve gives the IRLS direction value * beta and the weighted
-        # correction of the certificate.
-        beta = _solve(gram, -grad_c)
-        if beta is None:
-            beta = -grad_c
-        moved = _combine(cols, beta)
-        if budget == 0 or np.sqrt(grad @ grad) <= cfg.grad_tol:
-            converged = True
-            break
-        if iterations == budget:
-            break
-        # sum_i w_i J_i^T J_i is the real form of gram. For a complex scalar u,
-        # (u * conj(cols[i])).view(float) is -J_i^T (Re u, Im u) in the
-        # interleaved coordinates y.view(float) = (Re y_0, Im y_0, ...), so
-        # rows of v are -J_i^T rho_hat_i.
-        hess = np.empty((grad.size, grad.size))
-        hess[0::2, 0::2] = hess[1::2, 1::2] = gram.real
-        hess[0::2, 1::2] = -gram.imag
-        hess[1::2, 0::2] = gram.imag
-        unit = r / np.maximum(mags, _TINY)  # 0 at an exact zero: no radial term there
-        v = (unit[:, None] * conj_cols).view(np.float64)
-        hess += (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad)
-        step = _descent_step(hess, grad, value)
-        slope = float(grad @ step)
-        dy = step.view(np.complex128)
-        dr = -_combine(cols, dy)
-        if -slope <= _CERTIFY_BELOW * value:
-            lower = _lower_bound(space.p_conjugate, functional, curv, moved, span, r)
-            if value - lower <= _GAP_RESOLUTION * value:
-                # The value is flat to second order at the minimizer, so it
-                # reaches float resolution while the minimizer is accurate to
-                # about sqrt(eps) only. One full Newton step sharpens the
-                # minimizer; it is kept if the value stays within resolution
-                # of the bound.
-                converged = True
-                r_trial = r + dr
-                value_trial = _norm_vec(p, r_trial)
-                if value_trial - lower <= _GAP_RESOLUTION * value_trial:
-                    y, r, value = y + dy, r_trial, value_trial
-                    iterations += 1
-                break
-        options = [(dy, dr, slope)]
-        irls_slope = value * float(grad @ beta.view(np.float64))
-        if p < 2.0 and irls_slope < 0.0:
-            options.append((value * beta, -value * moved, irls_slope))
-        # The full steps are evaluated together, one row each (the 1-D norm
-        # is the cheaper one for a single row). The lowest one that passes the
-        # Armijo test wins; when none passes, the last direction backtracks.
-        trials = r + np.array([d_r for _, d_r, _ in options])
-        trial_values = _norm_rows(p, trials) if len(options) > 1 else [_norm_vec(p, trials[0])]
-        accepted = None
-        for (d_y, _, d_slope), r_trial, value_trial in zip(options, trials, trial_values):
-            if value_trial <= value + cfg.armijo_c * d_slope and (
-                accepted is None or value_trial < accepted[2]
-            ):
-                accepted, dy = (1.0, r_trial, float(value_trial)), d_y
-        if accepted is None:
-            dy, dr, slope = options[-1]
-            accepted = _backtrack(p, r, dr, value, slope, cfg)
-            if accepted is None:
-                # Step size hit the numerical floor; no further progress possible.
-                break
-        t, r, value = accepted
-        y = y + t * dy
-        iterations += 1
+        y, value, converged, iterations, lower = _newton(
+            p, q, base, cols, conj_cols, span, y_start[free], cfg
+        )
     if value <= RESIDUAL_FLOOR:
         converged, value, gap = True, 0.0, 0.0
     else:
-        if lower is None:
-            lower = _lower_bound(space.p_conjugate, functional, curv, moved, span, r)
         gap = value - lower
         converged = converged or gap <= _GAP_RESOLUTION * value
     y_start[free] = y

@@ -117,7 +117,8 @@ class SmoothnessParams:
     p_dual: float
 
 
-_TINY = np.finfo(float).tiny
+# A Python float: it compares with a numpy scalar faster than a numpy scalar does.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _as_vector(space: LpSpace, v, name: str = "v") -> np.ndarray:
@@ -150,12 +151,20 @@ def _norm_vec(p: float, a: np.ndarray) -> float:
     power differs from numpy's in the last bit for about one vector in
     twenty.
     """
-    mags = np.abs(a)
-    scale = mags.max()
+    return _norm_mags(p, np.abs(a))
+
+
+def _norm_mags(p: float, mags: np.ndarray) -> float:
+    """:func:`_norm_vec` of a vector given its magnitudes ``|a_i|``, bit for bit.
+
+    The reductions are called as ufunc methods, which is what ``.max()``
+    and ``.sum()`` do after their argument handling.
+    """
+    scale = np.maximum.reduce(mags)
     if scale == 0.0:
         return 0.0
-    sums = ((mags / scale) ** p).sum(keepdims=True)
-    return float((scale * sums ** (1.0 / p))[0])
+    sums = np.add.reduce((mags / scale) ** p, keepdims=True)
+    return float(scale * (sums ** (1.0 / p))[0])
 
 
 def _norming_coeffs(p: float, h: np.ndarray, norm) -> np.ndarray:

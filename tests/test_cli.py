@@ -120,6 +120,15 @@ class TestSweepCommand:
         assert "config error: dictionary.seed: must be >= 0; got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("path", ["dictionary.seed", "target.seed"])
+    def test_seed_axis_exits_2(self, tmp_path, capsys, path):
+        _, config = write_config(tmp_path)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({"base": config.to_dict(), "axes": [[path, [1, 2]]]}))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: axes.{path}: every cell derives its seeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 # The printed output of ``verify --profile quick --seed 0``. A change to any
 # criterion margin, sample count or verdict shows up here as an edit of this copy.

@@ -306,6 +306,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="replicate_seeds: must be an integer"):
             spec.validate()
 
+    @pytest.mark.parametrize("path", ["dictionary.seed", "target.seed"])
+    def test_seed_axis_rejected(self, path):
+        # every cell derives its own seeds, so the axis values would never run
+        spec = SweepSpec(base=sample_config(), axes=[("space.p", [1.5]), (path, [1, -5, 3.5])])
+        with pytest.raises(ConfigError, match=f"axes.{path}: every cell derives its seeds"):
+            spec.validate()
+
     def test_load(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(

@@ -142,6 +142,17 @@ class TestRunSweep:
         header = (tmp_path / "sweep_summary.csv").read_text().splitlines()[0]
         assert header.startswith("cell,replicate,axes,")
 
+    def test_rewrite_leaves_only_new_rows(self, tmp_path):
+        # the summary is written over the old file and cut to length after
+        run_sweep(self.base_spec(replicate_seeds=2), out_dir=str(tmp_path))
+        first = (tmp_path / "sweep_summary.csv").read_text()
+        rows = run_sweep(self.base_spec(replicate_seeds=1), out_dir=str(tmp_path))
+        text = (tmp_path / "sweep_summary.csv").read_text()
+        lines = text.splitlines()
+        assert len(lines) == 1 + len(rows) == 1 + 4
+        assert len(text) < len(first) and text.endswith("\n")
+        assert [line.split(",")[-1] for line in lines[1:]] == [row["config_hash"] for row in rows]
+
     def test_deterministic_rows(self):
         spec = self.base_spec()
         a = run_sweep(spec)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lpgreedy import solvers
 from lpgreedy import (
@@ -422,6 +425,111 @@ class TestDualityGap:
             assert res.gap <= 1e-12 * res.value
 
 
+class TestNewtonModel:
+    """The Newton iteration's gradient and Hessian against central differences of ||r||."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 64.0])
+    def test_matches_finite_differences(self, p, k):
+        dim = 7
+        space = LpSpace(p, dim)
+        rng = np.random.default_rng([k, int(10 * p)])
+        h = 1e-4 * min(1.0, 8.0 / p)  # the higher derivatives grow with p
+        steps = h * np.eye(2 * k)
+        for _ in range(4):
+            base, cols = _rand(rng, dim), _rand(rng, dim, k)
+            x = 0.3 * rng.standard_normal(2 * k)  # y.view(float) of the point
+
+            def norm_at(z):
+                return lp_norm(space, base - cols @ z.view(np.complex128))
+
+            r = base - cols @ x.view(np.complex128)
+            value = norm_at(x)
+            _, neg_conj, jac_t = solvers._real_blocks(cols, np.conj(cols))
+            unit, weights, curv, grad, hw, hess = solvers._newton_model(
+                p, r, np.abs(r), value, neg_conj, jac_t
+            )
+            fd_grad = [(norm_at(x + e) - norm_at(x - e)) / (2e-2 * h) for e in 1e-2 * steps]
+            fd_hess = [
+                [
+                    (norm_at(x + a + b) - norm_at(x + a - b) - norm_at(x - a + b) + norm_at(x - a - b))
+                    / (4 * h * h)
+                    for b in steps
+                ]
+                for a in steps
+            ]
+            scale = np.abs(hess).max()
+            np.testing.assert_allclose(grad, fd_grad, rtol=1e-8, atol=1e-9)
+            # hess is the Hessian of ||r||^2 / 2: g g^T + ||r|| times that of ||r||
+            np.testing.assert_allclose(
+                hess, np.outer(grad, grad) + value * np.array(fd_hess), rtol=0, atol=1e-5 * scale
+            )
+            # the parts the certificate and IRLS reuse
+            np.testing.assert_allclose(
+                np.conj(unit) * weights, norming_functional(space, r).coeffs, rtol=1e-14, atol=0
+            )
+            w = np.maximum(np.abs(r) / value, solvers._RHO_FLOOR) ** (p - 2.0)
+            gram = (np.conj(cols).T * w) @ cols
+            np.testing.assert_allclose(curv, w, rtol=1e-14)
+            np.testing.assert_allclose(hw[0::2, 0::2], gram.real, rtol=1e-13, atol=1e-15 * scale)
+            np.testing.assert_allclose(hw[1::2, 0::2], gram.imag, rtol=1e-13, atol=1e-15 * scale)
+
+    def test_exact_zero_and_subnormal_entries(self):
+        # unit is 0 at an exact zero (no radial term there) and a true unit
+        # vector at a subnormal entry, so the functional built from it is exact
+        p, dim = 1.01, 4
+        space = LpSpace(p, dim)
+        cols = np.ones((dim, 1), dtype=complex)
+        r = np.array([1.0, 0.0, 3e-320 + 4e-320j, -2.0 + 1j])
+        _, neg_conj, jac_t = solvers._real_blocks(cols, np.conj(cols))
+        unit, weights, *_ = solvers._newton_model(
+            p, r, np.abs(r), lp_norm(space, r), neg_conj, jac_t
+        )
+        assert unit[1] == 0.0
+        assert abs(unit[2] - (0.6 + 0.8j)) <= 1e-15
+        np.testing.assert_allclose(
+            np.conj(unit) * weights, norming_functional(space, r).coeffs, rtol=1e-15, atol=0
+        )
+
+    @seed(20260)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([1.2, 1.5, 3.0, 8.0, 32.0]),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_against_scipy_minimize(self, p, k, dim, data_seed):
+        # Nelder-Mead on the real parametrization, started at the solver's
+        # minimizer (the problem is convex, so a lower point nearby would
+        # show a lower infimum): the certified bound lies below what it finds
+        # (up to 4 ulps of rounding in the bound), and it finds nothing lower.
+        space = LpSpace(p, dim)
+        rng = np.random.default_rng(data_seed)
+        f, G, phi = _rand(rng, dim), _rand(rng, dim), _rand(rng, dim)
+        if k == 1:
+            res = minimize_over_line(space, f, phi)
+
+            def objective(x):
+                return lp_norm(space, f - x.view(np.complex128)[0] * phi)
+        else:
+            res = minimize_free_relax(space, f, G, phi)
+
+            def objective(x):
+                w, lam = x.view(np.complex128)
+                return lp_norm(space, f - (1.0 - w) * G - lam * phi)
+
+        reference = scipy.optimize.minimize(
+            objective,
+            np.ascontiguousarray(res.minimizer[-k:]).view(np.float64),
+            method="Nelder-Mead",
+            options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000, "maxfev": 8000},
+        ).fun
+        assert res.converged
+        assert res.value - res.gap <= reference * (1.0 + solvers._GAP_RESOLUTION)
+        assert res.value <= reference * (1.0 + 1e-12)
+
+
 def _singular_gesv(a, b):
     """A gesv that reports every matrix exactly singular (info > 0), with junk in x."""
     return a, None, np.full_like(b, 1e3), 1
@@ -449,8 +557,9 @@ class TestLapackPaths:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("singular", ["zgesv", "dgesv"])
     def test_singular_solves_fall_back(self, monkeypatch, p, singular):
-        # zgesv solves the weighted Gram system (IRLS direction, certificate
-        # correction), dgesv the Newton system; each falls back to the gradient.
+        # dgesv solves the Newton and the weighted Gram system (IRLS direction,
+        # certificate correction), each falling back to the gradient; zgesv
+        # solves only the p = 2 triangular system, which p != 2 never uses.
         rng = np.random.default_rng([7, int(10 * p)])
         space = LpSpace(p, 12)
         cases = [(_rand(rng, 12), _rand(rng, 12), _rand(rng, 12)) for _ in range(4)]
@@ -466,6 +575,26 @@ class TestLapackPaths:
                 assert res.converged
                 assert res.value == pytest.approx(want.value, rel=1e-14)
                 assert res.gap <= 1e-14 * res.value
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_singular_gram_falls_back(self, monkeypatch, p):
+        # only the weighted Gram system singular: beta = -grad, and Newton and
+        # the certificate stay intact
+        rng = np.random.default_rng([8, int(10 * p)])
+        space = LpSpace(p, 12)
+        cases = [(_rand(rng, 12), _rand(rng, 12), _rand(rng, 12)) for _ in range(4)]
+        exact = [minimize_free_relax(space, *case) for case in cases]
+        irls = solvers._irls
+        c, g = _rand(rng, 12, 2), rng.standard_normal(4)
+        beta, moved = irls(c, np.zeros((4, 4)), g)
+        assert beta.view(np.float64).tolist() == (-g).tolist()
+        np.testing.assert_allclose(moved, c @ beta, rtol=1e-14)
+        monkeypatch.setattr(solvers, "_irls", lambda cols, hw, grad: irls(cols, 0.0 * hw, grad))
+        for case, want in zip(cases, exact):
+            res = minimize_free_relax(space, *case, SolverConfig(max_iters=60))
+            assert res.converged
+            assert res.value == pytest.approx(want.value, rel=1e-14)
+            assert -1e-15 * res.value <= res.gap <= 1e-14 * res.value
 
     def test_singular_least_squares_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "zgesv", _singular_gesv)
