@@ -29,7 +29,11 @@ in {1.5, 2, 3}:
   replicates for each of the four algorithms, each writing its summary
   CSV into a temporary directory; time per cell;
 * each criterion of the ``verify`` battery at ``--profile full``, seed 0:
-  time per criterion, with its verdict and worst margin.
+  time per criterion, with its verdict and worst margin;
+* end to end, one child Python process per repeat: ``import lpgreedy``
+  alone, and one small ``lpgreedy run`` (RUN_CONFIG, through
+  ``lpgreedy.cli.main``): wall time per process and the child's peak
+  resident set size (``VmHWM``, so Linux only).
 
 Both packages are imported into this one process. Each case runs its
 ``REPEATS`` repeats on the two trees back to back, alternating which goes
@@ -91,6 +95,23 @@ CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 SWEEP_RUNS, CELL_REPLICATES = 5, 3
 # The verify rows: one per criterion, each run once per repeat.
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
+# The end-to-end rows: the code of one child Python process each.
+PROCESSES = {
+    "import_lpgreedy": "import lpgreedy",
+    "lpgreedy_run": (
+        "from lpgreedy.cli import main\n"
+        "if main(['run', '--config', {config!r}, '--out', {out!r}]):\n"
+        "    raise SystemExit('lpgreedy run failed')"
+    ),
+}
+RUN_CONFIG = (
+    "space.p = 1.5\nspace.dim = 16\ndictionary.count = 32\ntarget.sparsity = 8\n"
+    "algorithm.id = wgafr\nalgorithm.iters = 20\n"
+)
+# The last line a child prints: its peak RSS in KiB. VmHWM is the high-water
+# mark of the child's own memory map; ru_maxrss would start from this
+# process's RSS, which the child's map inherits up to its exec.
+PEAK_RSS = "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')))"
 REPEATS = 7
 
 
@@ -197,8 +218,33 @@ def prepare_sweep(pkg, p, data):
     return lambda: [row for spec in specs for row in pkg.run_sweep(spec, out_dir.name)]
 
 
+def child_process(code: str, src: Path) -> float:
+    """Run one Python child on the lpgreedy in ``src``; return its peak RSS in MiB."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{PEAK_RSS}"], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return int(out.split()[-1]) / 1024.0
+
+
+def prepare_process(pkg, entry):
+    """A call that runs the case's child process once on ``pkg``'s source tree.
+
+    The config and the outputs of ``lpgreedy run`` live in a temporary
+    directory that lives as long as the call does.
+    """
+    work = tempfile.TemporaryDirectory(prefix="run_bench_process_")
+    config = Path(work.name) / "experiment.txt"
+    config.write_text(RUN_CONFIG)
+    code = PROCESSES[entry].format(config=str(config), out=work.name)
+    src = Path(pkg.__file__).resolve().parents[1]
+    return lambda work=work: [child_process(code, src)]
+
+
 def prepare(pkg, entry, p, dim, data):
     """A call that runs the case once through ``pkg`` and returns its results."""
+    if entry in PROCESSES:
+        return prepare_process(pkg, entry)
     if entry.startswith("verify_"):
         criterion = {number: fn for number, _, fn in pkg.acceptance.ALL_CRITERIA}[data[0]]
         return lambda: [criterion(seed=VERIFY_SEED, profile=VERIFY_PROFILE)]
@@ -220,10 +266,11 @@ def prepare(pkg, entry, p, dim, data):
     return lambda: [fn(space, d, t, tau, *extra, LOOP_ITERS) for d, t in runs]
 
 
-def timed_pass(run, units: int) -> float:
+def timed_pass(run, units: int):
+    """Time per unit of one pass, and the pass's results."""
     start = time.perf_counter()
-    run()
-    return (time.perf_counter() - start) / units
+    results = run()
+    return (time.perf_counter() - start) / units, results
 
 
 def outcome(entry, results) -> dict:
@@ -239,6 +286,8 @@ def outcome(entry, results) -> dict:
         return {"units": len(results)}
     if entry.startswith("verify_"):
         return {"units": 1, "passed": results[0].passed, "worst_margin": results[0].worst_margin}
+    if entry in PROCESSES:
+        return {"units": 1}
     if entry in SWEEPS:
         return {"units": len(results), "cells": len(results),
                 "failed_cells": sum(1 for row in results if row["error"] or row["pass_rate"] != "1.0")}
@@ -312,6 +361,7 @@ def main(argv=None) -> int:
         ((f"verify_{number:02d}_{name}", None, None), [number])
         for number, name, _ in pkgs["change"].acceptance.ALL_CRITERIA
     )
+    cases.update(((entry, None, None), [entry]) for entry in PROCESSES)
     runs = {
         (label, key): prepare(pkg, *key, data)
         for label, pkg in pkgs.items() for key, data in cases.items()
@@ -319,12 +369,16 @@ def main(argv=None) -> int:
     # Untimed warm-up pass, which also records the deterministic counters.
     outcomes = {(label, key): outcome(key[0], run()) for (label, key), run in runs.items()}
     times = {run_key: [] for run_key in runs}
+    child_rss = {run_key: [] for run_key in runs if run_key[1][0] in PROCESSES}
     labels = list(pkgs)
     for rep in range(REPEATS):
         for key in cases:
             for label in labels if rep % 2 == 0 else labels[::-1]:
                 units = outcomes[label, key]["units"]
-                times[label, key].append(timed_pass(runs[label, key], units))
+                unit_s, results = timed_pass(runs[label, key], units)
+                times[label, key].append(unit_s)
+                if (label, key) in child_rss:
+                    child_rss[label, key].append(results[0])
 
     results = []
     for key in cases:
@@ -332,7 +386,7 @@ def main(argv=None) -> int:
         verify = entry.startswith("verify_")
         unit = (
             "criterion" if verify else "step" if entry in LOOPS
-            else "cell" if entry in SWEEPS else "call"
+            else "cell" if entry in SWEEPS else "process" if entry in PROCESSES else "call"
         )
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
         if verify:
@@ -343,6 +397,10 @@ def main(argv=None) -> int:
             stats = dict(outcomes[label, key])
             del stats["units"]
             row[label] = {f"{unit}_us": 1e6 * unit_s, f"{unit}_us_quartiles": [1e6 * q1, 1e6 * q3]}
+            if (label, key) in child_rss:
+                rss = child_rss[label, key]
+                rss_q1, _, rss_q3 = statistics.quantiles(rss, n=4)
+                row[label].update(peak_rss_mib=statistics.median(rss), peak_rss_mib_quartiles=[rss_q1, rss_q3])
             if entry in SOLVES:
                 row[label]["iter_us"] = 1e6 * unit_s / stats["iters_mean"] if stats["iters_mean"] else None
             row[label].update(stats)
@@ -353,13 +411,14 @@ def main(argv=None) -> int:
 
     report = {
         "bench": (
-            "inner solve, loop step, norm, functional, sweep cell and verify criterion "
-            "(bench/run_bench.py)"
+            "inner solve, loop step, norm, functional, sweep cell, verify criterion and "
+            "end-to-end process (bench/run_bench.py)"
         ),
         "repeats": REPEATS,
         "statistic": (
-            "median over repeats of the mean wall time per call, loop step, sweep cell or "
-            "verify criterion, with the first and third quartiles of the repeats"
+            "median over repeats of the mean wall time per call, loop step, sweep cell, "
+            "verify criterion or child process (and of a child's max RSS), with the first "
+            "and third quartiles of the repeats"
         ),
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},

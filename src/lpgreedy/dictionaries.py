@@ -17,6 +17,7 @@ from .spaces import (
     LpSpace,
     _as_vector,
     _norm_rows,
+    _row_blocks,
     complex_sign,
     lp_norm,
 )
@@ -75,7 +76,8 @@ class Dictionary:
                 f"atoms must form a nonempty (count, {self.space.dim}) array; "
                 f"got shape {atoms.shape}"
             )
-        if not np.all(np.isfinite(atoms)):
+        blocks = _row_blocks(atoms)
+        if not all(np.isfinite(atoms[i : i + blocks.step]).all() for i in blocks):
             raise ValueError("atoms contain non-finite entries")
         norms = _norm_rows(self.space.p, atoms)
         if norms.max() > 1.0 + ATOM_NORM_TOL:
@@ -212,9 +214,17 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
             )
         atoms = np.eye(space.dim, dtype=np.complex128)
     elif kind == "gaussian":
+        # All real parts, then all imaginary parts, drawn a block of rows at
+        # a time into one buffer: the draws of one standard_normal call.
         rng = np.random.default_rng(seed)
-        atoms = rng.standard_normal((count, space.dim)).astype(np.complex128)
-        atoms.imag = rng.standard_normal((count, space.dim))
+        atoms = np.empty((count, space.dim), dtype=np.complex128)
+        blocks = _row_blocks(atoms)
+        buf = np.empty((min(blocks.step, count), space.dim))
+        for part in (atoms.real, atoms.imag):
+            for start in blocks:
+                block = part[start : start + blocks.step]
+                rng.standard_normal(out=buf[: len(block)])
+                block[...] = buf[: len(block)]
         atoms /= _norm_rows(space.p, atoms)[:, None]
     else:  # fourier_frame
         if count < space.dim:

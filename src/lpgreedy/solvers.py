@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgesv, zgeqrf, zgesv, zungqr
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, solve1
 
 from .spaces import (
     _TINY,
@@ -57,6 +56,14 @@ _GAP_RESOLUTION = 4.0 * float(np.finfo(float).eps)
 # which are infinite at a zero residual entry when p < 2 (as in IRLS). It
 # only shapes the step; the gradient and the stop tests never see it.
 _RHO_FLOOR = 1e-30
+
+# Largest order of a system solved with numpy's LAPACK. Larger ones (the
+# 6 x 6 and up Newton systems of best_approx_subspace with three or more
+# basis vectors, off the greedy loops' path) go to scipy's, which that
+# function loads anyway for its pivoted QR: numpy's and scipy's OpenBLAS
+# builds round real systems from order 6 on differently, and scipy's gave
+# the bits those solves have always had.
+_NUMPY_GESV_ORDER = 4
 
 # Predicted relative decrease of the Newton step below which the duality
 # certificate is built before the last iterate. The gap is at least the
@@ -103,7 +110,8 @@ class SolveResult:
     the returned value is within ``gap`` of optimal (up to round-off).
     ``converged`` means the residual hit the exact-fit floor, the gradient
     norm reached grad_tol, or the gap reached float resolution; it is
-    False when max_iters ran out or the line search stalled first.
+    False when max_iters ran out or the line search stalled first, and at
+    p = 2 (no iteration) when the gap is above float resolution.
     ``iterations`` counts Newton steps taken (0 for the exact p = 2 solve).
     """
 
@@ -130,34 +138,46 @@ def _combine(cols: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """a^{-1} b for a small square real or complex a; None if a is exactly singular.
 
-    Calls LAPACK gesv directly, the routine numpy.linalg.solve wraps, with
-    the same result bit for bit and without numpy's per-call checks.
+    Calls numpy's LAPACK gesv gufunc, the one numpy.linalg.solve wraps,
+    with the same result bit for bit and without numpy's per-call checks.
+    On an exactly singular a the gufunc fills x with NaN and raises the
+    invalid floating-point flag, which the Newton iteration ignores.
+    Systems of order above _NUMPY_GESV_ORDER go to scipy's gesv instead.
     """
-    _, _, x, info = (zgesv if a.dtype == np.complex128 else dgesv)(a, b)
-    return None if info > 0 else x
+    if a.shape[0] > _NUMPY_GESV_ORDER:
+        from scipy.linalg.lapack import dgesv, zgesv
+
+        _, _, x, info = (zgesv if a.dtype == np.complex128 else dgesv)(a, b)
+        return None if info > 0 else x
+    x = solve1(a, b)
+    first = x.item(0)
+    return x if first == first else None
 
 
 def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of a complex matrix; the factors of numpy.linalg.qr, bit for bit.
 
-    Returns Q and the leading rows of the LAPACK factorization, whose upper
+    Factors ``a`` in place, with numpy's LAPACK geqrf/ungqr gufuncs, and
+    returns Q and the leading rows of the factorization, whose upper
     triangle is R; below the diagonal they hold Householder vectors, not
-    zeros. Q is copied to C order: LAPACK returns it in Fortran order, and
-    a product with a Fortran-order Q takes another BLAS path that can
-    change the last bit.
+    zeros.
     """
-    factored, tau, _, _ = zgeqrf(a)
-    k = min(a.shape)
-    q, _, _ = zungqr(factored[:, :k], tau)
-    return np.ascontiguousarray(q), factored[:k]
+    tau = qr_r_raw(a)
+    return qr_reduced(a, tau), a[: tau.shape[0]]
 
 
-def _descent_step(hess: np.ndarray, grad: np.ndarray, value: float) -> np.ndarray:
-    """Solve hess @ step = -value * grad; steepest descent if that does not descend."""
+def _descent_step(hess: np.ndarray, grad: np.ndarray, value: float) -> tuple[np.ndarray, float]:
+    """Solve hess @ step = -value * grad; steepest descent if that does not descend.
+
+    Returns the step and its slope grad @ step.
+    """
     step = _solve(hess, -value * grad)
-    if step is None:
-        return -value * grad
-    return step if grad @ step < 0.0 else -value * grad
+    if step is not None:
+        slope = float(grad @ step)
+        if slope < 0.0:
+            return step, slope
+    step = -value * grad
+    return step, float(grad @ step)
 
 
 def _backtrack(p, r, dr, value, slope, cfg):
@@ -201,7 +221,7 @@ def _irls(cols, hw, grad):
     return beta, _combine(cols, beta)
 
 
-def _real_blocks(cols, conj_cols):
+def _real_blocks(cols):
     """(-cols, -conj(cols), jac_t): the per-solve arrays of :func:`_newton_model`.
 
     In the interleaved real coordinates y.view(float) = (Re y_0, Im y_0,
@@ -212,7 +232,8 @@ def _real_blocks(cols, conj_cols):
     """
     k = cols.shape[1]
     jac_t = np.concatenate([cols, 1j * cols]).T.copy().view(np.float64).reshape(2 * k, -1)
-    return -cols, -conj_cols, jac_t
+    neg_cols = -cols
+    return neg_cols, np.conj(neg_cols), jac_t
 
 
 def _newton_model(p, r, mags, value, neg_conj, jac_t):
@@ -242,7 +263,8 @@ def _newton_model(p, r, mags, value, neg_conj, jac_t):
     return unit, weights, curv, grad, hw, hess
 
 
-def _newton(p, q, base, cols, conj_cols, span, y, cfg):
+@np.errstate(invalid="ignore")  # a singular Newton or Gram system gives NaN
+def _newton(p, q, base, cols, span, y, cfg):
     """Damped Newton from ``y`` for p != 2; see :func:`_descend`.
 
     Returns (minimizer, value, converged, iterations, lower), where
@@ -250,7 +272,7 @@ def _newton(p, q, base, cols, conj_cols, span, y, cfg):
     once the residual is an exact fit). The magnitudes |r| of a step's
     accepted trial point serve the next iteration.
     """
-    neg_cols, neg_conj, jac_t = _real_blocks(cols, conj_cols)
+    neg_cols, neg_conj, jac_t = _real_blocks(cols)
     r = base - _combine(cols, y)
     mags = np.abs(r)
     value = _norm_mags(p, mags)
@@ -264,8 +286,7 @@ def _newton(p, q, base, cols, conj_cols, span, y, cfg):
             break
         if iterations == cfg.max_iters:
             break
-        step = _descent_step(hess, grad, value)
-        slope = float(grad @ step)
+        step, slope = _descent_step(hess, grad, value)
         dy = step.view(np.complex128)
         dr = _combine(neg_cols, dy)
         options = [(dy, dr, slope)]
@@ -366,8 +387,7 @@ def _descend(
     cols = directions / scales[None, :]
     y_start = x0 * scales
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
-    conj_cols = np.conj(cols)
-    span, tri = _qr(conj_cols)
+    span, tri = _qr(np.conj(cols))
     free = np.zeros(cols.shape[1], dtype=bool)
     free[: min(cols.shape)] = np.abs(tri.diagonal()) > RANK_TOL
     if not free.all():
@@ -375,8 +395,8 @@ def _descend(
         # the dimension) adds no direction: its coefficient stays at the
         # start and the rest is solved.
         base = base - _combine(cols[:, ~free], y_start[~free])
-        cols, conj_cols = cols[:, free], conj_cols[:, free]
-        span, tri = _qr(conj_cols)
+        cols = cols[:, free]
+        span, tri = _qr(np.conj(cols))
     if p == 2.0:
         # Least squares through the QR above: cols = conj(span) @ conj(tri),
         # with tri square and upper triangular once its lower part is zeroed.
@@ -387,12 +407,12 @@ def _descend(
             raise np.linalg.LinAlgError("Singular matrix")
         r = base - _combine(cols, y)
         value = _norm_vec(p, r)
-        converged, iterations, lower = True, 0, None
+        converged, iterations, lower = False, 0, None
         if value > RESIDUAL_FLOOR:
             lower = _lower_bound(q, _norming_coeffs(p, r, value), span, r)
     else:
         y, value, converged, iterations, lower = _newton(
-            p, q, base, cols, conj_cols, span, y_start[free], cfg
+            p, q, base, cols, span, y_start[free], cfg
         )
     if value <= RESIDUAL_FLOOR:
         converged, value, gap = True, 0.0, 0.0
@@ -422,7 +442,7 @@ def minimize_over_line(
     cfg = cfg or SolverConfig()
     base = _as_vector(space, base, "base")
     direction = _as_vector(space, direction, "direction")
-    if not np.abs(direction).max() > 0.0:
+    if not direction.any():
         raise ValueError("direction must be nonzero")
     return _descend(space, base, direction[:, None], cfg, np.zeros(1, dtype=np.complex128))
 
@@ -445,9 +465,9 @@ def minimize_free_relax(
     f = _as_vector(space, f, "f")
     G_prev = _as_vector(space, G_prev, "G_prev")
     phi = _as_vector(space, phi, "phi")
-    if not np.abs(phi).max() > 0.0:
+    if not phi.any():
         raise ValueError("phi must be nonzero")
-    if not np.abs(G_prev).max() > 0.0:
+    if not G_prev.any():
         start = np.zeros(1, dtype=np.complex128) if x0 is None else np.array([x0[1]], dtype=np.complex128)
         line = _descend(space, f, phi[:, None], cfg, start)
         return SolveResult(
@@ -458,7 +478,9 @@ def minimize_free_relax(
             gap=line.gap,
         )
     # f - (1-w)G - lam*phi  ==  (f - G) - (w, lam) @ (-G, phi)
-    directions = np.column_stack([-G_prev, phi])
+    directions = np.empty((space.dim, 2), dtype=np.complex128)
+    np.negative(G_prev, out=directions[:, 0])
+    directions[:, 1] = phi
     start = np.zeros(2, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128)
     return _descend(space, f - G_prev, directions, cfg, start)
 
@@ -482,6 +504,8 @@ def best_approx_subspace(
     if not vectors:
         raise ValueError("basis must be nonempty")
     B = np.column_stack(vectors)
+    import scipy.linalg  # for the pivoted QR, which numpy lacks; slow to import
+
     r_diag = np.abs(np.diag(scipy.linalg.qr(B, mode="r", pivoting=True)[0]))
     if r_diag.size < B.shape[1] or r_diag.min() <= RANK_TOL * r_diag.max():
         raise DependentBasisError(

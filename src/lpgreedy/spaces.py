@@ -120,6 +120,19 @@ class SmoothnessParams:
 # A Python float: it compares with a numpy scalar faster than a numpy scalar does.
 _TINY = float(np.finfo(float).tiny)
 
+# Tall arrays are taken about this many entries at a time, so that the
+# float temporaries of a block stay near 512 KiB instead of growing with
+# the array.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(a: np.ndarray) -> range:
+    """Start rows of the blocks of ``a`` (about _BLOCK_ENTRIES entries each) and their height.
+
+    Iterate as ``for start in blocks: a[start : start + blocks.step]``.
+    """
+    return range(0, a.shape[0], max(1, _BLOCK_ENTRIES // max(1, a.shape[-1])))
+
 
 def _as_vector(space: LpSpace, v, name: str = "v") -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
@@ -133,7 +146,18 @@ def _as_vector(space: LpSpace, v, name: str = "v") -> np.ndarray:
 
 
 def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
-    """Row-wise l_p norms of a 2-D complex array, scaled for stability."""
+    """Row-wise l_p norms of a 2-D complex array, scaled for stability.
+
+    A tall array is taken a block of rows at a time; each row's norm is
+    the same bit for bit, since every reduction runs along a row.
+    """
+    blocks = _row_blocks(a)
+    if len(blocks) <= 1:
+        return _norm_block(p, a)
+    return np.concatenate([_norm_block(p, a[start : start + blocks.step]) for start in blocks])
+
+
+def _norm_block(p: float, a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     scale = mags.max(axis=-1)
     safe = np.where(scale > 0.0, scale, 1.0)

@@ -17,7 +17,7 @@ from lpgreedy import (
     norming_functional,
     weak_select,
 )
-from lpgreedy.spaces import _norm_rows
+from lpgreedy.spaces import _BLOCK_ENTRIES, _norm_rows, _norm_vec
 
 
 class TestGenerateDictionary:
@@ -70,6 +70,25 @@ class TestGenerateDictionary:
         d = generate_dictionary(space, 24, "gaussian", seed=5)
         assert d.atoms.tobytes() == atoms.tobytes()
         assert not d.atoms.flags.writeable
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_gaussian_draw_pinned_above_block_size(self, p):
+        # a dictionary of several row blocks (the last one short) draws and
+        # normalizes exactly as one standard_normal call per part would
+        dim, count = 1000, 150
+        assert count * dim > 2 * _BLOCK_ENTRIES
+        rng = np.random.default_rng(9)
+        atoms = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        atoms /= np.array([_norm_vec(p, row) for row in atoms])[:, None]
+        d = generate_dictionary(LpSpace(p, dim), count, "gaussian", seed=9)
+        assert d.atoms.tobytes() == atoms.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 70, 149])
+    def test_non_finite_entry_in_any_block_rejected(self, row):
+        atoms = np.zeros((150, 1000), dtype=complex)
+        atoms[row, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Dictionary(space=LpSpace(2.0, 1000), atoms=atoms)
 
     def test_writable_input_is_copied(self):
         space = LpSpace(2.0, 2)

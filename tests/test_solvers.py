@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -333,6 +339,22 @@ class TestDualityGap:
             assert best.converged
             assert early.value - best.value <= early.gap * (1 + 1e-12) + 1e-15
 
+    def test_p2_converged_follows_the_certificate(self):
+        # Directions nearly dependent but above RANK_TOL: the least-squares
+        # coefficients are about 1e9 and the value about 1e-6 is round-off,
+        # so the gap is far above resolution and the solve is not converged.
+        space = LpSpace(2.0, 2)
+        rng = np.random.default_rng(0)
+        f, phi, g = _rand(rng, 2), _rand(rng, 2), _rand(rng, 2)
+        res = minimize_free_relax(space, f, (0.3 - 2j) * phi + 1e-9 * g, phi)
+        assert res.gap > solvers._GAP_RESOLUTION * res.value > 0.0
+        assert res.converged is False
+        # A well-conditioned p = 2 solve is still converged, and so is an exact fit.
+        well = minimize_free_relax(space, f, g, phi)
+        assert well.converged is True and well.gap <= solvers._GAP_RESOLUTION * well.value
+        exact = minimize_over_line(space, [2.0, 1j], [2.0, 1j])
+        assert exact.converged is True and exact.value == 0.0
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_dependent_directions(self, p):
         # G_prev parallel to phi: the pair spans one direction, and the
@@ -445,7 +467,7 @@ class TestNewtonModel:
 
             r = base - cols @ x.view(np.complex128)
             value = norm_at(x)
-            _, neg_conj, jac_t = solvers._real_blocks(cols, np.conj(cols))
+            _, neg_conj, jac_t = solvers._real_blocks(cols)
             unit, weights, curv, grad, hw, hess = solvers._newton_model(
                 p, r, np.abs(r), value, neg_conj, jac_t
             )
@@ -481,7 +503,7 @@ class TestNewtonModel:
         space = LpSpace(p, dim)
         cols = np.ones((dim, 1), dtype=complex)
         r = np.array([1.0, 0.0, 3e-320 + 4e-320j, -2.0 + 1j])
-        _, neg_conj, jac_t = solvers._real_blocks(cols, np.conj(cols))
+        _, neg_conj, jac_t = solvers._real_blocks(cols)
         unit, weights, *_ = solvers._newton_model(
             p, r, np.abs(r), lp_norm(space, r), neg_conj, jac_t
         )
@@ -530,9 +552,19 @@ class TestNewtonModel:
         assert res.value <= reference * (1.0 + 1e-12)
 
 
-def _singular_gesv(a, b):
-    """A gesv that reports every matrix exactly singular (info > 0), with junk in x."""
-    return a, None, np.full_like(b, 1e3), 1
+def _singular_solve1(dtype):
+    """A ``solve1`` for which every system of ``dtype`` is exactly singular.
+
+    Like numpy's gufunc on a singular system, it fills x with NaN and
+    raises the invalid floating-point flag; systems of the other dtype are
+    solved.
+    """
+    solve = solvers.solve1
+
+    def solve1(a, b):
+        return np.zeros_like(b) / 0.0 if a.dtype == dtype else solve(a, b)
+
+    return solve1
 
 
 class TestLapackPaths:
@@ -546,32 +578,95 @@ class TestLapackPaths:
                 a += 1j * rng.standard_normal((n, n))
                 b += 1j * rng.standard_normal(n)
             assert solvers._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+            with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+                warnings.simplefilter("error")  # under the Newton iteration's error state
+                assert solvers._solve(np.zeros((n, n), dtype), b) is None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_larger_systems_match_scipy_gesv(self, dtype):
+        # order 6 and up (best_approx_subspace with three or more basis
+        # vectors) keeps scipy's gesv and its bits
+        from scipy.linalg.lapack import dgesv, zgesv
+
+        gesv = zgesv if dtype is complex else dgesv
+        rng = np.random.default_rng(6)
+        for n in (6, 8):
+            for _ in range(20):  # numpy's gesv differs on about 1 in 8 of these at order 6
+                a = rng.standard_normal((n, n)).astype(dtype)
+                b = rng.standard_normal(n).astype(dtype)
+                assert solvers._solve(a, b).tobytes() == gesv(a, b)[2].tobytes()
             assert solvers._solve(np.zeros((n, n), dtype), b) is None
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 12, 16, 2048])
+    def test_qr_matches_numpy(self, dim, k):
+        # Q and the upper triangle of R bit-equal to numpy.linalg.qr,
+        # also with fewer rows than columns.
+        rng = np.random.default_rng([13, dim, k])
+        for _ in range(3):
+            a = _rand(rng, dim, k)
+            want_q, want_r = np.linalg.qr(a)
+            q, tri = solvers._qr(a.copy())
+            assert q.tobytes() == want_q.tobytes()
+            assert np.triu(tri).tobytes() == want_r.tobytes()
+
+    def test_real_singular_newton_system_falls_back_quietly(self, monkeypatch):
+        # At p = 3 the residual f - G = -e2 lives on one entry: the Newton
+        # system is exactly singular and the step falls back to the
+        # gradient, with no warning.
+        f, G, phi = np.eye(3)[0], np.array([1.0, 1.0, 0.0]), np.eye(3)[1]
+        singular = []
+        solve = solvers._solve
+
+        def spy(a, b):
+            x = solve(a, b)
+            singular.append(x is None)
+            return x
+
+        monkeypatch.setattr(solvers, "_solve", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize_free_relax(LpSpace(3.0, 3), f, G, phi)
+        assert any(singular)
+        assert res.converged and res.value == 0.0
+        np.testing.assert_allclose(res.minimizer, [0.0, -1.0], atol=1e-12)
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        src = Path(solvers.__file__).resolve().parents[1]
+        code = "import sys, lpgreedy; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ).stdout
+        assert out.strip() == "False"
+
     def test_singular_hessian_falls_back_to_steepest_descent(self, monkeypatch):
-        monkeypatch.setattr(solvers, "dgesv", _singular_gesv)
+        monkeypatch.setattr(solvers, "solve1", _singular_solve1(np.float64))
         grad = np.array([0.5, -2.0])
-        step = solvers._descent_step(np.eye(2), grad, 3.0)
+        with np.errstate(invalid="ignore"):  # as in the Newton iteration
+            step, slope = solvers._descent_step(np.eye(2), grad, 3.0)
         np.testing.assert_array_equal(step, -3.0 * grad)
+        assert slope == grad @ step
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    @pytest.mark.parametrize("singular", ["zgesv", "dgesv"])
+    @pytest.mark.parametrize("singular", [np.complex128, np.float64], ids=["zgesv", "dgesv"])
     def test_singular_solves_fall_back(self, monkeypatch, p, singular):
-        # dgesv solves the Newton and the weighted Gram system (IRLS direction,
-        # certificate correction), each falling back to the gradient; zgesv
-        # solves only the p = 2 triangular system, which p != 2 never uses.
+        # Real systems are the Newton and the weighted Gram system (IRLS
+        # direction, certificate correction), each falling back to the
+        # gradient; the one complex system is the p = 2 triangular one,
+        # which p != 2 never uses.
         rng = np.random.default_rng([7, int(10 * p)])
         space = LpSpace(p, 12)
         cases = [(_rand(rng, 12), _rand(rng, 12), _rand(rng, 12)) for _ in range(4)]
         exact = [minimize_free_relax(space, *case) for case in cases]
-        monkeypatch.setattr(solvers, singular, _singular_gesv)
+        monkeypatch.setattr(solvers, "solve1", _singular_solve1(singular))
         cfg = SolverConfig(max_iters=60)
         for (f, G, phi), want in zip(cases, exact):
             res = minimize_free_relax(space, f, G, phi, cfg)
             assert np.all(np.isfinite(res.minimizer))
             assert want.value - 1e-12 * want.value <= res.value <= lp_norm(space, f - G)
             assert res.gap >= -1e-15 * res.value
-            if singular == "zgesv":  # Newton itself is intact, and so is the certificate
+            if singular is np.complex128:  # Newton itself is intact, and so is the certificate
                 assert res.converged
                 assert res.value == pytest.approx(want.value, rel=1e-14)
                 assert res.gap <= 1e-14 * res.value
@@ -586,7 +681,8 @@ class TestLapackPaths:
         exact = [minimize_free_relax(space, *case) for case in cases]
         irls = solvers._irls
         c, g = _rand(rng, 12, 2), rng.standard_normal(4)
-        beta, moved = irls(c, np.zeros((4, 4)), g)
+        with np.errstate(invalid="ignore"):
+            beta, moved = irls(c, np.zeros((4, 4)), g)
         assert beta.view(np.float64).tolist() == (-g).tolist()
         np.testing.assert_allclose(moved, c @ beta, rtol=1e-14)
         monkeypatch.setattr(solvers, "_irls", lambda cols, hw, grad: irls(cols, 0.0 * hw, grad))
@@ -597,8 +693,8 @@ class TestLapackPaths:
             assert -1e-15 * res.value <= res.gap <= 1e-14 * res.value
 
     def test_singular_least_squares_raises(self, monkeypatch):
-        monkeypatch.setattr(solvers, "zgesv", _singular_gesv)
-        with pytest.raises(np.linalg.LinAlgError):
+        monkeypatch.setattr(solvers, "solve1", _singular_solve1(np.complex128))
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             minimize_over_line(LpSpace(2.0, 4), np.ones(4), np.arange(4.0))
 
     @pytest.mark.parametrize("dim", [2, 12, 16, 2048])

@@ -14,6 +14,7 @@ from lpgreedy import (
     rho_bound,
     smoothness_params,
 )
+from lpgreedy import spaces
 from lpgreedy.spaces import _norm_rows, _norm_vec, _norming_coeffs
 
 PS = (1.5, 2.0, 3.0, 4.0)
@@ -207,6 +208,17 @@ class TestOneVectorKernels:
             assert np.float64(lp_norm(space, row)).tobytes() == norm.tobytes()
             assert _norming_coeffs(p, row, _norm_vec(p, row)).tobytes() == want.tobytes()
             assert norming_functional(space, row).coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 7, 2048])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
+    def test_tall_rows_bit_equal_per_row(self, p, dim):
+        # a tall array is normed a block of rows at a time, the last block short
+        rows = np.concatenate([self.rows(p, dim)] * (2 * 65536 // (24 * dim) + 2))[:-1]
+        assert rows.size > 2 * 65536
+        norms = _norm_rows(p, rows)
+        assert norms.tobytes() == spaces._norm_block(p, rows).tobytes()  # the whole array at once
+        for row, norm in zip(rows[-30:], norms[-30:]):
+            assert np.float64(_norm_vec(p, row)).tobytes() == norm.tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, np.nan)])
     def test_non_finite_norm_is_nan(self, bad):
