@@ -57,14 +57,6 @@ _GAP_RESOLUTION = 4.0 * float(np.finfo(float).eps)
 # only shapes the step; the gradient and the stop tests never see it.
 _RHO_FLOOR = 1e-30
 
-# Largest order of a system solved with numpy's LAPACK. Larger ones (the
-# 6 x 6 and up Newton systems of best_approx_subspace with three or more
-# basis vectors, off the greedy loops' path) go to scipy's, which that
-# function loads anyway for its pivoted QR: numpy's and scipy's OpenBLAS
-# builds round real systems from order 6 on differently, and scipy's gave
-# the bits those solves have always had.
-_NUMPY_GESV_ORDER = 4
-
 # Predicted relative decrease of the Newton step below which the duality
 # certificate is built before the last iterate. The gap is at least the
 # distance to the infimum, which the Newton step predicts, so the gap test
@@ -142,13 +134,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     with the same result bit for bit and without numpy's per-call checks.
     On an exactly singular a the gufunc fills x with NaN and raises the
     invalid floating-point flag, which the Newton iteration ignores.
-    Systems of order above _NUMPY_GESV_ORDER go to scipy's gesv instead.
     """
-    if a.shape[0] > _NUMPY_GESV_ORDER:
-        from scipy.linalg.lapack import dgesv, zgesv
-
-        _, _, x, info = (zgesv if a.dtype == np.complex128 else dgesv)(a, b)
-        return None if info > 0 else x
     x = solve1(a, b)
     first = x.item(0)
     return x if first == first else None
@@ -478,9 +464,7 @@ def minimize_free_relax(
             gap=line.gap,
         )
     # f - (1-w)G - lam*phi  ==  (f - G) - (w, lam) @ (-G, phi)
-    directions = np.empty((space.dim, 2), dtype=np.complex128)
-    np.negative(G_prev, out=directions[:, 0])
-    directions[:, 1] = phi
+    directions = np.column_stack([-G_prev, phi])
     start = np.zeros(2, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128)
     return _descend(space, f - G_prev, directions, cfg, start)
 

@@ -570,8 +570,9 @@ def _singular_solve1(dtype):
 class TestLapackPaths:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_solve_matches_numpy_and_reports_singular(self, dtype):
+        # every order, up to the 8 x 8 Newton systems of best_approx_subspace
         rng = np.random.default_rng(5)
-        for n in (1, 2, 4):
+        for n in (1, 2, 4, 6, 8):
             a = rng.standard_normal((n, n)).astype(dtype)
             b = rng.standard_normal(n).astype(dtype)
             if dtype is complex:
@@ -581,21 +582,6 @@ class TestLapackPaths:
             with warnings.catch_warnings(), np.errstate(invalid="ignore"):
                 warnings.simplefilter("error")  # under the Newton iteration's error state
                 assert solvers._solve(np.zeros((n, n), dtype), b) is None
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_larger_systems_match_scipy_gesv(self, dtype):
-        # order 6 and up (best_approx_subspace with three or more basis
-        # vectors) keeps scipy's gesv and its bits
-        from scipy.linalg.lapack import dgesv, zgesv
-
-        gesv = zgesv if dtype is complex else dgesv
-        rng = np.random.default_rng(6)
-        for n in (6, 8):
-            for _ in range(20):  # numpy's gesv differs on about 1 in 8 of these at order 6
-                a = rng.standard_normal((n, n)).astype(dtype)
-                b = rng.standard_normal(n).astype(dtype)
-                assert solvers._solve(a, b).tobytes() == gesv(a, b)[2].tobytes()
-            assert solvers._solve(np.zeros((n, n), dtype), b) is None
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 12, 16, 2048])
