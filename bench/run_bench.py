@@ -14,7 +14,9 @@ in {1.5, 2, 3}:
   one, the largest relative duality gap;
 * one loop step of ``run_wgafr`` and ``run_gawr`` at dim 16 (count 32
   Gaussian dictionaries, A_1 targets of sparsity 8, t = 1, 10 steps per
-  run): time per step, steps run and steps whose solve did not converge;
+  run): time per step, steps run, steps whose solve did not converge and
+  the Newton iterations of the steps' inner solves (total and per step;
+  counted in the untimed warm-up pass, so they do not depend on the host);
 * ``lp_norm`` and ``norming_functional`` at dim 16 and 2048: time per call;
 * the bookkeeping of one sweep cell, per call, on cells shaped like the
   ``sweep_grid`` benchmark workload (dim 12, count 24 Gaussian
@@ -266,6 +268,42 @@ def prepare(pkg, entry, p, dim, data):
     return lambda: [fn(space, d, t, tau, *extra, LOOP_ITERS) for d, t in runs]
 
 
+def count_newton_iterations(pkg, run):
+    """Run ``run`` once; return its results and the Newton iterations of its inner solves.
+
+    Every inner solve goes through ``solvers._descend``; it is wrapped
+    wherever an lpgreedy module holds it (the loops of one tree call it
+    through the public solvers, of another directly), and restored after.
+    """
+    original = pkg.solvers._descend
+    holders = [m for m in (pkg.solvers, pkg.algorithms) if getattr(m, "_descend", None) is original]
+    iterations = []
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    for module in holders:
+        module._descend = counted
+    try:
+        results = run()
+    finally:
+        for module in holders:
+            module._descend = original
+    return results, sum(iterations)
+
+
+def warm_up(pkg, entry, run) -> dict:
+    """The untimed first pass of a case: its deterministic counters."""
+    if entry not in LOOPS:
+        return outcome(entry, run())
+    results, iterations = count_newton_iterations(pkg, run)
+    stats = outcome(entry, results)
+    stats.update(newton_iters=iterations, newton_iters_per_step=iterations / stats["steps"])
+    return stats
+
+
 def timed_pass(run, units: int):
     """Time per unit of one pass, and the pass's results."""
     start = time.perf_counter()
@@ -367,7 +405,7 @@ def main(argv=None) -> int:
         for label, pkg in pkgs.items() for key, data in cases.items()
     }
     # Untimed warm-up pass, which also records the deterministic counters.
-    outcomes = {(label, key): outcome(key[0], run()) for (label, key), run in runs.items()}
+    outcomes = {(label, key): warm_up(pkgs[label], key[0], run) for (label, key), run in runs.items()}
     times = {run_key: [] for run_key in runs}
     child_rss = {run_key: [] for run_key in runs if run_key[1][0] in PROCESSES}
     labels = list(pkgs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionaries import Dictionary, TargetSpec, eps_select, weak_select
-from .solvers import SolverConfig, minimize_free_relax, minimize_over_line
+from .solvers import SolverConfig, _descend, _free_relax
 from .spaces import (
     DualFunctional,
     LpSpace,
@@ -381,7 +381,7 @@ def run_wgafr(
     cfg = cfg or SolverConfig()
 
     def update(m, G, sel, phi):
-        result = minimize_free_relax(space, target.f, G, phi, cfg)
+        result = _free_relax(space, target.f, G, phi, cfg)
         w, lam = result.minimizer
         return (1.0 - w) * G + lam * phi, lam, w, None, result.converged
 
@@ -411,7 +411,7 @@ def run_gawr(
 
     def update(m, G, sel, phi):
         r_m = r.value(m)
-        result = minimize_over_line(space, target.f - (1.0 - r_m) * G, phi, cfg)
+        result = _descend(space, target.f - (1.0 - r_m) * G, phi[:, None], cfg)
         lam = result.minimizer[0]
         return (1.0 - r_m) * G + lam * phi, lam, r_m, None, result.converged
 

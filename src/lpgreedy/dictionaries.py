@@ -295,18 +295,22 @@ def weak_select(
 
     ``argmax`` returns the maximizer itself; ``first_qualifying`` returns
     the smallest index over the threshold, which exercises weakness t < 1
-    nontrivially. Both policies are deterministic. When every value is
-    zero every atom qualifies, so the selection is index 0 with phase 1;
-    callers detect the stagnation through the zero dual norm.
+    nontrivially. Both policies are deterministic. At t = 0, which every
+    atom meets, the threshold is the least positive float, so an atom with
+    F(g) = 0 (a zero atom among them) is not taken while another is left.
+    When every value is zero every atom qualifies, so the selection is
+    index 0 with phase 1; callers detect the stagnation through the zero
+    dual norm.
     """
     t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must lie in (0, 1]; got {t}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1]; got {t}")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
     values, mags = _scan(F, dictionary)
     dual_norm = float(mags.max())
-    return _pick(values, mags, t * dual_norm, dual_norm, policy, phased=True)
+    threshold = t * dual_norm if t > 0.0 else min(dual_norm, 5e-324)
+    return _pick(values, mags, threshold, dual_norm, policy, phased=True)
 
 
 def eps_select(

@@ -5,10 +5,13 @@ an affine residual over one, two, or k complex coefficients. The objective
 is convex and, away from a zero residual, differentiable; the gradient
 with respect to the real parametrization comes from the norming
 functional (the directional derivative of ||x + u y|| at u = 0 is
-Re F_x(y)). The minimization is a damped Newton method on the 2k real
-unknowns, exact least squares at p = 2, and every solve reports a
-duality gap that bounds its distance from the infimum; no external
-solver.
+Re F_x(y)). Every solve starts at the least-squares point, one triangular
+solve on the QR its duality certificate needs; at p = 2 that point is the
+minimizer, and otherwise damped Newton on the 2k real unknowns runs from
+it. Every solve reports a duality gap that bounds its distance from the
+infimum; no external solver. The public entry points check their
+arguments once and call the array core (:func:`_descend`,
+:func:`_free_relax`), which the greedy loops call directly.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ __all__ = [
 # exact fit and terminates the descent with value 0.
 RESIDUAL_FLOOR = 1e-13
 
-# Pivoted-QR rank threshold for declaring a basis dependent.
+# Rank threshold: a basis with singular-value ratio at most this is dependent;
+# a unit-scaled column with QR pivot at most this adds no direction.
 RANK_TOL = 1e-10
 
 _MIN_STEP = 1e-18
@@ -249,7 +253,6 @@ def _newton_model(p, r, mags, value, neg_conj, jac_t):
     return unit, weights, curv, grad, hw, hess
 
 
-@np.errstate(invalid="ignore")  # a singular Newton or Gram system gives NaN
 def _newton(p, q, base, cols, span, y, cfg):
     """Damped Newton from ``y`` for p != 2; see :func:`_descend`.
 
@@ -325,18 +328,23 @@ def _newton(p, q, base, cols, span, y, cfg):
     return y, value, converged, iterations, lower
 
 
+@np.errstate(invalid="ignore")  # a singular triangular, Newton or Gram system gives NaN
 def _descend(
     space: LpSpace,
     base: np.ndarray,
     directions: np.ndarray,
     cfg: SolverConfig,
-    x0: np.ndarray,
+    x0: np.ndarray | None = None,
 ) -> SolveResult:
     """Minimize ||base - directions @ x|| by damped Newton with a gap stop.
 
     Columns of ``directions`` are rescaled to unit Euclidean norm first (the
-    reported minimizer is in original units). Newton works on ||r||^2 / 2,
-    which has the minimizers of ||r|| and is exactly quadratic in a residual
+    reported minimizer is in original units). The QR the certificate needs
+    gives the least-squares point for one triangular solve. At p = 2 that
+    point is the minimizer and no step is taken; otherwise Newton starts
+    there, or at ``x0`` when given (at 0 if the triangular system is
+    exactly singular). Newton works on ||r||^2 / 2, which has the
+    minimizers of ||r|| and is exactly quadratic in a residual
     dominated by one entry, in the real parametrization (Re y, Im y). With
     rho = r / ||r|| and w_i = |rho_i|^(p-2), the gradient of ||r|| is
     sum_i |rho_i|^(p-1) J_i^T rho_hat_i and the Hessian of ||r||^2 / 2 is
@@ -351,8 +359,7 @@ def _descend(
     entry ever more slowly, while IRLS lands on zero. When no full step
     passes, the step backtracks along the IRLS direction for p < 2 and the
     Newton direction otherwise; each falls back to steepest descent when
-    it does not descend. At p = 2 the least-squares solution is the
-    minimizer and no step is taken.
+    it does not descend.
 
     The duality certificate of :func:`_lower_bound` (Boyd & Vandenberghe,
     Convex Optimization, ch. 5) projects the norming functional of r, less
@@ -371,7 +378,7 @@ def _descend(
     q = space.p_conjugate
     scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
     cols = directions / scales[None, :]
-    y_start = x0 * scales
+    y_start = np.zeros(cols.shape[1], dtype=np.complex128) if x0 is None else x0 * scales
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
     span, tri = _qr(np.conj(cols))
     free = np.zeros(cols.shape[1], dtype=bool)
@@ -383,36 +390,42 @@ def _descend(
         base = base - _combine(cols[:, ~free], y_start[~free])
         cols = cols[:, free]
         span, tri = _qr(np.conj(cols))
-    if p == 2.0:
+    y = y_start[free]
+    if x0 is None or p == 2.0:
         # Least squares through the QR above: cols = conj(span) @ conj(tri),
         # with tri square and upper triangular once its lower part is zeroed.
         for j in range(1, tri.shape[0]):
             tri[j, :j] = 0.0
-        y = _solve(np.conj(tri), base @ span)
-        if y is None:
+        least = _solve(np.conj(tri), base @ span)
+        if least is not None:
+            y = least
+        elif p == 2.0:
             raise np.linalg.LinAlgError("Singular matrix")
+    if p == 2.0:
         r = base - _combine(cols, y)
         value = _norm_vec(p, r)
         converged, iterations, lower = False, 0, None
         if value > RESIDUAL_FLOOR:
             lower = _lower_bound(q, _norming_coeffs(p, r, value), span, r)
     else:
-        y, value, converged, iterations, lower = _newton(
-            p, q, base, cols, span, y_start[free], cfg
-        )
+        y, value, converged, iterations, lower = _newton(p, q, base, cols, span, y, cfg)
     if value <= RESIDUAL_FLOOR:
         converged, value, gap = True, 0.0, 0.0
     else:
         gap = value - lower
         converged = converged or gap <= _GAP_RESOLUTION * value
     y_start[free] = y
-    return SolveResult(
-        minimizer=y_start / scales,
-        value=value,
-        converged=converged,
-        iterations=iterations,
-        gap=gap,
-    )
+    return SolveResult(y_start / scales, value, converged, iterations, gap)
+
+
+def _free_relax(space, f, G_prev, phi, cfg, x0=None) -> SolveResult:
+    """:func:`minimize_free_relax` on checked complex vectors, ``x0`` None or complex."""
+    if not G_prev.any():
+        line = _descend(space, f, phi[:, None], cfg, None if x0 is None else x0[1:])
+        line.minimizer = np.array([0.0 + 0.0j, line.minimizer[0]])
+        return line
+    # f - (1-w)G - lam*phi  ==  (f - G) - (w, lam) @ (-G, phi)
+    return _descend(space, f - G_prev, np.column_stack([-G_prev, phi]), cfg, x0)
 
 
 def minimize_over_line(
@@ -423,14 +436,14 @@ def minimize_over_line(
 ) -> SolveResult:
     """min over complex lam of ||base - lam * direction||.
 
-    The minimizer array has length one. Descent starts from lam = 0.
+    The minimizer array has length one. The solve starts at the
+    least-squares lam (see :func:`_descend`).
     """
-    cfg = cfg or SolverConfig()
     base = _as_vector(space, base, "base")
     direction = _as_vector(space, direction, "direction")
     if not direction.any():
         raise ValueError("direction must be nonzero")
-    return _descend(space, base, direction[:, None], cfg, np.zeros(1, dtype=np.complex128))
+    return _descend(space, base, direction[:, None], cfg or SolverConfig())
 
 
 def minimize_free_relax(
@@ -443,30 +456,17 @@ def minimize_free_relax(
 ) -> SolveResult:
     """min over complex (w, lam) of ||f - ((1-w) G_prev + lam phi)||.
 
-    The minimizer array is (w, lam), initialized at (0, 0) unless ``x0``
-    overrides it. When G_prev = 0 the objective does not depend on w, so w
-    is frozen at 0 and only lam is optimized.
+    The minimizer array is (w, lam). The solve starts at the least-squares
+    point unless ``x0`` gives the start. When G_prev = 0 the objective does
+    not depend on w, so w is frozen at 0 and only lam is optimized.
     """
-    cfg = cfg or SolverConfig()
     f = _as_vector(space, f, "f")
     G_prev = _as_vector(space, G_prev, "G_prev")
     phi = _as_vector(space, phi, "phi")
     if not phi.any():
         raise ValueError("phi must be nonzero")
-    if not G_prev.any():
-        start = np.zeros(1, dtype=np.complex128) if x0 is None else np.array([x0[1]], dtype=np.complex128)
-        line = _descend(space, f, phi[:, None], cfg, start)
-        return SolveResult(
-            minimizer=np.array([0.0 + 0.0j, line.minimizer[0]]),
-            value=line.value,
-            converged=line.converged,
-            iterations=line.iterations,
-            gap=line.gap,
-        )
-    # f - (1-w)G - lam*phi  ==  (f - G) - (w, lam) @ (-G, phi)
-    directions = np.column_stack([-G_prev, phi])
-    start = np.zeros(2, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128)
-    return _descend(space, f - G_prev, directions, cfg, start)
+    x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
+    return _free_relax(space, f, G_prev, phi, cfg or SolverConfig(), x0)
 
 
 def best_approx_subspace(
@@ -477,26 +477,22 @@ def best_approx_subspace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best approximation of f from span(basis); returns (coeffs, residual).
 
-    The basis (a sequence of vectors) must be numerically independent:
-    pivoted QR with relative threshold 1e-10. Descent is warm-started at
-    the Euclidean least-squares solution, which for p = 2 is already the
-    answer.
+    The basis (a sequence of vectors) must be numerically independent: its
+    smallest singular value above RANK_TOL times its largest. The solve
+    starts at the Euclidean least-squares point, which for p = 2 is already
+    the answer.
     """
-    cfg = cfg or SolverConfig()
     f = _as_vector(space, f, "f")
     vectors = [_as_vector(space, b, "basis element") for b in basis]
     if not vectors:
         raise ValueError("basis must be nonempty")
     B = np.column_stack(vectors)
-    import scipy.linalg  # for the pivoted QR, which numpy lacks; slow to import
-
-    r_diag = np.abs(np.diag(scipy.linalg.qr(B, mode="r", pivoting=True)[0]))
-    if r_diag.size < B.shape[1] or r_diag.min() <= RANK_TOL * r_diag.max():
+    sigma = np.linalg.svd(B, compute_uv=False)
+    # More vectors than the dimension, or a zero basis, leave ratio 0.
+    ratio = sigma[-1] / sigma[0] if sigma.size == B.shape[1] and sigma[0] > 0.0 else 0.0
+    if ratio <= RANK_TOL:
         raise DependentBasisError(
-            f"basis is numerically dependent (pivot ratio {r_diag.min() / r_diag.max():.2e} "
-            f"<= {RANK_TOL:g})"
+            f"basis is numerically dependent (singular-value ratio {ratio:.2e} <= {RANK_TOL:g})"
         )
-    x0 = np.linalg.lstsq(B, f, rcond=None)[0]
-    result = _descend(space, f, B, cfg, x0)
-    coeffs = result.minimizer
+    coeffs = _descend(space, f, B, cfg or SolverConfig()).minimizer
     return coeffs, f - B @ coeffs

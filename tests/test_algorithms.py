@@ -4,6 +4,7 @@ import pytest
 
 from lpgreedy import (
     Dictionary,
+    SolverConfig,
     InfeasibleSelectionError,
     LpSpace,
     RelaxationSchedule,
@@ -13,6 +14,8 @@ from lpgreedy import (
     epsilon_schedule,
     generate_dictionary,
     make_target,
+    minimize_free_relax,
+    minimize_over_line,
     norming_functional,
     read_trace_csv,
     run_gawr,
@@ -22,6 +25,7 @@ from lpgreedy import (
     smoothness_params,
     weak_select,
 )
+from lpgreedy import solvers
 from lpgreedy.algorithms import _greedy_loop
 from lpgreedy.analysis import check_barycentric, check_monotone
 
@@ -372,6 +376,63 @@ class TestSharedLoop:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             _greedy_loop(space, d, target, 6, "wgafr", select, update)
         assert steps == [1, 2, 3]
+
+
+def _replayed_steps(p, seeds=range(6)):
+    """Every wgafr/gawr step of seeded dim-16 runs, replayed through the public solvers.
+
+    Yields (record, result, zero_start): the trace row, the public solve on
+    that step's inputs, and the same solve started at 0 instead of at the
+    least-squares point.
+    """
+    space = LpSpace(p, 16)
+    tau, schedule = WeaknessSequence.constant(1.0), RelaxationSchedule.harmonic()
+    for seed in seeds:
+        d = generate_dictionary(space, 32, "gaussian", seed=200 + seed)
+        target = make_target(d, "a1", 8, seed=300 + seed)
+        for loop in ("wgafr", "gawr"):
+            if loop == "wgafr":
+                trace = run_wgafr(space, d, target, tau, 10)
+            else:
+                trace = run_gawr(space, d, target, tau, schedule, 10)
+            previous = [np.zeros(16, dtype=complex)] + trace.approximants[:-1]
+            for record, G in zip(trace.records, previous):
+                phi = d.atoms[record.selected_index]
+                if loop == "wgafr":
+                    result = minimize_free_relax(space, target.f, G, phi)
+                    zero = minimize_free_relax(space, target.f, G, phi, x0=[0.0, 0.0])
+                else:
+                    base = target.f - (1.0 - record.w_or_r.real) * G
+                    result = minimize_over_line(space, base, phi)
+                    zero = solvers._descend(space, base, phi[:, None], SolverConfig(), np.zeros(1, complex))
+                yield loop, record, result, zero
+
+
+class TestLoopCallsTheSolverCore:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_recorded_coefficients_are_the_public_solve(self, p):
+        # The loops call the array core; the public solvers must give the
+        # same (w, lam) bit for bit on the same inputs.
+        for loop, record, result, _ in _replayed_steps(p):
+            if loop == "wgafr":
+                want = np.array([record.w_or_r, record.lam])
+            else:
+                want = np.array([record.lam])
+            assert result.minimizer.tobytes() == want.tobytes()
+            assert result.converged is record.solver_converged
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_least_squares_start_saves_newton_iterations(self, p):
+        # Measured on these inputs: 0.79x the zero start's iterations at
+        # p = 1.5 and at p = 3; p = 2 takes no Newton step at all.
+        least, zero = [], []
+        for _, _, result, zero_start in _replayed_steps(p):
+            least.append(result.iterations)
+            zero.append(zero_start.iterations)
+        if p == 2.0:
+            assert least == zero == [0] * len(least)
+        else:
+            assert sum(least) <= 0.85 * sum(zero)
 
 
 class TestTraceSerialization:

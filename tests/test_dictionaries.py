@@ -179,9 +179,20 @@ class TestWeakSelect:
     def test_t_range_validated(self):
         d = generate_dictionary(LpSpace(2.0, 2), 2, "canonical")
         F = DualFunctional(np.ones(2, dtype=complex))
-        for t in (0.0, 1.5, -0.1):
+        for t in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="t must"):
                 weak_select(F, d, t=t)
+
+    def test_t_zero_skips_atoms_that_annihilate_F(self):
+        # t = 0 is a weakness value the paper allows: every atom meets it,
+        # and first_qualifying takes the first atom with F(g) != 0
+        space = LpSpace(2.0, 2)
+        d = Dictionary(space, np.array([[0, 0], [0, 1], [0.1, 0], [1, 0]], dtype=complex))
+        F = DualFunctional(np.array([1.0, 0.0], dtype=complex))
+        assert weak_select(F, d, 0.0, "first_qualifying").index == 2
+        assert weak_select(F, d, 0.0, "argmax").index == 3
+        zero = weak_select(DualFunctional(np.zeros(2, dtype=complex)), d, 0.0, "first_qualifying")
+        assert (zero.index, zero.dual_norm) == (0, 0.0)
 
     def test_duplicate_atoms_tie_to_smallest_index(self):
         space = LpSpace(2.0, 2)

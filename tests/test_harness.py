@@ -30,6 +30,22 @@ class TestRunExperiment:
         assert (tmp_path / "trace.csv").exists()
         assert (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("policy", ["argmax", "first_qualifying"])
+    @pytest.mark.parametrize("algorithm", ["wgafr", "gawr"])
+    def test_zero_weakness_entry_runs_to_the_end(self, algorithm, policy):
+        # t_m = 0 lies in the weakness range validate() accepts; the run
+        # once stopped at that step with "t must lie in (0, 1]"
+        config = minimal_config(
+            space={"p": 1.5, "dim": 8},
+            dictionary={"kind": "gaussian", "count": 16},
+            target={"sparsity": 4},
+            algorithm={"id": algorithm, "iters": 3, "tau": [1.0, 0.0, 1.0], "policy": policy},
+        )
+        trace, reports = run_experiment(config)
+        assert len(trace.records) == 3 and trace.stop_reason == "completed"
+        assert all(r.passed for r in reports if r.applicable)
+        assert any(r.applicable for r in reports) == (algorithm == "wgafr")
+
     def test_outputs_embed_config_hash(self, tmp_path):
         config = minimal_config()
         trace, _ = run_experiment(config, out_dir=str(tmp_path))
@@ -284,7 +300,8 @@ class TestRunSweep:
 
 class TestTracedSurface:
     """A sweep reaches the loops through the public names a span tracer wraps,
-    and fits each cell's rate slope once.
+    each loop step makes one selection and one call of the solver core
+    ``_descend``, and each cell's rate slope is fitted once.
 
     Each name is replaced wherever an lpgreedy module holds it, as a tracer
     rebinds it, so a call that bypasses the public name is not counted.
@@ -296,6 +313,7 @@ class TestTracedSurface:
         (dictionaries, "eps_select"),
         (solvers, "minimize_free_relax"),
         (solvers, "minimize_over_line"),
+        (solvers, "_descend"),
         (analysis, "fit_log_slope"),
     )
 
@@ -340,8 +358,7 @@ class TestTracedSurface:
         assert calls["run_experiment"] == len(rows) == len(steps)
         assert sum(steps) == 6 * 6
         select = "eps_select" if algorithm in ("iac", "iacc") else "weak_select"
-        solve = {"wgafr": "minimize_free_relax", "gawr": "minimize_over_line"}.get(algorithm)
         expected = {"run_experiment": len(rows), "fit_log_slope": len(rows), select: sum(steps)}
-        if solve is not None:
-            expected[solve] = sum(steps)
+        if algorithm in ("wgafr", "gawr"):  # the loop calls the core, not the public solvers
+            expected["_descend"] = sum(steps)
         assert dict(calls) == expected

@@ -122,11 +122,14 @@ class TestMinimizeOverLine:
             minimize_over_line(LpSpace(2.0, 2), [1, 1], [0, 0])
 
     def test_non_convergence_flag(self):
+        # [1, 0] instead of [1, 0.5] would make the least-squares start optimal
         cfg = SolverConfig(max_iters=1)
-        res = minimize_over_line(LpSpace(3.0, 2), [1, 1], [1, 0], cfg)
+        base, direction = np.array([1.0, 1.0]), np.array([1.0, 0.5])
+        res = minimize_over_line(LpSpace(3.0, 2), base, direction, cfg)
         assert not res.converged
         assert res.iterations == 1
-        assert res.value <= lp_norm(LpSpace(3.0, 2), [1, 1])
+        start = np.vdot(direction, base) / np.vdot(direction, direction)
+        assert res.value < lp_norm(LpSpace(3.0, 2), base - start * direction)
 
 
 class TestMinimizeFreeRelax:
@@ -231,6 +234,19 @@ class TestBestApproxSubspace:
         with pytest.raises(DependentBasisError):
             best_approx_subspace(space, [1, 1, 1], [b, 2.0 * b])
 
+    @pytest.mark.parametrize(
+        "basis",
+        [[[0, 0, 0]], [[0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]],
+        ids=["zero", "zeros", "more_than_dim"],
+    )
+    def test_degenerate_basis_refused_with_finite_ratio(self, basis):
+        # an all-zero basis once reported "pivot ratio nan" after a
+        # RuntimeWarning, which under -W error replaced the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DependentBasisError, match=r"ratio 0\.00e\+00 <= 1e-10"):
+                best_approx_subspace(LpSpace(1.5, 3), [1, 1, 1], basis)
+
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             best_approx_subspace(LpSpace(2.0, 3), [1, 1, 1], [])
@@ -310,9 +326,7 @@ def _certified_solves(p, dim=8, instances=6, seed=61):
         f, G, phi = _rand(rng, dim), _rand(rng, dim), _rand(rng, dim)
         results.append(minimize_free_relax(space, f, G, phi))
         basis = list(_rand(rng, 3, dim))
-        B = np.column_stack(basis)
-        x0 = np.linalg.lstsq(B, f, rcond=None)[0]
-        res = solvers._descend(space, f, B, SolverConfig(), x0)
+        res = solvers._descend(space, f, np.column_stack(basis), SolverConfig())
         coeffs, _ = best_approx_subspace(space, f, basis)
         np.testing.assert_array_equal(coeffs, res.minimizer)
         results.append(res)
@@ -612,19 +626,30 @@ class TestLapackPaths:
         monkeypatch.setattr(solvers, "_solve", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = minimize_free_relax(LpSpace(3.0, 3), f, G, phi)
+            res = minimize_free_relax(LpSpace(3.0, 3), f, G, phi, x0=[0.0, 0.0])
         assert any(singular)
         assert res.converged and res.value == 0.0
         np.testing.assert_allclose(res.minimizer, [0.0, -1.0], atol=1e-12)
 
-    def test_import_leaves_scipy_linalg_unloaded(self):
+    def test_import_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # scipy is a test dependency only: neither the import, nor a run,
+        # nor the quick verify battery (which calls best_approx_subspace)
+        # loads any scipy module
         src = Path(solvers.__file__).resolve().parents[1]
-        code = "import sys, lpgreedy; print('scipy.linalg' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        ).stdout
-        assert out.strip() == "False"
+        config = tmp_path / "experiment.txt"
+        config.write_text("space.p = 1.5\nspace.dim = 8\nalgorithm.id = wgafr\nalgorithm.iters = 5\n")
+        report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        for call in (
+            "",
+            f"main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])",
+            "main(['verify', '--profile', 'quick'])",
+        ):
+            code = f"import sys, lpgreedy\nfrom lpgreedy.cli import main\n{call}\n{report}"
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            ).stdout
+            assert out.splitlines()[-1] == "[]", call
 
     def test_singular_hessian_falls_back_to_steepest_descent(self, monkeypatch):
         monkeypatch.setattr(solvers, "solve1", _singular_solve1(np.float64))
@@ -639,8 +664,8 @@ class TestLapackPaths:
     def test_singular_solves_fall_back(self, monkeypatch, p, singular):
         # Real systems are the Newton and the weighted Gram system (IRLS
         # direction, certificate correction), each falling back to the
-        # gradient; the one complex system is the p = 2 triangular one,
-        # which p != 2 never uses.
+        # gradient; the one complex system is the triangular one of the
+        # least-squares start, which falls back to the zero start.
         rng = np.random.default_rng([7, int(10 * p)])
         space = LpSpace(p, 12)
         cases = [(_rand(rng, 12), _rand(rng, 12), _rand(rng, 12)) for _ in range(4)]
