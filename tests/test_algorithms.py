@@ -381,9 +381,9 @@ class TestSharedLoop:
 def _replayed_steps(p, seeds=range(6)):
     """Every wgafr/gawr step of seeded dim-16 runs, replayed through the public solvers.
 
-    Yields (record, result, zero_start): the trace row, the public solve on
-    that step's inputs, and the same solve started at 0 instead of at the
-    least-squares point.
+    Yields (loop, record, result, zero_start): the loop, the trace row, the
+    public solve on that step's inputs, and the same solve started at 0
+    instead of at the least-squares point.
     """
     space = LpSpace(p, 16)
     tau, schedule = WeaknessSequence.constant(1.0), RelaxationSchedule.harmonic()
