@@ -26,6 +26,7 @@ from .spaces import (
     DualFunctional,
     LpSpace,
     SmoothnessParams,
+    _count,
     _norm_vec,
     _norming_coeffs,
     lp_norm,
@@ -321,8 +322,7 @@ def _greedy_loop(
     """
     if dictionary.space is not space and dictionary.space != space:
         raise ValueError("dictionary was built for a different space")
-    if int(iters) < 1:
-        raise ValueError(f"iters must be >= 1; got {iters}")
+    iters = _count("iters", iters)
     f = np.asarray(target.f, dtype=np.complex128)
     norm0 = lp_norm(space, f)
     if norm0 == 0.0:
@@ -332,7 +332,7 @@ def _greedy_loop(
     G = np.zeros(space.dim, dtype=np.complex128)
     residual = f
     current = norm0
-    for m in range(1, int(iters) + 1):
+    for m in range(1, iters + 1):
         if current <= RESIDUAL_STOP:
             trace.stop_reason = "residual_below_threshold"
             break

@@ -22,6 +22,7 @@ from .spaces import (
     DualFunctional,
     LpSpace,
     SmoothnessParams,
+    _count,
     _norm_rows,
     _norming_coeffs,
     _rho_values,
@@ -129,8 +130,8 @@ def check_ll0(space: LpSpace, n_samples: int, seed: int, tol: float = 1e-9) -> C
     0 <= ||x+uy|| - ||x|| - Re(u F_x(y)) <= 2 ||x|| rho_bound(|u| ||y|| / ||x||)
     for x != 0 and real u in [-2, 2].
     """
+    n = _count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
-    n = int(n_samples)
     shape = (n, space.dim)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -554,7 +555,7 @@ def check_condition_43(
     theta = float(theta)
     if theta <= 0.0:
         raise ValueError(f"theta must be > 0; got {theta}")
-    n_terms = int(n_terms)
+    n_terms = _count("n_terms", n_terms)
     t = np.array([tau.value(m) for m in range(1, n_terms + 1)])
     terms = t * (theta * t / params.gamma) ** (1.0 / (params.q - 1.0))
     partial = np.cumsum(terms)

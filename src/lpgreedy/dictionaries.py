@@ -16,6 +16,7 @@ from .spaces import (
     DualFunctional,
     LpSpace,
     _as_vector,
+    _count,
     _norm_rows,
     _row_blocks,
     complex_sign,
@@ -89,6 +90,18 @@ class Dictionary:
             atoms = atoms.copy()
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
+
+    @classmethod
+    def _wrap(cls, space: LpSpace, atoms: np.ndarray, kind: str, seed: int | None) -> "Dictionary":
+        """The Dictionary of atoms this package has just drawn and normalized, unchecked.
+
+        ``atoms`` must be a finite (count, dim) complex128 array; it is
+        frozen in place, not copied.
+        """
+        d = object.__new__(cls)
+        atoms.setflags(write=False)
+        d.__dict__.update(space=space, atoms=atoms, kind=kind, seed=seed)
+        return d
 
     def __len__(self) -> int:
         return self.atoms.shape[0]
@@ -202,11 +215,9 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
                    (requires count >= dim).
     canonical      the dim standard basis vectors (count must equal dim).
     """
-    count = int(count)
+    count = _count("count", count)
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"kind must be one of {DICTIONARY_KINDS}; got {kind!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1; got {count}")
     if kind == "canonical":
         if count != space.dim:
             raise ValueError(
@@ -235,8 +246,7 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
         j = np.arange(space.dim)[None, :]
         atoms = np.exp(2j * np.pi * k * j / count)
         atoms /= _norm_rows(space.p, atoms)[:, None]
-    atoms.setflags(write=False)  # so Dictionary keeps this array instead of copying it
-    return Dictionary(space=space, atoms=atoms, kind=kind, seed=seed)
+    return Dictionary._wrap(space, atoms, kind, seed)
 
 
 def _check_functional(F: DualFunctional, dictionary: Dictionary) -> None:
@@ -368,7 +378,7 @@ def make_target(
     f_eps plus a random perturbation of norm exactly eps.
     """
     space = dictionary.space
-    sparsity = int(sparsity)
+    sparsity = _count("sparsity", sparsity)
     if membership not in MEMBERSHIPS:
         raise ValueError(f"membership must be one of {MEMBERSHIPS}; got {membership!r}")
     if not 1 <= sparsity <= len(dictionary):

@@ -9,9 +9,12 @@ Re F_x(y)). Every solve starts at the least-squares point, one triangular
 solve on the QR its duality certificate needs; at p = 2 that point is the
 minimizer, and otherwise damped Newton on the 2k real unknowns runs from
 it. Every solve reports a duality gap that bounds its distance from the
-infimum; no external solver. The public entry points check their
-arguments once and call the array core (:func:`_descend`,
-:func:`_free_relax`), which the greedy loops call directly.
+infimum; no external solver. A zero or dependent column adds no
+direction: it is left out and gets coefficient 0, so the first
+free-relaxation step (G_prev = 0) takes the same path as every other. The
+public entry points check their arguments once and call the array core
+(:func:`_descend`, :func:`_free_relax`), which the greedy loops call
+directly.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from .spaces import (
     _TINY,
     LpSpace,
     _as_vector,
+    _count,
     _norm_mags,
     _norm_vec,
     _norming_coeffs,
-    _whole,
 )
 
 __all__ = [
@@ -87,9 +90,7 @@ class SolverConfig:
             raise ValueError(f"solver.grad_tol must be > 0; got {self.grad_tol!r}")
         if self.grad_tol == math.inf:
             raise ValueError(f"solver.grad_tol must be finite; got {self.grad_tol!r}")
-        max_iters = _whole(self.max_iters)
-        if max_iters is None or max_iters < 1:
-            raise ValueError(f"solver.max_iters must be an integer >= 1; got {self.max_iters!r}")
+        _count("solver.max_iters", self.max_iters)
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError(f"solver.armijo_c must lie in (0, 1); got {self.armijo_c!r}")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -116,19 +117,6 @@ class SolveResult:
     converged: bool
     iterations: int
     gap: float
-
-
-def _combine(cols: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """cols @ coeffs, summed column by column.
-
-    numpy sends a tall matrix-vector product to a threaded BLAS gemv, which
-    on a busy host stalls for milliseconds now and then (about 2 % of calls
-    at dim 2048, two columns, 2 vCPUs); vector updates do not.
-    """
-    out = cols[:, 0] * coeffs[0]
-    for j in range(1, cols.shape[1]):
-        out += cols[:, j] * coeffs[j]
-    return out
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -195,7 +183,7 @@ def _lower_bound(q, cert, span, r) -> float:
     ||base - cols @ y|| >= |c @ base| / ||c||_q for every y, and
     c @ r == c @ base because c annihilates the columns.
     """
-    cert -= _combine(span, cert @ np.conj(span))
+    cert -= span @ (cert @ np.conj(span))
     cert_norm = _norm_vec(q, cert)
     return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
 
@@ -208,7 +196,7 @@ def _irls(cols, hw, grad):
     """
     beta = _solve(hw, -grad)
     beta = (-grad if beta is None else beta).view(np.complex128)
-    return beta, _combine(cols, beta)
+    return beta, cols @ beta
 
 
 def _real_blocks(cols):
@@ -262,7 +250,7 @@ def _newton(p, q, base, cols, span, y, cfg):
     accepted trial point serve the next iteration.
     """
     neg_cols, neg_conj, jac_t = _real_blocks(cols)
-    r = base - _combine(cols, y)
+    r = base - cols @ y
     mags = np.abs(r)
     value = _norm_mags(p, mags)
     iterations = 0
@@ -277,7 +265,7 @@ def _newton(p, q, base, cols, span, y, cfg):
             break
         step, slope = _descent_step(hess, grad, value)
         dy = step.view(np.complex128)
-        dr = _combine(neg_cols, dy)
+        dr = neg_cols @ dy
         options = [(dy, dr, slope)]
         if p < 2.0:
             beta, moved = _irls(cols, hw, grad)
@@ -330,19 +318,18 @@ def _newton(p, q, base, cols, span, y, cfg):
 
 @np.errstate(invalid="ignore")  # a singular triangular, Newton or Gram system gives NaN
 def _descend(
-    space: LpSpace,
-    base: np.ndarray,
-    directions: np.ndarray,
-    cfg: SolverConfig,
-    x0: np.ndarray | None = None,
+    space: LpSpace, base: np.ndarray, directions: np.ndarray, cfg: SolverConfig
 ) -> SolveResult:
     """Minimize ||base - directions @ x|| by damped Newton with a gap stop.
 
     Columns of ``directions`` are rescaled to unit Euclidean norm first (the
-    reported minimizer is in original units). The QR the certificate needs
-    gives the least-squares point for one triangular solve. At p = 2 that
-    point is the minimizer and no step is taken; otherwise Newton starts
-    there, or at ``x0`` when given (at 0 if the triangular system is
+    reported minimizer is in original units). A zero column adds no
+    direction and is left out before the QR the certificate needs; a column
+    within RANK_TOL of the span of the ones before it (or past the
+    dimension) is left out after it. Either gets coefficient exactly 0, and
+    the rest is solved. The QR gives the least-squares point for one
+    triangular solve. At p = 2 that point is the minimizer and no step is
+    taken; otherwise Newton starts there (at 0 if the triangular system is
     exactly singular). Newton works on ||r||^2 / 2, which has the
     minimizers of ||r|| and is exactly quadratic in a residual
     dominated by one entry, in the real parametrization (Re y, Im y). With
@@ -377,32 +364,28 @@ def _descend(
     p = space.p
     q = space.p_conjugate
     scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
-    cols = directions / scales[None, :]
-    y_start = np.zeros(cols.shape[1], dtype=np.complex128) if x0 is None else x0 * scales
+    free = scales > 0.0
+    # np.compress keeps the columns C-contiguous, as _newton_model needs.
+    cols = (directions if free.all() else np.compress(free, directions, axis=1)) / scales[free]
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
     span, tri = _qr(np.conj(cols))
-    free = np.zeros(cols.shape[1], dtype=bool)
-    free[: min(cols.shape)] = np.abs(tri.diagonal()) > RANK_TOL
-    if not free.all():
-        # A column within RANK_TOL of the span of the ones before it (or past
-        # the dimension) adds no direction: its coefficient stays at the
-        # start and the rest is solved.
-        base = base - _combine(cols[:, ~free], y_start[~free])
-        cols = cols[:, free]
+    kept = np.zeros(cols.shape[1], dtype=bool)
+    kept[: min(cols.shape)] = np.abs(tri.diagonal()) > RANK_TOL
+    if not kept.all():
+        free[free] = kept
+        cols = np.compress(kept, cols, axis=1)
         span, tri = _qr(np.conj(cols))
-    y = y_start[free]
-    if x0 is None or p == 2.0:
-        # Least squares through the QR above: cols = conj(span) @ conj(tri),
-        # with tri square and upper triangular once its lower part is zeroed.
-        for j in range(1, tri.shape[0]):
-            tri[j, :j] = 0.0
-        least = _solve(np.conj(tri), base @ span)
-        if least is not None:
-            y = least
-        elif p == 2.0:
+    # Least squares through the QR above: cols = conj(span) @ conj(tri),
+    # with tri square and upper triangular once its lower part is zeroed.
+    for j in range(1, tri.shape[0]):
+        tri[j, :j] = 0.0
+    y = _solve(np.conj(tri), base @ span)
+    if y is None:
+        if p == 2.0:
             raise np.linalg.LinAlgError("Singular matrix")
+        y = np.zeros(cols.shape[1], dtype=np.complex128)
     if p == 2.0:
-        r = base - _combine(cols, y)
+        r = base - cols @ y
         value = _norm_vec(p, r)
         converged, iterations, lower = False, 0, None
         if value > RESIDUAL_FLOOR:
@@ -414,18 +397,14 @@ def _descend(
     else:
         gap = value - lower
         converged = converged or gap <= _GAP_RESOLUTION * value
-    y_start[free] = y
-    return SolveResult(y_start / scales, value, converged, iterations, gap)
+    x = np.zeros(directions.shape[1], dtype=np.complex128)
+    x[free] = y / scales[free]
+    return SolveResult(x, value, converged, iterations, gap)
 
 
-def _free_relax(space, f, G_prev, phi, cfg, x0=None) -> SolveResult:
-    """:func:`minimize_free_relax` on checked complex vectors, ``x0`` None or complex."""
-    if not G_prev.any():
-        line = _descend(space, f, phi[:, None], cfg, None if x0 is None else x0[1:])
-        line.minimizer = np.array([0.0 + 0.0j, line.minimizer[0]])
-        return line
-    # f - (1-w)G - lam*phi  ==  (f - G) - (w, lam) @ (-G, phi)
-    return _descend(space, f - G_prev, np.column_stack([-G_prev, phi]), cfg, x0)
+def _free_relax(space, f, G_prev, phi, cfg) -> SolveResult:
+    """:func:`minimize_free_relax` as (f - G) - (w, lam) @ (-G, phi), on checked vectors."""
+    return _descend(space, f - G_prev, np.column_stack([-G_prev, phi]), cfg)
 
 
 def minimize_over_line(
@@ -452,21 +431,19 @@ def minimize_free_relax(
     G_prev,
     phi,
     cfg: SolverConfig | None = None,
-    x0=None,
 ) -> SolveResult:
     """min over complex (w, lam) of ||f - ((1-w) G_prev + lam phi)||.
 
-    The minimizer array is (w, lam). The solve starts at the least-squares
-    point unless ``x0`` gives the start. When G_prev = 0 the objective does
-    not depend on w, so w is frozen at 0 and only lam is optimized.
+    The minimizer array is (w, lam). When G_prev = 0 the objective does not
+    depend on w, so w is exactly 0 and only lam is optimized; when G_prev
+    is parallel to phi, lam is exactly 0.
     """
     f = _as_vector(space, f, "f")
     G_prev = _as_vector(space, G_prev, "G_prev")
     phi = _as_vector(space, phi, "phi")
     if not phi.any():
         raise ValueError("phi must be nonzero")
-    x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
-    return _free_relax(space, f, G_prev, phi, cfg or SolverConfig(), x0)
+    return _free_relax(space, f, G_prev, phi, cfg or SolverConfig())
 
 
 def best_approx_subspace(

@@ -38,6 +38,14 @@ def _whole(value) -> int | None:
     return number if number == value else None
 
 
+def _count(name: str, value) -> int:
+    """The whole number ``value`` >= 1 (16 or 16.0); a ValueError naming ``name`` otherwise."""
+    number = _whole(value)
+    if number is None or number < 1:
+        raise ValueError(f"{name} must be an integer >= 1; got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """Complex l_p^n, exponent ``p`` in (1, 64], dimension ``dim`` >= 1.
@@ -291,9 +299,7 @@ def estimate_rho(space: LpSpace, u: float, n_samples: int, seed: int) -> float:
     u = float(u)
     if not np.isfinite(u) or u < 0.0:
         raise ValueError(f"u must be finite and nonnegative; got {u!r}")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _count("n_samples", n_samples)
     if u == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)

@@ -59,6 +59,13 @@ def trace_from_norms(norms, algorithm="wgafr", w_or_r=None):
 
 
 class TestCheckLl0:
+    def test_n_samples_must_be_whole(self):
+        space = LpSpace(1.5, 4)
+        assert check_ll0(space, 16.0, 0).samples == 16
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match=f"n_samples must be an integer >= 1; got {n}"):
+                check_ll0(space, n, 0)
+
     def test_hand_case_hilbert(self):
         # x = e_1, y = e_2, u = 1 in l_2: middle term sqrt(2)-1, bound 1
         space = LpSpace(2.0, 2)
@@ -348,6 +355,14 @@ class TestCheckDualNormSupremum:
 
 
 class TestCheckCondition43:
+    def test_n_terms_must_be_whole(self):
+        params = smoothness_params(LpSpace(2.0, 4))
+        tau = WeaknessSequence.constant(1.0)
+        assert check_condition_43(tau, 0.5, 8.0, params) == check_condition_43(tau, 0.5, 8, params)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match=f"n_terms must be an integer >= 1; got {n}"):
+                check_condition_43(tau, 0.5, n, params)
+
     def test_constant_weakness_linear_growth(self):
         params = smoothness_params(LpSpace(2.0, 4))
         theta = 0.3

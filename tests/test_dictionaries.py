@@ -17,6 +17,7 @@ from lpgreedy import (
     norming_functional,
     weak_select,
 )
+from lpgreedy.dictionaries import DICTIONARY_KINDS
 from lpgreedy.spaces import _BLOCK_ENTRIES, _norm_rows, _norm_vec
 
 
@@ -46,6 +47,25 @@ class TestGenerateDictionary:
         norms = np.array([lp_norm(space, a) for a in d.atoms])
         assert norms.max() <= 1.0 + 1e-12
         assert norms.min() >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
+    @pytest.mark.parametrize("kind", DICTIONARY_KINDS)
+    def test_generated_atoms_pass_the_constructor_checks(self, kind, p):
+        # generate_dictionary wraps its atoms without re-running the
+        # constructor's checks; a copy of them must pass those checks.
+        space = LpSpace(p, 8)
+        d = generate_dictionary(space, 8 if kind == "canonical" else 24, kind, seed=5)
+        checked = Dictionary(space, d.atoms.copy(), kind, 5)
+        assert checked.atoms.tobytes() == d.atoms.tobytes()
+        assert not d.atoms.flags.writeable
+        assert (d.space, d.kind, d.seed) == (space, kind, 5)
+
+    def test_count_must_be_whole(self):
+        space = LpSpace(2.0, 4)
+        assert len(generate_dictionary(space, 16.0, "gaussian")) == 16
+        for count in (8.7, 0):
+            with pytest.raises(ValueError, match=f"count must be an integer >= 1; got {count}"):
+                generate_dictionary(space, count, "gaussian")
 
     def test_fourier_requires_oversampling(self):
         with pytest.raises(ValueError, match="count >= dim"):
@@ -334,6 +354,12 @@ class TestMakeTarget:
             make_target(d, "a1", 5)
         with pytest.raises(ValueError, match="sparsity"):
             make_target(d, "a1", 0)
+
+    def test_sparsity_must_be_whole(self):
+        d = generate_dictionary(LpSpace(2.0, 4), 4, "canonical")
+        assert len(make_target(d, "a1", 2.0).true_coeffs) == 2
+        with pytest.raises(ValueError, match="sparsity must be an integer >= 1; got 2.5"):
+            make_target(d, "a1", 2.5)
 
     def test_non_finite_eps_rejected(self):
         d = generate_dictionary(LpSpace(2.0, 4), 4, "canonical")

@@ -24,6 +24,13 @@ from lpgreedy import (
 )
 
 
+def _unit_columns(directions):
+    """(cols, span, scales): unit-scaled columns and the Q of their conjugate, as in _descend."""
+    scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
+    cols = directions / scales
+    return cols, np.linalg.qr(np.conj(cols))[0], scales
+
+
 def grid_min_1d(fun, radius=3.0, levels=6, n=21):
     """Successive-refinement grid search over one complex variable."""
     center = 0.0 + 0.0j
@@ -180,10 +187,12 @@ class TestMinimizeFreeRelax:
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         G = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        cols, span, scales = _unit_columns(np.column_stack([-G, phi]))
         values = []
         for _ in range(8):
-            x0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            values.append(minimize_free_relax(space, f, G, phi, x0=x0).value)
+            start = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * scales
+            _, value, _, _, _ = solvers._newton(1.5, 3.0, f - G, cols, span, start, SolverConfig())
+            values.append(value)
         assert max(values) - min(values) <= 1e-8
 
     def test_hilbert_closed_form(self):
@@ -382,6 +391,36 @@ class TestDualityGap:
             assert res.converged
             assert -1e-15 * res.value <= res.gap <= 1e-12 * res.value
             assert res.value == pytest.approx(line.value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_zero_G_prev_is_the_line_solve(self, p, dim):
+        # The zero -G_prev column is left out before the QR: w is exactly 0
+        # and lam is the line solve's.
+        space = LpSpace(p, dim)
+        rng = np.random.default_rng([83, dim, int(10 * p)])
+        for _ in range(10):
+            f, phi = _rand(rng, dim), _rand(rng, dim)
+            res = minimize_free_relax(space, f, np.zeros(dim), phi)
+            line = minimize_over_line(space, f, phi)
+            w, lam = res.minimizer
+            assert w == 0.0
+            assert abs(lam - line.minimizer[0]) <= 1e-13 * abs(line.minimizer[0])
+            assert res.converged is line.converged
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_dependent_phi_gets_coefficient_zero(self, p, dim):
+        # phi within RANK_TOL of span(G_prev) is left out after the QR: lam is
+        # exactly 0 and w alone is solved (at dim 1 any G_prev spans phi).
+        space = LpSpace(p, dim)
+        rng = np.random.default_rng([89, dim, int(10 * p)])
+        for _ in range(5):
+            f, phi = _rand(rng, dim), _rand(rng, dim)
+            G = (0.5 - 1j) * phi if dim > 1 else _rand(rng, dim)
+            w, lam = minimize_free_relax(space, f, G, phi).minimizer
+            assert lam == 0.0
+            assert w == pytest.approx(minimize_over_line(space, f - G, -G).minimizer[0], rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_more_directions_than_dimension(self, p):
@@ -624,12 +663,15 @@ class TestLapackPaths:
             return x
 
         monkeypatch.setattr(solvers, "_solve", spy)
-        with warnings.catch_warnings():
+        cols, span, scales = _unit_columns(np.column_stack([-G, phi]))
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):  # as in _descend
             warnings.simplefilter("error")
-            res = minimize_free_relax(LpSpace(3.0, 3), f, G, phi, x0=[0.0, 0.0])
+            y, value, _, _, lower = solvers._newton(
+                3.0, 1.5, f - G, cols, span, np.zeros(2, complex), SolverConfig()
+            )
         assert any(singular)
-        assert res.converged and res.value == 0.0
-        np.testing.assert_allclose(res.minimizer, [0.0, -1.0], atol=1e-12)
+        assert value <= solvers.RESIDUAL_FLOOR and lower is None  # an exact fit
+        np.testing.assert_allclose(y / scales, [0.0, -1.0], atol=1e-12)
 
     def test_import_leaves_scipy_linalg_unloaded(self, tmp_path):
         # scipy is a test dependency only: neither the import, nor a run,

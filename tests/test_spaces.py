@@ -312,6 +312,13 @@ class TestSmoothnessParams:
 
 
 class TestEstimateRho:
+    def test_n_samples_must_be_whole(self):
+        space = LpSpace(3.0, 4)
+        assert estimate_rho(space, 0.5, 100.0, seed=0) == estimate_rho(space, 0.5, 100, seed=0)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match=f"n_samples must be an integer >= 1; got {n}"):
+                estimate_rho(space, 0.5, n, seed=0)
+
     def test_hilbert_u1_approaches_closed_form(self):
         target = np.sqrt(2.0) - 1.0
         est = estimate_rho(LpSpace(2.0, 8), 1.0, 4000, seed=3)
