@@ -154,9 +154,7 @@ def epsilon_schedule(K1: float, params: SmoothnessParams, n: int) -> float:
     K1 = float(K1)
     if not 0.0 < K1 < np.inf:
         raise ValueError(f"K1 must be finite and > 0; got {K1}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1; got {n}")
+    n = _count("n", n)
     return K1 * params.gamma ** (1.0 / params.q) * float(n) ** (-1.0 / params.p_dual)
 
 
@@ -234,30 +232,6 @@ class GreedyTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv_string())
-
-    def to_json_obj(self, config: dict | None = None) -> dict:
-        return {
-            "schema": "lpgreedy.trace.v1",
-            "algorithm": self.algorithm,
-            "config_hash": self.config_hash,
-            "initial_residual_norm": self.initial_residual_norm,
-            "stop_reason": self.stop_reason,
-            "config": config,
-            "records": [
-                {
-                    "m": r.m,
-                    "selected_index": r.selected_index,
-                    "phase": [r.phase.real, r.phase.imag],
-                    "lambda": [r.lam.real, r.lam.imag],
-                    "w_or_r": [r.w_or_r.real, r.w_or_r.imag],
-                    "residual_norm": r.residual_norm,
-                    "dual_norm": r.dual_norm,
-                    "eps_m": r.eps_m,
-                    "solver_converged": r.solver_converged,
-                }
-                for r in self.records
-            ],
-        }
 
 
 def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:

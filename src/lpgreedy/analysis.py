@@ -256,8 +256,6 @@ def check_ml3_step(
     A_eps: float,
     eps: float,
     t: float,
-    r_m: float | None = None,
-    f_norm: float | None = None,
     slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
     """Per-step residual recursion of the relaxed loop.
@@ -265,14 +263,12 @@ def check_ml3_step(
     ||f_m|| <= ||f_{m-1}|| (1 - r_m (1 - eps/||f_{m-1}||)
                + 2 rho_bound(r_m (||f|| + A_eps/t) / ((1-r_m) ||f_{m-1}||))).
     Steps with r_m = 0 or ||f_{m-1}|| <= eps are outside the recursion's
-    hypotheses and are reported as not applicable.
+    hypotheses and are reported as not applicable. r_m and ||f|| are read
+    from the trace.
     """
     prev, curr = _step_norms(trace, m)
-    if r_m is None:
-        r_m = trace.records[m - 1].w_or_r.real
-    if f_norm is None:
-        f_norm = trace.initial_residual_norm
-    margin = _ml3_margin(space, prev, curr, r_m, f_norm, A_eps, eps, t)
+    r_m = trace.records[m - 1].w_or_r.real
+    margin = _ml3_margin(space, prev, curr, r_m, trace.initial_residual_norm, A_eps, eps, t)
     if margin is None:
         details = [f"skipped: r_m={r_m!r}, prev={prev!r}, eps={eps!r}"]
         return _not_applicable(f"ml3_step_{m}", details, tolerance=slack)
@@ -464,14 +460,13 @@ def check_orthogonality(
     n_competitors: int = 100,
     seed: int = 0,
     func_tol: float = 1e-7,
-    comp_tol: float = 1e-9,
 ) -> CheckReport:
     """Best-approximant certificate: F_{f - f_L} kills the subspace.
 
     Computes the best approximant f_L from span(basis), asserts
     |F_{f-f_L}(b_i)| <= func_tol for every basis element, and verifies
     sufficiency by sampling competitors g in the subspace and requiring
-    ||f - f_L|| <= ||f - g|| + comp_tol. Margins are normalized so 0 is
+    ||f - f_L|| <= ||f - g|| + 1e-9. Margins are normalized so 0 is
     the pass line.
     """
     cfg = cfg or SolverConfig()
@@ -483,13 +478,13 @@ def check_orthogonality(
     func_margins = [func_tol - abs(apply_functional(F, b)) for b in basis]
     B = np.column_stack([np.asarray(b, dtype=np.complex128) for b in basis])
     scale = float(np.abs(coeffs).mean()) + 1.0
-    n, k = int(n_competitors), len(basis)
+    n, k = _count("n_competitors", n_competitors), len(basis)
     # Row i holds competitor i's real then imaginary offset draws, the
     # order in which one competitor at a time would draw them.
     z = np.random.default_rng(seed).standard_normal((n, 2, k))
     W = coeffs + scale * (z[:, 0] + 1j * z[:, 1])
     g = np.matmul(B, W[..., None])[..., 0]
-    comp_margins = _norm_rows(space.p, np.asarray(f, dtype=np.complex128) - g) + comp_tol - res_norm
+    comp_margins = _norm_rows(space.p, np.asarray(f, dtype=np.complex128) - g) + 1e-9 - res_norm
     return _finish("ll1_certificate", np.concatenate([func_margins, comp_margins]), k + n, 0.0)
 
 
@@ -498,18 +493,17 @@ def check_dual_norm_supremum(
     dictionary: Dictionary,
     n_samples: int = 500,
     seed: int = 0,
-    tol: float = 1e-9,
-    attain_tol: float = 1e-6,
 ) -> CheckReport:
     """Dictionary sup equals hull sup, sampled.
 
     |F| over random absolutely-convex combinations never exceeds the
     dictionary max |F(g)|, Re F over random convex combinations never
-    exceeds max Re F(g), and both sampled sups attain the dictionary value
-    because the aligned extreme atom is included among the samples.
+    exceeds max Re F(g), each within 1e-9, and both sampled sups attain the
+    dictionary value within 1e-6 because the aligned extreme atom is
+    included among the samples.
     """
+    n = _count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
-    n = int(n_samples)
     count = len(dictionary)
     values, mags = _scan(F, dictionary)
     idx_abs = int(np.argmax(mags))
@@ -530,10 +524,10 @@ def check_dual_norm_supremum(
 
     margins = np.concatenate(
         [
-            abs_max + tol - abs_samples,
-            re_max + tol - re_samples,
-            [abs_samples.max() - (abs_max - attain_tol)],
-            [re_samples.max() - (re_max - attain_tol)],
+            abs_max + 1e-9 - abs_samples,
+            re_max + 1e-9 - re_samples,
+            [abs_samples.max() - (abs_max - 1e-6)],
+            [re_samples.max() - (re_max - 1e-6)],
         ]
     )
     return _finish("ll2_ll3_sampling", margins, 2 * n + 2, 0.0)

@@ -106,24 +106,6 @@ class Dictionary:
     def __len__(self) -> int:
         return self.atoms.shape[0]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "lpgreedy.dictionary.v1",
-            "space": {"p": self.space.p, "dim": self.space.dim},
-            "kind": self.kind,
-            "seed": self.seed,
-            "elements": [_vector_to_pairs(row) for row in self.atoms],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Dictionary":
-        space = LpSpace(obj["space"]["p"], obj["space"]["dim"])
-        atoms = np.array(
-            [_pairs_to_vector(e) for e in obj["elements"]], dtype=np.complex128
-        )
-        return cls(space=space, atoms=atoms, kind=obj.get("kind", "custom"),
-                   seed=obj.get("seed"))
-
 
 @dataclass(frozen=True)
 class Selection:
@@ -169,42 +151,6 @@ class TargetSpec:
         f_eps.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "f_eps", f_eps)
-
-    def to_json_obj(self) -> dict:
-        coeffs = None
-        if self.true_coeffs is not None:
-            coeffs = [[i, [c.real, c.imag]] for i, c in self.true_coeffs]
-        return {
-            "schema": "lpgreedy.target.v1",
-            "membership": self.membership,
-            "eps": self.eps,
-            "a_eps": self.A_eps,
-            "f": _vector_to_pairs(self.f),
-            "f_eps": _vector_to_pairs(self.f_eps),
-            "true_coeffs": coeffs,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TargetSpec":
-        coeffs = obj.get("true_coeffs")
-        if coeffs is not None:
-            coeffs = tuple((int(i), complex(re, im)) for i, (re, im) in coeffs)
-        return cls(
-            f=_pairs_to_vector(obj["f"]),
-            f_eps=_pairs_to_vector(obj["f_eps"]),
-            eps=float(obj["eps"]),
-            A_eps=float(obj["a_eps"]),
-            membership=obj["membership"],
-            true_coeffs=coeffs,
-        )
-
-
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def _pairs_to_vector(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
 def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) -> Dictionary:

@@ -316,7 +316,10 @@ def _newton(p, q, base, cols, span, y, cfg):
     return y, value, converged, iterations, lower
 
 
-@np.errstate(invalid="ignore")  # a singular triangular, Newton or Gram system gives NaN
+# A singular triangular, Newton or Gram system gives NaN, and so does a
+# column scale of 0 or inf divided by itself; a column above about 1e154
+# overflows its sum of squares.
+@np.errstate(invalid="ignore", over="ignore")
 def _descend(
     space: LpSpace, base: np.ndarray, directions: np.ndarray, cfg: SolverConfig
 ) -> SolveResult:
@@ -364,7 +367,15 @@ def _descend(
     p = space.p
     q = space.p_conjugate
     scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
-    free = scales > 0.0
+    # s / s is NaN where the sum of squares is 0 (a zero column, or every
+    # entry below about 1e-162) or inf (an entry above about 1e154); there
+    # the scale is taken from the column's largest entry, and a zero column
+    # keeps scale 0.
+    free = np.isfinite(scales / scales)
+    if not free.all():
+        for j in np.flatnonzero(~free):
+            scales[j] = _norm_mags(2.0, np.abs(directions[:, j]))
+        free = scales > 0.0
     # np.compress keeps the columns C-contiguous, as _newton_model needs.
     cols = (directions if free.all() else np.compress(free, directions, axis=1)) / scales[free]
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).

@@ -104,6 +104,12 @@ class TestSchedules:
         with pytest.raises(ValueError, match="n"):
             epsilon_schedule(1.0, params, 0)
 
+    def test_epsilon_schedule_n_must_be_whole(self):
+        params = smoothness_params(LpSpace(1.5, 4))
+        with pytest.raises(ValueError, match="n must be an integer >= 1; got 2.5"):
+            epsilon_schedule(1.0, params, 2.5)
+        assert epsilon_schedule(1.0, params, 16.0) == epsilon_schedule(1.0, params, 16)
+
     def test_epsilon_schedule_non_finite_k1(self):
         params = smoothness_params(LpSpace(2.0, 4))
         for K1 in (float("nan"), float("inf")):
@@ -173,6 +179,26 @@ class TestWgafr:
         assert all(r.eps_m is None for r in trace.records)
         assert all(r.residual_norm >= 0 for r in trace.records)
         assert all(r.dual_norm > 0 for r in trace.records)
+
+
+class TestTinyAtoms:
+    @pytest.mark.parametrize("algorithm", ["wgafr", "gawr"])
+    def test_relaxed_loops_complete(self, algorithm):
+        # The atom's sum of squares underflows to 0; the constructor accepts
+        # it, and the inner solve scales it by its largest entry.
+        space = LpSpace(1.5, 4)
+        rng = np.random.default_rng(97)
+        phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        d = Dictionary(space, [1e-170 * phi])
+        target = exact_target(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        tau = WeaknessSequence.constant(1.0)
+        if algorithm == "wgafr":
+            trace = run_wgafr(space, d, target, tau, 3)
+        else:
+            trace = run_gawr(space, d, target, tau, RelaxationSchedule.harmonic(), 3)
+        assert len(trace) == 3
+        assert trace.residual_norms()[1] < trace.initial_residual_norm
+        assert check_monotone(trace).passed
 
 
 class TestGawr:
@@ -514,11 +540,3 @@ class TestTraceSerialization:
         path.write_text("m,algo\n1,wgafr\n")
         with pytest.raises(ValueError, match="line 1"):
             read_trace_csv(path)
-
-    def test_json_envelope(self):
-        trace = self.make_trace()
-        obj = trace.to_json_obj(config={"space": {"p": 2.0}})
-        assert obj["schema"] == "lpgreedy.trace.v1"
-        assert obj["config"] == {"space": {"p": 2.0}}
-        assert len(obj["records"]) == len(trace.records)
-        assert obj["records"][0]["m"] == 1

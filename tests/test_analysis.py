@@ -335,6 +335,16 @@ class TestCheckOrthogonality:
         with pytest.raises(ValueError, match="span"):
             check_orthogonality(space, [1, 2, 0], [[1, 0, 0], [0, 1, 0]])
 
+    def test_n_competitors_must_be_whole(self):
+        space = LpSpace(3.0, 3)
+        f, basis = [1, 1j, 2], [[1, 0, 0], [0, 1, 0]]
+        for bad in (2.5, 0):
+            with pytest.raises(ValueError, match=f"n_competitors must be an integer >= 1; got {bad}"):
+                check_orthogonality(space, f, basis, n_competitors=bad)
+        whole = check_orthogonality(space, f, basis, n_competitors=16.0)
+        assert whole == check_orthogonality(space, f, basis, n_competitors=16)
+        assert whole.samples == 2 + 16
+
 
 class TestCheckDualNormSupremum:
     def test_canonical_attainment(self):
@@ -352,6 +362,17 @@ class TestCheckDualNormSupremum:
         F = norming_functional(space, rng.standard_normal(8) + 1j * rng.standard_normal(8))
         report = check_dual_norm_supremum(F, d, n_samples=500, seed=17)
         assert report.passed, report.worst_margin
+
+    def test_n_samples_must_be_whole(self):
+        space = LpSpace(2.0, 3)
+        d = generate_dictionary(space, 3, "canonical")
+        F = norming_functional(space, [1, 0, 0])
+        for bad in (2.5, 0):
+            with pytest.raises(ValueError, match=f"n_samples must be an integer >= 1; got {bad}"):
+                check_dual_norm_supremum(F, d, n_samples=bad)
+        whole = check_dual_norm_supremum(F, d, n_samples=16.0)
+        assert whole == check_dual_norm_supremum(F, d, n_samples=16)
+        assert whole.samples == 2 * 16 + 2
 
 
 class TestCheckCondition43:

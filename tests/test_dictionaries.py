@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from lpgreedy import (
     DualFunctional,
     InfeasibleSelectionError,
     LpSpace,
-    TargetSpec,
     dict_dual_norm,
     eps_select,
     generate_dictionary,
@@ -373,33 +370,6 @@ class TestMakeTarget:
         b = make_target(d, "a1", 3, eps=0.1, seed=4)
         np.testing.assert_array_equal(a.f, b.f)
         assert a.true_coeffs == b.true_coeffs
-
-
-class TestSerialization:
-    def test_dictionary_round_trip(self):
-        space = LpSpace(2.5, 5)
-        d = generate_dictionary(space, 9, "gaussian", seed=13)
-        obj = json.loads(json.dumps(d.to_json_obj()))
-        d2 = Dictionary.from_json_obj(obj)
-        assert d2.space == d.space
-        assert d2.kind == "gaussian"
-        np.testing.assert_array_equal(d2.atoms, d.atoms)
-
-    def test_target_round_trip(self):
-        d = generate_dictionary(LpSpace(2.0, 5), 9, "gaussian", seed=13)
-        t = make_target(d, "a1", 3, eps=0.2, seed=14)
-        obj = json.loads(json.dumps(t.to_json_obj()))
-        t2 = TargetSpec.from_json_obj(obj)
-        np.testing.assert_array_equal(t2.f, t.f)
-        np.testing.assert_array_equal(t2.f_eps, t.f_eps)
-        assert t2.eps == t.eps
-        assert t2.membership == t.membership
-        assert t2.true_coeffs == t.true_coeffs
-
-    def test_entries_are_re_im_pairs(self):
-        d = generate_dictionary(LpSpace(2.0, 2), 2, "canonical")
-        obj = d.to_json_obj()
-        assert obj["elements"][0] == [[1.0, 0.0], [0.0, 0.0]]
 
 
 class TestHullSuprema:

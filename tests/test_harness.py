@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from lpgreedy import ExperimentConfig, analysis, dictionaries, fit_log_slope, harness, solvers
+from lpgreedy.algorithms import read_trace_csv
 from lpgreedy.config import SweepSpec
 from lpgreedy.harness import load_run, read_report_json, run_experiment, run_sweep
 
@@ -114,7 +115,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm", ["wgafr", "gawr"])
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_unconverged_trace_serializes(self, algorithm, p):
+    def test_unconverged_trace_serializes(self, algorithm, p, tmp_path):
         config = minimal_config(
             space={"p": p, "dim": 12},
             dictionary={"kind": "gaussian", "count": 24},
@@ -126,8 +127,10 @@ class TestRunExperiment:
         converged = [r.solver_converged for r in trace.records]
         assert not all(converged)  # the run does have unconverged steps
         assert all(type(c) is bool for c in converged)
-        obj = json.loads(json.dumps(trace.to_json_obj()))
-        assert [r["solver_converged"] for r in obj["records"]] == converged
+        path = tmp_path / "trace.csv"
+        path.write_text(trace.to_csv_string())
+        _, records = read_trace_csv(path)
+        assert [r.solver_converged for r in records] == converged
 
     def test_infeasible_membership_surfaces(self):
         # CONV target fed to IAC via a hand-built config is caught upstream

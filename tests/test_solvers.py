@@ -212,6 +212,32 @@ class TestMinimizeFreeRelax:
             assert lam == pytest.approx(u[1], abs=1e-6)
 
 
+class TestExtremeColumnScale:
+    """A column whose sum of squares under- or overflows is scaled by its largest entry."""
+
+    @staticmethod
+    def _check(solve, p, s):
+        rng = np.random.default_rng([89, int(10 * p)])
+        for _ in range(5):
+            f, phi = _rand(rng, 4), _rand(rng, 4)
+            want = solve(LpSpace(p, 4), f, phi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solve(LpSpace(p, 4), f, s * phi)
+            np.testing.assert_allclose(s * got.minimizer, want.minimizer, rtol=1e-12, atol=0.0)
+            assert got.converged is want.converged
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [1e-170, 1e170])
+    def test_line(self, p, s):
+        self._check(minimize_over_line, p, s)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [1e-170, 1e170])
+    def test_free_relax_from_zero(self, p, s):
+        self._check(lambda space, f, phi: minimize_free_relax(space, f, np.zeros(4), phi), p, s)
+
+
 class TestBestApproxSubspace:
     def test_orthogonal_projection(self):
         space = LpSpace(2.0, 3)
