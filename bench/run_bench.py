@@ -16,7 +16,16 @@ in {1.5, 2, 3}:
   Gaussian dictionaries, A_1 targets of sparsity 8, t = 1, 10 steps per
   run): time per step, steps run, steps whose solve did not converge and
   the Newton iterations of the steps' inner solves (total and per step;
-  counted in the untimed warm-up pass, so they do not depend on the host);
+  counted in the untimed warm-up pass, so they do not depend on the host).
+  These rows are timed run by run, not in repeats: see below;
+* the calls one loop step makes, for all four loops on the loop rows'
+  first CALL_COUNT_RUNS inputs (``run_iac`` with ``K1 = 1``, ``run_iacc``
+  on convex targets), counted with ``sys.setprofile`` over whole runs
+  and divided by the steps run: Python calls and calls of C functions
+  and methods (``ufunc.reduce``, ``ndarray.all``). A direct ufunc call
+  (``np.abs(x)``) or an operator (``@``, ``+``) is not a call to the
+  profiler, so these counts are exact and host-independent but not a
+  census of numpy work;
 * ``lp_norm`` and ``norming_functional`` at dim 16 and 2048: time per call;
 * the bookkeeping of one sweep cell, per call, on cells shaped like the
   ``sweep_grid`` benchmark workload (dim 12, count 24 Gaussian
@@ -43,7 +52,14 @@ first, so drifts in host speed hit both alike. Each repeat
 times one pass over a case's inputs with ``time.perf_counter``; a case
 reports the median over repeats of the mean time per call (or per step),
 and the first and third quartiles of those repeat times, so a ratio can be
-read against the spread of its own repeats.
+read against the spread of its own repeats. A loop case is finer: each
+seeded run is timed LOOP_TIMINGS times on each tree, the trees back to
+back and alternating which goes first, and keeps its least time per tree;
+the case reports change/parent as the ratio of the summed run times, with
+the first and third quartiles of the per-run ratios, and the JSON pools
+each loop's ratio over p. With ``--baseline`` set to this ``src/`` these
+rows read within about 2 % of 1. The ``verify`` criteria are also summed
+per repeat, as the whole ``--profile full`` battery.
 The JSON also records the ``src/`` line count and commit of each tree (and
 whether its ``src/`` has edits not yet committed), the machine and the
 package versions.
@@ -52,6 +68,7 @@ package versions.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import os
@@ -91,7 +108,15 @@ EDGE_PS = (1.01, 8.0, 64.0)
 # Inputs per case, by dim; a loop case runs LOOP_RUNS runs at LOOP_DIM.
 INSTANCES = {16: 40, 2048: 8}
 NORM_INSTANCES = {16: 400, 2048: 100}
-LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 30
+LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 60
+# Timings per loop run and tree (the least is kept); runs whose calls are counted.
+LOOP_TIMINGS, CALL_COUNT_RUNS = 3, 10
+COUNTED_LOOPS = LOOPS + ("run_iac", "run_iacc")
+CALL_COUNT_NOTE = (
+    "sys.setprofile 'call' (Python) and 'c_call' (C functions and methods such as "
+    "ufunc.reduce and ndarray.all) events over whole runs, divided by the steps run; "
+    "direct ufunc calls (np.abs(x)) and operators (@, +) are not counted"
+)
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 # A run_sweep case runs SWEEP_RUNS sweeps per algorithm, CELL_REPLICATES cells each.
 SWEEP_RUNS, CELL_REPLICATES = 5, 3
@@ -256,16 +281,63 @@ def prepare(pkg, entry, p, dim, data):
         return prepare_sweep(pkg, p, data)
     space = pkg.LpSpace(p, dim)
     fn = getattr(pkg, entry)
-    if entry not in LOOPS:
-        return lambda: [fn(space, *args) for args in data]
+    return lambda: [fn(space, *args) for args in data]
+
+
+def loop_runs(pkg, entry, p, data):
+    """One call per seeded run of a loop at LOOP_DIM, each returning its trace."""
+    space = pkg.LpSpace(p, LOOP_DIM)
     tau = pkg.WeaknessSequence.constant(1.0)
-    extra = (pkg.RelaxationSchedule.harmonic(),) if entry == "run_gawr" else ()
-    runs = []
+    args = {
+        "run_wgafr": (tau,),
+        "run_gawr": (tau, pkg.RelaxationSchedule.harmonic()),
+        "run_iac": (1.0,),
+        "run_iacc": (1.0,),
+    }[entry]
+    calls = []
     for dict_seed, target_seed in data:
         dictionary = pkg.generate_dictionary(space, LOOP_COUNT, "gaussian", dict_seed)
-        target = pkg.make_target(dictionary, "a1", LOOP_SPARSITY, 0.0, target_seed)
-        runs.append((dictionary, target))
-    return lambda: [fn(space, d, t, tau, *extra, LOOP_ITERS) for d, t in runs]
+        membership = "conv" if entry == "run_iacc" else "a1"
+        target = pkg.make_target(dictionary, membership, LOOP_SPARSITY, 0.0, target_seed)
+        calls.append(functools.partial(getattr(pkg, entry), space, dictionary, target, *args, LOOP_ITERS))
+    return calls
+
+
+def time_loop_runs(calls: dict) -> dict:
+    """The least of LOOP_TIMINGS times of each run, per tree; the trees alternate run by run."""
+    labels = list(calls)
+    best = {label: [] for label in labels}
+    for i in range(len(calls[labels[0]])):
+        times = {label: [] for label in labels}
+        for rep in range(LOOP_TIMINGS):
+            for label in labels if (i + rep) % 2 == 0 else labels[::-1]:
+                start = time.perf_counter()
+                calls[label][i]()
+                times[label].append(time.perf_counter() - start)
+        for label in labels:
+            best[label].append(min(times[label]))
+    return best
+
+
+def count_calls(calls) -> dict:
+    """Python and C calls per loop step over ``calls``, as sys.setprofile sees them."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        traces = [call() for call in calls]
+    finally:
+        sys.setprofile(None)
+    steps = sum(len(trace.records) for trace in traces)
+    return {
+        "steps": steps,
+        "python_calls_per_step": counts["call"] / steps,
+        "c_calls_per_step": counts["c_call"] / steps,
+    }
 
 
 def count_newton_iterations(pkg, run):
@@ -400,17 +472,43 @@ def main(argv=None) -> int:
         for number, name, _ in pkgs["change"].acceptance.ALL_CRITERIA
     )
     cases.update(((entry, None, None), [entry]) for entry in PROCESSES)
+    # A loop case is a list of per-run calls; every other case is one call.
+    loop_calls = {
+        (label, key): loop_runs(pkg, *key[:2], data)
+        for label, pkg in pkgs.items() for key, data in cases.items() if key[0] in LOOPS
+    }
     runs = {
-        (label, key): prepare(pkg, *key, data)
+        (label, key): (
+            (lambda calls=loop_calls[label, key]: [call() for call in calls])
+            if key[0] in LOOPS else prepare(pkg, *key, data)
+        )
         for label, pkg in pkgs.items() for key, data in cases.items()
     }
     # Untimed warm-up pass, which also records the deterministic counters.
     outcomes = {(label, key): warm_up(pkgs[label], key[0], run) for (label, key), run in runs.items()}
+    call_counts = []
+    for entry in COUNTED_LOOPS:
+        for p in PS:
+            data = instances("run_wgafr", p, LOOP_DIM)[:CALL_COUNT_RUNS]
+            row = {"entry": entry, "p": p, "dim": LOOP_DIM, "instances": len(data)}
+            for label, pkg in pkgs.items():
+                calls = loop_runs(pkg, entry, p, data)
+                for call in calls:  # untimed, uncounted warm-up
+                    call()
+                row[label] = count_calls(calls)
+            call_counts.append(row)
+            print(json.dumps(row))
+    loop_times = {
+        key: time_loop_runs({label: loop_calls[label, key] for label in pkgs})
+        for key in cases if key[0] in LOOPS
+    }
     times = {run_key: [] for run_key in runs}
     child_rss = {run_key: [] for run_key in runs if run_key[1][0] in PROCESSES}
     labels = list(pkgs)
     for rep in range(REPEATS):
         for key in cases:
+            if key[0] in LOOPS:
+                continue
             for label in labels if rep % 2 == 0 else labels[::-1]:
                 units = outcomes[label, key]["units"]
                 unit_s, results = timed_pass(runs[label, key], units)
@@ -430,10 +528,16 @@ def main(argv=None) -> int:
         if verify:
             row.update(profile=VERIFY_PROFILE, seed=VERIFY_SEED)
         for label in pkgs:
-            unit_s = statistics.median(times[label, key])
-            q1, _, q3 = statistics.quantiles(times[label, key], n=4)
             stats = dict(outcomes[label, key])
             del stats["units"]
+            if key in loop_times:
+                unit_s = sum(loop_times[key][label]) / stats["steps"]
+                q1, _, q3 = statistics.quantiles(loop_times[key][label], n=4)
+                row[label] = {f"{unit}_us": 1e6 * unit_s, "run_us_quartiles": [1e6 * q1, 1e6 * q3]}
+                row[label].update(stats)
+                continue
+            unit_s = statistics.median(times[label, key])
+            q1, _, q3 = statistics.quantiles(times[label, key], n=4)
             row[label] = {f"{unit}_us": 1e6 * unit_s, f"{unit}_us_quartiles": [1e6 * q1, 1e6 * q3]}
             if (label, key) in child_rss:
                 rss = child_rss[label, key]
@@ -444,8 +548,31 @@ def main(argv=None) -> int:
             row[label].update(stats)
         if "parent" in pkgs:
             row[f"{unit}_speedup"] = row["parent"][f"{unit}_us"] / row["change"][f"{unit}_us"]
+            if key in loop_times:
+                parent, change = loop_times[key]["parent"], loop_times[key]["change"]
+                q1, _, q3 = statistics.quantiles([c / b for b, c in zip(parent, change)], n=4)
+                row.update(change_over_parent=sum(change) / sum(parent), run_ratio_quartiles=[q1, q3])
         results.append(row)
         print(json.dumps(row))
+
+    summary = {}
+    if "parent" in pkgs:
+        summary["loops_change_over_parent_pooled_over_p"] = {
+            entry: sum(sum(loop_times[key]["change"]) for key in loop_times if key[0] == entry)
+            / sum(sum(loop_times[key]["parent"]) for key in loop_times if key[0] == entry)
+            for entry in LOOPS
+        }
+    # The whole battery per repeat: the sum of its criteria's times in that repeat.
+    verify_keys = [key for key in cases if key[0].startswith("verify_")]
+    battery = {}
+    for label in pkgs:
+        totals = [sum(times[label, key][rep] for key in verify_keys) for rep in range(REPEATS)]
+        q1, _, q3 = statistics.quantiles(totals, n=4)
+        battery[label] = {"battery_s": statistics.median(totals), "battery_s_quartiles": [q1, q3]}
+    if "parent" in pkgs:
+        battery["battery_speedup"] = battery["parent"]["battery_s"] / battery["change"]["battery_s"]
+    summary[f"verify_{VERIFY_PROFILE}_battery"] = battery
+    print(json.dumps(summary))
 
     report = {
         "bench": (
@@ -458,9 +585,17 @@ def main(argv=None) -> int:
             "verify criterion or child process (and of a child's max RSS), with the first "
             "and third quartiles of the repeats"
         ),
+        "loop_statistic": (
+            f"least of {LOOP_TIMINGS} wall times per run and tree, trees alternating run by "
+            "run; change_over_parent is the ratio of the summed run times, with the quartiles "
+            "of the per-run ratios"
+        ),
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},
+        "summary": summary,
         "results": results,
+        "call_counts_note": CALL_COUNT_NOTE,
+        "call_counts": call_counts,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -27,7 +27,7 @@ from .spaces import (
     LpSpace,
     SmoothnessParams,
     _count,
-    _norm_vec,
+    _norm_mags,
     _norming_coeffs,
     lp_norm,
     smoothness_params,
@@ -304,19 +304,19 @@ def _greedy_loop(
     trace = GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0)
     p = space.p
     G = np.zeros(space.dim, dtype=np.complex128)
-    residual = f
-    current = norm0
+    residual, current, mags = f, norm0, None  # mags: |residual| from its norm, once a step ran
     for m in range(1, iters + 1):
         if current <= RESIDUAL_STOP:
             trace.stop_reason = "residual_below_threshold"
             break
-        sel = select(m, DualFunctional._wrap(_norming_coeffs(p, residual, current)))
+        sel = select(m, DualFunctional._wrap(_norming_coeffs(p, residual, current, mags)))
         if sel.dual_norm == 0.0:
             trace.stop_reason = "stagnated_zero_dual_norm"
             break
         G, lam, w_or_r, eps_m, converged = update(m, G, sel, dictionary.atoms[sel.index])
         residual = f - G
-        current = _norm_vec(p, residual)
+        mags = np.abs(residual)
+        current = _norm_mags(p, mags)
         if math.isnan(current):
             raise ValueError("v contains non-finite entries")  # lp_norm's text
         trace.records.append(
@@ -336,6 +336,12 @@ def _greedy_loop(
     return trace
 
 
+def _check_covers(name: str, schedule, iters) -> None:
+    """Refuse an explicit weakness or relaxation list shorter than ``iters`` before any step."""
+    if schedule.values and len(schedule.values) < _count("iters", iters):
+        raise ValueError(f"{name} has {len(schedule.values)} entries, fewer than iters = {iters!r}")
+
+
 def run_wgafr(
     space: LpSpace,
     dictionary: Dictionary,
@@ -353,6 +359,7 @@ def run_wgafr(
     never increases because (w, lam) = (0, 0) is always available.
     """
     cfg = cfg or SolverConfig()
+    _check_covers("weakness sequence", tau, iters)
 
     def update(m, G, sel, phi):
         result = _free_relax(space, target.f, G, phi, cfg)
@@ -382,12 +389,15 @@ def run_gawr(
     G_m = (1 - r_m) G_{m-1} + lam_m phi_m.
     """
     cfg = cfg or SolverConfig()
+    _check_covers("weakness sequence", tau, iters)
+    _check_covers("relaxation schedule", r, iters)
 
     def update(m, G, sel, phi):
         r_m = r.value(m)
-        result = _descend(space, target.f - (1.0 - r_m) * G, phi[:, None], cfg)
+        shrunk = (1.0 - r_m) * G
+        result = _descend(space, target.f - shrunk, phi[:, None], cfg)
         lam = result.minimizer[0]
-        return (1.0 - r_m) * G + lam * phi, lam, r_m, None, result.converged
+        return shrunk + lam * phi, lam, r_m, None, result.converged
 
     return _greedy_loop(
         space, dictionary, target, iters, "gawr",
@@ -412,9 +422,12 @@ def _averaging(
     """
     eps = functools.partial(epsilon_schedule, K1, smoothness_params(space))
     running_sum = np.zeros(space.dim, dtype=np.complex128)
+    eps_m = None
 
     def select(m, F):
-        return eps_select(F, dictionary, target.f, eps(m), mode=mode, policy=policy)
+        nonlocal eps_m
+        eps_m = eps(m)
+        return eps_select(F, dictionary, target.f, eps_m, mode=mode, policy=policy)
 
     def update(m, G, sel, phi):
         nonlocal running_sum
@@ -427,7 +440,7 @@ def _averaging(
             raise AssertionError(
                 f"barycentric representation drifted by {drift:.3e} at step {m}"
             )
-        return G, nu / m, 1.0 / m, eps(m), True
+        return G, nu / m, 1.0 / m, eps_m, True
 
     return select, update
 

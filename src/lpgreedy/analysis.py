@@ -26,6 +26,7 @@ from .spaces import (
     _norm_rows,
     _norming_coeffs,
     _rho_values,
+    _whole,
     apply_functional,
     lp_norm,
     norming_functional,
@@ -421,7 +422,9 @@ def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
         res = residuals.residual_norms()[1:]
     else:
         res = np.asarray(residuals, dtype=float)
-    m_lo, m_hi = int(window[0]), int(window[1])
+    m_lo, m_hi = _whole(window[0]), _whole(window[1])
+    if m_lo is None or m_hi is None:
+        raise ValueError(f"window bounds must be whole numbers; got {tuple(window)!r}")
     if m_lo < 2:
         raise ValueError(f"window must start at m >= 2; got {m_lo}")
     m_hi = min(m_hi, res.size)

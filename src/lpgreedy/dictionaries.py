@@ -195,17 +195,12 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
     return Dictionary._wrap(space, atoms, kind, seed)
 
 
-def _check_functional(F: DualFunctional, dictionary: Dictionary) -> None:
-    if F.dim != dictionary.space.dim:
-        raise ValueError(
-            f"functional dimension {F.dim} does not match space dimension "
-            f"{dictionary.space.dim}"
-        )
-
-
 def _scan(F: DualFunctional, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
     """F(g_i) and |F(g_i)| for every atom: the one pass over the dictionary."""
-    _check_functional(F, dictionary)
+    if F.coeffs.size != dictionary.space.dim:
+        raise ValueError(
+            f"functional dimension {F.dim} does not match space dimension {dictionary.space.dim}"
+        )
     values = dictionary.atoms @ F.coeffs
     return values, np.abs(values)
 
@@ -221,16 +216,16 @@ def _pick(
     ``dual_norm`` (max |F(g)| of the same scan) is stored in the Selection.
     """
     if policy == "argmax":
-        idx = int(np.argmax(scores))
+        idx = int(scores.argmax())
         if scores[idx] < threshold:
             return None
     else:
         qualifying = scores >= threshold
-        idx = int(np.argmax(qualifying))
+        idx = int(qualifying.argmax())
         if not qualifying[idx]:
             return None
     value = complex(values[idx])
-    phase = complex(np.conj(complex_sign(value))) if phased else 1.0 + 0.0j
+    phase = complex_sign(value).conjugate() if phased else 1.0 + 0.0j
     return Selection(index=idx, phase=phase, value=value, dual_norm=dual_norm)
 
 
@@ -264,7 +259,7 @@ def weak_select(
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
     values, mags = _scan(F, dictionary)
-    dual_norm = float(mags.max())
+    dual_norm = float(np.maximum.reduce(mags))
     threshold = t * dual_norm if t > 0.0 else min(dual_norm, 5e-324)
     return _pick(values, mags, threshold, dual_norm, policy, phased=True)
 
@@ -297,7 +292,8 @@ def eps_select(
     f = _as_vector(dictionary.space, f, "f")
     scores = mags if mode == "circle" else values.real
     threshold = float(np.dot(F.coeffs, f).real) - eps_m
-    sel = _pick(values, scores, threshold, float(mags.max()), policy, phased=mode == "circle")
+    dual_norm = float(np.maximum.reduce(mags))
+    sel = _pick(values, scores, threshold, dual_norm, policy, phased=mode == "circle")
     if sel is None:
         raise InfeasibleSelectionError(
             f"no atom within eps_m={eps_m:g} of the target functional value; "

@@ -208,23 +208,23 @@ def _real_blocks(cols):
     -(1j cols[:, j]).view(float) (along Im y_j). ``jac_t`` is -J^T, one
     row per real coordinate; only J^T W J is formed from it.
     """
-    k = cols.shape[1]
-    jac_t = np.concatenate([cols, 1j * cols]).T.copy().view(np.float64).reshape(2 * k, -1)
+    blocks = np.empty((cols.shape[1], 2, cols.shape[0]), dtype=np.complex128)
+    blocks[:, 0], blocks[:, 1] = cols.T, 1j * cols.T
+    jac_t = blocks.view(np.float64).reshape(2 * cols.shape[1], -1)
     neg_cols = -cols
     return neg_cols, np.conj(neg_cols), jac_t
 
 
 def _newton_model(p, r, mags, value, neg_conj, jac_t):
-    """Gradient and Newton Hessian at the residual r, with mags = |r| and value = ||r||.
+    """Gradient and Newton model at the residual r, with mags = |r| and value = ||r||.
 
-    Returns (unit, weights, curv, grad, hw, hess): unit = r / |r| (0 at an
+    Returns (unit, weights, curv, grad, hw, v): unit = r / |r| (0 at an
     exact zero), weights = |rho|^(p-1) (so conj(unit) * weights is the
-    norming functional of r), curv = w, grad the gradient of ||r||, hess
-    the Hessian of ||r||^2 / 2 (see :func:`_descend`) and
-    hw = sum_i w_i J_i^T J_i, all in y.view(float). For a complex
-    scalar u, the 2k-vector J_i^T (Re u, Im u) of residual entry i is
-    (u * neg_conj[i]).view(float), so each term is a product of real
-    blocks weighted by w_i.
+    norming functional of r), curv = w, grad the gradient of ||r||,
+    hw = sum_i w_i J_i^T J_i and v with rows J_i^T rho_hat_i, all in
+    y.view(float); :func:`_hessian` forms the Hessian from them. For a
+    complex u, J_i^T (Re u, Im u) is (u * neg_conj[i]).view(float), so
+    each term is a product of real blocks weighted by w_i.
     """
     rho = mags / value
     curv = np.maximum(rho, _RHO_FLOOR) ** (p - 2.0)
@@ -237,8 +237,12 @@ def _newton_model(p, r, mags, value, neg_conj, jac_t):
     weights = rho ** (p - 1.0)
     grad = weights @ v
     hw = (jac_t * curv.repeat(2)) @ jac_t.T
-    hess = hw + (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad)
-    return unit, weights, curv, grad, hw, hess
+    return unit, weights, curv, grad, hw, v
+
+
+def _hessian(p, curv, grad, hw, v):
+    """The Hessian of ||r||^2 / 2 (see :func:`_descend`) from :func:`_newton_model`'s parts."""
+    return hw + (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad)
 
 
 def _newton(p, q, base, cols, span, y, cfg):
@@ -247,7 +251,8 @@ def _newton(p, q, base, cols, span, y, cfg):
     Returns (minimizer, value, converged, iterations, lower), where
     ``lower`` is the certified lower bound at the returned iterate (None
     once the residual is an exact fit). The magnitudes |r| of a step's
-    accepted trial point serve the next iteration.
+    accepted trial point serve the next iteration; the Hessian is formed
+    only once the gradient and budget tests let a step be taken.
     """
     neg_cols, neg_conj, jac_t = _real_blocks(cols)
     r = base - cols @ y
@@ -257,13 +262,13 @@ def _newton(p, q, base, cols, span, y, cfg):
     converged = False
     while value > RESIDUAL_FLOOR:
         moved = None
-        unit, weights, curv, grad, hw, hess = _newton_model(p, r, mags, value, neg_conj, jac_t)
+        unit, weights, curv, grad, hw, v = _newton_model(p, r, mags, value, neg_conj, jac_t)
         if math.sqrt(grad @ grad) <= cfg.grad_tol:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
-        step, slope = _descent_step(hess, grad, value)
+        step, slope = _descent_step(_hessian(p, curv, grad, hw, v), grad, value)
         dy = step.view(np.complex128)
         dr = neg_cols @ dy
         options = [(dy, dr, slope)]
@@ -305,8 +310,9 @@ def _newton(p, q, base, cols, span, y, cfg):
             if accepted is None:
                 # Step size hit the numerical floor; no further progress possible.
                 break
-        t, r, value, mags = accepted
-        y = y + t * dy
+            dy = accepted[0] * dy  # a full step (t = 1) is taken as it is
+        _, r, value, mags = accepted
+        y = y + dy
         iterations += 1
     if value <= RESIDUAL_FLOOR:
         return y, value, converged, iterations, None
@@ -341,15 +347,16 @@ def _descend(
 
         sum_i w_i J_i^T (I + (p-2) rho_hat_i rho_hat_i^T) J_i - (p-2) g g^T.
 
-    Each step is the full Newton step when it passes the Armijo test on
-    ||r||. For p < 2 the full IRLS step (the Hessian without the radial
-    terms, which majorizes it) is offered too and the lower of the two is
-    kept: at an entry the minimizer drives to zero, the quadratic model of
+    The radial terms are formed only at an iterate that takes a step. Each
+    step is the full Newton step when it passes the Armijo test on ||r||.
+    For p < 2 the full IRLS step (the Hessian without the radial terms,
+    which majorizes it) is offered too and the lower of the two is kept:
+    at an entry the minimizer drives to zero, the quadratic model of
     |r_i|^p overshoots by 1/(p-1) or, through the g g^T term, shrinks the
     entry ever more slowly, while IRLS lands on zero. When no full step
     passes, the step backtracks along the IRLS direction for p < 2 and the
-    Newton direction otherwise; each falls back to steepest descent when
-    it does not descend.
+    Newton direction otherwise, falling back to steepest descent when it
+    does not descend.
 
     The duality certificate of :func:`_lower_bound` (Boyd & Vandenberghe,
     Convex Optimization, ch. 5) projects the norming functional of r, less
@@ -366,23 +373,25 @@ def _descend(
     """
     p = space.p
     q = space.p_conjugate
-    scales = np.sqrt((np.abs(directions) ** 2).sum(axis=0))
+    scales = np.sqrt(np.add.reduce(np.abs(directions) ** 2, axis=0))
     # s / s is NaN where the sum of squares is 0 (a zero column, or every
     # entry below about 1e-162) or inf (an entry above about 1e154); there
     # the scale is taken from the column's largest entry, and a zero column
     # keeps scale 0.
     free = np.isfinite(scales / scales)
-    if not free.all():
+    if free.all():
+        cols = directions / scales
+    else:
         for j in np.flatnonzero(~free):
             scales[j] = _norm_mags(2.0, np.abs(directions[:, j]))
         free = scales > 0.0
-    # np.compress keeps the columns C-contiguous, as _newton_model needs.
-    cols = (directions if free.all() else np.compress(free, directions, axis=1)) / scales[free]
+        # np.compress keeps the columns C-contiguous, as _newton_model needs.
+        cols = np.compress(free, directions, axis=1) / scales[free]
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
     span, tri = _qr(np.conj(cols))
-    kept = np.zeros(cols.shape[1], dtype=bool)
-    kept[: min(cols.shape)] = np.abs(tri.diagonal()) > RANK_TOL
-    if not kept.all():
+    kept = np.abs(tri.diagonal()) > RANK_TOL
+    if kept.size < cols.shape[1] or not kept.all():
+        kept = np.pad(kept, (0, cols.shape[1] - kept.size))  # columns past the dimension
         free[free] = kept
         cols = np.compress(kept, cols, axis=1)
         span, tri = _qr(np.conj(cols))
@@ -408,6 +417,8 @@ def _descend(
     else:
         gap = value - lower
         converged = converged or gap <= _GAP_RESOLUTION * value
+    if y.size == scales.size:  # no column left out
+        return SolveResult(y / scales, value, converged, iterations, gap)
     x = np.zeros(directions.shape[1], dtype=np.complex128)
     x[free] = y / scales[free]
     return SolveResult(x, value, converged, iterations, gap)
@@ -415,7 +426,10 @@ def _descend(
 
 def _free_relax(space, f, G_prev, phi, cfg) -> SolveResult:
     """:func:`minimize_free_relax` as (f - G) - (w, lam) @ (-G, phi), on checked vectors."""
-    return _descend(space, f - G_prev, np.column_stack([-G_prev, phi]), cfg)
+    cols = np.empty((G_prev.shape[0], 2), dtype=np.complex128)
+    np.negative(G_prev, out=cols[:, 0])
+    cols[:, 1] = phi
+    return _descend(space, f - G_prev, cols, cfg)
 
 
 def minimize_over_line(

@@ -7,6 +7,7 @@ or mutated, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,19 +200,20 @@ def _norm_mags(p: float, mags: np.ndarray) -> float:
     return float(scale * (sums ** (1.0 / p))[0])
 
 
-def _norming_coeffs(p: float, h: np.ndarray, norm) -> np.ndarray:
+def _norming_coeffs(p: float, h: np.ndarray, norm, mags=None) -> np.ndarray:
     """Norming-functional coefficients of a nonzero vector or of nonzero rows.
 
     ``norm`` is the norm of ``h`` (a float) or, for rows, a column of row
-    norms (shape ``(rows, 1)``). The conjugate sign is conj(h_i) / |h_i|,
-    exact to rounding while |h_i| is a normal float. A subnormal |h_i| has
-    lost bits, so below the normal range it is e^{-i arg(h_i)}, which costs
-    a few times more per entry (at zero the coefficient is 0 either way).
+    norms (shape ``(rows, 1)``); ``mags``, if given, is ``np.abs(h)``. The
+    conjugate sign is conj(h_i) / |h_i|, exact to rounding while |h_i| is
+    normal. A subnormal |h_i| (one minimum over ``mags`` tests for any) has
+    lost bits, so there it is e^{-i arg(h_i)}; at zero the coefficient is 0.
     """
-    mags = np.abs(h)
+    if mags is None:
+        mags = np.abs(h)
     conj_signs = np.conj(h) / np.maximum(mags, _TINY)
-    small = mags < _TINY
-    if small.any():
+    if np.minimum.reduce(mags, axis=None) < _TINY:
+        small = mags < _TINY
         conj_signs[small] = np.exp(-1j * np.angle(h[small]))
     return conj_signs * (mags / norm) ** (p - 1.0)
 
@@ -224,7 +226,7 @@ def lp_norm(space: LpSpace, v) -> float:
 def complex_sign(z) -> complex:
     """z/|z| for z != 0, and 1 for z = 0, so the result always has modulus 1."""
     z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"complex_sign requires a finite scalar; got {z!r}")
     if z == 0:
         return 1.0 + 0.0j

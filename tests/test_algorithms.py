@@ -25,7 +25,7 @@ from lpgreedy import (
     smoothness_params,
     weak_select,
 )
-from lpgreedy import solvers
+from lpgreedy import algorithms, solvers
 from lpgreedy.algorithms import _greedy_loop
 from lpgreedy.analysis import check_barycentric, check_monotone
 
@@ -170,6 +170,19 @@ class TestWgafr:
             with pytest.raises(ValueError, match=f"iters must be an integer >= 1; got {iters}"):
                 run_wgafr(space, d, target, tau, iters)
 
+    def test_short_weakness_sequence_refused_before_any_solve(self, monkeypatch):
+        space = LpSpace(1.5, 6)
+        d = generate_dictionary(space, 12, "gaussian", seed=1)
+        target = make_target(d, "a1", 4, seed=2)
+        solves = []
+        original = algorithms._free_relax
+        monkeypatch.setattr(algorithms, "_free_relax", lambda *a: solves.append(a) or original(*a))
+        tau = WeaknessSequence.general([1.0, 0.9])
+        with pytest.raises(ValueError, match="weakness sequence has 2 entries, fewer than iters = 5"):
+            run_wgafr(space, d, target, tau, 5)
+        assert solves == []
+        assert len(run_wgafr(space, d, target, tau, 2).records) == 2
+
     def test_trace_schema(self):
         space, d = canonical_setup()
         trace = run_wgafr(space, d, exact_target([0.5, 0.5]),
@@ -219,6 +232,24 @@ class TestGawr:
         trace = run_gawr(space, d, target, WeaknessSequence.constant(1.0),
                          RelaxationSchedule.constant(0.0), 4)
         assert trace.records[0].residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("schedule", ["tau", "r"])
+    def test_short_schedule_refused_before_any_solve(self, schedule, monkeypatch):
+        space = LpSpace(1.5, 6)
+        d = generate_dictionary(space, 12, "gaussian", seed=1)
+        target = make_target(d, "a1", 4, seed=2)
+        solves = []
+        original = algorithms._descend
+        monkeypatch.setattr(algorithms, "_descend", lambda *a: solves.append(a) or original(*a))
+        tau, r = WeaknessSequence.constant(1.0), RelaxationSchedule.harmonic()
+        if schedule == "tau":
+            tau, name = WeaknessSequence.general([1.0, 0.9]), "weakness sequence"
+        else:
+            r, name = RelaxationSchedule.custom([0.5, 0.3]), "relaxation schedule"
+        with pytest.raises(ValueError, match=f"{name} has 2 entries, fewer than iters = 5"):
+            run_gawr(space, d, target, tau, r, 5)
+        assert solves == []
+        assert len(run_gawr(space, d, target, tau, r, 2).records) == 2
 
     def test_harmonic_recorded_in_trace(self):
         space = LpSpace(2.0, 6)

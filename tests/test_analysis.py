@@ -310,6 +310,18 @@ class TestFitLogSlope:
         with pytest.raises(ValueError, match="fewer than two"):
             fit_log_slope(np.ones(10), (9, 9))
 
+    @pytest.mark.parametrize(
+        "window", [(2.5, 20), (2, 20.9), (2, np.inf), (np.nan, 20)], ids=["lo", "hi", "inf", "nan"]
+    )
+    def test_window_bounds_must_be_whole(self, window):
+        m = np.arange(1, 30)
+        with pytest.raises(ValueError, match="window bounds must be whole numbers"):
+            fit_log_slope(m ** (-0.5), window)
+
+    def test_whole_float_window_fits(self):
+        m = np.arange(1, 30)
+        assert fit_log_slope(m ** (-0.5), (2.0, 20.0)) == fit_log_slope(m ** (-0.5), (2, 20))
+
     def test_trace_input(self):
         trace = trace_from_norms([1.0] + [float(m) ** -0.5 for m in range(1, 40)])
         fit = fit_log_slope(trace, (5, 39))

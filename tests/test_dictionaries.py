@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from lpgreedy import (
     lp_norm,
     make_target,
     norming_functional,
+    complex_sign,
     weak_select,
 )
+from lpgreedy import dictionaries
 from lpgreedy.dictionaries import DICTIONARY_KINDS
 from lpgreedy.spaces import _BLOCK_ENTRIES, _norm_rows, _norm_vec
 
@@ -228,6 +232,28 @@ class TestWeakSelect:
         for t, expected in ((0.5, 2), (0.1, 1), (1e-6, 1)):
             sel = weak_select(F, d, t, policy="first_qualifying")
             assert (sel.index, sel.dual_norm) == (expected, 1.0)
+
+    def test_phase_is_conjugate_sign_bit_for_bit(self):
+        # the phase keeps the bits (signed zeros included) of the numpy conjugate
+        def bits(z):
+            return struct.pack("<dd", z.real, z.imag)
+
+        zero, one = 0.0, 1.0
+        values = [complex(a * x, b * y) for a in (one, -one) for b in (one, -one)
+                  for x, y in ((zero, zero), (3.0, zero), (zero, 2.0), (0.6, -0.8), (5e-324, zero))]
+        for value in values:
+            sel = dictionaries._pick(
+                np.array([value]), np.array([abs(value)]), 0.0, abs(value), "argmax", phased=True
+            )
+            assert type(sel.phase) is complex
+            assert bits(sel.phase) == bits(complex(np.conj(complex_sign(value))))
+        space = LpSpace(1.5, 6)
+        d = generate_dictionary(space, 12, "gaussian", seed=2)
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            F = norming_functional(space, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            sel = weak_select(F, d, t=0.5, policy="first_qualifying")
+            assert bits(sel.phase) == bits(complex(np.conj(complex_sign(sel.value))))
 
     def test_matches_dual_norm_argmax(self):
         space = LpSpace(3.0, 6)

@@ -537,9 +537,10 @@ class TestNewtonModel:
             r = base - cols @ x.view(np.complex128)
             value = norm_at(x)
             _, neg_conj, jac_t = solvers._real_blocks(cols)
-            unit, weights, curv, grad, hw, hess = solvers._newton_model(
+            unit, weights, curv, grad, hw, v = solvers._newton_model(
                 p, r, np.abs(r), value, neg_conj, jac_t
             )
+            hess = solvers._hessian(p, curv, grad, hw, v)
             fd_grad = [(norm_at(x + e) - norm_at(x - e)) / (2e-2 * h) for e in 1e-2 * steps]
             fd_hess = [
                 [

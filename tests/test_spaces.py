@@ -94,6 +94,11 @@ class TestComplexSign:
         with pytest.raises(ValueError):
             complex_sign(complex(np.nan, 0))
 
+    @pytest.mark.parametrize("z", [complex(0, np.nan), complex(np.inf, 1), complex(1, -np.inf)])
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(ValueError, match="finite scalar"):
+            complex_sign(z)
+
     @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6))
     def test_unit_modulus(self, z):
         assert abs(abs(complex_sign(z)) - 1.0) < 1e-12
@@ -219,6 +224,19 @@ class TestOneVectorKernels:
         assert norms.tobytes() == spaces._norm_block(p, rows).tobytes()  # the whole array at once
         for row, norm in zip(rows[-30:], norms[-30:]):
             assert np.float64(_norm_vec(p, row)).tobytes() == norm.tobytes()
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
+    def test_functional_from_given_magnitudes(self, p):
+        # the loop passes |h| from the norm it has just taken; the subnormal
+        # branch is entered on one minimum over them
+        rows = self.rows(p, 16)
+        rows[5, 3] = 0.0  # an exact zero among normal entries
+        rows[6, ::3] = 0.0  # exact zeros beside subnormal entries
+        rows[6, 1::3] = 3e-320 - 4e-321j
+        for row in rows[np.abs(rows).max(axis=1) > 0.0]:
+            norm = _norm_vec(p, row)
+            want = _norming_coeffs(p, row, norm)
+            assert _norming_coeffs(p, row, norm, np.abs(row)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, np.nan)])
     def test_non_finite_norm_is_nan(self, bad):
