@@ -16,8 +16,7 @@ in {1.5, 2, 3}:
   Gaussian dictionaries, A_1 targets of sparsity 8, t = 1, 10 steps per
   run): time per step, steps run, steps whose solve did not converge and
   the Newton iterations of the steps' inner solves (total and per step;
-  counted in the untimed warm-up pass, so they do not depend on the host).
-  These rows are timed run by run, not in repeats: see below;
+  counted in the untimed warm-up pass, so they do not depend on the host);
 * the calls one loop step makes, for all four loops on the loop rows'
   first CALL_COUNT_RUNS inputs (``run_iac`` with ``K1 = 1``, ``run_iacc``
   on convex targets), counted with ``sys.setprofile`` over whole runs
@@ -41,28 +40,34 @@ in {1.5, 2, 3}:
   CSV into a temporary directory; time per cell;
 * each criterion of the ``verify`` battery at ``--profile full``, seed 0:
   time per criterion, with its verdict and worst margin;
-* end to end, one child Python process per repeat: ``import lpgreedy``
-  alone, and one small ``lpgreedy run`` (RUN_CONFIG, through
-  ``lpgreedy.cli.main``): wall time per process and the child's peak
-  resident set size (``VmHWM``, so Linux only).
+* end to end, PROCESS_RUNS child Python processes per row: ``import
+  lpgreedy`` alone, and one small ``lpgreedy run`` (RUN_CONFIG, through
+  ``lpgreedy.cli.main``): wall time per process and the median and
+  quartiles of the children's peak resident set size (``VmHWM``, so Linux
+  only);
+* perfbench's calibration kernel (``CpuKernel`` of
+  ``perfbench/calibrate.py``) with its ``REFERENCE_S``, so that files
+  from different hosts can be scaled. It runs the same numpy code under
+  both labels, so its change/parent also shows the noise of the run.
 
-Both packages are imported into this one process. Each case runs its
-``REPEATS`` repeats on the two trees back to back, alternating which goes
-first, so drifts in host speed hit both alike. Each repeat
-times one pass over a case's inputs with ``time.perf_counter``; a case
-reports the median over repeats of the mean time per call (or per step),
-and the first and third quartiles of those repeat times, so a ratio can be
-read against the spread of its own repeats. A loop case is finer: each
-seeded run is timed LOOP_TIMINGS times on each tree, the trees back to
-back and alternating which goes first, and keeps its least time per tree;
-the case reports change/parent as the ratio of the summed run times, with
-the first and third quartiles of the per-run ratios, and the JSON pools
-each loop's ratio over p. With ``--baseline`` set to this ``src/`` these
-rows read within about 2 % of 1. The ``verify`` criteria are also summed
-per repeat, as the whole ``--profile full`` battery.
-The JSON also records the ``src/`` line count and commit of each tree (and
-whether its ``src/`` has edits not yet committed), the machine and the
-package versions.
+Both packages are imported into this one process. Every case is a list of
+zero-argument calls, one per input: a solve, a norm or functional call, a
+sweep cell's config edit, hash, build or checker, one ``run_sweep``, one
+loop run, one ``verify`` criterion or one child process. After an untimed
+warm-up pass, which also records the deterministic counters, each call is
+timed TIMINGS times per tree with ``time.perf_counter``, the trees back
+to back and alternating which goes first, and keeps its least time per
+tree, so drifts in host speed hit both trees alike. A row reports time
+per unit from the summed least times and, with ``--baseline``,
+change_over_parent, the ratio of those sums, with the first and third
+quartiles of the per-call ratios. With ``--baseline`` set to this
+``src/`` the in-process rows (20 to 400 calls each) read within about 5 %
+of 1. A ``verify`` criterion is one call and a process row PROCESS_RUNS
+calls, too few to average the host's noise away: on a shared host those
+rows move by tens of per cent. The JSON pools each loop's ratio over p,
+and the ``verify --profile full`` battery as the sum over its criteria.
+It also records the ``src/`` line count and commit of each tree (and whether its ``src/`` has
+edits not yet committed), the machine and the package versions.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ import importlib
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -83,7 +89,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-HERE_SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+HERE_SRC = ROOT / "src"
 SOLVES = ("minimize_over_line", "minimize_free_relax")
 LOOPS = ("run_wgafr", "run_gawr")
 NORMS = ("lp_norm", "norming_functional")
@@ -106,11 +113,11 @@ PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
 # Inputs per case, by dim; a loop case runs LOOP_RUNS runs at LOOP_DIM.
-INSTANCES = {16: 40, 2048: 8}
+INSTANCES = {16: 40, 2048: 32}
 NORM_INSTANCES = {16: 400, 2048: 100}
 LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 60
-# Timings per loop run and tree (the least is kept); runs whose calls are counted.
-LOOP_TIMINGS, CALL_COUNT_RUNS = 3, 10
+# Timings per call and tree (the least is kept); loop runs whose calls are counted.
+TIMINGS, CALL_COUNT_RUNS = 3, 10
 COUNTED_LOOPS = LOOPS + ("run_iac", "run_iacc")
 CALL_COUNT_NOTE = (
     "sys.setprofile 'call' (Python) and 'c_call' (C functions and methods such as "
@@ -119,10 +126,10 @@ CALL_COUNT_NOTE = (
 )
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 # A run_sweep case runs SWEEP_RUNS sweeps per algorithm, CELL_REPLICATES cells each.
-SWEEP_RUNS, CELL_REPLICATES = 5, 3
-# The verify rows: one per criterion, each run once per repeat.
+SWEEP_RUNS, CELL_REPLICATES, SWEEP_ALGORITHMS = 5, 3, ("wgafr", "gawr", "iac", "iacc")
+# The verify rows: one per criterion, one call each.
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
-# The end-to-end rows: the code of one child Python process each.
+# The end-to-end rows: PROCESS_RUNS child Python processes each, running this code.
 PROCESSES = {
     "import_lpgreedy": "import lpgreedy",
     "lpgreedy_run": (
@@ -131,6 +138,7 @@ PROCESSES = {
         "    raise SystemExit('lpgreedy run failed')"
     ),
 }
+PROCESS_RUNS = 5
 RUN_CONFIG = (
     "space.p = 1.5\nspace.dim = 16\ndictionary.count = 32\ntarget.sparsity = 8\n"
     "algorithm.id = wgafr\nalgorithm.iters = 20\n"
@@ -139,7 +147,9 @@ RUN_CONFIG = (
 # mark of the child's own memory map; ru_maxrss would start from this
 # process's RSS, which the child's map inherits up to its exec.
 PEAK_RSS = "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')))"
-REPEATS = 7
+# The calibration row: CALIBRATION_RUNS calls of perfbench's CPU kernel.
+CALIBRATION, CALIBRATION_RUNS = "calibrate_cpu_kernel", 40
+CALIBRATE = ROOT / "perfbench" / "calibrate.py"
 
 
 def load_package(src: Path):
@@ -158,7 +168,8 @@ def instances(entry: str, p: float, dim: int):
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
     if entry in LOOPS or entry in CELL_PARTS or entry in SWEEPS:
         runs = LOOP_RUNS if entry in LOOPS else CELL_RUNS if entry in CELL_PARTS else SWEEP_RUNS
-        return [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
+        seeds = [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
+        return [(a, *pair) for pair in seeds for a in SWEEP_ALGORITHMS] if entry in SWEEPS else seeds
     count = {"minimize_over_line": 2, "minimize_free_relax": 3}.get(entry, 1)
     n = (NORM_INSTANCES if entry in NORMS else INSTANCES)[dim]
     return [
@@ -184,7 +195,7 @@ def cell_config(pkg, algorithm, p, dict_seed, target_seed):
 
 
 def prepare_cell_part(pkg, entry, p, data):
-    """A call that runs one cell-bookkeeping case once, as ``run_experiment`` does."""
+    """One call per input of a cell-bookkeeping case, made as ``run_experiment`` makes it."""
     algorithms = CELL_PARTS[entry]
     configs = [
         cell_config(pkg, algorithms[i % len(algorithms)], p, *seeds)
@@ -192,14 +203,12 @@ def prepare_cell_part(pkg, entry, p, data):
     ]
     if entry == "with_fields":
         edits = [{"space.p": p, "dictionary.seed": d, "target.seed": t} for d, t in data]
-        base = configs[0]
-        return lambda: [base.with_fields(edit) for edit in edits]
+        return [functools.partial(configs[0].with_fields, edit) for edit in edits]
     if entry == "hash":
-        return lambda: [config.hash() for config in configs]
+        return [config.hash for config in configs]
     if entry == "_build":
-        return lambda: [pkg.harness._build(config) for config in configs]
-    calls = [suite_call(pkg, entry, config) for config in configs]
-    return lambda: [call() for call in calls]
+        return [functools.partial(pkg.harness._build, config) for config in configs]
+    return [suite_call(pkg, entry, config) for config in configs]
 
 
 def suite_call(pkg, entry, config):
@@ -227,22 +236,17 @@ def suite_call(pkg, entry, config):
 
 
 def prepare_sweep(pkg, p, data):
-    """A call that runs the sweeps of one run_sweep case at ``p`` and returns all rows.
+    """One ``run_sweep`` call per input (algorithm and seeds), each returning its rows.
 
     The sweeps write their summary CSV into a temporary directory that lives
-    as long as the call does.
+    as long as the calls do.
     """
     out_dir = tempfile.TemporaryDirectory(prefix="run_bench_sweep_")
     specs = [
-        pkg.SweepSpec(
-            base=cell_config(pkg, algorithm, p, dict_seed, target_seed),
-            axes=[],
-            replicate_seeds=CELL_REPLICATES,
-        )
-        for dict_seed, target_seed in data
-        for algorithm in ("wgafr", "gawr", "iac", "iacc")
+        pkg.SweepSpec(base=cell_config(pkg, a, p, d, t), axes=[], replicate_seeds=CELL_REPLICATES)
+        for a, d, t in data
     ]
-    return lambda: [row for spec in specs for row in pkg.run_sweep(spec, out_dir.name)]
+    return [lambda spec=spec: pkg.run_sweep(spec, out_dir.name) for spec in specs]
 
 
 def child_process(code: str, src: Path) -> float:
@@ -254,34 +258,18 @@ def child_process(code: str, src: Path) -> float:
     return int(out.split()[-1]) / 1024.0
 
 
-def prepare_process(pkg, entry):
-    """A call that runs the case's child process once on ``pkg``'s source tree.
+def prepare_process(pkg, entry, data):
+    """One call per input that runs the case's child process on ``pkg``'s source tree.
 
     The config and the outputs of ``lpgreedy run`` live in a temporary
-    directory that lives as long as the call does.
+    directory that lives as long as the calls do.
     """
     work = tempfile.TemporaryDirectory(prefix="run_bench_process_")
     config = Path(work.name) / "experiment.txt"
     config.write_text(RUN_CONFIG)
     code = PROCESSES[entry].format(config=str(config), out=work.name)
     src = Path(pkg.__file__).resolve().parents[1]
-    return lambda work=work: [child_process(code, src)]
-
-
-def prepare(pkg, entry, p, dim, data):
-    """A call that runs the case once through ``pkg`` and returns its results."""
-    if entry in PROCESSES:
-        return prepare_process(pkg, entry)
-    if entry.startswith("verify_"):
-        criterion = {number: fn for number, _, fn in pkg.acceptance.ALL_CRITERIA}[data[0]]
-        return lambda: [criterion(seed=VERIFY_SEED, profile=VERIFY_PROFILE)]
-    if entry in CELL_PARTS:
-        return prepare_cell_part(pkg, entry, p, data)
-    if entry in SWEEPS:
-        return prepare_sweep(pkg, p, data)
-    space = pkg.LpSpace(p, dim)
-    fn = getattr(pkg, entry)
-    return lambda: [fn(space, *args) for args in data]
+    return [lambda work=work: child_process(code, src) for _ in data]
 
 
 def loop_runs(pkg, entry, p, data):
@@ -303,13 +291,33 @@ def loop_runs(pkg, entry, p, data):
     return calls
 
 
-def time_loop_runs(calls: dict) -> dict:
-    """The least of LOOP_TIMINGS times of each run, per tree; the trees alternate run by run."""
+def prepare(pkg, entry, p, dim, data):
+    """The case's calls through ``pkg``: one zero-argument call per input, each returning its result."""
+    if entry == CALIBRATION:
+        return [runpy.run_path(str(CALIBRATE))["CpuKernel"]()] * len(data)
+    if entry in PROCESSES:
+        return prepare_process(pkg, entry, data)
+    if entry.startswith("verify_"):
+        criteria = {number: fn for number, _, fn in pkg.acceptance.ALL_CRITERIA}
+        return [functools.partial(criteria[n], seed=VERIFY_SEED, profile=VERIFY_PROFILE) for n in data]
+    if entry in LOOPS:
+        return loop_runs(pkg, entry, p, data)
+    if entry in CELL_PARTS:
+        return prepare_cell_part(pkg, entry, p, data)
+    if entry in SWEEPS:
+        return prepare_sweep(pkg, p, data)
+    space = pkg.LpSpace(p, dim)
+    fn = getattr(pkg, entry)
+    return [functools.partial(fn, space, *args) for args in data]
+
+
+def time_calls(calls: dict) -> dict:
+    """The least of TIMINGS times of each call, per tree; the trees alternate call by call."""
     labels = list(calls)
     best = {label: [] for label in labels}
     for i in range(len(calls[labels[0]])):
         times = {label: [] for label in labels}
-        for rep in range(LOOP_TIMINGS):
+        for rep in range(TIMINGS):
             for label in labels if (i + rep) % 2 == 0 else labels[::-1]:
                 start = time.perf_counter()
                 calls[label][i]()
@@ -317,6 +325,23 @@ def time_loop_runs(calls: dict) -> dict:
         for label in labels:
             best[label].append(min(times[label]))
     return best
+
+
+def quartiles(values) -> list:
+    """The first and third quartiles of ``values`` (the value itself when there is one)."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def ratios(times: dict) -> dict:
+    """change/parent of summed least times, with the quartiles of the per-call ratios."""
+    parent, change = times["parent"], times["change"]
+    return {
+        "change_over_parent": sum(change) / sum(parent),
+        "call_ratio_quartiles": quartiles([c / b for b, c in zip(parent, change)]),
+    }
 
 
 def count_calls(calls) -> dict:
@@ -340,8 +365,8 @@ def count_calls(calls) -> dict:
     }
 
 
-def count_newton_iterations(pkg, run):
-    """Run ``run`` once; return its results and the Newton iterations of its inner solves.
+def count_newton_iterations(pkg, calls):
+    """Make ``calls`` once; return their results and the Newton iterations of their inner solves.
 
     Every inner solve goes through ``solvers._descend``; it is wrapped
     wherever an lpgreedy module holds it (the loops of one tree call it
@@ -359,28 +384,21 @@ def count_newton_iterations(pkg, run):
     for module in holders:
         module._descend = counted
     try:
-        results = run()
+        results = [call() for call in calls]
     finally:
         for module in holders:
             module._descend = original
     return results, sum(iterations)
 
 
-def warm_up(pkg, entry, run) -> dict:
+def warm_up(pkg, entry, calls) -> dict:
     """The untimed first pass of a case: its deterministic counters."""
     if entry not in LOOPS:
-        return outcome(entry, run())
-    results, iterations = count_newton_iterations(pkg, run)
+        return outcome(entry, [call() for call in calls])
+    results, iterations = count_newton_iterations(pkg, calls)
     stats = outcome(entry, results)
     stats.update(newton_iters=iterations, newton_iters_per_step=iterations / stats["steps"])
     return stats
-
-
-def timed_pass(run, units: int):
-    """Time per unit of one pass, and the pass's results."""
-    start = time.perf_counter()
-    results = run()
-    return (time.perf_counter() - start) / units, results
 
 
 def outcome(entry, results) -> dict:
@@ -392,15 +410,20 @@ def outcome(entry, results) -> dict:
             "steps": len(records),
             "unconverged_steps": sum(not rec.solver_converged for rec in records),
         }
-    if entry in NORMS or entry in CELL_PARTS:
-        return {"units": len(results)}
     if entry.startswith("verify_"):
         return {"units": 1, "passed": results[0].passed, "worst_margin": results[0].worst_margin}
     if entry in PROCESSES:
-        return {"units": 1}
+        return {
+            "units": len(results),
+            "peak_rss_mib": statistics.median(results),
+            "peak_rss_mib_quartiles": quartiles(results),
+        }
     if entry in SWEEPS:
-        return {"units": len(results), "cells": len(results),
-                "failed_cells": sum(1 for row in results if row["error"] or row["pass_rate"] != "1.0")}
+        rows = [row for rows in results for row in rows]
+        return {"units": len(rows), "cells": len(rows),
+                "failed_cells": sum(1 for row in rows if row["error"] or row["pass_rate"] != "1.0")}
+    if entry not in SOLVES:
+        return {"units": len(results)}
     iters = [r.iterations for r in results]
     gaps = [r.gap / r.value for r in results if getattr(r, "gap", None) is not None and r.value > 0]
     return {
@@ -466,55 +489,35 @@ def main(argv=None) -> int:
     cases.update(
         (("minimize_free_relax", p, 16), instances("minimize_free_relax", p, 16)) for p in EDGE_PS
     )
-    # A verify case's one instance is its criterion number.
+    # A verify case's one input is its criterion number.
     cases.update(
         ((f"verify_{number:02d}_{name}", None, None), [number])
         for number, name, _ in pkgs["change"].acceptance.ALL_CRITERIA
     )
-    cases.update(((entry, None, None), [entry]) for entry in PROCESSES)
-    # A loop case is a list of per-run calls; every other case is one call.
-    loop_calls = {
-        (label, key): loop_runs(pkg, *key[:2], data)
-        for label, pkg in pkgs.items() for key, data in cases.items() if key[0] in LOOPS
-    }
-    runs = {
-        (label, key): (
-            (lambda calls=loop_calls[label, key]: [call() for call in calls])
-            if key[0] in LOOPS else prepare(pkg, *key, data)
-        )
-        for label, pkg in pkgs.items() for key, data in cases.items()
+    cases.update(((entry, None, None), list(range(PROCESS_RUNS))) for entry in PROCESSES)
+    cases[CALIBRATION, None, None] = list(range(CALIBRATION_RUNS))
+    calls = {
+        key: {label: prepare(pkg, *key, data) for label, pkg in pkgs.items()}
+        for key, data in cases.items()
     }
     # Untimed warm-up pass, which also records the deterministic counters.
-    outcomes = {(label, key): warm_up(pkgs[label], key[0], run) for (label, key), run in runs.items()}
+    outcomes = {
+        key: {label: warm_up(pkgs[label], key[0], tree_calls) for label, tree_calls in case.items()}
+        for key, case in calls.items()
+    }
     call_counts = []
     for entry in COUNTED_LOOPS:
         for p in PS:
             data = instances("run_wgafr", p, LOOP_DIM)[:CALL_COUNT_RUNS]
             row = {"entry": entry, "p": p, "dim": LOOP_DIM, "instances": len(data)}
             for label, pkg in pkgs.items():
-                calls = loop_runs(pkg, entry, p, data)
-                for call in calls:  # untimed, uncounted warm-up
+                counted = loop_runs(pkg, entry, p, data)
+                for call in counted:  # untimed, uncounted warm-up
                     call()
-                row[label] = count_calls(calls)
+                row[label] = count_calls(counted)
             call_counts.append(row)
             print(json.dumps(row))
-    loop_times = {
-        key: time_loop_runs({label: loop_calls[label, key] for label in pkgs})
-        for key in cases if key[0] in LOOPS
-    }
-    times = {run_key: [] for run_key in runs}
-    child_rss = {run_key: [] for run_key in runs if run_key[1][0] in PROCESSES}
-    labels = list(pkgs)
-    for rep in range(REPEATS):
-        for key in cases:
-            if key[0] in LOOPS:
-                continue
-            for label in labels if rep % 2 == 0 else labels[::-1]:
-                units = outcomes[label, key]["units"]
-                unit_s, results = timed_pass(runs[label, key], units)
-                times[label, key].append(unit_s)
-                if (label, key) in child_rss:
-                    child_rss[label, key].append(results[0])
+    times = {key: time_calls(case) for key, case in calls.items()}
 
     results = []
     for key in cases:
@@ -527,68 +530,44 @@ def main(argv=None) -> int:
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
         if verify:
             row.update(profile=VERIFY_PROFILE, seed=VERIFY_SEED)
+        if entry == CALIBRATION:
+            row["reference_us"] = 1e6 * calls[key]["change"][0].REFERENCE_S
         for label in pkgs:
-            stats = dict(outcomes[label, key])
-            del stats["units"]
-            if key in loop_times:
-                unit_s = sum(loop_times[key][label]) / stats["steps"]
-                q1, _, q3 = statistics.quantiles(loop_times[key][label], n=4)
-                row[label] = {f"{unit}_us": 1e6 * unit_s, "run_us_quartiles": [1e6 * q1, 1e6 * q3]}
-                row[label].update(stats)
-                continue
-            unit_s = statistics.median(times[label, key])
-            q1, _, q3 = statistics.quantiles(times[label, key], n=4)
-            row[label] = {f"{unit}_us": 1e6 * unit_s, f"{unit}_us_quartiles": [1e6 * q1, 1e6 * q3]}
-            if (label, key) in child_rss:
-                rss = child_rss[label, key]
-                rss_q1, _, rss_q3 = statistics.quantiles(rss, n=4)
-                row[label].update(peak_rss_mib=statistics.median(rss), peak_rss_mib_quartiles=[rss_q1, rss_q3])
+            stats = dict(outcomes[key][label])
+            unit_s = sum(times[key][label]) / stats.pop("units")
+            row[label] = {f"{unit}_us": 1e6 * unit_s}
             if entry in SOLVES:
                 row[label]["iter_us"] = 1e6 * unit_s / stats["iters_mean"] if stats["iters_mean"] else None
             row[label].update(stats)
         if "parent" in pkgs:
-            row[f"{unit}_speedup"] = row["parent"][f"{unit}_us"] / row["change"][f"{unit}_us"]
-            if key in loop_times:
-                parent, change = loop_times[key]["parent"], loop_times[key]["change"]
-                q1, _, q3 = statistics.quantiles([c / b for b, c in zip(parent, change)], n=4)
-                row.update(change_over_parent=sum(change) / sum(parent), run_ratio_quartiles=[q1, q3])
+            row.update(ratios(times[key]))
         results.append(row)
         print(json.dumps(row))
 
-    summary = {}
-    if "parent" in pkgs:
-        summary["loops_change_over_parent_pooled_over_p"] = {
-            entry: sum(sum(loop_times[key]["change"]) for key in loop_times if key[0] == entry)
-            / sum(sum(loop_times[key]["parent"]) for key in loop_times if key[0] == entry)
-            for entry in LOOPS
-        }
-    # The whole battery per repeat: the sum of its criteria's times in that repeat.
+    def pooled(keys):
+        return {label: [t for key in keys for t in times[key][label]] for label in pkgs}
+
     verify_keys = [key for key in cases if key[0].startswith("verify_")]
-    battery = {}
-    for label in pkgs:
-        totals = [sum(times[label, key][rep] for key in verify_keys) for rep in range(REPEATS)]
-        q1, _, q3 = statistics.quantiles(totals, n=4)
-        battery[label] = {"battery_s": statistics.median(totals), "battery_s_quartiles": [q1, q3]}
+    battery = {label: {"battery_s": sum(s)} for label, s in pooled(verify_keys).items()}
+    summary = {f"verify_{VERIFY_PROFILE}_battery": battery}
     if "parent" in pkgs:
-        battery["battery_speedup"] = battery["parent"]["battery_s"] / battery["change"]["battery_s"]
-    summary[f"verify_{VERIFY_PROFILE}_battery"] = battery
+        battery.update(ratios(pooled(verify_keys)))
+        summary["loops_pooled_over_p"] = {
+            entry: ratios(pooled([key for key in cases if key[0] == entry])) for entry in LOOPS
+        }
     print(json.dumps(summary))
 
     report = {
         "bench": (
-            "inner solve, loop step, norm, functional, sweep cell, verify criterion and "
-            "end-to-end process (bench/run_bench.py)"
+            "inner solve, loop step, norm, functional, sweep cell, verify criterion, "
+            "end-to-end process and calibration kernel (bench/run_bench.py)"
         ),
-        "repeats": REPEATS,
+        "timings": TIMINGS,
         "statistic": (
-            "median over repeats of the mean wall time per call, loop step, sweep cell, "
-            "verify criterion or child process (and of a child's max RSS), with the first "
-            "and third quartiles of the repeats"
-        ),
-        "loop_statistic": (
-            f"least of {LOOP_TIMINGS} wall times per run and tree, trees alternating run by "
-            "run; change_over_parent is the ratio of the summed run times, with the quartiles "
-            "of the per-run ratios"
+            f"least of {TIMINGS} wall times per call and tree, the trees back to back and "
+            "alternating call by call; a row's time per unit is the sum of its calls' least "
+            "times over its units, change_over_parent the ratio of those sums, with the first "
+            "and third quartiles of the per-call ratios"
         ),
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},

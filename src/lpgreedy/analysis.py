@@ -60,6 +60,10 @@ __all__ = [
 # Solver slack added to every per-step trace inequality: the inner infima
 # are exact in the statements, approximate in the runs.
 DEFAULT_SLACK = 1e-8
+# Round-off allowance of the trivial-step bound, and the tolerance of the
+# iacc barycentric weights (their sum and each selection's unit phase).
+TRIVIAL_STEP_SLACK = 1e-10
+WEIGHT_TOL = 1e-12
 
 
 @dataclass
@@ -585,25 +589,22 @@ def check_monotone(trace: GreedyTrace, slack: float = DEFAULT_SLACK) -> CheckRep
     return _finish("residual_monotone", margins, len(trace.records), 0.0)
 
 
-def check_trivial_step(trace: GreedyTrace, slack: float = 1e-10) -> CheckReport:
+def check_trivial_step(trace: GreedyTrace) -> CheckReport:
     """Trivial-step safety of the incremental loops: ||f_m|| <= ||f_{m-1}|| + 2/m."""
     norms = trace.residual_norms()
     m = np.arange(1, norms.size)
-    margins = norms[:-1] + 2.0 / m + slack - norms[1:]
+    margins = norms[:-1] + 2.0 / m + TRIVIAL_STEP_SLACK - norms[1:]
     return _finish("trivial_step_bound", margins, len(trace.records), 0.0)
 
 
 def check_barycentric(
-    trace: GreedyTrace,
-    dictionary: Dictionary,
-    tol: float = 1e-10,
-    weight_tol: float = 1e-12,
+    trace: GreedyTrace, dictionary: Dictionary, tol: float = 1e-10
 ) -> CheckReport:
     """Recorded selections rebuild every stored G_m.
 
     G_m must equal (1/m) sum_{j<=m} nu_j phi_j within ``tol``. For the
     convex variant the implied weights must additionally be nonnegative
-    reals summing to one within ``weight_tol``.
+    reals summing to one within WEIGHT_TOL.
     """
     records = trace.records[: len(trace.approximants)]
     phases = np.array([record.phase for record in records], dtype=np.complex128)
@@ -624,8 +625,8 @@ def check_barycentric(
             counts[record.selected_index] = counts.get(record.selected_index, 0) + 1
             weights = [c / record.m for c in counts.values()]
             margins.append(min(weights))
-            margins.append(weight_tol - abs(sum(weights) - 1.0))
-            if abs(record.phase - 1.0) > weight_tol:
+            margins.append(WEIGHT_TOL - abs(sum(weights) - 1.0))
+            if abs(record.phase - 1.0) > WEIGHT_TOL:
                 margins.append(-abs(record.phase - 1.0))
                 details.append(f"step {record.m}: non-unit weight phase")
     return _finish("barycentric_reconstruction", margins, len(trace.records), 0.0, details)

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .algorithms import RelaxationSchedule, WeaknessSequence
@@ -113,7 +114,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         s, d, t, a = self.space, self.dictionary, self.target, self.algorithm
-        if not 1.0 < float(s.p) <= P_MAX:
+        if not 1.0 < _real("space.p", s.p) <= P_MAX:
             raise ConfigError(f"space.p: must satisfy 1 < p <= {P_MAX:g}; got {s.p!r}")
         if _integer("space.dim", s.dim) < 1:
             raise ConfigError(f"space.dim: must be >= 1; got {s.dim!r}")
@@ -139,7 +140,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"target.sparsity: must lie in [1, dictionary.count={d.count}]; got {t.sparsity!r}"
             )
-        if not 0.0 <= float(t.eps) < math.inf:
+        if not 0.0 <= _real("target.eps", t.eps) < math.inf:
             raise ConfigError(f"target.eps: must be finite and >= 0; got {t.eps!r}")
         if a.id not in ALGORITHM_IDS:
             raise ConfigError(f"algorithm.id: must be one of {ALGORITHM_IDS}; got {a.id!r}")
@@ -147,10 +148,12 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm.iters: must be >= 1; got {a.iters!r}")
         if a.policy not in POLICIES:
             raise ConfigError(f"algorithm.policy: must be one of {POLICIES}; got {a.policy!r}")
-        if not 0.0 < float(a.t) <= 1.0:
+        if not 0.0 < _real("algorithm.t", a.t) <= 1.0:
             raise ConfigError(f"algorithm.t: must lie in (0, 1]; got {a.t!r}")
         if a.tau is not None:
-            if len(a.tau) < int(a.iters):
+            if a.id in ("iac", "iacc"):
+                raise ConfigError(f"algorithm.tau: {a.id} has no weakness sequence; got {a.tau!r}")
+            if len(_reals("algorithm.tau", a.tau)) < int(a.iters):
                 raise ConfigError(
                     f"algorithm.tau: has {len(a.tau)} entries, fewer than iters={a.iters}"
                 )
@@ -158,10 +161,15 @@ class ExperimentConfig:
                 raise ConfigError("algorithm.tau: entries must lie in [0, 1]")
         if a.r_kind not in ("harmonic", "constant", "custom"):
             raise ConfigError(f"algorithm.r_kind: unknown kind {a.r_kind!r}")
-        if not 0.0 <= float(a.r_constant) < 1.0:
+        if not 0.0 <= _real("algorithm.r_constant", a.r_constant) < 1.0:
             raise ConfigError(f"algorithm.r_constant: must lie in [0, 1); got {a.r_constant!r}")
+        if a.r_values is not None and (a.r_kind != "custom" or a.id != "gawr"):
+            raise ConfigError(
+                "algorithm.r_values: used only by gawr with r_kind = custom; "
+                f"got algorithm.id = {a.id!r}, r_kind = {a.r_kind!r}"
+            )
         if a.r_kind == "custom":
-            if not a.r_values:
+            if a.r_values is None or not _reals("algorithm.r_values", a.r_values):
                 raise ConfigError("algorithm.r_values: required when r_kind = custom")
             if len(a.r_values) < int(a.iters):
                 raise ConfigError(
@@ -169,7 +177,7 @@ class ExperimentConfig:
                 )
             if any(not 0.0 <= float(v) < 1.0 for v in a.r_values):
                 raise ConfigError("algorithm.r_values: entries must lie in [0, 1)")
-        if not 0.0 < float(a.k1) < math.inf:
+        if not 0.0 < _real("algorithm.k1", a.k1) < math.inf:
             raise ConfigError(f"algorithm.k1: must be finite and > 0; got {a.k1!r}")
         if a.id == "iac" and (t.membership != "a1" or float(t.eps) != 0.0):
             raise ConfigError(
@@ -179,7 +187,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "algorithm.id: iacc requires target.membership = conv and target.eps = 0"
             )
-        if not 0.0 <= float(self.checks.slack) < math.inf:
+        if not 0.0 <= _real("checks.slack", self.checks.slack) < math.inf:
             raise ConfigError(f"checks.slack: must be finite and >= 0; got {self.checks.slack!r}")
         if _integer("checks.lambda_points", self.checks.lambda_points) < 2:
             raise ConfigError(f"checks.lambda_points: must be >= 2; got {self.checks.lambda_points!r}")
@@ -305,6 +313,20 @@ def _integer(path: str, value) -> int:
     if number is None:
         raise ConfigError(f"{path}: must be an integer; got {value!r}")
     return number
+
+
+def _real(path: str, value) -> float:
+    """float(value) for an int or a float; a ConfigError naming ``path`` for "2", None or True."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: must be a number; got {value!r}")
+    return float(value)
+
+
+def _reals(path: str, values) -> list[float]:
+    """The numbers of the list ``values``; a ConfigError naming ``path`` for 5 or ["a"]."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{path}: must be a list of numbers; got {values!r}")
+    return [_real(path, value) for value in values]
 
 
 def _format_value(value) -> str:

@@ -1,0 +1,99 @@
+"""The timer and the case builder of ``bench/run_bench.py``, on fake calls and small inputs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import lpgreedy
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "run_bench.py"
+_SPEC = importlib.util.spec_from_file_location("run_bench", _SCRIPT)
+run_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(run_bench)
+
+
+def test_time_calls_alternates_the_first_tree_per_input_and_per_timing(monkeypatch):
+    monkeypatch.setattr(run_bench, "TIMINGS", 3)
+    log = []
+    calls = {
+        label: [lambda label=label, i=i: log.append((label, i)) for i in range(3)]
+        for label in ("parent", "change")
+    }
+    best = run_bench.time_calls(calls)
+    P, C = "parent", "change"
+    expected = [
+        (P, 0), (C, 0), (C, 0), (P, 0), (P, 0), (C, 0),
+        (C, 1), (P, 1), (P, 1), (C, 1), (C, 1), (P, 1),
+        (P, 2), (C, 2), (C, 2), (P, 2), (P, 2), (C, 2),
+    ]
+    assert log == expected
+    assert [len(best[label]) for label in (P, C)] == [3, 3]
+
+
+def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
+    monkeypatch.setattr(run_bench, "TIMINGS", 3)
+
+    class Clock:
+        now = 0.0
+
+        def perf_counter(self):
+            return self.now
+
+    clock = Clock()
+    monkeypatch.setattr(run_bench, "time", clock)
+    durations = {
+        "parent": [[5.0, 2.0, 7.0], [1.0, 4.0, 3.0]],
+        "change": [[6.0, 6.0, 0.5], [8.0, 9.0, 2.5]],
+    }
+
+    def fake(steps):
+        def call():
+            clock.now += next(steps)
+        return call
+
+    calls = {
+        label: [fake(iter(per_call)) for per_call in per_label]
+        for label, per_label in durations.items()
+    }
+    best = run_bench.time_calls(calls)
+    assert best == {"parent": [2.0, 1.0], "change": [0.5, 2.5]}
+    assert run_bench.ratios(best) == {
+        "change_over_parent": 3.0 / 3.0,
+        "call_ratio_quartiles": pytest.approx(run_bench.quartiles([0.25, 2.5])),
+    }
+
+
+def test_quartiles_of_one_value_are_the_value():
+    assert run_bench.quartiles([4.0]) == [4.0, 4.0]
+    assert run_bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == [1.5, 4.5]
+
+
+def _case_data(entry, p, dim):
+    if entry in run_bench.PROCESSES or entry == run_bench.CALIBRATION:
+        return [0, 1]
+    if entry.startswith("verify_"):
+        return [1]
+    return run_bench.instances(entry, p, dim)[:2]
+
+
+@pytest.mark.parametrize(
+    "entry, dim",
+    [(entry, 16) for entry in run_bench.SOLVES + run_bench.NORMS + run_bench.LOOPS]
+    + [(entry, run_bench.CELL_DIM) for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS)]
+    + [(entry, None) for entry in (*run_bench.PROCESSES, "verify_01", run_bench.CALIBRATION)],
+)
+def test_prepare_builds_one_call_per_input(entry, dim):
+    p = 1.5
+    data = _case_data(entry, p, dim)
+    calls = run_bench.prepare(lpgreedy, entry, p, dim, data)
+    assert len(calls) == len(data) and all(callable(call) for call in calls)
+    if entry in run_bench.PROCESSES or entry.startswith("verify_"):
+        return  # a child process or a whole criterion: too slow to make here
+    stats = run_bench.warm_up(lpgreedy, entry, calls)
+    if entry in run_bench.SWEEPS:
+        assert stats["units"] == stats["cells"] == len(data) * run_bench.CELL_REPLICATES
+    elif entry not in run_bench.LOOPS:
+        assert stats["units"] == len(data)

@@ -57,6 +57,17 @@ class TestRunCommand:
         assert err.startswith("config error: ")
         assert line.split(" = ")[0] in err
 
+    @pytest.mark.parametrize(
+        "line",
+        ["space.p = none", "space.p = [2]", "space.p = abc", "algorithm.t = [1]",
+         "algorithm.tau = 5", "target.eps = none", "checks.slack = none"],
+    )
+    def test_non_numeric_value_refused_by_field(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{line}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {line.split(' = ')[0]}: ")
+
     def test_fractional_dim_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("space.p = 1.5\nspace.dim = 16.5\ndictionary.count = 32\n")
@@ -119,6 +130,15 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert "config error: dictionary.seed: must be >= 0; got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_non_numeric_base_p_exits_2(self, tmp_path, capsys):
+        _, config = write_config(tmp_path)
+        base = config.to_dict()
+        base["space"]["p"] = None
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({"base": base, "axes": [["algorithm.iters", [2]]]}))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: space.p: must be a number; got None" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", ["dictionary.seed", "target.seed"])
     def test_seed_axis_exits_2(self, tmp_path, capsys, path):

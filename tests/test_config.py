@@ -116,6 +116,65 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{path}: {message}"):
             run_experiment(config)
 
+    @pytest.mark.parametrize(
+        "path",
+        ["space.p", "target.eps", "algorithm.t", "algorithm.r_constant", "algorithm.k1",
+         "checks.slack"],
+    )
+    @pytest.mark.parametrize("value", [None, [2], "2", "abc", True])
+    def test_non_numeric_float_names_field(self, path, value):
+        section, name = path.split(".")
+        config = sample_config(**{section: {name: value}})
+        with pytest.raises(ConfigError, match=f"^{path}: must be a number; got "):
+            config.validate()
+
+    @pytest.mark.parametrize("path", ["algorithm.tau", "algorithm.r_values"])
+    @pytest.mark.parametrize(
+        "value,message",
+        [(5, "must be a list of numbers; got 5"), ("0.5", "must be a list of numbers; got '0.5'"),
+         ([0.5] * 11 + [None], "must be a number; got None")],
+    )
+    def test_non_numeric_list_names_field(self, path, value, message):
+        config = sample_config(algorithm={"id": "gawr", "r_kind": "custom", "r_values": [0.5] * 12})
+        section, name = path.split(".")
+        config = sample_config(**{section: {**config.to_dict()[section], name: value}})
+        with pytest.raises(ConfigError, match=f"^{path}: {message}$"):
+            config.validate()
+
+    def test_numeric_range_messages_unchanged(self):
+        with pytest.raises(ConfigError, match=r"^space.p: must satisfy 1 < p <= 64; got 0.5$"):
+            sample_config(space={"p": 0.5}).validate()
+        with pytest.raises(ConfigError, match=r"^algorithm.tau: entries must lie in \[0, 1\]$"):
+            sample_config(algorithm={"tau": [2.0] * 12}).validate()
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [{"id": "gawr", "r_kind": "harmonic"}, {"id": "gawr", "r_kind": "constant"},
+         {"id": "wgafr", "r_kind": "custom"}, {"id": "wgafr", "r_kind": "harmonic"}],
+    )
+    def test_r_values_refused_where_unused(self, algorithm):
+        config = sample_config(algorithm={**algorithm, "r_values": [0.9] * 12})
+        with pytest.raises(ConfigError, match="^algorithm.r_values: used only by gawr with r_kind = custom"):
+            config.validate()
+        with pytest.raises(ConfigError, match="^algorithm.r_values: used only by gawr"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("algorithm", ["iac", "iacc"])
+    def test_tau_refused_by_incremental_loops(self, algorithm):
+        membership = "conv" if algorithm == "iacc" else "a1"
+        config = sample_config(
+            algorithm={"id": algorithm, "tau": [1.0] * 12}, target={"membership": membership}
+        )
+        with pytest.raises(ConfigError, match=f"^algorithm.tau: {algorithm} has no weakness sequence"):
+            config.validate()
+
+    def test_sweep_with_non_numeric_base_p_refused(self):
+        base = sample_config().to_dict()
+        base["space"]["p"] = None
+        spec = SweepSpec.from_json_obj({"base": base, "axes": [["space.p", [1.5]]]})
+        with pytest.raises(ConfigError, match="^space.p: must be a number; got None$"):
+            spec.validate()
+
     def test_sweep_with_bad_base_seed_refused(self):
         spec = SweepSpec(base=sample_config(target={"seed": 2.5}), axes=[("space.p", [1.5])])
         with pytest.raises(ConfigError, match="target.seed: must be an integer; got 2.5"):
