@@ -533,7 +533,7 @@ def main(argv=None) -> int:
         if entry == CALIBRATION:
             row["reference_us"] = 1e6 * calls[key]["change"][0].REFERENCE_S
         for label in pkgs:
-            stats = dict(outcomes[key][label])
+            stats = outcomes[key][label]
             unit_s = sum(times[key][label]) / stats.pop("units")
             row[label] = {f"{unit}_us": 1e6 * unit_s}
             if entry in SOLVES:
