@@ -73,6 +73,7 @@ edits not yet committed), the machine and the package versions.
 from __future__ import annotations
 
 import argparse
+import compileall
 import functools
 import importlib
 import json
@@ -476,6 +477,10 @@ def main(argv=None) -> int:
     trees = {"change": HERE_SRC}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), "change": HERE_SRC}
+    # Bytecode for both trees up front, so no child process compiles a tree
+    # that has no cache (a fresh clone under PYTHONDONTWRITEBYTECODE).
+    for src in trees.values():
+        compileall.compile_dir(src, quiet=1)
     pkgs = {label: load_package(src) for label, src in trees.items()}
     cases = {
         (entry, p, dim): instances(entry, p, dim)

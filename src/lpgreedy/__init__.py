@@ -15,7 +15,6 @@ from .spaces import (
     apply_functional,
     rho_bound,
     smoothness_params,
-    estimate_rho,
 )
 from .dictionaries import (
     Dictionary,
@@ -62,11 +61,9 @@ from .analysis import (
     fit_log_slope,
     check_orthogonality,
     check_dual_norm_supremum,
-    check_condition_43,
     check_monotone,
     check_trivial_step,
     check_barycentric,
-    reports_to_csv,
 )
 from .config import (
     ExperimentConfig,

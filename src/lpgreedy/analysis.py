@@ -48,12 +48,10 @@ __all__ = [
     "fit_log_slope",
     "check_orthogonality",
     "check_dual_norm_supremum",
-    "check_condition_43",
     "check_monotone",
     "check_trivial_step",
     "check_barycentric",
     "ml1_optimal_lambda",
-    "reports_to_csv",
     "DEFAULT_SLACK",
 ]
 
@@ -116,17 +114,6 @@ def _not_applicable(name, details, samples=0, tolerance=0.0, passed=True):
     """Report for data outside a checker's hypotheses: worst margin +inf, or -inf if failed."""
     worst = float("inf") if passed else float("-inf")
     return CheckReport(name, passed, worst, samples, tolerance, applicable=False, details=details)
-
-
-def reports_to_csv(reports) -> str:
-    """Summary table (name, passed, worst_margin, samples) as CSV text."""
-    lines = ["name,passed,worst_margin,samples"]
-    for report in reports:
-        lines.append(
-            f"{report.name},{'true' if report.passed else 'false'},"
-            f"{report.worst_margin!r},{report.samples}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def check_ll0(space: LpSpace, n_samples: int, seed: int, tol: float = 1e-9) -> CheckReport:
@@ -538,48 +525,6 @@ def check_dual_norm_supremum(
         ]
     )
     return _finish("ll2_ll3_sampling", margins, 2 * n + 2, 0.0)
-
-
-def check_condition_43(
-    tau: WeaknessSequence,
-    theta: float,
-    n_terms: int,
-    params: SmoothnessParams,
-) -> CheckReport:
-    """Diagnostic partial sums of t_m * s^{-1}(theta t_m).
-
-    s(u) = rho_bound(u)/u = gamma u^(q-1), so s^{-1}(v) = (v/gamma)^(1/(q-1)).
-    Finite evidence cannot decide divergence, so this never fails; the
-    report carries checkpoint partial sums and the log-log growth trend of
-    the partial-sum sequence.
-    """
-    theta = float(theta)
-    if theta <= 0.0:
-        raise ValueError(f"theta must be > 0; got {theta}")
-    n_terms = _count("n_terms", n_terms)
-    t = np.array([tau.value(m) for m in range(1, n_terms + 1)])
-    terms = t * (theta * t / params.gamma) ** (1.0 / (params.q - 1.0))
-    partial = np.cumsum(terms)
-    details = [
-        f"partial_sum_quarter={float(partial[max(0, n_terms // 4 - 1)])!r}",
-        f"partial_sum_half={float(partial[max(0, n_terms // 2 - 1)])!r}",
-        f"partial_sum_full={float(partial[-1])!r}",
-    ]
-    tail = partial[n_terms // 2 :]
-    if tail.size >= 2 and tail.min() > 0.0:
-        idx = np.arange(n_terms // 2 + 1, n_terms + 1, dtype=float)
-        trend = float(np.polyfit(np.log(idx), np.log(tail), 1)[0])
-        details.append(f"tail_growth_exponent={trend!r}")
-    else:
-        details.append("tail_growth_exponent=nan (vanishing partial sums)")
-    return CheckReport(
-        name="condition_43_diagnostic",
-        passed=True,
-        worst_margin=float(partial[-1]),
-        samples=n_terms,
-        tolerance=0.0,
-        details=details,
-    )
 
 
 def check_monotone(trace: GreedyTrace, slack: float = DEFAULT_SLACK) -> CheckReport:

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, InfeasibleSelectionError, ValueError) as exc:
+    except (OSError, InfeasibleSelectionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

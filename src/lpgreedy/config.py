@@ -222,10 +222,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config of ``to_dict`` form; a whole float in an integer field becomes an int."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: must be an object of sections; got {data!r}")
         kwargs = {}
         for key, value in data.items():
             if key not in _SECTIONS:
                 raise ConfigError(f"{key}: unknown configuration section")
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key}: must be an object of fields; got {value!r}")
             section_cls, valid, integers = _SECTIONS[key]
             unknown = set(value).difference(valid)
             if unknown:
@@ -394,10 +398,15 @@ class SweepSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SweepSpec":
-        if "base" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("base"), dict):
             raise ConfigError("base: sweep spec requires a base config object")
         base = ExperimentConfig.from_dict(obj["base"])
-        axes = [(str(path), list(values)) for path, values in obj.get("axes", [])]
+        axes = obj.get("axes", [])
+        if not isinstance(axes, list) or not all(
+            isinstance(axis, list) and len(axis) == 2 and isinstance(axis[1], list) for axis in axes
+        ):
+            raise ConfigError(f"axes: must be a list of [path, values] pairs; got {axes!r}")
+        axes = [(str(path), list(values)) for path, values in axes]
         replicate_seeds = _integer("replicate_seeds", obj.get("replicate_seeds", 1))
         return cls(base=base, axes=axes, replicate_seeds=replicate_seeds)
 

@@ -1,8 +1,8 @@
 """Seeded experiment execution and sweeps.
 
 Outputs are a pure function of the config text: no clocks, no environment
-lookups. Every file embeds the config hash and the readers refuse
-mismatched trace/report pairs.
+lookups. Every file embeds the config hash, so a trace and a report from
+the same config can be matched.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 
 from .algorithms import (
     GreedyTrace,
-    read_trace_csv,
     run_gawr,
     run_iac,
     run_iacc,
@@ -36,13 +35,7 @@ from .config import ExperimentConfig, SweepSpec, stable_seed
 from .dictionaries import generate_dictionary, make_target
 from .spaces import LpSpace, smoothness_params
 
-__all__ = [
-    "run_experiment",
-    "run_sweep",
-    "read_report_json",
-    "load_run",
-    "stable_seed",
-]
+__all__ = ["run_experiment", "run_sweep"]
 
 SWEEP_COLUMNS = (
     "cell",
@@ -103,6 +96,8 @@ def run_experiment(
     """
     config.validate()
     space, dictionary, target = _build(config)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     cfg = config.solver
     a = config.algorithm
     tau = config.weakness()
@@ -144,7 +139,6 @@ def run_experiment(
     trace.config_hash = config.hash()
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         trace.write_csv(os.path.join(out_dir, config.output.trace_csv))
         report_obj = {
             "schema": "lpgreedy.report.v1",
@@ -157,29 +151,6 @@ def run_experiment(
             json.dump(report_obj, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return trace, reports
-
-
-def read_report_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if obj.get("schema") != "lpgreedy.report.v1":
-        raise ValueError(f"{path}: not a lpgreedy report file")
-    return obj
-
-
-def load_run(trace_path, report_path):
-    """Load a trace/report pair, refusing mismatched config hashes."""
-    meta, records = read_trace_csv(trace_path)
-    report = read_report_json(report_path)
-    if meta.get("config_hash") != report.get("config_hash"):
-        raise ValueError(
-            f"config hash mismatch: trace {meta.get('config_hash')!r} vs "
-            f"report {report.get('config_hash')!r}"
-        )
-    return meta, records, report
 
 
 def _run_cell(base: ExperimentConfig, cell: int, replicate: int, assignments: dict) -> dict:
@@ -225,6 +196,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
     failures land in the row's ``error`` column and do not stop the sweep.
     """
     spec.validate()
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     paths = [path for path, _ in spec.axes]
     rows = []
     for cell, combo in enumerate(itertools.product(*(values for _, values in spec.axes))):
@@ -232,7 +205,6 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
         for replicate in range(int(spec.replicate_seeds)):
             rows.append(_run_cell(spec.base, cell, replicate, assignments))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()

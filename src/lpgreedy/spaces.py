@@ -22,7 +22,6 @@ __all__ = [
     "apply_functional",
     "rho_bound",
     "smoothness_params",
-    "estimate_rho",
 ]
 
 # |h_i|^(p-1) and the dual exponent p/(p-1) leave float64 range quickly for
@@ -288,27 +287,3 @@ def smoothness_params(space: LpSpace) -> SmoothnessParams:
         q = 2.0
         gamma = (space.p - 1.0) / 2.0
     return SmoothnessParams(q=q, gamma=gamma, p_dual=q / (q - 1.0))
-
-
-def estimate_rho(space: LpSpace, u: float, n_samples: int, seed: int) -> float:
-    """Monte-Carlo lower estimate of the modulus of smoothness at u.
-
-    Maximizes (||x+uy|| + ||x-uy||)/2 - 1 over ``n_samples`` random unit
-    pairs (x, y). The estimate never exceeds rho_bound(space, u) and, for
-    a fixed seed, is nondecreasing in u because each sampled pair
-    contributes an even convex function of u.
-    """
-    u = float(u)
-    if not np.isfinite(u) or u < 0.0:
-        raise ValueError(f"u must be finite and nonnegative; got {u!r}")
-    n_samples = _count("n_samples", n_samples)
-    if u == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    shape = (n_samples, space.dim)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x /= _norm_rows(space.p, x)[:, None]
-    y /= _norm_rows(space.p, y)[:, None]
-    vals = 0.5 * (_norm_rows(space.p, x + u * y) + _norm_rows(space.p, x - u * y)) - 1.0
-    return max(0.0, float(vals.max()))

@@ -12,7 +12,6 @@ from lpgreedy import (
     WeaknessSequence,
     apply_functional,
     best_approx_subspace,
-    check_condition_43,
     check_dual_norm_supremum,
     check_hl1,
     check_ll0,
@@ -385,54 +384,6 @@ class TestCheckDualNormSupremum:
         whole = check_dual_norm_supremum(F, d, n_samples=16.0)
         assert whole == check_dual_norm_supremum(F, d, n_samples=16)
         assert whole.samples == 2 * 16 + 2
-
-
-class TestCheckCondition43:
-    def test_n_terms_must_be_whole(self):
-        params = smoothness_params(LpSpace(2.0, 4))
-        tau = WeaknessSequence.constant(1.0)
-        assert check_condition_43(tau, 0.5, 8.0, params) == check_condition_43(tau, 0.5, 8, params)
-        for n in (0, 2.5):
-            with pytest.raises(ValueError, match=f"n_terms must be an integer >= 1; got {n}"):
-                check_condition_43(tau, 0.5, n, params)
-
-    def test_constant_weakness_linear_growth(self):
-        params = smoothness_params(LpSpace(2.0, 4))
-        theta = 0.3
-        report = check_condition_43(WeaknessSequence.constant(1.0), theta, 200, params)
-        assert report.passed  # diagnostic: always
-        assert report.worst_margin == pytest.approx(2.0 * theta * 200, rel=1e-12)
-
-    def test_zero_weakness(self):
-        params = smoothness_params(LpSpace(2.0, 4))
-        tau = WeaknessSequence.general([0.0] * 50)
-        report = check_condition_43(tau, 0.5, 50, params)
-        assert report.worst_margin == 0.0
-
-    def test_reciprocal_weakness_bounded(self):
-        params = smoothness_params(LpSpace(2.0, 4))
-        theta = 0.5
-        tau = WeaknessSequence.general([1.0 / m for m in range(1, 401)])
-        report = check_condition_43(tau, theta, 400, params)
-        # terms 2 theta / m^2: partial sums below 2 theta pi^2/6
-        assert report.worst_margin <= 2.0 * theta * (np.pi**2 / 6.0)
-        assert report.worst_margin >= 2.0 * theta  # first term alone
-
-
-class TestReportsToCsv:
-    def test_summary_table(self):
-        from lpgreedy import reports_to_csv
-
-        reports = [
-            check_ll0(LpSpace(2.0, 4), 100, seed=1),
-            check_hl1([1.0, 0.9], C1=1.0, a_seq=[0.1]),
-        ]
-        text = reports_to_csv(reports)
-        lines = text.splitlines()
-        assert lines[0] == "name,passed,worst_margin,samples"
-        assert lines[1].startswith("ll0_sandwich,true,")
-        assert lines[2].startswith("hl1,true,")
-        assert len(lines) == 3
 
 
 class TestTraceChecks:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lpgreedy import ExperimentConfig
+from lpgreedy import ExperimentConfig, harness
 from lpgreedy.cli import main
 
 
@@ -38,11 +38,18 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(json_path), "--out", str(out)]) == 0
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("space.p = 1.0\n", "space.p: "),
+         ('{"space": 5}', "space: must be an object of fields; got 5"),
+         ('{"algorithm": [1]}', "algorithm: must be an object of fields; got [1]")],
+        ids=["p_out_of_range", "section_is_number", "section_is_list"],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("space.p = 1.0\n")
+        path.write_text(text)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "space.p" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
         "line",
@@ -85,9 +92,27 @@ class TestRunCommand:
         assert err.startswith(f"config error: {path}: must be ")
         assert not (tmp_path / "o").exists()
 
-    def test_missing_config_exits_2(self, tmp_path):
-        missing = tmp_path / "nope.txt"
-        assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("case", ["missing_config", "config_is_dir", "out_is_file", "sweep_out_is_file"])
+    def test_missing_config_exits_2(self, tmp_path, capsys, monkeypatch, case):
+        # An unusable path is refused with exit 2 before any run starts.
+        config_path, config = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cells = []
+        if case == "missing_config":
+            argv = ["run", "--config", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]
+        elif case == "config_is_dir":
+            argv = ["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]
+        elif case == "out_is_file":
+            argv = ["run", "--config", str(config_path), "--out", str(taken)]
+        else:
+            spec_path = tmp_path / "sweep.json"
+            spec_path.write_text(json.dumps({"base": config.to_dict(), "axes": []}))
+            argv = ["sweep", "--spec", str(spec_path), "--out", str(taken)]
+            monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: cells.append(a))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cells == []  # the sweep refuses its --out before its first cell
 
     def test_run_twice_byte_identical(self, tmp_path):
         config_path, _ = write_config(tmp_path)
@@ -116,10 +141,23 @@ class TestSweepCommand:
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
 
-    def test_invalid_spec_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [({"axes": []}, "base: "),
+         ({"base": 5}, "base: "),
+         ({"base": {}, "axes": 5}, "axes: "),
+         ({"base": {}, "axes": [["space.p", 1.5]]}, "axes: "),
+         ({"base": {}, "axes": [["space.p"]]}, "axes: "),
+         ({"base": {}, "axes": [["space.p", "abc"]]}, "axes: ")],
+        ids=["no_base", "base_is_number", "axes_is_number", "values_is_number", "no_values",
+             "values_is_string"],
+    )
+    def test_invalid_spec_exits_2(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "sweep.json"
-        spec_path.write_text("{\"axes\": []}")
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_base_seed_exits_2(self, tmp_path, capsys):
         _, config = write_config(tmp_path)

@@ -218,6 +218,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="space.q"):
             ExperimentConfig.from_dict({"space": {"q": 2.0}})
 
+    @pytest.mark.parametrize("data", [5, [{"space": {}}], None])
+    def test_non_object_config_rejected(self, data):
+        with pytest.raises(ConfigError, match="^config: must be an object of sections; got "):
+            ExperimentConfig.from_dict(data)
+
 
 class TestRoundTrips:
     def test_text_round_trip_lossless(self):

@@ -7,7 +7,7 @@ import pytest
 from lpgreedy import ExperimentConfig, analysis, dictionaries, fit_log_slope, harness, solvers
 from lpgreedy.algorithms import read_trace_csv
 from lpgreedy.config import SweepSpec
-from lpgreedy.harness import load_run, read_report_json, run_experiment, run_sweep
+from lpgreedy.harness import run_experiment, run_sweep
 
 
 def minimal_config(**overrides):
@@ -51,17 +51,10 @@ class TestRunExperiment:
         config = minimal_config()
         trace, _ = run_experiment(config, out_dir=str(tmp_path))
         assert trace.config_hash == config.hash()
-        meta, _, report = load_run(tmp_path / "trace.csv", tmp_path / "report.json")
+        meta, _ = read_trace_csv(tmp_path / "trace.csv")
+        report = json.loads((tmp_path / "report.json").read_text())
         assert meta["config_hash"] == config.hash()
         assert report["config_hash"] == config.hash()
-
-    def test_mismatched_pair_refused(self, tmp_path):
-        run_experiment(minimal_config(), out_dir=str(tmp_path / "a"))
-        run_experiment(
-            minimal_config(target={"seed": 9}), out_dir=str(tmp_path / "b")
-        )
-        with pytest.raises(ValueError, match="mismatch"):
-            load_run(tmp_path / "a" / "trace.csv", tmp_path / "b" / "report.json")
 
     def test_checker_suite_matches_algorithm(self):
         _, wgafr_reports = run_experiment(minimal_config())
@@ -99,7 +92,7 @@ class TestRunExperiment:
 
     def test_report_json_schema(self, tmp_path):
         run_experiment(minimal_config(), out_dir=str(tmp_path))
-        report = read_report_json(tmp_path / "report.json")
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["schema"] == "lpgreedy.report.v1"
         assert report["algorithm"] == "wgafr"
         for entry in report["reports"]:

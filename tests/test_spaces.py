@@ -8,7 +8,6 @@ from lpgreedy import (
     LpSpace,
     apply_functional,
     complex_sign,
-    estimate_rho,
     lp_norm,
     norming_functional,
     rho_bound,
@@ -303,6 +302,19 @@ class TestRhoBound:
         with pytest.raises(ValueError):
             rho_bound(LpSpace(2.0, 2), -0.1)
 
+    def test_dominates_sampled_modulus(self):
+        # (||x+uy|| + ||x-uy||)/2 - 1 over random unit pairs samples the
+        # modulus of smoothness from below, so it never exceeds the bound.
+        for p in PS:
+            rng = np.random.default_rng(11)
+            x = rng.standard_normal((500, 6)) + 1j * rng.standard_normal((500, 6))
+            y = rng.standard_normal((500, 6)) + 1j * rng.standard_normal((500, 6))
+            x /= _norm_rows(p, x)[:, None]
+            y /= _norm_rows(p, y)[:, None]
+            for u in (0.05, 0.1, 0.5, 1.0, 2.0):
+                sample = 0.5 * (_norm_rows(p, x + u * y) + _norm_rows(p, x - u * y)) - 1.0
+                assert sample.max() <= rho_bound(LpSpace(p, 6), u) + 1e-9
+
 
 class TestSmoothnessParams:
     def test_p2(self):
@@ -327,39 +339,3 @@ class TestSmoothnessParams:
             assert rho_bound(space, u) == pytest.approx(
                 params.gamma * u**params.q, rel=1e-13
             )
-
-
-class TestEstimateRho:
-    def test_n_samples_must_be_whole(self):
-        space = LpSpace(3.0, 4)
-        assert estimate_rho(space, 0.5, 100.0, seed=0) == estimate_rho(space, 0.5, 100, seed=0)
-        for n in (0, 2.5):
-            with pytest.raises(ValueError, match=f"n_samples must be an integer >= 1; got {n}"):
-                estimate_rho(space, 0.5, n, seed=0)
-
-    def test_hilbert_u1_approaches_closed_form(self):
-        target = np.sqrt(2.0) - 1.0
-        est = estimate_rho(LpSpace(2.0, 8), 1.0, 4000, seed=3)
-        assert est <= target + 1e-9
-        assert est >= target - 0.02
-
-    def test_zero_u(self):
-        assert estimate_rho(LpSpace(3.0, 4), 0.0, 100, seed=0) == 0.0
-
-    def test_dominated_by_bound(self):
-        for p in PS:
-            space = LpSpace(p, 6)
-            for u in (0.05, 0.1, 0.5, 1.0, 2.0):
-                assert estimate_rho(space, u, 500, seed=11) <= rho_bound(space, u) + 1e-9
-
-    def test_monotone_in_u(self):
-        space = LpSpace(1.5, 5)
-        grid = np.linspace(0.0, 3.0, 13)
-        values = [estimate_rho(space, u, 300, seed=9) for u in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_universal_lower_bound_large_u(self):
-        # max(0, u-1) <= rho(u); at p = 2 the closed form is sqrt(1+u^2)-1,
-        # comfortably above u-1, and sampling should land between them.
-        est = estimate_rho(LpSpace(2.0, 8), 4.0, 4000, seed=5)
-        assert est >= 3.0 - 0.05
