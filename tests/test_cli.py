@@ -92,7 +92,9 @@ class TestRunCommand:
         assert err.startswith(f"config error: {path}: must be ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", ["missing_config", "config_is_dir", "out_is_file", "sweep_out_is_file"])
+    @pytest.mark.parametrize(
+        "case", ["missing_config", "config_is_dir", "out_is_file", "sweep_out_is_file"]
+    )
     def test_missing_config_exits_2(self, tmp_path, capsys, monkeypatch, case):
         # An unusable path is refused with exit 2 before any run starts.
         config_path, config = write_config(tmp_path)

@@ -29,9 +29,8 @@ def _caller_text() -> str:
             source = path.read_text()
             dropped = set()
             for node in ast.parse(source).body:
-                if isinstance(node, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-                ):
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
                     dropped.update(range(node.lineno, node.end_lineno + 1))
             kept.extend(
                 line for lineno, line in enumerate(source.splitlines(), 1) if lineno not in dropped
