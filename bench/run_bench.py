@@ -17,6 +17,9 @@ in {1.5, 2, 3}:
   run): time per step, steps run, steps whose solve did not converge and
   the Newton iterations of the steps' inner solves (total and per step;
   counted in the untimed warm-up pass, so they do not depend on the host);
+* one loop step of ``run_iac`` and ``run_iacc`` (``K1 = 1``, convex
+  targets for ``run_iacc``) at the sweep-cell shape below: time per step
+  and steps run;
 * the calls one loop step makes, for all four loops on the loop rows'
   first CALL_COUNT_RUNS inputs (``run_iac`` with ``K1 = 1``, ``run_iacc``
   on convex targets), counted with ``sys.setprofile`` over whole runs
@@ -29,8 +32,9 @@ in {1.5, 2, 3}:
 * the bookkeeping of one sweep cell, per call, on cells shaped like the
   ``sweep_grid`` benchmark workload (dim 12, count 24 Gaussian
   dictionaries, targets of sparsity 6, 6 steps): ``with_fields`` (the
-  cell's one config edit), ``hash``, ``_build`` (space, dictionary and
-  target), ``fit_log_slope`` and each checker of the ``run_experiment``
+  cell's one config edit), ``hash``, the two draws of ``_build``
+  (``generate_dictionary``, and ``make_target`` for iac and iacc
+  targets), ``fit_log_slope`` and each checker of the ``run_experiment``
   suites, called as that suite calls it (``check_barycentric`` and
   ``check_trivial_step`` on iac and iacc traces, ``check_monotone``,
   ``check_ml1_trace`` and ``check_mt2_bound`` on wgafr traces,
@@ -99,7 +103,8 @@ NORMS = ("lp_norm", "norming_functional")
 CELL_PARTS = {
     "with_fields": ("iac",),
     "hash": ("iac",),
-    "_build": ("iac",),
+    "generate_dictionary": ("iac",),
+    "make_target": ("iac", "iacc"),
     "fit_log_slope": ("iac", "iacc"),
     "check_barycentric": ("iac", "iacc"),
     "check_trivial_step": ("iac", "iacc"),
@@ -109,7 +114,9 @@ CELL_PARTS = {
     "check_ml3_trace": ("gawr",),
 }
 SWEEPS = ("run_sweep",)
-ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS
+# The incremental loops, timed at the sweep-cell shape (CELL_SHAPE).
+CELL_LOOPS = ("run_iac", "run_iacc")
+ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS
 PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
@@ -117,6 +124,7 @@ EDGE_PS = (1.01, 8.0, 64.0)
 INSTANCES = {16: 40, 2048: 32}
 NORM_INSTANCES = {16: 400, 2048: 100}
 LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS, LOOP_RUNS = 16, 32, 8, 10, 60
+LOOP_SHAPE = (LOOP_DIM, LOOP_COUNT, LOOP_SPARSITY, LOOP_ITERS)
 # Timings per call and tree (the least is kept); loop runs whose calls are counted.
 TIMINGS, CALL_COUNT_RUNS = 3, 10
 COUNTED_LOOPS = LOOPS + ("run_iac", "run_iacc")
@@ -126,6 +134,7 @@ CALL_COUNT_NOTE = (
     "direct ufunc calls (np.abs(x)) and operators (@, +) are not counted"
 )
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
+CELL_SHAPE = (CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS)
 # A run_sweep case runs SWEEP_RUNS sweeps per algorithm, CELL_REPLICATES cells each.
 SWEEP_RUNS, CELL_REPLICATES, SWEEP_ALGORITHMS = 5, 3, ("wgafr", "gawr", "iac", "iacc")
 # The verify rows: one per criterion, one call each.
@@ -167,8 +176,11 @@ def load_package(src: Path):
 def instances(entry: str, p: float, dim: int):
     """The seeded inputs of one case: vectors, or loop-run seeds."""
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
-    if entry in LOOPS or entry in CELL_PARTS or entry in SWEEPS:
-        runs = LOOP_RUNS if entry in LOOPS else CELL_RUNS if entry in CELL_PARTS else SWEEP_RUNS
+    if entry in LOOPS + CELL_LOOPS or entry in CELL_PARTS or entry in SWEEPS:
+        runs = (
+            LOOP_RUNS if entry in LOOPS + CELL_LOOPS else CELL_RUNS if entry in CELL_PARTS
+            else SWEEP_RUNS
+        )
         seeds = [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
         return [(a, *pair) for pair in seeds for a in SWEEP_ALGORITHMS] if entry in SWEEPS else seeds
     count = {"minimize_over_line": 2, "minimize_free_relax": 3}.get(entry, 1)
@@ -207,8 +219,22 @@ def prepare_cell_part(pkg, entry, p, data):
         return [functools.partial(configs[0].with_fields, edit) for edit in edits]
     if entry == "hash":
         return [config.hash for config in configs]
-    if entry == "_build":
-        return [functools.partial(pkg.harness._build, config) for config in configs]
+    if entry == "generate_dictionary":
+        return [
+            functools.partial(
+                pkg.generate_dictionary, pkg.LpSpace(c.space.p, c.space.dim), c.dictionary.count,
+                c.dictionary.kind, c.dictionary.seed,
+            )
+            for c in configs
+        ]
+    if entry == "make_target":
+        return [
+            functools.partial(
+                pkg.make_target, pkg.harness._build(c)[1], c.target.membership, c.target.sparsity,
+                c.target.eps, c.target.seed,
+            )
+            for c in configs
+        ]
     return [suite_call(pkg, entry, config) for config in configs]
 
 
@@ -273,9 +299,13 @@ def prepare_process(pkg, entry, data):
     return [lambda work=work: child_process(code, src) for _ in data]
 
 
-def loop_runs(pkg, entry, p, data):
-    """One call per seeded run of a loop at LOOP_DIM, each returning its trace."""
-    space = pkg.LpSpace(p, LOOP_DIM)
+def loop_runs(pkg, entry, p, data, shape=LOOP_SHAPE):
+    """One call per seeded run of a loop, each returning its trace.
+
+    ``shape`` is (dim, dictionary count, target sparsity, steps per run).
+    """
+    dim, count, sparsity, iters = shape
+    space = pkg.LpSpace(p, dim)
     tau = pkg.WeaknessSequence.constant(1.0)
     args = {
         "run_wgafr": (tau,),
@@ -285,10 +315,10 @@ def loop_runs(pkg, entry, p, data):
     }[entry]
     calls = []
     for dict_seed, target_seed in data:
-        dictionary = pkg.generate_dictionary(space, LOOP_COUNT, "gaussian", dict_seed)
+        dictionary = pkg.generate_dictionary(space, count, "gaussian", dict_seed)
         membership = "conv" if entry == "run_iacc" else "a1"
-        target = pkg.make_target(dictionary, membership, LOOP_SPARSITY, 0.0, target_seed)
-        calls.append(functools.partial(getattr(pkg, entry), space, dictionary, target, *args, LOOP_ITERS))
+        target = pkg.make_target(dictionary, membership, sparsity, 0.0, target_seed)
+        calls.append(functools.partial(getattr(pkg, entry), space, dictionary, target, *args, iters))
     return calls
 
 
@@ -303,6 +333,8 @@ def prepare(pkg, entry, p, dim, data):
         return [functools.partial(criteria[n], seed=VERIFY_SEED, profile=VERIFY_PROFILE) for n in data]
     if entry in LOOPS:
         return loop_runs(pkg, entry, p, data)
+    if entry in CELL_LOOPS:
+        return loop_runs(pkg, entry, p, data, CELL_SHAPE)
     if entry in CELL_PARTS:
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS:
@@ -404,7 +436,7 @@ def warm_up(pkg, entry, calls) -> dict:
 
 def outcome(entry, results) -> dict:
     """Deterministic counters of one pass, and the units its time is divided by."""
-    if entry in LOOPS:
+    if entry in LOOPS + CELL_LOOPS:
         records = [rec for trace in results for rec in trace.records]
         return {
             "units": len(records),
@@ -487,7 +519,7 @@ def main(argv=None) -> int:
         for entry in ENTRIES for p in PS
         for dim in (
             (LOOP_DIM,) if entry in LOOPS
-            else (CELL_DIM,) if entry in CELL_PARTS or entry in SWEEPS
+            else (CELL_DIM,) if entry in CELL_PARTS or entry in SWEEPS or entry in CELL_LOOPS
             else INSTANCES
         )
     }
@@ -529,7 +561,7 @@ def main(argv=None) -> int:
         entry, p, dim = key
         verify = entry.startswith("verify_")
         unit = (
-            "criterion" if verify else "step" if entry in LOOPS
+            "criterion" if verify else "step" if entry in LOOPS + CELL_LOOPS
             else "cell" if entry in SWEEPS else "process" if entry in PROCESSES else "call"
         )
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
@@ -558,7 +590,8 @@ def main(argv=None) -> int:
     if "parent" in pkgs:
         battery.update(ratios(pooled(verify_keys)))
         summary["loops_pooled_over_p"] = {
-            entry: ratios(pooled([key for key in cases if key[0] == entry])) for entry in LOOPS
+            entry: ratios(pooled([key for key in cases if key[0] == entry]))
+            for entry in LOOPS + CELL_LOOPS
         }
     print(json.dumps(summary))
 

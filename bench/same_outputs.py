@@ -20,7 +20,10 @@ write the same fixed set of outputs into its own temporary directory:
   the CheckReport JSON of each criterion, whose margins keep every digit
   that the 4-digit printed line drops;
 * the ``sweep_summary.csv`` of sweeps over each algorithm, including
-  cells with invalid values and a sweep without axes;
+  cells with invalid values, a sweep without axes, sweeps over
+  ``space.dim`` given as 8.0 and 6, and, for ``wgafr`` and ``gawr``,
+  sweeps over the list-valued ``algorithm.tau``, all but the
+  ``solver`` sweeps with replicates;
 * the outcome of 54,000 seeded ``weak_select``/``eps_select`` calls (3,000
   random dictionaries and functionals with zero atoms, duplicate atoms
   and functionals that vanish on every atom): index, phase, value and
@@ -102,6 +105,11 @@ def sweep_specs():
             "axes": [["solver.grad_tol", [1e-10, -1.0]], ["space.p", [1.5, 3.0]]],
         }
         yield f"{algo}-no-axes", {"base": base, "axes": [], "replicate_seeds": 3}
+        # An integer field given as a whole float in one cell and as an int in the other.
+        yield f"{algo}-dim", {"base": base, "axes": [["space.dim", [8.0, 6]]], "replicate_seeds": 2}
+        if algo in ("wgafr", "gawr"):  # a list-valued field, one list too short for iters
+            taus = [[1.0] * 6, [0.5, 1.0, 0.25, 1.0, 0.5, 0.75], [0.5] * 3]
+            yield f"{algo}-tau", {"base": base, "axes": [["algorithm.tau", taus]], "replicate_seeds": 2}
 
 
 def _selection_line(call) -> str:

@@ -13,7 +13,6 @@ reduce the residual).
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -420,22 +419,26 @@ def _averaging(
     phase (1 in plain mode). G_m must equal (1/m) sum_j nu_j phi_j; a
     running sum asserts this at every step.
     """
-    eps = functools.partial(epsilon_schedule, K1, smoothness_params(space))
+    params = smoothness_params(space)
+    # epsilon_schedule at n = 1 is K1 gamma^(1/q), checked once; times
+    # float(m) ** (-1/p_dual) it is epsilon_schedule at m, bit for bit.
+    eps_1, power = epsilon_schedule(K1, params, 1), -1.0 / params.p_dual
     running_sum = np.zeros(space.dim, dtype=np.complex128)
     eps_m = None
 
     def select(m, F):
         nonlocal eps_m
-        eps_m = eps(m)
+        eps_m = eps_1 * float(m) ** power
         return eps_select(F, dictionary, target.f, eps_m, mode=mode, policy=policy)
 
     def update(m, G, sel, phi):
         nonlocal running_sum
         nu = sel.phase
+        step = nu * phi
         # The m = 1 step needs no special-casing: (1 - 1/1) = 0 literally.
-        G = (1.0 - 1.0 / m) * G + nu * phi / m
-        running_sum = running_sum + nu * phi
-        drift = np.abs(running_sum / m - G).max()
+        G = (1.0 - 1.0 / m) * G + step / m
+        running_sum += step
+        drift = np.maximum.reduce(np.abs(running_sum / m - G))
         if drift > BARYCENTRIC_TOL:
             raise AssertionError(
                 f"barycentric representation drifted by {drift:.3e} at step {m}"

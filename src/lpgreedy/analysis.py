@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq
 
 from .algorithms import GreedyTrace, WeaknessSequence
 from .dictionaries import Dictionary, _scan
@@ -62,6 +63,7 @@ DEFAULT_SLACK = 1e-8
 # iacc barycentric weights (their sum and each selection's unit phase).
 TRIVIAL_STEP_SLACK = 1e-10
 WEIGHT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -402,6 +404,25 @@ def check_ml4(
     return _finish("ml4", margins, a.size, slack, details)
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.polyfit(x, y, 1)`` bit for bit, for finite x and y with at least two distinct x.
+
+    Scales the Vandermonde columns as polyfit does and calls numpy's
+    LAPACK least-squares gufunc, the one ``np.linalg.lstsq`` wraps, without
+    either function's argument handling. A non-finite y raises the
+    LinAlgError that polyfit raises.
+    """
+    if not np.isfinite(y).all():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    lhs = np.empty((x.size, 2))
+    lhs[:, 0] = x
+    lhs[:, 1] = 1.0
+    scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
+    lhs /= scale
+    coeffs = lstsq(lhs, y[:, None], x.size * _EPS, signature="ddd->ddid")[0]
+    return coeffs[:, 0] / scale
+
+
 def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
     """Least-squares slope of log residual versus log m over the window.
 
@@ -410,7 +431,7 @@ def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
     the positive prefix; the returned window is the one actually used.
     """
     if isinstance(residuals, GreedyTrace):
-        res = residuals.residual_norms()[1:]
+        res = np.array([record.residual_norm for record in residuals.records])
     else:
         res = np.asarray(residuals, dtype=float)
     m_lo, m_hi = _whole(window[0]), _whole(window[1])
@@ -433,10 +454,11 @@ def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
             )
     log_m = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
     log_r = np.log(values)
-    slope, intercept = np.polyfit(log_m, log_r, 1)
+    slope, intercept = _line_fit(log_m, log_r)
     fitted = slope * log_m + intercept
-    ss_res = float(((log_r - fitted) ** 2).sum())
-    ss_tot = float(((log_r - log_r.mean()) ** 2).sum())
+    # The sums and the mean of ndarray.sum and ndarray.mean, without their wrappers.
+    ss_res = float(np.add.reduce((log_r - fitted) ** 2))
+    ss_tot = float(np.add.reduce((log_r - np.add.reduce(log_r) / log_r.size) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(
         slope=float(slope),
@@ -539,7 +561,7 @@ def check_trivial_step(trace: GreedyTrace) -> CheckReport:
     norms = trace.residual_norms()
     m = np.arange(1, norms.size)
     margins = norms[:-1] + 2.0 / m + TRIVIAL_STEP_SLACK - norms[1:]
-    return _finish("trivial_step_bound", margins, len(trace.records), 0.0)
+    return _finish("trivial_step_bound", margins.tolist(), len(trace.records), 0.0)
 
 
 def check_barycentric(
@@ -554,11 +576,11 @@ def check_barycentric(
     records = trace.records[: len(trace.approximants)]
     phases = np.array([record.phase for record in records], dtype=np.complex128)
     atoms = dictionary.atoms[[record.selected_index for record in records]]
-    # cumsum adds row by row, so row m is the running sum phi_1 + ... + phi_m.
-    rebuilt = np.cumsum(phases[:, None] * atoms, axis=0)
+    # accumulate adds row by row, so row m is the running sum phi_1 + ... + phi_m.
+    rebuilt = np.add.accumulate(phases[:, None] * atoms, axis=0)
     rebuilt /= np.array([record.m for record in records])[:, None]
-    stored = np.reshape(trace.approximants[: len(records)], rebuilt.shape)
-    drifts = np.abs(rebuilt - stored).max(axis=1).tolist()
+    stored = np.array(trace.approximants[: len(records)]).reshape(rebuilt.shape)
+    drifts = np.maximum.reduce(np.abs(rebuilt - stored), axis=1).tolist()
     margins = []
     details = []
     counts: dict[int, int] = {}

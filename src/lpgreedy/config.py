@@ -24,6 +24,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "SweepSpec", "ALGORITHM_IDS", "sta
 
 ALGORITHM_IDS = ("wgafr", "gawr", "iac", "iacc")
 
+# json.dumps(data, sort_keys=True, separators=(",", ":")) without a new encoder per
+# call; a to_dict() form holds no cycles to check for.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
 
 def stable_seed(*parts) -> int:
     """Platform-independent RNG seed derived by hashing the given parts."""
@@ -81,11 +85,11 @@ class OutputSection:
     report_json: str = "report.json"
 
 
-# Section name -> (class, field names in order, names of the integer fields).
+# Section name -> (class, field names in order as dict keys, names of the integer fields).
 _SECTIONS = {
     key: (
         section_cls,
-        tuple(f.name for f in dataclasses.fields(section_cls)),
+        dict.fromkeys(f.name for f in dataclasses.fields(section_cls)),
         frozenset(f.name for f in dataclasses.fields(section_cls) if f.type in ("int", int)),
     )
     for key, section_cls in (
@@ -191,6 +195,12 @@ class ExperimentConfig:
             raise ConfigError(f"checks.slack: must be finite and >= 0; got {self.checks.slack!r}")
         if _integer("checks.lambda_points", self.checks.lambda_points) < 2:
             raise ConfigError(f"checks.lambda_points: must be >= 2; got {self.checks.lambda_points!r}")
+        o = self.output
+        for name, value in (("trace_csv", o.trace_csv), ("report_json", o.report_json)):
+            if not isinstance(value, str) or value in ("", ".", "..") or "/" in value:
+                raise ConfigError(f"output.{name}: must be a file name in --out; got {value!r}")
+        if o.trace_csv == o.report_json:
+            raise ConfigError(f"output.report_json: must differ from trace_csv {o.trace_csv!r}")
 
     # -- schedules -----------------------------------------------------
 
@@ -230,14 +240,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: unknown configuration section")
             if not isinstance(value, dict):
                 raise ConfigError(f"{key}: must be an object of fields; got {value!r}")
-            section_cls, valid, integers = _SECTIONS[key]
-            unknown = set(value).difference(valid)
-            if unknown:
-                raise ConfigError(f"{key}.{sorted(unknown)[0]}: unknown field")
-            value = {
-                name: int(v) if name in integers and isinstance(v, float) and v.is_integer() else v
-                for name, v in value.items()
-            }
+            section_cls, names, integers = _SECTIONS[key]
+            if not names.keys() >= value.keys():
+                raise ConfigError(f"{key}.{sorted(value.keys() - names.keys())[0]}: unknown field")
+            whole = {n: int(v) for n in integers.intersection(value)
+                     if isinstance(v := value[n], float) and v.is_integer()}
+            value = {**value, **whole} if whole else value
             try:
                 kwargs[key] = section_cls(**value)
             except (TypeError, ValueError) as exc:
@@ -289,18 +297,27 @@ class ExperimentConfig:
         return cls.from_text(text)
 
     def hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = _CANONICAL_JSON.encode(self.to_dict())
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     # -- field paths (used by sweeps) -----------------------------------
 
     def with_fields(self, changes: dict) -> "ExperimentConfig":
         """A copy with each dotted path in ``changes`` (e.g. 'space.p') set to its value."""
-        data = self.to_dict()
-        for path, value in changes.items():
-            section, name = _field_path(data, path)
-            data[section][name] = value
-        return ExperimentConfig.from_dict(data)
+        return _edited(self.to_dict(), changes)
+
+
+def _edited(data: dict, changes: dict) -> ExperimentConfig:
+    """The config of ``data``, a ``to_dict()`` form left as it is, with ``changes`` applied.
+
+    Only the sections that ``changes`` edits are copied, so one ``data``
+    serves every cell of a sweep.
+    """
+    data = dict(data)
+    for path, value in changes.items():
+        section, name = _field_path(data, path)
+        data[section] = {**data[section], name: value}
+    return ExperimentConfig.from_dict(data)
 
 
 def _field_path(data: dict, path: str) -> tuple[str, str]:

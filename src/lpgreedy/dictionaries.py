@@ -152,6 +152,20 @@ class TargetSpec:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "f_eps", f_eps)
 
+    @classmethod
+    def _wrap(cls, f: np.ndarray, f_eps: np.ndarray, eps: float, membership: str, true_coeffs):
+        """The TargetSpec (A_eps = 1) of a target this package has just drawn, unchecked.
+
+        ``f`` and ``f_eps`` (possibly one array) must be fresh 1-D complex128
+        vectors of equal length; they are frozen in place, not copied.
+        """
+        spec = object.__new__(cls)
+        f.setflags(write=False)
+        f_eps.setflags(write=False)
+        spec.__dict__.update(f=f, f_eps=f_eps, eps=eps, A_eps=1.0, membership=membership,
+                             true_coeffs=true_coeffs)
+        return spec
+
 
 def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) -> Dictionary:
     """Build a seeded dictionary of unit-norm atoms.
@@ -171,17 +185,19 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
             )
         atoms = np.eye(space.dim, dtype=np.complex128)
     elif kind == "gaussian":
-        # All real parts, then all imaginary parts, drawn a block of rows at
-        # a time into one buffer: the draws of one standard_normal call.
+        # All real parts, then all imaginary parts: the draws of one
+        # standard_normal call, taken a block of rows at a time when the
+        # atoms span more than one block.
         rng = np.random.default_rng(seed)
         atoms = np.empty((count, space.dim), dtype=np.complex128)
         blocks = _row_blocks(atoms)
-        buf = np.empty((min(blocks.step, count), space.dim))
-        for part in (atoms.real, atoms.imag):
-            for start in blocks:
-                block = part[start : start + blocks.step]
-                rng.standard_normal(out=buf[: len(block)])
-                block[...] = buf[: len(block)]
+        if len(blocks) == 1:
+            atoms.real, atoms.imag = rng.standard_normal((2, count, space.dim))
+        else:
+            for part in (atoms.real, atoms.imag):
+                for start in blocks:
+                    block = part[start : start + blocks.step]
+                    block[...] = rng.standard_normal(block.shape)
         atoms /= _norm_rows(space.p, atoms)[:, None]
     else:  # fourier_frame
         if count < space.dim:
@@ -343,11 +359,5 @@ def make_target(
     if eps > 0.0:
         noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         f = f_eps + noise * (eps / lp_norm(space, noise))
-    return TargetSpec(
-        f=f,
-        f_eps=f_eps,
-        eps=eps,
-        A_eps=1.0,
-        membership=membership,
-        true_coeffs=tuple((int(i), complex(c)) for i, c in zip(indices, coeffs)),
-    )
+    true_coeffs = tuple(zip(indices.tolist(), coeffs.tolist()))  # (int, complex) pairs
+    return TargetSpec._wrap(f, f_eps, eps, membership, true_coeffs)

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 
 from .algorithms import (
@@ -31,7 +32,7 @@ from .analysis import (
     check_mt2_bound,
     fit_log_slope,
 )
-from .config import ExperimentConfig, SweepSpec, stable_seed
+from .config import ExperimentConfig, SweepSpec, _edited, stable_seed
 from .dictionaries import generate_dictionary, make_target
 from .spaces import LpSpace, smoothness_params
 
@@ -71,19 +72,12 @@ def _build(config: ExperimentConfig):
 def _diag_slope(trace: GreedyTrace) -> CheckReport:
     """Fitted decay slope as a diagnostic report (never a failure)."""
     n = len(trace.records)
-    report = CheckReport(
-        name="rate_slope", passed=True, worst_margin=float("inf"), samples=n
-    )
     try:
         fit = fit_log_slope(trace, (max(2, n // 10), n))
-        report.details = [
-            f"slope={fit.slope!r}",
-            f"window={fit.window}",
-            f"r_squared={fit.r_squared!r}",
-        ]
+        details = [f"slope={fit.slope!r}", f"window={fit.window}", f"r_squared={fit.r_squared!r}"]
     except ValueError as exc:
-        report.details = [f"slope unavailable: {exc}"]
-    return report
+        details = [f"slope unavailable: {exc}"]
+    return CheckReport("rate_slope", True, math.inf, n, details=details)
 
 
 def run_experiment(
@@ -153,21 +147,23 @@ def run_experiment(
     return trace, reports
 
 
-def _run_cell(base: ExperimentConfig, cell: int, replicate: int, assignments: dict) -> dict:
-    """One sweep row: edit the base config once, run it and summarize it.
+def _run_cell(base: dict, cell: int, replicate: int, assignments: dict, axes: str) -> dict:
+    """One sweep row: the base config (``to_dict()`` form) edited once, run and summarized.
 
-    Any failure, a bad cell value included, lands in the row's ``error``
-    column; the seed columns stay empty when the config edit itself fails.
+    ``axes`` is ``assignments`` as JSON. Any failure, a bad cell value
+    included, lands in the row's ``error`` column; the seed columns stay
+    empty when the config edit itself fails.
     """
     row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(cell=cell, replicate=replicate, axes=json.dumps(assignments, sort_keys=True))
+    row.update(cell=cell, replicate=replicate, axes=axes)
     try:
-        config = base.with_fields(
+        config = _edited(
+            base,
             {
                 **assignments,
-                "dictionary.seed": stable_seed(base.dictionary.seed, cell, replicate, "dict"),
-                "target.seed": stable_seed(base.target.seed, cell, replicate, "target"),
-            }
+                "dictionary.seed": stable_seed(base["dictionary"]["seed"], cell, replicate, "dict"),
+                "target.seed": stable_seed(base["target"]["seed"], cell, replicate, "target"),
+            },
         )
         row["dictionary_seed"] = config.dictionary.seed
         row["target_seed"] = config.target.seed
@@ -198,18 +194,19 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
     spec.validate()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+    base = spec.base.to_dict()
     paths = [path for path, _ in spec.axes]
     rows = []
     for cell, combo in enumerate(itertools.product(*(values for _, values in spec.axes))):
         assignments = dict(zip(paths, combo))
+        axes = json.dumps(assignments, sort_keys=True)
         for replicate in range(int(spec.replicate_seeds)):
-            rows.append(_run_cell(spec.base, cell, replicate, assignments))
+            rows.append(_run_cell(base, cell, replicate, assignments, axes))
     if out_dir is not None:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([row[column] for column in SWEEP_COLUMNS] for row in rows)
         # Written over the old file and cut to length after: truncating a
         # non-empty file on open makes ext4 flush it on close.
         fd = os.open(os.path.join(out_dir, "sweep_summary.csv"), os.O_WRONLY | os.O_CREAT, 0o666)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpgreedy import (
     GreedyTrace,
@@ -320,6 +322,24 @@ class TestFitLogSlope:
     def test_whole_float_window_fits(self):
         m = np.arange(1, 30)
         assert fit_log_slope(m ** (-0.5), (2.0, 20.0)) == fit_log_slope(m ** (-0.5), (2, 20))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(1e-300, 1e300), min_size=3, max_size=60),
+        st.integers(0, 8),
+        st.data(),
+    )
+    def test_matches_polyfit_bit_for_bit(self, positive, zeros, data):
+        res = np.array(positive + [0.0] * zeros)
+        lo = data.draw(st.one_of(st.just(2), st.integers(2, len(positive) - 1)), label="lo")
+        hi = data.draw(st.one_of(st.just(res.size), st.integers(lo + 1, res.size + 3)), label="hi")
+        fit = fit_log_slope(res, (lo, hi))
+        m_lo, m_hi = fit.window
+        assert m_lo == lo and m_hi == min(hi, len(positive))
+        log_m = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
+        slope, intercept = np.polyfit(log_m, np.log(res[m_lo - 1 : m_hi]), 1)
+        assert fit.slope.hex() == float(slope).hex()
+        assert fit.intercept.hex() == float(intercept).hex()
 
     def test_trace_input(self):
         trace = trace_from_norms([1.0] + [float(m) ** -0.5 for m in range(1, 40)])

@@ -82,7 +82,10 @@ def _case_data(entry, p, dim):
 @pytest.mark.parametrize(
     "entry, dim",
     [(entry, 16) for entry in run_bench.SOLVES + run_bench.NORMS + run_bench.LOOPS]
-    + [(entry, run_bench.CELL_DIM) for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS)]
+    + [
+        (entry, run_bench.CELL_DIM)
+        for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS, *run_bench.CELL_LOOPS)
+    ]
     + [(entry, None) for entry in (*run_bench.PROCESSES, "verify_01", run_bench.CALIBRATION)],
 )
 def test_prepare_builds_one_call_per_input(entry, dim):
@@ -95,5 +98,7 @@ def test_prepare_builds_one_call_per_input(entry, dim):
     stats = run_bench.warm_up(lpgreedy, entry, calls)
     if entry in run_bench.SWEEPS:
         assert stats["units"] == stats["cells"] == len(data) * run_bench.CELL_REPLICATES
+    elif entry in run_bench.CELL_LOOPS:
+        assert stats["units"] == stats["steps"] == len(data) * run_bench.CELL_ITERS
     elif entry not in run_bench.LOOPS:
         assert stats["units"] == len(data)

@@ -52,6 +52,34 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("output.trace_csv = 5", "output.trace_csv: must be a file name in --out; got 5"),
+            ("output.report_json = ", "output.report_json: must be a file name in --out; got ''"),
+            ("output.trace_csv = sub/t.csv",
+             "output.trace_csv: must be a file name in --out; got 'sub/t.csv'"),
+            ("output.report_json = .", "output.report_json: must be a file name in --out; got '.'"),
+            ("output.trace_csv = ..", "output.trace_csv: must be a file name in --out; got '..'"),
+            ("output.report_json = trace.csv",
+             "output.report_json: must differ from trace_csv 'trace.csv'"),
+        ],
+        ids=["not_a_string", "empty", "subdirectory", "dot", "dot_dot", "same_as_trace"],
+    )
+    def test_bad_output_name_exits_2_before_step_1(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        def no_build(config):
+            raise AssertionError("the run was built")
+
+        monkeypatch.setattr(harness, "_build", no_build)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"space.p = 1.5\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line",
         ["solver.grad_tol = Infinity", "solver.max_iters = Infinity", "space.dim = Infinity",
          "algorithm.iters = NaN", "target.sparsity = NaN"],

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from lpgreedy import (
     DualFunctional,
     InfeasibleSelectionError,
     LpSpace,
+    TargetSpec,
     dict_dual_norm,
     eps_select,
     generate_dictionary,
@@ -389,6 +391,25 @@ class TestMakeTarget:
         for eps in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="eps"):
                 make_target(d, "a1", 2, eps=eps)
+
+    @pytest.mark.parametrize("membership, eps", [("a1", 0.0), ("a1", 0.25), ("conv", 0.0)])
+    def test_equals_checked_construction(self, membership, eps):
+        d = generate_dictionary(LpSpace(1.5, 12), 24, "gaussian", seed=3)
+        t = make_target(d, membership, 6, eps=eps, seed=8)
+        assert all(type(i) is int and type(c) is complex for i, c in t.true_coeffs)
+        indices = [i for i, _ in t.true_coeffs]
+        f_eps = np.array([c for _, c in t.true_coeffs]) @ d.atoms[indices]
+        checked = TargetSpec(
+            f=t.f, f_eps=f_eps, eps=eps, A_eps=1.0, membership=membership, true_coeffs=t.true_coeffs
+        )
+        for field in dataclasses.fields(TargetSpec):
+            ours, theirs = getattr(t, field.name), getattr(checked, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert type(ours) is np.ndarray and ours.dtype == theirs.dtype
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+                assert not ours.flags.writeable
+            else:
+                assert type(ours) is type(theirs) and ours == theirs, field.name
 
     def test_deterministic(self):
         d = generate_dictionary(LpSpace(2.0, 6), 12, "gaussian", seed=6)
