@@ -39,9 +39,9 @@ in {1.5, 2, 3}:
   ``check_trivial_step`` on iac and iacc traces, ``check_monotone``,
   ``check_ml1_trace`` and ``check_mt2_bound`` on wgafr traces,
   ``check_ml3_trace`` on gawr traces);
-* ``run_sweep`` end to end: per p, SWEEP_RUNS sweeps of CELL_REPLICATES
-  replicates for each of the four algorithms, each writing its summary
-  CSV into a temporary directory; time per cell;
+* ``run_sweep`` end to end, one row per algorithm and p: SWEEP_RUNS
+  sweeps of CELL_REPLICATES replicates, each writing its summary CSV into
+  a temporary directory; time per cell;
 * each criterion of the ``verify`` battery at ``--profile full``, seed 0:
   time per criterion, with its verdict and worst margin;
 * end to end, PROCESS_RUNS child Python processes per row: ``import
@@ -113,7 +113,8 @@ CELL_PARTS = {
     "check_mt2_bound": ("wgafr",),
     "check_ml3_trace": ("gawr",),
 }
-SWEEPS = ("run_sweep",)
+# One run_sweep case per algorithm.
+SWEEPS = ("run_sweep_wgafr", "run_sweep_gawr", "run_sweep_iac", "run_sweep_iacc")
 # The incremental loops, timed at the sweep-cell shape (CELL_SHAPE).
 CELL_LOOPS = ("run_iac", "run_iacc")
 ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS
@@ -135,8 +136,8 @@ CALL_COUNT_NOTE = (
 )
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 CELL_SHAPE = (CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS)
-# A run_sweep case runs SWEEP_RUNS sweeps per algorithm, CELL_REPLICATES cells each.
-SWEEP_RUNS, CELL_REPLICATES, SWEEP_ALGORITHMS = 5, 3, ("wgafr", "gawr", "iac", "iacc")
+# A run_sweep case runs SWEEP_RUNS sweeps of its algorithm, CELL_REPLICATES cells each.
+SWEEP_RUNS, CELL_REPLICATES = 20, 3
 # The verify rows: one per criterion, one call each.
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
 # The end-to-end rows: PROCESS_RUNS child Python processes each, running this code.
@@ -182,7 +183,7 @@ def instances(entry: str, p: float, dim: int):
             else SWEEP_RUNS
         )
         seeds = [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
-        return [(a, *pair) for pair in seeds for a in SWEEP_ALGORITHMS] if entry in SWEEPS else seeds
+        return seeds
     count = {"minimize_over_line": 2, "minimize_free_relax": 3}.get(entry, 1)
     n = (NORM_INSTANCES if entry in NORMS else INSTANCES)[dim]
     return [
@@ -262,16 +263,19 @@ def suite_call(pkg, entry, config):
     return lambda: pkg.check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)
 
 
-def prepare_sweep(pkg, p, data):
-    """One ``run_sweep`` call per input (algorithm and seeds), each returning its rows.
+def prepare_sweep(pkg, entry, p, data):
+    """One ``run_sweep`` call of the entry's algorithm per input (seeds), each returning its rows.
 
     The sweeps write their summary CSV into a temporary directory that lives
     as long as the calls do.
     """
     out_dir = tempfile.TemporaryDirectory(prefix="run_bench_sweep_")
     specs = [
-        pkg.SweepSpec(base=cell_config(pkg, a, p, d, t), axes=[], replicate_seeds=CELL_REPLICATES)
-        for a, d, t in data
+        pkg.SweepSpec(
+            base=cell_config(pkg, entry.removeprefix("run_sweep_"), p, d, t), axes=[],
+            replicate_seeds=CELL_REPLICATES,
+        )
+        for d, t in data
     ]
     return [lambda spec=spec: pkg.run_sweep(spec, out_dir.name) for spec in specs]
 
@@ -338,7 +342,7 @@ def prepare(pkg, entry, p, dim, data):
     if entry in CELL_PARTS:
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS:
-        return prepare_sweep(pkg, p, data)
+        return prepare_sweep(pkg, entry, p, data)
     space = pkg.LpSpace(p, dim)
     fn = getattr(pkg, entry)
     return [functools.partial(fn, space, *args) for args in data]
