@@ -42,8 +42,13 @@ in {1.5, 2, 3}:
 * ``run_sweep`` end to end, one row per algorithm and p: SWEEP_RUNS
   sweeps of CELL_REPLICATES replicates, each writing its summary CSV into
   a temporary directory; time per cell;
-* each criterion of the ``verify`` battery at ``--profile full``, seed 0:
-  time per criterion, with its verdict and worst margin;
+* the ``verify`` battery at ``--profile full``, seed 0: criteria 1-4, 13
+  and 14 as one call each (time per criterion, with its verdict and worst
+  margin); criteria 5-12, which make greedy runs, as the
+  ``run_experiment`` calls each makes (16 to 50 per criterion), whose
+  configs are recorded in one untimed pass of the criterion on each tree
+  in turn (time per run, with the runs, their steps and their failed
+  checker reports);
 * end to end, PROCESS_RUNS child Python processes per row: ``import
   lpgreedy`` alone, and one small ``lpgreedy run`` (RUN_CONFIG, through
   ``lpgreedy.cli.main``): wall time per process and the median and
@@ -57,7 +62,7 @@ in {1.5, 2, 3}:
 Both packages are imported into this one process. Every case is a list of
 zero-argument calls, one per input: a solve, a norm or functional call, a
 sweep cell's config edit, hash, build or checker, one ``run_sweep``, one
-loop run, one ``verify`` criterion or one child process. After an untimed
+loop run, one ``verify`` criterion or run, or one child process. After an untimed
 warm-up pass, which also records the deterministic counters, each call is
 timed TIMINGS times per tree with ``time.perf_counter``, the trees back
 to back and alternating which goes first, and keeps its least time per
@@ -66,10 +71,12 @@ per unit from the summed least times and, with ``--baseline``,
 change_over_parent, the ratio of those sums, with the first and third
 quartiles of the per-call ratios. With ``--baseline`` set to this
 ``src/`` the in-process rows (20 to 400 calls each) read within about 5 %
-of 1. A ``verify`` criterion is one call and a process row PROCESS_RUNS
-calls, too few to average the host's noise away: on a shared host those
-rows move by tens of per cent. The JSON pools each loop's ratio over p,
-and the ``verify --profile full`` battery as the sum over its criteria.
+of 1, and so do the run rows of criteria 5-12. A one-call ``verify``
+criterion and a process row (PROCESS_RUNS calls) are too few calls to
+average the host's noise away: on a shared host those rows move by tens
+of per cent. The JSON pools each loop's ratio over p, and the ``verify
+--profile full`` battery as the sum over its rows (criteria 5-12 as the
+sum of their runs).
 It also records the ``src/`` line count and commit of each tree (and whether its ``src/`` has
 edits not yet committed), the machine and the package versions.
 """
@@ -138,8 +145,10 @@ CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 CELL_SHAPE = (CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS)
 # A run_sweep case runs SWEEP_RUNS sweeps of its algorithm, CELL_REPLICATES cells each.
 SWEEP_RUNS, CELL_REPLICATES = 20, 3
-# The verify rows: one per criterion, one call each.
+# The verify rows: one per criterion, one call each, except that the criteria
+# in RUN_CRITERIA are timed as the run_experiment calls they make.
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
+RUN_CRITERIA = range(5, 13)
 # The end-to-end rows: PROCESS_RUNS child Python processes each, running this code.
 PROCESSES = {
     "import_lpgreedy": "import lpgreedy",
@@ -303,6 +312,28 @@ def prepare_process(pkg, entry, data):
     return [lambda work=work: child_process(code, src) for _ in data]
 
 
+def is_run_criterion(entry: str) -> bool:
+    """Whether ``entry`` is the row of a criterion timed run by run."""
+    return entry.startswith("verify_") and int(entry.split("_")[1]) in RUN_CRITERIA
+
+
+def criterion_runs(pkg, criterion):
+    """One ``run_experiment`` call per config that one untimed call of ``criterion`` runs."""
+    configs = []
+    original = pkg.acceptance.run_experiment
+
+    def recorded(config, *args, **kwargs):
+        configs.append(config)
+        return original(config, *args, **kwargs)
+
+    pkg.acceptance.run_experiment = recorded
+    try:
+        criterion()
+    finally:
+        pkg.acceptance.run_experiment = original
+    return [functools.partial(pkg.run_experiment, config) for config in configs]
+
+
 def loop_runs(pkg, entry, p, data, shape=LOOP_SHAPE):
     """One call per seeded run of a loop, each returning its trace.
 
@@ -334,7 +365,8 @@ def prepare(pkg, entry, p, dim, data):
         return prepare_process(pkg, entry, data)
     if entry.startswith("verify_"):
         criteria = {number: fn for number, _, fn in pkg.acceptance.ALL_CRITERIA}
-        return [functools.partial(criteria[n], seed=VERIFY_SEED, profile=VERIFY_PROFILE) for n in data]
+        calls = [functools.partial(criteria[n], seed=VERIFY_SEED, profile=VERIFY_PROFILE) for n in data]
+        return criterion_runs(pkg, calls[0]) if is_run_criterion(entry) else calls
     if entry in LOOPS:
         return loop_runs(pkg, entry, p, data)
     if entry in CELL_LOOPS:
@@ -447,6 +479,13 @@ def outcome(entry, results) -> dict:
             "steps": len(records),
             "unconverged_steps": sum(not rec.solver_converged for rec in records),
         }
+    if is_run_criterion(entry):
+        return {
+            "units": len(results),
+            "runs": len(results),
+            "steps": sum(len(trace.records) for trace, _ in results),
+            "failed_reports": sum(not r.passed for _, reports in results for r in reports),
+        }
     if entry.startswith("verify_"):
         return {"units": 1, "passed": results[0].passed, "worst_margin": results[0].worst_margin}
     if entry in PROCESSES:
@@ -541,6 +580,9 @@ def main(argv=None) -> int:
         key: {label: prepare(pkg, *key, data) for label, pkg in pkgs.items()}
         for key, data in cases.items()
     }
+    for key, case in calls.items():
+        if len({len(tree_calls) for tree_calls in case.values()}) > 1:
+            raise SystemExit(f"{key[0]}: the trees make different numbers of calls")
     # Untimed warm-up pass, which also records the deterministic counters.
     outcomes = {
         key: {label: warm_up(pkgs[label], key[0], tree_calls) for label, tree_calls in case.items()}
@@ -565,10 +607,11 @@ def main(argv=None) -> int:
         entry, p, dim = key
         verify = entry.startswith("verify_")
         unit = (
-            "criterion" if verify else "step" if entry in LOOPS + CELL_LOOPS
+            "run" if is_run_criterion(entry) else "criterion" if verify
+            else "step" if entry in LOOPS + CELL_LOOPS
             else "cell" if entry in SWEEPS else "process" if entry in PROCESSES else "call"
         )
-        row = {"entry": entry, "p": p, "dim": dim, "instances": len(cases[key])}
+        row = {"entry": entry, "p": p, "dim": dim, "instances": len(calls[key]["change"])}
         if verify:
             row.update(profile=VERIFY_PROFILE, seed=VERIFY_SEED)
         if entry == CALIBRATION:

@@ -9,8 +9,11 @@ write the same fixed set of outputs into its own temporary directory:
 * the trace CSV and report JSON of 98 seeded runs: the four algorithms x
   p in {1.5, 2, 3, 8} x 3 seeds x both selection policies, plus
   ``wgafr``/``gawr`` on a canonical dictionary;
-* for each ``wgafr`` (``gawr``) run, the CheckReport JSON of
-  ``check_ml1_step`` (``check_ml3_step``) at every step;
+* for each ``wgafr`` and ``gawr`` run, every step's recursion margin:
+  for ``wgafr`` the worst margin of ``check_ml1_trace`` on a one-record
+  trace that starts at the step's previous residual, for ``gawr``
+  ``analysis._ml3_margin`` of the step (null where the recursion does
+  not apply);
 * the CheckReport JSON of ``check_orthogonality`` on 40 random
   subspace instances per p in {1.5, 2, 3, 4} (dim 6, 3 basis vectors,
   100 competitors, as in ``verify`` criterion 3), once with the default
@@ -163,22 +166,24 @@ def selection_lines(pkg) -> list[str]:
     return lines
 
 
-def step_reports(pkg, config, trace) -> list[dict]:
-    """The per-step checker report of a wgafr/gawr run at every step."""
+def step_margins(pkg, config, trace) -> list:
+    """The recursion margin of a wgafr/gawr run at every step."""
     space, _, target = pkg.harness._build(config)
     tau = config.weakness()
-    if config.algorithm.id == "wgafr":
-        reports = [
-            pkg.check_ml1_step(space, trace, r.m, target.A_eps, target.eps, tau.value(r.m),
-                               grid_points=config.checks.lambda_points)
-            for r in trace.records
-        ]
-    else:
-        reports = [
-            pkg.check_ml3_step(space, trace, r.m, target.A_eps, target.eps, tau.t)
-            for r in trace.records
-        ]
-    return [report.to_json_obj() for report in reports]
+    norms = trace.residual_norms()
+    margins = []
+    for r in trace.records:
+        if config.algorithm.id == "wgafr":
+            step = pkg.GreedyTrace(trace.algorithm, float(norms[r.m - 1]), records=[r])
+            report = pkg.check_ml1_trace(space, step, tau, target.A_eps, target.eps,
+                                         grid_points=config.checks.lambda_points)
+            margins.append(report.worst_margin)
+        else:
+            margins.append(pkg.analysis._ml3_margin(
+                space, norms[r.m - 1], norms[r.m], r.w_or_r.real, trace.initial_residual_norm,
+                target.A_eps, target.eps, tau.t,
+            ))
+    return margins
 
 
 def orthogonality_reports(pkg) -> list[dict]:
@@ -204,8 +209,8 @@ def write_outputs(pkg, out: Path) -> None:
         config = pkg.ExperimentConfig.from_dict(data)
         trace, _ = pkg.run_experiment(config, out_dir=str(out / "runs" / name))
         if config.algorithm.id in ("wgafr", "gawr"):
-            (out / "runs" / name / "step_checks.json").write_text(
-                json.dumps(step_reports(pkg, config, trace), indent=1) + "\n"
+            (out / "runs" / name / "step_margins.json").write_text(
+                json.dumps(step_margins(pkg, config, trace), indent=1) + "\n"
             )
     (out / "orthogonality.json").write_text(
         json.dumps(orthogonality_reports(pkg), indent=1) + "\n"

@@ -51,9 +51,7 @@ from .analysis import (
     CheckReport,
     RateFit,
     check_ll0,
-    check_ml1_step,
     check_ml1_trace,
-    check_ml3_step,
     check_ml3_trace,
     check_mt2_bound,
     check_hl1,

@@ -316,9 +316,10 @@ def criterion_sequence_bounds(seed=0, profile="full") -> CheckReport:
 def criterion_determinism(seed=0, profile="full") -> CheckReport:
     """Identical configs produce byte-identical trace CSV and report JSON."""
     del profile
+    seeds = [stable_seed(seed, "determinism", part) for part in range(4)]
     configs = [
-        _config(int(seed) + 3, int(seed) + 4, "wgafr", 2.0, 15, dim=8, count=16, sparsity=3),
-        _config(int(seed) + 5, int(seed) + 6, "iac", 1.5, 25, dim=8, count=16, sparsity=3),
+        _config(seeds[0], seeds[1], "wgafr", 2.0, 15, dim=8, count=16, sparsity=3),
+        _config(seeds[2], seeds[3], "iac", 1.5, 25, dim=8, count=16, sparsity=3),
     ]
     margins = []
     details = []

@@ -6,7 +6,8 @@ CheckReport. Checkers substitute the closed-form l_p smoothness bound for
 the true modulus; every such substitution sits on the large side of the
 inequality being checked, so the direction is preserved. Per-step
 inequalities on traces carry an explicit solver slack because the inner
-minimizations are approximate.
+minimizations are approximate. Each per-step recursion has one checker,
+over a whole trace, whose report names every failing step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from numpy.linalg._umath_linalg import lstsq
 
 from .algorithms import GreedyTrace, WeaknessSequence
 from .dictionaries import Dictionary, _scan
-from .solvers import SolverConfig, best_approx_subspace
+from .solvers import best_approx_subspace
 from .spaces import (
     DualFunctional,
     LpSpace,
@@ -39,9 +40,7 @@ __all__ = [
     "CheckReport",
     "RateFit",
     "check_ll0",
-    "check_ml1_step",
     "check_ml1_trace",
-    "check_ml3_step",
     "check_ml3_trace",
     "check_mt2_bound",
     "check_hl1",
@@ -156,65 +155,8 @@ def ml1_optimal_lambda(
     )
 
 
-def _ml1_margins(space, norms, t, A_eps, eps, lambda_grid, grid_points):
-    """ml1 margins: one row per step of ``norms``, one column per lambda.
-
-    ``norms`` is [||f_{m0-1}||, ..., ||f_M||] and ``t`` holds the weakness
-    factors of steps m0..M. The default grid is ``grid_points`` points on
-    [0, 1] plus each step's lambda from ml1_optimal_lambda.
-    """
-    params = smoothness_params(space)
-    prev, curr = norms[:-1, None], norms[1:, None]
-    if lambda_grid is None:
-        lams = np.empty((prev.shape[0], grid_points + 1))
-        lams[:, :-1] = np.linspace(0.0, 1.0, grid_points)
-        lams[:, -1] = [
-            ml1_optimal_lambda(r, t_m, params, A_eps) for r, t_m in zip(norms[:-1], t)
-        ]
-    else:
-        lams = np.asarray(lambda_grid, dtype=float)
-    t = np.asarray(t, dtype=float)[:, None]
-    rhs = prev * (
-        1.0
-        - lams * t / A_eps * (1.0 - eps / prev)
-        + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
-    )
-    return rhs - curr
-
-
 def _failing_steps(steps, worst, slack) -> list[str]:
     return [f"step {m}: margin {w:.3e}" for m, w in zip(steps, worst) if not w >= -slack]
-
-
-def _step_norms(trace: GreedyTrace, m: int) -> np.ndarray:
-    """[||f_{m-1}||, ||f_m||], refusing a step outside the trace."""
-    if not 1 <= m <= len(trace.records):
-        raise ValueError(f"step {m} outside trace of length {len(trace.records)}")
-    return trace.residual_norms()[m - 1 : m + 1]
-
-
-def check_ml1_step(
-    space: LpSpace,
-    trace: GreedyTrace,
-    m: int,
-    A_eps: float,
-    eps: float,
-    t_m: float,
-    lambda_grid=None,
-    slack: float = DEFAULT_SLACK,
-    grid_points: int = 101,
-) -> CheckReport:
-    """Per-step residual recursion of the free-relaxation loop.
-
-    ||f_m|| <= ||f_{m-1}|| (1 - lam t_m (1 - eps/||f_{m-1}||)/A_eps
-                              + 2 rho_bound(5 lam / ||f_{m-1}||))
-    for every lam >= 0 in the grid, within solver slack. The default grid
-    is ``grid_points`` points on [0, 1] plus the lambda where the explicit
-    rate derivation is tight.
-    """
-    norms = _step_norms(trace, m)
-    margins = _ml1_margins(space, norms, [t_m], A_eps, eps, lambda_grid, grid_points)[0]
-    return _finish(f"ml1_step_{m}", margins, margins.size, slack)
 
 
 def check_ml1_trace(
@@ -223,15 +165,33 @@ def check_ml1_trace(
     tau: WeaknessSequence,
     A_eps: float,
     eps: float,
-    lambda_grid=None,
     slack: float = DEFAULT_SLACK,
     grid_points: int = 101,
 ) -> CheckReport:
-    """check_ml1_step at every recorded step, margins merged."""
+    """Per-step residual recursion of the free-relaxation loop, at every recorded step.
+
+    ||f_m|| <= ||f_{m-1}|| (1 - lam t_m (1 - eps/||f_{m-1}||)/A_eps
+                              + 2 rho_bound(5 lam / ||f_{m-1}||))
+    for every lam in the grid, within solver slack: ``grid_points`` points
+    on [0, 1] plus the step's lambda from ml1_optimal_lambda, where the
+    explicit rate derivation is tight. A step's margin is its least over
+    the grid.
+    """
     steps = [record.m for record in trace.records]
     t = [tau.value(m) for m in steps]
-    margins = _ml1_margins(space, trace.residual_norms(), t, A_eps, eps, lambda_grid, grid_points)
-    worst = margins.min(axis=1, initial=np.inf)
+    params = smoothness_params(space)
+    norms = trace.residual_norms()
+    prev, curr = norms[:-1, None], norms[1:, None]
+    lams = np.empty((len(steps), grid_points + 1))
+    lams[:, :-1] = np.linspace(0.0, 1.0, grid_points)
+    lams[:, -1] = [ml1_optimal_lambda(r, t_m, params, A_eps) for r, t_m in zip(norms[:-1], t)]
+    t = np.asarray(t, dtype=float)[:, None]
+    rhs = prev * (
+        1.0
+        - lams * t / A_eps * (1.0 - eps / prev)
+        + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
+    )
+    worst = (rhs - curr).min(axis=1, initial=np.inf)
     return _finish("ml1_per_step", worst, len(steps), slack, _failing_steps(steps, worst, slack))
 
 
@@ -243,32 +203,6 @@ def _ml3_margin(space, prev, curr, r_m, f_norm, A_eps, eps, t):
     return prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u)) - curr
 
 
-def check_ml3_step(
-    space: LpSpace,
-    trace: GreedyTrace,
-    m: int,
-    A_eps: float,
-    eps: float,
-    t: float,
-    slack: float = DEFAULT_SLACK,
-) -> CheckReport:
-    """Per-step residual recursion of the relaxed loop.
-
-    ||f_m|| <= ||f_{m-1}|| (1 - r_m (1 - eps/||f_{m-1}||)
-               + 2 rho_bound(r_m (||f|| + A_eps/t) / ((1-r_m) ||f_{m-1}||))).
-    Steps with r_m = 0 or ||f_{m-1}|| <= eps are outside the recursion's
-    hypotheses and are reported as not applicable. r_m and ||f|| are read
-    from the trace.
-    """
-    prev, curr = _step_norms(trace, m)
-    r_m = trace.records[m - 1].w_or_r.real
-    margin = _ml3_margin(space, prev, curr, r_m, trace.initial_residual_norm, A_eps, eps, t)
-    if margin is None:
-        details = [f"skipped: r_m={r_m!r}, prev={prev!r}, eps={eps!r}"]
-        return _not_applicable(f"ml3_step_{m}", details, tolerance=slack)
-    return _finish(f"ml3_step_{m}", [margin], 1, slack)
-
-
 def check_ml3_trace(
     space: LpSpace,
     trace: GreedyTrace,
@@ -277,7 +211,14 @@ def check_ml3_trace(
     t: float,
     slack: float = DEFAULT_SLACK,
 ) -> CheckReport:
-    """check_ml3_step at every applicable step, margins merged."""
+    """Per-step residual recursion of the relaxed loop, at every applicable step.
+
+    ||f_m|| <= ||f_{m-1}|| (1 - r_m (1 - eps/||f_{m-1}||)
+               + 2 rho_bound(r_m (||f|| + A_eps/t) / ((1-r_m) ||f_{m-1}||))),
+    within solver slack. Steps with r_m = 0 or ||f_{m-1}|| <= eps are
+    outside the recursion's hypotheses and are not sampled. r_m and ||f||
+    are read from the trace.
+    """
     norms, f_norm = trace.residual_norms(), trace.initial_residual_norm
     margins = {}
     for r in trace.records:
@@ -472,7 +413,6 @@ def check_orthogonality(
     space: LpSpace,
     f,
     basis,
-    cfg: SolverConfig | None = None,
     n_competitors: int = 100,
     seed: int = 0,
     func_tol: float = 1e-7,
@@ -485,8 +425,7 @@ def check_orthogonality(
     ||f - f_L|| <= ||f - g|| + 1e-9. Margins are normalized so 0 is
     the pass line.
     """
-    cfg = cfg or SolverConfig()
-    coeffs, residual = best_approx_subspace(space, f, basis, cfg)
+    coeffs, residual = best_approx_subspace(space, f, basis)
     res_norm = lp_norm(space, residual)
     if res_norm <= 1e-10:
         raise ValueError("f lies in span(basis); the certificate is degenerate")

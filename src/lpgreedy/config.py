@@ -197,7 +197,8 @@ class ExperimentConfig:
             raise ConfigError(f"checks.lambda_points: must be >= 2; got {self.checks.lambda_points!r}")
         o = self.output
         for name, value in (("trace_csv", o.trace_csv), ("report_json", o.report_json)):
-            if not isinstance(value, str) or value in ("", ".", "..") or "/" in value:
+            if (not isinstance(value, str) or value in ("", ".", "..")
+                    or "/" in value or "\0" in value):
                 raise ConfigError(f"output.{name}: must be a file name in --out; got {value!r}")
         if o.trace_csv == o.report_json:
             raise ConfigError(f"output.report_json: must differ from trace_csv {o.trace_csv!r}")

@@ -475,7 +475,6 @@ def best_approx_subspace(
     space: LpSpace,
     f,
     basis,
-    cfg: SolverConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best approximation of f from span(basis); returns (coeffs, residual).
 
@@ -496,5 +495,5 @@ def best_approx_subspace(
         raise DependentBasisError(
             f"basis is numerically dependent (singular-value ratio {ratio:.2e} <= {RANK_TOL:g})"
         )
-    coeffs = _descend(space, f, B, cfg or SolverConfig()).minimizer
+    coeffs = _descend(space, f, B, SolverConfig()).minimizer
     return coeffs, f - B @ coeffs

@@ -17,9 +17,7 @@ from lpgreedy import (
     check_dual_norm_supremum,
     check_hl1,
     check_ll0,
-    check_ml1_step,
     check_ml1_trace,
-    check_ml3_step,
     check_ml3_trace,
     check_ml4,
     check_mt2_bound,
@@ -36,7 +34,13 @@ from lpgreedy import (
     run_wgafr,
     smoothness_params,
 )
-from lpgreedy.analysis import _finish, check_barycentric, check_monotone, check_trivial_step
+from lpgreedy.analysis import (
+    _finish,
+    check_barycentric,
+    check_monotone,
+    check_trivial_step,
+    ml1_optimal_lambda,
+)
 
 
 def trace_from_norms(norms, algorithm="wgafr", w_or_r=None):
@@ -57,6 +61,13 @@ def trace_from_norms(norms, algorithm="wgafr", w_or_r=None):
             )
         )
     return trace
+
+
+def with_residual(trace, m, value):
+    """A copy of ``trace`` whose step ``m`` records the residual norm ``value``."""
+    records = list(trace.records)
+    records[m - 1] = dataclasses.replace(records[m - 1], residual_norm=float(value))
+    return dataclasses.replace(trace, records=records)
 
 
 class TestCheckLl0:
@@ -104,17 +115,20 @@ class TestCheckMl1:
         return space, target, tau, run_wgafr(space, d, target, tau, iters)
 
     def test_lambda_zero_grid_point_is_monotonicity(self):
-        space, target, tau, trace = self.seeded_trace()
-        for record in trace.records:
-            report = check_ml1_step(
-                space, trace, record.m, target.A_eps, target.eps, 1.0,
-                lambda_grid=[0.0],
-            )
-            norms = trace.residual_norms()
-            assert report.worst_margin == pytest.approx(
-                norms[record.m - 1] - norms[record.m], abs=1e-12
-            )
-            assert report.passed
+        # With every t_m = 0 no grid point's bound is below ||f_{m-1}||, and
+        # lam = 0 (the first grid point) attains it: the check is monotonicity.
+        space, target, _, trace = self.seeded_trace()
+        zero = WeaknessSequence.general([0.0] * len(trace.records))
+        for checked in (trace, with_residual(trace, 7, trace.residual_norms()[6] + 0.1)):
+            norms = checked.residual_norms()
+            report = check_ml1_trace(space, checked, zero, target.A_eps, target.eps)
+            monotone = check_monotone(checked)
+            assert report.worst_margin == float(np.min(norms[:-1] - norms[1:]))
+            assert report.details == [
+                f"step {m}: margin {w:.3e}"
+                for m, w in enumerate(norms[:-1] - norms[1:], start=1) if w < -1e-8
+            ]
+            assert report.passed == monotone.passed == (checked is trace)
 
     def test_hand_trace_canonical(self):
         space = LpSpace(2.0, 2)
@@ -142,11 +156,6 @@ class TestCheckMl1:
         report = check_ml1_trace(space, trace, tau, target.A_eps, target.eps)
         assert report.passed, report.worst_margin
 
-    def test_step_out_of_range(self):
-        space, target, tau, trace = self.seeded_trace(iters=5)
-        with pytest.raises(ValueError, match="outside"):
-            check_ml1_step(space, trace, 99, 1.0, 0.0, 1.0)
-
 
 class TestCheckMl3:
     def seeded_trace(self, p=2.0, t=1.0, iters=40, seed=5, schedule=None):
@@ -161,14 +170,18 @@ class TestCheckMl3:
         space, target, trace = self.seeded_trace(
             iters=5, schedule=RelaxationSchedule.constant(0.0)
         )
-        report = check_ml3_step(space, trace, 1, target.A_eps, target.eps, 1.0)
-        assert not report.applicable
+        report = check_ml3_trace(space, trace, target.A_eps, target.eps, 1.0)
+        assert report.samples == 0 and report.worst_margin == float("inf")
+        assert report.passed
 
     def test_eps_boundary_skipped(self):
+        # A step is sampled only while ||f_{m-1}|| > eps, so eps equal to
+        # ||f_k|| skips every step whose previous residual is at most that.
         space, target, trace = self.seeded_trace(iters=5)
-        big_eps = trace.initial_residual_norm + 1.0
-        report = check_ml3_step(space, trace, 1, target.A_eps, big_eps, 1.0)
-        assert not report.applicable
+        norms = trace.residual_norms()
+        for eps in (norms.max() + 1.0, norms[2], norms[0]):
+            report = check_ml3_trace(space, trace, target.A_eps, eps, 1.0)
+            assert report.samples == int(np.sum(norms[:-1] > eps)) < len(trace.records)
 
     @pytest.mark.parametrize("p,t", [(1.5, 1.0), (2.0, 1.0), (3.0, 0.5)])
     def test_harmonic_passes(self, p, t):
@@ -444,32 +457,75 @@ def _weakness(kind, iters):
     return WeaknessSequence.general([1.0 / (1.0 + 0.1 * m) for m in range(iters)])
 
 
+def _ml1_reference(space, trace, tau, A_eps, eps, grid_points):
+    """Each step's ml1 margin, from check_ml1_trace's statement, one lambda at a time."""
+    params = smoothness_params(space)
+    norms = trace.residual_norms()
+    margins = {}
+    for record in trace.records:
+        prev, curr, t_m = norms[record.m - 1], norms[record.m], tau.value(record.m)
+        grid = [*np.linspace(0.0, 1.0, grid_points), ml1_optimal_lambda(prev, t_m, params, A_eps)]
+        margins[record.m] = min(
+            prev * (1.0 - lam * t_m * (1.0 - eps / prev) / A_eps
+                    + 2.0 * rho_bound(space, 5.0 * lam / prev)) - curr
+            for lam in grid
+        )
+    return margins
+
+
+def _ml3_reference(space, trace, A_eps, eps, t):
+    """Each applicable step's ml3 margin, from check_ml3_trace's statement."""
+    norms, f_norm = trace.residual_norms(), trace.initial_residual_norm
+    margins = {}
+    for record in trace.records:
+        prev, curr, r_m = norms[record.m - 1], norms[record.m], record.w_or_r.real
+        if r_m != 0.0 and prev > eps:
+            u = r_m * (f_norm + A_eps / t) / ((1.0 - r_m) * prev)
+            bound = prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u))
+            margins[record.m] = bound - curr
+    return margins
+
+
+def _assert_report_matches(report, margins, slack=1e-8):
+    """worst_margin, samples and failing-step details of a report against per-step margins."""
+    assert report.worst_margin == pytest.approx(min(margins.values()), rel=1e-12, abs=1e-15)
+    assert report.samples == len(margins)
+    assert report.details == [f"step {m}: margin {w:.3e}" for m, w in margins.items() if w < -slack]
+    assert report.passed == all(w >= -slack for w in margins.values())
+
+
 class TestOneRulePerInequality:
-    """A trace checker's worst margin is the minimum of its step checker's."""
+    """A trace checker's report is its inequality evaluated at each step.
+
+    Each run is checked as recorded and with one step's residual raised
+    0.1 above the step's bound, so that step, and only its report line, fails.
+    """
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("kind", ["constant", "general"])
-    @pytest.mark.parametrize("grid", [None, [0.0, 0.05, 0.3, 1.0]])
-    def test_ml1_trace_is_min_of_steps(self, p, kind, grid):
+    @pytest.mark.parametrize("grid_points", [31, 101])
+    def test_ml1_trace_is_its_inequality_per_step(self, p, kind, grid_points):
         space = LpSpace(p, 10)
         d = generate_dictionary(space, 20, "gaussian", seed=int(10 * p))
         target = make_target(d, "a1", 3, eps=0.05, seed=int(10 * p) + 1)
         tau = _weakness(kind, 25)
         trace = run_wgafr(space, d, target, tau, 25, "first_qualifying")
-        steps = [
-            check_ml1_step(space, trace, r.m, target.A_eps, target.eps, tau.value(r.m),
-                           lambda_grid=grid, grid_points=31)
-            for r in trace.records
-        ]
-        report = check_ml1_trace(space, trace, tau, target.A_eps, target.eps,
-                                 lambda_grid=grid, grid_points=31)
-        assert report.worst_margin == min(s.worst_margin for s in steps)
-        assert report.samples == len(steps) == len(trace.records) > 0
-        assert all(s.samples == (32 if grid is None else len(grid)) for s in steps)
+        args = (space, trace, tau, target.A_eps, target.eps)
+        margins = _ml1_reference(*args, grid_points)
+        assert len(margins) == len(trace.records) > 0
+        _assert_report_matches(check_ml1_trace(*args, grid_points=grid_points), margins)
+        m = len(trace.records) // 2
+        bad = with_residual(trace, m, trace.residual_norms()[m] + margins[m] + 0.1)
+        args = (space, bad, tau, target.A_eps, target.eps)
+        bad_margins = _ml1_reference(*args, grid_points)
+        assert bad_margins[m] == pytest.approx(-0.1)
+        report = check_ml1_trace(*args, grid_points=grid_points)
+        _assert_report_matches(report, bad_margins)
+        assert not report.passed and report.details[0].startswith(f"step {m}: ")
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("kind", ["constant", "general"])
-    def test_ml3_trace_is_min_of_steps(self, p, kind):
+    def test_ml3_trace_is_its_inequality_per_step(self, p, kind):
         space = LpSpace(p, 10)
         d = generate_dictionary(space, 20, "gaussian", seed=int(7 * p))
         target = make_target(d, "a1", 3, eps=0.05, seed=int(7 * p) + 1)
@@ -477,14 +533,16 @@ class TestOneRulePerInequality:
         # the recursion holds with any constant t <= every t_m
         t = tau.t if kind == "constant" else min(tau.values)
         trace = run_gawr(space, d, target, tau, RelaxationSchedule.harmonic(), 40)
-        steps = [
-            check_ml3_step(space, trace, r.m, target.A_eps, target.eps, t)
-            for r in trace.records
-        ]
-        applicable = [s for s in steps if s.applicable]
-        report = check_ml3_trace(space, trace, target.A_eps, target.eps, t)
-        assert report.worst_margin == min(s.worst_margin for s in applicable)
-        assert report.samples == len(applicable) == sum(s.samples for s in steps) > 0
+        margins = _ml3_reference(space, trace, target.A_eps, target.eps, t)
+        assert 0 < len(margins) <= len(trace.records)
+        _assert_report_matches(check_ml3_trace(space, trace, target.A_eps, target.eps, t), margins)
+        m = list(margins)[len(margins) // 2]
+        bad = with_residual(trace, m, trace.residual_norms()[m] + margins[m] + 0.1)
+        bad_margins = _ml3_reference(space, bad, target.A_eps, target.eps, t)
+        assert bad_margins[m] == pytest.approx(-0.1)
+        report = check_ml3_trace(space, bad, target.A_eps, target.eps, t)
+        _assert_report_matches(report, bad_margins)
+        assert not report.passed and report.details[0].startswith(f"step {m}: ")
 
     def test_empty_trace(self):
         space = LpSpace(2.0, 4)
@@ -493,7 +551,7 @@ class TestOneRulePerInequality:
         tau = WeaknessSequence.constant(1.0)
         reports = [
             check_ml1_trace(space, trace, tau, 1.0, 0.0),
-            check_ml1_trace(space, trace, tau, 1.0, 0.0, lambda_grid=[0.0, 0.5]),
+            check_ml1_trace(space, trace, tau, 1.0, 0.0, grid_points=2),
             check_ml3_trace(space, trace, 1.0, 0.0, 1.0),
             check_mt2_bound(trace, smoothness_params(space), 1.0, 0.0, tau),
             check_monotone(trace),

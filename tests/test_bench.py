@@ -75,7 +75,7 @@ def _case_data(entry, p, dim):
     if entry in run_bench.PROCESSES or entry == run_bench.CALIBRATION:
         return [0, 1]
     if entry.startswith("verify_"):
-        return [1]
+        return [int(entry.split("_")[1])]
     return run_bench.instances(entry, p, dim)[:2]
 
 
@@ -102,3 +102,17 @@ def test_prepare_builds_one_call_per_input(entry, dim):
         assert stats["units"] == stats["steps"] == len(data) * run_bench.CELL_ITERS
     elif entry not in run_bench.LOOPS:
         assert stats["units"] == len(data)
+
+
+def test_run_criterion_is_timed_as_the_runs_it_makes():
+    # Criterion 9 at --profile full: 8 sparsities x 2 targets, one run each.
+    entry = "verify_09_orthonormal_exactness"
+    assert run_bench.is_run_criterion(entry) and not run_bench.is_run_criterion("verify_13_x")
+    original = lpgreedy.acceptance.run_experiment
+    calls = run_bench.prepare(lpgreedy, entry, None, None, [9])
+    assert lpgreedy.acceptance.run_experiment is original
+    assert [call.func for call in calls] == [lpgreedy.run_experiment] * 16
+    sparsities = [call.args[0].target.sparsity for call in calls]
+    assert sparsities == [k for k in range(1, 9) for _ in range(2)]
+    stats = run_bench.warm_up(lpgreedy, entry, calls)
+    assert stats["units"] == stats["runs"] == 16 and stats["failed_reports"] == 0

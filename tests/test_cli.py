@@ -60,10 +60,12 @@ class TestRunCommand:
              "output.trace_csv: must be a file name in --out; got 'sub/t.csv'"),
             ("output.report_json = .", "output.report_json: must be a file name in --out; got '.'"),
             ("output.trace_csv = ..", "output.trace_csv: must be a file name in --out; got '..'"),
+            ('output.trace_csv = "t\\u0000.csv"',
+             "output.trace_csv: must be a file name in --out; got 't\\x00.csv'"),
             ("output.report_json = trace.csv",
              "output.report_json: must differ from trace_csv 'trace.csv'"),
         ],
-        ids=["not_a_string", "empty", "subdirectory", "dot", "dot_dot", "same_as_trace"],
+        ids=["not_a_string", "empty", "subdirectory", "dot", "dot_dot", "nul_byte", "same_as_trace"],
     )
     def test_bad_output_name_exits_2_before_step_1(
         self, tmp_path, capsys, monkeypatch, line, message
@@ -249,6 +251,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 14
         assert "14/14 criteria passed" in out
+
+    def test_negative_seed_passes(self, capsys):
+        # Criterion 14 derives its config seeds from the verify seed, which may be negative.
+        assert main(["verify", "--profile", "quick", "--seed", "-4"]) == 0
+        assert "14/14 criteria passed" in capsys.readouterr().out
 
     def test_seed_variation(self, capsys):
         assert main(["verify", "--profile", "quick", "--seed", "3"]) == 0
