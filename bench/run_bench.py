@@ -40,8 +40,10 @@ in {1.5, 2, 3}:
   ``check_ml1_trace`` and ``check_mt2_bound`` on wgafr traces,
   ``check_ml3_trace`` on gawr traces);
 * ``run_sweep`` end to end, one row per algorithm and p: SWEEP_RUNS
-  sweeps of CELL_REPLICATES replicates, each writing its summary CSV into
-  a temporary directory; time per cell;
+  sweeps of one cell of CELL_REPLICATES replicates (the shape of the
+  ``sweep_grid`` workload's iac/iacc sweeps, whose replicates run as one
+  batch), each writing its summary CSV into a temporary directory; time
+  per cell;
 * the ``verify`` battery at ``--profile full``, seed 0: criteria 1-4, 13
   and 14 as one call each (time per criterion, with its verdict and worst
   margin); criteria 5-12, which make greedy runs, as the
@@ -68,15 +70,16 @@ timed TIMINGS times per tree with ``time.perf_counter``, the trees back
 to back and alternating which goes first, and keeps its least time per
 tree, so drifts in host speed hit both trees alike. A row reports time
 per unit from the summed least times and, with ``--baseline``,
-change_over_parent, the ratio of those sums, with the first and third
-quartiles of the per-call ratios. With ``--baseline`` set to this
-``src/`` the in-process rows (20 to 400 calls each) read within about 5 %
-of 1, and so do the run rows of criteria 5-12. A one-call ``verify``
+change_over_parent, the median of the per-call ratios of least times,
+with their first and third quartiles, so that one call slowed by the
+host cannot move a whole row. With ``--baseline`` set to this ``src/``
+the in-process rows (20 to 400 calls each) read within about 5 % of 1,
+and so do the run rows of criteria 5-12. A one-call ``verify``
 criterion and a process row (PROCESS_RUNS calls) are too few calls to
 average the host's noise away: on a shared host those rows move by tens
-of per cent. The JSON pools each loop's ratio over p, and the ``verify
---profile full`` battery as the sum over its rows (criteria 5-12 as the
-sum of their runs).
+of per cent. The JSON pools each loop's per-call ratios over p, and
+gives the ``verify --profile full`` battery as the ratio of its summed
+times over its rows (criteria 5-12 as the sum of their runs).
 It also records the ``src/`` line count and commit of each tree (and whether its ``src/`` has
 edits not yet committed), the machine and the package versions.
 """
@@ -144,7 +147,7 @@ CALL_COUNT_NOTE = (
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 CELL_SHAPE = (CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS)
 # A run_sweep case runs SWEEP_RUNS sweeps of its algorithm, CELL_REPLICATES cells each.
-SWEEP_RUNS, CELL_REPLICATES = 20, 3
+SWEEP_RUNS, CELL_REPLICATES = 20, 4
 # The verify rows: one per criterion, one call each, except that the criteria
 # in RUN_CRITERIA are timed as the run_experiment calls they make.
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
@@ -405,11 +408,11 @@ def quartiles(values) -> list:
 
 
 def ratios(times: dict) -> dict:
-    """change/parent of summed least times, with the quartiles of the per-call ratios."""
-    parent, change = times["parent"], times["change"]
+    """change/parent as the median of the per-call ratios of least times, with their quartiles."""
+    per_call = [c / b for b, c in zip(times["parent"], times["change"])]
     return {
-        "change_over_parent": sum(change) / sum(parent),
-        "call_ratio_quartiles": quartiles([c / b for b, c in zip(parent, change)]),
+        "change_over_parent": statistics.median(per_call),
+        "call_ratio_quartiles": quartiles(per_call),
     }
 
 
@@ -635,7 +638,9 @@ def main(argv=None) -> int:
     battery = {label: {"battery_s": sum(s)} for label, s in pooled(verify_keys).items()}
     summary = {f"verify_{VERIFY_PROFILE}_battery": battery}
     if "parent" in pkgs:
-        battery.update(ratios(pooled(verify_keys)))
+        battery_times = pooled(verify_keys)
+        battery.update(ratios(battery_times))
+        battery["change_over_parent"] = sum(battery_times["change"]) / sum(battery_times["parent"])
         summary["loops_pooled_over_p"] = {
             entry: ratios(pooled([key for key in cases if key[0] == entry]))
             for entry in LOOPS + CELL_LOOPS
@@ -651,8 +656,9 @@ def main(argv=None) -> int:
         "statistic": (
             f"least of {TIMINGS} wall times per call and tree, the trees back to back and "
             "alternating call by call; a row's time per unit is the sum of its calls' least "
-            "times over its units, change_over_parent the ratio of those sums, with the first "
-            "and third quartiles of the per-call ratios"
+            "times over its units, change_over_parent the median of the per-call ratios of "
+            "least times, with their first and third quartiles (the verify battery: the ratio "
+            "of its summed times)"
         ),
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},

@@ -25,8 +25,10 @@ write the same fixed set of outputs into its own temporary directory:
 * the ``sweep_summary.csv`` of sweeps over each algorithm, including
   cells with invalid values, a sweep without axes, sweeps over
   ``space.dim`` given as 8.0 and 6, and, for ``wgafr`` and ``gawr``,
-  sweeps over the list-valued ``algorithm.tau``, all but the
-  ``solver`` sweeps with replicates;
+  sweeps over the list-valued ``algorithm.tau``, and, for ``iac`` and
+  ``iacc``, a sweep of one-atom targets at ``K1 = 1e-300`` whose four
+  replicates per cell stop early or end in ``InfeasibleSelectionError``
+  at different steps; all but the ``solver`` sweeps with replicates;
 * the outcome of 54,000 seeded ``weak_select``/``eps_select`` calls (3,000
   random dictionaries and functionals with zero atoms, duplicate atoms
   and functionals that vanish on every atom): index, phase, value and
@@ -113,6 +115,11 @@ def sweep_specs():
         if algo in ("wgafr", "gawr"):  # a list-valued field, one list too short for iters
             taus = [[1.0] * 6, [0.5, 1.0, 0.25, 1.0, 0.5, 0.75], [0.5] * 3]
             yield f"{algo}-tau", {"base": base, "axes": [["algorithm.tau", taus]], "replicate_seeds": 2}
+        else:  # one-atom targets and a vanishing K1: replicates stop or fail at different steps
+            mixed = {**base, "target": {**base["target"], "sparsity": 1},
+                     "algorithm": {**base["algorithm"], "k1": 1e-300}}
+            yield f"{algo}-mixed", {"base": mixed, "axes": [["space.p", [1.5, 2.0, 3.0]]],
+                                    "replicate_seeds": 4}
 
 
 def _selection_line(call) -> str:

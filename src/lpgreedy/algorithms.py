@@ -7,7 +7,9 @@ and the update rule. A run stops early, and records the stop reason,
 once the residual norm falls below 1e-12 (``residual_below_threshold``:
 the norming functional is undefined at zero) or when every atom
 annihilates the functional (``stagnated_zero_dual_norm``: no atom can
-reduce the residual).
+reduce the residual). Each ``run_*`` function also takes equal-length
+lists of dictionaries and targets, the runs of a batch, and steps them in
+lockstep (see ``_greedy_loop``); a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionaries import Dictionary, TargetSpec, eps_select, weak_select
+from .dictionaries import Dictionary, Selection, TargetSpec, _check_policy, _selections
 from .solvers import SolverConfig, _descend, _free_relax
 from .spaces import (
-    DualFunctional,
     LpSpace,
     SmoothnessParams,
     _count,
     _norm_mags,
+    _norm_rows,
     _norming_coeffs,
     lp_norm,
     smoothness_params,
@@ -273,72 +275,141 @@ def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
     return meta, records
 
 
-def _greedy_loop(
-    space: LpSpace,
-    dictionary: Dictionary,
-    target: TargetSpec,
-    iters: int,
-    algorithm: str,
-    select,
-    update,
-) -> GreedyTrace:
-    """The iteration all four algorithms share.
+def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
+    """The iteration all four algorithms share, for one run or for a batch of runs in lockstep.
 
-    Step m builds the norming functional F of the residual f - G_{m-1} and
-    calls ``select(m, F)`` for a Selection. ``update(m, G_{m-1}, sel, phi)``
-    returns ``(G_m, lam, w_or_r, eps_m, solver_converged)`` with G_m a new
-    array, which the trace keeps without a copy. A selection with zero dual
-    norm ends the run: every atom annihilates F, so no update can reduce
-    the residual. The target is checked once; the residuals the loop makes
-    are not checked again, except that a non-finite one raises ValueError
-    at the step that made it.
+    ``dictionary`` and ``target`` are one run's, or equal-length lists (a
+    batch; its dictionaries share one shape). Row k of the targets ``f``,
+    approximants ``G`` and residuals is the k-th live run's; a single run's
+    arrays are 1-D. ``select(m, coeffs, atoms, f)`` gives one Selection per
+    row (``dictionaries._selections``) for the residuals' norming
+    functionals; ``update(m, live, f, G, sels, phis)`` gives G_m, a new
+    array whose rows the traces keep, and per row ``(lam, w_or_r, eps_m,
+    solver_converged)``. ``live`` holds the rows' places in the batch
+    (``...`` for a single run). A selection or a step may instead be an
+    exception, as is a non-finite residual (ValueError): a single run raises
+    it, a batch makes it that run's result, its entry in the returned list.
+    Each target is checked once.
     """
-    if dictionary.space is not space and dictionary.space != space:
-        raise ValueError("dictionary was built for a different space")
+    batch = type(target) is list
     iters = _count("iters", iters)
-    f = np.asarray(target.f, dtype=np.complex128)
-    norm0 = lp_norm(space, f)
-    if norm0 == 0.0:
-        raise ValueError("target.f must be nonzero")
-    trace = GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0)
-    p = space.p
-    G = np.zeros(space.dim, dtype=np.complex128)
-    residual, current, mags = f, norm0, None  # mags: |residual| from its norm, once a step ran
-    for m in range(1, iters + 1):
-        if current <= RESIDUAL_STOP:
+    results, live, traces, norms = [], [], [], []
+    for k, (d, t) in enumerate(zip(dictionary, target) if batch else [(dictionary, target)]):
+        try:
+            if d.space is not space and d.space != space:
+                raise ValueError("dictionary was built for a different space")
+            norm0 = lp_norm(space, t.f)
+            if norm0 == 0.0:
+                raise ValueError("target.f must be nonzero")
+        except ValueError as exc:
+            if not batch:
+                raise
+            results.append(exc)
+            continue
+        results.append(trace := GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0))
+        if norm0 <= RESIDUAL_STOP:  # step 1 stops it
             trace.stop_reason = "residual_below_threshold"
-            break
-        sel = select(m, DualFunctional._wrap(_norming_coeffs(p, residual, current, mags)))
-        if sel.dual_norm == 0.0:
-            trace.stop_reason = "stagnated_zero_dual_norm"
-            break
-        G, lam, w_or_r, eps_m, converged = update(m, G, sel, dictionary.atoms[sel.index])
+        else:
+            live.append(k)
+            traces.append(trace)
+            norms.append(norm0)
+    if not traces:
+        return results if batch else results[0]
+    if batch:
+        atoms, f = [dictionary[k].atoms for k in live], np.stack([target[k].f for k in live])
+    else:
+        atoms, f, live = [dictionary.atoms], target.f, ...
+    p, ended = space.p, {}
+    G = np.zeros(f.shape, dtype=np.complex128)
+    residual, mags = f, None
+    for m in range(1, iters + 1):
+        column = np.array(norms)[:, None] if batch else norms[0]
+        sels = select(m, _norming_coeffs(p, residual, column, mags), atoms, f)
+        for k, sel in enumerate(sels):
+            if type(sel) is not Selection or sel.dual_norm == 0.0:
+                ended[k] = "stagnated_zero_dual_norm" if type(sel) is Selection else sel
+        if ended:
+            if not (keep := _settle(ended, results, live, traces, batch)):
+                break
+            traces, atoms, live, sels, f, G, residual, mags = _take(
+                keep, traces, atoms, live, sels, f, G, residual, mags)
+        if batch:
+            phis = np.stack([rows[sel.index] for rows, sel in zip(atoms, sels)])
+        else:
+            phis = atoms[0][sels[0].index]
+        G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)
-        current = _norm_mags(p, mags)
-        if math.isnan(current):
-            raise ValueError("v contains non-finite entries")  # lp_norm's text
-        trace.records.append(
-            TraceRecord(
-                m=m,
-                selected_index=sel.index,
-                phase=sel.phase,
-                lam=complex(lam),
-                w_or_r=complex(w_or_r),
-                residual_norm=current,
-                dual_norm=sel.dual_norm,
-                eps_m=eps_m,
-                solver_converged=converged,
-            )
-        )
-        trace.approximants.append(G)
-    return trace
+        norms = _norm_rows(p, residual).tolist() if batch else [_norm_mags(p, mags)]
+        for k, (trace, sel, step, norm) in enumerate(zip(traces, sels, steps, norms)):
+            if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
+                ended[k] = ValueError("v contains non-finite entries") if norm != norm else step
+                continue
+            lam, w_or_r, eps_m, converged = step
+            trace.records.append(TraceRecord(m, sel.index, sel.phase, complex(lam), complex(w_or_r),
+                                             norm, sel.dual_norm, eps_m, converged))
+            trace.approximants.append(G[k] if batch else G)
+            if norm <= RESIDUAL_STOP and m < iters:  # step m + 1 stops it
+                ended[k] = "residual_below_threshold"
+        if ended:
+            if not (keep := _settle(ended, results, live, traces, batch)):
+                break
+            traces, atoms, live, norms, f, G, residual, mags = _take(
+                keep, traces, atoms, live, norms, f, G, residual, mags)
+    return results if batch else results[0]
+
+
+def _settle(ended: dict, results: list, live, traces: list, batch: bool) -> list:
+    """End the rows of ``ended`` (row -> stop reason or exception) and empty it; the rows left."""
+    for k, outcome in ended.items():
+        if type(outcome) is str:
+            traces[k].stop_reason = outcome
+        elif batch:
+            results[live[k]] = outcome
+        else:
+            raise outcome
+    keep = [k for k in range(len(traces)) if k not in ended]
+    ended.clear()
+    return keep
+
+
+def _take(keep: list, *rows) -> list:
+    """Rows ``keep`` of each list or array of per-row values."""
+    return [a if a is None else a[keep] if type(a) is np.ndarray else [a[k] for k in keep]
+            for a in rows]
 
 
 def _check_covers(name: str, schedule, iters) -> None:
     """Refuse an explicit weakness or relaxation list shorter than ``iters`` before any step."""
     if schedule.values and len(schedule.values) < _count("iters", iters):
         raise ValueError(f"{name} has {len(schedule.values)} entries, fewer than iters = {iters!r}")
+
+
+def _relaxed(space, dictionary, target, tau, iters, policy, algorithm, solve):
+    """The loop of ``run_wgafr``/``run_gawr``: weak selection at t_m, then a solve per row.
+
+    ``solve(m, f, G, phi)`` returns a row's G_m and ``[(lam, w_or_r, None,
+    converged)]``; in a batch, an exception it raises is that row's step.
+    """
+    _check_policy(policy)
+
+    def update(m, live, f, G, sels, phis):
+        if G.ndim == 1:  # a single run raises what its step raises
+            return solve(m, f, G, phis)
+        rows, steps = [], []
+        for args in zip(f, G, phis):
+            try:
+                new, (step,) = solve(m, *args)
+            except Exception as exc:  # the row's step failed; the batch steps on
+                new, step = args[1], exc
+            rows.append(new)
+            steps.append(step)
+        return np.stack(rows), steps
+
+    return _greedy_loop(
+        space, dictionary, target, iters, algorithm,
+        lambda m, coeffs, atoms, f: _selections(coeffs, atoms, policy, t=tau.value(m)), update,
+    )
 
 
 def run_wgafr(
@@ -360,15 +431,12 @@ def run_wgafr(
     cfg = cfg or SolverConfig()
     _check_covers("weakness sequence", tau, iters)
 
-    def update(m, G, sel, phi):
-        result = _free_relax(space, target.f, G, phi, cfg)
+    def solve(m, f, G, phi):
+        result = _free_relax(space, f, G, phi, cfg)
         w, lam = result.minimizer
-        return (1.0 - w) * G + lam * phi, lam, w, None, result.converged
+        return (1.0 - w) * G + lam * phi, [(lam, w, None, result.converged)]
 
-    return _greedy_loop(
-        space, dictionary, target, iters, "wgafr",
-        lambda m, F: weak_select(F, dictionary, tau.value(m), policy), update,
-    )
+    return _relaxed(space, dictionary, target, tau, iters, policy, "wgafr", solve)
 
 
 def run_gawr(
@@ -391,61 +459,67 @@ def run_gawr(
     _check_covers("weakness sequence", tau, iters)
     _check_covers("relaxation schedule", r, iters)
 
-    def update(m, G, sel, phi):
+    def solve(m, f, G, phi):
         r_m = r.value(m)
         shrunk = (1.0 - r_m) * G
-        result = _descend(space, target.f - shrunk, phi[:, None], cfg)
+        result = _descend(space, f - shrunk, phi[:, None], cfg)
         lam = result.minimizer[0]
-        return shrunk + lam * phi, lam, r_m, None, result.converged
+        return shrunk + lam * phi, [(lam, r_m, None, result.converged)]
 
-    return _greedy_loop(
-        space, dictionary, target, iters, "gawr",
-        lambda m, F: weak_select(F, dictionary, tau.value(m), policy), update,
-    )
+    return _relaxed(space, dictionary, target, tau, iters, policy, "gawr", solve)
 
 
-def _averaging(
-    space: LpSpace,
-    dictionary: Dictionary,
-    target: TargetSpec,
-    K1: float,
-    policy: str,
-    mode: str,
-):
-    """Selector and update rule of the two incremental loops.
+def _averaging(space, dictionary, target, K1, iters, policy, mode, membership):
+    """The two incremental loops, once every target is an exact one of ``membership``.
 
-    Step m picks phi_m with ``eps_select`` at tolerance eps_m, then averages:
-    G_m = (1 - 1/m) G_{m-1} + nu_m phi_m / m, where nu_m is the selection's
-    phase (1 in plain mode). G_m must equal (1/m) sum_j nu_j phi_j; a
-    running sum asserts this at every step.
+    Step m picks phi_m by ``eps_select``'s rule at eps_m and averages:
+    G_m = (1 - 1/m) G_{m-1} + nu_m phi_m / m, nu_m the selection's phase (1
+    in plain mode); a running sum per run asserts G_m = (1/m) sum_j nu_j phi_j.
     """
+    algorithm = "iac" if mode == "circle" else "iacc"
+    batch = type(target) is list
+    for t in target if batch else [target]:
+        if t.membership != membership:
+            raise ValueError(f"run_{algorithm} requires {'an' if membership == 'a1' else 'a'} "
+                             f"{membership} target; got membership={t.membership!r}")
+        if t.eps != 0.0:
+            raise ValueError(f"run_{algorithm} requires an exact target (eps = 0)")
     params = smoothness_params(space)
     # epsilon_schedule at n = 1 is K1 gamma^(1/q), checked once; times
     # float(m) ** (-1/p_dual) it is epsilon_schedule at m, bit for bit.
     eps_1, power = epsilon_schedule(K1, params, 1), -1.0 / params.p_dual
-    running_sum = np.zeros(space.dim, dtype=np.complex128)
+    _check_policy(policy)
+    running_sum = np.zeros((len(target), space.dim) if batch else space.dim, dtype=np.complex128)
     eps_m = None
 
-    def select(m, F):
+    def select(m, coeffs, atoms, f):
         nonlocal eps_m
         eps_m = eps_1 * float(m) ** power
-        return eps_select(F, dictionary, target.f, eps_m, mode=mode, policy=policy)
+        return _selections(coeffs, atoms, policy, f=f, eps_m=eps_m, mode=mode)
 
-    def update(m, G, sel, phi):
-        nonlocal running_sum
-        nu = sel.phase
-        step = nu * phi
+    def update(m, live, f, G, sels, phis):
+        batch = G.ndim == 2
+        nus = [sel.phase for sel in sels] if batch else [sels[0].phase]
+        step = (np.array(nus)[:, None] if batch else nus[0]) * phis
         # The m = 1 step needs no special-casing: (1 - 1/1) = 0 literally.
         G = (1.0 - 1.0 / m) * G + step / m
-        running_sum += step
-        drift = np.maximum.reduce(np.abs(running_sum / m - G))
-        if drift > BARYCENTRIC_TOL:
-            raise AssertionError(
-                f"barycentric representation drifted by {drift:.3e} at step {m}"
-            )
-        return G, nu / m, 1.0 / m, eps_m, True
+        if batch:
+            running_sum[live] = total = running_sum[live] + step
+        else:
+            total = np.add(running_sum, step, out=running_sum)
+        drifts = np.maximum.reduce(np.abs(total / m - G), axis=-1)
+        steps = []
+        for nu, drift in zip(nus, drifts if batch else [drifts]):
+            if drift > BARYCENTRIC_TOL:
+                steps.append(AssertionError(
+                    f"barycentric representation drifted by {drift:.3e} at step {m}"))
+            elif mode == "plain" and abs(nu - 1.0) > 1e-15:  # G_m must stay a convex combination
+                steps.append(AssertionError(f"plain-mode selection carried a phase at step {m}"))
+            else:
+                steps.append((nu / m, 1.0 / m, eps_m, True))
+        return G, steps
 
-    return select, update
+    return _greedy_loop(space, dictionary, target, iters, algorithm, select, update)
 
 
 def run_iac(
@@ -463,14 +537,7 @@ def run_iac(
     G_m = (1 - 1/m) G_{m-1} + nu_m phi_m / m with |nu_m| = 1. G_m always
     equals (1/m) sum_j nu_j phi_j, asserted at every step.
     """
-    if target.membership != "a1":
-        raise ValueError(
-            f"run_iac requires an a1 target; got membership={target.membership!r}"
-        )
-    if target.eps != 0.0:
-        raise ValueError("run_iac requires an exact target (eps = 0)")
-    select, update = _averaging(space, dictionary, target, K1, policy, "circle")
-    return _greedy_loop(space, dictionary, target, iters, "iac", select, update)
+    return _averaging(space, dictionary, target, K1, iters, policy, "circle", "a1")
 
 
 def run_iacc(
@@ -484,19 +551,7 @@ def run_iacc(
     """Incremental loop without phases, for targets in conv(D).
 
     The update G_m = (1 - 1/m) G_{m-1} + phi_m / m keeps G_m a true convex
-    combination of atoms (weights count_j / m), asserted at every step.
+    combination of atoms (weights count_j / m): every step asserts that its
+    selection carries phase 1 and that G_m is the mean of the atoms taken.
     """
-    if target.membership != "conv":
-        raise ValueError(
-            f"run_iacc requires a conv target; got membership={target.membership!r}"
-        )
-    if target.eps != 0.0:
-        raise ValueError("run_iacc requires an exact target (eps = 0)")
-    select, update = _averaging(space, dictionary, target, K1, policy, "plain")
-    trace = _greedy_loop(space, dictionary, target, iters, "iacc", select, update)
-    # Convexity of the stored representation: weights are count/m by
-    # construction; verify the invariant on the recorded selections.
-    for step, record in enumerate(trace.records, start=1):
-        if abs(record.phase - 1.0) > 1e-15:
-            raise AssertionError(f"plain-mode selection carried a phase at step {step}")
-    return trace
+    return _averaging(space, dictionary, target, K1, iters, policy, "plain", "conv")

@@ -330,7 +330,7 @@ def _field_path(data: dict, path: str) -> tuple[str, str]:
 
 
 def _integer(path: str, value) -> int:
-    """The whole number ``value``; a ConfigError naming ``path`` for 16.5, NaN or inf."""
+    """The whole number ``value``; a ConfigError naming ``path`` for 16.5, NaN, inf or True."""
     number = _whole(value)
     if number is None:
         raise ConfigError(f"{path}: must be an integer; got {value!r}")
@@ -398,16 +398,21 @@ class SweepSpec:
 
         Axis values are not checked here: a bad value fails its own cells,
         wherever it is listed, and the sweep records the error in their rows.
-        An axis over a seed is refused, since every cell derives its seeds.
+        An axis over a seed is refused, since every cell derives its seeds,
+        and so is a path listed twice, whose later values would override
+        the earlier ones in every cell.
         """
         self.base.validate()
         if _integer("replicate_seeds", self.replicate_seeds) < 1:
             raise ConfigError(f"replicate_seeds: must be >= 1; got {self.replicate_seeds!r}")
         fields = self.base.to_dict()
+        paths = [path for path, _ in self.axes]
         for path, values in self.axes:
             if not values:
                 raise ConfigError(f"axes.{path}: empty value list")
             _field_path(fields, path)
+            if paths.count(path) > 1:
+                raise ConfigError(f"axes.{path}: listed {paths.count(path)} times; give it one axis")
             if path in _DERIVED_SEEDS:
                 raise ConfigError(
                     f"axes.{path}: every cell derives its seeds from the base config's "

@@ -211,38 +211,67 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
     return Dictionary._wrap(space, atoms, kind, seed)
 
 
+def _check_dim(F: DualFunctional, dictionary: Dictionary) -> None:
+    if F.coeffs.size != dictionary.space.dim:
+        raise ValueError(f"functional dimension {F.dim} does not match "
+                         f"space dimension {dictionary.space.dim}")
+
+
 def _scan(F: DualFunctional, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
     """F(g_i) and |F(g_i)| for every atom: the one pass over the dictionary."""
-    if F.coeffs.size != dictionary.space.dim:
-        raise ValueError(
-            f"functional dimension {F.dim} does not match space dimension {dictionary.space.dim}"
-        )
+    _check_dim(F, dictionary)
     values = dictionary.atoms @ F.coeffs
     return values, np.abs(values)
 
 
-def _pick(
-    values, scores, threshold: float, dual_norm: float, policy: str, phased: bool
-) -> Selection | None:
-    """The atom whose score reaches ``threshold``, or None if none does.
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
 
-    ``argmax`` takes the best score, ``first_qualifying`` the smallest
-    qualifying index; ties go to the smallest index. A ``phased`` selection
-    aligns the atom by conj(sign F(g)), an unphased one keeps phase 1.
-    ``dual_norm`` (max |F(g)| of the same scan) is stored in the Selection.
+
+def _selections(coeffs, atoms, policy, t=1.0, f=None, eps_m=0.0, mode="circle") -> list:
+    """The selections of ``weak_select`` (``f`` None, weakness ``t``) or of ``eps_select``.
+
+    One per functional: row i of ``coeffs`` over the atoms ``atoms[i]`` (and
+    row i of the targets ``f``); a 1-D ``coeffs`` is one functional, scanned
+    as ``atoms[0] @ coeffs``. Each Selection is built unchecked; a functional
+    no atom meets gets an InfeasibleSelectionError in its place.
     """
-    if policy == "argmax":
-        idx = int(scores.argmax())
-        if scores[idx] < threshold:
-            return None
+    if coeffs.ndim == 1:
+        values = (atoms[0] @ coeffs)[None]
+        coeffs, f = coeffs[None], f if f is None else f[None]
     else:
-        qualifying = scores >= threshold
-        idx = int(qualifying.argmax())
-        if not qualifying[idx]:
-            return None
-    value = complex(values[idx])
-    phase = complex_sign(value).conjugate() if phased else 1.0 + 0.0j
-    return Selection(index=idx, phase=phase, value=value, dual_norm=dual_norm)
+        values = np.empty((len(coeffs), atoms[0].shape[0]), dtype=np.complex128)
+        for rows, c, out in zip(atoms, coeffs, values):
+            np.matmul(rows, c, out=out)  # one gemv per row, as a single scan makes it
+    mags = np.abs(values)
+    duals = np.maximum.reduce(mags, axis=-1)
+    phased = mode == "circle"
+    scores = mags if phased else values.real
+    argmax = policy == "argmax"
+    picks = scores.argmax(axis=-1) if argmax else None
+    sels = [None] * values.shape[0]
+    for i in range(values.shape[0]):
+        dual = float(duals[i])
+        if f is None:
+            threshold = t * dual if t > 0.0 else min(dual, 5e-324)
+        else:
+            threshold = float(np.dot(coeffs[i], f[i]).real) - eps_m
+        qualifying = None if argmax else scores[i] >= threshold
+        idx = int(picks[i] if argmax else qualifying.argmax())
+        missed = scores[i, idx] < threshold if argmax else not qualifying[idx]
+        if missed:
+            sels[i] = InfeasibleSelectionError(
+                f"no atom within eps_m={eps_m:g} of the target functional value; "
+                f"best score {scores[i].max()!r} < required {threshold!r} "
+                f"(target violates its {mode} membership contract)"
+            )
+            continue
+        value = complex(values[i, idx])
+        phase = complex_sign(value).conjugate() if phased else 1.0 + 0.0j
+        sels[i] = sel = object.__new__(Selection)
+        sel.__dict__.update(index=idx, phase=phase, value=value, dual_norm=dual)
+    return sels
 
 
 def dict_dual_norm(F: DualFunctional, dictionary: Dictionary) -> tuple[float, int]:
@@ -272,12 +301,9 @@ def weak_select(
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1]; got {t}")
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
-    values, mags = _scan(F, dictionary)
-    dual_norm = float(np.maximum.reduce(mags))
-    threshold = t * dual_norm if t > 0.0 else min(dual_norm, 5e-324)
-    return _pick(values, mags, threshold, dual_norm, policy, phased=True)
+    _check_policy(policy)
+    _check_dim(F, dictionary)
+    return _selections(F.coeffs, [dictionary.atoms], policy, t=t)[0]
 
 
 def eps_select(
@@ -295,27 +321,20 @@ def eps_select(
     ``plain`` mode the phase is fixed to one and the score is Re F(g);
     feasibility is guaranteed for f in conv(D). ``argmax`` returns the
     best-scoring atom, ``first_qualifying`` the smallest index over the
-    threshold, ties always to the smallest index.
+    threshold, ties always to the smallest index. No qualifying atom
+    raises InfeasibleSelectionError.
     """
     eps_m = float(eps_m)
     if not 0.0 <= eps_m < np.inf:
         raise ValueError(f"eps_m must be finite and >= 0; got {eps_m}")
     if mode not in SELECTION_MODES:
         raise ValueError(f"mode must be one of {SELECTION_MODES}; got {mode!r}")
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
-    values, mags = _scan(F, dictionary)
+    _check_policy(policy)
+    _check_dim(F, dictionary)
     f = _as_vector(dictionary.space, f, "f")
-    scores = mags if mode == "circle" else values.real
-    threshold = float(np.dot(F.coeffs, f).real) - eps_m
-    dual_norm = float(np.maximum.reduce(mags))
-    sel = _pick(values, scores, threshold, dual_norm, policy, phased=mode == "circle")
-    if sel is None:
-        raise InfeasibleSelectionError(
-            f"no atom within eps_m={eps_m:g} of the target functional value; "
-            f"best score {scores.max()!r} < required {threshold!r} "
-            f"(target violates its {mode} membership contract)"
-        )
+    (sel,) = _selections(F.coeffs, [dictionary.atoms], policy, f=f, eps_m=eps_m, mode=mode)
+    if isinstance(sel, InfeasibleSelectionError):
+        raise sel
     return sel
 
 

@@ -80,6 +80,75 @@ def _diag_slope(trace: GreedyTrace) -> CheckReport:
     return CheckReport("rate_slope", True, math.inf, n, details=details)
 
 
+def _suite(config: ExperimentConfig, space, dictionary, target, trace) -> list[CheckReport]:
+    """The algorithm's checker suite on one run's trace, which it stamps with the config hash."""
+    tau, slack, A_eps, eps = config.weakness(), config.checks.slack, target.A_eps, target.eps
+    if config.algorithm.id == "wgafr":
+        reports = [
+            check_monotone(trace, slack),
+            check_ml1_trace(space, trace, tau, A_eps, eps, slack=slack,
+                            grid_points=config.checks.lambda_points),
+            check_mt2_bound(trace, smoothness_params(space), A_eps, eps, tau, slack),
+        ]
+    elif config.algorithm.id == "gawr":
+        if tau.kind == "constant":
+            reports = [check_ml3_trace(space, trace, A_eps, eps, tau.t, slack)]
+        else:
+            details = ["recursion is stated for constant weakness only"]
+            reports = [_not_applicable("ml3_per_step", details)]
+    else:
+        reports = [check_trivial_step(trace), check_barycentric(trace, dictionary)]
+        reports.append(_diag_slope(trace))
+    trace.config_hash = config.hash()
+    return reports
+
+
+def _run_batch(configs: list, out_dir: str | None = None) -> list:
+    """``run_experiment`` of configs that differ at most in their seeds, the runs in lockstep.
+
+    Each config's entry is its ``(trace, reports)`` or the exception that
+    ``run_experiment`` would raise (from ``validate``, ``_build``, a step or
+    a checker). ``out_dir`` is created once a config has been built.
+    """
+    results, built = [None] * len(configs), []
+    for i, config in enumerate(configs):
+        try:
+            config.validate()
+            built.append((i, config, *_build(config)))
+        except Exception as exc:  # this config's error; the others run on
+            results[i] = exc
+    if not built:
+        return results
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    _, config, space, *_ = built[0]
+    a = config.algorithm
+    dictionaries, targets = [b[3] for b in built], [b[4] for b in built]
+    if len(built) == 1:
+        dictionaries, targets = dictionaries[0], targets[0]
+    try:
+        if a.id in ("wgafr", "gawr"):
+            schedules = [config.relaxation()] if a.id == "gawr" else []
+            traces = (run_wgafr if a.id == "wgafr" else run_gawr)(
+                space, dictionaries, targets, config.weakness(), *schedules, a.iters, a.policy,
+                config.solver,
+            )
+        else:
+            run = run_iac if a.id == "iac" else run_iacc
+            traces = run(space, dictionaries, targets, a.k1, a.iters, a.policy)
+    except Exception as exc:  # a run that failed before its steps fails every config
+        traces = [exc] * len(built)
+    for (i, config, space, dictionary, target), trace in zip(
+        built, traces if type(traces) is list else [traces]
+    ):
+        try:
+            results[i] = trace if isinstance(trace, Exception) else (
+                trace, _suite(config, space, dictionary, target, trace))
+        except Exception as exc:  # a checker's error
+            results[i] = exc
+    return results
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir: str | None = None
 ) -> tuple[GreedyTrace, list[CheckReport]]:
@@ -88,56 +157,16 @@ def run_experiment(
     With ``out_dir`` set, writes the trace CSV and the report JSON there
     under the configured file names.
     """
-    config.validate()
-    space, dictionary, target = _build(config)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    cfg = config.solver
-    a = config.algorithm
-    tau = config.weakness()
-    slack = config.checks.slack
-    if a.id == "wgafr":
-        trace = run_wgafr(space, dictionary, target, tau, a.iters, a.policy, cfg)
-        reports = [
-            check_monotone(trace, slack),
-            check_ml1_trace(
-                space,
-                trace,
-                tau,
-                target.A_eps,
-                target.eps,
-                slack=slack,
-                grid_points=config.checks.lambda_points,
-            ),
-            check_mt2_bound(
-                trace, smoothness_params(space), target.A_eps, target.eps, tau, slack
-            ),
-        ]
-    elif a.id == "gawr":
-        trace = run_gawr(
-            space, dictionary, target, tau, config.relaxation(), a.iters, a.policy, cfg
-        )
-        if tau.kind == "constant":
-            reports = [check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)]
-        else:
-            details = ["recursion is stated for constant weakness only"]
-            reports = [_not_applicable("ml3_per_step", details)]
-    else:
-        run = run_iac if a.id == "iac" else run_iacc
-        trace = run(space, dictionary, target, a.k1, a.iters, a.policy)
-        reports = [
-            check_trivial_step(trace),
-            check_barycentric(trace, dictionary),
-            _diag_slope(trace),
-        ]
-    trace.config_hash = config.hash()
-
+    (result,) = _run_batch([config], out_dir)
+    if isinstance(result, Exception):
+        raise result
+    trace, reports = result
     if out_dir is not None:
         trace.write_csv(os.path.join(out_dir, config.output.trace_csv))
         report_obj = {
             "schema": "lpgreedy.report.v1",
             "config_hash": trace.config_hash,
-            "algorithm": a.id,
+            "algorithm": config.algorithm.id,
             "config": config.to_dict(),
             "reports": [r.to_json_obj() for r in reports],
         }
@@ -147,49 +176,34 @@ def run_experiment(
     return trace, reports
 
 
-def _run_cell(base: dict, cell: int, replicate: int, assignments: dict, axes: str) -> dict:
-    """One sweep row: the base config (``to_dict()`` form) edited once, run and summarized.
-
-    ``axes`` is ``assignments`` as JSON. Any failure, a bad cell value
-    included, lands in the row's ``error`` column; the seed columns stay
-    empty when the config edit itself fails.
-    """
-    row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(cell=cell, replicate=replicate, axes=axes)
+def _summarize(row: dict, result) -> None:
+    """Fill a sweep row from its run's ``(trace, reports)``, or its ``error`` from an exception."""
     try:
-        config = _edited(
-            base,
-            {
-                **assignments,
-                "dictionary.seed": stable_seed(base["dictionary"]["seed"], cell, replicate, "dict"),
-                "target.seed": stable_seed(base["target"]["seed"], cell, replicate, "target"),
-            },
-        )
-        row["dictionary_seed"] = config.dictionary.seed
-        row["target_seed"] = config.target.seed
-        trace, reports = run_experiment(config)
+        if isinstance(result, Exception):
+            raise result
+        trace, reports = result
         applicable = [r for r in reports if r.applicable]
         passed = sum(1 for r in applicable if r.passed)
-        norms = trace.residual_norms()
-        row["final_residual"] = repr(float(norms[-1]))
+        row["final_residual"] = repr(float(trace.residual_norms()[-1]))
         # The one slope fit of the cell: the rate_slope report's, if the suite has one.
         rate = next((r for r in reports if r.name == "rate_slope"), None) or _diag_slope(trace)
         if rate.details[0].startswith("slope="):  # else too few usable steps: stays empty
             row["slope"] = rate.details[0].removeprefix("slope=")
-        row["checks_passed"] = passed
-        row["checks_total"] = len(applicable)
-        row["pass_rate"] = repr(passed / len(applicable)) if applicable else ""
-        row["config_hash"] = trace.config_hash
+        row.update(checks_passed=passed, checks_total=len(applicable),
+                   pass_rate=repr(passed / len(applicable)) if applicable else "",
+                   config_hash=trace.config_hash)
     except Exception as exc:  # propagate per-cell, keep the sweep running
         row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
 
 
 def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
-    """Cartesian product of axes x replicate seeds; one summary row per cell.
+    """Cartesian product of axes x replicate seeds; one summary row per cell and replicate.
 
-    Cells run one after another in deterministic cell order. Per-cell
-    failures land in the row's ``error`` column and do not stop the sweep.
+    Cells run in deterministic cell order, and a cell's replicates run in
+    lockstep, as one batch. Each replicate edits the base config once: the
+    cell's axis values and two seeds derived from the base seeds. Any
+    failure lands in the row's ``error`` column and does not stop the
+    sweep; the seed columns stay empty when the config edit itself fails.
     """
     spec.validate()
     if out_dir is not None:
@@ -200,8 +214,26 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
     for cell, combo in enumerate(itertools.product(*(values for _, values in spec.axes))):
         assignments = dict(zip(paths, combo))
         axes = json.dumps(assignments, sort_keys=True)
+        edited, configs = [], []
         for replicate in range(int(spec.replicate_seeds)):
-            rows.append(_run_cell(base, cell, replicate, assignments, axes))
+            row = dict.fromkeys(SWEEP_COLUMNS, "")
+            row.update(cell=cell, replicate=replicate, axes=axes)
+            rows.append(row)
+            seeds = {
+                "dictionary.seed": stable_seed(base["dictionary"]["seed"], cell, replicate, "dict"),
+                "target.seed": stable_seed(base["target"]["seed"], cell, replicate, "target"),
+            }
+            try:
+                config = _edited(base, {**assignments, **seeds})
+            except Exception as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                continue
+            row["dictionary_seed"] = config.dictionary.seed
+            row["target_seed"] = config.target.seed
+            edited.append(row)
+            configs.append(config)
+        for row, result in zip(edited, _run_batch(configs)):
+            _summarize(row, result)
     if out_dir is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -30,12 +30,12 @@ P_MAX = 64.0
 
 
 def _whole(value) -> int | None:
-    """int(value) for a whole number such as 16 or 16.0; None for 16.5, NaN, inf or "16"."""
+    """int(value) for a whole number such as 16 or 16.0; None for 16.5, NaN, inf, "16" or True."""
     try:
         number = int(value)
     except (OverflowError, TypeError, ValueError):
         return None
-    return number if number == value else None
+    return number if number == value and not isinstance(value, bool) else None
 
 
 def _count(name: str, value) -> int:
@@ -154,7 +154,7 @@ def _as_vector(space: LpSpace, v, name: str = "v") -> np.ndarray:
 
 
 def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
-    """Row-wise l_p norms of a 2-D complex array, scaled for stability.
+    """Row-wise l_p norms of a 2-D complex array, scaled for stability; NaN for a non-finite row.
 
     A tall array is taken a block of rows at a time; each row's norm is
     the same bit for bit, since every reduction runs along a row.
@@ -168,17 +168,18 @@ def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
 def _norm_block(p: float, a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     scale = mags.max(axis=-1)
-    safe = np.where(scale > 0.0, scale, 1.0)
+    safe = np.where(scale != 0.0, scale, 1.0)  # a NaN scale stays NaN
     mags /= safe[..., None]
     mags **= p  # in place, and bit for bit ``mags ** p``
     sums = mags.sum(axis=-1)
-    return np.where(scale > 0.0, safe * sums ** (1.0 / p), 0.0)
+    return np.where(scale != 0.0, safe * sums ** (1.0 / p), 0.0)
 
 
 def _norm_vec(p: float, a: np.ndarray) -> float:
     """The l_p norm of one vector; NaN if an entry is not finite.
 
-    For finite entries it is ``_norm_rows(p, a[None])[0]`` bit for bit. The
+    It is ``_norm_rows(p, a[None])[0]`` bit for bit, so a run stepped
+    alone and the same run as a row of a batch get the same norms. The
     root stays a ufunc on a one-element array for that: a Python-float
     power differs from numpy's in the last bit for about one vector in
     twenty.

@@ -27,6 +27,7 @@ from lpgreedy import (
 )
 from lpgreedy import algorithms, solvers
 from lpgreedy.algorithms import _greedy_loop
+from lpgreedy.dictionaries import _selections
 from lpgreedy.analysis import check_barycentric, check_monotone
 
 
@@ -430,15 +431,15 @@ class TestSharedLoop:
         target = make_target(d, "a1", 3, seed=4)
         steps = []
 
-        def select(m, F):
-            return weak_select(F, d, 1.0)
+        def select(m, coeffs, atoms, f):
+            return _selections(coeffs, atoms, "argmax")
 
-        def update(m, G, sel, phi):
+        def update(m, live, f, G, sels, phis):
             steps.append(m)
-            G = 0.5 * G + 0.25 * phi
+            G = 0.5 * G + 0.25 * phis
             if m == 3:
                 G[1] = bad
-            return G, 0.25, 0.5, None, True
+            return G, [(0.25, 0.5, None, True)]
 
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             _greedy_loop(space, d, target, 6, "wgafr", select, update)

@@ -61,7 +61,7 @@ def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
     best = run_bench.time_calls(calls)
     assert best == {"parent": [2.0, 1.0], "change": [0.5, 2.5]}
     assert run_bench.ratios(best) == {
-        "change_over_parent": 3.0 / 3.0,
+        "change_over_parent": (0.25 + 2.5) / 2,  # the median of the per-call ratios
         "call_ratio_quartiles": pytest.approx(run_bench.quartiles([0.25, 2.5])),
     }
 

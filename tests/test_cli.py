@@ -105,6 +105,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {line.split(' = ')[0]}: ")
 
+    def test_boolean_integer_fields_exit_2_before_step_1(self, tmp_path, capsys, monkeypatch):
+        def no_build(config):
+            raise AssertionError("the run was built")
+
+        monkeypatch.setattr(harness, "_build", no_build)
+        path = tmp_path / "bad.txt"
+        path.write_text("space.p = 1.5\nspace.dim = true\nalgorithm.iters = true\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: space.dim: must be an integer; got True\n"
+        assert not (tmp_path / "o").exists()
+        for line in ("dictionary.seed = true", "algorithm.iters = false"):
+            path.write_text(f"{line}\n")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            field = line.split(" = ")[0]
+            assert capsys.readouterr().err.startswith(f"config error: {field}: must be an integer")
+
     def test_fractional_dim_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("space.p = 1.5\nspace.dim = 16.5\ndictionary.count = 32\n")

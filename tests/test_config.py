@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from lpgreedy import ConfigError, ExperimentConfig
+from lpgreedy import ConfigError, ExperimentConfig, harness
 from lpgreedy.config import SweepSpec, stable_seed
-from lpgreedy.harness import run_experiment
+from lpgreedy.harness import run_experiment, run_sweep
 
 
 def sample_config(**overrides):
@@ -369,6 +369,21 @@ class TestSweepSpec:
         spec = SweepSpec(base=sample_config(), replicate_seeds=value)
         with pytest.raises(ConfigError, match="replicate_seeds: must be an integer"):
             spec.validate()
+
+    def test_boolean_replicate_seeds_names_field(self):
+        obj = {"base": sample_config().to_dict(), "replicate_seeds": True}
+        with pytest.raises(ConfigError, match="replicate_seeds: must be an integer; got True"):
+            SweepSpec.from_json_obj(obj)
+        spec = SweepSpec(base=sample_config(), replicate_seeds=True)
+        with pytest.raises(ConfigError, match="replicate_seeds: must be an integer; got True"):
+            spec.validate()
+
+    def test_repeated_axis_path_rejected(self, monkeypatch):
+        # the later axis would override the earlier one: 1.5 and 3.0 would never run
+        spec = SweepSpec(base=sample_config(), axes=[("space.p", [1.5, 3.0]), ("space.p", [2.0])])
+        monkeypatch.setattr(harness, "_run_batch", None)  # refused before any run
+        with pytest.raises(ConfigError, match="axes.space.p: listed 2 times"):
+            run_sweep(spec)
 
     @pytest.mark.parametrize("path", ["dictionary.seed", "target.seed"])
     def test_seed_axis_rejected(self, path):

@@ -295,18 +295,20 @@ class TestRunSweep:
 
 
 class TestTracedSurface:
-    """A sweep reaches the loops through the public names a span tracer wraps,
-    each loop step makes one selection and one call of the solver core
-    ``_descend``, and each cell's rate slope is fitted once.
+    """A sweep runs each cell's replicates as one batch, each lockstep step
+    makes one selection call for all rows and one call of the solver core
+    ``_descend`` per row, and each row's rate slope is fitted once.
 
     Each name is replaced wherever an lpgreedy module holds it, as a tracer
-    rebinds it, so a call that bypasses the public name is not counted.
+    rebinds it, so a call that bypasses the name is not counted.
     """
 
     NAMES = (
         (harness, "run_experiment"),
+        (harness, "_run_batch"),
         (dictionaries, "weak_select"),
         (dictionaries, "eps_select"),
+        (dictionaries, "_selections"),
         (solvers, "minimize_free_relax"),
         (solvers, "minimize_over_line"),
         (solvers, "_descend"),
@@ -321,8 +323,8 @@ class TestTracedSurface:
             def call(*args, **kwargs):
                 calls[name] += 1
                 result = original(*args, **kwargs)
-                if name == "run_experiment":
-                    steps.append(len(result[0].records))
+                if name == "_run_batch":
+                    steps.append([len(trace.records) for trace, _ in result])
                 return result
 
             return call
@@ -338,7 +340,7 @@ class TestTracedSurface:
         return calls, steps
 
     @pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
-    def test_one_run_experiment_and_fit_per_cell_one_selection_per_step(
+    def test_one_batch_per_cell_one_selection_call_per_lockstep_step(
         self, monkeypatch, algorithm
     ):
         base = minimal_config(
@@ -351,10 +353,15 @@ class TestTracedSurface:
         calls, steps = self.count_calls(monkeypatch)
         rows = run_sweep(spec)
         assert [row["error"] for row in rows] == [""] * 6
-        assert calls["run_experiment"] == len(rows) == len(steps)
-        assert sum(steps) == 6 * 6
-        select = "eps_select" if algorithm in ("iac", "iacc") else "weak_select"
-        expected = {"run_experiment": len(rows), "fit_log_slope": len(rows), select: sum(steps)}
+        assert steps == [[6, 6]] * 3  # three cells, two replicates each
+        expected = {"_run_batch": 3, "_selections": 3 * 6, "fit_log_slope": len(rows)}
         if algorithm in ("wgafr", "gawr"):  # the loop calls the core, not the public solvers
-            expected["_descend"] = sum(steps)
+            expected["_descend"] = 6 * 6
         assert dict(calls) == expected
+
+    def test_run_experiment_is_a_batch_of_one(self, monkeypatch):
+        calls, steps = self.count_calls(monkeypatch)
+        trace, _ = harness.run_experiment(minimal_config(algorithm={"id": "iac", "iters": 5}))
+        assert steps == [[len(trace.records)]] == [[5]]
+        assert dict(calls) == {"run_experiment": 1, "_run_batch": 1, "_selections": 5,
+                               "fit_log_slope": 1}
