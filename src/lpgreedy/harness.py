@@ -127,12 +127,12 @@ def _run_batch(configs: list, out_dir: str | None = None) -> list:
     if len(built) == 1:
         dictionaries, targets = dictionaries[0], targets[0]
     try:
-        if a.id in ("wgafr", "gawr"):
-            schedules = [config.relaxation()] if a.id == "gawr" else []
-            traces = (run_wgafr if a.id == "wgafr" else run_gawr)(
-                space, dictionaries, targets, config.weakness(), *schedules, a.iters, a.policy,
-                config.solver,
-            )
+        if a.id == "wgafr":
+            traces = run_wgafr(space, dictionaries, targets, config.weakness(), a.iters, a.policy,
+                               config.solver)
+        elif a.id == "gawr":
+            traces = run_gawr(space, dictionaries, targets, config.weakness(), config.relaxation(),
+                              a.iters, a.policy, config.solver)
         else:
             run = run_iac if a.id == "iac" else run_iacc
             traces = run(space, dictionaries, targets, a.k1, a.iters, a.policy)

@@ -76,6 +76,14 @@ def test_rows_that_stop_and_fail_at_different_steps(monkeypatch, algorithm):
     rows = run_sweep(spec)
     errors = [row["error"].split(":")[0] for row in rows if row["error"]]
     assert errors == ["InfeasibleSelectionError"] * 2
+    for cell, p in enumerate([1.5, 2.0, 3.0]):  # each row's trace and reports, as run alone
+        configs = [
+            base.with_fields({"space.p": p, "dictionary.seed": row["dictionary_seed"],
+                              "target.seed": row["target_seed"]})
+            for row in rows if row["cell"] == cell
+        ]
+        batch = [outputs(result) for result in harness._run_batch(configs)]
+        assert batch == [outputs(single(config)) for config in configs]
     one_by_one(monkeypatch)
     assert run_sweep(spec) == rows
 
