@@ -116,7 +116,10 @@ def test_a_row_whose_config_or_build_fails_leaves_the_others(monkeypatch):
     assert [batch[0], batch[3]] == [outputs(single(configs[0])), outputs(single(configs[3]))]
 
 
-def test_a_row_whose_residual_turns_non_finite_fails_alone():
+def test_rows_that_fail_and_stop_mid_run_leave_the_others():
+    # Row 1's residual turns non-finite at step 3, row 2 fits its target
+    # exactly at step 4 and stops, row 0 runs all 6 steps; each row's
+    # outcome is its single run's.
     space = LpSpace(1.5, 4)
     dictionaries = [generate_dictionary(space, 8, "gaussian", seed=3 + r) for r in range(3)]
     targets = [make_target(d, "a1", 3, seed=4 + r) for r, d in enumerate(dictionaries)]
@@ -126,17 +129,28 @@ def test_a_row_whose_residual_turns_non_finite_fails_alone():
 
     def update(m, live, f, G, sels, phis):
         G = 0.5 * G + 0.25 * phis
-        if m == 3 and live is not ... and 1 in live:  # row 1 of the batch only
-            G[live.index(1), 1] = np.nan
+        for row, target_f in zip(G.reshape(-1, 4), f.reshape(-1, 4)):  # one row per run
+            if m == 3 and np.array_equal(target_f, targets[1].f):
+                row[1] = np.nan
+            if m == 4 and np.array_equal(target_f, targets[2].f):
+                row[:] = target_f
         return G, [(0.25, 0.5, None, True)] * len(sels)
+
+    def alone(d, t):
+        try:
+            return _greedy_loop(space, d, t, 6, "wgafr", select, update)
+        except ValueError as exc:
+            return exc
 
     with np.errstate(invalid="ignore"):
         batch = _greedy_loop(space, dictionaries, targets, 6, "wgafr", select, update)
-        alone = [_greedy_loop(space, d, t, 6, "wgafr", select, update)
-                 for d, t in zip(dictionaries[::2], targets[::2])]
-    assert isinstance(batch[1], ValueError) and "non-finite" in str(batch[1])
-    assert [trace.to_csv_string() for trace in batch[::2]] == [t.to_csv_string() for t in alone]
-    assert [len(trace.records) for trace in batch[::2]] == [6, 6]
+        singles = [alone(d, t) for d, t in zip(dictionaries, targets)]
+    assert isinstance(batch[1], ValueError) and str(batch[1]) == str(singles[1])
+    assert "non-finite" in str(batch[1])
+    assert [trace.to_csv_string() for trace in batch[::2]] == [t.to_csv_string() for t in singles[::2]]
+    assert [(len(t.records), t.stop_reason) for t in batch[::2]] == [
+        (6, "completed"), (4, "residual_below_threshold")
+    ]
 
 
 def test_selection_rows_match_single_functionals():
