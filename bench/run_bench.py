@@ -72,14 +72,15 @@ tree, so drifts in host speed hit both trees alike. A row reports time
 per unit from the summed least times and, with ``--baseline``,
 change_over_parent, the median of the per-call ratios of least times,
 with their first and third quartiles, so that one call slowed by the
-host cannot move a whole row. With ``--baseline`` set to this ``src/``
-the in-process rows (20 to 400 calls each) read within about 5 % of 1,
-and so do the run rows of criteria 5-12. A one-call ``verify``
+host cannot move a whole row; summed_ratio, the ratio of the summed
+least times, is given next to it. With ``--baseline`` set to this
+``src/`` the in-process rows (20 to 400 calls each) read within about
+5 % of 1, and so do the run rows of criteria 5-12. A one-call ``verify``
 criterion and a process row (PROCESS_RUNS calls) are too few calls to
 average the host's noise away: on a shared host those rows move by tens
-of per cent. The JSON pools each loop's per-call ratios over p, and
-gives the ``verify --profile full`` battery as the ratio of its summed
-times over its rows (criteria 5-12 as the sum of their runs).
+of per cent. The JSON pools each loop's calls over p, and the ``verify
+--profile full`` battery's over its rows (criteria 5-12 as their runs);
+the battery's total time makes its summed_ratio.
 It also records the ``src/`` line count and commit of each tree (and whether its ``src/`` has
 edits not yet committed), the machine and the package versions.
 """
@@ -408,11 +409,14 @@ def quartiles(values) -> list:
 
 
 def ratios(times: dict) -> dict:
-    """change/parent as the median of the per-call ratios of least times, with their quartiles."""
-    per_call = [c / b for b, c in zip(times["parent"], times["change"])]
+    """change/parent as the median of the per-call ratios of least times, with their
+    quartiles, and as the ratio of the summed least times."""
+    parent, change = times["parent"], times["change"]
+    per_call = [c / b for b, c in zip(parent, change)]
     return {
         "change_over_parent": statistics.median(per_call),
         "call_ratio_quartiles": quartiles(per_call),
+        "summed_ratio": sum(change) / sum(parent),
     }
 
 
@@ -638,9 +642,7 @@ def main(argv=None) -> int:
     battery = {label: {"battery_s": sum(s)} for label, s in pooled(verify_keys).items()}
     summary = {f"verify_{VERIFY_PROFILE}_battery": battery}
     if "parent" in pkgs:
-        battery_times = pooled(verify_keys)
-        battery.update(ratios(battery_times))
-        battery["change_over_parent"] = sum(battery_times["change"]) / sum(battery_times["parent"])
+        battery.update(ratios(pooled(verify_keys)))
         summary["loops_pooled_over_p"] = {
             entry: ratios(pooled([key for key in cases if key[0] == entry]))
             for entry in LOOPS + CELL_LOOPS
@@ -657,8 +659,8 @@ def main(argv=None) -> int:
             f"least of {TIMINGS} wall times per call and tree, the trees back to back and "
             "alternating call by call; a row's time per unit is the sum of its calls' least "
             "times over its units, change_over_parent the median of the per-call ratios of "
-            "least times, with their first and third quartiles (the verify battery: the ratio "
-            "of its summed times)"
+            "least times, with their first and third quartiles, and summed_ratio the ratio of "
+            "the summed least times"
         ),
         "machine": machine_info(),
         "trees": {label: tree_info(src) for label, src in trees.items()},

@@ -291,6 +291,10 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
     Each target is checked once.
     """
     batch = type(target) is list
+    if batch != (type(dictionary) is list) or batch and len(dictionary) != len(target):
+        raise ValueError("dictionary and target must be one run each or lists of equal length; got "
+                         + " and ".join(f"a list of {len(x)}" if type(x) is list else "one run"
+                                        for x in (dictionary, target)))
     iters = _count("iters", iters)
     results, live, traces, norms = [], [], [], []
     for k, (d, t) in enumerate(zip(dictionary, target) if batch else [(dictionary, target)]):
@@ -332,10 +336,8 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
                 break
             traces, atoms, live, sels, f, G, residual, mags = _take(
                 keep, traces, atoms, live, sels, f, G, residual, mags)
-        if batch:
-            phis = np.stack([rows[sel.index] for rows, sel in zip(atoms, sels)])
-        else:
-            phis = atoms[0][sels[0].index]
+        phis = (np.stack([rows[sel.index] for rows, sel in zip(atoms, sels)]) if batch
+                else atoms[0][sels[0].index])
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)

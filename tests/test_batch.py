@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from lpgreedy import ExperimentConfig, LpSpace, SweepSpec, harness, run_sweep
-from lpgreedy.algorithms import _greedy_loop
+from lpgreedy.algorithms import (
+    RelaxationSchedule,
+    WeaknessSequence,
+    _greedy_loop,
+    run_gawr,
+    run_iac,
+    run_iacc,
+    run_wgafr,
+)
 from lpgreedy.dictionaries import (
     InfeasibleSelectionError,
     _selections,
@@ -151,6 +159,28 @@ def test_rows_that_fail_and_stop_mid_run_leave_the_others():
     assert [(len(t.records), t.stop_reason) for t in batch[::2]] == [
         (6, "completed"), (4, "residual_below_threshold")
     ]
+
+
+@pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
+def test_run_functions_refuse_dictionaries_and_targets_of_unequal_length(algorithm):
+    space = LpSpace(2.0, 4)
+    d = [generate_dictionary(space, 8, "gaussian", seed=s) for s in range(2)]
+    t = [make_target(x, "conv" if algorithm == "iacc" else "a1", 2, seed=1) for x in d]
+    tau = WeaknessSequence.constant(1.0)
+    run = {
+        "wgafr": lambda d, t: run_wgafr(space, d, t, tau, 3),
+        "gawr": lambda d, t: run_gawr(space, d, t, tau, RelaxationSchedule.harmonic(), 3),
+        "iac": lambda d, t: run_iac(space, d, t, 1.0, 3),
+        "iacc": lambda d, t: run_iacc(space, d, t, 1.0, 3),
+    }[algorithm]
+    for dictionary, target, given in (
+        (d, t[:1], "a list of 2 and a list of 1"),
+        (d[0], t[:1], "one run and a list of 1"),
+        (d[:1], t[0], "a list of 1 and one run"),
+    ):
+        with pytest.raises(ValueError, match=f"lists of equal length; got {given}$"):
+            run(dictionary, target)
+    assert [type(trace).__name__ for trace in run(d, t)] == ["GreedyTrace"] * 2
 
 
 def test_selection_rows_match_single_functionals():

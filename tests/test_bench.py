@@ -63,6 +63,7 @@ def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
     assert run_bench.ratios(best) == {
         "change_over_parent": (0.25 + 2.5) / 2,  # the median of the per-call ratios
         "call_ratio_quartiles": pytest.approx(run_bench.quartiles([0.25, 2.5])),
+        "summed_ratio": (0.5 + 2.5) / (2.0 + 1.0),  # the ratio of the summed least times
     }
 
 
