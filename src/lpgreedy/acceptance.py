@@ -1,9 +1,12 @@
-"""The acceptance battery behind ``verify``: one function per criterion.
+"""The acceptance battery behind ``verify``.
 
-Every criterion returns a CheckReport whose margins already fold in the
-criterion's stated tolerance, so 0 is the pass line. ``full`` runs the
-complete battery at the full sample counts; ``quick`` is a
-scaled-down smoke profile of the same checks.
+Criteria 1-4, 13 and 14 are one function each. The greedy-run criteria
+5-12 are data: ``_RUN_TABLE`` gives each its list of configs and a reducer
+from those runs' traces and checker reports to its CheckReport, and one
+runner calls ``run_experiment`` on the configs in list order. Every
+criterion's margins already fold in its stated tolerance, so 0 is the pass
+line. ``full`` runs the complete battery at the full sample counts;
+``quick`` is a scaled-down smoke profile of the same checks.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import filecmp
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -62,14 +66,6 @@ def _config(dict_seed, target_seed, algorithm, p, iters, dim=12, count=24, **fie
     }
     changes.update({f"{sections.get(name, 'algorithm')}.{name}": v for name, v in fields.items()})
     return ExperimentConfig().with_fields(changes)
-
-
-def _run(seed, tag, i, algorithm, p, iters, **fields):
-    """Run ``i`` of a criterion: its trace and its ``run_experiment`` reports by name."""
-    dict_seed = stable_seed(seed, tag + "dict", i)
-    target_seed = stable_seed(seed, tag + "target", i)
-    trace, reports = run_experiment(_config(dict_seed, target_seed, algorithm, p, iters, **fields))
-    return trace, {report.name: report for report in reports}
 
 
 def _merged(name, reports, shift):
@@ -149,122 +145,127 @@ def criterion_ll2_ll3_sampling(seed=0, profile="full") -> CheckReport:
 
 # The (t, policy) pairs the free-relaxation criteria alternate between.
 _WGAFR_MODES = ({"t": 1.0, "policy": "argmax"}, {"t": 0.5, "policy": "first_qualifying"})
+# The l_2 runs of criteria 8, 10 and 12: 32 atoms in C^16.
+_L2_RUNS = {"ps": (2.0,), "dim": 16, "count": 32}
 
 
-def criterion_wgafr_monotonicity(seed=0, profile="full") -> CheckReport:
-    """Residual norms never increase, 1e-8 slack, every step of every run."""
-    runs, iters = (50, 40) if profile == "full" else (6, 25)
-    reports = []
-    for i in range(runs):
-        _, suite = _run(seed, "", i, "wgafr", _RUN_PS[i % 3], iters, **_WGAFR_MODES[i % 2])
-        reports.append(suite["residual_monotone"])
-    return _merged("wgafr_monotonicity", reports, 0.0)
+def _runs(tag, algorithm, full, quick, seed, profile, ps=_RUN_PS, modes=({},), first=0, **fields):
+    """A criterion's configs; ``full`` and ``quick`` give its (runs, iters) per profile.
+
+    Run i draws its seeds from ``tag`` and ``first + i`` and takes the p
+    and the mode at i modulo their counts; ``fields`` go to ``_config``.
+    """
+    runs, iters = full if profile == "full" else quick
+    return [
+        _config(
+            stable_seed(seed, tag + "dict", first + i),
+            stable_seed(seed, tag + "target", first + i),
+            algorithm, ps[i % len(ps)], iters, **modes[i % len(modes)], **fields,
+        )
+        for i in range(runs)
+    ]
 
 
-def criterion_ml1_per_step(seed=0, profile="full") -> CheckReport:
-    """Free-relaxation residual recursion at every step and grid point."""
-    runs, iters = (50, 50) if profile == "full" else (6, 25)
-    reports = []
-    for i in range(runs):
-        mode = _WGAFR_MODES[i % 2]
-        _, suite = _run(seed, "", 1000 + i, "wgafr", _RUN_PS[i % 3], iters, **mode)
-        reports.append(suite["ml1_per_step"])
-    return _merged("ml1_per_step", reports, 1e-8)
+def _exactness_runs(seed, profile):
+    """Criterion 9's configs: sparsity-k targets over the canonical basis, k + 2 steps."""
+    ks, targets_per_k = (range(1, 9), 2) if profile == "full" else (range(1, 5), 1)
+    return [
+        _config(
+            0, stable_seed(seed, "exact", k, j), "wgafr", 2.0, k + 2,
+            dim=8, count=8, kind="canonical", sparsity=k,
+        )
+        for k in ks
+        for j in range(targets_per_k)
+    ]
 
 
-def criterion_ml3_per_step(seed=0, profile="full") -> CheckReport:
-    """Relaxed-loop residual recursion with r_k = 2/(k+2), every step."""
-    runs, iters = (50, 60) if profile == "full" else (6, 30)
-    reports = []
-    for i in range(runs):
-        _, suite = _run(seed, "ml3-", i, "gawr", _RUN_PS[i % 3], iters, t=(1.0, 0.5)[i % 2])
-        reports.append(suite["ml3_per_step"])
-    return _merged("ml3_per_step", reports, 1e-8)
+def _suite(report, shift, name, configs, results) -> CheckReport:
+    """Each run's ``report`` from its checker suite, worst margins moved by ``shift``."""
+    return _merged(name, [reports[report] for _, reports in results], shift)
 
 
-def criterion_mt2_explicit_bound(seed=0, profile="full") -> CheckReport:
-    """||f_m||^2 <= 400/(1+m) for l_2, t = 1, exact unit-mass targets."""
-    runs, iters = (50, 500) if profile == "full" else (4, 150)
-    margins = []
-    steps = 0
-    for i in range(runs):
-        trace, _ = _run(seed, "mt2-", i, "wgafr", 2.0, iters, dim=16, count=32, sparsity=8)
-        norms = trace.residual_norms()
-        m = np.arange(1, norms.size)
-        margins.append(400.0 / (1.0 + m) - norms[1:] ** 2)
-        steps += len(trace.records)
-    return _finish("mt2_explicit_bound", np.concatenate(margins), steps, 0.0)
+def _mt2_envelope(name, configs, results) -> CheckReport:
+    """||f_m||^2 <= 400/(1+m) at every step m >= 1 of every run."""
+    norms = [trace.residual_norms() for trace, _ in results]
+    margins = [400.0 / (1.0 + np.arange(1, n.size)) - n[1:] ** 2 for n in norms]
+    steps = sum(len(trace.records) for trace, _ in results)
+    return _finish(name, np.concatenate(margins), steps, 0.0)
 
 
-def criterion_orthonormal_exactness(seed=0, profile="full") -> CheckReport:
-    """Sparsity-k targets over the canonical basis resolve in exactly k steps."""
-    ks = range(1, 9) if profile == "full" else range(1, 5)
-    seeds_per_k = 2 if profile == "full" else 1
+def _exactness(name, configs, results) -> CheckReport:
+    """A sparsity-k run is nonzero after step k - 1 and zero after step k, 1e-8 each."""
     margins = []
     runs = 0
-    for k in ks:
-        for j in range(seeds_per_k):
-            target_seed = stable_seed(seed, "exact", k, j)
-            config = _config(
-                0, target_seed, "wgafr", 2.0, k + 2, dim=8, count=8, kind="canonical", sparsity=k
-            )
-            norms = run_experiment(config)[0].residual_norms()
-            if len(norms) <= k:
-                margins.append(float("-inf"))  # run stopped before k steps
-                continue
-            margins.append(1e-8 - norms[k])
-            margins.append(norms[k - 1] - 1e-8)
-            runs += 1
-    return _finish("orthonormal_exactness", margins, runs, 0.0)
+    for config, (trace, _) in zip(configs, results):
+        k = config.target.sparsity
+        norms = trace.residual_norms()
+        if len(norms) <= k:
+            margins.append(float("-inf"))  # run stopped before k steps
+            continue
+        margins.append(1e-8 - norms[k])
+        margins.append(norms[k - 1] - 1e-8)
+        runs += 1
+    return _finish(name, margins, runs, 0.0)
 
 
-def _rate(name, seed, profile, algorithm, iters, bound, also=None) -> CheckReport:
-    """Rate criterion: fitted slope <= ``bound`` on 45 of 50 runs (quick: 6 of 8).
+def _rate(bound, also, name, configs, results) -> CheckReport:
+    """Slope fitted over steps 10 to iters <= ``bound`` on 45 of 50 runs (quick: 6 of 8).
 
     With ``also`` set, the worst margin of that suite report over all runs
     is the criterion's second margin.
     """
-    runs, needed = (50, 45) if profile == "full" else (8, 6)
-    slopes = []
-    suites = []
-    for i in range(runs):
-        trace, suite = _run(
-            seed, algorithm + "-", i, algorithm, 2.0, iters, dim=16, count=32, sparsity=6
-        )
-        slopes.append(fit_log_slope(trace, (10, iters)).slope)
-        suites.append(suite)
+    needed = {50: 45, 8: 6}[len(results)]
+    slopes = [
+        fit_log_slope(trace, (10, config.algorithm.iters)).slope
+        for config, (trace, _) in zip(configs, results)
+    ]
     qualifying = sum(1 for s in slopes if s <= bound)
     margins = [float(qualifying - needed)]
     if also is not None:
-        margins.append(min(suite[also].worst_margin for suite in suites))
+        margins.append(min(reports[also].worst_margin for _, reports in results))
     details = [
-        f"qualifying_runs={qualifying}/{runs} (need {needed})",
+        f"qualifying_runs={qualifying}/{len(results)} (need {needed})",
         f"median_slope={float(np.median(slopes))!r}",
     ]
-    return _finish(name, margins, runs, 0.0, details)
+    return _finish(name, margins, len(results), 0.0, details)
 
 
-def criterion_iac_rate(seed=0, profile="full") -> CheckReport:
-    """Incremental rate: slope <= -0.4 on >= 90% of runs; trivial-step bound always."""
-    iters = 200 if profile == "full" else 120
-    return _rate("iac_rate", seed, profile, "iac", iters, -0.4, also="trivial_step_bound")
+# number: (name, configs at (seed, profile), reducer). For ``_runs`` the two
+# pairs are (runs, iters) in full and in quick.
+_RUN_TABLE = {
+    5: ("wgafr_monotonicity",  # residual norms never increase, every step of every run
+        partial(_runs, "", "wgafr", (50, 40), (6, 25), modes=_WGAFR_MODES),
+        partial(_suite, "residual_monotone", 0.0)),
+    6: ("ml1_per_step",  # free-relaxation recursion at every step and grid point
+        partial(_runs, "", "wgafr", (50, 50), (6, 25), modes=_WGAFR_MODES, first=1000),
+        partial(_suite, "ml1_per_step", 1e-8)),
+    7: ("ml3_per_step",  # relaxed-loop recursion with r_k = 2/(k+2), every step
+        partial(_runs, "ml3-", "gawr", (50, 60), (6, 30), modes=({"t": 1.0}, {"t": 0.5})),
+        partial(_suite, "ml3_per_step", 1e-8)),
+    8: ("mt2_explicit_bound",
+        partial(_runs, "mt2-", "wgafr", (50, 500), (4, 150), **_L2_RUNS, sparsity=8),
+        _mt2_envelope),
+    9: ("orthonormal_exactness", _exactness_runs, _exactness),
+    10: ("iac_rate",
+        partial(_runs, "iac-", "iac", (50, 200), (8, 120), **_L2_RUNS, sparsity=6),
+        partial(_rate, -0.4, "trivial_step_bound")),
+    11: ("iacc_barycentric",  # every stored approximant rebuilds from its selections
+        partial(_runs, "iacc-", "iacc", (20, 150), (4, 80), membership="conv", sparsity=5),
+        partial(_suite, "barycentric_reconstruction", 0.0)),
+    12: ("gawr_rate_proxy",
+        partial(_runs, "gawr-", "gawr", (50, 300), (8, 150), **_L2_RUNS, sparsity=6),
+        partial(_rate, -0.35, None)),
+}
 
 
-def criterion_iacc_barycentric(seed=0, profile="full") -> CheckReport:
-    """Every stored incremental approximant rebuilds from its selections."""
-    runs, iters = (20, 150) if profile == "full" else (4, 80)
-    reports = []
-    for i in range(runs):
-        p = _RUN_PS[i % 3]
-        _, suite = _run(seed, "iacc-", i, "iacc", p, iters, membership="conv", sparsity=5)
-        reports.append(suite["barycentric_reconstruction"])
-    return _merged("iacc_barycentric", reports, 0.0)
-
-
-def criterion_gawr_rate_proxy(seed=0, profile="full") -> CheckReport:
-    """Relaxed-loop rate proxy: slope <= -0.35 on >= 90% of runs."""
-    iters = 300 if profile == "full" else 150
-    return _rate("gawr_rate_proxy", seed, profile, "gawr", iters, -0.35)
+def _run_criterion(name, configs_of, reduce, seed=0, profile="full") -> CheckReport:
+    """A run criterion: ``run_experiment`` on each of its configs in order, then its reducer."""
+    configs = configs_of(seed=seed, profile=profile)
+    results = []
+    for config in configs:
+        trace, reports = run_experiment(config)
+        results.append((trace, {report.name: report for report in reports}))
+    return reduce(name, configs, results)
 
 
 def _synthetic_hl1(rng, length=60):
@@ -355,14 +356,10 @@ ALL_CRITERIA = (
     (2, "ll0_sandwich", criterion_ll0_sandwich),
     (3, "ll1_certificate", criterion_ll1_certificate),
     (4, "ll2_ll3_sampling", criterion_ll2_ll3_sampling),
-    (5, "wgafr_monotonicity", criterion_wgafr_monotonicity),
-    (6, "ml1_per_step", criterion_ml1_per_step),
-    (7, "ml3_per_step", criterion_ml3_per_step),
-    (8, "mt2_explicit_bound", criterion_mt2_explicit_bound),
-    (9, "orthonormal_exactness", criterion_orthonormal_exactness),
-    (10, "iac_rate", criterion_iac_rate),
-    (11, "iacc_barycentric", criterion_iacc_barycentric),
-    (12, "gawr_rate_proxy", criterion_gawr_rate_proxy),
+    *(
+        (number, name, partial(_run_criterion, name, configs_of, reduce))
+        for number, (name, configs_of, reduce) in _RUN_TABLE.items()
+    ),
     (13, "sequence_bounds", criterion_sequence_bounds),
     (14, "determinism", criterion_determinism),
 )

@@ -2,12 +2,15 @@
 
 Each test prints its PASS/FAIL line (visible under pytest -s or on
 failure) and asserts the criterion's report. The same battery backs
-``lpgreedy verify --profile full``. One more test checks, on the quick
-profile, that every greedy run of the battery goes through
-``run_experiment``.
+``lpgreedy verify --profile full``. The tests after it check the table of
+run criteria 5-12 on the quick profile: every greedy run goes through
+``run_experiment`` in table order, the configs are pinned by digest, and
+every reducer fails on a violating run.
 """
 
 import collections
+import dataclasses
+import hashlib
 import io
 
 import pytest
@@ -53,3 +56,78 @@ def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch):
     assert by_algorithm == {"wgafr": 22, "gawr": 14, "iac": 10, "iacc": 4}
     assert all(config.checks.slack == 1e-8 for config in configs)
     assert all(config.checks.lambda_points == 101 for config in configs)
+    # Criteria 1-4 and 13 make no runs, so 5-12 come first, each its table list in order.
+    start = 0
+    for number, (_, configs_of, _) in acceptance._RUN_TABLE.items():
+        expected = [config.hash() for config in configs_of(seed=SEED, profile="quick")]
+        recorded = [config.hash() for config in configs[start : start + len(expected)]]
+        assert recorded == expected, f"criterion {number}"
+        start += len(expected)
+    assert start == len(configs) - 2 * 2
+
+
+@pytest.mark.parametrize(
+    "profile,runs,digest",
+    [
+        ("quick", 46, "75b43c82f463b11e0839465570ef47835b28ae1becfa8683acf41e3a7ac18b1d"),
+        ("full", 336, "d2351cadd870b2e0eb95dd0ebc4796a9e2078880e78f2b13ca79467607660c8a"),
+    ],
+)
+def test_run_criteria_configs_are_pinned(profile, runs, digest):
+    """The configs of criteria 5-12 at seed 0, in number and list order, built without running."""
+    lines = [
+        f"{number} {config.hash()}"
+        for number, (_, configs_of, _) in sorted(acceptance._RUN_TABLE.items())
+        for config in configs_of(seed=SEED, profile=profile)
+    ]
+    assert len(lines) == runs
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def quick_inputs():
+    """What the runner hands each criterion 5-12's reducer on the quick profile."""
+    return {
+        number: acceptance._run_criterion(
+            name, configs_of, lambda _, configs, results: (configs, results), SEED, "quick"
+        )
+        for number, (name, configs_of, _) in acceptance._RUN_TABLE.items()
+    }
+
+
+_SUITE_REPORTS = {
+    5: "residual_monotone",
+    6: "ml1_per_step",
+    7: "ml3_per_step",
+    11: "barycentric_reconstruction",
+}
+
+
+@pytest.mark.parametrize("number", range(5, 13))
+def test_run_reducer_fails_on_a_violating_run(number, quick_inputs):
+    name, _, reduce = acceptance._RUN_TABLE[number]
+    configs, results = quick_inputs[number]
+    assert reduce(name, configs, results).passed
+    results = list(results)
+    trace, reports = results[0]
+    if number in _SUITE_REPORTS:
+        report = reports[_SUITE_REPORTS[number]]
+        violating = dataclasses.replace(report, passed=False, worst_margin=-1.0)
+        results[0] = (trace, {**reports, report.name: violating})
+    elif number == 8:
+        # ||f_1||^2 = 1e4, above 400 / (1 + 1).
+        records = [dataclasses.replace(trace.records[0], residual_norm=100.0), *trace.records[1:]]
+        results[0] = (dataclasses.replace(trace, records=records), reports)
+    elif number == 9:
+        # The run stops one step before its sparsity k.
+        records = trace.records[: configs[0].target.sparsity - 1]
+        results[0] = (dataclasses.replace(trace, records=records), reports)
+    else:
+        # Flat residuals fit slope 0; quick needs 6 of its 8 runs below the bound.
+        assert len(results) == 8
+        for i in range(8 - 6 + 1):
+            trace, reports = results[i]
+            flat = [dataclasses.replace(record, residual_norm=1.0) for record in trace.records]
+            results[i] = (dataclasses.replace(trace, records=flat), reports)
+    report = reduce(name, configs, results)
+    assert not report.passed and report.worst_margin < 0.0, report
