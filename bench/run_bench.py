@@ -39,6 +39,11 @@ in {1.5, 2, 3}:
   ``check_trivial_step`` on iac and iacc traces, ``check_monotone``,
   ``check_ml1_trace`` and ``check_mt2_bound`` on wgafr traces,
   ``check_ml3_trace`` on gawr traces);
+* the checker suites of one sweep cell of CELL_REPLICATES ``iac`` or
+  ``iacc`` replicates, as ``harness._run_batch`` runs them after the loop
+  (time per cell): through ``harness._suites`` where the tree has it
+  (stacked passes over the batch), else the three checkers replicate by
+  replicate;
 * ``run_sweep`` end to end, one row per algorithm and p: SWEEP_RUNS
   sweeps of one cell of CELL_REPLICATES replicates (the shape of the
   ``sweep_grid`` workload's iac/iacc sweeps, whose replicates run as one
@@ -128,7 +133,9 @@ CELL_PARTS = {
 SWEEPS = ("run_sweep_wgafr", "run_sweep_gawr", "run_sweep_iac", "run_sweep_iacc")
 # The incremental loops, timed at the sweep-cell shape (CELL_SHAPE).
 CELL_LOOPS = ("run_iac", "run_iacc")
-ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS
+# The checker stage of one iac/iacc sweep cell of CELL_REPLICATES replicates.
+SUITE_STAGES = ("suite_stage_iac", "suite_stage_iacc")
+ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS + SUITE_STAGES
 PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
@@ -190,10 +197,10 @@ def load_package(src: Path):
 def instances(entry: str, p: float, dim: int):
     """The seeded inputs of one case: vectors, or loop-run seeds."""
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
-    if entry in LOOPS + CELL_LOOPS or entry in CELL_PARTS or entry in SWEEPS:
+    if entry in LOOPS + CELL_LOOPS + SUITE_STAGES or entry in CELL_PARTS or entry in SWEEPS:
         runs = (
-            LOOP_RUNS if entry in LOOPS + CELL_LOOPS else CELL_RUNS if entry in CELL_PARTS
-            else SWEEP_RUNS
+            LOOP_RUNS if entry in LOOPS + CELL_LOOPS
+            else CELL_RUNS if entry in CELL_PARTS or entry in SUITE_STAGES else SWEEP_RUNS
         )
         seeds = [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
         return seeds
@@ -221,6 +228,14 @@ def cell_config(pkg, algorithm, p, dict_seed, target_seed):
     )
 
 
+def build(pkg, config):
+    """The config's space, dictionary and target, drawn as ``run_experiment`` draws them."""
+    space = pkg.LpSpace(config.space.p, config.space.dim)
+    d, t = config.dictionary, config.target
+    dictionary = pkg.generate_dictionary(space, d.count, d.kind, d.seed)
+    return space, dictionary, pkg.make_target(dictionary, t.membership, t.sparsity, t.eps, t.seed)
+
+
 def prepare_cell_part(pkg, entry, p, data):
     """One call per input of a cell-bookkeeping case, made as ``run_experiment`` makes it."""
     algorithms = CELL_PARTS[entry]
@@ -244,7 +259,7 @@ def prepare_cell_part(pkg, entry, p, data):
     if entry == "make_target":
         return [
             functools.partial(
-                pkg.make_target, pkg.harness._build(c)[1], c.target.membership, c.target.sparsity,
+                pkg.make_target, build(pkg, c)[1], c.target.membership, c.target.sparsity,
                 c.target.eps, c.target.seed,
             )
             for c in configs
@@ -254,7 +269,7 @@ def prepare_cell_part(pkg, entry, p, data):
 
 def suite_call(pkg, entry, config):
     """A call of one checker, or of the slope fit, on the config's trace as the suite makes it."""
-    space, dictionary, target = pkg.harness._build(config)
+    space, dictionary, target = build(pkg, config)
     trace, _ = pkg.run_experiment(config)
     tau, slack, n = config.weakness(), config.checks.slack, len(trace.records)
     if entry == "fit_log_slope":
@@ -274,6 +289,33 @@ def suite_call(pkg, entry, config):
         params = pkg.smoothness_params(space)
         return lambda: pkg.check_mt2_bound(trace, params, target.A_eps, target.eps, tau, slack)
     return lambda: pkg.check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)
+
+
+def prepare_suite_stage(pkg, entry, p, data):
+    """One call per input (the seeds of a cell's first replicate): the cell's checker stage."""
+    algorithm = entry.removeprefix("suite_stage_")
+    calls = []
+    for d, t in data:
+        configs = [cell_config(pkg, algorithm, p, d + r, t + r) for r in range(CELL_REPLICATES)]
+        spaces, dictionaries, targets = zip(*[build(pkg, config) for config in configs])
+        traces = [pkg.run_experiment(config)[0] for config in configs]
+        calls.append(functools.partial(suite_stage, pkg, configs, spaces, dictionaries, targets,
+                                       traces))
+    return calls
+
+
+def suite_stage(pkg, configs, spaces, dictionaries, targets, traces):
+    """The iac/iacc checker suites of one cell's traces, as ``_run_batch`` runs them.
+
+    A tree without ``harness._suites`` runs the three checkers of its
+    ``harness._suite`` trace by trace. The config hash that each tree
+    stamps on each trace (one ``hash`` call per replicate in both) is not
+    part of the stage.
+    """
+    if hasattr(pkg.harness, "_suites"):
+        return pkg.harness._suites(configs[0], spaces[0], dictionaries, targets, traces)
+    return [[pkg.check_trivial_step(trace), pkg.analysis.check_barycentric(trace, dictionary),
+             pkg.harness._diag_slope(trace)] for trace, dictionary in zip(traces, dictionaries)]
 
 
 def prepare_sweep(pkg, entry, p, data):
@@ -379,6 +421,8 @@ def prepare(pkg, entry, p, dim, data):
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS:
         return prepare_sweep(pkg, entry, p, data)
+    if entry in SUITE_STAGES:
+        return prepare_suite_stage(pkg, entry, p, data)
     space = pkg.LpSpace(p, dim)
     fn = getattr(pkg, entry)
     return [functools.partial(fn, space, *args) for args in data]
@@ -569,7 +613,8 @@ def main(argv=None) -> int:
         for entry in ENTRIES for p in PS
         for dim in (
             (LOOP_DIM,) if entry in LOOPS
-            else (CELL_DIM,) if entry in CELL_PARTS or entry in SWEEPS or entry in CELL_LOOPS
+            else (CELL_DIM,)
+            if entry in CELL_PARTS or entry in SWEEPS + CELL_LOOPS + SUITE_STAGES
             else INSTANCES
         )
     }
@@ -616,7 +661,8 @@ def main(argv=None) -> int:
         unit = (
             "run" if is_run_criterion(entry) else "criterion" if verify
             else "step" if entry in LOOPS + CELL_LOOPS
-            else "cell" if entry in SWEEPS else "process" if entry in PROCESSES else "call"
+            else "cell" if entry in SWEEPS + SUITE_STAGES
+            else "process" if entry in PROCESSES else "call"
         )
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(calls[key]["change"])}
         if verify:

@@ -175,7 +175,10 @@ def selection_lines(pkg) -> list[str]:
 
 def step_margins(pkg, config, trace) -> list:
     """The recursion margin of a wgafr/gawr run at every step."""
-    space, _, target = pkg.harness._build(config)
+    space = pkg.LpSpace(config.space.p, config.space.dim)
+    d, t = config.dictionary, config.target
+    dictionary = pkg.generate_dictionary(space, d.count, d.kind, d.seed)
+    target = pkg.make_target(dictionary, t.membership, t.sparsity, t.eps, t.seed)
     tau = config.weakness()
     norms = trace.residual_norms()
     margins = []

@@ -28,8 +28,8 @@ from .spaces import (
     _count,
     _norm_mags,
     _norm_rows,
+    _norm_vec,
     _norming_coeffs,
-    lp_norm,
     smoothness_params,
 )
 
@@ -301,7 +301,10 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         try:
             if d.space is not space and d.space != space:
                 raise ValueError("dictionary was built for a different space")
-            norm0 = lp_norm(space, t.f)
+            if (shape := np.shape(t.f)) != (space.dim,):  # lp_norm's texts, from one pass over f
+                raise ValueError(f"v has shape {shape}, expected ({space.dim},) for this space")
+            if (norm0 := _norm_vec(space.p, t.f)) != norm0:
+                raise ValueError("v contains non-finite entries")
             if norm0 == 0.0:
                 raise ValueError("target.f must be nonzero")
         except ValueError as exc:
@@ -336,7 +339,7 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
                 break
             traces, atoms, live, sels, f, G, residual, mags = _take(
                 keep, traces, atoms, live, sels, f, G, residual, mags)
-        phis = (np.stack([rows[sel.index] for rows, sel in zip(atoms, sels)]) if batch
+        phis = (np.array([rows[sel.index] for rows, sel in zip(atoms, sels)]) if batch
                 else atoms[0][sels[0].index])
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
@@ -405,7 +408,7 @@ def _relaxed(space, dictionary, target, tau, iters, policy, algorithm, solve):
                 new, step = args[1], exc
             rows.append(new)
             steps.append(step)
-        return np.stack(rows), steps
+        return np.array(rows), steps
 
     return _greedy_loop(
         space, dictionary, target, iters, algorithm,

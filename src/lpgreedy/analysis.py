@@ -184,7 +184,9 @@ def check_ml1_trace(
     prev, curr = norms[:-1, None], norms[1:, None]
     lams = np.empty((len(steps), grid_points + 1))
     lams[:, :-1] = np.linspace(0.0, 1.0, grid_points)
-    lams[:, -1] = [ml1_optimal_lambda(r, t_m, params, A_eps) for r, t_m in zip(norms[:-1], t)]
+    # Where ||f_{m-1}|| <= eps the bound grows with lam, so the grid's lam = 0 is its least.
+    lams[:, -1] = [0.0 if r <= eps else ml1_optimal_lambda(r, t_m, params, A_eps)
+                   for r, t_m in zip(norms[:-1], t)]
     t = np.asarray(t, dtype=float)[:, None]
     rhs = prev * (
         1.0
@@ -196,11 +198,15 @@ def check_ml1_trace(
 
 
 def _ml3_margin(space, prev, curr, r_m, f_norm, A_eps, eps, t):
-    """One step's ml3 margin; None outside the recursion's hypotheses."""
+    """One step's ml3 margin; None outside the recursion's hypotheses, +inf past float range."""
     if r_m == 0.0 or prev <= eps:
         return None
     u = r_m * (f_norm + A_eps / t) / ((1.0 - r_m) * prev)
-    return prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho_bound(space, u)) - curr
+    try:  # where the bound leaves float range it is +inf: the statement says nothing there
+        rho = rho_bound(space, u) if u < np.inf else np.inf
+    except OverflowError:
+        rho = np.inf
+    return prev * (1.0 - r_m * (1.0 - eps / prev) + 2.0 * rho) - curr
 
 
 def check_ml3_trace(
@@ -245,7 +251,12 @@ def check_mt2_bound(
     """
     q = params.q
     p = params.p_dual
-    A_q = 4.0 * (8.0 * params.gamma) ** (1.0 / (q - 1.0)) * 5.0 ** (q / (q - 1.0))
+    try:  # A_q^(1/p); where A_q is past float range (near q = 1), as 4^(1/p) (8 gamma)^(1/q) 5
+        A_q = 4.0 * (8.0 * params.gamma) ** (1.0 / (q - 1.0)) * 5.0 ** (q / (q - 1.0))
+        root = A_q ** (1.0 / p)
+    except OverflowError:
+        root = np.inf
+    root = root if root < np.inf else 4.0 ** (1.0 / p) * (8.0 * params.gamma) ** (1.0 / q) * 5.0
     norms = trace.residual_norms()
     margins = []
     t_power_sum = 0.0
@@ -253,7 +264,7 @@ def check_mt2_bound(
         t_power_sum += tau.value(record.m) ** p
         bound = max(
             2.0 * eps,
-            A_q ** (1.0 / p) * (A_eps + eps) * (1.0 + t_power_sum) ** (-1.0 / p),
+            root * (A_eps + eps) * (1.0 + t_power_sum) ** (-1.0 / p),
         )
         margins.append(bound - norms[record.m])
     return _finish("mt2_bound", margins, len(trace.records), slack)
@@ -346,12 +357,12 @@ def check_ml4(
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.polyfit(x, y, 1)`` bit for bit, for finite x and y with at least two distinct x.
+    """``np.polyfit(x, row, 1)`` bit for bit for each row of ``y``; finite x and y, two distinct x.
 
-    Scales the Vandermonde columns as polyfit does and calls numpy's
-    LAPACK least-squares gufunc, the one ``np.linalg.lstsq`` wraps, without
-    either function's argument handling. A non-finite y raises the
-    LinAlgError that polyfit raises.
+    Scales the Vandermonde columns as polyfit does and calls numpy's LAPACK
+    least-squares gufunc, the one ``np.linalg.lstsq`` wraps, once over the
+    stack, without either function's argument handling. A non-finite y
+    raises the LinAlgError that polyfit raises.
     """
     if not np.isfinite(y).all():
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
@@ -360,8 +371,8 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     lhs[:, 1] = 1.0
     scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
     lhs /= scale
-    coeffs = lstsq(lhs, y[:, None], x.size * _EPS, signature="ddd->ddid")[0]
-    return coeffs[:, 0] / scale
+    coeffs = lstsq(lhs, y[..., None], x.size * _EPS, signature="ddd->ddid")[0]
+    return coeffs[..., 0] / scale
 
 
 def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
@@ -375,38 +386,48 @@ def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
         res = np.array([record.residual_norm for record in residuals.records])
     else:
         res = np.asarray(residuals, dtype=float)
+    (fit,) = _slope_fits(res[None], window)
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
+
+
+def _slope_fits(res: np.ndarray, window) -> list:
+    """``fit_log_slope`` of each row of ``res``, or the ValueError of a row whose window collapses.
+
+    Rows whose positive prefixes end the window alike are fitted in one stacked pass.
+    """
     m_lo, m_hi = _whole(window[0]), _whole(window[1])
     if m_lo is None or m_hi is None:
         raise ValueError(f"window bounds must be whole numbers; got {tuple(window)!r}")
     if m_lo < 2:
         raise ValueError(f"window must start at m >= 2; got {m_lo}")
-    m_hi = min(m_hi, res.size)
+    m_hi = min(m_hi, res.shape[1])
     if m_hi < m_lo + 1:
         raise ValueError(f"window [{m_lo}, {m_hi}] has fewer than two points")
-    values = res[m_lo - 1 : m_hi]
-    positive = values > 0.0
-    if not positive.all():
-        first_zero = int(np.argmin(positive))
-        m_hi = m_lo + first_zero - 1
-        values = res[m_lo - 1 : m_hi]
-        if values.size < 2:
-            raise ValueError(
-                f"window [{m_lo}, {window[1]}] collapses below two positive residuals"
-            )
-    log_m = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
-    log_r = np.log(values)
-    slope, intercept = _line_fit(log_m, log_r)
-    fitted = slope * log_m + intercept
-    # The sums and the mean of ndarray.sum and ndarray.mean, without their wrappers.
-    ss_res = float(np.add.reduce((log_r - fitted) ** 2))
-    ss_tot = float(np.add.reduce((log_r - np.add.reduce(log_r) / log_r.size) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        window=(m_lo, m_hi),
-        r_squared=r_squared,
-    )
+    positive = res[:, m_lo - 1 : m_hi] > 0.0
+    # Each row's window ends before its first zero residual.
+    ends = ([m_hi] * len(res) if positive.all()
+            else (np.logical_and.accumulate(positive, axis=1).sum(axis=1) + (m_lo - 1)).tolist())
+    fits = [None] * len(res)
+    for end in dict.fromkeys(ends):
+        rows = [i for i, e in enumerate(ends) if e == end]
+        if end < m_lo + 1:
+            for i in rows:
+                fits[i] = ValueError(
+                    f"window [{m_lo}, {window[1]}] collapses below two positive residuals")
+            continue
+        log_m = np.log(np.arange(m_lo, end + 1, dtype=float))
+        log_r = np.log((res if len(rows) == len(res) else res[rows])[:, m_lo - 1 : end])
+        coeffs = _line_fit(log_m, log_r)
+        slope, intercept = coeffs.T[..., None]
+        # The sums and the mean of ndarray.sum and ndarray.mean, row by row, without their wrappers.
+        ss_res = np.add.reduce((log_r - (slope * log_m + intercept)) ** 2, axis=1).tolist()
+        ss_tot = np.add.reduce((log_r - np.add.reduce(log_r, axis=1)[:, None] / log_m.size) ** 2,
+                               axis=1).tolist()
+        for i, (a, b), sr, st in zip(rows, coeffs.tolist(), ss_res, ss_tot):
+            fits[i] = RateFit(a, b, (m_lo, end), 1.0 if st == 0.0 else 1.0 - sr / st)
+    return fits
 
 
 def check_orthogonality(
@@ -497,10 +518,14 @@ def check_monotone(trace: GreedyTrace, slack: float = DEFAULT_SLACK) -> CheckRep
 
 def check_trivial_step(trace: GreedyTrace) -> CheckReport:
     """Trivial-step safety of the incremental loops: ||f_m|| <= ||f_{m-1}|| + 2/m."""
-    norms = trace.residual_norms()
-    m = np.arange(1, norms.size)
-    margins = norms[:-1] + 2.0 / m + TRIVIAL_STEP_SLACK - norms[1:]
-    return _finish("trivial_step_bound", margins.tolist(), len(trace.records), 0.0)
+    return _trivial_steps(trace.residual_norms()[None])[0]
+
+
+def _trivial_steps(norms: np.ndarray) -> list[CheckReport]:
+    """``check_trivial_step`` of each row of ``norms``: stacked ``residual_norms()``, one length."""
+    m = np.arange(1, norms.shape[1])
+    margins = norms[:, :-1] + 2.0 / m + TRIVIAL_STEP_SLACK - norms[:, 1:]
+    return [_finish("trivial_step_bound", row, m.size, 0.0) for row in margins.tolist()]
 
 
 def check_barycentric(
@@ -512,27 +537,37 @@ def check_barycentric(
     convex variant the implied weights must additionally be nonnegative
     reals summing to one within WEIGHT_TOL.
     """
-    records = trace.records[: len(trace.approximants)]
-    phases = np.array([record.phase for record in records], dtype=np.complex128)
-    atoms = dictionary.atoms[[record.selected_index for record in records]]
+    return _barycentric([trace], [dictionary], tol)[0]
+
+
+def _barycentric(traces: list, dictionaries: list, tol: float = 1e-10) -> list[CheckReport]:
+    """``check_barycentric`` of each trace on its dictionary; the traces store equally many G_m."""
+    records = [trace.records[: len(trace.approximants)] for trace in traces]
+    phases = np.array([[r.phase for r in rows] for rows in records], dtype=np.complex128)
+    atoms = np.array([d.atoms[[r.selected_index for r in rows]]
+                      for d, rows in zip(dictionaries, records)])
     # accumulate adds row by row, so row m is the running sum phi_1 + ... + phi_m.
-    rebuilt = np.add.accumulate(phases[:, None] * atoms, axis=0)
-    rebuilt /= np.array([record.m for record in records])[:, None]
-    stored = np.array(trace.approximants[: len(records)]).reshape(rebuilt.shape)
-    drifts = np.maximum.reduce(np.abs(rebuilt - stored), axis=1).tolist()
-    margins = []
-    details = []
-    counts: dict[int, int] = {}
-    for record, drift in zip(records, drifts):
-        margins.append(tol - drift)
-        if drift > tol:
-            details.append(f"step {record.m}: drift {drift:.3e}")
-        if trace.algorithm == "iacc":
-            counts[record.selected_index] = counts.get(record.selected_index, 0) + 1
-            weights = [c / record.m for c in counts.values()]
-            margins.append(min(weights))
-            margins.append(WEIGHT_TOL - abs(sum(weights) - 1.0))
-            if abs(record.phase - 1.0) > WEIGHT_TOL:
-                margins.append(-abs(record.phase - 1.0))
-                details.append(f"step {record.m}: non-unit weight phase")
-    return _finish("barycentric_reconstruction", margins, len(trace.records), 0.0, details)
+    rebuilt = np.add.accumulate(phases[..., None] * atoms, axis=1)
+    rebuilt /= np.array([[r.m for r in rows] for rows in records])[..., None]
+    stored = np.array([t.approximants[: len(rows)] for t, rows in zip(traces, records)])
+    stored = stored.reshape(rebuilt.shape)
+    reports = []
+    for trace, rows, drifts in zip(
+        traces, records, np.maximum.reduce(np.abs(rebuilt - stored), axis=2).tolist()
+    ):
+        margins, details, counts, iacc = [], [], {}, trace.algorithm == "iacc"
+        for record, drift in zip(rows, drifts):
+            margins.append(tol - drift)
+            if drift > tol:
+                details.append(f"step {record.m}: drift {drift:.3e}")
+            if iacc:
+                counts[record.selected_index] = counts.get(record.selected_index, 0) + 1
+                weights = [c / record.m for c in counts.values()]
+                margins.append(min(weights))
+                margins.append(WEIGHT_TOL - abs(sum(weights) - 1.0))
+                if abs(record.phase - 1.0) > WEIGHT_TOL:
+                    margins.append(-abs(record.phase - 1.0))
+                    details.append(f"step {record.m}: non-unit weight phase")
+        reports.append(
+            _finish("barycentric_reconstruction", margins, len(trace.records), 0.0, details))
+    return reports

@@ -175,6 +175,12 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
                    (requires count >= dim).
     canonical      the dim standard basis vectors (count must equal dim).
     """
+    return _dictionaries(space, count, kind, [seed])[0]
+
+
+def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
+    """``generate_dictionary`` for each seed: the atoms drawn seed by seed (the other kinds share
+    one array), then normalized in one pass, where each row keeps its norm's bits."""
     count = _count("count", count)
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"kind must be one of {DICTIONARY_KINDS}; got {kind!r}")
@@ -183,22 +189,22 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
             raise ValueError(
                 f"canonical dictionary requires count == dim; got count={count}, dim={space.dim}"
             )
-        atoms = np.eye(space.dim, dtype=np.complex128)
+        atoms = np.eye(space.dim, dtype=np.complex128)[None]
     elif kind == "gaussian":
         # All real parts, then all imaginary parts: the draws of one
         # standard_normal call, taken a block of rows at a time when the
         # atoms span more than one block.
-        rng = np.random.default_rng(seed)
-        atoms = np.empty((count, space.dim), dtype=np.complex128)
-        blocks = _row_blocks(atoms)
-        if len(blocks) == 1:
-            atoms.real, atoms.imag = rng.standard_normal((2, count, space.dim))
-        else:
-            for part in (atoms.real, atoms.imag):
-                for start in blocks:
-                    block = part[start : start + blocks.step]
-                    block[...] = rng.standard_normal(block.shape)
-        atoms /= _norm_rows(space.p, atoms)[:, None]
+        atoms = np.empty((len(seeds), count, space.dim), dtype=np.complex128)
+        blocks = _row_blocks(atoms[0])
+        for rows, seed in zip(atoms, seeds):
+            rng = np.random.default_rng(seed)
+            if len(blocks) == 1:
+                rows.real, rows.imag = rng.standard_normal((2, count, space.dim))
+            else:
+                for part in (rows.real, rows.imag):
+                    for start in blocks:
+                        block = part[start : start + blocks.step]
+                        block[...] = rng.standard_normal(block.shape)
     else:  # fourier_frame
         if count < space.dim:
             raise ValueError(
@@ -206,9 +212,11 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
             )
         k = np.arange(count)[:, None]
         j = np.arange(space.dim)[None, :]
-        atoms = np.exp(2j * np.pi * k * j / count)
-        atoms /= _norm_rows(space.p, atoms)[:, None]
-    return Dictionary._wrap(space, atoms, kind, seed)
+        atoms = np.exp(2j * np.pi * k * j / count)[None]
+    rows = atoms.reshape(-1, space.dim)
+    rows /= _norm_rows(space.p, rows)[:, None]  # a canonical atom's norm is exactly 1
+    return [Dictionary._wrap(space, atoms[i if kind == "gaussian" else 0], kind, seed)
+            for i, seed in enumerate(seeds)]
 
 
 def _check_dim(F: DualFunctional, dictionary: Dictionary) -> None:

@@ -14,6 +14,8 @@ import json
 import math
 import os
 
+import numpy as np
+
 from .algorithms import (
     GreedyTrace,
     run_gawr,
@@ -23,17 +25,17 @@ from .algorithms import (
 )
 from .analysis import (
     CheckReport,
+    _barycentric,
     _not_applicable,
-    check_barycentric,
-    check_trivial_step,
+    _slope_fits,
+    _trivial_steps,
     check_ml1_trace,
     check_ml3_trace,
     check_monotone,
     check_mt2_bound,
-    fit_log_slope,
 )
 from .config import ExperimentConfig, SweepSpec, _edited, stable_seed
-from .dictionaries import generate_dictionary, make_target
+from .dictionaries import _dictionaries, make_target
 from .spaces import LpSpace, smoothness_params
 
 __all__ = ["run_experiment", "run_sweep"]
@@ -54,98 +56,119 @@ SWEEP_COLUMNS = (
 )
 
 
-def _build(config: ExperimentConfig):
-    space = LpSpace(config.space.p, config.space.dim)
-    dictionary = generate_dictionary(
-        space, config.dictionary.count, config.dictionary.kind, config.dictionary.seed
-    )
-    target = make_target(
-        dictionary,
-        config.target.membership,
-        config.target.sparsity,
-        config.target.eps,
-        config.target.seed,
-    )
-    return space, dictionary, target
+def _build(configs: list):
+    """The space, dictionaries and targets of configs that differ at most in their seeds."""
+    c = configs[0]
+    space = LpSpace(c.space.p, c.space.dim)
+    dictionaries = _dictionaries(space, c.dictionary.count, c.dictionary.kind,
+                                 [config.dictionary.seed for config in configs])
+    t = c.target
+    return space, dictionaries, [make_target(d, t.membership, t.sparsity, t.eps, config.target.seed)
+                                 for d, config in zip(dictionaries, configs)]
 
 
-def _diag_slope(trace: GreedyTrace) -> CheckReport:
-    """Fitted decay slope as a diagnostic report (never a failure)."""
-    n = len(trace.records)
+def _rate_slopes(res) -> list[CheckReport]:
+    """Each row's fitted decay slope as a diagnostic report (never a failure); ``res`` holds the
+    rows' residual norms after steps 1 to n."""
+    n = res.shape[1]
     try:
-        fit = fit_log_slope(trace, (max(2, n // 10), n))
-        details = [f"slope={fit.slope!r}", f"window={fit.window}", f"r_squared={fit.r_squared!r}"]
+        fits = _slope_fits(res, (max(2, n // 10), n))
     except ValueError as exc:
-        details = [f"slope unavailable: {exc}"]
-    return CheckReport("rate_slope", True, math.inf, n, details=details)
+        fits = [exc] * len(res)
+    return [
+        CheckReport("rate_slope", True, math.inf, n, details=(
+            [f"slope unavailable: {fit}"] if isinstance(fit, ValueError)
+            else [f"slope={fit.slope!r}", f"window={fit.window}", f"r_squared={fit.r_squared!r}"]))
+        for fit in fits
+    ]
 
 
-def _suite(config: ExperimentConfig, space, dictionary, target, trace) -> list[CheckReport]:
-    """The algorithm's checker suite on one run's trace, which it stamps with the config hash."""
+def _relaxed_suite(config: ExperimentConfig, space, target, trace) -> list[CheckReport]:
+    """The wgafr or gawr checker suite on one run's trace."""
     tau, slack, A_eps, eps = config.weakness(), config.checks.slack, target.A_eps, target.eps
     if config.algorithm.id == "wgafr":
-        reports = [
+        return [
             check_monotone(trace, slack),
             check_ml1_trace(space, trace, tau, A_eps, eps, slack=slack,
                             grid_points=config.checks.lambda_points),
             check_mt2_bound(trace, smoothness_params(space), A_eps, eps, tau, slack),
         ]
-    elif config.algorithm.id == "gawr":
-        if tau.kind == "constant":
-            reports = [check_ml3_trace(space, trace, A_eps, eps, tau.t, slack)]
-        else:
-            details = ["recursion is stated for constant weakness only"]
-            reports = [_not_applicable("ml3_per_step", details)]
-    else:
-        reports = [check_trivial_step(trace), check_barycentric(trace, dictionary)]
-        reports.append(_diag_slope(trace))
-    trace.config_hash = config.hash()
-    return reports
+    if tau.kind == "constant":
+        return [check_ml3_trace(space, trace, A_eps, eps, tau.t, slack)]
+    return [_not_applicable("ml3_per_step", ["recursion is stated for constant weakness only"])]
+
+
+def _suites(config: ExperimentConfig, space, dictionaries, targets, traces: list) -> list:
+    """Each run's checker suite, or the exception of its run or of its checkers.
+
+    wgafr/gawr traces are checked one by one, iac/iacc traces in one stacked pass per record
+    count; an exception in a pass is the result of every trace of its group.
+    """
+    averaging, suites, groups = config.algorithm.id in ("iac", "iacc"), list(traces), {}
+    for k, trace in enumerate(traces):
+        if not isinstance(trace, Exception):  # a wgafr/gawr trace is a group of its own
+            groups.setdefault(len(trace.records) if averaging else -1 - k, []).append(k)
+    for rows in groups.values():
+        group = [traces[k] for k in rows]
+        try:
+            if averaging:
+                norms = np.array([[t.initial_residual_norm] + [r.residual_norm for r in t.records]
+                                  for t in group])
+                reports = zip(_trivial_steps(norms),
+                              _barycentric(group, [dictionaries[k] for k in rows]),
+                              _rate_slopes(norms[:, 1:]))
+            else:
+                reports = [_relaxed_suite(config, space, targets[rows[0]], group[0])]
+            for k, suite in zip(rows, reports):
+                suites[k] = list(suite)
+        except Exception as exc:  # a checker's error
+            for k in rows:
+                suites[k] = exc
+    return suites
 
 
 def _run_batch(configs: list, out_dir: str | None = None) -> list:
-    """``run_experiment`` of configs that differ at most in their seeds, the runs in lockstep.
+    """``run_experiment`` of configs that differ at most in their seeds, each stage once per batch.
 
-    Each config's entry is its ``(trace, reports)`` or the exception that
-    ``run_experiment`` would raise (from ``validate``, ``_build``, a step or
-    a checker). ``out_dir`` is created once a config has been built.
+    ``_build`` normalizes the dictionaries in one pass, the runs step in lockstep and ``_suites``
+    checks iac/iacc traces in stacked passes. Each config's entry is its ``(trace, reports)`` or
+    the exception ``run_experiment`` would raise (from ``validate``, ``_build``, a step or a
+    checker). ``out_dir`` is created once the batch has been built.
     """
-    results, built = [None] * len(configs), []
+    results, valid = [None] * len(configs), []
     for i, config in enumerate(configs):
         try:
             config.validate()
-            built.append((i, config, *_build(config)))
+            valid.append(i)
         except Exception as exc:  # this config's error; the others run on
             results[i] = exc
-    if not built:
+    if not valid:
         return results
+    config, a = configs[valid[0]], configs[valid[0]].algorithm
+    try:
+        space, dictionaries, targets = _build([configs[i] for i in valid])
+    except Exception as exc:  # a build error does not depend on the seeds: it fails every config
+        return [exc if i in valid else result for i, result in enumerate(results)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    _, config, space, *_ = built[0]
-    a = config.algorithm
-    dictionaries, targets = [b[3] for b in built], [b[4] for b in built]
-    if len(built) == 1:
-        dictionaries, targets = dictionaries[0], targets[0]
+    runs = (dictionaries, targets) if len(valid) > 1 else (dictionaries[0], targets[0])
     try:
         if a.id == "wgafr":
-            traces = run_wgafr(space, dictionaries, targets, config.weakness(), a.iters, a.policy,
-                               config.solver)
+            traces = run_wgafr(space, *runs, config.weakness(), a.iters, a.policy, config.solver)
         elif a.id == "gawr":
-            traces = run_gawr(space, dictionaries, targets, config.weakness(), config.relaxation(),
-                              a.iters, a.policy, config.solver)
+            traces = run_gawr(space, *runs, config.weakness(), config.relaxation(), a.iters,
+                              a.policy, config.solver)
         else:
-            run = run_iac if a.id == "iac" else run_iacc
-            traces = run(space, dictionaries, targets, a.k1, a.iters, a.policy)
+            traces = (run_iac if a.id == "iac" else run_iacc)(space, *runs, a.k1, a.iters, a.policy)
     except Exception as exc:  # a run that failed before its steps fails every config
-        traces = [exc] * len(built)
-    for (i, config, space, dictionary, target), trace in zip(
-        built, traces if type(traces) is list else [traces]
-    ):
-        try:
-            results[i] = trace if isinstance(trace, Exception) else (
-                trace, _suite(config, space, dictionary, target, trace))
-        except Exception as exc:  # a checker's error
-            results[i] = exc
+        traces = [exc] * len(valid)
+    traces = traces if type(traces) is list else [traces]
+    for i, trace, suite in zip(valid, traces,
+                               _suites(config, space, dictionaries, targets, traces)):
+        if not isinstance(suite, Exception):
+            trace.config_hash = configs[i].hash()
+            suite = (trace, suite)
+        results[i] = suite
     return results
 
 
@@ -186,7 +209,8 @@ def _summarize(row: dict, result) -> None:
         passed = sum(1 for r in applicable if r.passed)
         row["final_residual"] = repr(float(trace.residual_norms()[-1]))
         # The one slope fit of the cell: the rate_slope report's, if the suite has one.
-        rate = next((r for r in reports if r.name == "rate_slope"), None) or _diag_slope(trace)
+        rate = next((r for r in reports if r.name == "rate_slope"), None) or _rate_slopes(
+            np.array([[r.residual_norm for r in trace.records]]))[0]
         if rate.details[0].startswith("slope="):  # else too few usable steps: stays empty
             row["slope"] = rate.details[0].removeprefix("slope=")
         row.update(checks_passed=passed, checks_total=len(applicable),

@@ -36,6 +36,7 @@ from lpgreedy import (
 )
 from lpgreedy.analysis import (
     _finish,
+    _slope_fits,
     check_barycentric,
     check_monotone,
     check_trivial_step,
@@ -349,10 +350,26 @@ class TestFitLogSlope:
         fit = fit_log_slope(res, (lo, hi))
         m_lo, m_hi = fit.window
         assert m_lo == lo and m_hi == min(hi, len(positive))
-        log_m = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
-        slope, intercept = np.polyfit(log_m, np.log(res[m_lo - 1 : m_hi]), 1)
-        assert fit.slope.hex() == float(slope).hex()
-        assert fit.intercept.hex() == float(intercept).hex()
+        # The same input as one row of a stack of 1 to 5 rows, each with its own zero tail.
+        others = data.draw(st.lists(st.tuples(
+            st.lists(st.floats(1e-300, 1e300), min_size=res.size, max_size=res.size),
+            st.integers(0, res.size)), max_size=4), label="others")
+        stack = np.array([res] + [row[:n] + [0.0] * (res.size - n) for row, n in others])
+        fits = _slope_fits(stack, (lo, hi))
+        assert fits[0] == fit
+        for row, stacked in zip(stack, fits):
+            positives = int(np.logical_and.accumulate(row[lo - 1 : min(hi, res.size)] > 0).sum())
+            if positives < 2:
+                assert str(stacked).endswith("collapses below two positive residuals")
+                continue
+            m_lo, m_hi = stacked.window
+            assert (m_lo, m_hi) == (lo, lo + positives - 1)
+            log_m = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
+            slope, intercept = np.polyfit(log_m, np.log(row[m_lo - 1 : m_hi]), 1)
+            assert stacked.slope.hex() == float(slope).hex()
+            assert stacked.intercept.hex() == float(intercept).hex()
+            alone = fit_log_slope(row, (lo, hi))
+            assert stacked.r_squared.hex() == alone.r_squared.hex() and stacked == alone
 
     def test_trace_input(self):
         trace = trace_from_norms([1.0] + [float(m) ** -0.5 for m in range(1, 40)])

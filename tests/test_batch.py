@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lpgreedy import ExperimentConfig, LpSpace, SweepSpec, harness, run_sweep
+from lpgreedy.analysis import _barycentric, _trivial_steps, check_barycentric, check_trivial_step
 from lpgreedy.algorithms import (
     RelaxationSchedule,
     WeaknessSequence,
@@ -84,16 +85,46 @@ def test_rows_that_stop_and_fail_at_different_steps(monkeypatch, algorithm):
     rows = run_sweep(spec)
     errors = [row["error"].split(":")[0] for row in rows if row["error"]]
     assert errors == ["InfeasibleSelectionError"] * 2
+    lengths = []
     for cell, p in enumerate([1.5, 2.0, 3.0]):  # each row's trace and reports, as run alone
         configs = [
             base.with_fields({"space.p": p, "dictionary.seed": row["dictionary_seed"],
                               "target.seed": row["target_seed"]})
             for row in rows if row["cell"] == cell
         ]
-        batch = [outputs(result) for result in harness._run_batch(configs)]
-        assert batch == [outputs(single(config)) for config in configs]
+        results = harness._run_batch(configs)
+        assert [outputs(r) for r in results] == [outputs(single(config)) for config in configs]
+        # The stacked checkers on each group of equally long traces: the one-trace reports.
+        runs = [(result[0], generate_dictionary(LpSpace(p, 8), 16, "gaussian",
+                                                config.dictionary.seed))
+                for config, result in zip(configs, results) if not isinstance(result, Exception)]
+        for n in {len(trace.records) for trace, _ in runs}:
+            traces, dicts = zip(*[(t, d) for t, d in runs if len(t.records) == n])
+            lengths.append((n, len(traces)))
+            norms = np.array([trace.residual_norms() for trace in traces])
+            assert repr(_trivial_steps(norms)) == repr([check_trivial_step(t) for t in traces])
+            assert repr(_barycentric(list(traces), list(dicts))) == repr(
+                [check_barycentric(t, d) for t, d in zip(traces, dicts)])
+    assert max(size for _, size in lengths) > 1
     one_by_one(monkeypatch)
     assert run_sweep(spec) == rows
+
+
+@pytest.mark.parametrize("algorithm", ["iac", "iacc"])
+def test_suites_check_each_group_of_equally_long_traces_as_its_traces_alone(algorithm):
+    # Traces of 6, 3 and 6 steps and a failed run: two stacked groups and a pass-through.
+    runs = [harness.run_experiment(c.with_fields({"algorithm.iters": iters}))[0]
+            for c, iters in zip(cell_configs(algorithm, "argmax", 1.5, 3), [6, 3, 6])]
+    space = LpSpace(1.5, 8)
+    dicts = [generate_dictionary(space, 16, "gaussian", 40 + 3 * r) for r in range(3)]
+    failed = ValueError("a failed run")
+    config = cell_configs(algorithm, "argmax", 1.5, 1)[0]
+    suites = harness._suites(config, space, dicts + [dicts[0]], [None] * 4, runs + [failed])
+    assert suites[3] is failed
+    for trace, d, suite in zip(runs, dicts, suites):
+        (alone,) = harness._suites(config, space, [d], [None], [trace])
+        assert repr(suite) == repr(alone)
+        assert repr(suite[:2]) == repr([check_trivial_step(trace), check_barycentric(trace, d)])
 
 
 @pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
@@ -107,21 +138,24 @@ def test_sweep_rows_match_replicates_run_one_by_one(monkeypatch, algorithm):
     assert run_sweep(spec) == rows
 
 
-def test_a_row_whose_config_or_build_fails_leaves_the_others(monkeypatch):
+def test_a_row_whose_config_fails_leaves_the_others_and_a_build_error_fails_the_batch(
+    monkeypatch,
+):
     configs = cell_configs("iac", "argmax", 1.5, 4)
     configs[1].target.seed = -1  # refused by validate
-    original = harness._build
-
-    def build(config):
-        if config.dictionary.seed == configs[2].dictionary.seed:
-            raise ValueError("no dictionary for this seed")
-        return original(config)
-
-    monkeypatch.setattr(harness, "_build", build)
+    refused = "ConfigError: target.seed: must be >= 0; got -1"
     batch = [outputs(result) for result in harness._run_batch(configs)]
-    assert batch[1] == "ConfigError: target.seed: must be >= 0; got -1"
-    assert batch[2] == "ValueError: no dictionary for this seed"
-    assert [batch[0], batch[3]] == [outputs(single(configs[0])), outputs(single(configs[3]))]
+    assert batch[1] == refused
+    assert [batch[i] for i in (0, 2, 3)] == [outputs(single(configs[i])) for i in (0, 2, 3)]
+
+    # Whether a build fails does not depend on the seeds: its error is every built row's.
+    def no_target(dictionary, membership, sparsity, eps, seed):
+        raise ValueError("no target for this cell")
+
+    monkeypatch.setattr(harness, "make_target", no_target)
+    batch = [outputs(result) for result in harness._run_batch(configs)]
+    assert batch == ["ValueError: no target for this cell", refused] + [
+        "ValueError: no target for this cell"] * 2
 
 
 def test_rows_that_fail_and_stop_mid_run_leave_the_others():

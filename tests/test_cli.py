@@ -31,6 +31,26 @@ class TestRunCommand:
         assert (out / "trace.csv").exists()
         assert (out / "report.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"space": {"p": 1.001}}, {"space": {"p": 1.0000000000000002}},
+         {"target": {"eps": 1e300}}, {"algorithm": {"id": "gawr", "t": 1e-300}},
+         {"algorithm": {"id": "gawr", "t": 5e-324}}],
+        ids=["wgafr_p_1.001", "wgafr_p_1_plus_ulp", "wgafr_eps_1e300", "gawr_t_1e-300",
+             "gawr_t_5e-324"],
+    )
+    def test_values_at_the_ends_of_their_range_run_and_write_both_files(self, tmp_path, overrides):
+        # A bound past float range is +inf (or, for mt2's constant, formed without overflow).
+        shape = {"space": {"p": 1.5, "dim": 8}, "dictionary": {"kind": "gaussian", "count": 16},
+                 "algorithm": {"iters": 20}}
+        for key, section in overrides.items():
+            shape[key] = {**shape.get(key, {}), **section}
+        config_path, _ = write_config(tmp_path, **shape)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert (out / "trace.csv").exists() and (out / "report.json").exists()
+
     def test_json_config_accepted(self, tmp_path):
         _, config = write_config(tmp_path)
         json_path = tmp_path / "config.json"

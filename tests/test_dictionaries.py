@@ -106,6 +106,21 @@ class TestGenerateDictionary:
         d = generate_dictionary(LpSpace(p, dim), count, "gaussian", seed=9)
         assert d.atoms.tobytes() == atoms.tobytes()
 
+    @pytest.mark.parametrize(
+        "kind, dim, count",
+        [("gaussian", 12, 24), ("gaussian", 1000, 150), ("fourier_frame", 8, 20),
+         ("canonical", 6, 6)],
+        ids=["gaussian", "gaussian_blocked", "fourier_frame", "canonical"],
+    )
+    def test_a_batch_is_each_seeds_dictionary_bit_for_bit(self, kind, dim, count):
+        # The batch draws seed by seed and normalizes all rows in one pass.
+        space, seeds = LpSpace(1.5, dim), [9, 4, 9, 31]
+        batch = dictionaries._dictionaries(space, count, kind, seeds)
+        for d, seed in zip(batch, seeds):
+            alone = generate_dictionary(space, count, kind, seed)
+            assert d.atoms.tobytes() == alone.atoms.tobytes()
+            assert (d.space, d.kind, d.seed, d.atoms.flags.writeable) == (space, kind, seed, False)
+
     @pytest.mark.parametrize("row", [0, 70, 149])
     def test_non_finite_entry_in_any_block_rejected(self, row):
         atoms = np.zeros((150, 1000), dtype=complex)

@@ -297,7 +297,8 @@ class TestRunSweep:
 class TestTracedSurface:
     """A sweep runs each cell's replicates as one batch, each lockstep step
     makes one selection call for all rows and one call of the solver core
-    ``_descend`` per row, and each row's rate slope is fitted once.
+    ``_descend`` per row, and each row's rate slope is fitted once: an
+    iac/iacc cell's in one stacked pass.
 
     Each name is replaced wherever an lpgreedy module holds it, as a tracer
     rebinds it, so a call that bypasses the name is not counted.
@@ -313,6 +314,7 @@ class TestTracedSurface:
         (solvers, "minimize_over_line"),
         (solvers, "_descend"),
         (analysis, "fit_log_slope"),
+        (analysis, "_slope_fits"),
     )
 
     def count_calls(self, monkeypatch):
@@ -354,9 +356,9 @@ class TestTracedSurface:
         rows = run_sweep(spec)
         assert [row["error"] for row in rows] == [""] * 6
         assert steps == [[6, 6]] * 3  # three cells, two replicates each
-        expected = {"_run_batch": 3, "_selections": 3 * 6, "fit_log_slope": len(rows)}
+        expected = {"_run_batch": 3, "_selections": 3 * 6, "_slope_fits": 3}
         if algorithm in ("wgafr", "gawr"):  # the loop calls the core, not the public solvers
-            expected["_descend"] = 6 * 6
+            expected.update(_descend=6 * 6, _slope_fits=len(rows))  # the sweep row's fit
         assert dict(calls) == expected
 
     def test_run_experiment_is_a_batch_of_one(self, monkeypatch):
@@ -364,4 +366,4 @@ class TestTracedSurface:
         trace, _ = harness.run_experiment(minimal_config(algorithm={"id": "iac", "iters": 5}))
         assert steps == [[len(trace.records)]] == [[5]]
         assert dict(calls) == {"run_experiment": 1, "_run_batch": 1, "_selections": 5,
-                               "fit_log_slope": 1}
+                               "_slope_fits": 1}
