@@ -420,11 +420,11 @@ def _slope_fits(res: np.ndarray, window) -> list:
         log_m = np.log(np.arange(m_lo, end + 1, dtype=float))
         log_r = np.log((res if len(rows) == len(res) else res[rows])[:, m_lo - 1 : end])
         coeffs = _line_fit(log_m, log_r)
-        slope, intercept = coeffs.T[..., None]
+        fitted = coeffs[:, :1] * log_m + coeffs[:, 1:]
         # The sums and the mean of ndarray.sum and ndarray.mean, row by row, without their wrappers.
-        ss_res = np.add.reduce((log_r - (slope * log_m + intercept)) ** 2, axis=1).tolist()
-        ss_tot = np.add.reduce((log_r - np.add.reduce(log_r, axis=1)[:, None] / log_m.size) ** 2,
-                               axis=1).tolist()
+        ss_res = np.add.reduce((log_r - fitted) ** 2, axis=1).tolist()
+        mean = np.add.reduce(log_r, axis=1, keepdims=True) / log_m.size
+        ss_tot = np.add.reduce((log_r - mean) ** 2, axis=1).tolist()
         for i, (a, b), sr, st in zip(rows, coeffs.tolist(), ss_res, ss_tot):
             fits[i] = RateFit(a, b, (m_lo, end), 1.0 if st == 0.0 else 1.0 - sr / st)
     return fits

@@ -196,12 +196,12 @@ def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
         # atoms span more than one block.
         atoms = np.empty((len(seeds), count, space.dim), dtype=np.complex128)
         blocks = _row_blocks(atoms[0])
-        for rows, seed in zip(atoms, seeds):
+        for one, seed in zip(atoms, seeds):
             rng = np.random.default_rng(seed)
             if len(blocks) == 1:
-                rows.real, rows.imag = rng.standard_normal((2, count, space.dim))
+                one.real, one.imag = rng.standard_normal((2, count, space.dim))
             else:
-                for part in (rows.real, rows.imag):
+                for part in (one.real, one.imag):
                     for start in blocks:
                         block = part[start : start + blocks.step]
                         block[...] = rng.standard_normal(block.shape)
