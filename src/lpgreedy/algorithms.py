@@ -28,7 +28,6 @@ from .spaces import (
     _count,
     _norm_mags,
     _norm_rows,
-    _norm_vec,
     _norming_coeffs,
     smoothness_params,
 )
@@ -301,10 +300,11 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         try:
             if d.space is not space and d.space != space:
                 raise ValueError("dictionary was built for a different space")
-            if (shape := np.shape(t.f)) != (space.dim,):  # lp_norm's texts, from one pass over f
+            if (shape := np.shape(t.f)) != (space.dim,):  # lp_norm's texts, without its copy
                 raise ValueError(f"v has shape {shape}, expected ({space.dim},) for this space")
-            if (norm0 := _norm_vec(space.p, t.f)) != norm0:
+            if not np.maximum.reduce(mags := np.abs(t.f)) < np.inf:  # a NaN or an inf entry
                 raise ValueError("v contains non-finite entries")
+            norm0 = _norm_mags(space.p, mags)
             if norm0 == 0.0:
                 raise ValueError("target.f must be nonzero")
         except ValueError as exc:

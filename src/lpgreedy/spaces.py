@@ -194,8 +194,8 @@ def _norm_mags(p: float, mags: np.ndarray) -> float:
     and ``.sum()`` do after their argument handling.
     """
     scale = np.maximum.reduce(mags)
-    if not 0.0 < scale < math.inf:  # zero, or an entry not finite: NaN, without forming inf / inf
-        return 0.0 if scale == 0.0 else math.nan
+    if scale == 0.0:
+        return 0.0
     sums = np.add.reduce((mags / scale) ** p, keepdims=True)
     return float(scale * (sums ** (1.0 / p))[0])
 
