@@ -179,8 +179,8 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
 
 
 def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
-    """``generate_dictionary`` for each seed: the atoms drawn seed by seed (the other kinds share
-    one array), then normalized in one pass, where each row keeps its norm's bits."""
+    """``generate_dictionary`` for each seed: gaussian atoms drawn seed by seed into one array
+    (the other kinds draw nothing and share theirs), normalized in one pass of row norms."""
     count = _count("count", count)
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"kind must be one of {DICTIONARY_KINDS}; got {kind!r}")
@@ -189,15 +189,15 @@ def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
             raise ValueError(
                 f"canonical dictionary requires count == dim; got count={count}, dim={space.dim}"
             )
-        atoms = np.eye(space.dim, dtype=np.complex128)[None]
+        atoms = np.eye(space.dim, dtype=np.complex128)
     elif kind == "gaussian":
         # All real parts, then all imaginary parts: the draws of one
         # standard_normal call, taken a block of rows at a time when the
         # atoms span more than one block.
-        atoms = np.empty((len(seeds), count, space.dim), dtype=np.complex128)
-        blocks = _row_blocks(atoms[0])
-        for one, seed in zip(atoms, seeds):
-            rng = np.random.default_rng(seed)
+        atoms = np.empty((len(seeds) * count, space.dim), dtype=np.complex128)
+        blocks = _row_blocks(atoms[:count])
+        for i, seed in enumerate(seeds):
+            one, rng = atoms[i * count : (i + 1) * count], np.random.default_rng(seed)
             if len(blocks) == 1:
                 one.real, one.imag = rng.standard_normal((2, count, space.dim))
             else:
@@ -212,10 +212,12 @@ def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
             )
         k = np.arange(count)[:, None]
         j = np.arange(space.dim)[None, :]
-        atoms = np.exp(2j * np.pi * k * j / count)[None]
-    rows = atoms.reshape(-1, space.dim)
-    rows /= _norm_rows(space.p, rows)[:, None]  # a canonical atom's norm is exactly 1
-    return [Dictionary._wrap(space, atoms[i if kind == "gaussian" else 0], kind, seed)
+        atoms = np.exp(2j * np.pi * k * j / count)
+    if kind != "canonical":  # a canonical atom's norm is exactly 1
+        atoms /= _norm_rows(space.p, atoms)[:, None]
+    # One dictionary keeps the array itself; a batch's are row slices of it.
+    return [Dictionary._wrap(space, atoms if len(atoms) == count
+                             else atoms[i * count : (i + 1) * count], kind, seed)
             for i, seed in enumerate(seeds)]
 
 
