@@ -194,10 +194,12 @@ def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
         # All real parts, then all imaginary parts: the draws of one
         # standard_normal call, taken a block of rows at a time when the
         # atoms span more than one block.
+        # Generators first, the order one dictionary always allocated in (layout moves timings).
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         atoms = np.empty((len(seeds) * count, space.dim), dtype=np.complex128)
         blocks = _row_blocks(atoms[:count])
-        for i, seed in enumerate(seeds):
-            one, rng = atoms[i * count : (i + 1) * count], np.random.default_rng(seed)
+        for i, rng in enumerate(rngs):
+            one = atoms[i * count : (i + 1) * count]
             if len(blocks) == 1:
                 one.real, one.imag = rng.standard_normal((2, count, space.dim))
             else:
