@@ -161,22 +161,6 @@ class TestWgafr:
         with pytest.raises(ValueError, match="nonzero"):
             run_wgafr(space, d, exact_target([0, 0]), WeaknessSequence.constant(1.0), 3)
 
-    @pytest.mark.parametrize(
-        "f, message",
-        [([1.0, 0.0, 0.0], "v has shape (3,), expected (2,) for this space"),
-         ([1.0, np.nan], "v contains non-finite entries"),
-         ([np.inf, 1.0], "v contains non-finite entries")],
-        ids=["shape", "nan", "inf"],
-    )
-    def test_bad_target_refused_with_lp_norms_texts(self, f, message):
-        # One pass over f takes its norm; a non-finite entry makes it NaN.
-        space, d = canonical_setup()
-        with pytest.raises(ValueError) as alone:
-            run_iac(space, d, exact_target(f), 1.0, 3)
-        assert str(alone.value) == message
-        batch = run_iac(space, [d, d], [exact_target([0.5, 0.5]), exact_target(f)], 1.0, 3)
-        assert len(batch[0].records) == 3 and str(batch[1]) == message
-
     def test_iters_must_be_whole(self):
         space = LpSpace(1.5, 6)
         d = generate_dictionary(space, 12, "gaussian", seed=1)
@@ -399,6 +383,22 @@ class TestIacc:
 
 
 class TestSharedLoop:
+    @pytest.mark.parametrize(
+        "f, message",
+        [([1.0, 0.0, 0.0], "v has shape (3,), expected (2,) for this space"),
+         ([1.0, np.nan], "v contains non-finite entries"),
+         ([np.inf, 1.0], "v contains non-finite entries")],
+        ids=["shape", "nan", "inf"],
+    )
+    def test_bad_target_refused_with_lp_norms_texts(self, f, message):
+        # The shape, then the largest magnitude (NaN or inf fails it): lp_norm's texts.
+        space, d = canonical_setup()
+        with pytest.raises(ValueError) as alone:
+            run_iac(space, d, exact_target(f), 1.0, 3)
+        assert str(alone.value) == message
+        batch = run_iac(space, [d, d], [exact_target([0.5, 0.5]), exact_target(f)], 1.0, 3)
+        assert len(batch[0].records) == 3 and str(batch[1]) == message
+
     @pytest.mark.parametrize("with_zero_atom", [True, False])
     @pytest.mark.parametrize("loop", ["wgafr", "gawr"])
     def test_zero_dual_norm_stops_run(self, loop, with_zero_atom):
