@@ -43,7 +43,9 @@ in {1.5, 2, 3}:
   ``iacc`` replicates, as ``harness._run_batch`` runs them after the loop
   (time per cell): through ``harness._suites`` where the tree has it
   (stacked passes over the batch), else the three checkers replicate by
-  replicate;
+  replicate; and the draws of one ``iac`` cell's dictionaries and
+  targets before the loop (``harness._build`` of the batch, or of each
+  config where the tree builds config by config);
 * ``run_sweep`` end to end, one row per algorithm and p: SWEEP_RUNS
   sweeps of one cell of CELL_REPLICATES replicates (the shape of the
   ``sweep_grid`` workload's iac/iacc sweeps, whose replicates run as one
@@ -133,9 +135,9 @@ CELL_PARTS = {
 SWEEPS = ("run_sweep_wgafr", "run_sweep_gawr", "run_sweep_iac", "run_sweep_iacc")
 # The incremental loops, timed at the sweep-cell shape (CELL_SHAPE).
 CELL_LOOPS = ("run_iac", "run_iacc")
-# The checker stage of one iac/iacc sweep cell of CELL_REPLICATES replicates.
-SUITE_STAGES = ("suite_stage_iac", "suite_stage_iacc")
-ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS + SUITE_STAGES
+# The stages around the loop of one iac/iacc sweep cell of CELL_REPLICATES replicates.
+CELL_STAGES = ("suite_stage_iac", "suite_stage_iacc", "build_stage_iac")
+ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS + CELL_STAGES
 PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
@@ -197,10 +199,10 @@ def load_package(src: Path):
 def instances(entry: str, p: float, dim: int):
     """The seeded inputs of one case: vectors, or loop-run seeds."""
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
-    if entry in LOOPS + CELL_LOOPS + SUITE_STAGES or entry in CELL_PARTS or entry in SWEEPS:
+    if entry in LOOPS + CELL_LOOPS + CELL_STAGES or entry in CELL_PARTS or entry in SWEEPS:
         runs = (
             LOOP_RUNS if entry in LOOPS + CELL_LOOPS
-            else CELL_RUNS if entry in CELL_PARTS or entry in SUITE_STAGES else SWEEP_RUNS
+            else CELL_RUNS if entry in CELL_PARTS or entry in CELL_STAGES else SWEEP_RUNS
         )
         seeds = [tuple(int(s) for s in rng.integers(2**31, size=2)) for _ in range(runs)]
         return seeds
@@ -291,17 +293,31 @@ def suite_call(pkg, entry, config):
     return lambda: pkg.check_ml3_trace(space, trace, target.A_eps, target.eps, tau.t, slack)
 
 
-def prepare_suite_stage(pkg, entry, p, data):
-    """One call per input (the seeds of a cell's first replicate): the cell's checker stage."""
-    algorithm = entry.removeprefix("suite_stage_")
+def prepare_cell_stage(pkg, entry, p, data):
+    """One call per input (the seeds of a cell's first replicate): the cell's build or checks."""
+    stage, _, algorithm = entry.split("_")
     calls = []
     for d, t in data:
         configs = [cell_config(pkg, algorithm, p, d + r, t + r) for r in range(CELL_REPLICATES)]
+        if stage == "build":
+            calls.append(functools.partial(build_stage, pkg, configs))
+            continue
         spaces, dictionaries, targets = zip(*[build(pkg, config) for config in configs])
         traces = [pkg.run_experiment(config)[0] for config in configs]
         calls.append(functools.partial(suite_stage, pkg, configs, spaces, dictionaries, targets,
                                        traces))
     return calls
+
+
+def build_stage(pkg, configs):
+    """The draws of one cell's replicates, as ``_run_batch`` makes them.
+
+    A tree with ``dictionaries._dictionaries`` builds the batch in one
+    ``harness._build`` call; the others build config by config.
+    """
+    if hasattr(pkg.dictionaries, "_dictionaries"):
+        return pkg.harness._build(configs)
+    return [pkg.harness._build(config) for config in configs]
 
 
 def suite_stage(pkg, configs, spaces, dictionaries, targets, traces):
@@ -421,8 +437,8 @@ def prepare(pkg, entry, p, dim, data):
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS:
         return prepare_sweep(pkg, entry, p, data)
-    if entry in SUITE_STAGES:
-        return prepare_suite_stage(pkg, entry, p, data)
+    if entry in CELL_STAGES:
+        return prepare_cell_stage(pkg, entry, p, data)
     space = pkg.LpSpace(p, dim)
     fn = getattr(pkg, entry)
     return [functools.partial(fn, space, *args) for args in data]
@@ -614,7 +630,7 @@ def main(argv=None) -> int:
         for dim in (
             (LOOP_DIM,) if entry in LOOPS
             else (CELL_DIM,)
-            if entry in CELL_PARTS or entry in SWEEPS + CELL_LOOPS + SUITE_STAGES
+            if entry in CELL_PARTS or entry in SWEEPS + CELL_LOOPS + CELL_STAGES
             else INSTANCES
         )
     }
@@ -661,7 +677,7 @@ def main(argv=None) -> int:
         unit = (
             "run" if is_run_criterion(entry) else "criterion" if verify
             else "step" if entry in LOOPS + CELL_LOOPS
-            else "cell" if entry in SWEEPS + SUITE_STAGES
+            else "cell" if entry in SWEEPS + CELL_STAGES
             else "process" if entry in PROCESSES else "call"
         )
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(calls[key]["change"])}

@@ -86,7 +86,7 @@ def _case_data(entry, p, dim):
     + [
         (entry, run_bench.CELL_DIM)
         for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS, *run_bench.CELL_LOOPS,
-                      *run_bench.SUITE_STAGES)
+                      *run_bench.CELL_STAGES)
     ]
     + [(entry, None) for entry in (*run_bench.PROCESSES, "verify_01", run_bench.CALIBRATION)],
 )
@@ -104,11 +104,14 @@ def test_prepare_builds_one_call_per_input(entry, dim):
         assert stats["units"] == stats["steps"] == len(data) * run_bench.CELL_ITERS
     elif entry not in run_bench.LOOPS:
         assert stats["units"] == len(data)
-    if entry in run_bench.SUITE_STAGES:  # a cell's suites: trivial step, barycentric, rate slope
+    if entry.startswith("suite_stage_"):  # a cell's suites: trivial step, barycentric, rate slope
         suites = calls[0]()
         assert len(suites) == run_bench.CELL_REPLICATES
         assert [r.name for r in suites[0]] == [
             "trivial_step_bound", "barycentric_reconstruction", "rate_slope"]
+    if entry.startswith("build_stage_"):  # the batch's space, dictionaries and targets
+        space, dictionaries, targets = calls[0]()
+        assert len(dictionaries) == len(targets) == run_bench.CELL_REPLICATES
 
 
 def test_run_criterion_is_timed_as_the_runs_it_makes():
