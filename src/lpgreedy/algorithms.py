@@ -321,18 +321,19 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
             norms.append(norm0)
     if not traces:
         return results if batch else results[0]
+    # ``column`` is the norm argument of _norming_coeffs: the run's norm, or a column of row norms.
     if batch:
         atoms, f = [dictionary[k].atoms for k in live], np.stack([target[k].f for k in live])
+        column = np.array(norms)[:, None]
     else:
-        atoms, f, live = [dictionary.atoms], target.f, ...
+        atoms, f, live, column = [dictionary.atoms], target.f, ..., norm0
     p, ended = space.p, {}
     G = np.zeros(f.shape, dtype=np.complex128)
     residual, mags = f, None
     for m in range(1, iters + 1):
-        column = np.array(norms)[:, None] if batch else norms[0]
         sels = select(m, _norming_coeffs(p, residual, column, mags), atoms, f)
         for k, sel in enumerate(sels):
-            if type(sel) is not Selection or sel.dual_norm == 0.0:
+            if type(sel) is not Selection or not sel.dual_norm:
                 ended[k] = "stagnated_zero_dual_norm" if type(sel) is Selection else sel
         if ended:
             if not (keep := _settle(ended, results, live, traces, batch)):
@@ -344,7 +345,10 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)
-        norms = _norm_rows(p, residual).tolist() if batch else [_norm_mags(p, mags)]
+        if batch:
+            norms = (column := _norm_rows(p, residual)[:, None]).ravel().tolist()
+        else:
+            norms = [column := _norm_mags(p, mags)]
         for k, (trace, sel, step, norm) in enumerate(zip(traces, sels, steps, norms)):
             if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
                 ended[k] = ValueError("v contains non-finite entries") if norm != norm else step
@@ -358,8 +362,8 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         if ended:
             if not (keep := _settle(ended, results, live, traces, batch)):
                 break
-            traces, atoms, live, norms, f, G, residual, mags = _take(
-                keep, traces, atoms, live, norms, f, G, residual, mags)
+            traces, atoms, live, column, f, G, residual, mags = _take(
+                keep, traces, atoms, live, column, f, G, residual, mags)
     return results if batch else results[0]
 
 

@@ -13,6 +13,7 @@ over a whole trace, whose report names every failing step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.linalg._umath_linalg import lstsq
@@ -356,21 +357,34 @@ def check_ml4(
     return _finish("ml4", margins, a.size, slack, details)
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.polyfit(x, row, 1)`` bit for bit for each row of ``y``; finite x and y, two distinct x.
+@cache
+def _log_design(m_lo: int, m_hi: int) -> tuple:
+    """log m for m in [m_lo, m_hi], and ``np.polyfit``'s scaled Vandermonde matrix and column scales.
 
-    Scales the Vandermonde columns as polyfit does and calls numpy's LAPACK
-    least-squares gufunc, the one ``np.linalg.lstsq`` wraps, once over the
-    stack, without either function's argument handling. A non-finite y
-    raises the LinAlgError that polyfit raises.
+    Cached per window, read-only: every trace of a length is fitted over
+    the same one.
     """
-    if not np.isfinite(y).all():
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    x = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
     lhs = np.empty((x.size, 2))
     lhs[:, 0] = x
     lhs[:, 1] = 1.0
     scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
     lhs /= scale
+    for a in (x, lhs, scale):
+        a.setflags(write=False)
+    return x, lhs, scale
+
+
+def _line_fit(design: tuple, y: np.ndarray) -> np.ndarray:
+    """``np.polyfit(x, row, 1)`` bit for bit for each row of ``y``; ``design`` is x's :func:`_log_design`.
+
+    Calls numpy's LAPACK least-squares gufunc, the one ``np.linalg.lstsq``
+    wraps, once over the stack, without either function's argument
+    handling. A non-finite y raises the LinAlgError that polyfit raises.
+    """
+    if not np.isfinite(y).all():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    x, lhs, scale = design
     coeffs = lstsq(lhs, y[..., None], x.size * _EPS, signature="ddd->ddid")[0]
     return coeffs[..., 0] / scale
 
@@ -383,10 +397,10 @@ def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
     the positive prefix; the returned window is the one actually used.
     """
     if isinstance(residuals, GreedyTrace):
-        res = np.array([record.residual_norm for record in residuals.records])
+        res = np.array([[record.residual_norm for record in residuals.records]])
     else:
-        res = np.asarray(residuals, dtype=float)
-    (fit,) = _slope_fits(res[None], window)
+        res = np.asarray(residuals, dtype=float)[None]
+    (fit,) = _slope_fits(res, window)
     if isinstance(fit, ValueError):
         raise fit
     return fit
@@ -406,20 +420,24 @@ def _slope_fits(res: np.ndarray, window) -> list:
     if m_hi < m_lo + 1:
         raise ValueError(f"window [{m_lo}, {m_hi}] has fewer than two points")
     positive = res[:, m_lo - 1 : m_hi] > 0.0
-    # Each row's window ends before its first zero residual.
-    ends = ([m_hi] * len(res) if positive.all()
-            else (np.logical_and.accumulate(positive, axis=1).sum(axis=1) + (m_lo - 1)).tolist())
+    groups = {m_hi: range(len(res))}  # rows by the end of their window
+    if not positive.all():
+        # Each row's window ends before its first zero residual.
+        groups = {}
+        ends = np.logical_and.accumulate(positive, axis=1).sum(axis=1) + (m_lo - 1)
+        for i, end in enumerate(ends.tolist()):
+            groups.setdefault(end, []).append(i)
     fits = [None] * len(res)
-    for end in dict.fromkeys(ends):
-        rows = [i for i, e in enumerate(ends) if e == end]
+    for end, rows in groups.items():
         if end < m_lo + 1:
             for i in rows:
                 fits[i] = ValueError(
                     f"window [{m_lo}, {window[1]}] collapses below two positive residuals")
             continue
-        log_m = np.log(np.arange(m_lo, end + 1, dtype=float))
+        design = _log_design(m_lo, end)
+        log_m = design[0]
         log_r = np.log((res if len(rows) == len(res) else res[rows])[:, m_lo - 1 : end])
-        coeffs = _line_fit(log_m, log_r)
+        coeffs = _line_fit(design, log_r)
         fitted = coeffs[:, :1] * log_m + coeffs[:, 1:]
         # The sums and the mean of ndarray.sum and ndarray.mean, row by row, without their wrappers.
         ss_res = np.add.reduce((log_r - fitted) ** 2, axis=1).tolist()
@@ -523,9 +541,17 @@ def check_trivial_step(trace: GreedyTrace) -> CheckReport:
 
 def _trivial_steps(norms: np.ndarray) -> list[CheckReport]:
     """``check_trivial_step`` of each row of ``norms``: stacked ``residual_norms()``, one length."""
-    m = np.arange(1, norms.shape[1])
-    margins = norms[:, :-1] + 2.0 / m + TRIVIAL_STEP_SLACK - norms[:, 1:]
-    return [_finish("trivial_step_bound", row, m.size, 0.0) for row in margins.tolist()]
+    bound = _step_bound(norms.shape[1] - 1)
+    margins = norms[:, :-1] + bound + TRIVIAL_STEP_SLACK - norms[:, 1:]
+    return [_finish("trivial_step_bound", row, bound.size, 0.0) for row in margins.tolist()]
+
+
+@cache
+def _step_bound(n: int) -> np.ndarray:
+    """2/m for m = 1, ..., n, read-only; cached per trace length."""
+    bound = 2.0 / np.arange(1, n + 1)
+    bound.setflags(write=False)
+    return bound
 
 
 def check_barycentric(
@@ -541,20 +567,18 @@ def check_barycentric(
 
 
 def _barycentric(traces: list, dictionaries: list, tol: float = 1e-10) -> list[CheckReport]:
-    """``check_barycentric`` of each trace on its dictionary; the traces store equally many G_m."""
-    records = [trace.records[: len(trace.approximants)] for trace in traces]
-    phases = np.array([[r.phase for r in rows] for rows in records], dtype=np.complex128)
-    atoms = np.array([d.atoms[[r.selected_index for r in rows]]
-                      for d, rows in zip(dictionaries, records)])
-    # accumulate adds row by row, so row m is the running sum phi_1 + ... + phi_m.
-    rebuilt = np.add.accumulate(phases[..., None] * atoms, axis=1)
-    rebuilt /= np.array([[r.m for r in rows] for rows in records])[..., None]
-    stored = np.array([t.approximants[: len(rows)] for t, rows in zip(traces, records)])
-    stored = stored.reshape(rebuilt.shape)
+    """``check_barycentric`` of each trace on its dictionary."""
     reports = []
-    for trace, rows, drifts in zip(
-        traces, records, np.maximum.reduce(np.abs(rebuilt - stored), axis=2).tolist()
-    ):
+    for trace, d in zip(traces, dictionaries):
+        rows, drifts = trace.records[: len(trace.approximants)], []
+        if rows:
+            index, phases, steps = zip(*[(r.selected_index, r.phase, r.m) for r in rows])
+            rebuilt = np.multiply(np.array(phases, np.complex128)[:, None], d.atoms[list(index)])
+            # accumulate adds row by row, so row m is the running sum phi_1 + ... + phi_m.
+            np.add.accumulate(rebuilt, axis=0, out=rebuilt)
+            rebuilt /= np.array(steps)[:, None]
+            rebuilt -= trace.approximants[: len(rows)]
+            drifts = np.maximum.reduce(np.abs(rebuilt), axis=1).tolist()
         margins, details, counts, iacc = [], [], {}, trace.algorithm == "iacc"
         for record, drift in zip(rows, drifts):
             margins.append(tol - drift)

@@ -101,8 +101,9 @@ def _relaxed_suite(config: ExperimentConfig, space, target, trace) -> list[Check
 def _suites(config: ExperimentConfig, space, dictionaries, targets, traces: list) -> list:
     """Each run's checker suite, or the exception of its run or of its checkers.
 
-    wgafr/gawr traces are checked one by one, iac/iacc traces in one stacked pass per record
-    count; an exception in a pass is the result of every trace of its group.
+    wgafr/gawr traces are checked one by one, iac/iacc traces in one group per record count
+    (stacked trivial-step and rate-slope passes); an exception in a group is the result of
+    every trace of it.
     """
     averaging, suites, groups = config.algorithm.id in ("iac", "iacc"), list(traces), {}
     for k, trace in enumerate(traces):

@@ -99,6 +99,9 @@ class SolverConfig:
             )
 
 
+_DEFAULTS = SolverConfig()  # frozen, so every call without a config can share it
+
+
 @dataclass
 class SolveResult:
     """Minimizer (complex coefficients), objective value, and descent stats.
@@ -158,6 +161,21 @@ def _descent_step(hess: np.ndarray, grad: np.ndarray, value: float) -> tuple[np.
     return step, float(grad @ step)
 
 
+def _norm(p, mags, scale=None) -> float:
+    """The l_p norm of the solver's own points from their magnitudes, in at most four numpy calls.
+
+    The sum runs over (mags / scale)^p, ``scale`` the current value when
+    given and the largest magnitude otherwise, and the root is a Python
+    float: :func:`_norm_mags` but for the last bits. A sum that leaves the
+    normal range (a trial far from the current value, as at p = 64) is
+    taken by :func:`_norm_mags` instead.
+    """
+    if scale is None and not (scale := float(np.maximum.reduce(mags))):
+        return 0.0
+    total = float(np.add.reduce((mags / scale) ** p))
+    return scale * total ** (1.0 / p) if _TINY <= total < math.inf else _norm_mags(p, mags)
+
+
 def _backtrack(p, r, dr, value, slope, cfg):
     """First t = b, b^2, ... >= _MIN_STEP with Armijo decrease of ||r + t dr||.
 
@@ -168,7 +186,7 @@ def _backtrack(p, r, dr, value, slope, cfg):
     while t >= _MIN_STEP:
         r_trial = r + t * dr
         mags_trial = np.abs(r_trial)
-        value_trial = _norm_mags(p, mags_trial)
+        value_trial = _norm(p, mags_trial, value)
         if value_trial <= value + cfg.armijo_c * t * slope:
             return t, r_trial, value_trial, mags_trial
         t *= cfg.backtrack_factor
@@ -179,12 +197,14 @@ def _lower_bound(q, cert, span, r) -> float:
     """Duality lower bound |c @ r| / ||c||_q on the infimum.
 
     c is ``cert`` (overwritten) projected exactly onto {c : c @ cols = 0}
-    through the orthonormal basis ``span`` of conj(cols). Any such c gives
-    ||base - cols @ y|| >= |c @ base| / ||c||_q for every y, and
-    c @ r == c @ base because c annihilates the columns.
+    through the orthonormal basis ``span[0]`` of conj(cols), whose
+    conjugate is ``span[1]``. Any such c gives ||base - cols @ y|| >=
+    |c @ base| / ||c||_q for every y, and c @ r == c @ base because c
+    annihilates the columns. At q = 2 (the pinned p = 2 solves) ||c|| is
+    :func:`_norm_vec`'s.
     """
-    cert -= span @ (cert @ np.conj(span))
-    cert_norm = _norm_vec(q, cert)
+    cert -= span[0] @ (cert @ span[1])
+    cert_norm = _norm_vec(q, cert) if q == 2.0 else _norm(q, np.abs(cert))
     return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
 
 
@@ -227,9 +247,10 @@ def _newton_model(p, r, mags, value, neg_conj, jac_t):
     each term is a product of real blocks weighted by w_i.
     """
     rho = mags / value
-    curv = np.maximum(rho, _RHO_FLOOR) ** (p - 2.0)
-    unit = r / np.maximum(mags, _TINY)  # 0 at an exact zero: no radial term there
-    if np.minimum.reduce(mags) < _TINY:
+    low = float(np.minimum.reduce(mags))  # a floor below every entry leaves the same bits
+    curv = (rho if low / value >= _RHO_FLOOR else np.maximum(rho, _RHO_FLOOR)) ** (p - 2.0)
+    unit = r / (mags if low >= _TINY else np.maximum(mags, _TINY))  # 0 at an exact zero
+    if low < _TINY:
         # A subnormal |r_i| has lost bits: its sign comes from the angle.
         sub = (mags < _TINY) & (mags > 0.0)
         unit[sub] = np.exp(1j * np.angle(r[sub]))
@@ -255,9 +276,10 @@ def _newton(p, q, base, cols, span, y, cfg):
     only once the gradient and budget tests let a step be taken.
     """
     neg_cols, neg_conj, jac_t = _real_blocks(cols)
+    span = span, np.conj(span)  # what _lower_bound takes
     r = base - cols @ y
     mags = np.abs(r)
-    value = _norm_mags(p, mags)
+    value = _norm(p, mags)
     iterations = 0
     converged = False
     while value > RESIDUAL_FLOOR:
@@ -271,12 +293,9 @@ def _newton(p, q, base, cols, span, y, cfg):
         step, slope = _descent_step(_hessian(p, curv, grad, hw, v), grad, value)
         dy = step.view(np.complex128)
         dr = neg_cols @ dy
-        options = [(dy, dr, slope)]
         if p < 2.0:
             beta, moved = _irls(cols, hw, grad)
             irls_slope = value * float(grad @ beta.view(np.float64))
-            if irls_slope < 0.0:
-                options.append((value * beta, -value * moved, irls_slope))
         if -slope <= _CERTIFY_BELOW * value:
             if moved is None:
                 _, moved = _irls(cols, hw, grad)
@@ -287,31 +306,36 @@ def _newton(p, q, base, cols, span, y, cfg):
                 # about sqrt(eps) only. One full Newton step sharpens the
                 # minimizer; it is kept if the value stays within resolution
                 # of the bound.
-                r_trial = r + dr
-                value_trial = _norm_vec(p, r_trial)
+                value_trial = _norm(p, np.abs(r + dr), value)
                 if value_trial - lower <= _GAP_RESOLUTION * value_trial:
                     y, value = y + dy, value_trial
                     iterations += 1
                 return y, value, True, iterations, lower
-        # The lowest full step that passes the Armijo test wins; when none
-        # passes, the last direction backtracks.
-        accepted = None
-        for d_y, d_r, d_slope in options:
-            r_trial = r + d_r
-            mags_trial = np.abs(r_trial)
-            value_trial = _norm_mags(p, mags_trial)
-            if value_trial <= value + cfg.armijo_c * d_slope and (
-                accepted is None or value_trial < accepted[2]
-            ):
-                accepted, dy = (1.0, r_trial, value_trial, mags_trial), d_y
-        if accepted is None:
-            dy, dr, slope = options[-1]
+        # The lower full step that passes the Armijo test wins (Newton on a
+        # tie); when none passes, the IRLS direction backtracks if it was
+        # offered and the Newton direction otherwise.
+        r_trial = r + dr
+        mags_trial = np.abs(r_trial)
+        value_trial = _norm(p, mags_trial, value)
+        if not value_trial <= value + cfg.armijo_c * slope:
+            value_trial = math.inf  # no step yet
+        if p < 2.0 and irls_slope < 0.0:
+            dr_irls = -value * moved
+            r_irls = r + dr_irls
+            mags_irls = np.abs(r_irls)
+            value_irls = _norm(p, mags_irls, value)
+            if value_irls <= value + cfg.armijo_c * irls_slope and value_irls < value_trial:
+                dy, r_trial, value_trial, mags_trial = value * beta, r_irls, value_irls, mags_irls
+            elif value_trial == math.inf:
+                dy, dr, slope = value * beta, dr_irls, irls_slope
+        if value_trial == math.inf:
             accepted = _backtrack(p, r, dr, value, slope, cfg)
             if accepted is None:
                 # Step size hit the numerical floor; no further progress possible.
                 break
-            dy = accepted[0] * dy  # a full step (t = 1) is taken as it is
-        _, r, value, mags = accepted
+            t, r_trial, value_trial, mags_trial = accepted
+            dy = t * dy
+        r, value, mags = r_trial, value_trial, mags_trial
         y = y + dy
         iterations += 1
     if value <= RESIDUAL_FLOOR:
@@ -374,24 +398,25 @@ def _descend(
     p = space.p
     q = space.p_conjugate
     scales = np.sqrt(np.add.reduce(np.abs(directions) ** 2, axis=0))
-    # s / s is NaN where the sum of squares is 0 (a zero column, or every
-    # entry below about 1e-162) or inf (an entry above about 1e154); there
-    # the scale is taken from the column's largest entry, and a zero column
-    # keeps scale 0.
-    free = np.isfinite(scales / scales)
-    if free.all():
+    # The sum of squares is 0 for a zero column, or every entry below about
+    # 1e-162, and inf for an entry above about 1e154; there the scale is
+    # taken from the column's largest entry, and a zero column keeps scale 0.
+    free = scales.tolist()  # the scales, tested as Python floats
+    if 0.0 < min(free) and max(free) < math.inf:
         cols = directions / scales
     else:
-        for j in np.flatnonzero(~free):
+        for j in np.flatnonzero(~((scales > 0.0) & (scales < math.inf))):
             scales[j] = _norm_mags(2.0, np.abs(directions[:, j]))
         free = scales > 0.0
         # np.compress keeps the columns C-contiguous, as _newton_model needs.
         cols = np.compress(free, directions, axis=1) / scales[free]
     # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
     span, tri = _qr(np.conj(cols))
-    kept = np.abs(tri.diagonal()) > RANK_TOL
-    if kept.size < cols.shape[1] or not kept.all():
+    pivots = tri.diagonal().tolist()
+    if len(pivots) < cols.shape[1] or min(map(abs, pivots), default=math.inf) <= RANK_TOL:
+        kept = np.abs(tri.diagonal()) > RANK_TOL
         kept = np.pad(kept, (0, cols.shape[1] - kept.size))  # columns past the dimension
+        free = np.array(free) > 0.0  # every column kept so far, if no scale was 0
         free[free] = kept
         cols = np.compress(kept, cols, axis=1)
         span, tri = _qr(np.conj(cols))
@@ -409,7 +434,7 @@ def _descend(
         value = _norm_vec(p, r)
         converged, iterations, lower = False, 0, None
         if value > RESIDUAL_FLOOR:
-            lower = _lower_bound(q, _norming_coeffs(p, r, value), span, r)
+            lower = _lower_bound(q, _norming_coeffs(p, r, value), (span, np.conj(span)), r)
     else:
         y, value, converged, iterations, lower = _newton(p, q, base, cols, span, y, cfg)
     if value <= RESIDUAL_FLOOR:
@@ -447,7 +472,7 @@ def minimize_over_line(
     direction = _as_vector(space, direction, "direction")
     if not direction.any():
         raise ValueError("direction must be nonzero")
-    return _descend(space, base, direction[:, None], cfg or SolverConfig())
+    return _descend(space, base, direction[:, None], cfg or _DEFAULTS)
 
 
 def minimize_free_relax(
@@ -468,7 +493,7 @@ def minimize_free_relax(
     phi = _as_vector(space, phi, "phi")
     if not phi.any():
         raise ValueError("phi must be nonzero")
-    return _free_relax(space, f, G_prev, phi, cfg or SolverConfig())
+    return _free_relax(space, f, G_prev, phi, cfg or _DEFAULTS)
 
 
 def best_approx_subspace(
@@ -495,5 +520,5 @@ def best_approx_subspace(
         raise DependentBasisError(
             f"basis is numerically dependent (singular-value ratio {ratio:.2e} <= {RANK_TOL:g})"
         )
-    coeffs = _descend(space, f, B, SolverConfig()).minimizer
+    coeffs = _descend(space, f, B, _DEFAULTS).minimizer
     return coeffs, f - B @ coeffs
