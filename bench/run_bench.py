@@ -28,6 +28,11 @@ in {1.5, 2, 3}:
   (``np.abs(x)``) or an operator (``@``, ``+``) is not a call to the
   profiler, so these counts are exact and host-independent but not a
   census of numpy work;
+* in the same untimed pass, the bytecodes those runs execute in
+  lpgreedy's own frames (``sys.settrace`` with ``f_trace_opcodes``, frames
+  of files in the package directory only), per loop step, and the same
+  count per Newton iteration for every solve row (None at p = 2, where no
+  iteration runs): Python-side work that does not depend on the host;
 * ``lp_norm`` and ``norming_functional`` at dim 16 and 2048: time per call;
 * the bookkeeping of one sweep cell, per call, on cells shaped like the
   ``sweep_grid`` benchmark workload (dim 12, count 24 Gaussian
@@ -153,6 +158,11 @@ CALL_COUNT_NOTE = (
     "sys.setprofile 'call' (Python) and 'c_call' (C functions and methods such as "
     "ufunc.reduce and ndarray.all) events over whole runs, divided by the steps run; "
     "direct ufunc calls (np.abs(x)) and operators (@, +) are not counted"
+)
+OPCODE_COUNT_NOTE = (
+    "sys.settrace 'opcode' events (f_trace_opcodes) in frames whose code lies in the lpgreedy "
+    "package directory, over the same runs as the call counts (divided by the steps run) and "
+    "over each solve row's calls (divided by their Newton iterations)"
 )
 CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS, CELL_RUNS = 12, 24, 6, 6, 40
 CELL_SHAPE = (CELL_DIM, CELL_COUNT, CELL_SPARSITY, CELL_ITERS)
@@ -501,6 +511,36 @@ def count_calls(calls) -> dict:
     }
 
 
+def count_opcodes(pkg, calls) -> tuple[list, int]:
+    """Make ``calls`` once; return their results and the bytecodes run in ``pkg``'s own frames.
+
+    A frame counts when its code lies in the package directory of ``pkg``
+    (so neither numpy's Python code nor this script's), and every opcode
+    it executes is one event of ``sys.settrace`` with ``f_trace_opcodes``.
+    """
+    package = os.path.dirname(os.path.abspath(pkg.__file__)) + os.sep
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def start(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(start)
+    try:
+        results = [call() for call in calls]
+    finally:
+        sys.settrace(None)
+    return results, count
+
+
 def count_newton_iterations(pkg, calls):
     """Make ``calls`` once; return their results and the Newton iterations of their inner solves.
 
@@ -666,8 +706,20 @@ def main(argv=None) -> int:
                 for call in counted:  # untimed, uncounted warm-up
                     call()
                 row[label] = count_calls(counted)
+                opcodes = count_opcodes(pkg, counted)[1]
+                row[label].update(opcodes=opcodes, opcodes_per_step=opcodes / row[label]["steps"])
             call_counts.append(row)
             print(json.dumps(row))
+    opcode_counts = {}
+    for key, case in calls.items():
+        if key[0] in SOLVES:
+            for label, tree_calls in case.items():
+                results, opcodes = count_opcodes(pkgs[label], tree_calls)
+                iterations = sum(result.iterations for result in results)
+                opcode_counts[key, label] = {
+                    "opcodes": opcodes,
+                    "opcodes_per_iter": opcodes / iterations if iterations else None,
+                }
     times = {key: time_calls(case) for key, case in calls.items()}
 
     results = []
@@ -691,6 +743,7 @@ def main(argv=None) -> int:
             row[label] = {f"{unit}_us": 1e6 * unit_s}
             if entry in SOLVES:
                 row[label]["iter_us"] = 1e6 * unit_s / stats["iters_mean"] if stats["iters_mean"] else None
+                stats.update(opcode_counts[key, label])
             row[label].update(stats)
         if "parent" in pkgs:
             row.update(ratios(times[key]))
@@ -729,6 +782,7 @@ def main(argv=None) -> int:
         "summary": summary,
         "results": results,
         "call_counts_note": CALL_COUNT_NOTE,
+        "opcode_counts_note": OPCODE_COUNT_NOTE,
         "call_counts": call_counts,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

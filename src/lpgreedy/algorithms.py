@@ -321,10 +321,9 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
             norms.append(norm0)
     if not traces:
         return results if batch else results[0]
-    # ``column`` is the norm argument of _norming_coeffs: the run's norm, or a column of row norms.
     if batch:
         atoms, f = [dictionary[k].atoms for k in live], np.stack([target[k].f for k in live])
-        column = np.array(norms)[:, None]
+        column = np.array(norms)[:, None]  # _norming_coeffs's norms: a column, or one float
     else:
         atoms, f, live, column = [dictionary.atoms], target.f, ..., norm0
     p, ended = space.p, {}
@@ -345,10 +344,8 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)
-        if batch:
-            norms = (column := _norm_rows(p, residual)[:, None]).ravel().tolist()
-        else:
-            norms = [column := _norm_mags(p, mags)]
+        norms = ((column := _norm_rows(p, residual)[:, None]).ravel().tolist() if batch
+                 else [column := _norm_mags(p, mags)])
         for k, (trace, sel, step, norm) in enumerate(zip(traces, sels, steps, norms)):
             if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
                 ended[k] = ValueError("v contains non-finite entries") if norm != norm else step

@@ -359,34 +359,17 @@ def check_ml4(
 
 @cache
 def _log_design(m_lo: int, m_hi: int) -> tuple:
-    """log m for m in [m_lo, m_hi], and ``np.polyfit``'s scaled Vandermonde matrix and column scales.
+    """log m over [m_lo, m_hi] with ``np.polyfit``'s column-scaled Vandermonde matrix and scales.
 
-    Cached per window, read-only: every trace of a length is fitted over
-    the same one.
+    Cached per window and read-only: every trace of a length is fitted over the same one.
     """
     x = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
-    lhs = np.empty((x.size, 2))
-    lhs[:, 0] = x
-    lhs[:, 1] = 1.0
+    lhs = np.column_stack((x, np.ones_like(x)))
     scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
     lhs /= scale
     for a in (x, lhs, scale):
         a.setflags(write=False)
     return x, lhs, scale
-
-
-def _line_fit(design: tuple, y: np.ndarray) -> np.ndarray:
-    """``np.polyfit(x, row, 1)`` bit for bit for each row of ``y``; ``design`` is x's :func:`_log_design`.
-
-    Calls numpy's LAPACK least-squares gufunc, the one ``np.linalg.lstsq``
-    wraps, once over the stack, without either function's argument
-    handling. A non-finite y raises the LinAlgError that polyfit raises.
-    """
-    if not np.isfinite(y).all():
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    x, lhs, scale = design
-    coeffs = lstsq(lhs, y[..., None], x.size * _EPS, signature="ddd->ddid")[0]
-    return coeffs[..., 0] / scale
 
 
 def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
@@ -420,24 +403,25 @@ def _slope_fits(res: np.ndarray, window) -> list:
     if m_hi < m_lo + 1:
         raise ValueError(f"window [{m_lo}, {m_hi}] has fewer than two points")
     positive = res[:, m_lo - 1 : m_hi] > 0.0
-    groups = {m_hi: range(len(res))}  # rows by the end of their window
-    if not positive.all():
-        # Each row's window ends before its first zero residual.
-        groups = {}
-        ends = np.logical_and.accumulate(positive, axis=1).sum(axis=1) + (m_lo - 1)
-        for i, end in enumerate(ends.tolist()):
-            groups.setdefault(end, []).append(i)
-    fits = [None] * len(res)
+    # Each row's window ends before its first zero residual.
+    ends = ([m_hi] * len(res) if positive.all()
+            else (np.logical_and.accumulate(positive, axis=1).sum(axis=1) + (m_lo - 1)).tolist())
+    fits, groups = [None] * len(res), {}
+    for i, end in enumerate(ends):
+        groups.setdefault(end, []).append(i)
     for end, rows in groups.items():
         if end < m_lo + 1:
             for i in rows:
                 fits[i] = ValueError(
                     f"window [{m_lo}, {window[1]}] collapses below two positive residuals")
             continue
-        design = _log_design(m_lo, end)
-        log_m = design[0]
+        log_m, lhs, scale = _log_design(m_lo, end)
         log_r = np.log((res if len(rows) == len(res) else res[rows])[:, m_lo - 1 : end])
-        coeffs = _line_fit(design, log_r)
+        if not np.isfinite(log_r).all():  # what np.polyfit raises
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        # np.polyfit(log_m, row, 1) per row, bit for bit: the LAPACK gufunc np.linalg.lstsq wraps.
+        coeffs = lstsq(lhs, log_r[..., None], log_m.size * _EPS, signature="ddd->ddid")[0][..., 0]
+        coeffs /= scale
         fitted = coeffs[:, :1] * log_m + coeffs[:, 1:]
         # The sums and the mean of ndarray.sum and ndarray.mean, row by row, without their wrappers.
         ss_res = np.add.reduce((log_r - fitted) ** 2, axis=1).tolist()
@@ -548,9 +532,8 @@ def _trivial_steps(norms: np.ndarray) -> list[CheckReport]:
 
 @cache
 def _step_bound(n: int) -> np.ndarray:
-    """2/m for m = 1, ..., n, read-only; cached per trace length."""
-    bound = 2.0 / np.arange(1, n + 1)
-    bound.setflags(write=False)
+    """2/m for m = 1, ..., n; cached per trace length and read-only."""
+    (bound := 2.0 / np.arange(1, n + 1)).setflags(write=False)
     return bound
 
 

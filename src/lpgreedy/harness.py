@@ -102,8 +102,7 @@ def _suites(config: ExperimentConfig, space, dictionaries, targets, traces: list
     """Each run's checker suite, or the exception of its run or of its checkers.
 
     wgafr/gawr traces are checked one by one, iac/iacc traces in one group per record count
-    (stacked trivial-step and rate-slope passes); an exception in a group is the result of
-    every trace of it.
+    (stacked trivial-step and slope passes); a group's exception is each of its traces' result.
     """
     averaging, suites, groups = config.algorithm.id in ("iac", "iacc"), list(traces), {}
     for k, trace in enumerate(traces):

@@ -161,50 +161,26 @@ def _descent_step(hess: np.ndarray, grad: np.ndarray, value: float) -> tuple[np.
     return step, float(grad @ step)
 
 
-def _norm(p, mags, scale=None) -> float:
-    """The l_p norm of the solver's own points from their magnitudes, in at most four numpy calls.
+def _norm(p, mags, value=None) -> float:
+    """:func:`_norm_mags` to a few ulps, in three numpy calls near ``value`` and four otherwise.
 
-    The sum runs over (mags / scale)^p, ``scale`` the current value when
-    given and the largest magnitude otherwise, and the root is a Python
-    float: :func:`_norm_mags` but for the last bits. A sum that leaves the
-    normal range (a trial far from the current value, as at p = 64) is
-    taken by :func:`_norm_mags` instead.
+    Far from the value, the scaled sum may leave the normal range (at p = 64) and its root lose bits.
     """
-    if scale is None and not (scale := float(np.maximum.reduce(mags))):
-        return 0.0
-    total = float(np.add.reduce((mags / scale) ** p))
-    return scale * total ** (1.0 / p) if _TINY <= total < math.inf else _norm_mags(p, mags)
-
-
-def _backtrack(p, r, dr, value, slope, cfg):
-    """First t = b, b^2, ... >= _MIN_STEP with Armijo decrease of ||r + t dr||.
-
-    The full step t = 1 has been tried already. Returns (t, residual,
-    value, |residual|) there, or None.
-    """
-    t = cfg.backtrack_factor
-    while t >= _MIN_STEP:
-        r_trial = r + t * dr
-        mags_trial = np.abs(r_trial)
-        value_trial = _norm(p, mags_trial, value)
-        if value_trial <= value + cfg.armijo_c * t * slope:
-            return t, r_trial, value_trial, mags_trial
-        t *= cfg.backtrack_factor
-    return None
+    scale = value or float(np.maximum.reduce(mags))
+    ratio = float(np.add.reduce((mags / scale) ** p)) ** (1.0 / p) if scale else 0.0
+    return scale * ratio if value is None or 0.0625 <= ratio <= 16.0 else _norm(p, mags)
 
 
 def _lower_bound(q, cert, span, r) -> float:
     """Duality lower bound |c @ r| / ||c||_q on the infimum.
 
     c is ``cert`` (overwritten) projected exactly onto {c : c @ cols = 0}
-    through the orthonormal basis ``span[0]`` of conj(cols), whose
-    conjugate is ``span[1]``. Any such c gives ||base - cols @ y|| >=
-    |c @ base| / ||c||_q for every y, and c @ r == c @ base because c
-    annihilates the columns. At q = 2 (the pinned p = 2 solves) ||c|| is
-    :func:`_norm_vec`'s.
+    through the orthonormal basis ``span[0]`` of conj(cols) and its conjugate
+    ``span[1]``. Any such c gives ||base - cols @ y|| >= |c @ base| / ||c||_q
+    for every y, and c @ r == c @ base because c annihilates the columns.
     """
     cert -= span[0] @ (cert @ span[1])
-    cert_norm = _norm_vec(q, cert) if q == 2.0 else _norm(q, np.abs(cert))
+    cert_norm = _norm_vec(q, cert) if q == 2.0 else _norm(q, np.abs(cert))  # p = 2 pinned
     return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
 
 
@@ -280,8 +256,7 @@ def _newton(p, q, base, cols, span, y, cfg):
     r = base - cols @ y
     mags = np.abs(r)
     value = _norm(p, mags)
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
     while value > RESIDUAL_FLOOR:
         moved = None
         unit, weights, curv, grad, hw, v = _newton_model(p, r, mags, value, neg_conj, jac_t)
@@ -328,12 +303,17 @@ def _newton(p, q, base, cols, span, y, cfg):
                 dy, r_trial, value_trial, mags_trial = value * beta, r_irls, value_irls, mags_irls
             elif value_trial == math.inf:
                 dy, dr, slope = value * beta, dr_irls, irls_slope
-        if value_trial == math.inf:
-            accepted = _backtrack(p, r, dr, value, slope, cfg)
-            if accepted is None:
-                # Step size hit the numerical floor; no further progress possible.
+        if value_trial == math.inf:  # the first t = b, b^2, ... >= _MIN_STEP that passes
+            t = cfg.backtrack_factor
+            while t >= _MIN_STEP:
+                r_trial = r + t * dr
+                mags_trial = np.abs(r_trial)
+                value_trial = _norm(p, mags_trial, value)
+                if value_trial <= value + cfg.armijo_c * t * slope:
+                    break
+                t *= cfg.backtrack_factor
+            else:  # step size hit the numerical floor; no further progress possible
                 break
-            t, r_trial, value_trial, mags_trial = accepted
             dy = t * dy
         r, value, mags = r_trial, value_trial, mags_trial
         y = y + dy
@@ -380,7 +360,9 @@ def _descend(
     entry ever more slowly, while IRLS lands on zero. When no full step
     passes, the step backtracks along the IRLS direction for p < 2 and the
     Newton direction otherwise, falling back to steepest descent when it
-    does not descend.
+    does not descend. Norms of its own points (the start, each trial, the
+    certificate's q-norm) are :func:`_norm`'s: a trial within a factor 16
+    of the current value is scaled by it, others by their largest entry.
 
     The duality certificate of :func:`_lower_bound` (Boyd & Vandenberghe,
     Convex Optimization, ch. 5) projects the norming functional of r, less
@@ -401,7 +383,7 @@ def _descend(
     # The sum of squares is 0 for a zero column, or every entry below about
     # 1e-162, and inf for an entry above about 1e154; there the scale is
     # taken from the column's largest entry, and a zero column keeps scale 0.
-    free = scales.tolist()  # the scales, tested as Python floats
+    free = scales.tolist()
     if 0.0 < min(free) and max(free) < math.inf:
         cols = directions / scales
     else:
@@ -414,9 +396,9 @@ def _descend(
     span, tri = _qr(np.conj(cols))
     pivots = tri.diagonal().tolist()
     if len(pivots) < cols.shape[1] or min(map(abs, pivots), default=math.inf) <= RANK_TOL:
-        kept = np.abs(tri.diagonal()) > RANK_TOL
-        kept = np.pad(kept, (0, cols.shape[1] - kept.size))  # columns past the dimension
-        free = np.array(free) > 0.0  # every column kept so far, if no scale was 0
+        # Columns past the dimension are left out too; free becomes a mask if it was the scales.
+        kept = np.pad(np.abs(tri.diagonal()) > RANK_TOL, (0, cols.shape[1] - len(pivots)))
+        free = np.array(free) > 0.0
         free[free] = kept
         cols = np.compress(kept, cols, axis=1)
         span, tri = _qr(np.conj(cols))

@@ -126,3 +126,17 @@ def test_run_criterion_is_timed_as_the_runs_it_makes():
     assert sparsities == [k for k in range(1, 9) for _ in range(2)]
     stats = run_bench.warm_up(lpgreedy, entry, calls)
     assert stats["units"] == stats["runs"] == 16 and stats["failed_reports"] == 0
+
+
+def test_opcode_counts_are_integers_that_two_passes_reproduce():
+    p, data = 1.5, run_bench.instances("run_wgafr", 1.5, 16)[:2]
+    solves = run_bench.prepare(
+        lpgreedy, "minimize_free_relax", p, 16, run_bench.instances("minimize_free_relax", p, 16)[:3])
+    for calls in (run_bench.loop_runs(lpgreedy, "run_wgafr", p, data), solves):
+        for call in calls:  # the first pass, as the warm-up pass makes it
+            call()
+        counts = [run_bench.count_opcodes(lpgreedy, calls)[1] for _ in range(2)]
+        assert type(counts[0]) is int and counts[0] > 0
+        assert counts[0] == counts[1]
+    # only frames of the package count, not this file's
+    assert run_bench.count_opcodes(lpgreedy, [lambda: sum(range(10))]) == ([45], 0)

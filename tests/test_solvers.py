@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -782,3 +783,84 @@ class TestLapackPaths:
                 span, tri = np.linalg.qr(np.conj(directions / scales[None, :]))
                 want = np.linalg.solve(np.conj(tri), base @ span) / scales
                 assert result.minimizer.tobytes() == want.tobytes()
+
+
+class TestSolverNorm:
+    """The solver's own norm (``solvers._norm``) against the pinned ``_norm_mags``."""
+
+    @seed(20261)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1.0 + 2.0**-52, 1.01, 1.5, 2.0, 3.0, 64.0]),
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e-300, max_value=1e300),
+                st.sampled_from([0.0, 5e-324, 3e-320, 1e-310, 2.2e-308]),  # zero and subnormal
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.one_of(st.none(), st.integers(min_value=-64, max_value=64)),
+    )
+    def test_within_4_ulps_of_norm_mags(self, p, mags, exponent):
+        # scaled by the largest magnitude, or by a current value 2^-64 to
+        # 2^64 times the norm, as a trial point far from the iterate; the
+        # solver runs under _descend's errstate, where a trial's scaled
+        # power may overflow
+        mags = np.array(mags)
+        want = solvers._norm_mags(p, mags)
+        value = None if exponent is None else want * 2.0**exponent
+        with np.errstate(over="ignore"):
+            got = solvers._norm(p, mags, value if value and value < math.inf else None)
+        assert type(got) is float
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("p", [1.0 + 2.0**-52, 1.5, 3.0, 64.0])
+    def test_zero_vector_is_exactly_zero(self, p):
+        for mags in (np.zeros(1), np.zeros(16)):
+            assert solvers._norm(p, mags) == 0.0
+            assert solvers._norm(p, mags, 0.7) == 0.0  # far below the value: max-scaled
+
+    def test_exact_fit_trial_at_p64_takes_the_exact_fit_exit(self):
+        # From y = 0 one Newton step lands on base = 0.7 - 0.2j times the
+        # column: the trial's residual is ~1e-14 of the start value, so its
+        # sum scaled by that value underflows at p = 64. Its value is the
+        # true norm of the residual, not 0 from the underflowed sum.
+        p, rng = 64.0, np.random.default_rng(5)
+        col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        cols, span, _ = _unit_columns(col[:, None])
+        base = cols[:, 0] * (0.7 - 0.2j)
+        y, value, converged, iterations, lower = solvers._newton(
+            p, p / (p - 1.0), base, cols, span, np.zeros(1, complex), SolverConfig()
+        )
+        trial = np.abs(base - cols @ y)
+        assert iterations == 1 and lower is None
+        assert np.add.reduce((trial / solvers._norm_mags(p, np.abs(base))) ** p) == 0.0
+        assert 0.0 < value <= solvers.RESIDUAL_FLOOR
+        assert abs(value - solvers._norm_mags(p, trial)) <= 4 * math.ulp(value)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 64.0])
+def test_converged_loop_solves_are_exact_fits_or_within_gap_resolution(monkeypatch, p):
+    # every inner solve of seeded wgafr and gawr runs (dim 16, 10 steps)
+    from lpgreedy import RelaxationSchedule, WeaknessSequence, algorithms
+    from lpgreedy import generate_dictionary, make_target, run_gawr, run_wgafr
+
+    original, results = solvers._descend, []
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_descend", recorded)
+    monkeypatch.setattr(algorithms, "_descend", recorded)
+    space, tau = LpSpace(p, 16), WeaknessSequence.constant(1.0)
+    for seed_ in range(4):
+        d = generate_dictionary(space, 32, "gaussian", seed=100 + seed_)
+        target = make_target(d, "a1", 8, seed=200 + seed_)
+        run_wgafr(space, d, target, tau, 10)
+        run_gawr(space, d, target, tau, RelaxationSchedule.harmonic(), 10)
+    assert len(results) >= 60
+    for result in results:
+        if result.converged:
+            assert result.value == 0.0 or result.gap <= solvers._GAP_RESOLUTION * result.value
