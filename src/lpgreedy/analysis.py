@@ -13,7 +13,7 @@ over a whole trace, whose report names every failing step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg._umath_linalg import lstsq
@@ -357,11 +357,11 @@ def check_ml4(
     return _finish("ml4", margins, a.size, slack, details)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _log_design(m_lo: int, m_hi: int) -> tuple:
     """log m over [m_lo, m_hi] with ``np.polyfit``'s column-scaled Vandermonde matrix and scales.
 
-    Cached per window and read-only: every trace of a length is fitted over the same one.
+    Read-only, and cached for the last 64 windows: the traces of a length share one.
     """
     x = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
     lhs = np.column_stack((x, np.ones_like(x)))
@@ -530,9 +530,9 @@ def _trivial_steps(norms: np.ndarray) -> list[CheckReport]:
     return [_finish("trivial_step_bound", row, bound.size, 0.0) for row in margins.tolist()]
 
 
-@cache
+@lru_cache(maxsize=64)
 def _step_bound(n: int) -> np.ndarray:
-    """2/m for m = 1, ..., n; cached per trace length and read-only."""
+    """2/m for m = 1, ..., n; read-only, and cached for the last 64 trace lengths."""
     (bound := 2.0 / np.arange(1, n + 1)).setflags(write=False)
     return bound
 
