@@ -46,11 +46,9 @@ in {1.5, 2, 3}:
   ``check_ml3_trace`` on gawr traces);
 * the checker suites of one sweep cell of CELL_REPLICATES ``iac`` or
   ``iacc`` replicates, as ``harness._run_batch`` runs them after the loop
-  (time per cell): through ``harness._suites`` where the tree has it
-  (stacked passes over the batch), else the three checkers replicate by
-  replicate; and the draws of one ``iac`` cell's dictionaries and
-  targets before the loop (``harness._build`` of the batch, or of each
-  config where the tree builds config by config);
+  (time per cell): ``harness._suites``, stacked passes over the batch;
+  and the draws of one ``iac`` cell's dictionaries and targets before
+  the loop, ``harness._build`` of the batch;
 * ``run_sweep`` end to end, one row per algorithm and p: SWEEP_RUNS
   sweeps of one cell of CELL_REPLICATES replicates (the shape of the
   ``sweep_grid`` workload's iac/iacc sweeps, whose replicates run as one
@@ -320,28 +318,17 @@ def prepare_cell_stage(pkg, entry, p, data):
 
 
 def build_stage(pkg, configs):
-    """The draws of one cell's replicates, as ``_run_batch`` makes them.
-
-    A tree with ``dictionaries._dictionaries`` builds the batch in one
-    ``harness._build`` call; the others build config by config.
-    """
-    if hasattr(pkg.dictionaries, "_dictionaries"):
-        return pkg.harness._build(configs)
-    return [pkg.harness._build(config) for config in configs]
+    """The draws of one cell's replicates, as ``_run_batch`` makes them: one ``harness._build``."""
+    return pkg.harness._build(configs)
 
 
 def suite_stage(pkg, configs, spaces, dictionaries, targets, traces):
     """The iac/iacc checker suites of one cell's traces, as ``_run_batch`` runs them.
 
-    A tree without ``harness._suites`` runs the three checkers of its
-    ``harness._suite`` trace by trace. The config hash that each tree
-    stamps on each trace (one ``hash`` call per replicate in both) is not
-    part of the stage.
+    The config hash that each tree stamps on each trace (one ``hash``
+    call per replicate) is not part of the stage.
     """
-    if hasattr(pkg.harness, "_suites"):
-        return pkg.harness._suites(configs[0], spaces[0], dictionaries, targets, traces)
-    return [[pkg.check_trivial_step(trace), pkg.analysis.check_barycentric(trace, dictionary),
-             pkg.harness._diag_slope(trace)] for trace, dictionary in zip(traces, dictionaries)]
+    return pkg.harness._suites(configs[0], spaces[0], dictionaries, targets, traces)
 
 
 def prepare_sweep(pkg, entry, p, data):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import filecmp
 import os
-import sys
 import tempfile
 from functools import partial
 
@@ -268,24 +267,29 @@ def _run_criterion(name, configs_of, reduce, seed=0, profile="full") -> CheckRep
     return reduce(name, configs, results)
 
 
-def _synthetic_hl1(rng, length=60):
+# Lengths of the synthetic sequences of criterion 13.
+_HL1_LENGTH = 60
+_ML4_LENGTH = 80
+
+
+def _synthetic_hl1(rng):
     C1 = 10.0 ** rng.uniform(-1.0, 1.0)
-    a = rng.uniform(0.05, 0.9, size=length) / C1
+    a = rng.uniform(0.05, 0.9, size=_HL1_LENGTH) / C1
     x = [C1 * rng.uniform(0.2, 1.0)]
     equality = rng.uniform() < 0.5
-    for m in range(length - 1):
+    for m in range(_HL1_LENGTH - 1):
         factor = 1.0 if equality else rng.uniform(0.7, 1.0)
         x.append(x[-1] * (1.0 - x[-1] * a[m]) * factor)
     return np.array(x), C1, a
 
 
-def _synthetic_ml4(rng, length=80):
+def _synthetic_ml4(rng):
     alpha = rng.uniform(0.2, 0.7)
     gamma_param = rng.uniform(alpha + 0.05, 1.0)
     A = rng.uniform(1.0, 3.0)
     a = [A * rng.uniform(0.1, 0.9)]
     equality = rng.uniform() < 0.5
-    for n in range(2, length + 1):
+    for n in range(2, _ML4_LENGTH + 1):
         v = n - 1
         if v >= 2 and a[-1] >= A * v ** (-alpha):
             factor = 1.0 if equality else rng.uniform(0.8, 1.0)
@@ -365,8 +369,8 @@ ALL_CRITERIA = (
 )
 
 
-def verify_suite(seed: int = 0, profile: str = "quick", stream=None) -> tuple[int, list[CheckReport]]:
-    """Run the full property battery; print one pass/fail line per criterion.
+def verify_suite(seed: int = 0, profile: str = "quick") -> tuple[int, list[CheckReport]]:
+    """Run the full property battery; print one pass/fail line per criterion to stdout.
 
     ``quick`` is a scaled-down smoke profile; ``full`` runs the complete
     acceptance battery. Returns (exit_code, reports) with exit code 0 only
@@ -374,15 +378,11 @@ def verify_suite(seed: int = 0, profile: str = "quick", stream=None) -> tuple[in
     """
     if profile not in ("quick", "full"):
         raise ConfigError(f"profile: must be 'quick' or 'full'; got {profile!r}")
-    stream = stream if stream is not None else sys.stdout
     reports = []
     for number, name, fn in ALL_CRITERIA:
         report = fn(seed=seed, profile=profile)
         reports.append(report)
-        print(format_criterion_line(number, name, report), file=stream)
+        print(format_criterion_line(number, name, report))
     exit_code = 0 if all(r.passed for r in reports) else 1
-    print(
-        f"{sum(r.passed for r in reports)}/{len(reports)} criteria passed",
-        file=stream,
-    )
+    print(f"{sum(r.passed for r in reports)}/{len(reports)} criteria passed")
     return exit_code, reports

@@ -13,12 +13,13 @@ over a whole trace, whose report names every failing step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 from numpy.linalg._umath_linalg import lstsq
 
-from .algorithms import GreedyTrace, WeaknessSequence
+from .algorithms import BARYCENTRIC_TOL, GreedyTrace, WeaknessSequence
 from .dictionaries import Dictionary, _scan
 from .solvers import best_approx_subspace
 from .spaces import (
@@ -59,6 +60,10 @@ __all__ = [
 # Solver slack added to every per-step trace inequality: the inner infima
 # are exact in the statements, approximate in the runs.
 DEFAULT_SLACK = 1e-8
+# Points of the lambda grid on [0, 1] of the ml1 recursion check.
+LAMBDA_POINTS = 101
+# Slack of the sequence-bound checks hl1 and ml4.
+SEQUENCE_SLACK = 1e-12
 # Round-off allowance of the trivial-step bound, and the tolerance of the
 # iacc barycentric weights (their sum and each selection's unit phase).
 TRIVIAL_STEP_SLACK = 1e-10
@@ -167,7 +172,7 @@ def check_ml1_trace(
     A_eps: float,
     eps: float,
     slack: float = DEFAULT_SLACK,
-    grid_points: int = 101,
+    grid_points: int = LAMBDA_POINTS,
 ) -> CheckReport:
     """Per-step residual recursion of the free-relaxation loop, at every recorded step.
 
@@ -271,8 +276,8 @@ def check_mt2_bound(
     return _finish("mt2_bound", margins, len(trace.records), slack)
 
 
-def check_hl1(x_seq, C1: float, a_seq, slack: float = 1e-12) -> CheckReport:
-    """Recursive-sequence bound: x_m <= (C1^-1 + sum_{k<=m} a_k)^-1.
+def check_hl1(x_seq, C1: float, a_seq) -> CheckReport:
+    """Recursive-sequence bound: x_m <= (C1^-1 + sum_{k<=m} a_k)^-1, within SEQUENCE_SLACK.
 
     First verifies the hypotheses (x_0 <= C1, nonnegativity, and the
     recursion x_{m+1} <= x_m (1 - x_m a_{m+1}) for every transition); if
@@ -294,29 +299,27 @@ def check_hl1(x_seq, C1: float, a_seq, slack: float = 1e-12) -> CheckReport:
         if np.any(a[: x.size - 1] < 0.0):
             # a_k = 0 degenerates the bound to the constant C1, still valid.
             problems.append("a_seq entries must be nonnegative")
-        if x[0] > C1 + slack:
+        if x[0] > C1 + SEQUENCE_SLACK:
             problems.append(f"x_0={x[0]!r} exceeds C1={C1!r}")
         bound = x[:-1] * (1.0 - x[:-1] * a[: x.size - 1])
-        failed = np.flatnonzero(x[1:] > bound + slack)
+        failed = np.flatnonzero(x[1:] > bound + SEQUENCE_SLACK)
         if failed.size:
             m = failed[0]
             problems.append(f"recursion fails at m={m}: {x[m + 1]!r} > {bound[m]!r}")
     if problems:
-        return _not_applicable("hl1", problems, x.size, slack, passed=False)
+        return _not_applicable("hl1", problems, x.size, SEQUENCE_SLACK, passed=False)
     bounds = 1.0 / (1.0 / C1 + np.concatenate([[0.0], np.cumsum(a[: x.size - 1])]))
     margins = bounds - x
-    return _finish("hl1", margins, x.size, slack)
+    return _finish("hl1", margins, x.size, SEQUENCE_SLACK)
 
 
-def check_ml4(
-    a_seq, alpha: float, gamma_param: float, A: float, slack: float = 1e-12
-) -> CheckReport:
+def check_ml4(a_seq, alpha: float, gamma_param: float, A: float) -> CheckReport:
     """Power-decay hypothesis check plus the empirical bounding constant.
 
     Verifies, for n >= 2, a_n <= a_{n-1} + A (n-1)^(-alpha), and whenever
-    a_v >= A v^(-alpha) (v >= 2) also a_{v+1} <= a_v (1 - gamma_param/v).
-    Reports max_n a_n n^alpha / A (over the whole sequence and its first
-    half) as the empirical decay constant.
+    a_v >= A v^(-alpha) (v >= 2) also a_{v+1} <= a_v (1 - gamma_param/v),
+    each within SEQUENCE_SLACK. Reports max_n a_n n^alpha / A (over the
+    whole sequence and its first half) as the empirical decay constant.
     """
     a = np.asarray(a_seq, dtype=float)
     alpha = float(alpha)
@@ -337,24 +340,24 @@ def check_ml4(
         n = np.arange(1, a.size + 1, dtype=float)
         growth = a[:-1] + A * n[:-1] ** (-alpha) - a[1:]
         margins.extend(growth.tolist())
-        if growth.min() < -slack:
+        if growth.min() < -SEQUENCE_SLACK:
             problems.append(f"growth hypothesis fails at n={int(np.argmin(growth)) + 2}")
         for v in range(2, a.size):  # v is 1-based index, a_v = a[v-1]
             if a[v - 1] >= A * float(v) ** (-alpha):
                 decay_margin = a[v - 1] * (1.0 - gamma_param / v) - a[v]
                 margins.append(decay_margin)
-                if decay_margin < -slack:
+                if decay_margin < -SEQUENCE_SLACK:
                     problems.append(f"decay hypothesis fails at v={v}")
                     break
     if problems:
-        return _not_applicable("ml4", problems, a.size, slack, passed=False)
+        return _not_applicable("ml4", problems, a.size, SEQUENCE_SLACK, passed=False)
     n = np.arange(1, a.size + 1, dtype=float)
     ratios = a * n**alpha / A
     details = [
         f"empirical_constant={float(ratios.max())!r}",
         f"first_half_constant={float(ratios[: max(1, a.size // 2)].max())!r}",
     ]
-    return _finish("ml4", margins, a.size, slack, details)
+    return _finish("ml4", margins, a.size, SEQUENCE_SLACK, details)
 
 
 @lru_cache(maxsize=64)
@@ -372,17 +375,14 @@ def _log_design(m_lo: int, m_hi: int) -> tuple:
     return x, lhs, scale
 
 
-def fit_log_slope(residuals, window: tuple[int, int]) -> RateFit:
+def fit_log_slope(trace: GreedyTrace, window: tuple[int, int]) -> RateFit:
     """Least-squares slope of log residual versus log m over the window.
 
-    ``residuals`` is a trace or an array indexed so entry i is the
-    residual after step i+1. Zero residuals inside the window shrink it to
-    the positive prefix; the returned window is the one actually used.
+    The residual after step m is the trace's record m. Zero residuals
+    inside the window shrink it to the positive prefix; the returned
+    window is the one actually used.
     """
-    if isinstance(residuals, GreedyTrace):
-        res = np.array([[record.residual_norm for record in residuals.records]])
-    else:
-        res = np.asarray(residuals, dtype=float)[None]
+    res = np.array([[record.residual_norm for record in trace.records]])
     (fit,) = _slope_fits(res, window)
     if isinstance(fit, ValueError):
         raise fit
@@ -537,19 +537,18 @@ def _step_bound(n: int) -> np.ndarray:
     return bound
 
 
-def check_barycentric(
-    trace: GreedyTrace, dictionary: Dictionary, tol: float = 1e-10
-) -> CheckReport:
+def check_barycentric(trace: GreedyTrace, dictionary: Dictionary) -> CheckReport:
     """Recorded selections rebuild every stored G_m.
 
-    G_m must equal (1/m) sum_{j<=m} nu_j phi_j within ``tol``. For the
-    convex variant the implied weights must additionally be nonnegative
-    reals summing to one within WEIGHT_TOL.
+    G_m must equal (1/m) sum_{j<=m} nu_j phi_j within BARYCENTRIC_TOL, the
+    tolerance the loop itself asserts. For the convex variant the implied
+    weights must additionally be nonnegative reals summing to one within
+    WEIGHT_TOL.
     """
-    return _barycentric([trace], [dictionary], tol)[0]
+    return _barycentric([trace], [dictionary])[0]
 
 
-def _barycentric(traces: list, dictionaries: list, tol: float = 1e-10) -> list[CheckReport]:
+def _barycentric(traces: list, dictionaries: list) -> list[CheckReport]:
     """``check_barycentric`` of each trace on its dictionary."""
     reports = []
     for trace, d in zip(traces, dictionaries):
@@ -564,14 +563,15 @@ def _barycentric(traces: list, dictionaries: list, tol: float = 1e-10) -> list[C
             drifts = np.maximum.reduce(np.abs(rebuilt), axis=1).tolist()
         margins, details, counts, iacc = [], [], {}, trace.algorithm == "iacc"
         for record, drift in zip(rows, drifts):
-            margins.append(tol - drift)
-            if drift > tol:
+            margins.append(BARYCENTRIC_TOL - drift)
+            if drift > BARYCENTRIC_TOL:
                 details.append(f"step {record.m}: drift {drift:.3e}")
             if iacc:
                 counts[record.selected_index] = counts.get(record.selected_index, 0) + 1
                 weights = [c / record.m for c in counts.values()]
                 margins.append(min(weights))
-                margins.append(WEIGHT_TOL - abs(sum(weights) - 1.0))
+                # Left to right: the built-in sum of floats is compensated from Python 3.12 on.
+                margins.append(WEIGHT_TOL - abs(reduce(add, weights) - 1.0))
                 if abs(record.phase - 1.0) > WEIGHT_TOL:
                     margins.append(-abs(record.phase - 1.0))
                     details.append(f"step {record.m}: non-unit weight phase")

@@ -16,6 +16,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .algorithms import RelaxationSchedule, WeaknessSequence
+from .analysis import DEFAULT_SLACK, LAMBDA_POINTS
 from .dictionaries import DICTIONARY_KINDS, MEMBERSHIPS, POLICIES
 from .solvers import SolverConfig
 from .spaces import P_MAX, _whole
@@ -75,8 +76,8 @@ class AlgorithmSection:
 
 @dataclass
 class ChecksSection:
-    slack: float = 1e-8
-    lambda_points: int = 101
+    slack: float = DEFAULT_SLACK
+    lambda_points: int = LAMBDA_POINTS
 
 
 @dataclass

@@ -60,9 +60,8 @@ class InfeasibleSelectionError(RuntimeError):
 class Dictionary:
     """Ordered finite list of atoms with norm at most one.
 
-    ``atoms`` is a (count, dim) complex array, one atom per row, frozen
-    after construction. An array that is already read-only and owns its
-    memory is kept as it is; any other input is copied.
+    ``atoms`` is a (count, dim) complex array, one atom per row: a frozen
+    copy of the input.
     """
 
     space: LpSpace
@@ -71,7 +70,7 @@ class Dictionary:
     seed: int | None = None
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=np.complex128)
+        atoms = np.array(self.atoms, dtype=np.complex128)
         if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != self.space.dim:
             raise ValueError(
                 f"atoms must form a nonempty (count, {self.space.dim}) array; "
@@ -86,8 +85,6 @@ class Dictionary:
                 f"every atom must have norm <= 1 + {ATOM_NORM_TOL:g}; "
                 f"worst is {norms.max()!r}"
             )
-        if atoms.flags.writeable or not atoms.flags.owndata:
-            atoms = atoms.copy()
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
 

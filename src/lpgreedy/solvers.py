@@ -31,7 +31,6 @@ from .spaces import (
     _as_vector,
     _count,
     _norm_mags,
-    _norm_vec,
     _norming_coeffs,
 )
 
@@ -180,7 +179,7 @@ def _lower_bound(q, cert, span, r) -> float:
     for every y, and c @ r == c @ base because c annihilates the columns.
     """
     cert -= span[0] @ (cert @ span[1])
-    cert_norm = _norm_vec(q, cert) if q == 2.0 else _norm(q, np.abs(cert))  # p = 2 pinned
+    cert_norm = (_norm_mags if q == 2.0 else _norm)(q, np.abs(cert))  # p = 2 pinned
     return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
 
 
@@ -413,7 +412,7 @@ def _descend(
         y = np.zeros(cols.shape[1], dtype=np.complex128)
     if p == 2.0:
         r = base - cols @ y
-        value = _norm_vec(p, r)
+        value = _norm_mags(p, np.abs(r))
         converged, iterations, lower = False, 0, None
         if value > RESIDUAL_FLOOR:
             lower = _lower_bound(q, _norming_coeffs(p, r, value), (span, np.conj(span)), r)

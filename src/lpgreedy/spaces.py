@@ -86,26 +86,13 @@ class DualFunctional:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        coeffs = np.array(self.coeffs, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("functional coefficients must form a nonempty vector")
         if not np.isfinite(coeffs).all():
             raise ValueError("functional coefficients contain non-finite entries")
-        coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _wrap(cls, coeffs: np.ndarray) -> "DualFunctional":
-        """Wrap a fresh, finite, nonempty complex128 vector without checks or a copy.
-
-        For coefficients this package has just computed; the vector is
-        frozen in place.
-        """
-        F = object.__new__(cls)
-        coeffs.setflags(write=False)
-        object.__setattr__(F, "coeffs", coeffs)
-        return F
 
     @property
     def dim(self) -> int:
@@ -175,23 +162,15 @@ def _norm_block(p: float, a: np.ndarray) -> np.ndarray:
     return np.where(scale != 0.0, safe * sums ** (1.0 / p), 0.0)
 
 
-def _norm_vec(p: float, a: np.ndarray) -> float:
-    """The l_p norm of one vector; NaN if an entry is not finite.
+def _norm_mags(p: float, mags: np.ndarray) -> float:
+    """The l_p norm of one vector given its magnitudes ``|a_i|``; NaN if one is not finite.
 
     It is ``_norm_rows(p, a[None])[0]`` bit for bit, so a run stepped
     alone and the same run as a row of a batch get the same norms. The
     root stays a ufunc on a one-element array for that: a Python-float
     power differs from numpy's in the last bit for about one vector in
-    twenty.
-    """
-    return _norm_mags(p, np.abs(a))
-
-
-def _norm_mags(p: float, mags: np.ndarray) -> float:
-    """:func:`_norm_vec` of a vector given its magnitudes ``|a_i|``, bit for bit.
-
-    The reductions are called as ufunc methods, which is what ``.max()``
-    and ``.sum()`` do after their argument handling.
+    twenty. The reductions are called as ufunc methods, which is what
+    ``.max()`` and ``.sum()`` do after their argument handling.
     """
     scale = np.maximum.reduce(mags)
     if scale == 0.0:
@@ -220,7 +199,7 @@ def _norming_coeffs(p: float, h: np.ndarray, norm, mags=None) -> np.ndarray:
 
 def lp_norm(space: LpSpace, v) -> float:
     """(sum_i |v_i|^p)^(1/p); nonnegative and zero only for the zero vector."""
-    return _norm_vec(space.p, _as_vector(space, v))
+    return _norm_mags(space.p, np.abs(_as_vector(space, v)))
 
 
 def complex_sign(z) -> complex:
@@ -242,10 +221,10 @@ def norming_functional(space: LpSpace, h) -> DualFunctional:
     optimization.
     """
     arr = _as_vector(space, h, "h")
-    norm = _norm_vec(space.p, arr)
+    norm = _norm_mags(space.p, np.abs(arr))
     if norm == 0.0:
         raise ValueError("norming functional is undefined for the zero vector")
-    return DualFunctional._wrap(_norming_coeffs(space.p, arr, norm))
+    return DualFunctional(_norming_coeffs(space.p, arr, norm))
 
 
 def apply_functional(F: DualFunctional, x) -> complex:

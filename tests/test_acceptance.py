@@ -11,7 +11,6 @@ every reducer fails on a violating run.
 import collections
 import dataclasses
 import hashlib
-import io
 
 import pytest
 
@@ -36,7 +35,7 @@ def test_acceptance_criterion(number, name, criterion):
     )
 
 
-def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch):
+def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch, capsys):
     """Every greedy run of the battery is a config checked at the stated tolerances."""
     configs = []
     original = acceptance.run_experiment
@@ -46,7 +45,8 @@ def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch):
         return original(config, out_dir)
 
     monkeypatch.setattr(acceptance, "run_experiment", recording)
-    exit_code, _ = verify_suite(seed=SEED, profile="quick", stream=io.StringIO())
+    exit_code, _ = verify_suite(seed=SEED, profile="quick")
+    assert capsys.readouterr().out.endswith("14/14 criteria passed\n")
     assert exit_code == 0
     # Quick-profile runs per criterion: 5 monotonicity 6, 6 ml1 6, 7 ml3 6,
     # 8 mt2 4, 9 exactness 4, 10 iac rate 8, 11 barycentric 4, 12 gawr rate 8

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import re
+import sys
 
 import pytest
 
@@ -222,6 +225,97 @@ class TestValidation:
     def test_non_object_config_rejected(self, data):
         with pytest.raises(ConfigError, match="^config: must be an object of sections; got "):
             ExperimentConfig.from_dict(data)
+
+
+_ALL = ("wgafr", "gawr", "iac", "iacc")
+_RELAXED = ("wgafr", "gawr")
+_TINY = 5e-324  # the least positive float
+_MAX = sys.float_info.max
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+# field: (the algorithms it applies to, values inside its domain, values outside it).
+# Inside: each closed end, one ulp (or 1) inside each end, and a large value where the
+# domain is unbounded. Outside: each open end, and one ulp (or 1) outside each end.
+_DOMAIN_EDGES = {
+    "space.p": (_ALL, [_up(1.0), 64.0, _down(64.0)], [1.0, _down(1.0), _up(64.0)]),
+    "space.dim": (_ALL, [1, 2, 1024], [0]),
+    "dictionary.count": (_ALL, [1, 2, 4096], [0]),
+    "dictionary.seed": (_ALL, [0, 1, 2**64], [-1]),
+    "target.sparsity": (_ALL, [1, 2, 16, 15], [0, 17]),
+    "target.eps": (_RELAXED, [0.0, _TINY, 1e300, _MAX], [-_TINY, math.inf]),
+    "target.seed": (_ALL, [0, 1, 2**64], [-1]),
+    "algorithm.iters": (_ALL, [1, 2, 1000], [0]),
+    "algorithm.t": (_RELAXED, [_TINY, 1.0, _down(1.0)], [0.0, -_TINY, _up(1.0)]),
+    "algorithm.r_constant": (("gawr",), [0.0, _TINY, _down(1.0)], [-_TINY, 1.0, _up(1.0)]),
+    "algorithm.k1": (("iac", "iacc"), [_TINY, 1e300, _MAX], [0.0, -_TINY, math.inf]),
+    "checks.slack": (_RELAXED, [0.0, _TINY, 1e300, _MAX], [-_TINY, math.inf]),
+    "checks.lambda_points": (("wgafr",), [2, 3, 10_000], [1]),
+    "solver.grad_tol": (_RELAXED, [_TINY, 1e300, _MAX], [0.0, -_TINY, math.inf]),
+    "solver.max_iters": (_RELAXED, [1, 2, 10**9], [0]),
+    "solver.armijo_c": (_RELAXED, [_TINY, _down(1.0)], [0.0, -_TINY, 1.0, _up(1.0)]),
+    "solver.backtrack_factor": (_RELAXED, [_TINY, _down(1.0)], [0.0, -_TINY, 1.0, _up(1.0)]),
+}
+# Known failures inside the domain, each with its reason.
+_DOMAIN_DEFECTS = {
+    ("target.eps", _MAX): "check_ml1_trace's bound overflows (a RuntimeWarning) on residual "
+                          "norms near the float range; see the FOUND line in CHANGES.md",
+}
+
+
+def _edge_config(algorithm, field, value):
+    """A dim-8, count-16, 20-step run of ``algorithm`` with ``field`` set to ``value``."""
+    changes = {
+        "space.dim": 8,
+        "dictionary.count": 16,
+        "algorithm.iters": 20,
+        "algorithm.id": algorithm,
+        "target.membership": "conv" if algorithm == "iacc" else "a1",
+    }
+    if field == "algorithm.r_constant":
+        changes["algorithm.r_kind"] = "constant"
+    if field == "dictionary.count":
+        changes["target.sparsity"] = min(4, max(1, value))
+    return ExperimentConfig().with_fields({**changes, field: value})
+
+
+def _domain_cases():
+    for field, (algorithms, inside, outside) in _DOMAIN_EDGES.items():
+        for value in inside:
+            reason = _DOMAIN_DEFECTS.get((field, value))
+            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+            yield pytest.param(field, value, algorithms, True, marks=marks,
+                               id=f"{field}={value!r}-inside")
+        for value in outside:
+            yield pytest.param(field, value, algorithms, False, id=f"{field}={value!r}-outside")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value, algorithms, inside", _domain_cases())
+def test_domain_edges(monkeypatch, field, value, algorithms, inside):
+    """Inside a field's domain every run completes with every applicable check passing;
+    outside it a ConfigError names the field before anything is built."""
+    if inside:
+        for algorithm in algorithms:
+            _, reports = run_experiment(_edge_config(algorithm, field, value))
+            failed = [r.name for r in reports if r.applicable and not r.passed]
+            assert not failed, f"{algorithm}: {failed}"
+        return
+
+    def built(configs):
+        raise AssertionError(f"{field}={value!r} reached the build")
+
+    monkeypatch.setattr(harness, "_build", built)
+    for algorithm in algorithms:
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            run_experiment(_edge_config(algorithm, field, value))
 
 
 class TestRoundTrips:

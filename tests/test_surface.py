@@ -1,11 +1,14 @@
-"""Every public name has a caller in the package or in perfbench.
+"""Every public name, and every defaulted parameter, has a caller in the package or in perfbench.
 
 A public name that only tests or the bench scripts call either gets a
 caller in ``run``, ``sweep`` or ``verify``, or it goes (ROADMAP item 8).
+A parameter with a default that no such call sets goes too, and the code
+keeps its default.
 """
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -16,6 +19,20 @@ _MODULES = (
 # The trace schema v2 (ROADMAP item 1) extends read_trace_csv to read both
 # header versions, so it stays without a caller until then.
 _EXCEPTIONS = {"read_trace_csv"}
+# "module.function.parameter" -> why the parameter stays without a caller that sets it.
+_PARAMETER_EXCEPTIONS = {
+    **dict.fromkeys(
+        ("dictionaries.weak_select.policy", "dictionaries.eps_select.mode",
+         "dictionaries.eps_select.policy", "solvers.minimize_over_line.cfg",
+         "solvers.minimize_free_relax.cfg"),
+        "only perfbench's layer tracer names the function; ROADMAP item 7's benchmark change "
+        "decides whether it stays public",
+    ),
+    "analysis.check_orthogonality.func_tol": (
+        "bench/same_outputs.py sets it to expose the competitor margins of criterion 3; "
+        "ROADMAP item 2's split of that criterion retires it"
+    ),
+}
 
 
 def _is_skipped(node) -> bool:
@@ -49,14 +66,50 @@ def _references(tree) -> set[str]:
     return words
 
 
+def _caller_trees() -> list:
+    """The parsed .py files under src/ and perfbench/, without __init__.py."""
+    return [
+        ast.parse(path.read_text())
+        for top in ("src", "perfbench")
+        for path in sorted((_ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
+
 def _caller_words() -> set[str]:
-    """References in the .py files under src/ and perfbench/, without __init__.py."""
-    words = set()
-    for top in ("src", "perfbench"):
-        for path in sorted((_ROOT / top).rglob("*.py")):
-            if path.name != "__init__.py":
-                words |= _references(ast.parse(path.read_text()))
-    return words
+    """References in the caller files."""
+    return set().union(*map(_references, _caller_trees()))
+
+
+def _calls(tree):
+    """(words of the called expression, positional arguments, keywords) of each call in ``tree``.
+
+    ``partial(f, *args, **keywords)`` is also a call of ``f`` with those
+    arguments.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = _references(node.func)
+            yield callee, node.args, node.keywords
+            if "partial" in callee and node.args:
+                yield _references(node.args[0]), node.args[1:], node.keywords
+
+
+def _passed(params: list[str], args, keywords) -> set[str]:
+    """The names of ``params`` (in order) that a call with these arguments passes.
+
+    A ``*`` argument passes every parameter from its position on; a ``**``
+    argument passes them all.
+    """
+    passed = set()
+    for i, arg in enumerate(args):
+        if isinstance(arg, ast.Starred):
+            passed.update(params[i:])
+            break
+        passed.update(params[i : i + 1])
+    for keyword in keywords:
+        passed.update(params if keyword.arg is None else [keyword.arg])
+    return passed
 
 
 def test_references_skip_docstrings_definitions_and_all_lists():
@@ -71,6 +124,27 @@ def test_references_skip_docstrings_definitions_and_all_lists():
     assert _references(ast.parse(source)) == {"called", "obj", "attribute", "layer", "in_string"}
 
 
+def test_calls_pass_parameters_by_position_keyword_star_and_partial():
+    params = ["a", "b", "c", "d"]
+    source = (
+        "f(1, c=2)\n"
+        "m.f(1, *rest)\n"
+        "g(**options)\n"
+        "partial(pkg.f, 1, 2)\n"
+        "h(f)\n"
+    )
+    got = [(sorted(callee), sorted(_passed(params, args, keywords)))
+           for callee, args, keywords in _calls(ast.parse(source))]
+    assert got == [
+        (["f"], ["a", "c"]),
+        (["f", "m"], ["a", "b", "c", "d"]),
+        (["g"], ["a", "b", "c", "d"]),
+        (["partial"], ["a", "b", "c"]),
+        (["f", "pkg"], ["a", "b"]),
+        (["h"], ["a"]),
+    ]
+
+
 def test_every_public_name_has_a_caller():
     words = _caller_words()
     uncalled = [
@@ -80,3 +154,31 @@ def test_every_public_name_has_a_caller():
         if name not in words and name not in _EXCEPTIONS
     ]
     assert not uncalled, f"public names without a caller: {uncalled}"
+
+
+def _uncalled_parameters() -> list[str]:
+    """``module.function.parameter`` of each defaulted parameter of a public function that no
+    call in the caller files passes."""
+    calls = [call for tree in _caller_trees() for call in _calls(tree)]
+    uncalled = []
+    for module in _MODULES:
+        mod = importlib.import_module(f"lpgreedy.{module}")
+        for name in mod.__all__:
+            function = getattr(mod, name)
+            if not inspect.isfunction(function):
+                continue
+            signature = inspect.signature(function).parameters.values()
+            params = [p.name for p in signature]
+            passed = set().union(*(_passed(params, args, keywords)
+                                   for callee, args, keywords in calls if name in callee))
+            uncalled += [f"{module}.{name}.{p.name}" for p in signature
+                         if p.default is not p.empty and p.name not in passed]
+    return uncalled
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    uncalled = _uncalled_parameters()
+    unexcused = [name for name in uncalled if name not in _PARAMETER_EXCEPTIONS]
+    assert not unexcused, f"defaulted parameters no caller sets: {unexcused}"
+    stale = sorted(_PARAMETER_EXCEPTIONS.keys() - set(uncalled))
+    assert not stale, f"listed exceptions that a caller now sets, or that are gone: {stale}"
