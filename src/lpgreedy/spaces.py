@@ -221,10 +221,11 @@ def norming_functional(space: LpSpace, h) -> DualFunctional:
     optimization.
     """
     arr = _as_vector(space, h, "h")
-    norm = _norm_mags(space.p, np.abs(arr))
+    mags = np.abs(arr)
+    norm = _norm_mags(space.p, mags)
     if norm == 0.0:
         raise ValueError("norming functional is undefined for the zero vector")
-    return DualFunctional(_norming_coeffs(space.p, arr, norm))
+    return DualFunctional(_norming_coeffs(space.p, arr, norm, mags))
 
 
 def apply_functional(F: DualFunctional, x) -> complex:
