@@ -307,28 +307,16 @@ def prepare_cell_stage(pkg, entry, p, data):
     calls = []
     for d, t in data:
         configs = [cell_config(pkg, algorithm, p, d + r, t + r) for r in range(CELL_REPLICATES)]
-        if stage == "build":
-            calls.append(functools.partial(build_stage, pkg, configs))
+        if stage == "build":  # the draws of the cell's replicates: one ``harness._build``
+            calls.append(functools.partial(pkg.harness._build, configs))
             continue
         spaces, dictionaries, targets = zip(*[build(pkg, config) for config in configs])
         traces = [pkg.run_experiment(config)[0] for config in configs]
-        calls.append(functools.partial(suite_stage, pkg, configs, spaces, dictionaries, targets,
-                                       traces))
+        # The checker suites, as ``_run_batch`` runs them; the config hash that
+        # each trace is stamped with (one ``hash`` per replicate) is not part of it.
+        calls.append(functools.partial(pkg.harness._suites, configs[0], spaces[0], dictionaries,
+                                       targets, traces))
     return calls
-
-
-def build_stage(pkg, configs):
-    """The draws of one cell's replicates, as ``_run_batch`` makes them: one ``harness._build``."""
-    return pkg.harness._build(configs)
-
-
-def suite_stage(pkg, configs, spaces, dictionaries, targets, traces):
-    """The iac/iacc checker suites of one cell's traces, as ``_run_batch`` runs them.
-
-    The config hash that each tree stamps on each trace (one ``hash``
-    call per replicate) is not part of the stage.
-    """
-    return pkg.harness._suites(configs[0], spaces[0], dictionaries, targets, traces)
 
 
 def prepare_sweep(pkg, entry, p, data):
