@@ -35,6 +35,7 @@ from lpgreedy import (
     run_wgafr,
     smoothness_params,
 )
+from lpgreedy import analysis
 from lpgreedy.analysis import (
     _finish,
     _slope_fits,
@@ -609,12 +610,11 @@ class TestOneRulePerInequality:
             assert report.samples == 53
 
 
-def _barycentric_reference(trace, dictionary):
+def _barycentric_reference(trace, dictionary, tol=1e-10, weight_tol=1e-12):
     """check_barycentric as one running sum per step, the form it replaced.
 
     The weights are added left to right, as the built-in ``sum`` does before Python 3.12.
     """
-    tol, weight_tol = 1e-10, 1e-12
     margins, details, counts = [], [], {}
     running = np.zeros(dictionary.space.dim, dtype=np.complex128)
     for record, stored in zip(trace.records, trace.approximants):
@@ -649,11 +649,17 @@ class TestBarycentricRebuild:
             yield d, run(space, d, target, 1.0, 40)
 
     @pytest.mark.parametrize("algorithm", ["iac", "iacc"])
-    def test_matches_running_sum(self, algorithm):
+    def test_matches_running_sum(self, algorithm, monkeypatch):
+        # At tol 0 the worst margin is minus the largest drift and every nonzero
+        # drift is a detail, so the rebuild is compared with the running sum to the bit.
         for d, trace in self.traces(algorithm):
             report = check_barycentric(trace, d)
             assert report.passed
             assert report == _barycentric_reference(trace, d)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "BARYCENTRIC_TOL", 0.0)
+                got = check_barycentric(trace, d)
+            assert got == _barycentric_reference(trace, d, 0.0)
 
     @pytest.mark.parametrize("algorithm", ["iac", "iacc"])
     def test_perturbed_approximant_fails(self, algorithm):

@@ -263,19 +263,31 @@ _DOMAIN_EDGES = {
     "solver.armijo_c": (_RELAXED, [_TINY, _down(1.0)], [0.0, -_TINY, 1.0, _up(1.0)]),
     "solver.backtrack_factor": (_RELAXED, [_TINY, _down(1.0)], [0.0, -_TINY, 1.0, _up(1.0)]),
 }
-# Known failures inside the domain, each with its reason.
+# The fields that reach more than validation only where p != 2: there the inner
+# solve runs Newton iterations and the ml1 and ml3 bounds take powers of the norms.
+# They also run at p = 3 with 5 steps, since armijo_c one ulp below 1 runs every
+# solve to max_iters (about 0.1 s per step).
+_P3_FIELDS = ("target.eps", "solver.grad_tol", "solver.max_iters", "solver.armijo_c",
+              "solver.backtrack_factor")
+_ML1_OVERFLOW = ("check_ml1_trace's bound overflows (a RuntimeWarning) on residual norms "
+                 "near the float range; see the FOUND line in CHANGES.md")
+# Known failures inside the domain, by (field, value, p), each with its reason.
 _DOMAIN_DEFECTS = {
-    ("target.eps", _MAX): "check_ml1_trace's bound overflows (a RuntimeWarning) on residual "
-                          "norms near the float range; see the FOUND line in CHANGES.md",
+    ("target.eps", _MAX, 2.0): _ML1_OVERFLOW,
+    ("target.eps", 1e300, 3.0): _ML1_OVERFLOW,
+    ("target.eps", _MAX, 3.0): "the target's l_3 norm exceeds the largest float, so the loop's "
+                               "first norm overflows (a RuntimeWarning); see the FOUND line in "
+                               "CHANGES.md",
 }
 
 
-def _edge_config(algorithm, field, value):
-    """A dim-8, count-16, 20-step run of ``algorithm`` with ``field`` set to ``value``."""
+def _edge_config(algorithm, field, value, p=2.0, steps=20):
+    """A dim-8, count-16 run of ``algorithm`` with ``field`` set to ``value``."""
     changes = {
+        "space.p": p,
         "space.dim": 8,
         "dictionary.count": 16,
-        "algorithm.iters": 20,
+        "algorithm.iters": steps,
         "algorithm.id": algorithm,
         "target.membership": "conv" if algorithm == "iacc" else "a1",
     }
@@ -287,24 +299,28 @@ def _edge_config(algorithm, field, value):
 
 
 def _domain_cases():
-    for field, (algorithms, inside, outside) in _DOMAIN_EDGES.items():
+    runs = [(field, 2.0, 20, "") for field in _DOMAIN_EDGES]
+    runs += [(field, 3.0, 5, "-p3") for field in _P3_FIELDS]
+    for field, p, steps, suffix in runs:
+        algorithms, inside, outside = _DOMAIN_EDGES[field]
         for value in inside:
-            reason = _DOMAIN_DEFECTS.get((field, value))
+            reason = _DOMAIN_DEFECTS.get((field, value, p))
             marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-            yield pytest.param(field, value, algorithms, True, marks=marks,
-                               id=f"{field}={value!r}-inside")
+            yield pytest.param(field, value, algorithms, True, p, steps, marks=marks,
+                               id=f"{field}={value!r}{suffix}-inside")
         for value in outside:
-            yield pytest.param(field, value, algorithms, False, id=f"{field}={value!r}-outside")
+            yield pytest.param(field, value, algorithms, False, p, steps,
+                               id=f"{field}={value!r}{suffix}-outside")
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("field, value, algorithms, inside", _domain_cases())
-def test_domain_edges(monkeypatch, field, value, algorithms, inside):
+@pytest.mark.parametrize("field, value, algorithms, inside, p, steps", _domain_cases())
+def test_domain_edges(monkeypatch, field, value, algorithms, inside, p, steps):
     """Inside a field's domain every run completes with every applicable check passing;
     outside it a ConfigError names the field before anything is built."""
     if inside:
         for algorithm in algorithms:
-            _, reports = run_experiment(_edge_config(algorithm, field, value))
+            _, reports = run_experiment(_edge_config(algorithm, field, value, p, steps))
             failed = [r.name for r in reports if r.applicable and not r.passed]
             assert not failed, f"{algorithm}: {failed}"
         return
@@ -315,7 +331,7 @@ def test_domain_edges(monkeypatch, field, value, algorithms, inside):
     monkeypatch.setattr(harness, "_build", built)
     for algorithm in algorithms:
         with pytest.raises(ConfigError, match=re.escape(field)):
-            run_experiment(_edge_config(algorithm, field, value))
+            run_experiment(_edge_config(algorithm, field, value, p, steps))
 
 
 class TestRoundTrips:
