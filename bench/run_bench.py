@@ -54,6 +54,10 @@ in {1.5, 2, 3}:
   ``sweep_grid`` workload's iac/iacc sweeps, whose replicates run as one
   batch), each writing its summary CSV into a temporary directory; time
   per cell;
+* ``run_sweep`` over ``space.p`` in {1.5, 2, 3}, one row per algorithm:
+  SWEEP_RUNS sweeps shaped like a ``sweep_grid`` op (P_SWEEPS replicates
+  per cell, 4 for iac/iacc and 1 for wgafr/gawr), whose cells run as one
+  batch where the package batches across p; time per cell;
 * the ``verify`` battery at ``--profile full``, seed 0: criteria 1-4, 13
   and 14 as one call each (time per criterion, with its verdict and worst
   margin); criteria 5-12, which make greedy runs, as the
@@ -101,6 +105,7 @@ import argparse
 import compileall
 import functools
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -136,11 +141,15 @@ CELL_PARTS = {
 }
 # One run_sweep case per algorithm.
 SWEEPS = ("run_sweep_wgafr", "run_sweep_gawr", "run_sweep_iac", "run_sweep_iacc")
+# One run_sweep case per algorithm over space.p in PS, with a sweep_grid op's replicates per cell.
+P_SWEEPS = {"run_sweep_p_wgafr": 1, "run_sweep_p_gawr": 1, "run_sweep_p_iac": 4,
+            "run_sweep_p_iacc": 4}
 # The incremental loops, timed at the sweep-cell shape (CELL_SHAPE).
 CELL_LOOPS = ("run_iac", "run_iacc")
 # The stages around the loop of one iac/iacc sweep cell of CELL_REPLICATES replicates.
 CELL_STAGES = ("suite_stage_iac", "suite_stage_iacc", "build_stage_iac")
-ENTRIES = SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS + CELL_STAGES
+ENTRIES = (SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS + CELL_STAGES
+           + tuple(P_SWEEPS))
 PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
@@ -206,8 +215,9 @@ def load_package(src: Path):
 
 def instances(entry: str, p: float, dim: int):
     """The seeded inputs of one case: vectors, or loop-run seeds."""
-    rng = np.random.default_rng([ENTRIES.index(entry), int(10 * p), dim])
-    if entry in LOOPS + CELL_LOOPS + CELL_STAGES or entry in CELL_PARTS or entry in SWEEPS:
+    rng = np.random.default_rng([ENTRIES.index(entry), int(10 * (p or 0)), dim])
+    if (entry in LOOPS + CELL_LOOPS + CELL_STAGES or entry in CELL_PARTS or entry in SWEEPS
+            or entry in P_SWEEPS):
         runs = (
             LOOP_RUNS if entry in LOOPS + CELL_LOOPS
             else CELL_RUNS if entry in CELL_PARTS or entry in CELL_STAGES else SWEEP_RUNS
@@ -314,22 +324,27 @@ def prepare_cell_stage(pkg, entry, p, data):
         traces = [pkg.run_experiment(config)[0] for config in configs]
         # The checker suites, as ``_run_batch`` runs them; the config hash that
         # each trace is stamped with (one ``hash`` per replicate) is not part of it.
-        calls.append(functools.partial(pkg.harness._suites, configs[0], spaces[0], dictionaries,
-                                       targets, traces))
+        # A tree whose batches share one p takes one config and one space.
+        per_row = "configs" in inspect.signature(pkg.harness._suites).parameters
+        rows = (configs, list(spaces)) if per_row else (configs[0], spaces[0])
+        calls.append(functools.partial(pkg.harness._suites, *rows, dictionaries, targets, traces))
     return calls
 
 
 def prepare_sweep(pkg, entry, p, data):
     """One ``run_sweep`` call of the entry's algorithm per input (seeds), each returning its rows.
 
+    A SWEEPS entry sweeps one cell at ``p``, a P_SWEEPS entry every p in PS.
     The sweeps write their summary CSV into a temporary directory that lives
     as long as the calls do.
     """
     out_dir = tempfile.TemporaryDirectory(prefix="run_bench_sweep_")
+    algorithm, over_p = entry.rsplit("_", 1)[1], entry in P_SWEEPS
     specs = [
         pkg.SweepSpec(
-            base=cell_config(pkg, entry.removeprefix("run_sweep_"), p, d, t), axes=[],
-            replicate_seeds=CELL_REPLICATES,
+            base=cell_config(pkg, algorithm, PS[0] if over_p else p, d, t),
+            axes=[("space.p", list(PS))] if over_p else [],
+            replicate_seeds=P_SWEEPS[entry] if over_p else CELL_REPLICATES,
         )
         for d, t in data
     ]
@@ -420,7 +435,7 @@ def prepare(pkg, entry, p, dim, data):
         return loop_runs(pkg, entry, p, data, CELL_SHAPE)
     if entry in CELL_PARTS:
         return prepare_cell_part(pkg, entry, p, data)
-    if entry in SWEEPS:
+    if entry in SWEEPS or entry in P_SWEEPS:
         return prepare_sweep(pkg, entry, p, data)
     if entry in CELL_STAGES:
         return prepare_cell_stage(pkg, entry, p, data)
@@ -576,7 +591,7 @@ def outcome(entry, results) -> dict:
             "peak_rss_mib": statistics.median(results),
             "peak_rss_mib_quartiles": quartiles(results),
         }
-    if entry in SWEEPS:
+    if entry in SWEEPS or entry in P_SWEEPS:
         rows = [row for rows in results for row in rows]
         return {"units": len(rows), "cells": len(rows),
                 "failed_cells": sum(1 for row in rows if row["error"] or row["pass_rate"] != "1.0")}
@@ -641,7 +656,7 @@ def main(argv=None) -> int:
     pkgs = {label: load_package(src) for label, src in trees.items()}
     cases = {
         (entry, p, dim): instances(entry, p, dim)
-        for entry in ENTRIES for p in PS
+        for entry in ENTRIES if entry not in P_SWEEPS for p in PS
         for dim in (
             (LOOP_DIM,) if entry in LOOPS
             else (CELL_DIM,)
@@ -652,6 +667,7 @@ def main(argv=None) -> int:
     cases.update(
         (("minimize_free_relax", p, 16), instances("minimize_free_relax", p, 16)) for p in EDGE_PS
     )
+    cases.update(((entry, None, CELL_DIM), instances(entry, None, CELL_DIM)) for entry in P_SWEEPS)
     # A verify case's one input is its criterion number.
     cases.update(
         ((f"verify_{number:02d}_{name}", None, None), [number])
@@ -704,7 +720,7 @@ def main(argv=None) -> int:
         unit = (
             "run" if is_run_criterion(entry) else "criterion" if verify
             else "step" if entry in LOOPS + CELL_LOOPS
-            else "cell" if entry in SWEEPS + CELL_STAGES
+            else "cell" if entry in SWEEPS + CELL_STAGES or entry in P_SWEEPS
             else "process" if entry in PROCESSES else "call"
         )
         row = {"entry": entry, "p": p, "dim": dim, "instances": len(calls[key]["change"])}

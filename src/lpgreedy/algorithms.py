@@ -8,8 +8,8 @@ once the residual norm falls below 1e-12 (``residual_below_threshold``:
 the norming functional is undefined at zero) or when every atom
 annihilates the functional (``stagnated_zero_dual_norm``: no atom can
 reduce the residual). Each ``run_*`` function also takes equal-length
-lists of dictionaries and targets, the runs of a batch, and steps them in
-lockstep (see ``_greedy_loop``); a single run is a batch of one.
+lists of spaces, dictionaries and targets, the runs of a batch, and steps
+them in lockstep (see ``_greedy_loop``); a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -276,35 +276,39 @@ def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
 def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
     """The iteration all four algorithms share, for one run or for a batch of runs in lockstep.
 
-    ``dictionary`` and ``target`` are one run's, or equal-length lists (a
-    batch; its dictionaries share one shape). Row k of the targets ``f``,
-    approximants ``G`` and residuals is the k-th live run's; a single run's
-    arrays are 1-D. ``select(m, coeffs, atoms, f)`` gives one Selection per
-    row (``dictionaries._selections``) for the residuals' norming
-    functionals; ``update(m, live, f, G, sels, phis)`` gives G_m, a new
-    array whose rows the traces keep, and per row ``(lam, w_or_r, eps_m,
-    solver_converged)``. ``live`` holds the rows' places in the batch
-    (``...`` for a single run). A selection or a step may instead be an
-    exception, as is a non-finite residual (ValueError): a single run raises
-    it, a batch makes it that run's result, its entry in the returned list.
-    Each target is checked once.
+    ``space``, ``dictionary`` and ``target`` are one run's, or equal-length
+    lists (a batch; its dictionaries share one shape, its spaces may differ
+    in p). Row k of the targets ``f``, approximants ``G`` and residuals is
+    the k-th live run's; a single run's arrays are 1-D. ``select(m, live,
+    coeffs, atoms, f)`` gives one Selection per row
+    (``dictionaries._selections``) for the residuals' norming functionals;
+    ``update(m, live, f, G, sels, phis)`` gives G_m, a new array whose rows
+    the traces keep, and per row ``(lam, w_or_r, eps_m, solver_converged)``.
+    ``live`` holds the rows' places in the batch. A selection or a step may
+    instead be an exception, as is a non-finite residual (ValueError): a
+    single run raises it, a batch makes it that run's result, its entry in
+    the returned list. Each target is checked once. The p-dependent kernels
+    (functionals, norms) run once per run of rows of equal p (``_by_p``).
     """
     batch = type(target) is list
-    if batch != (type(dictionary) is list) or batch and len(dictionary) != len(target):
-        raise ValueError("dictionary and target must be one run each or lists of equal length; got "
-                         + " and ".join(f"a list of {len(x)}" if type(x) is list else "one run"
-                                        for x in (dictionary, target)))
+    if len({len(x) if type(x) is list else -1 for x in (space, dictionary, target)}) > 1:
+        raise ValueError("space, dictionary and target must be one run each or lists of equal "
+                         "length; got " + ", ".join(f"a list of {len(x)}" if type(x) is list
+                                                     else "one run" for x in (space, dictionary,
+                                                                              target)))
     iters = _count("iters", iters)
+    spaces = space if batch else [space]
     results, live, traces, norms = [], [], [], []
-    for k, (d, t) in enumerate(zip(dictionary, target) if batch else [(dictionary, target)]):
+    for k, (s, d, t) in enumerate(zip(spaces, dictionary, target) if batch
+                                  else [(space, dictionary, target)]):
         try:
-            if d.space is not space and d.space != space:
+            if d.space is not s and d.space != s:
                 raise ValueError("dictionary was built for a different space")
-            if (shape := np.shape(t.f)) != (space.dim,):  # lp_norm's texts, without its copy
-                raise ValueError(f"v has shape {shape}, expected ({space.dim},) for this space")
+            if (shape := np.shape(t.f)) != (s.dim,):  # lp_norm's texts, without its copy
+                raise ValueError(f"v has shape {shape}, expected ({s.dim},) for this space")
             if not np.maximum.reduce(mags := np.abs(t.f)) < np.inf:  # a NaN or an inf entry
                 raise ValueError("v contains non-finite entries")
-            norm0 = _norm_mags(space.p, mags)
+            norm0 = _norm_mags(s.p, mags)
             if norm0 == 0.0:
                 raise ValueError("target.f must be nonzero")
         except ValueError as exc:
@@ -325,12 +329,12 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         atoms, f = [dictionary[k].atoms for k in live], np.stack([target[k].f for k in live])
         column = np.array(norms)[:, None]  # _norming_coeffs's norms: a column, or one float
     else:
-        atoms, f, live, column = [dictionary.atoms], target.f, ..., norm0
-    p, ended = space.p, {}
+        atoms, f, column = [dictionary.atoms], target.f, norm0
+    runs, ended = _p_runs(spaces, live), {}
     G = np.zeros(f.shape, dtype=np.complex128)
     residual, mags = f, None
     for m in range(1, iters + 1):
-        sels = select(m, _norming_coeffs(p, residual, column, mags), atoms, f)
+        sels = select(m, live, _by_p(_norming_coeffs, runs, residual, column, mags), atoms, f)
         for k, sel in enumerate(sels):
             if type(sel) is not Selection or not sel.dual_norm:
                 ended[k] = "stagnated_zero_dual_norm" if type(sel) is Selection else sel
@@ -339,13 +343,14 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
                 break
             traces, atoms, live, sels, f, G, residual, mags = _take(
                 keep, traces, atoms, live, sels, f, G, residual, mags)
+            runs = _p_runs(spaces, live)
         phis = (np.array([rows[sel.index] for rows, sel in zip(atoms, sels)]) if batch
                 else atoms[0][sels[0].index])
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)
-        norms = ((column := _norm_rows(p, residual)[:, None]).ravel().tolist() if batch
-                 else [column := _norm_mags(p, mags)])
+        norms = ((column := _by_p(_norm_rows, runs, residual)[:, None]).ravel().tolist() if batch
+                 else [column := _norm_mags(space.p, mags)])
         for k, (trace, sel, step, norm) in enumerate(zip(traces, sels, steps, norms)):
             if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
                 ended[k] = ValueError("v contains non-finite entries") if norm != norm else step
@@ -361,7 +366,24 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
                 break
             traces, atoms, live, column, f, G, residual, mags = _take(
                 keep, traces, atoms, live, column, f, G, residual, mags)
+            runs = _p_runs(spaces, live)
     return results if batch else results[0]
+
+
+def _p_runs(spaces: list, live: list) -> list:
+    """``(p, rows)`` for each run of consecutive live rows of equal p; ``rows`` a slice."""
+    ps = [spaces[k].p for k in live]
+    starts = [i for i in range(len(ps)) if not i or ps[i] != ps[i - 1]] + [len(ps)]
+    return [(ps[a], slice(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+def _by_p(kernel, runs: list, *arrays):
+    """``kernel(p, *arrays)`` on each ``_p_runs`` run's rows, stacked. A scalar p keeps each row's
+    single-run bits: its fast paths (``sqrt`` at 0.5, ``square`` at 2) are not an array p's."""
+    if len(runs) == 1:
+        return kernel(runs[0][0], *arrays)
+    return np.concatenate([kernel(p, *(a if a is None else a[rows] for a in arrays))
+                           for p, rows in runs])
 
 
 def _settle(ended: dict, results: list, live, traces: list, batch: bool) -> list:
@@ -393,27 +415,28 @@ def _check_covers(name: str, schedule, iters) -> None:
 def _relaxed(space, dictionary, target, tau, iters, policy, algorithm, solve):
     """The loop of ``run_wgafr``/``run_gawr``: weak selection at t_m, then a solve per row.
 
-    ``solve(m, f, G, phi)`` returns a row's G_m and ``[(lam, w_or_r, None,
-    converged)]``; in a batch, an exception it raises is that row's step.
+    ``solve(m, space, f, G, phi)`` returns a row's G_m and ``[(lam, w_or_r,
+    None, converged)]``, solved in the row's own space; in a batch, an
+    exception it raises is that row's step.
     """
     _check_policy(policy)
 
     def update(m, live, f, G, sels, phis):
         if G.ndim == 1:  # a single run raises what its step raises
-            return solve(m, f, G, phis)
+            return solve(m, space, f, G, phis)
         rows, steps = [], []
-        for args in zip(f, G, phis):
+        for args in zip([space[k] for k in live], f, G, phis):
             try:
                 new, (step,) = solve(m, *args)
             except Exception as exc:  # the row's step failed; the batch steps on
-                new, step = args[1], exc
+                new, step = args[2], exc
             rows.append(new)
             steps.append(step)
         return np.array(rows), steps
 
     return _greedy_loop(
         space, dictionary, target, iters, algorithm,
-        lambda m, coeffs, atoms, f: _selections(coeffs, atoms, policy, t=tau.value(m)), update,
+        lambda m, _, coeffs, atoms, f: _selections(coeffs, atoms, policy, t=tau.value(m)), update,
     )
 
 
@@ -436,7 +459,7 @@ def run_wgafr(
     cfg = cfg or SolverConfig()
     _check_covers("weakness sequence", tau, iters)
 
-    def solve(m, f, G, phi):
+    def solve(m, space, f, G, phi):
         result = _free_relax(space, f, G, phi, cfg)
         w, lam = result.minimizer
         return (1.0 - w) * G + lam * phi, [(lam, w, None, result.converged)]
@@ -464,7 +487,7 @@ def run_gawr(
     _check_covers("weakness sequence", tau, iters)
     _check_covers("relaxation schedule", r, iters)
 
-    def solve(m, f, G, phi):
+    def solve(m, space, f, G, phi):
         r_m = r.value(m)
         shrunk = (1.0 - r_m) * G
         result = _descend(space, f - shrunk, phi[:, None], cfg)
@@ -489,18 +512,22 @@ def _averaging(space, dictionary, target, K1, iters, policy, mode, membership):
                              f"{membership} target; got membership={t.membership!r}")
         if t.eps != 0.0:
             raise ValueError(f"run_{algorithm} requires an exact target (eps = 0)")
-    params = smoothness_params(space)
-    # epsilon_schedule at n = 1 is K1 gamma^(1/q), checked once; times
+    # epsilon_schedule at n = 1 is K1 gamma^(1/q), checked once per p; times
     # float(m) ** (-1/p_dual) it is epsilon_schedule at m, bit for bit.
-    eps_1, power = epsilon_schedule(K1, params, 1), -1.0 / params.p_dual
+    spaces, schedules = space if type(space) is list else [space], {}  # _greedy_loop checks
+    for p, s in {s.p: s for s in spaces}.items():
+        params = smoothness_params(s)
+        schedules[p] = epsilon_schedule(K1, params, 1), -1.0 / params.p_dual
     _check_policy(policy)
-    running_sum = np.zeros((len(target), space.dim) if batch else space.dim, dtype=np.complex128)
-    eps_m = None
+    dim = spaces[0].dim if spaces else 0
+    running_sum = np.zeros((len(target), dim) if batch else dim, dtype=np.complex128)
+    eps_m = {}  # each row's eps_m at the current step, by its place in the batch
 
-    def select(m, coeffs, atoms, f):
-        nonlocal eps_m
-        eps_m = eps_1 * float(m) ** power
-        return _selections(coeffs, atoms, policy, f=f, eps_m=eps_m, mode=mode)
+    def select(m, live, coeffs, atoms, f):
+        for k in live:
+            eps_1, power = schedules[spaces[k].p]
+            eps_m[k] = eps_1 * float(m) ** power
+        return _selections(coeffs, atoms, policy, f=f, eps_m=[eps_m[k] for k in live], mode=mode)
 
     def update(m, live, f, G, sels, phis):
         batch = G.ndim == 2
@@ -514,14 +541,14 @@ def _averaging(space, dictionary, target, K1, iters, policy, mode, membership):
             total = np.add(running_sum, step, out=running_sum)
         drifts = np.maximum.reduce(np.abs(total / m - G), axis=-1)
         steps = []
-        for nu, drift in zip(nus, drifts if batch else [drifts]):
+        for nu, drift, k in zip(nus, drifts if batch else [drifts], live):
             if drift > BARYCENTRIC_TOL:
                 steps.append(AssertionError(
                     f"barycentric representation drifted by {drift:.3e} at step {m}"))
             elif mode == "plain" and abs(nu - 1.0) > 1e-15:  # G_m must stay a convex combination
                 steps.append(AssertionError(f"plain-mode selection carried a phase at step {m}"))
             else:
-                steps.append((nu / m, 1.0 / m, eps_m, True))
+                steps.append((nu / m, 1.0 / m, eps_m[k], True))
         return G, steps
 
     return _greedy_loop(space, dictionary, target, iters, algorithm, select, update)

@@ -190,15 +190,27 @@ def check_ml1_trace(
     prev, curr = norms[:-1, None], norms[1:, None]
     lams = np.empty((len(steps), grid_points + 1))
     lams[:, :-1] = np.linspace(0.0, 1.0, grid_points)
-    # Where ||f_{m-1}|| <= eps the bound grows with lam, so the grid's lam = 0 is its least.
-    lams[:, -1] = [0.0 if r <= eps else ml1_optimal_lambda(r, t_m, params, A_eps)
-                   for r, t_m in zip(norms[:-1], t)]
-    t = np.asarray(t, dtype=float)[:, None]
-    rhs = prev * (
-        1.0
-        - lams * t / A_eps * (1.0 - eps / prev)
-        + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # mended below
+        # Where ||f_{m-1}|| <= eps the bound grows with lam, so the grid's lam = 0 is its least.
+        lams[:, -1] = [0.0 if r <= eps else ml1_optimal_lambda(r, t_m, params, A_eps)
+                       for r, t_m in zip(norms[:-1], t)]
+        t = np.asarray(t, dtype=float)[:, None]
+        rhs = prev * (
+            1.0
+            - lams * t / A_eps * (1.0 - eps / prev)
+            + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
+        )
+        if not np.isfinite(rhs).all():
+            # A term left float range. The bound as prev - X (prev - eps) + 2 gamma prev
+            # (5 lam/prev)^q, X = lam t/A_eps, or at the optimal lam as its closed form
+            # prev + X (eps - 3 prev/4) with X in log space, is +-inf only past the range.
+            q, gap = params.q, eps - 0.75 * prev
+            log_x = (q * np.log(prev / 5.0) - np.log(8.0 * params.gamma * A_eps / t)) / (
+                q - 1.0) + np.log(t / A_eps)
+            rhs = np.where(np.isfinite(rhs), rhs, prev - lams * t / A_eps * (prev - eps)
+                           + 2.0 * params.gamma * prev * (5.0 * lams / prev) ** q)
+            mend = ~np.isfinite(rhs[:, -1]) & (norms[:-1] > eps)
+            rhs[mend, -1] = (prev + np.sign(gap) * np.exp(log_x + np.log(np.abs(gap))))[mend, 0]
     worst = (rhs - curr).min(axis=1, initial=np.inf)
     return _finish("ml1_per_step", worst, len(steps), slack, _failing_steps(steps, worst, slack))
 

@@ -238,13 +238,14 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"policy must be one of {POLICIES}; got {policy!r}")
 
 
-def _selections(coeffs, atoms, policy, t=1.0, f=None, eps_m=0.0, mode="circle") -> list:
+def _selections(coeffs, atoms, policy, t=1.0, f=None, eps_m=None, mode="circle") -> list:
     """The selections of ``weak_select`` (``f`` None, weakness ``t``) or of ``eps_select``.
 
     One per functional: row i of ``coeffs`` over the atoms ``atoms[i]`` (and
-    row i of the targets ``f``); a 1-D ``coeffs`` is one functional, scanned
-    as ``atoms[0] @ coeffs``. Each Selection is built unchecked; a functional
-    no atom meets gets an InfeasibleSelectionError in its place.
+    row i of the targets ``f``, at tolerance ``eps_m[i]``); a 1-D ``coeffs``
+    is one functional, scanned as ``atoms[0] @ coeffs``. Each Selection is
+    built unchecked; a functional no atom meets gets an
+    InfeasibleSelectionError in its place.
     """
     if coeffs.ndim == 1:
         values = (atoms[0] @ coeffs)[None]
@@ -261,17 +262,17 @@ def _selections(coeffs, atoms, policy, t=1.0, f=None, eps_m=0.0, mode="circle") 
     picks = scores.argmax(axis=-1) if argmax else None
     sels = [None] * values.shape[0]
     for i in range(values.shape[0]):
-        dual = float(duals[i])
+        dual, eps = float(duals[i]), 0.0 if f is None else eps_m[i]
         if f is None:
             threshold = t * dual if t > 0.0 else min(dual, 5e-324)
         else:
-            threshold = float(np.dot(coeffs[i], f[i]).real) - eps_m
+            threshold = float(np.dot(coeffs[i], f[i]).real) - eps
         qualifying = None if argmax else scores[i] >= threshold
         idx = int(picks[i] if argmax else qualifying.argmax())
         missed = scores[i, idx] < threshold if argmax else not qualifying[idx]
         if missed:
             sels[i] = InfeasibleSelectionError(
-                f"no atom within eps_m={eps_m:g} of the target functional value; "
+                f"no atom within eps_m={eps:g} of the target functional value; "
                 f"best score {scores[i].max()!r} < required {threshold!r} "
                 f"(target violates its {mode} membership contract)"
             )
@@ -341,7 +342,7 @@ def eps_select(
     _check_policy(policy)
     _check_dim(F, dictionary)
     f = _as_vector(dictionary.space, f, "f")
-    (sel,) = _selections(F.coeffs, [dictionary.atoms], policy, f=f, eps_m=eps_m, mode=mode)
+    (sel,) = _selections(F.coeffs, [dictionary.atoms], policy, f=f, eps_m=[eps_m], mode=mode)
     if isinstance(sel, InfeasibleSelectionError):
         raise sel
     return sel

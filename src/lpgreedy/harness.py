@@ -57,14 +57,17 @@ SWEEP_COLUMNS = (
 
 
 def _build(configs: list):
-    """The space, dictionaries and targets of configs that differ at most in their seeds."""
-    c = configs[0]
-    space = LpSpace(c.space.p, c.space.dim)
-    dictionaries = _dictionaries(space, c.dictionary.count, c.dictionary.kind,
-                                 [config.dictionary.seed for config in configs])
-    t = c.target
-    return space, dictionaries, [make_target(d, t.membership, t.sparsity, t.eps, config.target.seed)
-                                 for d, config in zip(dictionaries, configs)]
+    """Each config's space, dictionary and target, for configs that differ at most in their seeds
+    and ``space.p``: one LpSpace per p, and each p's dictionaries normalized in one pass."""
+    c, t = configs[0], configs[0].target
+    spaces = {p: LpSpace(p, c.space.dim) for p in dict.fromkeys(x.space.p for x in configs)}
+    drawn = {p: iter(_dictionaries(space, c.dictionary.count, c.dictionary.kind,
+                                   [x.dictionary.seed for x in configs if x.space.p == p]))
+             for p, space in spaces.items()}
+    dictionaries = [next(drawn[x.space.p]) for x in configs]
+    return [spaces[x.space.p] for x in configs], dictionaries, [
+        make_target(d, t.membership, t.sparsity, t.eps, x.target.seed)
+        for d, x in zip(dictionaries, configs)]
 
 
 def _rate_slopes(res) -> list[CheckReport]:
@@ -98,13 +101,13 @@ def _relaxed_suite(config: ExperimentConfig, space, target, trace) -> list[Check
     return [_not_applicable("ml3_per_step", ["recursion is stated for constant weakness only"])]
 
 
-def _suites(config: ExperimentConfig, space, dictionaries, targets, traces: list) -> list:
+def _suites(configs: list, spaces: list, dictionaries, targets, traces: list) -> list:
     """Each run's checker suite, or the exception of its run or of its checkers.
 
-    wgafr/gawr traces are checked one by one, iac/iacc traces in one group per record count
-    (stacked trivial-step and slope passes); a group's exception is each of its traces' result.
+    wgafr/gawr traces are checked one by one, iac/iacc traces in one group per record count over
+    all p (stacked trivial-step and slope passes); a group's exception is each of its traces'.
     """
-    averaging, suites, groups = config.algorithm.id in ("iac", "iacc"), list(traces), {}
+    averaging, suites, groups = configs[0].algorithm.id in ("iac", "iacc"), list(traces), {}
     for k, trace in enumerate(traces):
         if not isinstance(trace, Exception):  # a wgafr/gawr trace is a group of its own
             groups.setdefault(len(trace.records) if averaging else -1 - k, []).append(k)
@@ -118,7 +121,8 @@ def _suites(config: ExperimentConfig, space, dictionaries, targets, traces: list
                               _barycentric(group, [dictionaries[k] for k in rows]),
                               _rate_slopes(norms[:, 1:]))
             else:
-                reports = [_relaxed_suite(config, space, targets[rows[0]], group[0])]
+                reports = [_relaxed_suite(configs[rows[0]], spaces[rows[0]], targets[rows[0]],
+                                          group[0])]
             for k, suite in zip(rows, reports):
                 suites[k] = list(suite)
         except Exception as exc:  # a checker's error
@@ -128,12 +132,14 @@ def _suites(config: ExperimentConfig, space, dictionaries, targets, traces: list
 
 
 def _run_batch(configs: list, out_dir: str | None = None) -> list:
-    """``run_experiment`` of configs that differ at most in their seeds, each stage once per batch.
+    """``run_experiment`` of configs that differ at most in their seeds and ``space.p``, each
+    stage once per batch.
 
-    ``_build`` normalizes the dictionaries in one pass, the runs step in lockstep and ``_suites``
-    checks iac/iacc traces in stacked passes. Each config's entry is its ``(trace, reports)`` or
-    the exception ``run_experiment`` would raise (from ``validate``, ``_build``, a step or a
-    checker). ``out_dir`` is created once the batch has been built.
+    ``_build`` normalizes each p's dictionaries in one pass, the runs step in lockstep, each in
+    its own space, and ``_suites`` checks iac/iacc traces in stacked passes over all p. Each
+    config's entry is its ``(trace, reports)`` or the exception ``run_experiment`` would raise
+    (from ``validate``, ``_build``, a step or a checker). ``out_dir`` is created once the batch
+    has been built.
     """
     results, valid = [None] * len(configs), []
     for i, config in enumerate(configs):
@@ -144,27 +150,28 @@ def _run_batch(configs: list, out_dir: str | None = None) -> list:
             results[i] = exc
     if not valid:
         return results
-    config, a = configs[valid[0]], configs[valid[0]].algorithm
+    batch = [configs[i] for i in valid]
+    config, a = batch[0], batch[0].algorithm
     try:
-        space, dictionaries, targets = _build([configs[i] for i in valid])
-    except Exception as exc:  # a build error does not depend on the seeds: it fails every config
+        spaces, dictionaries, targets = _build(batch)
+    except Exception as exc:  # a build error depends on neither seeds nor p: it fails every config
         return [exc if i in valid else result for i, result in enumerate(results)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    runs = (dictionaries, targets) if len(valid) > 1 else (dictionaries[0], targets[0])
+    runs = [x if len(valid) > 1 else x[0] for x in (spaces, dictionaries, targets)]
     try:
         if a.id == "wgafr":
-            traces = run_wgafr(space, *runs, config.weakness(), a.iters, a.policy, config.solver)
+            traces = run_wgafr(*runs, config.weakness(), a.iters, a.policy, config.solver)
         elif a.id == "gawr":
-            traces = run_gawr(space, *runs, config.weakness(), config.relaxation(), a.iters,
-                              a.policy, config.solver)
+            traces = run_gawr(*runs, config.weakness(), config.relaxation(), a.iters, a.policy,
+                              config.solver)
         else:
-            traces = (run_iac if a.id == "iac" else run_iacc)(space, *runs, a.k1, a.iters, a.policy)
+            traces = (run_iac if a.id == "iac" else run_iacc)(*runs, a.k1, a.iters, a.policy)
     except Exception as exc:  # a run that failed before its steps fails every config
         traces = [exc] * len(valid)
     traces = traces if type(traces) is list else [traces]
     for i, trace, suite in zip(valid, traces,
-                               _suites(config, space, dictionaries, targets, traces)):
+                               _suites(batch, spaces, dictionaries, targets, traces)):
         if not isinstance(suite, Exception):
             trace.config_hash = configs[i].hash()
             suite = (trace, suite)
@@ -199,33 +206,44 @@ def run_experiment(
     return trace, reports
 
 
-def _summarize(row: dict, result) -> None:
-    """Fill a sweep row from its run's ``(trace, reports)``, or its ``error`` from an exception."""
-    try:
-        if isinstance(result, Exception):
-            raise result
-        trace, reports = result
-        applicable = [r for r in reports if r.applicable]
-        passed = sum(1 for r in applicable if r.passed)
-        row["final_residual"] = repr(float(trace.residual_norms()[-1]))
-        # The one slope fit of the cell: the rate_slope report's, if the suite has one.
-        rate = next((r for r in reports if r.name == "rate_slope"), None) or _rate_slopes(
-            np.array([[r.residual_norm for r in trace.records]]))[0]
-        if rate.details[0].startswith("slope="):  # else too few usable steps: stays empty
+def _summarize(rows: list, results: list) -> None:
+    """Fill sweep rows from their runs' ``(trace, reports)``, or their ``error`` from an exception.
+
+    A row's slope is its suite's rate_slope (iac/iacc), else one stacked fit per trace length.
+    """
+    rates, unfitted = [], {}
+    for row, result in zip(rows, results):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            trace, reports = result
+            applicable = [r for r in reports if r.applicable]
+            passed = sum(1 for r in applicable if r.passed)
+            row["final_residual"] = repr(float(trace.residual_norms()[-1]))
+            rate = next((r for r in reports if r.name == "rate_slope"), None)
+            if rate is None:
+                unfitted.setdefault(len(trace.records), []).append((row, trace))
+            rates.append((row, rate))
+            row.update(checks_passed=passed, checks_total=len(applicable),
+                       pass_rate=repr(passed / len(applicable)) if applicable else "",
+                       config_hash=trace.config_hash)
+        except Exception as exc:  # propagate per-cell, keep the sweep running
+            row["error"] = f"{type(exc).__name__}: {exc}"
+    for group in unfitted.values():
+        norms = np.array([[r.residual_norm for r in trace.records] for _, trace in group])
+        rates += zip([row for row, _ in group], _rate_slopes(norms))
+    for row, rate in rates:
+        if rate is not None and rate.details[0].startswith("slope="):  # else too few steps
             row["slope"] = rate.details[0].removeprefix("slope=")
-        row.update(checks_passed=passed, checks_total=len(applicable),
-                   pass_rate=repr(passed / len(applicable)) if applicable else "",
-                   config_hash=trace.config_hash)
-    except Exception as exc:  # propagate per-cell, keep the sweep running
-        row["error"] = f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
     """Cartesian product of axes x replicate seeds; one summary row per cell and replicate.
 
-    Cells run in deterministic cell order, and a cell's replicates run in
-    lockstep, as one batch. Each replicate edits the base config once: the
-    cell's axis values and two seeds derived from the base seeds. Any
+    Cells whose axis values differ at most in ``space.p`` run in lockstep,
+    every replicate of them as one batch (``_run_batch``); rows stay in
+    deterministic cell order. Each replicate edits the base config once:
+    the cell's axis values and two seeds derived from the base seeds. Any
     failure lands in the row's ``error`` column and does not stop the
     sweep; the seed columns stay empty when the config edit itself fails.
     """
@@ -234,11 +252,12 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
         os.makedirs(out_dir, exist_ok=True)
     base = spec.base.to_dict()
     paths = [path for path, _ in spec.axes]
-    rows = []
+    rows, batches = [], {}
     for cell, combo in enumerate(itertools.product(*(values for _, values in spec.axes))):
         assignments = dict(zip(paths, combo))
         axes = json.dumps(assignments, sort_keys=True)
-        edited, configs = [], []
+        edited, configs = batches.setdefault(
+            json.dumps({**assignments, "space.p": None}, sort_keys=True), ([], []))
         for replicate in range(int(spec.replicate_seeds)):
             row = dict.fromkeys(SWEEP_COLUMNS, "")
             row.update(cell=cell, replicate=replicate, axes=axes)
@@ -256,8 +275,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | None = None) -> list[dict]:
             row["target_seed"] = config.target.seed
             edited.append(row)
             configs.append(config)
-        for row, result in zip(edited, _run_batch(configs)):
-            _summarize(row, result)
+    for edited, configs in batches.values():
+        _summarize(edited, _run_batch(configs))
     if out_dir is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

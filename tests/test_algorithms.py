@@ -396,7 +396,7 @@ class TestSharedLoop:
         with pytest.raises(ValueError) as alone:
             run_iac(space, d, exact_target(f), 1.0, 3)
         assert str(alone.value) == message
-        batch = run_iac(space, [d, d], [exact_target([0.5, 0.5]), exact_target(f)], 1.0, 3)
+        batch = run_iac([space] * 2, [d, d], [exact_target([0.5, 0.5]), exact_target(f)], 1.0, 3)
         assert len(batch[0].records) == 3 and str(batch[1]) == message
 
     @pytest.mark.parametrize("with_zero_atom", [True, False])
@@ -447,7 +447,7 @@ class TestSharedLoop:
         target = make_target(d, "a1", 3, seed=4)
         steps = []
 
-        def select(m, coeffs, atoms, f):
+        def select(m, live, coeffs, atoms, f):
             return _selections(coeffs, atoms, "argmax")
 
         def update(m, live, f, G, sels, phis):

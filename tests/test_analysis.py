@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -474,6 +477,30 @@ class TestTraceChecks:
             )
             assert ml1.passed
             assert mt2.passed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, norms, eps", [
+    (3.0, [1e300, 0.75e300, 0.6e300], 0.8e300),  # the optimal lambda's bound is past float range
+    (2.0, [1.7e308, 1.6e308], 1.65e308),  # the optimal lambda itself is past it
+    (2.0, [1.2e308, 1e308], sys.float_info.max),  # at lam = 1 its floats overflow, not its value
+    (1.001, [20.0, 9.0], 0.0),  # lambda is inf * 0 in floats, about 1e-301 exactly
+])
+def test_ml1_bounds_near_float_range_keep_their_exact_values(p, norms, eps):
+    # The exact worst margin, each bound evaluated in 60-digit arithmetic: no NaN, no warning,
+    # and +inf only for a bound past float range.
+    space, trace = LpSpace(p, 4), trace_from_norms(norms)
+    params = smoothness_params(space)
+    mpmath.mp.dps = 60
+    q, gamma, e = mpmath.mpf(params.q), mpmath.mpf(params.gamma), mpmath.mpf(eps)
+    exact = math.inf
+    for prev, curr in zip(map(mpmath.mpf, norms), map(mpmath.mpf, norms[1:])):
+        optimal = (prev / 5) ** (q / (q - 1)) * (8 * gamma) ** (-1 / (q - 1)) if prev > e else 0
+        for lam in [*map(mpmath.mpf, np.linspace(0.0, 1.0, 101)), optimal]:
+            bound = prev * (1 - lam * (1 - e / prev) + 2 * gamma * (5 * lam / prev) ** q)
+            exact = min(exact, bound - curr)
+    report = check_ml1_trace(space, trace, WeaknessSequence.constant(1.0), 1.0, eps)
+    assert report.passed and report.worst_margin == pytest.approx(float(exact), rel=1e-12)
 
 
 def _weakness(kind, iters):

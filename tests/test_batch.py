@@ -66,6 +66,23 @@ def test_each_row_of_a_batch_is_its_single_run(algorithm, policy, p, replicates)
     assert not any(isinstance(result, Exception) for result in batch)
 
 
+@pytest.mark.parametrize("replicates", [1, 2, 4])
+@pytest.mark.parametrize("policy", ["argmax", "first_qualifying"])
+@pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
+def test_each_row_of_a_batch_across_p_is_its_single_run(algorithm, policy, replicates):
+    # Cells at p = 3, 1.5, an invalid 0.5, 3 again (other seeds) and 2, in one batch.
+    ps = [3.0, 1.5, 0.5, 3.0, 2.0]
+    configs = [
+        config.with_fields({"dictionary.seed": config.dictionary.seed + 100 * cell,
+                            "target.seed": config.target.seed + 100 * cell})
+        for cell, p in enumerate(ps) for config in cell_configs(algorithm, policy, p, replicates)
+    ]
+    batch = harness._run_batch(configs)
+    assert [outputs(result) for result in batch] == [outputs(single(c)) for c in configs]
+    assert [isinstance(result, Exception) for result in batch] == [
+        p == 0.5 for p in ps for _ in range(replicates)]
+
+
 def one_by_one(monkeypatch):
     """Make run_sweep run every replicate as a batch of one."""
     original = harness._run_batch
@@ -106,6 +123,12 @@ def test_rows_that_stop_and_fail_at_different_steps(monkeypatch, algorithm):
             assert repr(_barycentric(list(traces), list(dicts))) == repr(
                 [check_barycentric(t, d) for t, d in zip(traces, dicts)])
     assert max(size for _, size in lengths) > 1
+    # Every cell's rows as one batch across p: each row is still its single run.
+    configs = [base.with_fields({"space.p": [1.5, 2.0, 3.0][row["cell"]],
+                                 "dictionary.seed": row["dictionary_seed"],
+                                 "target.seed": row["target_seed"]}) for row in rows]
+    assert [outputs(r) for r in harness._run_batch(configs)] == [
+        outputs(single(config)) for config in configs]
     one_by_one(monkeypatch)
     assert run_sweep(spec) == rows
 
@@ -119,10 +142,11 @@ def test_suites_check_each_group_of_equally_long_traces_as_its_traces_alone(algo
     dicts = [generate_dictionary(space, 16, "gaussian", 40 + 3 * r) for r in range(3)]
     failed = ValueError("a failed run")
     config = cell_configs(algorithm, "argmax", 1.5, 1)[0]
-    suites = harness._suites(config, space, dicts + [dicts[0]], [None] * 4, runs + [failed])
+    suites = harness._suites([config] * 4, [space] * 4, dicts + [dicts[0]], [None] * 4,
+                             runs + [failed])
     assert suites[3] is failed
     for trace, d, suite in zip(runs, dicts, suites):
-        (alone,) = harness._suites(config, space, [d], [None], [trace])
+        (alone,) = harness._suites([config], [space], [d], [None], [trace])
         assert repr(suite) == repr(alone)
         assert repr(suite[:2]) == repr([check_trivial_step(trace), check_barycentric(trace, d)])
 
@@ -166,7 +190,7 @@ def test_rows_that_fail_and_stop_mid_run_leave_the_others():
     dictionaries = [generate_dictionary(space, 8, "gaussian", seed=3 + r) for r in range(3)]
     targets = [make_target(d, "a1", 3, seed=4 + r) for r, d in enumerate(dictionaries)]
 
-    def select(m, coeffs, atoms, f):
+    def select(m, live, coeffs, atoms, f):
         return _selections(coeffs, atoms, "argmax")
 
     def update(m, live, f, G, sels, phis):
@@ -185,7 +209,7 @@ def test_rows_that_fail_and_stop_mid_run_leave_the_others():
             return exc
 
     with np.errstate(invalid="ignore"):
-        batch = _greedy_loop(space, dictionaries, targets, 6, "wgafr", select, update)
+        batch = _greedy_loop([space] * 3, dictionaries, targets, 6, "wgafr", select, update)
         singles = [alone(d, t) for d, t in zip(dictionaries, targets)]
     assert isinstance(batch[1], ValueError) and str(batch[1]) == str(singles[1])
     assert "non-finite" in str(batch[1])
@@ -197,24 +221,27 @@ def test_rows_that_fail_and_stop_mid_run_leave_the_others():
 
 @pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
 def test_run_functions_refuse_dictionaries_and_targets_of_unequal_length(algorithm):
-    space = LpSpace(2.0, 4)
-    d = [generate_dictionary(space, 8, "gaussian", seed=s) for s in range(2)]
+    s = [LpSpace(2.0, 4), LpSpace(3.0, 4)]
+    d = [generate_dictionary(x, 8, "gaussian", seed=k) for k, x in enumerate(s)]
     t = [make_target(x, "conv" if algorithm == "iacc" else "a1", 2, seed=1) for x in d]
     tau = WeaknessSequence.constant(1.0)
     run = {
-        "wgafr": lambda d, t: run_wgafr(space, d, t, tau, 3),
-        "gawr": lambda d, t: run_gawr(space, d, t, tau, RelaxationSchedule.harmonic(), 3),
-        "iac": lambda d, t: run_iac(space, d, t, 1.0, 3),
-        "iacc": lambda d, t: run_iacc(space, d, t, 1.0, 3),
+        "wgafr": lambda s, d, t: run_wgafr(s, d, t, tau, 3),
+        "gawr": lambda s, d, t: run_gawr(s, d, t, tau, RelaxationSchedule.harmonic(), 3),
+        "iac": lambda s, d, t: run_iac(s, d, t, 1.0, 3),
+        "iacc": lambda s, d, t: run_iacc(s, d, t, 1.0, 3),
     }[algorithm]
-    for dictionary, target, given in (
-        (d, t[:1], "a list of 2 and a list of 1"),
-        (d[0], t[:1], "one run and a list of 1"),
-        (d[:1], t[0], "a list of 1 and one run"),
+    for space, dictionary, target, given in (
+        (s, d, t[:1], "a list of 2, a list of 2, a list of 1"),
+        (s[:1], d[0], t[:1], "a list of 1, one run, a list of 1"),
+        (s[:1], d[:1], t[0], "a list of 1, a list of 1, one run"),
+        (s[0], d, t, "one run, a list of 2, a list of 2"),
     ):
         with pytest.raises(ValueError, match=f"lists of equal length; got {given}$"):
-            run(dictionary, target)
-    assert [type(trace).__name__ for trace in run(d, t)] == ["GreedyTrace"] * 2
+            run(space, dictionary, target)
+    # A batch's rows may differ in p: each row is its single run.
+    assert [trace.to_csv_string() for trace in run(s, d, t)] == [
+        run(*row).to_csv_string() for row in zip(s, d, t)]
 
 
 def test_selection_rows_match_single_functionals():
@@ -223,11 +250,12 @@ def test_selection_rows_match_single_functionals():
     atoms = [generate_dictionary(space, 12, "gaussian", seed=s).atoms for s in range(4)]
     coeffs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     f = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    for kwargs in ({"t": 0.7}, {"f": f, "eps_m": 0.3}, {"f": f, "eps_m": 0.3, "mode": "plain"}):
+    eps_m = [0.3, 0.1, 0.6, 0.3]  # one tolerance per row
+    for kwargs in ({"t": 0.7}, {"f": f, "eps_m": eps_m}, {"f": f, "eps_m": eps_m, "mode": "plain"}):
         for policy in ("argmax", "first_qualifying"):
             rows = _selections(coeffs, atoms, policy, **kwargs)
             for i, row in enumerate(rows):
-                one = {**kwargs, "f": f[i]} if "f" in kwargs else kwargs
+                one = {**kwargs, "f": f[i], "eps_m": eps_m[i:i + 1]} if "f" in kwargs else kwargs
                 (alone,) = _selections(coeffs[i], [atoms[i]], policy, **one)
                 if isinstance(alone, InfeasibleSelectionError):
                     assert str(row) == str(alone)

@@ -86,7 +86,7 @@ def _case_data(entry, p, dim):
     + [
         (entry, run_bench.CELL_DIM)
         for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS, *run_bench.CELL_LOOPS,
-                      *run_bench.CELL_STAGES)
+                      *run_bench.CELL_STAGES, *run_bench.P_SWEEPS)
     ]
     + [(entry, None) for entry in (*run_bench.PROCESSES, "verify_01", run_bench.CALIBRATION)],
 )
@@ -100,6 +100,10 @@ def test_prepare_builds_one_call_per_input(entry, dim):
     stats = run_bench.warm_up(lpgreedy, entry, calls)
     if entry in run_bench.SWEEPS:
         assert stats["units"] == stats["cells"] == len(data) * run_bench.CELL_REPLICATES
+    elif entry in run_bench.P_SWEEPS:  # every p of the row, in one batch per sweep
+        assert stats["units"] == stats["cells"] == (
+            len(data) * len(run_bench.PS) * run_bench.P_SWEEPS[entry])
+        assert stats["failed_cells"] == 0
     elif entry in run_bench.CELL_LOOPS:
         assert stats["units"] == stats["steps"] == len(data) * run_bench.CELL_ITERS
     elif entry not in run_bench.LOOPS:

@@ -269,12 +269,8 @@ _DOMAIN_EDGES = {
 # solve to max_iters (about 0.1 s per step).
 _P3_FIELDS = ("target.eps", "solver.grad_tol", "solver.max_iters", "solver.armijo_c",
               "solver.backtrack_factor")
-_ML1_OVERFLOW = ("check_ml1_trace's bound overflows (a RuntimeWarning) on residual norms "
-                 "near the float range; see the FOUND line in CHANGES.md")
 # Known failures inside the domain, by (field, value, p), each with its reason.
 _DOMAIN_DEFECTS = {
-    ("target.eps", _MAX, 2.0): _ML1_OVERFLOW,
-    ("target.eps", 1e300, 3.0): _ML1_OVERFLOW,
     ("target.eps", _MAX, 3.0): "the target's l_3 norm exceeds the largest float, so the loop's "
                                "first norm overflows (a RuntimeWarning); see the FOUND line in "
                                "CHANGES.md",

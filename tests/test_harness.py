@@ -295,10 +295,10 @@ class TestRunSweep:
 
 
 class TestTracedSurface:
-    """A sweep runs each cell's replicates as one batch, each lockstep step
-    makes one selection call for all rows and one call of the solver core
-    ``_descend`` per row, and each row's rate slope is fitted once: an
-    iac/iacc cell's in one stacked pass.
+    """A sweep runs the replicates of each p slice (the cells that differ only
+    in ``space.p``) as one batch, each lockstep step makes one selection
+    call for all rows and one call of the solver core ``_descend`` per row,
+    and the rows' rate slopes are fitted in one stacked pass per batch.
 
     Each name is replaced wherever an lpgreedy module holds it, as a tracer
     rebinds it, so a call that bypasses the name is not counted.
@@ -342,7 +342,7 @@ class TestTracedSurface:
         return calls, steps
 
     @pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
-    def test_one_batch_per_cell_one_selection_call_per_lockstep_step(
+    def test_one_batch_per_p_slice_one_selection_call_per_lockstep_step(
         self, monkeypatch, algorithm
     ):
         base = minimal_config(
@@ -351,14 +351,15 @@ class TestTracedSurface:
             target={"membership": "conv" if algorithm == "iacc" else "a1", "sparsity": 4},
             algorithm={"id": algorithm, "iters": 6},
         )
-        spec = SweepSpec(base=base, axes=[("space.p", [1.5, 2.0, 3.0])], replicate_seeds=2)
+        axes = [("space.p", [1.5, 2.0, 3.0]), ("algorithm.iters", [6, 4])]
+        spec = SweepSpec(base=base, axes=axes, replicate_seeds=2)
         calls, steps = self.count_calls(monkeypatch)
         rows = run_sweep(spec)
-        assert [row["error"] for row in rows] == [""] * 6
-        assert steps == [[6, 6]] * 3  # three cells, two replicates each
-        expected = {"_run_batch": 3, "_selections": 3 * 6, "_slope_fits": 3}
+        assert [row["error"] for row in rows] == [""] * 12
+        assert steps == [[6] * 6, [4] * 6]  # two p slices, three cells of two replicates each
+        expected = {"_run_batch": 2, "_selections": 6 + 4, "_slope_fits": 2}
         if algorithm in ("wgafr", "gawr"):  # the loop calls the core, not the public solvers
-            expected.update(_descend=6 * 6, _slope_fits=len(rows))  # the sweep row's fit
+            expected.update(_descend=6 * (6 + 4))
         assert dict(calls) == expected
 
     def test_run_experiment_is_a_batch_of_one(self, monkeypatch):
