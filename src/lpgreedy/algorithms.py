@@ -287,8 +287,8 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
     ``live`` holds the rows' places in the batch. A selection or a step may
     instead be an exception, as is a non-finite residual (ValueError): a
     single run raises it, a batch makes it that run's result, its entry in
-    the returned list. Each target is checked once. The p-dependent kernels
-    (functionals, norms) run once per run of rows of equal p (``_by_p``).
+    the returned list. Each target is checked once; the norms and functionals
+    of a batch are formed once per run of rows of equal p (``_by_p``).
     """
     batch = type(target) is list
     if len({len(x) if type(x) is list else -1 for x in (space, dictionary, target)}) > 1:
@@ -330,11 +330,13 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         column = np.array(norms)[:, None]  # _norming_coeffs's norms: a column, or one float
     else:
         atoms, f, column = [dictionary.atoms], target.f, norm0
-    runs, ended = _p_runs(spaces, live), {}
+    runs, ended = _p_runs(spaces, live) if batch else None, {}
     G = np.zeros(f.shape, dtype=np.complex128)
     residual, mags = f, None
     for m in range(1, iters + 1):
-        sels = select(m, live, _by_p(_norming_coeffs, runs, residual, column, mags), atoms, f)
+        coeffs = (_by_p(_norming_coeffs, runs, residual, column, mags) if batch
+                  else _norming_coeffs(space.p, residual, column, mags))
+        sels = select(m, live, coeffs, atoms, f)
         for k, sel in enumerate(sels):
             if type(sel) is not Selection or not sel.dual_norm:
                 ended[k] = "stagnated_zero_dual_norm" if type(sel) is Selection else sel

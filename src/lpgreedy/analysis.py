@@ -201,14 +201,14 @@ def check_ml1_trace(
             + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
         )
         if not np.isfinite(rhs).all():
-            # A term left float range. The bound as prev - X (prev - eps) + 2 gamma prev
-            # (5 lam/prev)^q, X = lam t/A_eps, or at the optimal lam as its closed form
-            # prev + X (eps - 3 prev/4) with X in log space, is +-inf only past the range.
-            q, gap = params.q, eps - 0.75 * prev
-            log_x = (q * np.log(prev / 5.0) - np.log(8.0 * params.gamma * A_eps / t)) / (
-                q - 1.0) + np.log(t / A_eps)
+            # A term left float range: the bound as prev - X (prev - eps) + 2 gamma prev (5 lam/
+            # prev)^q, X = lam t/A_eps, or at the optimal lam as prev + X (eps - 3 prev/4) with X
+            # in log space (its closed form), is +-inf only past the range.
+            q, g, gap = params.q, params.gamma, eps - 0.75 * prev
+            log_x = (q * np.log(prev / 5.0) - np.log(8.0 * g * A_eps / t)) / (q - 1.0) + np.log(
+                t / A_eps)
             rhs = np.where(np.isfinite(rhs), rhs, prev - lams * t / A_eps * (prev - eps)
-                           + 2.0 * params.gamma * prev * (5.0 * lams / prev) ** q)
+                           + 2.0 * g * prev * (5.0 * lams / prev) ** q)
             mend = ~np.isfinite(rhs[:, -1]) & (norms[:-1] > eps)
             rhs[mend, -1] = (prev + np.sign(gap) * np.exp(log_x + np.log(np.abs(gap))))[mend, 0]
     worst = (rhs - curr).min(axis=1, initial=np.inf)

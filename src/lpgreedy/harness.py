@@ -57,8 +57,7 @@ SWEEP_COLUMNS = (
 
 
 def _build(configs: list):
-    """Each config's space, dictionary and target, for configs that differ at most in their seeds
-    and ``space.p``: one LpSpace per p, and each p's dictionaries normalized in one pass."""
+    """Each config's space, dictionary and target: one LpSpace and one normalizing pass per p."""
     c, t = configs[0], configs[0].target
     spaces = {p: LpSpace(p, c.space.dim) for p in dict.fromkeys(x.space.p for x in configs)}
     drawn = {p: iter(_dictionaries(space, c.dictionary.count, c.dictionary.kind,
