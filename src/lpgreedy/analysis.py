@@ -201,9 +201,9 @@ def check_ml1_trace(
             + 2.0 * params.gamma * (5.0 * lams / prev) ** params.q
         )
         if not np.isfinite(rhs).all():
-            # A term left float range: the bound as prev - X (prev - eps) + 2 gamma prev (5 lam/
-            # prev)^q, X = lam t/A_eps, or at the optimal lam as prev + X (eps - 3 prev/4) with X
-            # in log space (its closed form), is +-inf only past the range.
+            # A term left float range. Formed as prev - X (prev - eps) + 2 gamma prev
+            # (5 lam/prev)^q, X = lam t/A_eps, or at the optimal lam as its closed form
+            # prev + X (eps - 3 prev/4) with X in log space, a bound is +-inf only past the range.
             q, g, gap = params.q, params.gamma, eps - 0.75 * prev
             log_x = (q * np.log(prev / 5.0) - np.log(8.0 * g * A_eps / t)) / (q - 1.0) + np.log(
                 t / A_eps)
