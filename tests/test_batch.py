@@ -152,14 +152,18 @@ def test_suites_check_each_group_of_equally_long_traces_as_its_traces_alone(algo
 
 
 @pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
-def test_sweep_rows_match_replicates_run_one_by_one(monkeypatch, algorithm):
+def test_sweep_rows_match_replicates_run_one_by_one(monkeypatch, tmp_path, algorithm):
+    # Two p slices of valid cells (iters 6 and 3), each one batch across p.
     base = cell_configs(algorithm, "first_qualifying", 2.0, 1)[0]
-    axes = [("space.p", [1.5, 3.0, 0.5]), ("solver.grad_tol", [1e-10, -1.0])]
+    axes = [("space.p", [1.5, 3.0, 0.5]), ("solver.grad_tol", [1e-10, -1.0]),
+            ("algorithm.iters", [6, 3])]
     spec = SweepSpec(base=base, axes=axes, replicate_seeds=3)
-    rows = run_sweep(spec)
-    assert sum(1 for row in rows if row["error"]) == 12  # p = 0.5 and grad_tol = -1 rows
+    rows = run_sweep(spec, str(tmp_path / "batched"))
+    assert sum(1 for row in rows if row["error"]) == 24  # p = 0.5 and grad_tol = -1 rows
     one_by_one(monkeypatch)
-    assert run_sweep(spec) == rows
+    assert run_sweep(spec, str(tmp_path / "alone")) == rows
+    csv = [(tmp_path / run / "sweep_summary.csv").read_bytes() for run in ("batched", "alone")]
+    assert csv[0] == csv[1]
 
 
 def test_a_row_whose_config_fails_leaves_the_others_and_a_build_error_fails_the_batch(
