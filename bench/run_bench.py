@@ -20,6 +20,12 @@ in {1.5, 2, 3}:
 * one loop step of ``run_iac`` and ``run_iacc`` (``K1 = 1``, convex
   targets for ``run_iacc``) at the sweep-cell shape below: time per step
   and steps run;
+* each of those four loop rows again as a batch of one, on the same
+  inputs passed as lists of one space, dictionary and target: time per
+  step and steps run; the summary gives, per tree and loop, the median
+  over the inputs of batch-of-one time over single-run time, pooled over
+  p, which a single run's own loop path would have to cost to be folded
+  into the batch path;
 * the calls one loop step makes, for all four loops on the loop rows'
   first CALL_COUNT_RUNS inputs (``run_iac`` with ``K1 = 1``, ``run_iacc``
   on convex targets), counted with ``sys.setprofile`` over whole runs
@@ -105,7 +111,6 @@ import argparse
 import compileall
 import functools
 import importlib
-import inspect
 import json
 import os
 import platform
@@ -146,10 +151,12 @@ P_SWEEPS = {"run_sweep_p_wgafr": 1, "run_sweep_p_gawr": 1, "run_sweep_p_iac": 4,
             "run_sweep_p_iacc": 4}
 # The incremental loops, timed at the sweep-cell shape (CELL_SHAPE).
 CELL_LOOPS = ("run_iac", "run_iacc")
+# Each loop row again, its runs passed as batches of one: entry -> the loop row.
+BATCHES_OF_ONE = {f"{loop}_batch_of_one": loop for loop in LOOPS + CELL_LOOPS}
 # The stages around the loop of one iac/iacc sweep cell of CELL_REPLICATES replicates.
 CELL_STAGES = ("suite_stage_iac", "suite_stage_iacc", "build_stage_iac")
 ENTRIES = (SOLVES + LOOPS + NORMS + tuple(CELL_PARTS) + SWEEPS + CELL_LOOPS + CELL_STAGES
-           + tuple(P_SWEEPS))
+           + tuple(P_SWEEPS) + tuple(BATCHES_OF_ONE))
 PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
@@ -214,7 +221,8 @@ def load_package(src: Path):
 
 
 def instances(entry: str, p: float, dim: int):
-    """The seeded inputs of one case: vectors, or loop-run seeds."""
+    """The seeded inputs of one case: vectors, or loop-run seeds (a batch-of-one row its loop's)."""
+    entry = BATCHES_OF_ONE.get(entry, entry)
     rng = np.random.default_rng([ENTRIES.index(entry), int(10 * (p or 0)), dim])
     if (entry in LOOPS + CELL_LOOPS + CELL_STAGES or entry in CELL_PARTS or entry in SWEEPS
             or entry in P_SWEEPS):
@@ -324,10 +332,8 @@ def prepare_cell_stage(pkg, entry, p, data):
         traces = [pkg.run_experiment(config)[0] for config in configs]
         # The checker suites, as ``_run_batch`` runs them; the config hash that
         # each trace is stamped with (one ``hash`` per replicate) is not part of it.
-        # A tree whose batches share one p takes one config and one space.
-        per_row = "configs" in inspect.signature(pkg.harness._suites).parameters
-        rows = (configs, list(spaces)) if per_row else (configs[0], spaces[0])
-        calls.append(functools.partial(pkg.harness._suites, *rows, dictionaries, targets, traces))
+        calls.append(functools.partial(pkg.harness._suites, configs, list(spaces), dictionaries,
+                                       targets, traces))
     return calls
 
 
@@ -396,10 +402,11 @@ def criterion_runs(pkg, criterion):
     return [functools.partial(pkg.run_experiment, config) for config in configs]
 
 
-def loop_runs(pkg, entry, p, data, shape=LOOP_SHAPE):
-    """One call per seeded run of a loop, each returning its trace.
+def loop_runs(pkg, entry, p, data, shape=LOOP_SHAPE, batch=False):
+    """One call per seeded run of a loop, each returning its trace (``batch``: a list of it).
 
-    ``shape`` is (dim, dictionary count, target sparsity, steps per run).
+    ``shape`` is (dim, dictionary count, target sparsity, steps per run);
+    ``batch`` passes each run's space, dictionary and target as lists of one.
     """
     dim, count, sparsity, iters = shape
     space = pkg.LpSpace(p, dim)
@@ -415,7 +422,8 @@ def loop_runs(pkg, entry, p, data, shape=LOOP_SHAPE):
         dictionary = pkg.generate_dictionary(space, count, "gaussian", dict_seed)
         membership = "conv" if entry == "run_iacc" else "a1"
         target = pkg.make_target(dictionary, membership, sparsity, 0.0, target_seed)
-        calls.append(functools.partial(getattr(pkg, entry), space, dictionary, target, *args, iters))
+        run = ([space], [dictionary], [target]) if batch else (space, dictionary, target)
+        calls.append(functools.partial(getattr(pkg, entry), *run, *args, iters))
     return calls
 
 
@@ -433,6 +441,9 @@ def prepare(pkg, entry, p, dim, data):
         return loop_runs(pkg, entry, p, data)
     if entry in CELL_LOOPS:
         return loop_runs(pkg, entry, p, data, CELL_SHAPE)
+    if entry in BATCHES_OF_ONE:
+        loop = BATCHES_OF_ONE[entry]
+        return loop_runs(pkg, loop, p, data, LOOP_SHAPE if loop in LOOPS else CELL_SHAPE, batch=True)
     if entry in CELL_PARTS:
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS or entry in P_SWEEPS:
@@ -569,8 +580,9 @@ def warm_up(pkg, entry, calls) -> dict:
 
 def outcome(entry, results) -> dict:
     """Deterministic counters of one pass, and the units its time is divided by."""
-    if entry in LOOPS + CELL_LOOPS:
-        records = [rec for trace in results for rec in trace.records]
+    if entry in LOOPS + CELL_LOOPS or entry in BATCHES_OF_ONE:
+        traces = [trace for result in results for trace in (result if type(result) is list else [result])]
+        records = [rec for trace in traces for rec in trace.records]
         return {
             "units": len(records),
             "steps": len(records),
@@ -658,9 +670,9 @@ def main(argv=None) -> int:
         (entry, p, dim): instances(entry, p, dim)
         for entry in ENTRIES if entry not in P_SWEEPS for p in PS
         for dim in (
-            (LOOP_DIM,) if entry in LOOPS
+            (LOOP_DIM,) if BATCHES_OF_ONE.get(entry, entry) in LOOPS
             else (CELL_DIM,)
-            if entry in CELL_PARTS or entry in SWEEPS + CELL_LOOPS + CELL_STAGES
+            if entry in CELL_PARTS or entry in SWEEPS + CELL_LOOPS + CELL_STAGES + tuple(BATCHES_OF_ONE)
             else INSTANCES
         )
     }
@@ -719,7 +731,7 @@ def main(argv=None) -> int:
         verify = entry.startswith("verify_")
         unit = (
             "run" if is_run_criterion(entry) else "criterion" if verify
-            else "step" if entry in LOOPS + CELL_LOOPS
+            else "step" if entry in LOOPS + CELL_LOOPS or entry in BATCHES_OF_ONE
             else "cell" if entry in SWEEPS + CELL_STAGES or entry in P_SWEEPS
             else "process" if entry in PROCESSES else "call"
         )
@@ -747,11 +759,19 @@ def main(argv=None) -> int:
     verify_keys = [key for key in cases if key[0].startswith("verify_")]
     battery = {label: {"battery_s": sum(s)} for label, s in pooled(verify_keys).items()}
     summary = {f"verify_{VERIFY_PROFILE}_battery": battery}
+    # A batch-of-one row's calls take its loop row's inputs in the same order, so they pair up.
+    summary["batch_of_one_over_single"] = {}
+    for entry, loop in BATCHES_OF_ONE.items():
+        batches, singles = (pooled([key for key in cases if key[0] == e]) for e in (entry, loop))
+        summary["batch_of_one_over_single"][loop] = {
+            label: statistics.median([b / s for b, s in zip(batches[label], singles[label])])
+            for label in pkgs
+        }
     if "parent" in pkgs:
         battery.update(ratios(pooled(verify_keys)))
         summary["loops_pooled_over_p"] = {
             entry: ratios(pooled([key for key in cases if key[0] == entry]))
-            for entry in LOOPS + CELL_LOOPS
+            for entry in LOOPS + CELL_LOOPS + tuple(BATCHES_OF_ONE)
         }
     print(json.dumps(summary))
 

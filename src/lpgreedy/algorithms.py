@@ -281,14 +281,17 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
     in p). Row k of the targets ``f``, approximants ``G`` and residuals is
     the k-th live run's; a single run's arrays are 1-D. ``select(m, live,
     coeffs, atoms, f)`` gives one Selection per row
-    (``dictionaries._selections``) for the residuals' norming functionals;
-    ``update(m, live, f, G, sels, phis)`` gives G_m, a new array whose rows
-    the traces keep, and per row ``(lam, w_or_r, eps_m, solver_converged)``.
+    (``dictionaries._selections``) for the residuals' norming functionals, a
+    batch's a list of rows; ``update(m, live, f, G, sels, phis)``, ``phis``
+    the selected atoms (a batch's a list of rows), gives G_m, a new array
+    whose rows the traces keep, and per row ``(lam, w_or_r, eps_m,
+    solver_converged)``.
     ``live`` holds the rows' places in the batch. A selection or a step may
     instead be an exception, as is a non-finite residual (ValueError): a
     single run raises it, a batch makes it that run's result, its entry in
     the returned list. Each target is checked once; the norms and functionals
-    of a batch are formed once per run of rows of equal p (``_by_p``).
+    of a batch are formed once per run of rows of equal p (``_p_runs``), and a
+    run of one row takes the 1-D kernels, on the loop's own magnitudes.
     """
     batch = type(target) is list
     if len({len(x) if type(x) is list else -1 for x in (space, dictionary, target)}) > 1:
@@ -327,15 +330,20 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         return results if batch else results[0]
     if batch:
         atoms, f = [dictionary[k].atoms for k in live], np.stack([target[k].f for k in live])
-        column = np.array(norms)[:, None]  # _norming_coeffs's norms: a column, or one float
+        runs = _p_runs(spaces, live)
     else:
-        atoms, f, column = [dictionary.atoms], target.f, norm0
-    runs, ended = _p_runs(spaces, live) if batch else None, {}
-    G = np.zeros(f.shape, dtype=np.complex128)
-    residual, mags = f, None
+        atoms, f = [dictionary.atoms], target.f
+    G, ended = np.zeros(f.shape, dtype=np.complex128), {}
+    residual, mags = f, np.abs(f)
     for m in range(1, iters + 1):
-        coeffs = (_by_p(_norming_coeffs, runs, residual, column, mags) if batch
-                  else _norming_coeffs(space.p, residual, column, mags))
+        if batch:  # a run of one row as a single run: a float norm, 1-D arrays
+            coeffs = []
+            for p, rows in runs:
+                norm = norms[rows] if type(rows) is int else np.array(norms[rows])[:, None]
+                c = _norming_coeffs(p, residual[rows], norm, mags[rows])
+                coeffs += [c] if type(rows) is int else list(c)
+        else:
+            coeffs = _norming_coeffs(space.p, residual, norms[0], mags)
         sels = select(m, live, coeffs, atoms, f)
         for k, sel in enumerate(sels):
             if type(sel) is not Selection or not sel.dual_norm:
@@ -346,13 +354,18 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
             traces, atoms, live, sels, f, G, residual, mags = _take(
                 keep, traces, atoms, live, sels, f, G, residual, mags)
             runs = _p_runs(spaces, live)
-        phis = (np.array([rows[sel.index] for rows, sel in zip(atoms, sels)]) if batch
+        phis = ([rows[sel.index] for rows, sel in zip(atoms, sels)] if batch
                 else atoms[0][sels[0].index])
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)
-        norms = ((column := _by_p(_norm_rows, runs, residual)[:, None]).ravel().tolist() if batch
-                 else [column := _norm_mags(space.p, mags)])
+        if batch:
+            norms = []
+            for p, rows in runs:
+                norms += ([_norm_mags(p, mags[rows])] if type(rows) is int
+                          else _norm_rows(p, residual[rows]).tolist())
+        else:
+            norms = [_norm_mags(space.p, mags)]
         for k, (trace, sel, step, norm) in enumerate(zip(traces, sels, steps, norms)):
             if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
                 ended[k] = ValueError("v contains non-finite entries") if norm != norm else step
@@ -366,26 +379,19 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         if ended:
             if not (keep := _settle(ended, results, live, traces, batch)):
                 break
-            traces, atoms, live, column, f, G, residual, mags = _take(
-                keep, traces, atoms, live, column, f, G, residual, mags)
+            traces, atoms, live, norms, f, G, residual, mags = _take(
+                keep, traces, atoms, live, norms, f, G, residual, mags)
             runs = _p_runs(spaces, live)
     return results if batch else results[0]
 
 
 def _p_runs(spaces: list, live: list) -> list:
-    """``(p, rows)`` for each run of consecutive live rows of equal p; ``rows`` a slice."""
+    """``(p, rows)`` for each run of consecutive live rows of equal p: ``rows`` is the row's index
+    for a run of one row, else a slice. Each run's kernels take its scalar p, which keeps each
+    row's single-run bits: its fast paths (``sqrt`` at 0.5, ``square`` at 2) are not an array p's."""
     ps = [spaces[k].p for k in live]
     starts = [i for i in range(len(ps)) if not i or ps[i] != ps[i - 1]] + [len(ps)]
-    return [(ps[a], slice(a, b)) for a, b in zip(starts, starts[1:])]
-
-
-def _by_p(kernel, runs: list, *arrays):
-    """``kernel(p, *arrays)`` on each ``_p_runs`` run's rows, stacked. A scalar p keeps each row's
-    single-run bits: its fast paths (``sqrt`` at 0.5, ``square`` at 2) are not an array p's."""
-    if len(runs) == 1:
-        return kernel(runs[0][0], *arrays)
-    return np.concatenate([kernel(p, *(a if a is None else a[rows] for a in arrays))
-                           for p, rows in runs])
+    return [(ps[a], a if b - a == 1 else slice(a, b)) for a, b in zip(starts, starts[1:])]
 
 
 def _settle(ended: dict, results: list, live, traces: list, batch: bool) -> list:
@@ -404,8 +410,7 @@ def _settle(ended: dict, results: list, live, traces: list, batch: bool) -> list
 
 def _take(keep: list, *rows) -> list:
     """Rows ``keep`` of each list or array of per-row values."""
-    return [a if a is None else a[keep] if type(a) is np.ndarray else [a[k] for k in keep]
-            for a in rows]
+    return [a[keep] if type(a) is np.ndarray else [a[k] for k in keep] for a in rows]
 
 
 def _check_covers(name: str, schedule, iters) -> None:
@@ -426,15 +431,14 @@ def _relaxed(space, dictionary, target, tau, iters, policy, algorithm, solve):
     def update(m, live, f, G, sels, phis):
         if G.ndim == 1:  # a single run raises what its step raises
             return solve(m, space, f, G, phis)
-        rows, steps = [], []
-        for args in zip([space[k] for k in live], f, G, phis):
+        new, steps = np.empty(G.shape, dtype=np.complex128), []
+        for i, k in enumerate(live):
             try:
-                new, (step,) = solve(m, *args)
+                new[i], (step,) = solve(m, space[k], f[i], G[i], phis[i])
             except Exception as exc:  # the row's step failed; the batch steps on
-                new, step = args[2], exc
-            rows.append(new)
+                new[i], step = G[i], exc
             steps.append(step)
-        return np.array(rows), steps
+        return new, steps
 
     return _greedy_loop(
         space, dictionary, target, iters, algorithm,
@@ -537,7 +541,7 @@ def _averaging(space, dictionary, target, K1, iters, policy, mode, membership):
         step = (np.array(nus)[:, None] if batch else nus[0]) * phis
         # The m = 1 step needs no special-casing: (1 - 1/1) = 0 literally.
         G = (1.0 - 1.0 / m) * G + step / m
-        if batch:
+        if batch and len(live) < len(running_sum):  # rows of the batch have ended
             running_sum[live] = total = running_sum[live] + step
         else:
             total = np.add(running_sum, step, out=running_sum)

@@ -151,14 +151,26 @@ def check_ll0(space: LpSpace, n_samples: int, seed: int, tol: float = 1e-9) -> C
 def ml1_optimal_lambda(
     res_prev: float, t_m: float, params: SmoothnessParams, A_eps: float
 ) -> float:
-    """The lambda at which the free-relaxation residual recursion is tight."""
+    """The lambda at which the free-relaxation residual recursion is tight.
+
+    Where the product of powers leaves float range, it is formed again in
+    log space: the lambda's float, 0.0 below the range and inf above it.
+    """
     q = params.q
-    return (
-        res_prev ** (q / (q - 1.0))
-        * 5.0 ** (-q / (q - 1.0))
-        * (8.0 * params.gamma * A_eps) ** (-1.0 / (q - 1.0))
-        * t_m ** (1.0 / (q - 1.0))
-    )
+    try:  # a Python float's power past float range raises
+        lam = (
+            res_prev ** (q / (q - 1.0))
+            * 5.0 ** (-q / (q - 1.0))
+            * (8.0 * params.gamma * A_eps) ** (-1.0 / (q - 1.0))
+            * t_m ** (1.0 / (q - 1.0))
+        )
+        if 0.0 < lam < np.inf:
+            return lam
+    except OverflowError:
+        pass
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.exp((q * np.log(res_prev / 5.0) - np.log(8.0 * params.gamma * A_eps)
+                             + np.log(t_m)) / (q - 1.0)))
 
 
 def _failing_steps(steps, worst, slack) -> list[str]:

@@ -241,34 +241,34 @@ def _check_policy(policy: str) -> None:
 def _selections(coeffs, atoms, policy, t=1.0, f=None, eps_m=None, mode="circle") -> list:
     """The selections of ``weak_select`` (``f`` None, weakness ``t``) or of ``eps_select``.
 
-    One per functional: row i of ``coeffs`` over the atoms ``atoms[i]`` (and
-    row i of the targets ``f``, at tolerance ``eps_m[i]``); a 1-D ``coeffs``
-    is one functional, scanned as ``atoms[0] @ coeffs``. Each Selection is
-    built unchecked; a functional no atom meets gets an
-    InfeasibleSelectionError in its place.
+    One per functional: row i of ``coeffs`` (a 2-D array or a list of rows)
+    over the atoms ``atoms[i]`` (and row i of the targets ``f``, at
+    tolerance ``eps_m[i]``); a 1-D array ``coeffs`` is one functional,
+    scanned as ``atoms[0] @ coeffs``. Each Selection is built unchecked; a
+    functional no atom meets gets an InfeasibleSelectionError in its place.
     """
-    if coeffs.ndim == 1:
+    if type(coeffs) is not list and coeffs.ndim == 1:
         values = (atoms[0] @ coeffs)[None]
-        coeffs, f = coeffs[None], f if f is None else f[None]
+        coeffs, f = [coeffs], f if f is None else [f]
     else:
         values = np.empty((len(coeffs), atoms[0].shape[0]), dtype=np.complex128)
         for rows, c, out in zip(atoms, coeffs, values):
             np.matmul(rows, c, out=out)  # one gemv per row, as a single scan makes it
     mags = np.abs(values)
-    duals = np.maximum.reduce(mags, axis=-1)
+    duals = np.maximum.reduce(mags, axis=-1).tolist()
     phased = mode == "circle"
     scores = mags if phased else values.real
     argmax = policy == "argmax"
-    picks = scores.argmax(axis=-1) if argmax else None
-    sels = [None] * values.shape[0]
-    for i in range(values.shape[0]):
-        dual, eps = float(duals[i]), 0.0 if f is None else eps_m[i]
+    picks = scores.argmax(axis=-1).tolist() if argmax else None
+    sels = [None] * len(duals)
+    for i, dual in enumerate(duals):
+        eps = 0.0 if f is None else eps_m[i]
         if f is None:
             threshold = t * dual if t > 0.0 else min(dual, 5e-324)
         else:
             threshold = float(np.dot(coeffs[i], f[i]).real) - eps
         qualifying = None if argmax else scores[i] >= threshold
-        idx = int(picks[i] if argmax else qualifying.argmax())
+        idx = picks[i] if argmax else int(qualifying.argmax())
         missed = scores[i, idx] < threshold if argmax else not qualifying[idx]
         if missed:
             sels[i] = InfeasibleSelectionError(

@@ -154,12 +154,14 @@ def _norm_rows(p: float, a: np.ndarray) -> np.ndarray:
 
 def _norm_block(p: float, a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
-    scale = mags.max(axis=-1)
-    safe = np.where(scale != 0.0, scale, 1.0)  # a NaN scale stays NaN
-    mags /= safe[..., None]
+    scale = np.maximum.reduce(mags, axis=-1)
+    # Only a zero row needs the np.where (0/0); a NaN or inf row comes out NaN either way.
+    zero = not np.minimum.reduce(scale) > 0.0
+    safe = np.where(scale != 0.0, scale, 1.0) if zero else scale
+    mags /= safe[:, None]
     mags **= p  # in place, and bit for bit ``mags ** p``
-    sums = mags.sum(axis=-1)
-    return np.where(scale != 0.0, safe * sums ** (1.0 / p), 0.0)
+    norms = safe * np.add.reduce(mags, axis=-1) ** (1.0 / p)
+    return np.where(scale != 0.0, norms, 0.0) if zero else norms
 
 
 def _norm_mags(p: float, mags: np.ndarray) -> float:

@@ -503,6 +503,29 @@ def test_ml1_bounds_near_float_range_keep_their_exact_values(p, norms, eps):
     assert report.passed and report.worst_margin == pytest.approx(float(exact), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("res_prev, p", [
+    (20.0, 1.001),  # 20.0 ** 1001 overflows and 5.0 ** -1001 underflows; about 1e-301 exactly
+    (1e300, 3.0),  # 1e300 ** 2 overflows; about 5e597 exactly, so inf
+])
+def test_ml1_optimal_lambda_of_python_floats_past_float_range(res_prev, p):
+    params = smoothness_params(LpSpace(p, 4))
+    mpmath.mp.dps = 60
+    q, gamma = mpmath.mpf(params.q), mpmath.mpf(params.gamma)
+    exact = (mpmath.mpf(res_prev) / 5) ** (q / (q - 1)) * (8 * gamma) ** (-1 / (q - 1))
+    lam = ml1_optimal_lambda(res_prev, 1.0, params, 1.0)
+    assert type(lam) is float
+    if exact > sys.float_info.max:
+        assert lam == math.inf
+    else:
+        assert lam == pytest.approx(float(exact), rel=1e-12)
+    # inside float range the direct product keeps its bits
+    q = params.q
+    direct = 2.0 ** (q / (q - 1.0)) * 5.0 ** (-q / (q - 1.0)) * (8.0 * params.gamma) ** (
+        -1.0 / (q - 1.0)) * 0.5 ** (1.0 / (q - 1.0))
+    assert ml1_optimal_lambda(2.0, 0.5, params, 1.0) == direct
+
+
 def _weakness(kind, iters):
     if kind == "constant":
         return WeaknessSequence.constant(0.5)

@@ -198,7 +198,7 @@ def test_rows_that_fail_and_stop_mid_run_leave_the_others():
         return _selections(coeffs, atoms, "argmax")
 
     def update(m, live, f, G, sels, phis):
-        G = 0.5 * G + 0.25 * phis
+        G = 0.5 * G + 0.25 * np.asarray(phis)  # a batch passes a list of rows
         for row, target_f in zip(G.reshape(-1, 4), f.reshape(-1, 4)):  # one row per run
             if m == 3 and np.array_equal(target_f, targets[1].f):
                 row[1] = np.nan

@@ -86,7 +86,7 @@ def _case_data(entry, p, dim):
     + [
         (entry, run_bench.CELL_DIM)
         for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS, *run_bench.CELL_LOOPS,
-                      *run_bench.CELL_STAGES, *run_bench.P_SWEEPS)
+                      *run_bench.CELL_STAGES, *run_bench.P_SWEEPS, *run_bench.BATCHES_OF_ONE)
     ]
     + [(entry, None) for entry in (*run_bench.PROCESSES, "verify_01", run_bench.CALIBRATION)],
 )
@@ -106,6 +106,9 @@ def test_prepare_builds_one_call_per_input(entry, dim):
         assert stats["failed_cells"] == 0
     elif entry in run_bench.CELL_LOOPS:
         assert stats["units"] == stats["steps"] == len(data) * run_bench.CELL_ITERS
+    elif entry in run_bench.BATCHES_OF_ONE:  # each call a list of one trace
+        assert stats["units"] == stats["steps"] > 0
+        assert all(len(call()) == 1 for call in calls)
     elif entry not in run_bench.LOOPS:
         assert stats["units"] == len(data)
     if entry.startswith("suite_stage_"):  # a cell's suites: trivial step, barycentric, rate slope
@@ -116,6 +119,17 @@ def test_prepare_builds_one_call_per_input(entry, dim):
     if entry.startswith("build_stage_"):  # the batch's space, dictionaries and targets
         space, dictionaries, targets = calls[0]()
         assert len(dictionaries) == len(targets) == run_bench.CELL_REPLICATES
+
+
+@pytest.mark.parametrize("entry, loop", run_bench.BATCHES_OF_ONE.items())
+def test_a_batch_of_one_row_runs_its_loop_rows_inputs(entry, loop):
+    dim = 16 if loop in run_bench.LOOPS else run_bench.CELL_DIM
+    data = run_bench.instances(entry, 1.5, dim)[:2]
+    assert data == run_bench.instances(loop, 1.5, dim)[:2]
+    batches = run_bench.prepare(lpgreedy, entry, 1.5, dim, data)
+    singles = run_bench.prepare(lpgreedy, loop, 1.5, dim, data)
+    assert [batch()[0].to_csv_string() for batch in batches] == [
+        single().to_csv_string() for single in singles]
 
 
 def test_run_criterion_is_timed_as_the_runs_it_makes():

@@ -224,6 +224,44 @@ class TestOneVectorKernels:
         for row, norm in zip(rows[-30:], norms[-30:]):
             assert np.float64(_norm_mags(p, np.abs(row))).tobytes() == norm.tobytes()
 
+    @staticmethod
+    def where_calls(monkeypatch) -> list:
+        """The arguments of every ``np.where`` call from here on (each still made)."""
+        calls, where = [], np.where
+        monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
+        return calls
+
+    @pytest.mark.parametrize("dim", [1, 12, 16, 2048])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
+    def test_block_of_nonzero_rows_skips_the_zero_row_path(self, p, dim, monkeypatch):
+        rows = np.delete(self.rows(p, dim), 4, axis=0)  # its subnormal and 1e300 rows, no zero row
+        calls = self.where_calls(monkeypatch)
+        norms = spaces._norm_block(p, rows)
+        assert calls == []
+        for row, norm in zip(rows, norms):
+            assert np.float64(_norm_mags(p, np.abs(row))).tobytes() == norm.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_a_zero_or_nan_row_takes_the_zero_row_path(self, p, bad, monkeypatch):
+        rows = np.delete(self.rows(p, 16), 4, axis=0)
+        rows[5, :] = 0.0
+        rows[5, 3] = bad  # a zero row, or one NaN entry among zeros
+        calls = self.where_calls(monkeypatch)
+        norms = spaces._norm_block(p, rows)
+        assert len(calls) == 2
+        assert (norms[5] == 0.0) if bad == 0.0 else np.isnan(norms[5])
+        for row, norm in zip(rows, norms):
+            assert np.float64(_norm_mags(p, np.abs(row))).tobytes() == norm.tobytes()
+
+    def test_an_inf_row_is_nan_on_either_path(self):
+        # inf / inf makes the row NaN with or without the np.where
+        rows = np.delete(self.rows(1.5, 16), 4, axis=0)
+        rows[5, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(spaces._norm_block(1.5, rows)[5])
+            assert np.isnan(spaces._norm_block(1.5, np.concatenate([rows, 0.0 * rows[:1]]))[5])
+
     @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
     def test_functional_from_given_magnitudes(self, p):
         # the loop passes |h| from the norm it has just taken; the subnormal
