@@ -23,9 +23,9 @@ in {1.5, 2, 3}:
 * each of those four loop rows again as a batch of one, on the same
   inputs passed as lists of one space, dictionary and target: time per
   step and steps run; the summary gives, per tree and loop, the median
-  over the inputs of batch-of-one time over single-run time, pooled over
-  p, which a single run's own loop path would have to cost to be folded
-  into the batch path;
+  over the inputs (pooled over p) of batch-of-one time over single-run
+  time, the two timed again call by call for it: what folding a single
+  run's own loop path into the batch path would cost it;
 * the calls one loop step makes, for all four loops on the loop rows'
   first CALL_COUNT_RUNS inputs (``run_iac`` with ``K1 = 1``, ``run_iacc``
   on convex targets), counted with ``sys.setprofile`` over whole runs
@@ -491,6 +491,16 @@ def ratios(times: dict) -> dict:
     }
 
 
+def batch_over_single(singles: list, batches: list) -> float:
+    """The median over inputs of a batch-of-one call's least time over its single run's.
+
+    The two are timed again call by call, as the trees are, so that drifts
+    in host speed between the rows' own timings cancel.
+    """
+    best = time_calls({"single": singles, "batch": batches})
+    return statistics.median([b / s for s, b in zip(best["single"], best["batch"])])
+
+
 def count_calls(calls) -> dict:
     """Python and C calls per loop step over ``calls``, as sys.setprofile sees them."""
     counts = {"call": 0, "c_call": 0}
@@ -759,14 +769,13 @@ def main(argv=None) -> int:
     verify_keys = [key for key in cases if key[0].startswith("verify_")]
     battery = {label: {"battery_s": sum(s)} for label, s in pooled(verify_keys).items()}
     summary = {f"verify_{VERIFY_PROFILE}_battery": battery}
-    # A batch-of-one row's calls take its loop row's inputs in the same order, so they pair up.
-    summary["batch_of_one_over_single"] = {}
-    for entry, loop in BATCHES_OF_ONE.items():
-        batches, singles = (pooled([key for key in cases if key[0] == e]) for e in (entry, loop))
-        summary["batch_of_one_over_single"][loop] = {
-            label: statistics.median([b / s for b, s in zip(batches[label], singles[label])])
-            for label in pkgs
-        }
+    # A batch-of-one row's calls take its loop row's inputs, p by p in the same order.
+    summary["batch_of_one_over_single"] = {
+        loop: {label: batch_over_single(*([call for key in cases if key[0] == e
+                                           for call in calls[key][label]] for e in (loop, entry)))
+               for label in pkgs}
+        for entry, loop in BATCHES_OF_ONE.items()
+    }
     if "parent" in pkgs:
         battery.update(ratios(pooled(verify_keys)))
         summary["loops_pooled_over_p"] = {

@@ -67,6 +67,30 @@ def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
     }
 
 
+def test_batch_over_single_times_the_pairs_call_by_call(monkeypatch):
+    monkeypatch.setattr(run_bench, "TIMINGS", 2)
+    log = []
+
+    def call(kind, i, seconds):
+        def timed():
+            log.append((kind, i))
+            clock.now += seconds
+        return timed
+
+    class Clock:
+        now = 0.0
+
+        def perf_counter(self):
+            return self.now
+
+    clock = Clock()
+    monkeypatch.setattr(run_bench, "time", clock)
+    singles = [call("single", i, s) for i, s in enumerate([1.0, 2.0, 4.0])]
+    batches = [call("batch", i, s) for i, s in enumerate([1.5, 2.0, 2.0])]
+    assert run_bench.batch_over_single(singles, batches) == 1.0  # the median of 1.5, 1, 0.5
+    assert [i for _, i in log] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+
+
 def test_quartiles_of_one_value_are_the_value():
     assert run_bench.quartiles([4.0]) == [4.0, 4.0]
     assert run_bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == [1.5, 4.5]
