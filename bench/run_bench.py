@@ -443,7 +443,8 @@ def prepare(pkg, entry, p, dim, data):
         return loop_runs(pkg, entry, p, data, CELL_SHAPE)
     if entry in BATCHES_OF_ONE:
         loop = BATCHES_OF_ONE[entry]
-        return loop_runs(pkg, loop, p, data, LOOP_SHAPE if loop in LOOPS else CELL_SHAPE, batch=True)
+        shape = LOOP_SHAPE if loop in LOOPS else CELL_SHAPE
+        return loop_runs(pkg, loop, p, data, shape, batch=True)
     if entry in CELL_PARTS:
         return prepare_cell_part(pkg, entry, p, data)
     if entry in SWEEPS or entry in P_SWEEPS:
@@ -591,7 +592,7 @@ def warm_up(pkg, entry, calls) -> dict:
 def outcome(entry, results) -> dict:
     """Deterministic counters of one pass, and the units its time is divided by."""
     if entry in LOOPS + CELL_LOOPS or entry in BATCHES_OF_ONE:
-        traces = [trace for result in results for trace in (result if type(result) is list else [result])]
+        traces = [t for result in results for t in (result if type(result) is list else [result])]
         records = [rec for trace in traces for rec in trace.records]
         return {
             "units": len(records),
@@ -682,7 +683,8 @@ def main(argv=None) -> int:
         for dim in (
             (LOOP_DIM,) if BATCHES_OF_ONE.get(entry, entry) in LOOPS
             else (CELL_DIM,)
-            if entry in CELL_PARTS or entry in SWEEPS + CELL_LOOPS + CELL_STAGES + tuple(BATCHES_OF_ONE)
+            if entry in CELL_PARTS or entry in BATCHES_OF_ONE
+            or entry in SWEEPS + CELL_LOOPS + CELL_STAGES
             else INSTANCES
         )
     }
