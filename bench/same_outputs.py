@@ -1,6 +1,7 @@
 """Byte-identity check: do two source trees write the same outputs?
 
     python bench/same_outputs.py --baseline OTHER/src
+    python bench/same_outputs.py --write-manifest
 
 Loads the lpgreedy of ``OTHER/src`` (e.g. a ``git clone`` of the parent
 commit) and then the one in ``src/`` next to this script, and has each
@@ -35,14 +36,21 @@ write the same fixed set of outputs into its own temporary directory:
   dual norm, or the type of the exception raised. Signed zeros are
   normalized, so two selections agree when they compare equal.
 
-Lists every file that differs or exists on one side only, and exits 1 if
-there is any. For a differing file it also prints the largest relative
-and absolute differences over the numbers in it, or that its text around
+With ``--baseline``, lists every file that differs or exists on one side
+only, and exits 1 if there is any. For a differing file it also prints the
+largest relative and absolute differences over the numbers in it, or that its text around
 the numbers changed, and every change of a discrete field: a trace's
 ``selected_index``, ``solver_converged`` or ``stop_reason``, a report's
 ``passed``, a selection's index, or a ``verify`` verdict. The trees run one after the other, never interleaved, so
 imports made inside a function resolve to the tree being run. Takes about
-40 s on a 2-vCPU host, most of it in the two ``--profile full`` batteries.
+20 s on a 2-vCPU host, most of it in the two ``--profile full`` batteries.
+
+With ``--write-manifest``, has the ``src/`` next to this script write the
+same outputs with the quick battery only (the full one is about 7 s, and
+its criteria run in ``tests/test_acceptance.py``), and writes the sha256
+and path of every file to MANIFEST, under a header that names the Python,
+numpy and scipy versions. ``tests/test_outputs.py`` writes the corpus
+again and compares it with MANIFEST file by file.
 """
 
 from __future__ import annotations
@@ -50,16 +58,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from run_bench import HERE_SRC, load_package
+from run_bench import HERE_SRC, ROOT, load_package
 
 ALGORITHMS = ("wgafr", "gawr", "iac", "iacc")
 RUN_PS = (1.5, 2.0, 3.0, 8.0)
@@ -68,6 +79,7 @@ POLICIES = ("argmax", "first_qualifying")
 SELECT_TRIALS = 3000
 ORTHO_PS = (1.5, 2.0, 3.0, 4.0)
 ORTHO_INSTANCES = 40
+MANIFEST = ROOT / "tests" / "golden" / "outputs.sha256"
 
 
 def run_configs():
@@ -215,7 +227,7 @@ def orthogonality_reports(pkg) -> list[dict]:
     return reports
 
 
-def write_outputs(pkg, out: Path) -> None:
+def write_outputs(pkg, out: Path, profiles=("quick", "full")) -> None:
     for name, data in run_configs():
         config = pkg.ExperimentConfig.from_dict(data)
         trace, _ = pkg.run_experiment(config, out_dir=str(out / "runs" / name))
@@ -226,7 +238,7 @@ def write_outputs(pkg, out: Path) -> None:
     (out / "orthogonality.json").write_text(
         json.dumps(orthogonality_reports(pkg), indent=1) + "\n"
     )
-    for profile in ("quick", "full"):
+    for profile in profiles:
         with open(out / f"verify_{profile}.txt", "w") as fh, contextlib.redirect_stdout(fh):
             _, reports = pkg.verify_suite(seed=0, profile=profile)
         (out / f"verify_{profile}").mkdir()
@@ -239,14 +251,30 @@ def write_outputs(pkg, out: Path) -> None:
     (out / "selections.txt").write_text("\n".join(selection_lines(pkg)) + "\n")
 
 
+def files(root: Path) -> set[str]:
+    """The paths of the files under ``root``, relative to it, with ``/`` between parts."""
+    return {Path(dirpath, name).relative_to(root).as_posix()
+            for dirpath, _, names in os.walk(root) for name in names}
+
+
+def versions() -> str:
+    """The header line of MANIFEST: the versions that made the outputs."""
+    return f"# python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}"
+
+
+def digests(root: Path) -> dict[str, str]:
+    """The sha256 of every file under ``root``, by relative path."""
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in files(root)}
+
+
+def read_manifest() -> tuple[str, dict[str, str]]:
+    """The header line of MANIFEST and its digests, by path."""
+    header, *lines = MANIFEST.read_text().splitlines()
+    return header, {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
 def differing_files(a: Path, b: Path) -> tuple[int, list[str]]:
     """(files compared, relative paths that differ or exist on one side only)."""
-    def files(root):
-        return {
-            str(Path(dirpath, name).relative_to(root))
-            for dirpath, _, names in os.walk(root) for name in names
-        }
-
     names = sorted(files(a) | files(b))
     differ = [
         name for name in names
@@ -329,9 +357,20 @@ def describe_difference(name: str, a: Path, b: Path) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", type=Path, required=True,
-                        help="src/ directory of the tree to compare against")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--baseline", type=Path, help="src/ directory of the tree to compare against")
+    mode.add_argument("--write-manifest", action="store_true",
+                      help=f"write the quick corpus's digests to {MANIFEST.relative_to(ROOT)}")
     args = parser.parse_args(argv)
+    if args.write_manifest:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_outputs(load_package(HERE_SRC), Path(tmp), profiles=("quick",))
+            corpus = digests(Path(tmp))
+        MANIFEST.parent.mkdir(exist_ok=True)
+        MANIFEST.write_text("\n".join([versions(), *(f"{corpus[name]}  {name}"
+                                                     for name in sorted(corpus))]) + "\n")
+        print(f"{len(corpus)} files written to {MANIFEST}")
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"baseline": args.baseline.resolve(), "change": HERE_SRC}
         for label, src in sides.items():

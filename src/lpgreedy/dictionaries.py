@@ -17,6 +17,7 @@ from .spaces import (
     LpSpace,
     _as_vector,
     _count,
+    _norm_mags,
     _norm_rows,
     _row_blocks,
     complex_sign,
@@ -362,7 +363,9 @@ def make_target(
 
     Coefficient moduli are drawn from [0.5, 1.5] before normalization so
     no support atom is degenerately small. When eps > 0 the returned f is
-    f_eps plus a random perturbation of norm exactly eps.
+    f_eps plus a random perturbation of norm eps; where the norm of f would
+    pass the largest float (eps near it), the perturbation shrinks by an
+    ulp at a time until the norm is finite, so its norm stays <= eps.
     """
     space = dictionary.space
     sparsity = _count("sparsity", sparsity)
@@ -387,6 +390,11 @@ def make_target(
     f = f_eps
     if eps > 0.0:
         noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        f = f_eps + noise * (eps / lp_norm(space, noise))
+        scale = eps / lp_norm(space, noise)
+        f = f_eps + noise * scale
+        with np.errstate(over="ignore", invalid="ignore"):  # an entry or the norm may overflow
+            while not np.isfinite(_norm_mags(space.p, np.abs(f))):
+                scale *= 1.0 - 2.0**-52
+                f = f_eps + noise * scale
     true_coeffs = tuple(zip(indices.tolist(), coeffs.tolist()))  # (int, complex) pairs
     return TargetSpec._wrap(f, f_eps, eps, membership, true_coeffs)

@@ -1,8 +1,10 @@
-"""The timer and the case builder of ``bench/run_bench.py``, on fake calls and small inputs."""
+"""The timer and the row table of ``bench/run_bench.py``, on fake calls and small inputs."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,16 @@ import lpgreedy
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "run_bench.py"
 _SPEC = importlib.util.spec_from_file_location("run_bench", _SCRIPT)
-run_bench = importlib.util.module_from_spec(_SPEC)
+run_bench = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(run_bench)
+ROWS = {row.name: row for row in run_bench.table(lpgreedy)}
+
+
+class Clock:
+    now = 0.0
+
+    def perf_counter(self):
+        return self.now
 
 
 def test_time_calls_alternates_the_first_tree_per_input_and_per_timing(monkeypatch):
@@ -35,13 +45,6 @@ def test_time_calls_alternates_the_first_tree_per_input_and_per_timing(monkeypat
 
 def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
     monkeypatch.setattr(run_bench, "TIMINGS", 3)
-
-    class Clock:
-        now = 0.0
-
-        def perf_counter(self):
-            return self.now
-
     clock = Clock()
     monkeypatch.setattr(run_bench, "time", clock)
     durations = {
@@ -54,10 +57,8 @@ def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
             clock.now += next(steps)
         return call
 
-    calls = {
-        label: [fake(iter(per_call)) for per_call in per_label]
-        for label, per_label in durations.items()
-    }
+    calls = {label: [fake(iter(per_call)) for per_call in per_label]
+             for label, per_label in durations.items()}
     best = run_bench.time_calls(calls)
     assert best == {"parent": [2.0, 1.0], "change": [0.5, 2.5]}
     assert run_bench.ratios(best) == {
@@ -69,7 +70,8 @@ def test_time_calls_keeps_the_least_time_of_each_call_per_tree(monkeypatch):
 
 def test_batch_over_single_times_the_pairs_call_by_call(monkeypatch):
     monkeypatch.setattr(run_bench, "TIMINGS", 2)
-    log = []
+    clock, log = Clock(), []
+    monkeypatch.setattr(run_bench, "time", clock)
 
     def call(kind, i, seconds):
         def timed():
@@ -77,14 +79,6 @@ def test_batch_over_single_times_the_pairs_call_by_call(monkeypatch):
             clock.now += seconds
         return timed
 
-    class Clock:
-        now = 0.0
-
-        def perf_counter(self):
-            return self.now
-
-    clock = Clock()
-    monkeypatch.setattr(run_bench, "time", clock)
     singles = [call("single", i, s) for i, s in enumerate([1.0, 2.0, 4.0])]
     batches = [call("batch", i, s) for i, s in enumerate([1.5, 2.0, 2.0])]
     assert run_bench.batch_over_single(singles, batches) == 1.0  # the median of 1.5, 1, 0.5
@@ -96,85 +90,88 @@ def test_quartiles_of_one_value_are_the_value():
     assert run_bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == [1.5, 4.5]
 
 
-def _case_data(entry, p, dim):
-    if entry in run_bench.PROCESSES or entry == run_bench.CALIBRATION:
-        return [0, 1]
-    if entry.startswith("verify_"):
-        return [int(entry.split("_")[1])]
-    return run_bench.instances(entry, p, dim)[:2]
+def test_the_table_names_each_row_once_and_holds_every_layer():
+    """Aim 1's layers: norm and functional, scan and selection, the inner solve, a step of
+    each loop, the checkers, sweeps, each verify criterion, the processes, the calibration."""
+    assert len(ROWS) == len(run_bench.table(lpgreedy))
+    layers = {"lp_norm", "norming_functional", "weak_select", "eps_select", "minimize_over_line",
+              "minimize_free_relax", "run_wgafr", "run_gawr", "run_iac", "run_iacc",
+              "check_monotone", "check_ml1_trace", "check_mt2_bound", "check_ml3_trace",
+              "check_barycentric", "check_trivial_step", "fit_log_slope", "suite_stage_iac",
+              "run_sweep_p_wgafr", "run_sweep_p_iacc", "import_lpgreedy", "lpgreedy_run",
+              "calibrate_cpu_kernel",
+              *(f"verify_{n:02d}_{name}" for n, name, _ in lpgreedy.acceptance.ALL_CRITERIA)}
+    assert layers <= set(ROWS)
+    assert {(p, dim) for p, dim in ROWS["weak_select"].cases} == {
+        (p, dim) for p in run_bench.PS for dim in (16, 2048)}
+    for row in ROWS.values():  # a batch-of-one row draws its loop row's inputs
+        if row.batch_of:
+            loop = ROWS[row.batch_of]
+            assert (row.seed, row.cases, row.unit) == (loop.seed, loop.cases, loop.unit)
 
 
-@pytest.mark.parametrize(
-    "entry, dim",
-    [(entry, 16) for entry in run_bench.SOLVES + run_bench.NORMS + run_bench.LOOPS]
-    + [
-        (entry, run_bench.CELL_DIM)
-        for entry in (*run_bench.CELL_PARTS, *run_bench.SWEEPS, *run_bench.CELL_LOOPS,
-                      *run_bench.CELL_STAGES, *run_bench.P_SWEEPS, *run_bench.BATCHES_OF_ONE)
-    ]
-    + [(entry, None) for entry in (*run_bench.PROCESSES, "verify_01", run_bench.CALIBRATION)],
-)
-def test_prepare_builds_one_call_per_input(entry, dim):
-    p = 1.5
-    data = _case_data(entry, p, dim)
-    calls = run_bench.prepare(lpgreedy, entry, p, dim, data)
+@pytest.mark.parametrize("name", [name for name, row in ROWS.items() if row.unit != "run"])
+def test_every_row_makes_one_call_per_input(name):
+    row = ROWS[name]
+    p, dim = row.cases[0]
+    data = run_bench.instances(row, p, dim)[:2]
+    calls = row.calls(lpgreedy, p, dim, data)
     assert len(calls) == len(data) and all(callable(call) for call in calls)
-    if entry in run_bench.PROCESSES or entry.startswith("verify_"):
+    if row.unit in ("process", "criterion"):
         return  # a child process or a whole criterion: too slow to make here
-    stats = run_bench.warm_up(lpgreedy, entry, calls)
-    if entry in run_bench.SWEEPS:
-        assert stats["units"] == stats["cells"] == len(data) * run_bench.CELL_REPLICATES
-    elif entry in run_bench.P_SWEEPS:  # every p of the row, in one batch per sweep
-        assert stats["units"] == stats["cells"] == (
-            len(data) * len(run_bench.PS) * run_bench.P_SWEEPS[entry])
+    stats = run_bench.warm_up(lpgreedy, row, calls)
+    if name.startswith("run_sweep_p_"):  # every p of the row, in one batch per sweep
+        replicates = 4 if name.endswith(("iac", "iacc")) else 1
+        assert stats["units"] == stats["cells"] == len(data) * len(run_bench.PS) * replicates
         assert stats["failed_cells"] == 0
-    elif entry in run_bench.CELL_LOOPS:
-        assert stats["units"] == stats["steps"] == len(data) * run_bench.CELL_ITERS
-    elif entry in run_bench.BATCHES_OF_ONE:  # each call a list of one trace
+    elif row.unit == "step":
         assert stats["units"] == stats["steps"] > 0
-        assert all(len(call()) == 1 for call in calls)
-    elif entry not in run_bench.LOOPS:
+        if row.batch_of:  # each call a list of one trace
+            assert all(len(call()) == 1 for call in calls)
+    else:
         assert stats["units"] == len(data)
-    if entry.startswith("suite_stage_"):  # a cell's suites: trivial step, barycentric, rate slope
+    if name.startswith("suite_stage_"):  # a cell's suites: trivial step, barycentric, rate slope
         suites = calls[0]()
         assert len(suites) == run_bench.CELL_REPLICATES
         assert [r.name for r in suites[0]] == [
             "trivial_step_bound", "barycentric_reconstruction", "rate_slope"]
-    if entry.startswith("build_stage_"):  # the batch's space, dictionaries and targets
-        space, dictionaries, targets = calls[0]()
-        assert len(dictionaries) == len(targets) == run_bench.CELL_REPLICATES
 
 
-@pytest.mark.parametrize("entry, loop", run_bench.BATCHES_OF_ONE.items())
-def test_a_batch_of_one_row_runs_its_loop_rows_inputs(entry, loop):
-    dim = 16 if loop in run_bench.LOOPS else run_bench.CELL_DIM
-    data = run_bench.instances(entry, 1.5, dim)[:2]
-    assert data == run_bench.instances(loop, 1.5, dim)[:2]
-    batches = run_bench.prepare(lpgreedy, entry, 1.5, dim, data)
-    singles = run_bench.prepare(lpgreedy, loop, 1.5, dim, data)
-    assert [batch()[0].to_csv_string() for batch in batches] == [
-        single().to_csv_string() for single in singles]
+@pytest.mark.parametrize("name", [name for name, row in ROWS.items() if row.batch_of])
+def test_a_batch_of_one_row_runs_its_loop_rows_inputs(name):
+    row, loop = ROWS[name], ROWS[ROWS[name].batch_of]
+    p, dim = row.cases[0]
+    data = run_bench.instances(row, p, dim)[:2]
+    assert data == run_bench.instances(loop, p, dim)[:2]
+    assert [batch()[0].to_csv_string() for batch in row.calls(lpgreedy, p, dim, data)] == [
+        single().to_csv_string() for single in loop.calls(lpgreedy, p, dim, data)]
 
 
-def test_run_criterion_is_timed_as_the_runs_it_makes():
+def test_run_criteria_are_timed_as_the_runs_they_make_with_their_arguments():
     # Criterion 9 at --profile full: 8 sparsities x 2 targets, one run each.
-    entry = "verify_09_orthonormal_exactness"
-    assert run_bench.is_run_criterion(entry) and not run_bench.is_run_criterion("verify_13_x")
+    row = ROWS["verify_09_orthonormal_exactness"]
     original = lpgreedy.acceptance.run_experiment
-    calls = run_bench.prepare(lpgreedy, entry, None, None, [9])
+    calls = row.calls(lpgreedy, None, None, [9])
     assert lpgreedy.acceptance.run_experiment is original
     assert [call.func for call in calls] == [lpgreedy.run_experiment] * 16
     sparsities = [call.args[0].target.sparsity for call in calls]
     assert sparsities == [k for k in range(1, 9) for _ in range(2)]
-    stats = run_bench.warm_up(lpgreedy, entry, calls)
-    assert stats["units"] == stats["runs"] == 16 and stats["failed_reports"] == 0
+    stats = run_bench.warm_up(lpgreedy, row, calls)
+    assert (row.unit, stats["units"], stats["runs"], stats["failed_reports"]) == ("run", 16, 16, 0)
+    # Criterion 14: two configs run twice each, every run writing its files into its own directory.
+    calls = ROWS["verify_14_determinism"].calls(lpgreedy, None, None, [14])
+    out_dirs = [call.keywords["out_dir"] for call in calls]
+    assert len(calls) == len(set(out_dirs)) == 4
+    calls[0]()
+    assert sorted(os.listdir(out_dirs[0])) == sorted(
+        [calls[0].args[0].output.trace_csv, calls[0].args[0].output.report_json])
 
 
 def test_opcode_counts_are_integers_that_two_passes_reproduce():
-    p, data = 1.5, run_bench.instances("run_wgafr", 1.5, 16)[:2]
-    solves = run_bench.prepare(
-        lpgreedy, "minimize_free_relax", p, 16, run_bench.instances("minimize_free_relax", p, 16)[:3])
-    for calls in (run_bench.loop_runs(lpgreedy, "run_wgafr", p, data), solves):
+    loop, solve = ROWS["run_wgafr"], ROWS["minimize_free_relax"]
+    runs = loop.calls(lpgreedy, 1.5, 16, run_bench.instances(loop, 1.5, 16)[:2])
+    solves = solve.calls(lpgreedy, 1.5, 16, run_bench.instances(solve, 1.5, 16)[:3])
+    for calls in (runs, solves):
         for call in calls:  # the first pass, as the warm-up pass makes it
             call()
         counts = [run_bench.count_opcodes(lpgreedy, calls)[1] for _ in range(2)]

@@ -269,12 +269,6 @@ _DOMAIN_EDGES = {
 # solve to max_iters (about 0.1 s per step).
 _P3_FIELDS = ("target.eps", "solver.grad_tol", "solver.max_iters", "solver.armijo_c",
               "solver.backtrack_factor")
-# Known failures inside the domain, by (field, value, p), each with its reason.
-_DOMAIN_DEFECTS = {
-    ("target.eps", _MAX, 3.0): "the target's l_3 norm exceeds the largest float, so the loop's "
-                               "first norm overflows (a RuntimeWarning); see the FOUND line in "
-                               "CHANGES.md",
-}
 
 
 def _edge_config(algorithm, field, value, p=2.0, steps=20):
@@ -300,9 +294,7 @@ def _domain_cases():
     for field, p, steps, suffix in runs:
         algorithms, inside, outside = _DOMAIN_EDGES[field]
         for value in inside:
-            reason = _DOMAIN_DEFECTS.get((field, value, p))
-            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-            yield pytest.param(field, value, algorithms, True, p, steps, marks=marks,
+            yield pytest.param(field, value, algorithms, True, p, steps,
                                id=f"{field}={value!r}{suffix}-inside")
         for value in outside:
             yield pytest.param(field, value, algorithms, False, p, steps,
