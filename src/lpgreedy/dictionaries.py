@@ -364,8 +364,9 @@ def make_target(
     Coefficient moduli are drawn from [0.5, 1.5] before normalization so
     no support atom is degenerately small. When eps > 0 the returned f is
     f_eps plus a random perturbation of norm eps; where the norm of f would
-    pass the largest float (eps near it), the perturbation shrinks by an
-    ulp at a time until the norm is finite, so its norm stays <= eps.
+    pass the largest float (eps near it), the perturbation shrinks by a
+    factor 1 - 2**-52 at a time until the norm is finite, so its norm stays
+    <= eps.
     """
     space = dictionary.space
     sparsity = _count("sparsity", sparsity)
