@@ -15,14 +15,14 @@ inputs from ``default_rng([row.seed, int(10 * p), dim])``, and a row's seed
 never changes, so BENCH files compare row for row.
 
 Every case takes one path (``run_case``): both trees make the row's calls,
-an untimed warm-up pass records the counters, and each call is timed
-TIMINGS times per tree, the trees alternating, keeping its least time
-(``time_calls``, ``ratios``). Against the same ``src/`` the in-process rows
-read within about 5 % of 1; a one-call criterion or a process row keeps a
-shared host's noise. The summary pools the ``verify`` rows and each loop
-row over p, and gives per tree the batch-of-one over single-run time.
-``call_counts`` holds exact, host-independent counts of one loop step's
-Python-side work.
+the first to build alternating over the cases of a dim, an untimed warm-up
+pass records the counters, and each call is timed TIMINGS times per tree,
+the trees alternating, keeping its least time (``time_calls``, ``ratios``).
+Against the same ``src/`` the in-process rows read within about 5 % of 1;
+a one-call criterion or a process row keeps a shared host's noise. The
+summary pools the ``verify`` rows and each loop row over p, and gives per
+tree the batch-of-one over single-run time. ``call_counts`` holds exact,
+host-independent counts of one loop step's Python-side work.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def loop_calls(name, shape, batch, pkg, p, dim, data):
     calls = []
     for dict_seed, target_seed in data:
         dictionary = pkg.generate_dictionary(space, count, "gaussian", dict_seed)
-        membership = "conv" if name == "run_iacc" else "a1"
-        target = pkg.make_target(dictionary, membership, sparsity, 0.0, target_seed)
+        target = pkg.make_target(dictionary, "conv" if name == "run_iacc" else "a1", sparsity,
+                                 0.0, target_seed)
         run = ([space], [dictionary], [target]) if batch else (space, dictionary, target)
         calls.append(partial(getattr(pkg, name), *run, *args, iters))
     return calls
@@ -263,11 +263,13 @@ def sweep_stats(results) -> dict:
             "failed_cells": sum(1 for row in rows if row["error"] or row["pass_rate"] != "1.0")}
 
 
-def criterion_stats(results) -> dict:
-    if not hasattr(results[0], "passed"):  # the (trace, reports) of a run criterion's runs
-        return {"units": len(results), "runs": len(results),
-                "steps": sum(len(trace.records) for trace, _ in results),
-                "failed_reports": sum(not r.passed for _, reports in results for r in reports)}
+def run_criterion_stats(results) -> dict:  # the (trace, reports) of a run criterion's runs
+    return {"units": len(results), "runs": len(results),
+            "steps": sum(len(trace.records) for trace, _ in results),
+            "failed_reports": sum(not r.passed for _, reports in results for r in reports)}
+
+
+def one_call_criterion_stats(results) -> dict:
     return {"units": 1, "passed": results[0].passed, "worst_margin": results[0].worst_margin}
 
 
@@ -334,8 +336,9 @@ def table(pkg) -> list:
           for algo, seed, replicates in (("wgafr", 26, 1), ("gawr", 27, 1), ("iac", 28, 4),
                                          ("iacc", 29, 4))),
         *(Row(f"verify_{number:02d}_{name}", 36, none, partial(numbered, 1),
-              partial(verify_calls, number), "run" if number in RUN_CRITERIA else "criterion",
-              criterion_stats, extra={"profile": VERIFY_PROFILE, "seed": VERIFY_SEED})
+              partial(verify_calls, number), *(("run", run_criterion_stats) if number in RUN_CRITERIA
+                                               else ("criterion", one_call_criterion_stats)),
+              extra={"profile": VERIFY_PROFILE, "seed": VERIFY_SEED})
           for number, name, _ in pkg.acceptance.ALL_CRITERIA),
         *(Row(name, 37, none, partial(numbered, PROCESS_RUNS), partial(process_calls, code),
               "process", process_stats)
@@ -378,9 +381,7 @@ def time_calls(calls: dict) -> dict:
 
 def quartiles(values) -> list:
     """The first and third quartiles of ``values`` (the value itself when there is one)."""
-    if len(values) < 2:
-        return [values[0], values[0]]
-    q1, _, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
     return [q1, q3]
 
 
@@ -400,10 +401,11 @@ def batch_over_single(singles: list, batches: list) -> float:
     return statistics.median([b / s for s, b in zip(best["single"], best["batch"])])
 
 
-def run_case(pkgs: dict, row: Row, p, dim) -> tuple[dict, dict]:
-    """One case of ``row`` on every tree: its JSON row and the least times of its calls."""
+def run_case(pkgs: dict, row: Row, p, dim, flip=False) -> tuple[dict, dict]:
+    """One case of ``row`` on every tree: its JSON row and the least times of its calls. The
+    trees build their calls in turn, the last tree first where ``flip`` is set."""
     data = instances(row, p, dim)
-    calls = {label: row.calls(pkg, p, dim, data) for label, pkg in pkgs.items()}
+    calls = {label: row.calls(pkgs[label], p, dim, data) for label in [*pkgs][::-1 if flip else 1]}
     if len({len(tree_calls) for tree_calls in calls.values()}) > 1:
         raise SystemExit(f"{row.name}: the trees make different numbers of calls")
     stats = {label: warm_up(pkgs[label], row, calls[label]) for label in pkgs}
@@ -454,8 +456,7 @@ def count_opcodes(pkg, calls) -> tuple[list, int]:
 
     def local(frame, event, arg):
         nonlocal count
-        if event == "opcode":
-            count += 1
+        count += event == "opcode"
         return local
 
     def start(frame, event, arg):  # None: the frame is not traced
@@ -504,8 +505,7 @@ def call_counts(pkgs: dict, rows: dict) -> list:
             entry = {"entry": name, "p": p, "dim": LOOP_SHAPE[0], "instances": len(data)}
             for label, pkg in pkgs.items():
                 calls = loop_calls(name, LOOP_SHAPE, False, pkg, p, None, data)
-                for call in calls:  # untimed, uncounted warm-up
-                    call()
+                [call() for call in calls]  # untimed, uncounted warm-up
                 entry[label] = count_calls(calls)
                 opcodes = count_opcodes(pkg, calls)[1]
                 entry[label].update(opcodes=opcodes, opcodes_per_step=opcodes / entry[label]["steps"])
@@ -553,11 +553,12 @@ def main(argv=None) -> int:
     rows = {row.name: row for row in table(pkgs["change"])}
     counts = call_counts(pkgs, rows)
     # One case at a time, so that at most one case's inputs (up to two 128 MiB
-    # dictionaries) are alive.
-    results, times = [], {}
+    # dictionaries) are alive; the tree built first alternates over the cases of each dim.
+    results, times, flips = [], {}, {}
     for row in rows.values():
         for p, dim in row.cases:
-            result, times[row.name, p, dim] = run_case(pkgs, row, p, dim)
+            flips[dim] = flip = not flips.get(dim, True)  # False at a dim's first case
+            result, times[row.name, p, dim] = run_case(pkgs, row, p, dim, flip)
             results.append(result)
             print(json.dumps(result))
 
@@ -570,10 +571,9 @@ def main(argv=None) -> int:
     summary = {f"verify_{VERIFY_PROFILE}_battery": battery, "batch_of_one_over_single": {}}
     for row in rows.values():
         if row.batch_of:  # its loop row's inputs, p by p in the same order, timed again
-            loop = rows[row.batch_of]
-            summary["batch_of_one_over_single"][loop.name] = {label: batch_over_single(*(
+            summary["batch_of_one_over_single"][row.batch_of] = {label: batch_over_single(*(
                 [call for p, dim in r.cases for call in r.calls(pkg, p, dim, instances(r, p, dim))]
-                for r in (loop, row))) for label, pkg in pkgs.items()}
+                for r in (rows[row.batch_of], row))) for label, pkg in pkgs.items()}
     if "parent" in pkgs:
         battery.update(ratios(pooled(verify)))
         summary["loops_pooled_over_p"] = {

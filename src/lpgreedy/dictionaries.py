@@ -364,9 +364,9 @@ def make_target(
     Coefficient moduli are drawn from [0.5, 1.5] before normalization so
     no support atom is degenerately small. When eps > 0 the returned f is
     f_eps plus a random perturbation of norm eps; where the norm of f would
-    pass the largest float (eps near it), the perturbation shrinks by a
-    factor 1 - 2**-52 at a time until the norm is finite, so its norm stays
-    <= eps.
+    pass the largest float (eps near it), the perturbation's scale starts at
+    most at the largest float and shrinks by a factor 1 - 2**-52 at a time
+    until the norm is finite, so its norm stays <= eps.
     """
     space = dictionary.space
     sparsity = _count("sparsity", sparsity)
@@ -391,9 +391,9 @@ def make_target(
     f = f_eps
     if eps > 0.0:
         noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        scale = eps / lp_norm(space, noise)
-        f = f_eps + noise * scale
-        with np.errstate(over="ignore", invalid="ignore"):  # an entry or the norm may overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # the scale, an entry or the norm may overflow
+            scale = min(eps / lp_norm(space, noise), np.finfo(float).max)
+            f = f_eps + noise * scale
             while not np.isfinite(_norm_mags(space.p, np.abs(f))):
                 scale *= 1.0 - 2.0**-52
                 f = f_eps + noise * scale

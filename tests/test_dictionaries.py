@@ -418,6 +418,17 @@ class TestMakeTarget:
             with pytest.raises(ValueError, match="eps"):
                 make_target(d, "a1", 2, eps=eps)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.01, 2.0, 3.0])
+    def test_largest_eps_with_small_noise_is_finite(self, p):
+        # At dim 1 and seed 0 the noise has norm ~0.55, so eps / ||noise||
+        # passes the largest float; the target must still come out finite.
+        space, eps = LpSpace(p, 1), float(np.finfo(float).max)
+        d = generate_dictionary(space, 2, "gaussian", seed=0)
+        t = make_target(d, "a1", 1, eps=eps, seed=0)
+        assert 0.0 < lp_norm(space, t.f - t.f_eps) <= eps
+        assert np.isfinite(lp_norm(space, t.f))
+
     @pytest.mark.parametrize("membership, eps", [("a1", 0.0), ("a1", 0.25), ("conv", 0.0)])
     def test_equals_checked_construction(self, membership, eps):
         d = generate_dictionary(LpSpace(1.5, 12), 24, "gaussian", seed=3)
