@@ -46,11 +46,14 @@ imports made inside a function resolve to the tree being run. Takes about
 20 s on a 2-vCPU host, most of it in the two ``--profile full`` batteries.
 
 With ``--write-manifest``, has the ``src/`` next to this script write the
-same outputs with the quick battery only (the full one is about 7 s, and
-its criteria run in ``tests/test_acceptance.py``), and writes the sha256
-and path of every file to MANIFEST, under a header that names the Python,
-numpy and scipy versions. ``tests/test_outputs.py`` writes the corpus
-again and compares it with MANIFEST file by file.
+same outputs, and writes the sha256 and path of every file of the quick
+corpus (the outputs without the full battery) to MANIFEST, and of each
+full-profile criterion report ``verify_full/NN_name.json`` to
+FULL_MANIFEST, each under a header that names the Python, numpy and scipy
+versions. ``tests/test_outputs.py`` writes the quick corpus again and
+compares it with MANIFEST file by file; ``tests/test_acceptance.py``
+compares each full report it computes with its line of FULL_MANIFEST, so
+the full battery (about 7 s) runs once in Tier-1.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ SELECT_TRIALS = 3000
 ORTHO_PS = (1.5, 2.0, 3.0, 4.0)
 ORTHO_INSTANCES = 40
 MANIFEST = ROOT / "tests" / "golden" / "outputs.sha256"
+FULL_MANIFEST = ROOT / "tests" / "golden" / "verify_full.sha256"
 
 
 def run_configs():
@@ -244,11 +248,15 @@ def write_outputs(pkg, out: Path, profiles=("quick", "full")) -> None:
         (out / f"verify_{profile}").mkdir()
         for (number, name, _), report in zip(pkg.acceptance.ALL_CRITERIA, reports):
             (out / f"verify_{profile}" / f"{number:02d}_{name}.json").write_text(
-                json.dumps(report.to_json_obj(), indent=1) + "\n"
-            )
+                report_text(report))
     for name, obj in sweep_specs():
         pkg.run_sweep(pkg.SweepSpec.from_json_obj(obj), out_dir=str(out / "sweeps" / name))
     (out / "selections.txt").write_text("\n".join(selection_lines(pkg)) + "\n")
+
+
+def report_text(report) -> str:
+    """A criterion's CheckReport as the corpus writes it."""
+    return json.dumps(report.to_json_obj(), indent=1) + "\n"
 
 
 def files(root: Path) -> set[str]:
@@ -267,9 +275,9 @@ def digests(root: Path) -> dict[str, str]:
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in files(root)}
 
 
-def read_manifest() -> tuple[str, dict[str, str]]:
-    """The header line of MANIFEST and its digests, by path."""
-    header, *lines = MANIFEST.read_text().splitlines()
+def read_manifest(path: Path = MANIFEST) -> tuple[str, dict[str, str]]:
+    """The header line of a manifest and its digests, by path."""
+    header, *lines = path.read_text().splitlines()
     return header, {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
 
 
@@ -360,16 +368,20 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--baseline", type=Path, help="src/ directory of the tree to compare against")
     mode.add_argument("--write-manifest", action="store_true",
-                      help=f"write the quick corpus's digests to {MANIFEST.relative_to(ROOT)}")
+                      help=f"write the quick corpus's digests to {MANIFEST.relative_to(ROOT)} and "
+                           f"the full reports' to {FULL_MANIFEST.relative_to(ROOT)}")
     args = parser.parse_args(argv)
     if args.write_manifest:
         with tempfile.TemporaryDirectory() as tmp:
-            write_outputs(load_package(HERE_SRC), Path(tmp), profiles=("quick",))
+            write_outputs(load_package(HERE_SRC), Path(tmp))
             corpus = digests(Path(tmp))
-        MANIFEST.parent.mkdir(exist_ok=True)
-        MANIFEST.write_text("\n".join([versions(), *(f"{corpus[name]}  {name}"
-                                                     for name in sorted(corpus))]) + "\n")
-        print(f"{len(corpus)} files written to {MANIFEST}")
+        del corpus["verify_full.txt"]
+        full = {name: corpus.pop(name) for name in list(corpus) if name.startswith("verify_full/")}
+        for path, pins in ((MANIFEST, corpus), (FULL_MANIFEST, full)):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("\n".join([versions(), *(f"{pins[name]}  {name}"
+                                                     for name in sorted(pins))]) + "\n")
+            print(f"{len(pins)} files written to {path}")
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"baseline": args.baseline.resolve(), "change": HERE_SRC}

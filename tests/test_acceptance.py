@@ -1,7 +1,9 @@
 """Acceptance battery at full scale: one test per criterion.
 
 Each test prints its PASS/FAIL line (visible under pytest -s or on
-failure) and asserts the criterion's report. The same battery backs
+failure), asserts the criterion's report, and compares the report's JSON
+with its pin in ``tests/golden/verify_full.sha256`` (made by
+``python bench/same_outputs.py --write-manifest``). The same battery backs
 ``lpgreedy verify --profile full``. The tests after it check the table of
 run criteria 5-12 on the quick profile: every greedy run goes through
 ``run_experiment`` in table order, the configs are pinned by digest, and
@@ -11,6 +13,8 @@ every reducer fails on a violating run.
 import collections
 import dataclasses
 import hashlib
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,14 @@ from lpgreedy import acceptance
 from lpgreedy.acceptance import ALL_CRITERIA, format_criterion_line, verify_suite
 
 SEED = 0
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        return importlib.import_module("same_outputs")
 
 
 @pytest.mark.parametrize(
@@ -25,7 +37,7 @@ SEED = 0
     ALL_CRITERIA,
     ids=[f"{num:02d}_{name}" for num, name, _ in ALL_CRITERIA],
 )
-def test_acceptance_criterion(number, name, criterion):
+def test_acceptance_criterion(number, name, criterion, same_outputs):
     report = criterion(seed=SEED, profile="full")
     print(format_criterion_line(number, name, report))
     assert report.applicable, report.details
@@ -33,6 +45,13 @@ def test_acceptance_criterion(number, name, criterion):
         f"criterion {number} ({name}) failed: worst_margin={report.worst_margin!r}, "
         f"details={report.details}"
     )
+    header, pins = same_outputs.read_manifest(same_outputs.FULL_MANIFEST)
+    assert header == same_outputs.versions(), (
+        f"the pins were made with {header[2:]!r} but this is {same_outputs.versions()[2:]!r}: "
+        "make them again with these versions before comparing reports")
+    digest = hashlib.sha256(same_outputs.report_text(report).encode()).hexdigest()
+    assert digest == pins[f"verify_full/{number:02d}_{name}.json"], (
+        f"criterion {number} ({name}): its full report JSON moved from its pin")
 
 
 def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch, capsys):
