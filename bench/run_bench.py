@@ -9,7 +9,7 @@ clone`` of the parent commit) on the same seeded inputs. Each ``Row`` of
 and functional, the dictionary scan and selection, one step of each loop
 (also as a batch of one), the checkers and the slope fit, the suites of a
 sweep cell, ``run_sweep`` over p, each ``verify --profile full`` criterion
-(criteria 5-12 and 14 as the runs they make), child processes and
+(the calls of its row in the battery's table), child processes and
 perfbench's calibration kernel. A case ``(p, dim)`` of a row draws its
 inputs from ``default_rng([row.seed, int(10 * p), dim])``, and a row's seed
 never changes, so BENCH files compare row for row.
@@ -19,10 +19,10 @@ the first to build alternating over the cases of a dim, an untimed warm-up
 pass records the counters, and each call is timed TIMINGS times per tree,
 the trees alternating, keeping its least time (``time_calls``, ``ratios``).
 Against the same ``src/`` the in-process rows read within about 5 % of 1;
-a one-call criterion or a process row keeps a shared host's noise. The
-summary pools the ``verify`` rows and each loop row over p, and gives per
-tree the batch-of-one over single-run time. ``call_counts`` holds exact,
-host-independent counts of one loop step's Python-side work.
+a process row keeps a shared host's noise. The summary pools the ``verify``
+rows and each loop row over p, and gives per tree the batch-of-one over
+single-run time. ``call_counts`` holds exact, host-independent counts of
+one loop step's Python-side work.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ SWEEP_RUNS, CELL_REPLICATES = 20, 4
 # Timings per call and tree (the least is kept); loop runs whose calls are counted.
 TIMINGS, CALL_COUNT_RUNS = 3, 10
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
-# The criteria timed as the run_experiment calls they make; the others are one call each.
-RUN_CRITERIA = (*range(5, 13), 14)
 PROCESS_RUNS, CALIBRATION_RUNS = 5, 40
 RUN_CONFIG = ("space.p = 1.5\nspace.dim = 16\ndictionary.count = 32\ntarget.sparsity = 8\n"
               "algorithm.id = wgafr\nalgorithm.iters = 20\n")
@@ -194,35 +192,10 @@ def sweep_calls(algorithm, replicates, pkg, p, dim, data):
     return [lambda spec=spec: pkg.run_sweep(spec, out_dir.name) for spec in specs]
 
 
-def criterion_runs(pkg, criterion):
-    """One ``run_experiment`` call per run that one untimed call of ``criterion`` makes, with
-    its arguments; a run that writes files (``out_dir``) writes them into a directory of its
-    own, under a temporary directory that lives as long as the calls."""
-    runs, original = [], pkg.acceptance.run_experiment
-
-    def recorded(config, out_dir=None):
-        runs.append((config, out_dir))
-        return original(config, out_dir)
-
-    pkg.acceptance.run_experiment = recorded
-    try:
-        criterion()
-    finally:
-        pkg.acceptance.run_experiment = original
-    work = tempfile.TemporaryDirectory(prefix="run_bench_runs_")
-    calls = [partial(pkg.run_experiment, config) if out_dir is None
-             else partial(pkg.run_experiment, config, out_dir=os.path.join(work.name, str(i)))
-             for i, (config, out_dir) in enumerate(runs)]
-    for call in calls:
-        call.work = work  # keeps the directory alive
-    return calls
-
-
 def verify_calls(number, pkg, p, dim, data):
-    """Criterion ``number``'s one call, or the runs it makes."""
-    criterion = {n: fn for n, _, fn in pkg.acceptance.ALL_CRITERIA}[number]
-    call = partial(criterion, seed=VERIFY_SEED, profile=VERIFY_PROFILE)
-    return criterion_runs(pkg, call) if number in RUN_CRITERIA else [call]
+    """The calls of criterion ``number``'s row in ``pkg``'s battery table, one per input index."""
+    calls = pkg.acceptance._TABLE[number][1](VERIFY_SEED, VERIFY_PROFILE)
+    return [calls[i] for i in data]
 
 
 def process_calls(code, pkg, p, dim, data):
@@ -241,8 +214,8 @@ def process_calls(code, pkg, p, dim, data):
     return [child] * len(data)
 
 
-# Counters of the warm-up pass: results -> {"units": what the time is divided by, ...}.
-def solve_stats(results) -> dict:
+# Counters of the warm-up pass: (tree, results) -> {"units": what the time is divided by, ...}.
+def solve_stats(pkg, results) -> dict:
     iters = [r.iterations for r in results]
     gaps = [r.gap / r.value for r in results if getattr(r, "gap", None) is not None and r.value > 0]
     return {"units": len(results), "iters_mean": statistics.fmean(iters), "iters_max": max(iters),
@@ -250,30 +223,28 @@ def solve_stats(results) -> dict:
             "max_rel_gap": max(gaps) if gaps else None}
 
 
-def loop_stats(results) -> dict:
+def loop_stats(pkg, results) -> dict:
     traces = [t for result in results for t in (result if type(result) is list else [result])]
     records = [rec for trace in traces for rec in trace.records]
     return {"units": len(records), "steps": len(records),
             "unconverged_steps": sum(not rec.solver_converged for rec in records)}
 
 
-def sweep_stats(results) -> dict:
+def sweep_stats(pkg, results) -> dict:
     rows = [row for rows in results for row in rows]
     return {"units": len(rows), "cells": len(rows),
             "failed_cells": sum(1 for row in rows if row["error"] or row["pass_rate"] != "1.0")}
 
 
-def run_criterion_stats(results) -> dict:  # the (trace, reports) of a run criterion's runs
-    return {"units": len(results), "runs": len(results),
-            "steps": sum(len(trace.records) for trace, _ in results),
-            "failed_reports": sum(not r.passed for _, reports in results for r in reports)}
+def criterion_stats(number, pkg, results) -> dict:
+    """A verify row's calls, and the report its tree's reducer makes of their results."""
+    name, _, reduce = pkg.acceptance._TABLE[number]
+    report = reduce(name, results)
+    return {"units": len(results), "calls": len(results), "passed": report.passed,
+            "worst_margin": report.worst_margin}
 
 
-def one_call_criterion_stats(results) -> dict:
-    return {"units": 1, "passed": results[0].passed, "worst_margin": results[0].worst_margin}
-
-
-def process_stats(results) -> dict:
+def process_stats(pkg, results) -> dict:
     return {"units": len(results), "peak_rss_mib": statistics.median(results),
             "peak_rss_mib_quartiles": quartiles(results)}
 
@@ -281,7 +252,7 @@ def process_stats(results) -> dict:
 @dataclass(frozen=True)
 class Row:
     """A named call on seeded inputs at each of its cases. ``stats`` (None: units only) gives
-    the counters of the warm-up pass, ``counter`` those of one more pass; ``batch_of`` names
+    a tree's counters of the warm-up pass, ``counter`` those of one more pass; ``batch_of`` names
     the loop row whose inputs a batch-of-one row runs; ``extra`` holds fields of the JSON row."""
 
     name: str
@@ -335,11 +306,11 @@ def table(pkg) -> list:
               partial(sweep_calls, algo, replicates), "cell", sweep_stats)
           for algo, seed, replicates in (("wgafr", 26, 1), ("gawr", 27, 1), ("iac", 28, 4),
                                          ("iacc", 29, 4))),
-        *(Row(f"verify_{number:02d}_{name}", 36, none, partial(numbered, 1),
-              partial(verify_calls, number), *(("run", run_criterion_stats) if number in RUN_CRITERIA
-                                               else ("criterion", one_call_criterion_stats)),
+        *(Row(f"verify_{number:02d}_{name}", 36, none,
+              partial(numbered, len(calls(VERIFY_SEED, VERIFY_PROFILE))),
+              partial(verify_calls, number), stats=partial(criterion_stats, number),
               extra={"profile": VERIFY_PROFILE, "seed": VERIFY_SEED})
-          for number, name, _ in pkg.acceptance.ALL_CRITERIA),
+          for number, (name, calls, _) in pkg.acceptance._TABLE.items()),
         *(Row(name, 37, none, partial(numbered, PROCESS_RUNS), partial(process_calls, code),
               "process", process_stats)
           for name, code in (("import_lpgreedy", "import lpgreedy"), ("lpgreedy_run", run_code))),
@@ -357,7 +328,7 @@ def instances(row: Row, p, dim) -> list:
 def warm_up(pkg, row: Row, calls) -> dict:
     """The untimed first pass of a case, then its counter pass: its units and counters."""
     results = [call() for call in calls]
-    stats = row.stats(results) if row.stats else {"units": len(results)}
+    stats = row.stats(pkg, results) if row.stats else {"units": len(results)}
     if row.counter:
         row.counter(pkg, calls, stats)
     return stats

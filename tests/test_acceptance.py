@@ -5,9 +5,9 @@ failure), asserts the criterion's report, and compares the report's JSON
 with its pin in ``tests/golden/verify_full.sha256`` (made by
 ``python bench/same_outputs.py --write-manifest``). The same battery backs
 ``lpgreedy verify --profile full``. The tests after it check the table of
-run criteria 5-12 on the quick profile: every greedy run goes through
-``run_experiment`` in table order, the configs are pinned by digest, and
-every reducer fails on a violating run.
+criteria on the quick profile: every greedy run of criteria 5-12 goes
+through ``run_experiment`` in table order, their configs are pinned by
+digest, and every criterion's reducer fails on a violating result.
 """
 
 import collections
@@ -16,6 +16,7 @@ import hashlib
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lpgreedy import acceptance
@@ -77,8 +78,9 @@ def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch, capsy
     assert all(config.checks.lambda_points == 101 for config in configs)
     # Criteria 1-4 and 13 make no runs, so 5-12 come first, each its table list in order.
     start = 0
-    for number, (_, configs_of, _) in acceptance._RUN_TABLE.items():
-        expected = [config.hash() for config in configs_of(seed=SEED, profile="quick")]
+    for number in range(5, 13):
+        _, calls, _ = acceptance._TABLE[number]
+        expected = [call.args[0].hash() for call in calls(SEED, "quick")]
         recorded = [config.hash() for config in configs[start : start + len(expected)]]
         assert recorded == expected, f"criterion {number}"
         start += len(expected)
@@ -95,22 +97,20 @@ def test_quick_battery_runs_every_loop_through_run_experiment(monkeypatch, capsy
 def test_run_criteria_configs_are_pinned(profile, runs, digest):
     """The configs of criteria 5-12 at seed 0, in number and list order, built without running."""
     lines = [
-        f"{number} {config.hash()}"
-        for number, (_, configs_of, _) in sorted(acceptance._RUN_TABLE.items())
-        for config in configs_of(seed=SEED, profile=profile)
+        f"{number} {call.args[0].hash()}"
+        for number, (_, calls, _) in sorted(acceptance._TABLE.items()) if 5 <= number <= 12
+        for call in calls(SEED, profile)
     ]
     assert len(lines) == runs
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
-def quick_inputs():
-    """What the runner hands each criterion 5-12's reducer on the quick profile."""
+def quick_results():
+    """What the runner hands each criterion's reducer on the quick profile."""
     return {
-        number: acceptance._run_criterion(
-            name, configs_of, lambda _, configs, results: (configs, results), SEED, "quick"
-        )
-        for number, (name, configs_of, _) in acceptance._RUN_TABLE.items()
+        number: acceptance._criterion(name, calls, lambda _, results: results, SEED, "quick")
+        for number, (name, calls, _) in acceptance._TABLE.items()
     }
 
 
@@ -122,31 +122,46 @@ _SUITE_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("number", range(5, 13))
-def test_run_reducer_fails_on_a_violating_run(number, quick_inputs):
-    name, _, reduce = acceptance._RUN_TABLE[number]
-    configs, results = quick_inputs[number]
-    assert reduce(name, configs, results).passed
+def _failed(report):
+    return dataclasses.replace(report, passed=False, worst_margin=-1.0)
+
+
+@pytest.mark.parametrize("number", range(1, 15))
+def test_run_reducer_fails_on_a_violating_run(number, quick_results):
+    name, _, reduce = acceptance._TABLE[number]
+    results = quick_results[number]
+    assert reduce(name, results).passed
     results = list(results)
-    trace, reports = results[0]
-    if number in _SUITE_REPORTS:
-        report = reports[_SUITE_REPORTS[number]]
-        violating = dataclasses.replace(report, passed=False, worst_margin=-1.0)
-        results[0] = (trace, {**reports, report.name: violating})
-    elif number == 8:
-        # ||f_1||^2 = 1e4, above 400 / (1 + 1).
-        records = [dataclasses.replace(trace.records[0], residual_norm=100.0), *trace.records[1:]]
-        results[0] = (dataclasses.replace(trace, records=records), reports)
-    elif number == 9:
-        # The run stops one step before its sparsity k.
-        records = trace.records[: configs[0].target.sparsity - 1]
-        results[0] = (dataclasses.replace(trace, records=records), reports)
+    if number == 1:  # one p's value margins all negative
+        value, dual = results[0]
+        results[0] = (np.full_like(value, -1.0), dual)
+    elif number in (2, 3, 4):  # one failed checker report
+        results[0] = _failed(results[0])
+    elif number == 13:  # one sequence outside the lemma's hypotheses
+        results[0] = dataclasses.replace(results[0], applicable=False)
+    elif number == 14:  # one rerun pair whose trace files differ
+        trace_csv, *others = results[0]
+        results[0] = {trace_csv: False, **{name: True for name in others}}
     else:
-        # Flat residuals fit slope 0; quick needs 6 of its 8 runs below the bound.
-        assert len(results) == 8
-        for i in range(8 - 6 + 1):
-            trace, reports = results[i]
-            flat = [dataclasses.replace(record, residual_norm=1.0) for record in trace.records]
-            results[i] = (dataclasses.replace(trace, records=flat), reports)
-    report = reduce(name, configs, results)
+        config, trace, reports = results[0]
+        if number in _SUITE_REPORTS:
+            report = reports[_SUITE_REPORTS[number]]
+            results[0] = (config, trace, {**reports, report.name: _failed(report)})
+        elif number == 8:
+            # ||f_1||^2 = 1e4, above 400 / (1 + 1).
+            records = [dataclasses.replace(trace.records[0], residual_norm=100.0),
+                       *trace.records[1:]]
+            results[0] = (config, dataclasses.replace(trace, records=records), reports)
+        elif number == 9:
+            # The run stops one step before its sparsity k.
+            records = trace.records[: config.target.sparsity - 1]
+            results[0] = (config, dataclasses.replace(trace, records=records), reports)
+        else:
+            # Flat residuals fit slope 0; quick needs 6 of its 8 runs below the bound.
+            assert len(results) == 8
+            for i in range(8 - 6 + 1):
+                config, trace, reports = results[i]
+                flat = [dataclasses.replace(record, residual_norm=1.0) for record in trace.records]
+                results[i] = (config, dataclasses.replace(trace, records=flat), reports)
+    report = reduce(name, results)
     assert not report.passed and report.worst_margin < 0.0, report

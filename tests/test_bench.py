@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
@@ -110,15 +109,15 @@ def test_the_table_names_each_row_once_and_holds_every_layer():
             assert (row.seed, row.cases, row.unit) == (loop.seed, loop.cases, loop.unit)
 
 
-@pytest.mark.parametrize("name", [name for name, row in ROWS.items() if row.unit != "run"])
+@pytest.mark.parametrize("name", list(ROWS))
 def test_every_row_makes_one_call_per_input(name):
     row = ROWS[name]
     p, dim = row.cases[0]
     data = run_bench.instances(row, p, dim)[:2]
     calls = row.calls(lpgreedy, p, dim, data)
     assert len(calls) == len(data) and all(callable(call) for call in calls)
-    if row.unit in ("process", "criterion"):
-        return  # a child process or a whole criterion: too slow to make here
+    if row.unit == "process":
+        return  # a child process: too slow to make here
     stats = run_bench.warm_up(lpgreedy, row, calls)
     if name.startswith("run_sweep_p_"):  # every p of the row, in one batch per sweep
         replicates = 4 if name.endswith(("iac", "iacc")) else 1
@@ -131,6 +130,8 @@ def test_every_row_makes_one_call_per_input(name):
             assert all(len(call()) == 1 for call in calls)
     else:
         assert stats["units"] == len(data)
+    if name.startswith("verify_"):  # the criterion's reducer on the first two calls' results
+        assert stats["calls"] == len(data) and stats["passed"] is True
     if name.startswith("suite_stage_"):  # a cell's suites: trivial step, barycentric, rate slope
         suites = calls[0]()
         assert len(suites) == run_bench.CELL_REPLICATES
@@ -148,24 +149,29 @@ def test_a_batch_of_one_row_runs_its_loop_rows_inputs(name):
         single().to_csv_string() for single in loop.calls(lpgreedy, p, dim, data)]
 
 
-def test_run_criteria_are_timed_as_the_runs_they_make_with_their_arguments():
+def test_verify_rows_make_the_calls_of_their_criterions_table_row():
+    table = lpgreedy.acceptance._TABLE
+    for number, (name, calls_of, _) in table.items():
+        row = ROWS[f"verify_{number:02d}_{name}"]
+        data = run_bench.instances(row, None, None)
+        calls = calls_of(run_bench.VERIFY_SEED, run_bench.VERIFY_PROFILE)
+        assert data == list(range(len(calls))), name
     # Criterion 9 at --profile full: 8 sparsities x 2 targets, one run each.
     row = ROWS["verify_09_orthonormal_exactness"]
-    original = lpgreedy.acceptance.run_experiment
-    calls = row.calls(lpgreedy, None, None, [9])
-    assert lpgreedy.acceptance.run_experiment is original
-    assert [call.func for call in calls] == [lpgreedy.run_experiment] * 16
-    sparsities = [call.args[0].target.sparsity for call in calls]
-    assert sparsities == [k for k in range(1, 9) for _ in range(2)]
+    calls = row.calls(lpgreedy, None, None, run_bench.instances(row, None, None))
+    assert [call.func for call in calls] == [lpgreedy.acceptance._run] * 16
+    assert [call.args[0].target.sparsity for call in calls] == [
+        k for k in range(1, 9) for _ in range(2)]
     stats = run_bench.warm_up(lpgreedy, row, calls)
-    assert (row.unit, stats["units"], stats["runs"], stats["failed_reports"]) == ("run", 16, 16, 0)
-    # Criterion 14: two configs run twice each, every run writing its files into its own directory.
-    calls = ROWS["verify_14_determinism"].calls(lpgreedy, None, None, [14])
-    out_dirs = [call.keywords["out_dir"] for call in calls]
-    assert len(calls) == len(set(out_dirs)) == 4
-    calls[0]()
-    assert sorted(os.listdir(out_dirs[0])) == sorted(
-        [calls[0].args[0].output.trace_csv, calls[0].args[0].output.report_json])
+    assert (row.unit, stats["units"], stats["calls"], stats["passed"]) == ("call", 16, 16, True)
+    report = lpgreedy.acceptance._criterion(*lpgreedy.acceptance._TABLE[9], run_bench.VERIFY_SEED,
+                                            run_bench.VERIFY_PROFILE)
+    assert stats["worst_margin"] == report.worst_margin
+    # Criterion 14: one call per rerun pair of its two configs.
+    calls = ROWS["verify_14_determinism"].calls(lpgreedy, None, None, [0, 1])
+    assert [call.func for call in calls] == [lpgreedy.acceptance._rerun] * 2
+    assert calls[0]() == {calls[0].args[0].output.trace_csv: True,
+                          calls[0].args[0].output.report_json: True}
 
 
 def test_opcode_counts_are_integers_that_two_passes_reproduce():
