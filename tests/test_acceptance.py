@@ -28,6 +28,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 @pytest.fixture(scope="module")
 def same_outputs():
+    """``bench/same_outputs.py``: the pins of the full reports and their one writer."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(BENCH))
         return importlib.import_module("same_outputs")

@@ -149,9 +149,9 @@ def test_a_batch_of_one_row_runs_its_loop_rows_inputs(name):
         single().to_csv_string() for single in loop.calls(lpgreedy, p, dim, data)]
 
 
-def test_verify_rows_make_the_calls_of_their_criterions_table_row():
+def test_run_criteria_are_timed_as_the_runs_they_make_with_their_arguments():
     table = lpgreedy.acceptance._TABLE
-    for number, (name, calls_of, _) in table.items():
+    for number, (name, calls_of, _) in table.items():  # one input per call of the criterion's row
         row = ROWS[f"verify_{number:02d}_{name}"]
         data = run_bench.instances(row, None, None)
         calls = calls_of(run_bench.VERIFY_SEED, run_bench.VERIFY_PROFILE)
@@ -164,9 +164,9 @@ def test_verify_rows_make_the_calls_of_their_criterions_table_row():
         k for k in range(1, 9) for _ in range(2)]
     stats = run_bench.warm_up(lpgreedy, row, calls)
     assert (row.unit, stats["units"], stats["calls"], stats["passed"]) == ("call", 16, 16, True)
-    report = lpgreedy.acceptance._criterion(*lpgreedy.acceptance._TABLE[9], run_bench.VERIFY_SEED,
+    report = lpgreedy.acceptance._criterion(*table[9], run_bench.VERIFY_SEED,
                                             run_bench.VERIFY_PROFILE)
-    assert stats["worst_margin"] == report.worst_margin
+    assert stats["worst_margin"] == report.worst_margin  # the row's reducer is the criterion's
     # Criterion 14: one call per rerun pair of its two configs.
     calls = ROWS["verify_14_determinism"].calls(lpgreedy, None, None, [0, 1])
     assert [call.func for call in calls] == [lpgreedy.acceptance._rerun] * 2
