@@ -272,6 +272,7 @@ def table(pkg) -> list:
     places in the entry list of BENCH_25.json and earlier, so each keeps its inputs."""
     both, sweep = tuple((p, dim) for p in PS for dim in (16, 2048)), ((None, CELL_SHAPE[0]),)
     cell, none = tuple((p, CELL_SHAPE[0]) for p in PS), ((None, None),)
+    edges = tuple((p, 16) for p in EDGE_PS)
     loops = [("run_wgafr", 2, LOOP_SHAPE, newton_iterations),
              ("run_gawr", 3, LOOP_SHAPE, newton_iterations),
              ("run_iac", 21, CELL_SHAPE, None), ("run_iacc", 22, CELL_SHAPE, None)]
@@ -287,8 +288,8 @@ def table(pkg) -> list:
         *(Row(name, seed, cases, partial(vectors, count, INSTANCES), partial(space_calls, name),
               stats=solve_stats, counter=opcodes_per_iteration)
           for name, seed, count, cases in (
-              ("minimize_over_line", 0, 2, both),
-              ("minimize_free_relax", 1, 3, both + tuple((p, 16) for p in EDGE_PS)))),
+              ("minimize_over_line", 0, 2, both + edges),
+              ("minimize_free_relax", 1, 3, both + edges))),
         *(Row(f"{name}_batch_of_one" if batch else name, seed, tuple((p, shape[0]) for p in PS),
               partial(seed_pairs, LOOP_RUNS), partial(loop_calls, name, shape, batch), "step",
               loop_stats, None if batch else counter, name if batch else None)

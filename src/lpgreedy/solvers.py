@@ -6,15 +6,15 @@ is convex and, away from a zero residual, differentiable; the gradient
 with respect to the real parametrization comes from the norming
 functional (the directional derivative of ||x + u y|| at u = 0 is
 Re F_x(y)). Every solve starts at the least-squares point, one triangular
-solve on the QR its duality certificate needs; at p = 2 that point is the
-minimizer, and otherwise damped Newton on the 2k real unknowns runs from
-it. Every solve reports a duality gap that bounds its distance from the
-infimum; no external solver. A zero or dependent column adds no
-direction: it is left out and gets coefficient 0, so the first
-free-relaxation step (G_prev = 0) takes the same path as every other. The
-public entry points check their arguments once and call the array core
-(:func:`_descend`, :func:`_free_relax`), which the greedy loops call
-directly.
+solve on the QR its duality certificate needs (one dot product for one
+column at p != 2); at p = 2 that point is the minimizer, and otherwise
+damped Newton on the 2k real unknowns runs from it. Every solve reports a
+duality gap that bounds its distance from the infimum; no external
+solver. A zero or dependent column adds no direction: it is left out and
+gets coefficient 0, so the first free-relaxation step (G_prev = 0) takes
+the same path as every other. The public entry points check their
+arguments once and call the array core (:func:`_descend`,
+:func:`_free_relax`), which the greedy loops call directly.
 """
 
 from __future__ import annotations
@@ -183,43 +183,11 @@ def _lower_bound(q, cert, span, r) -> float:
     return float(abs(cert @ r)) / cert_norm if cert_norm > 0.0 else 0.0
 
 
-def _irls(cols, hw, grad):
-    """The IRLS direction per unit value, beta = -hw^{-1} grad, and cols @ beta.
+def _weights(p, r, mags, value):
+    """(unit, weights, curv) at the residual r, with mags = |r| and value = ||r||.
 
-    beta is returned as complex coefficients; it is -grad when hw is
-    exactly singular.
-    """
-    beta = _solve(hw, -grad)
-    beta = (-grad if beta is None else beta).view(np.complex128)
-    return beta, cols @ beta
-
-
-def _real_blocks(cols):
-    """(-cols, -conj(cols), jac_t): the per-solve arrays of :func:`_newton_model`.
-
-    In the interleaved real coordinates y.view(float) = (Re y_0, Im y_0,
-    ...), the residual map y -> r = base - cols @ y has the Jacobian J
-    whose columns are -cols[:, j].view(float) (along Re y_j) and
-    -(1j cols[:, j]).view(float) (along Im y_j). ``jac_t`` is -J^T, one
-    row per real coordinate; only J^T W J is formed from it.
-    """
-    blocks = np.empty((cols.shape[1], 2, cols.shape[0]), dtype=np.complex128)
-    blocks[:, 0], blocks[:, 1] = cols.T, 1j * cols.T
-    jac_t = blocks.view(np.float64).reshape(2 * cols.shape[1], -1)
-    neg_cols = -cols
-    return neg_cols, np.conj(neg_cols), jac_t
-
-
-def _newton_model(p, r, mags, value, neg_conj, jac_t):
-    """Gradient and Newton model at the residual r, with mags = |r| and value = ||r||.
-
-    Returns (unit, weights, curv, grad, hw, v): unit = r / |r| (0 at an
-    exact zero), weights = |rho|^(p-1) (so conj(unit) * weights is the
-    norming functional of r), curv = w, grad the gradient of ||r||,
-    hw = sum_i w_i J_i^T J_i and v with rows J_i^T rho_hat_i, all in
-    y.view(float); :func:`_hessian` forms the Hessian from them. For a
-    complex u, J_i^T (Re u, Im u) is (u * neg_conj[i]).view(float), so
-    each term is a product of real blocks weighted by w_i.
+    unit = r / |r| (0 at an exact zero), weights = |rho|^(p-1) (so
+    conj(unit) * weights is the norming functional of r) and curv = w.
     """
     rho = mags / value
     low = float(np.minimum.reduce(mags))  # a floor below every entry leaves the same bits
@@ -229,51 +197,143 @@ def _newton_model(p, r, mags, value, neg_conj, jac_t):
         # A subnormal |r_i| has lost bits: its sign comes from the angle.
         sub = (mags < _TINY) & (mags > 0.0)
         unit[sub] = np.exp(1j * np.angle(r[sub]))
-    v = (unit[:, None] * neg_conj).view(np.float64)  # row i is J_i^T rho_hat_i
-    weights = rho ** (p - 1.0)
-    grad = weights @ v
-    hw = (jac_t * curv.repeat(2)) @ jac_t.T
-    return unit, weights, curv, grad, hw, v
+    return unit, rho ** (p - 1.0), curv
 
 
 def _hessian(p, curv, grad, hw, v):
-    """The Hessian of ||r||^2 / 2 (see :func:`_descend`) from :func:`_newton_model`'s parts."""
+    """The Hessian of ||r||^2 / 2 (see :func:`_descend`) from :meth:`_Columns.model`'s parts."""
     return hw + (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad)
 
 
-def _newton(p, q, base, cols, span, y, cfg):
-    """Damped Newton from ``y`` for p != 2; see :func:`_descend`.
+class _Columns:
+    """The k-column model of :func:`_newton`: real form, LAPACK solves, the QR's projection.
 
-    Returns (minimizer, value, converged, iterations, lower), where
-    ``lower`` is the certified lower bound at the returned iterate (None
-    once the residual is an exact fit). The magnitudes |r| of a step's
-    accepted trial point serve the next iteration; the Hessian is formed
-    only once the gradient and budget tests let a step be taken.
+    In the real coordinates y.view(float), r = base - cols @ y has the
+    Jacobian J with columns -cols[:, j].view(float) and
+    -(1j cols[:, j]).view(float); ``jac_t`` is -J^T, and J_i^T (Re u, Im u)
+    is (u * neg_conj[i]).view(float). ``span`` is the orthonormal basis of
+    conj(cols), with its conjugate, that :func:`_lower_bound` projects
+    through. :meth:`newton` and :meth:`irls` return a direction, its change
+    of r and its slope, from the parts :meth:`model` keeps.
     """
-    neg_cols, neg_conj, jac_t = _real_blocks(cols)
-    span = span, np.conj(span)  # what _lower_bound takes
-    r = base - cols @ y
+
+    def __init__(self, cols, span):
+        blocks = np.empty((cols.shape[1], 2, cols.shape[0]), dtype=np.complex128)
+        blocks[:, 0], blocks[:, 1] = cols.T, 1j * cols.T
+        self.jac_t = blocks.view(np.float64).reshape(2 * cols.shape[1], -1)
+        self.cols, self.neg_cols, self.span = cols, -cols, (span, np.conj(span))
+        self.neg_conj = np.conj(self.neg_cols)
+
+    def model(self, unit, weights, curv):
+        """|grad| from :func:`_weights`'s parts; keeps curv, grad, hw = sum_i w_i J_i^T J_i, v."""
+        v = (unit[:, None] * self.neg_conj).view(np.float64)  # row i is J_i^T rho_hat_i
+        grad = weights @ v
+        self.parts = curv, grad, (self.jac_t * curv.repeat(2)) @ self.jac_t.T, v
+        return math.sqrt(grad @ grad)
+
+    def newton(self, p, value):
+        grad = self.parts[1]
+        step, slope = _descent_step(_hessian(p, *self.parts), grad, value)
+        dy = step.view(np.complex128)
+        return dy, self.neg_cols @ dy, slope
+
+    def irls(self):
+        """The IRLS direction per unit value, -hw^{-1} grad (-grad if hw is exactly singular)."""
+        _, grad, hw, _ = self.parts
+        beta = _solve(hw, -grad)
+        beta = (-grad if beta is None else beta).view(np.complex128)
+        return beta, self.cols @ beta
+
+    def slope(self, dy):
+        return float(self.parts[1] @ dy.view(np.float64))
+
+
+def _line_step(p, a, b, grad, value):
+    """:func:`_descent_step` for one column: P dl + Q conj(dl) = c = -value * grad in closed form.
+
+    The Hessian acts on a complex step dl as P dl + Q conj(dl), with
+    P = (p/2) a - ((p-2)/2) |grad|^2 and Q = ((p-2)/2) (b - grad^2) (see
+    :class:`_Column`). A zero or NaN P^2 - |Q|^2, or a step that does not
+    descend, gives c. Returns the step and its slope Re(conj(grad) dl).
+    """
+    P = 0.5 * p * a - 0.5 * (p - 2.0) * (grad.real * grad.real + grad.imag * grad.imag)
+    Q = 0.5 * (p - 2.0) * (b - grad * grad)
+    c = -value * grad
+    det = P * P - (Q.real * Q.real + Q.imag * Q.imag)
+    if det:
+        step = (P * c - Q * c.conjugate()) / det
+        slope = (grad.conjugate() * step).real
+        if slope < 0.0:
+            return step, slope
+    return c, (grad.conjugate() * c).real
+
+
+class _Column:
+    """The one-column model of :func:`_newton` on Python scalars, as :class:`_Columns`'s.
+
+    lam and the gradient gamma = -sum_i |rho_i|^(p-1) unit_i conj(col_i)
+    are Python complex numbers (Re, Im of the real form's). With
+    a = sum_i w_i |col_i|^2 and b = sum_i w_i (unit_i conj(col_i))^2, the
+    Newton step is :func:`_line_step`'s and the IRLS direction -gamma / a
+    (-gamma at a = 0). ``span`` projects by the unit column u = col / ||col||_2:
+    conj(col) (c @ col) / ||col||_2^2 is conj(u) (c @ u).
+    """
+
+    def __init__(self, col):
+        self.col, self.conj, self.sq = col, np.conj(col), np.abs(col) ** 2
+        self.norm2 = float(np.add.reduce(self.sq))
+        self.span = (self.conj / self.norm2)[:, None], col[:, None]
+
+    def model(self, unit, weights, curv):
+        uc = unit * self.conj
+        grad = -complex(np.dot(weights, uc))
+        self.parts = curv, grad, float(curv @ self.sq), uc
+        return abs(grad)
+
+    def newton(self, p, value):
+        curv, grad, a, uc = self.parts
+        step, slope = _line_step(p, a, complex(np.dot(curv, uc * uc)), grad, value)
+        return step, self.col * -step, slope
+
+    def irls(self):
+        _, grad, a, _ = self.parts
+        beta = -grad / a if a else -grad
+        return beta, self.col * beta
+
+    def slope(self, dl):
+        return (self.parts[1].conjugate() * dl).real
+
+
+def _newton(p, q, r, kernel, y, cfg):
+    """Damped Newton for p != 2 on a :class:`_Columns` or :class:`_Column` model from ``y``.
+
+    ``r`` is the residual at ``y``. Returns (minimizer, value, converged,
+    iterations, lower), ``lower`` the certified lower bound at the returned
+    iterate (None once the residual is an exact fit); see :func:`_descend`.
+    The magnitudes |r| of a step's accepted trial point serve the next
+    iteration; the Hessian is formed only once the gradient and budget
+    tests let a step be taken.
+    """
     mags = np.abs(r)
     value = _norm(p, mags)
     iterations, converged = 0, False
     while value > RESIDUAL_FLOOR:
         moved = None
-        unit, weights, curv, grad, hw, v = _newton_model(p, r, mags, value, neg_conj, jac_t)
-        if math.sqrt(grad @ grad) <= cfg.grad_tol:
+        unit, weights, curv = _weights(p, r, mags, value)
+        if kernel.model(unit, weights, curv) <= cfg.grad_tol:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
-        step, slope = _descent_step(_hessian(p, curv, grad, hw, v), grad, value)
-        dy = step.view(np.complex128)
-        dr = neg_cols @ dy
+        dy, dr, slope = kernel.newton(p, value)
         if p < 2.0:
-            beta, moved = _irls(cols, hw, grad)
-            irls_slope = value * float(grad @ beta.view(np.float64))
+            beta, moved = kernel.irls()
+            irls_slope = value * kernel.slope(beta)
         if -slope <= _CERTIFY_BELOW * value:
             if moved is None:
-                _, moved = _irls(cols, hw, grad)
-            lower = _lower_bound(q, np.conj(unit) * weights - curv * np.conj(moved), span, r)
+                _, moved = kernel.irls()
+            cert = np.conj(unit) * weights - curv * np.conj(moved)
+            lower = _lower_bound(q, cert, kernel.span, r)
             if value - lower <= _GAP_RESOLUTION * value:
                 # The value is flat to second order at the minimizer, so it
                 # reaches float resolution while the minimizer is accurate to
@@ -320,8 +380,8 @@ def _newton(p, q, base, cols, span, y, cfg):
     if value <= RESIDUAL_FLOOR:
         return y, value, converged, iterations, None
     if moved is None:
-        _, moved = _irls(cols, hw, grad)
-    lower = _lower_bound(q, np.conj(unit) * weights - curv * np.conj(moved), span, r)
+        _, moved = kernel.irls()
+    lower = _lower_bound(q, np.conj(unit) * weights - curv * np.conj(moved), kernel.span, r)
     return y, value, converged, iterations, lower
 
 
@@ -342,7 +402,9 @@ def _descend(
     the rest is solved. The QR gives the least-squares point for one
     triangular solve. At p = 2 that point is the minimizer and no step is
     taken; otherwise Newton starts there (at 0 if the triangular system is
-    exactly singular). Newton works on ||r||^2 / 2, which has the
+    exactly singular). One column at p != 2 takes no QR: it starts at
+    vdot(col, base) / vdot(col, col), and :class:`_Column` solves its
+    Newton and IRLS systems in closed form. Newton works on ||r||^2 / 2, which has the
     minimizers of ||r|| and is exactly quadratic in a residual
     dominated by one entry, in the real parametrization (Re y, Im y). With
     rho = r / ||r|| and w_i = |rho_i|^(p-2), the gradient of ||r|| is
@@ -391,39 +453,47 @@ def _descend(
         free = scales > 0.0
         # np.compress keeps the columns C-contiguous, as _newton_model needs.
         cols = np.compress(free, directions, axis=1) / scales[free]
-    # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
-    span, tri = _qr(np.conj(cols))
-    pivots = tri.diagonal().tolist()
-    if len(pivots) < cols.shape[1] or min(map(abs, pivots), default=math.inf) <= RANK_TOL:
-        # Columns past the dimension are left out too; free becomes a mask if it was the scales.
-        kept = np.pad(np.abs(tri.diagonal()) > RANK_TOL, (0, cols.shape[1] - len(pivots)))
-        free = np.array(free) > 0.0
-        free[free] = kept
-        cols = np.compress(kept, cols, axis=1)
+    if p != 2.0 and directions.shape[1] == 1 == cols.shape[1]:
+        # One column: Newton on one complex scalar from the least-squares
+        # lam = vdot(col, base) / vdot(col, col), with no QR.
+        kernel = _Column(cols[:, 0])
+        y = complex(kernel.conj @ base) / kernel.norm2
+        r = base - kernel.col * y
+    else:
+        # c @ cols == 0 exactly when c is orthogonal to span(conj(cols)).
         span, tri = _qr(np.conj(cols))
-    # Least squares through the QR above: cols = conj(span) @ conj(tri),
-    # with tri square and upper triangular once its lower part is zeroed.
-    for j in range(1, tri.shape[0]):
-        tri[j, :j] = 0.0
-    y = _solve(np.conj(tri), base @ span)
-    if y is None:
-        if p == 2.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        y = np.zeros(cols.shape[1], dtype=np.complex128)
-    if p == 2.0:
+        pivots = tri.diagonal().tolist()
+        if len(pivots) < cols.shape[1] or min(map(abs, pivots), default=math.inf) <= RANK_TOL:
+            # Columns past the dimension are left out too; free becomes a mask if it was the scales.
+            kept = np.pad(np.abs(tri.diagonal()) > RANK_TOL, (0, cols.shape[1] - len(pivots)))
+            free = np.array(free) > 0.0
+            free[free] = kept
+            cols = np.compress(kept, cols, axis=1)
+            span, tri = _qr(np.conj(cols))
+        # Least squares through the QR above: cols = conj(span) @ conj(tri),
+        # with tri square and upper triangular once its lower part is zeroed.
+        for j in range(1, tri.shape[0]):
+            tri[j, :j] = 0.0
+        y = _solve(np.conj(tri), base @ span)
+        if y is None:
+            if p == 2.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            y = np.zeros(cols.shape[1], dtype=np.complex128)
+        kernel = _Columns(cols, span) if p != 2.0 else None
         r = base - cols @ y
+    if p == 2.0:
         value = _norm_mags(p, np.abs(r))
         converged, iterations, lower = False, 0, None
         if value > RESIDUAL_FLOOR:
             lower = _lower_bound(q, _norming_coeffs(p, r, value), (span, np.conj(span)), r)
     else:
-        y, value, converged, iterations, lower = _newton(p, q, base, cols, span, y, cfg)
+        y, value, converged, iterations, lower = _newton(p, q, r, kernel, y, cfg)
     if value <= RESIDUAL_FLOOR:
         converged, value, gap = True, 0.0, 0.0
     else:
         gap = value - lower
         converged = converged or gap <= _GAP_RESOLUTION * value
-    if y.size == scales.size:  # no column left out
+    if cols.shape[1] == scales.size:  # no column left out
         return SolveResult(y / scales, value, converged, iterations, gap)
     x = np.zeros(directions.shape[1], dtype=np.complex128)
     x[free] = y / scales[free]

@@ -497,16 +497,20 @@ def _replayed_steps(p, seeds=range(6)):
 def _zero_start_iterations(space, base, directions):
     """Newton iterations of the solve of ``base`` by ``directions`` started at 0.
 
-    Zero columns are left out and the rest are unit-scaled, as in
-    ``solvers._descend``.
+    Zero columns are left out and the rest are unit-scaled, and a single
+    direction takes the one-column model, as in ``solvers._descend``.
     """
+    one = directions.shape[1] == 1
     directions = directions[:, directions.any(axis=0)]
     cols = np.ascontiguousarray(directions / np.sqrt((np.abs(directions) ** 2).sum(axis=0)))
-    span = np.linalg.qr(np.conj(cols))[0]
-    start = np.zeros(cols.shape[1], dtype=complex)
+    if one:
+        kernel, start = solvers._Column(cols[:, 0]), 0j
+    else:
+        kernel = solvers._Columns(cols, np.linalg.qr(np.conj(cols))[0])
+        start = np.zeros(cols.shape[1], dtype=complex)
     with np.errstate(invalid="ignore"):  # as in _descend
         _, _, _, iterations, _ = solvers._newton(
-            space.p, space.p_conjugate, base, cols, span, start, SolverConfig()
+            space.p, space.p_conjugate, base, kernel, start, SolverConfig()
         )
     return iterations
 

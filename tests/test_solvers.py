@@ -192,7 +192,10 @@ class TestMinimizeFreeRelax:
         values = []
         for _ in range(8):
             start = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * scales
-            _, value, _, _, _ = solvers._newton(1.5, 3.0, f - G, cols, span, start, SolverConfig())
+            r = f - G - cols @ start
+            _, value, _, _, _ = solvers._newton(
+                1.5, 3.0, r, solvers._Columns(cols, span), start, SolverConfig()
+            )
             values.append(value)
         assert max(values) - min(values) <= 1e-8
 
@@ -537,11 +540,11 @@ class TestNewtonModel:
 
             r = base - cols @ x.view(np.complex128)
             value = norm_at(x)
-            _, neg_conj, jac_t = solvers._real_blocks(cols)
-            unit, weights, curv, grad, hw, v = solvers._newton_model(
-                p, r, np.abs(r), value, neg_conj, jac_t
-            )
-            hess = solvers._hessian(p, curv, grad, hw, v)
+            model = solvers._Columns(cols, np.linalg.qr(np.conj(cols))[0])
+            unit, weights, curv = solvers._weights(p, r, np.abs(r), value)
+            model.model(unit, weights, curv)
+            _, grad, hw, _ = model.parts
+            hess = solvers._hessian(p, *model.parts)
             fd_grad = [(norm_at(x + e) - norm_at(x - e)) / (2e-2 * h) for e in 1e-2 * steps]
             fd_hess = [
                 [
@@ -572,12 +575,8 @@ class TestNewtonModel:
         # vector at a subnormal entry, so the functional built from it is exact
         p, dim = 1.01, 4
         space = LpSpace(p, dim)
-        cols = np.ones((dim, 1), dtype=complex)
         r = np.array([1.0, 0.0, 3e-320 + 4e-320j, -2.0 + 1j])
-        _, neg_conj, jac_t = solvers._real_blocks(cols)
-        unit, weights, *_ = solvers._newton_model(
-            p, r, np.abs(r), lp_norm(space, r), neg_conj, jac_t
-        )
+        unit, weights, _ = solvers._weights(p, r, np.abs(r), lp_norm(space, r))
         assert unit[1] == 0.0
         assert abs(unit[2] - (0.6 + 0.8j)) <= 1e-15
         np.testing.assert_allclose(
@@ -685,7 +684,8 @@ class TestLapackPaths:
         with warnings.catch_warnings(), np.errstate(invalid="ignore"):  # as in _descend
             warnings.simplefilter("error")
             y, value, _, _, lower = solvers._newton(
-                3.0, 1.5, f - G, cols, span, np.zeros(2, complex), SolverConfig()
+                3.0, 1.5, (f - G).astype(complex), solvers._Columns(cols, span),
+                np.zeros(2, complex), SolverConfig(),
             )
         assert any(singular)
         assert value <= solvers.RESIDUAL_FLOOR and lower is None  # an exact fit
@@ -750,13 +750,22 @@ class TestLapackPaths:
         space = LpSpace(p, 12)
         cases = [(_rand(rng, 12), _rand(rng, 12), _rand(rng, 12)) for _ in range(4)]
         exact = [minimize_free_relax(space, *case) for case in cases]
-        irls = solvers._irls
+        irls = solvers._Columns.irls
         c, g = _rand(rng, 12, 2), rng.standard_normal(4)
+        model = solvers._Columns(c, np.linalg.qr(np.conj(c))[0])
+        model.parts = None, g, np.zeros((4, 4)), None
         with np.errstate(invalid="ignore"):
-            beta, moved = irls(c, np.zeros((4, 4)), g)
+            beta, moved = model.irls()
         assert beta.view(np.float64).tolist() == (-g).tolist()
         np.testing.assert_allclose(moved, c @ beta, rtol=1e-14)
-        monkeypatch.setattr(solvers, "_irls", lambda cols, hw, grad: irls(cols, 0.0 * hw, grad))
+        assert model.slope(beta) == -(g @ g)
+
+        def singular(model):  # the parts are formed again at every iterate
+            curv, grad, hw, v = model.parts
+            model.parts = curv, grad, 0.0 * hw, v
+            return irls(model)
+
+        monkeypatch.setattr(solvers._Columns, "irls", singular)
         for case, want in zip(cases, exact):
             res = minimize_free_relax(space, *case, SolverConfig(max_iters=60))
             assert res.converged
@@ -822,22 +831,170 @@ class TestSolverNorm:
             assert solvers._norm(p, mags, 0.7) == 0.0  # far below the value: max-scaled
 
     def test_exact_fit_trial_at_p64_takes_the_exact_fit_exit(self):
-        # From y = 0 one Newton step lands on base = 0.7 - 0.2j times the
-        # column: the trial's residual is ~1e-14 of the start value, so its
-        # sum scaled by that value underflows at p = 64. Its value is the
-        # true norm of the residual, not 0 from the underflowed sum.
-        p, rng = 64.0, np.random.default_rng(5)
-        col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        cols, span, _ = _unit_columns(col[:, None])
-        base = cols[:, 0] * (0.7 - 0.2j)
-        y, value, converged, iterations, lower = solvers._newton(
-            p, p / (p - 1.0), base, cols, span, np.zeros(1, complex), SolverConfig()
+        _check_exact_fit_trial_at_p64(one_column=False)
+
+
+def _check_exact_fit_trial_at_p64(one_column):
+    # From y = 0 one Newton step lands on base = 0.7 - 0.2j times the
+    # column: the trial's residual is ~1e-14 of the start value, so its
+    # sum scaled by that value underflows at p = 64. Its value is the
+    # true norm of the residual, not 0 from the underflowed sum.
+    p, rng = 64.0, np.random.default_rng(5)
+    col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    cols, span, _ = _unit_columns(col[:, None])
+    base = cols[:, 0] * (0.7 - 0.2j)
+    if one_column:
+        kernel, start = solvers._Column(cols[:, 0]), 0j
+    else:
+        kernel, start = solvers._Columns(cols, span), np.zeros(1, complex)
+    y, value, converged, iterations, lower = solvers._newton(
+        p, p / (p - 1.0), base, kernel, start, SolverConfig()
+    )
+    trial = np.abs(base - (cols[:, 0] * y if one_column else cols @ y))
+    assert iterations == 1 and lower is None
+    assert np.add.reduce((trial / solvers._norm_mags(p, np.abs(base))) ** p) == 0.0
+    assert 0.0 < value <= solvers.RESIDUAL_FLOOR
+    assert abs(value - solvers._norm_mags(p, trial)) <= 4 * math.ulp(value)
+
+
+def _k_column_solve(space, base, direction, cfg=SolverConfig()):
+    """(value, gap, iterations, converged) of the k-column kernel on a one-column problem.
+
+    The oracle of :class:`TestOneColumnKernel`: the column is unit-scaled
+    (by a norm that neither underflows nor overflows) and started at its
+    least-squares point through the QR, as ``_descend`` does for two or more
+    columns, and the result is reduced as ``_descend`` does.
+    """
+    cols = (direction / solvers._norm_mags(2.0, np.abs(direction)))[:, None]
+    span, tri = np.linalg.qr(np.conj(cols))
+    start = np.linalg.solve(np.conj(tri), base @ span)
+    with np.errstate(invalid="ignore", over="ignore"):  # as in _descend
+        _, value, converged, iterations, lower = solvers._newton(
+            space.p, space.p_conjugate, base - cols @ start, solvers._Columns(cols, span),
+            start, cfg,
         )
-        trial = np.abs(base - cols @ y)
-        assert iterations == 1 and lower is None
-        assert np.add.reduce((trial / solvers._norm_mags(p, np.abs(base))) ** p) == 0.0
-        assert 0.0 < value <= solvers.RESIDUAL_FLOOR
-        assert abs(value - solvers._norm_mags(p, trial)) <= 4 * math.ulp(value)
+    if value <= solvers.RESIDUAL_FLOOR:
+        return 0.0, 0.0, iterations, True
+    gap = value - lower
+    return value, gap, iterations, converged or gap <= solvers._GAP_RESOLUTION * value
+
+
+class TestOneColumnKernel:
+    """Line solves at p != 2 take the one-column kernel; the k-column kernel is the oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(space, base, direction, cfg=SolverConfig()):
+        res = solvers._descend(space, base, direction[:, None], cfg)
+        value, gap, iterations, converged = _k_column_solve(space, base, direction, cfg)
+        assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
+        for v, g in ((res.value, res.gap), (value, gap)):
+            assert g <= solvers._GAP_RESOLUTION * v
+        return res, iterations, converged
+
+    @pytest.mark.parametrize("p", [1.01, 1.05, 1.5, 3.0, 8.0, 64.0])
+    @pytest.mark.parametrize("dim", [1, 2, 16, 2048])
+    def test_matches_the_k_column_kernel(self, p, dim):
+        space = LpSpace(p, dim)
+        rng = np.random.default_rng([41, int(100 * p), dim])
+        for _ in range(2 if dim == 2048 else 8):
+            res, _, _ = self.assert_matches_oracle(space, _rand(rng, dim), _rand(rng, dim))
+            assert res.converged
+
+    def test_takes_no_qr(self, monkeypatch):
+        space = LpSpace(1.5, 8)
+        rng = np.random.default_rng(42)
+        base, direction = _rand(rng, 8), _rand(rng, 8)
+        want = minimize_over_line(space, base, direction)
+
+        def refuse(*args):
+            raise AssertionError("a one-column solve at p != 2 called LAPACK")
+
+        monkeypatch.setattr(solvers, "_qr", refuse)
+        monkeypatch.setattr(solvers, "_solve", refuse)
+        assert minimize_over_line(space, base, direction).value == want.value
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 64.0])
+    def test_base_in_the_span_is_an_exact_fit(self, p):
+        rng = np.random.default_rng([43, int(100 * p)])
+        direction = _rand(rng, 16)
+        res = minimize_over_line(LpSpace(p, 16), (0.3 - 1.2j) * direction, direction)
+        assert (res.value, res.gap, res.converged) == (0.0, 0.0, True)
+        assert res.minimizer[0] == pytest.approx(0.3 - 1.2j, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5])
+    def test_entries_driven_to_zero(self, p):
+        # One outlier against 15 entries that lam * direction fits exactly:
+        # the minimizer drives those 15 to (at p = 1.05, far below) 1/225 of
+        # the outlier, where the Newton weights |rho|^(p-2) blow up.
+        rng = np.random.default_rng([44, int(100 * p)])
+        space, direction = LpSpace(p, 16), _rand(rng, 16)
+        base = (0.8 + 0.5j) * direction
+        base[3] += 40.0
+        res, _, _ = self.assert_matches_oracle(space, base, direction)
+        assert res.converged
+        residual = np.abs(base - res.minimizer[0] * direction)
+        assert np.delete(residual, 3).max() <= 40.0 / 200.0 * np.abs(direction).max()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("exponent", [-565, 531], ids=["1e-170", "1e160"])
+    def test_column_scale_fallback(self, p, exponent):
+        # The column's sum of squares underflows to 0 or overflows to inf,
+        # so its scale comes from _norm_mags; a power of two scales exactly.
+        rng = np.random.default_rng([45, int(100 * p)])
+        space, base, direction = LpSpace(p, 16), _rand(rng, 16), _rand(rng, 16)
+        scaled = direction * 2.0**exponent
+        with np.errstate(under="ignore", over="ignore"):
+            assert np.sum(np.abs(scaled) ** 2) in (0.0, math.inf)
+        want = minimize_over_line(space, base, direction)
+        res, _, _ = self.assert_matches_oracle(space, base, scaled)
+        assert res.converged
+        assert res.value == pytest.approx(want.value, rel=1e-14)
+        assert res.minimizer[0] * 2.0**exponent == pytest.approx(want.minimizer[0], rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_one_iteration_budget_is_unconverged(self, p):
+        rng = np.random.default_rng([46, int(100 * p)])
+        space, base, direction = LpSpace(p, 16), _rand(rng, 16), _rand(rng, 16)
+        cfg = SolverConfig(max_iters=1)
+        res = solvers._descend(space, base, direction[:, None], cfg)
+        _, gap, iterations, converged = _k_column_solve(space, base, direction, cfg)
+        assert (res.iterations, res.converged) == (iterations, converged) == (1, False)
+        assert res.gap > solvers._GAP_RESOLUTION * res.value and gap > 0.0
+        assert res.value >= minimize_over_line(space, base, direction).value
+
+    def test_exact_fit_trial_at_p64_takes_the_exact_fit_exit(self):
+        _check_exact_fit_trial_at_p64(one_column=True)
+
+    def test_singular_step_falls_back_to_steepest_descent(self):
+        # p = 3, a = 1, grad = 1, b = 3: P = 1 and Q = 1, so P^2 - |Q|^2 = 0
+        step, slope = solvers._line_step(3.0, 1.0, 3.0 + 0j, 1.0 + 0j, 2.0)
+        assert (step, slope) == (-2.0 + 0j, -2.0)
+        # a NaN model gives the gradient step too
+        grad = 0.5 - 2.0j
+        step, slope = solvers._line_step(1.5, math.nan, 0j, grad, 3.0)
+        assert step == -3.0 * grad and slope == (grad.conjugate() * step).real
+
+    def test_non_descending_step_falls_back_to_steepest_descent(self):
+        # a negative-definite model (a < 0 at p = 4) points uphill
+        grad = 1.0 - 1.0j
+        step, slope = solvers._line_step(4.0, -5.0, 0j, grad, 1.0)
+        assert step == -grad and slope == -2.0
+
+    def test_newton_step_solves_the_widely_linear_system(self):
+        p, a, b, grad, value = 3.0, 2.0, 0.4 - 0.3j, 0.6 + 0.2j, 1.5
+        step, slope = solvers._line_step(p, a, b, grad, value)
+        P = p / 2 * a - (p - 2) / 2 * abs(grad) ** 2
+        Q = (p - 2) / 2 * (b - grad**2)
+        assert P * step + Q * step.conjugate() == pytest.approx(-value * grad, rel=1e-15)
+        assert slope == (grad.conjugate() * step).real < 0.0
+
+    def test_zero_gram_irls_is_minus_the_gradient(self):
+        kernel = solvers._Column(np.ones(4, complex) / 2.0)
+        kernel.parts = None, 0.5 - 2.0j, 0.0, None
+        beta, moved = kernel.irls()
+        assert beta == -(0.5 - 2.0j)
+        np.testing.assert_array_equal(moved, kernel.col * beta)
+        assert kernel.slope(beta) == -(0.5**2 + 2.0**2)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 64.0])
