@@ -960,7 +960,23 @@ class TestOneColumnKernel:
         _, gap, iterations, converged = _k_column_solve(space, base, direction, cfg)
         assert (res.iterations, res.converged) == (iterations, converged) == (1, False)
         assert res.gap > solvers._GAP_RESOLUTION * res.value and gap > 0.0
-        assert res.value >= minimize_over_line(space, base, direction).value
+        optimum = minimize_over_line(space, base, direction).value
+        assert res.value - res.gap <= optimum * (1.0 + 1e-15) <= res.value * (1.0 + 1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 16, 2048])
+    def test_certificate_projection_annihilates_the_column(self, dim):
+        # The one-column projection is the QR's, to rounding, and the
+        # projected functional kills the column, so c @ r == c @ base.
+        rng = np.random.default_rng([47, dim])
+        col, cert, r = _rand(rng, dim), _rand(rng, dim), _rand(rng, dim)
+        col /= np.sqrt(np.sum(np.abs(col) ** 2))
+        span = np.linalg.qr(np.conj(col)[:, None])[0]
+        want = cert - span @ (cert @ np.conj(span))
+        for kernel in (solvers._Column(col), solvers._Columns(col[:, None], span)):
+            got = cert.copy()
+            solvers._lower_bound(2.5, got, kernel.span, r)
+            assert abs(got @ col) <= 1e-15 * np.abs(got).max() * np.sqrt(dim)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
     def test_exact_fit_trial_at_p64_takes_the_exact_fit_exit(self):
         _check_exact_fit_trial_at_p64(one_column=True)
@@ -995,6 +1011,8 @@ class TestOneColumnKernel:
         assert beta == -(0.5 - 2.0j)
         np.testing.assert_array_equal(moved, kernel.col * beta)
         assert kernel.slope(beta) == -(0.5**2 + 2.0**2)
+        kernel.parts = None, 0.5 - 2.0j, 4.0, None  # otherwise -grad / a
+        assert kernel.irls()[0] == -(0.125 - 0.5j)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 64.0])
