@@ -146,20 +146,6 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr_reduced(a, tau), a[: tau.shape[0]]
 
 
-def _descent_step(hess: np.ndarray, grad: np.ndarray, value: float) -> tuple[np.ndarray, float]:
-    """Solve hess @ step = -value * grad; steepest descent if that does not descend.
-
-    Returns the step and its slope grad @ step.
-    """
-    step = _solve(hess, -value * grad)
-    if step is not None:
-        slope = float(grad @ step)
-        if slope < 0.0:
-            return step, slope
-    step = -value * grad
-    return step, float(grad @ step)
-
-
 def _norm(p, mags, value=None) -> float:
     """:func:`_norm_mags` to a few ulps, in three numpy calls near ``value`` and four otherwise.
 
@@ -200,11 +186,6 @@ def _weights(p, r, mags, value):
     return unit, rho ** (p - 1.0), curv
 
 
-def _hessian(p, curv, grad, hw, v):
-    """The Hessian of ||r||^2 / 2 (see :func:`_descend`) from :meth:`_Columns.model`'s parts."""
-    return hw + (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad)
-
-
 class _Columns:
     """The k-column model of :func:`_newton`: real form, LAPACK solves, the QR's projection.
 
@@ -213,8 +194,7 @@ class _Columns:
     -(1j cols[:, j]).view(float); ``jac_t`` is -J^T, and J_i^T (Re u, Im u)
     is (u * neg_conj[i]).view(float). ``span`` is the orthonormal basis of
     conj(cols), with its conjugate, that :func:`_lower_bound` projects
-    through. :meth:`newton` and :meth:`irls` return a direction, its change
-    of r and its slope, from the parts :meth:`model` keeps.
+    through.
     """
 
     def __init__(self, cols, span):
@@ -225,57 +205,39 @@ class _Columns:
         self.neg_conj = np.conj(self.neg_cols)
 
     def model(self, unit, weights, curv):
-        """|grad| from :func:`_weights`'s parts; keeps curv, grad, hw = sum_i w_i J_i^T J_i, v."""
+        """|grad| and (curv, grad, hw = sum_i w_i J_i^T J_i, v) from :func:`_weights`'s parts."""
         v = (unit[:, None] * self.neg_conj).view(np.float64)  # row i is J_i^T rho_hat_i
         grad = weights @ v
-        self.parts = curv, grad, (self.jac_t * curv.repeat(2)) @ self.jac_t.T, v
-        return math.sqrt(grad @ grad)
+        return math.sqrt(grad @ grad), (curv, grad, (self.jac_t * curv.repeat(2)) @ self.jac_t.T, v)
 
-    def newton(self, p, value):
-        grad = self.parts[1]
-        step, slope = _descent_step(_hessian(p, *self.parts), grad, value)
+    def newton(self, p, value, parts):
+        """hess @ step = -value * grad, hess the Hessian of ||r||^2 / 2 (see :func:`_descend`)."""
+        curv, grad, hw, v = parts
+        c = -value * grad
+        step = _solve(hw + (p - 2.0) * ((v.T * curv) @ v - grad[:, None] * grad), c)
+        slope = math.nan if step is None else float(grad @ step)
+        if not slope < 0.0:
+            step, slope = c, float(grad @ c)
         dy = step.view(np.complex128)
         return dy, self.neg_cols @ dy, slope
 
-    def irls(self):
+    def irls(self, parts, value=None):
         """The IRLS direction per unit value, -hw^{-1} grad (-grad if hw is exactly singular)."""
-        _, grad, hw, _ = self.parts
+        _, grad, hw, _ = parts
         beta = _solve(hw, -grad)
-        beta = (-grad if beta is None else beta).view(np.complex128)
-        return beta, self.cols @ beta
-
-    def slope(self, dy):
-        return float(self.parts[1] @ dy.view(np.float64))
-
-
-def _line_step(p, a, b, grad, value):
-    """:func:`_descent_step` for one column: P dl + Q conj(dl) = c = -value * grad in closed form.
-
-    The Hessian acts on a complex step dl as P dl + Q conj(dl), with
-    P = (p/2) a - ((p-2)/2) |grad|^2 and Q = ((p-2)/2) (b - grad^2) (see
-    :class:`_Column`). A zero or NaN P^2 - |Q|^2, or a step that does not
-    descend, gives c. Returns the step and its slope Re(conj(grad) dl).
-    """
-    P = 0.5 * p * a - 0.5 * (p - 2.0) * (grad.real * grad.real + grad.imag * grad.imag)
-    Q = 0.5 * (p - 2.0) * (b - grad * grad)
-    c = -value * grad
-    det = P * P - (Q.real * Q.real + Q.imag * Q.imag)
-    if det:
-        step = (P * c - Q * c.conjugate()) / det
-        slope = (grad.conjugate() * step).real
-        if slope < 0.0:
-            return step, slope
-    return c, (grad.conjugate() * c).real
+        beta = -grad if beta is None else beta
+        slope = None if value is None else value * float(grad @ beta)
+        beta = beta.view(np.complex128)
+        return beta, self.cols @ beta, slope
 
 
 class _Column:
     """The one-column model of :func:`_newton` on Python scalars, as :class:`_Columns`'s.
 
     lam and the gradient gamma = -sum_i |rho_i|^(p-1) unit_i conj(col_i)
-    are Python complex numbers (Re, Im of the real form's). With
-    a = sum_i w_i |col_i|^2 and b = sum_i w_i (unit_i conj(col_i))^2, the
-    Newton step is :func:`_line_step`'s and the IRLS direction -gamma / a
-    (-gamma at a = 0). ``span`` projects by the unit column u = col / ||col||_2:
+    are Python complex numbers (Re, Im of the real form's), and with
+    a = sum_i w_i |col_i|^2 the IRLS direction is -gamma / a (-gamma at
+    a = 0). ``span`` projects by the unit column u = col / ||col||_2:
     conj(col) (c @ col) / ||col||_2^2 is conj(u) (c @ u).
     """
 
@@ -285,28 +247,45 @@ class _Column:
         self.span = (self.conj / self.norm2)[:, None], col[:, None]
 
     def model(self, unit, weights, curv):
+        """|gamma| and (curv, gamma, a, unit * conj(col)) from :func:`_weights`'s parts."""
         uc = unit * self.conj
         grad = -complex(np.dot(weights, uc))
-        self.parts = curv, grad, float(curv @ self.sq), uc
-        return abs(grad)
+        return abs(grad), (curv, grad, float(curv @ self.sq), uc)
 
-    def newton(self, p, value):
-        curv, grad, a, uc = self.parts
-        step, slope = _line_step(p, a, complex(np.dot(curv, uc * uc)), grad, value)
+    def newton(self, p, value, parts):
+        """P dl + Q conj(dl) = c = -value * gamma, the Hessian's action on dl, in closed form.
+
+        P = (p/2) a - ((p-2)/2) |gamma|^2, Q = ((p-2)/2) (b - gamma^2) and
+        b = sum_i w_i (unit_i conj(col_i))^2; a zero or NaN P^2 - |Q|^2 gives c.
+        """
+        curv, grad, a, uc = parts
+        b = complex(np.dot(curv, uc * uc))
+        P = 0.5 * p * a - 0.5 * (p - 2.0) * (grad.real * grad.real + grad.imag * grad.imag)
+        Q = 0.5 * (p - 2.0) * (b - grad * grad)
+        c = -value * grad
+        det = P * P - (Q.real * Q.real + Q.imag * Q.imag)
+        step = (P * c - Q * c.conjugate()) / det if det else c
+        slope = (grad.conjugate() * step).real
+        if not slope < 0.0:
+            step, slope = c, (grad.conjugate() * c).real
         return step, self.col * -step, slope
 
-    def irls(self):
-        _, grad, a, _ = self.parts
+    def irls(self, parts, value=None):
+        _, grad, a, _ = parts
         beta = -grad / a if a else -grad
-        return beta, self.col * beta
-
-    def slope(self, dl):
-        return (self.parts[1].conjugate() * dl).real
+        slope = None if value is None else value * (grad.conjugate() * beta).real
+        return beta, self.col * beta, slope
 
 
 def _newton(p, q, r, kernel, y, cfg):
     """Damped Newton for p != 2 on a :class:`_Columns` or :class:`_Column` model from ``y``.
 
+    A model holds no state between calls: ``model(unit, weights, curv)``
+    returns the gradient norm and the parts that ``newton(p, value, parts)``
+    and ``irls(parts, value=None)`` take. Each returns a direction, its
+    change of r and its slope; the IRLS slope, value times the gradient
+    times beta, only given the value. A Newton step that is singular or
+    does not descend is steepest descent, -value times the gradient.
     ``r`` is the residual at ``y``. Returns (minimizer, value, converged,
     iterations, lower), ``lower`` the certified lower bound at the returned
     iterate (None once the residual is an exact fit); see :func:`_descend`.
@@ -320,18 +299,18 @@ def _newton(p, q, r, kernel, y, cfg):
     while value > RESIDUAL_FLOOR:
         moved = None
         unit, weights, curv = _weights(p, r, mags, value)
-        if kernel.model(unit, weights, curv) <= cfg.grad_tol:
+        grad_norm, parts = kernel.model(unit, weights, curv)
+        if grad_norm <= cfg.grad_tol:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
-        dy, dr, slope = kernel.newton(p, value)
+        dy, dr, slope = kernel.newton(p, value, parts)
         if p < 2.0:
-            beta, moved = kernel.irls()
-            irls_slope = value * kernel.slope(beta)
+            beta, moved, irls_slope = kernel.irls(parts, value)
         if -slope <= _CERTIFY_BELOW * value:
             if moved is None:
-                _, moved = kernel.irls()
+                moved = kernel.irls(parts)[1]
             cert = np.conj(unit) * weights - curv * np.conj(moved)
             lower = _lower_bound(q, cert, kernel.span, r)
             if value - lower <= _GAP_RESOLUTION * value:
@@ -380,7 +359,7 @@ def _newton(p, q, r, kernel, y, cfg):
     if value <= RESIDUAL_FLOOR:
         return y, value, converged, iterations, None
     if moved is None:
-        _, moved = kernel.irls()
+        moved = kernel.irls(parts)[1]
     lower = _lower_bound(q, np.conj(unit) * weights - curv * np.conj(moved), kernel.span, r)
     return y, value, converged, iterations, lower
 
@@ -440,6 +419,10 @@ def _descend(
     """
     p = space.p
     q = space.p_conjugate
+    if not directions.flags.c_contiguous:
+        # A copy in C order: every layout then gives the same bits, and
+        # _Columns.model can view rows of its complex products as floats.
+        directions = np.ascontiguousarray(directions)
     scales = np.sqrt(np.add.reduce(np.abs(directions) ** 2, axis=0))
     # The sum of squares is 0 for a zero column, or every entry below about
     # 1e-162, and inf for an entry above about 1e154; there the scale is
@@ -451,7 +434,6 @@ def _descend(
         for j in np.flatnonzero(~((scales > 0.0) & (scales < math.inf))):
             scales[j] = _norm_mags(2.0, np.abs(directions[:, j]))
         free = scales > 0.0
-        # np.compress keeps the columns C-contiguous, as _newton_model needs.
         cols = np.compress(free, directions, axis=1) / scales[free]
     if p != 2.0 and directions.shape[1] == 1 == cols.shape[1]:
         # One column: Newton on one complex scalar from the least-squares

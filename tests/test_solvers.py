@@ -242,6 +242,36 @@ class TestExtremeColumnScale:
         self._check(lambda space, f, phi: minimize_free_relax(space, f, np.zeros(4), phi), p, s)
 
 
+class TestDirectionsLayout:
+    """The solve does not depend on the memory layout of ``directions``, to the bit."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("zero", [None, 1], ids=["no_zero", "zero_column"])
+    def test_every_layout_gives_the_same_bits(self, p, zero):
+        rng = np.random.default_rng([90, int(10 * p)])
+        space = LpSpace(p, 8)
+        for _ in range(4):
+            base, directions = _rand(rng, 8), _rand(rng, 8, 3)
+            if zero is not None:
+                directions[:, zero] = 0.0
+            wide = np.zeros((8, 6), complex)
+            wide[:, ::2] = directions
+            layouts = {
+                "C": directions,
+                "F": np.asfortranarray(directions),
+                "transposed": np.ascontiguousarray(directions.T).T,
+                "strided": wide[:, ::2],
+            }
+            results = {}
+            for name, stack in layouts.items():
+                np.testing.assert_array_equal(stack, directions)
+                res = solvers._descend(space, base, stack, SolverConfig())
+                results[name] = (res.minimizer.tobytes(), res.value, res.converged,
+                                 res.iterations, res.gap)
+            assert not layouts["F"].flags.c_contiguous
+            assert all(got == results["C"] for got in results.values()), results
+
+
 class TestBestApproxSubspace:
     def test_orthogonal_projection(self):
         space = LpSpace(2.0, 3)
@@ -520,17 +550,52 @@ class TestDualityGap:
             assert res.gap <= 1e-12 * res.value
 
 
+def _central_differences(norm_at, x, h):
+    """Central differences of ``norm_at`` at ``x``: gradient (step 1e-2 h) and Hessian (step h)."""
+    steps = h * np.eye(x.size)
+    grad = [(norm_at(x + e) - norm_at(x - e)) / (2e-2 * h) for e in 1e-2 * steps]
+    hess = [
+        [
+            (norm_at(x + a + b) - norm_at(x + a - b) - norm_at(x - a + b) + norm_at(x - a - b))
+            / (4 * h * h)
+            for b in steps
+        ]
+        for a in steps
+    ]
+    return np.array(grad), np.array(hess)
+
+
+def _newton_systems(monkeypatch, kernel, p, value, parts):
+    """The real systems that ``kernel.newton`` hands to ``solvers._solve``, with its step."""
+    systems, solve = [], solvers._solve
+
+    def spy(a, b):
+        systems.append(a)
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_solve", spy)
+        return systems, kernel.newton(p, value, parts)
+
+
+def _line_hessian(p, parts):
+    """The one-column model's Hessian of ||r||^2 / 2, P dl + Q conj(dl), as a real 2x2 matrix."""
+    curv, grad, a, uc = parts
+    P = p / 2 * a - (p - 2) / 2 * abs(grad) ** 2
+    Q = (p - 2) / 2 * (complex(np.sum(curv * uc * uc)) - grad**2)
+    return np.array([[P + Q.real, Q.imag], [Q.imag, P - Q.real]])
+
+
 class TestNewtonModel:
     """The Newton iteration's gradient and Hessian against central differences of ||r||."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 64.0])
-    def test_matches_finite_differences(self, p, k):
+    def test_matches_finite_differences(self, monkeypatch, p, k):
         dim = 7
         space = LpSpace(p, dim)
         rng = np.random.default_rng([k, int(10 * p)])
         h = 1e-4 * min(1.0, 8.0 / p)  # the higher derivatives grow with p
-        steps = h * np.eye(2 * k)
         for _ in range(4):
             base, cols = _rand(rng, dim), _rand(rng, dim, k)
             x = 0.3 * rng.standard_normal(2 * k)  # y.view(float) of the point
@@ -542,23 +607,17 @@ class TestNewtonModel:
             value = norm_at(x)
             model = solvers._Columns(cols, np.linalg.qr(np.conj(cols))[0])
             unit, weights, curv = solvers._weights(p, r, np.abs(r), value)
-            model.model(unit, weights, curv)
-            _, grad, hw, _ = model.parts
-            hess = solvers._hessian(p, *model.parts)
-            fd_grad = [(norm_at(x + e) - norm_at(x - e)) / (2e-2 * h) for e in 1e-2 * steps]
-            fd_hess = [
-                [
-                    (norm_at(x + a + b) - norm_at(x + a - b) - norm_at(x - a + b) + norm_at(x - a - b))
-                    / (4 * h * h)
-                    for b in steps
-                ]
-                for a in steps
-            ]
+            grad_norm, parts = model.model(unit, weights, curv)
+            _, grad, hw, _ = parts
+            assert grad_norm == math.sqrt(grad @ grad)
+            # the first system newton solves is the Hessian's
+            (hess, *_), _ = _newton_systems(monkeypatch, model, p, value, parts)
+            fd_grad, fd_hess = _central_differences(norm_at, x, h)
             scale = np.abs(hess).max()
             np.testing.assert_allclose(grad, fd_grad, rtol=1e-8, atol=1e-9)
             # hess is the Hessian of ||r||^2 / 2: g g^T + ||r|| times that of ||r||
             np.testing.assert_allclose(
-                hess, np.outer(grad, grad) + value * np.array(fd_hess), rtol=0, atol=1e-5 * scale
+                hess, np.outer(grad, grad) + value * fd_hess, rtol=0, atol=1e-5 * scale
             )
             # the parts the certificate and IRLS reuse
             np.testing.assert_allclose(
@@ -569,6 +628,49 @@ class TestNewtonModel:
             np.testing.assert_allclose(curv, w, rtol=1e-14)
             np.testing.assert_allclose(hw[0::2, 0::2], gram.real, rtol=1e-13, atol=1e-15 * scale)
             np.testing.assert_allclose(hw[1::2, 0::2], gram.imag, rtol=1e-13, atol=1e-15 * scale)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 64.0])
+    def test_one_column_model_matches_finite_differences(self, p):
+        # the complex gradient gamma is the real form's (Re, Im), and the
+        # closed-form P dl + Q conj(dl) is the Hessian of ||r||^2 / 2, at the
+        # points of the k = 1 case above
+        dim = 7
+        space = LpSpace(p, dim)
+        rng = np.random.default_rng([1, int(10 * p)])
+        h = 1e-4 * min(1.0, 8.0 / p)
+        for _ in range(4):
+            base, col = _rand(rng, dim), _rand(rng, dim)
+            x = 0.3 * rng.standard_normal(2)  # (Re lam, Im lam)
+
+            def norm_at(z):
+                return lp_norm(space, base - col * complex(*z))
+
+            r = base - col * complex(*x)
+            value = norm_at(x)
+            kernel = solvers._Column(col)
+            unit, weights, curv = solvers._weights(p, r, np.abs(r), value)
+            grad_norm, parts = kernel.model(unit, weights, curv)
+            _, grad, a, _ = parts
+            assert grad_norm == abs(grad)
+            hess = _line_hessian(p, parts)
+            fd_grad, fd_hess = _central_differences(norm_at, x, h)
+            scale = np.abs(hess).max()
+            real_grad = np.array([grad.real, grad.imag])
+            np.testing.assert_allclose(real_grad, fd_grad, rtol=1e-8, atol=1e-9)
+            np.testing.assert_allclose(
+                hess, np.outer(real_grad, real_grad) + value * fd_hess, rtol=0, atol=1e-5 * scale
+            )
+            # the Newton step solves that system (the model is convex here, so it descends)
+            step, dr, slope = kernel.newton(p, value, parts)
+            np.testing.assert_allclose(
+                hess @ [step.real, step.imag], -value * real_grad,
+                rtol=0, atol=1e-13 * value * scale,
+            )
+            assert slope == (grad.conjugate() * step).real < 0.0
+            np.testing.assert_array_equal(dr, col * -step)
+            # a is the one-entry weighted Gram matrix
+            w = np.maximum(np.abs(r) / value, solvers._RHO_FLOOR) ** (p - 2.0)
+            assert a == pytest.approx(float(np.sum(w * np.abs(col) ** 2)), rel=1e-14)
 
     def test_exact_zero_and_subnormal_entries(self):
         # unit is 0 at an exact zero (no radial term there) and a true unit
@@ -712,12 +814,18 @@ class TestLapackPaths:
             assert out.splitlines()[-1] == "[]", call
 
     def test_singular_hessian_falls_back_to_steepest_descent(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        cols, r = _rand(rng, 8, 2), _rand(rng, 8)
+        model = solvers._Columns(cols, np.linalg.qr(np.conj(cols))[0])
+        value = lp_norm(LpSpace(1.5, 8), r)
+        _, parts = model.model(*solvers._weights(1.5, r, np.abs(r), value))
+        grad = parts[1]
         monkeypatch.setattr(solvers, "solve1", _singular_solve1(np.float64))
-        grad = np.array([0.5, -2.0])
         with np.errstate(invalid="ignore"):  # as in the Newton iteration
-            step, slope = solvers._descent_step(np.eye(2), grad, 3.0)
-        np.testing.assert_array_equal(step, -3.0 * grad)
-        assert slope == grad @ step
+            dy, dr, slope = model.newton(1.5, value, parts)
+        np.testing.assert_array_equal(dy.view(np.float64), -value * grad)
+        np.testing.assert_array_equal(dr, -cols @ dy)
+        assert slope == grad @ dy.view(np.float64) < 0.0
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("singular", [np.complex128, np.float64], ids=["zgesv", "dgesv"])
@@ -753,17 +861,17 @@ class TestLapackPaths:
         irls = solvers._Columns.irls
         c, g = _rand(rng, 12, 2), rng.standard_normal(4)
         model = solvers._Columns(c, np.linalg.qr(np.conj(c))[0])
-        model.parts = None, g, np.zeros((4, 4)), None
+        parts = None, g, np.zeros((4, 4)), None
         with np.errstate(invalid="ignore"):
-            beta, moved = model.irls()
+            beta, moved, slope = model.irls(parts, 3.0)
+            assert model.irls(parts)[2] is None  # the slope only when asked
         assert beta.view(np.float64).tolist() == (-g).tolist()
         np.testing.assert_allclose(moved, c @ beta, rtol=1e-14)
-        assert model.slope(beta) == -(g @ g)
+        assert slope == 3.0 * -(g @ g)
 
-        def singular(model):  # the parts are formed again at every iterate
-            curv, grad, hw, v = model.parts
-            model.parts = curv, grad, 0.0 * hw, v
-            return irls(model)
+        def singular(model, parts, value=None):  # the parts are formed again at every iterate
+            curv, grad, hw, v = parts
+            return irls(model, (curv, grad, 0.0 * hw, v), value)
 
         monkeypatch.setattr(solvers._Columns, "irls", singular)
         for case, want in zip(cases, exact):
@@ -981,24 +1089,34 @@ class TestOneColumnKernel:
     def test_exact_fit_trial_at_p64_takes_the_exact_fit_exit(self):
         _check_exact_fit_trial_at_p64(one_column=True)
 
+    @staticmethod
+    def line_step(p, a, curv, uc, grad, value):
+        """:meth:`solvers._Column.newton` on the parts (curv, grad, a, uc); b = sum curv uc^2."""
+        kernel = solvers._Column(np.ones(4, complex) / 2.0)
+        step, dr, slope = kernel.newton(p, value, (np.array(curv), grad, a, np.array(uc)))
+        np.testing.assert_array_equal(dr, kernel.col * -step)
+        return step, slope
+
     def test_singular_step_falls_back_to_steepest_descent(self):
         # p = 3, a = 1, grad = 1, b = 3: P = 1 and Q = 1, so P^2 - |Q|^2 = 0
-        step, slope = solvers._line_step(3.0, 1.0, 3.0 + 0j, 1.0 + 0j, 2.0)
+        step, slope = self.line_step(3.0, 1.0, [3.0], [1.0 + 0j], 1.0 + 0j, 2.0)
         assert (step, slope) == (-2.0 + 0j, -2.0)
         # a NaN model gives the gradient step too
         grad = 0.5 - 2.0j
-        step, slope = solvers._line_step(1.5, math.nan, 0j, grad, 3.0)
+        step, slope = self.line_step(1.5, math.nan, [0.0], [0j], grad, 3.0)
         assert step == -3.0 * grad and slope == (grad.conjugate() * step).real
 
     def test_non_descending_step_falls_back_to_steepest_descent(self):
         # a negative-definite model (a < 0 at p = 4) points uphill
         grad = 1.0 - 1.0j
-        step, slope = solvers._line_step(4.0, -5.0, 0j, grad, 1.0)
+        step, slope = self.line_step(4.0, -5.0, [0.0], [0j], grad, 1.0)
         assert step == -grad and slope == -2.0
 
     def test_newton_step_solves_the_widely_linear_system(self):
-        p, a, b, grad, value = 3.0, 2.0, 0.4 - 0.3j, 0.6 + 0.2j, 1.5
-        step, slope = solvers._line_step(p, a, b, grad, value)
+        p, a, grad, value = 3.0, 2.0, 0.6 + 0.2j, 1.5
+        curv, uc = [0.5, 1.5], [0.3 - 0.7j, 0.2 + 0.4j]
+        step, slope = self.line_step(p, a, curv, uc, grad, value)
+        b = sum(w * u * u for w, u in zip(curv, uc))
         P = p / 2 * a - (p - 2) / 2 * abs(grad) ** 2
         Q = (p - 2) / 2 * (b - grad**2)
         assert P * step + Q * step.conjugate() == pytest.approx(-value * grad, rel=1e-15)
@@ -1006,13 +1124,33 @@ class TestOneColumnKernel:
 
     def test_zero_gram_irls_is_minus_the_gradient(self):
         kernel = solvers._Column(np.ones(4, complex) / 2.0)
-        kernel.parts = None, 0.5 - 2.0j, 0.0, None
-        beta, moved = kernel.irls()
+        beta, moved, slope = kernel.irls((None, 0.5 - 2.0j, 0.0, None), 1.0)
         assert beta == -(0.5 - 2.0j)
         np.testing.assert_array_equal(moved, kernel.col * beta)
-        assert kernel.slope(beta) == -(0.5**2 + 2.0**2)
-        kernel.parts = None, 0.5 - 2.0j, 4.0, None  # otherwise -grad / a
-        assert kernel.irls()[0] == -(0.125 - 0.5j)
+        assert slope == -(0.5**2 + 2.0**2)
+        beta, _, slope = kernel.irls((None, 0.5 - 2.0j, 4.0, None))  # otherwise -grad / a
+        assert (beta, slope) == (-(0.125 - 0.5j), None)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 64.0])
+    def test_same_step_as_the_k_column_kernel(self, p):
+        # one iteration's gradient norm, Newton step and slope, and IRLS
+        # direction and slope, agree between the two kernels to rounding
+        rng = np.random.default_rng([48, int(100 * p)])
+        space = LpSpace(p, 16)
+        for _ in range(4):
+            col, r = _rand(rng, 16), _rand(rng, 16)
+            col /= np.sqrt(np.sum(np.abs(col) ** 2))
+            value = lp_norm(space, r)
+            weighted = solvers._weights(p, r, np.abs(r), value)
+            line = solvers._Column(col)
+            cols = solvers._Columns(col[:, None], np.linalg.qr(np.conj(col)[:, None])[0])
+            (norm_1, parts_1), (norm_k, parts_k) = line.model(*weighted), cols.model(*weighted)
+            assert norm_1 == pytest.approx(norm_k, rel=1e-14)
+            for got, want in zip(
+                (*line.newton(p, value, parts_1), *line.irls(parts_1, value)),
+                (*cols.newton(p, value, parts_k), *cols.irls(parts_k, value)),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * value)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 8.0, 64.0])
