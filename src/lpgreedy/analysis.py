@@ -12,12 +12,12 @@ over a whole trace, whose report names every failing step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import add
 
 import numpy as np
-from numpy.linalg._umath_linalg import lstsq
 
 from .algorithms import BARYCENTRIC_TOL, GreedyTrace, WeaknessSequence
 from .dictionaries import Dictionary, _scan
@@ -68,7 +68,6 @@ SEQUENCE_SLACK = 1e-12
 # iacc barycentric weights (their sum and each selection's unit phase).
 TRIVIAL_STEP_SLACK = 1e-10
 WEIGHT_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -384,27 +383,12 @@ def check_ml4(a_seq, alpha: float, gamma_param: float, A: float) -> CheckReport:
     return _finish("ml4", margins, a.size, SEQUENCE_SLACK, details)
 
 
-@lru_cache(maxsize=64)
-def _log_design(m_lo: int, m_hi: int) -> tuple:
-    """log m over [m_lo, m_hi] with ``np.polyfit``'s column-scaled Vandermonde matrix and scales.
-
-    Read-only, and cached for the last 64 windows: the traces of a length share one.
-    """
-    x = np.log(np.arange(m_lo, m_hi + 1, dtype=float))
-    lhs = np.column_stack((x, np.ones_like(x)))
-    scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
-    lhs /= scale
-    for a in (x, lhs, scale):
-        a.setflags(write=False)
-    return x, lhs, scale
-
-
 def fit_log_slope(trace: GreedyTrace, window: tuple[int, int]) -> RateFit:
     """Least-squares slope of log residual versus log m over the window.
 
     The residual after step m is the trace's record m. Zero residuals
     inside the window shrink it to the positive prefix; the returned
-    window is the one actually used.
+    window is the one actually used. A non-finite residual in it raises.
     """
     res = np.array([[record.residual_norm for record in trace.records]])
     (fit,) = _slope_fits(res, window)
@@ -414,7 +398,8 @@ def fit_log_slope(trace: GreedyTrace, window: tuple[int, int]) -> RateFit:
 
 
 def _slope_fits(res: np.ndarray, window) -> list:
-    """``fit_log_slope`` of each row of ``res``, or the ValueError of a row whose window collapses.
+    """``fit_log_slope`` of each row of ``res``, or the ValueError of a row whose window collapses
+    or holds a non-finite residual.
 
     Rows whose positive prefixes end the window alike are fitted in one stacked pass.
     """
@@ -426,10 +411,10 @@ def _slope_fits(res: np.ndarray, window) -> list:
     m_hi = min(m_hi, res.shape[1])
     if m_hi < m_lo + 1:
         raise ValueError(f"window [{m_lo}, {m_hi}] has fewer than two points")
-    positive = res[:, m_lo - 1 : m_hi] > 0.0
-    # Each row's window ends before its first zero residual.
-    ends = ([m_hi] * len(res) if positive.all()
-            else (np.logical_and.accumulate(positive, axis=1).sum(axis=1) + (m_lo - 1)).tolist())
+    span = res[:, m_lo - 1 : m_hi]
+    # Each row's window ends before its first zero residual; a NaN stays in it and fails its row.
+    ends = ([m_hi] * len(res) if (span > 0.0).all() else (
+        np.logical_and.accumulate(~(span <= 0.0), axis=1).sum(axis=1) + (m_lo - 1)).tolist())
     fits, groups = [None] * len(res), {}
     for i, end in enumerate(ends):
         groups.setdefault(end, []).append(i)
@@ -439,19 +424,27 @@ def _slope_fits(res: np.ndarray, window) -> list:
                 fits[i] = ValueError(
                     f"window [{m_lo}, {window[1]}] collapses below two positive residuals")
             continue
-        log_m, lhs, scale = _log_design(m_lo, end)
         log_r = np.log((res if len(rows) == len(res) else res[rows])[:, m_lo - 1 : end])
-        if not np.isfinite(log_r).all():  # what np.polyfit raises
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        # np.polyfit(log_m, row, 1) per row, bit for bit: the LAPACK gufunc np.linalg.lstsq wraps.
-        coeffs = lstsq(lhs, log_r[..., None], log_m.size * _EPS, signature="ddd->ddid")[0][..., 0]
-        coeffs /= scale
-        fitted = coeffs[:, :1] * log_m + coeffs[:, 1:]
-        # The sums and the mean of ndarray.sum and ndarray.mean, row by row, without their wrappers.
-        ss_res = np.add.reduce((log_r - fitted) ** 2, axis=1).tolist()
-        mean = np.add.reduce(log_r, axis=1, keepdims=True) / log_m.size
-        ss_tot = np.add.reduce((log_r - mean) ** 2, axis=1).tolist()
-        for i, (a, b), sr, st in zip(rows, coeffs.tolist(), ss_res, ss_tot):
+        # Centred least squares. Every sum is np.add.reduce along a row, so a row's fit in a
+        # stack is its fit alone, bit for bit.
+        x = np.log(np.arange(m_lo, end + 1, dtype=float))
+        x_mean = np.add.reduce(x) / x.size
+        dx = x - x_mean
+        y_mean = np.add.reduce(log_r, axis=1) / x.size
+        if not all(map(math.isfinite, y_mean.tolist())):  # a row holding +inf or NaN fails
+            ok = np.isfinite(y_mean)
+            for k in np.flatnonzero(~ok).tolist():
+                m = m_lo + int(np.argmin(np.isfinite(log_r[k])))
+                fits[rows[k]] = ValueError(
+                    f"window [{m_lo}, {window[1]}] holds a non-finite residual at m = {m}")
+            rows = [rows[k] for k in np.flatnonzero(ok).tolist()]
+            log_r, y_mean = log_r[ok], y_mean[ok]
+        dy = log_r - y_mean[:, None]
+        slope = np.add.reduce(dx * dy, axis=1) / np.add.reduce(dx * dx)
+        ss_res = np.add.reduce((dy - slope[:, None] * dx) ** 2, axis=1).tolist()
+        ss_tot = np.add.reduce(dy * dy, axis=1).tolist()
+        intercept = (y_mean - slope * x_mean).tolist()
+        for i, a, b, sr, st in zip(rows, slope.tolist(), intercept, ss_res, ss_tot):
             fits[i] = RateFit(a, b, (m_lo, end), 1.0 if st == 0.0 else 1.0 - sr / st)
     return fits
 
@@ -462,22 +455,22 @@ def check_orthogonality(
     basis,
     n_competitors: int = 100,
     seed: int = 0,
-    func_tol: float = 1e-7,
 ) -> CheckReport:
     """Best-approximant certificate: F_{f - f_L} kills the subspace.
 
     Computes the best approximant f_L from span(basis), asserts
-    |F_{f-f_L}(b_i)| <= func_tol for every basis element, and verifies
+    |F_{f-f_L}(b_i)| <= 1e-7 for every basis element, and verifies
     sufficiency by sampling competitors g in the subspace and requiring
     ||f - f_L|| <= ||f - g|| + 1e-9. Margins are normalized so 0 is
-    the pass line.
+    the pass line; the details give the worst functional margin and the
+    worst competitor margin.
     """
     coeffs, residual = best_approx_subspace(space, f, basis)
     res_norm = lp_norm(space, residual)
     if res_norm <= 1e-10:
         raise ValueError("f lies in span(basis); the certificate is degenerate")
     F = norming_functional(space, residual)
-    func_margins = [func_tol - abs(apply_functional(F, b)) for b in basis]
+    func_margins = [1e-7 - abs(apply_functional(F, b)) for b in basis]
     B = np.column_stack([np.asarray(b, dtype=np.complex128) for b in basis])
     scale = float(np.abs(coeffs).mean()) + 1.0
     n, k = _count("n_competitors", n_competitors), len(basis)
@@ -487,7 +480,9 @@ def check_orthogonality(
     W = coeffs + scale * (z[:, 0] + 1j * z[:, 1])
     g = np.matmul(B, W[..., None])[..., 0]
     comp_margins = _norm_rows(space.p, np.asarray(f, dtype=np.complex128) - g) + 1e-9 - res_norm
-    return _finish("ll1_certificate", np.concatenate([func_margins, comp_margins]), k + n, 0.0)
+    worst = [min(func_margins), float(comp_margins.min())]
+    details = [f"worst_functional_margin={worst[0]!r}", f"worst_competitor_margin={worst[1]!r}"]
+    return _finish("ll1_certificate", worst, k + n, 0.0, details)
 
 
 def check_dual_norm_supremum(

@@ -28,10 +28,6 @@ _PARAMETER_EXCEPTIONS = {
         "only perfbench's layer tracer names the function; ROADMAP item 7's benchmark change "
         "decides whether it stays public",
     ),
-    "analysis.check_orthogonality.func_tol": (
-        "bench/same_outputs.py sets it to expose the competitor margins of criterion 3; "
-        "ROADMAP item 2's split of that criterion retires it"
-    ),
 }
 
 
