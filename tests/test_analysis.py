@@ -314,12 +314,11 @@ def _exact_line(x, y):
     """The least-squares line through the float points (x, y) at 50 digits, and bounds on a float
     fit's distance from it: twice the first-order change of the slope, and of the intercept,
     when every x, y and centred value moves by one rounding (the eps-scaled sums below)."""
-    with mpmath.workdps(50):
-        xs, ys = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in y]
-        x_mean, y_mean = mpmath.fsum(xs) / len(xs), mpmath.fsum(ys) / len(ys)
-        slope = (mpmath.fsum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
-                 / mpmath.fsum((a - x_mean) ** 2 for a in xs))
-        intercept = y_mean - slope * x_mean
+    xs, ys, n = x.tolist(), y.tolist(), x.size
+    with mpmath.workdps(50):  # the normal equations; 50 digits leave their cancellation harmless
+        sx, sy = mpmath.fsum(xs), mpmath.fsum(ys)
+        slope = (n * mpmath.fdot(xs, ys) - sx * sy) / (n * mpmath.fdot(xs, xs) - sx * sx)
+        intercept = (sy - slope * sx) / n
     slope, eps = float(slope), float(np.finfo(float).eps)
     dx, dy = np.linalg.norm(x - x.mean()), np.linalg.norm(y - y.mean())
     x_max, y_max = np.abs(x).max(), np.abs(y).max()
