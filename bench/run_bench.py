@@ -9,10 +9,11 @@ clone`` of the parent commit) on the same seeded inputs. Each ``Row`` of
 and functional, the dictionary scan and selection, one step of each loop
 (also as a batch of one), the checkers and the slope fit, the suites of a
 sweep cell, ``run_sweep`` over p, each ``verify --profile full`` criterion
-(the calls of its row in the battery's table), child processes and
-perfbench's calibration kernel. A case ``(p, dim)`` of a row draws its
-inputs from ``default_rng([row.seed, int(10 * p), dim])``, and a row's seed
-never changes, so BENCH files compare row for row.
+(the calls of its row in the battery's table), child processes, the
+drawing of a gaussian dictionary and perfbench's two calibration kernels.
+A case ``(p, dim)`` of a row draws its inputs from ``default_rng([row.seed,
+int(10 * p), dim])``, and a row's seed never changes, so BENCH files compare
+row for row.
 
 Every case takes one path (``run_case``): both trees make the row's calls,
 the first to build alternating over the cases of a dim, an untimed warm-up
@@ -52,9 +53,10 @@ HERE_SRC = ROOT / "src"
 PS = (1.5, 2.0, 3.0)
 # The ends of the p range, where Newton takes the most iterations.
 EDGE_PS = (1.01, 8.0, 64.0)
-# Inputs per case, by dim, and the atoms of a selection row's dictionary.
+# Inputs per case, by dim, and the atoms of a selection (or generated) row's dictionary.
 INSTANCES, NORM_INSTANCES = {16: 40, 2048: 32}, {16: 400, 2048: 100}
 SELECT_INSTANCES, SELECT_COUNTS = {16: 400, 2048: 32}, {16: 32, 2048: 4096}
+GENERATE_INSTANCES, MEMORY_SHAPE = {16: 400, 2048: 8}, (SELECT_COUNTS[2048], 2048)
 # A loop run's (dim, dictionary count, target sparsity, steps), and runs per case.
 LOOP_SHAPE, LOOP_RUNS = (16, 32, 8, 10), 60
 CELL_SHAPE, CELL_RUNS = (12, 24, 6, 6), 40
@@ -102,6 +104,11 @@ def numbered(n, rng, p, dim):
     return list(range(n))
 
 
+def seeds(per_dim, rng, p, dim):
+    """``per_dim[dim]`` dictionary seeds."""
+    return rng.integers(2**31, size=per_dim[dim]).tolist()
+
+
 # Calls: (pkg, p, dim, inputs) -> one zero-argument call per input.
 def space_calls(name, pkg, p, dim, data):
     """``name(space, *vectors)`` per input: a solve, a norm or a functional."""
@@ -115,6 +122,17 @@ def select_calls(name, pkg, p, dim, data):
     dictionary = pkg.generate_dictionary(pkg.LpSpace(p, dim), SELECT_COUNTS[dim], "gaussian", 0)
     extra = (1.0,) if name == "weak_select" else (pkg.make_target(dictionary, "a1", 8).f, 0.0)
     return [partial(getattr(pkg, name), pkg.DualFunctional(c), dictionary, *extra) for c, in data]
+
+
+def generate_calls(pkg, p, dim, data):
+    """One gaussian dictionary of SELECT_COUNTS[dim] atoms per input seed. A call returns None,
+    so that at most one dictionary (128 MiB at dim 2048) per tree is alive."""
+    space = pkg.LpSpace(p, dim)
+
+    def call(seed):
+        pkg.generate_dictionary(space, SELECT_COUNTS[dim], "gaussian", seed)
+
+    return [partial(call, seed) for seed in data]
 
 
 def loop_calls(name, shape, batch, pkg, p, dim, data):
@@ -283,7 +301,8 @@ def table(pkg) -> list:
     run_code = ("from lpgreedy.cli import main\n"
                 "if main(['run', '--config', {config!r}, '--out', {out!r}]):\n"
                 "    raise SystemExit('lpgreedy run failed')")
-    kernel = runpy.run_path(str(ROOT / "perfbench" / "calibrate.py"))["CpuKernel"]
+    calibrate = runpy.run_path(str(ROOT / "perfbench" / "calibrate.py"))
+    cpu, memory = calibrate["CpuKernel"], calibrate["MemoryKernel"]
     return [
         *(Row(name, seed, cases, partial(vectors, count, INSTANCES), partial(space_calls, name),
               stats=solve_stats, counter=opcodes_per_iteration)
@@ -316,8 +335,14 @@ def table(pkg) -> list:
               "process", process_stats)
           for name, code in (("import_lpgreedy", "import lpgreedy"), ("lpgreedy_run", run_code))),
         Row("calibrate_cpu_kernel", 38, none, partial(numbered, CALIBRATION_RUNS),
-            lambda pkg, p, dim, data: [kernel()] * len(data),
-            extra={"reference_us": 1e6 * kernel.REFERENCE_S}),
+            lambda pkg, p, dim, data: [cpu()] * len(data),
+            extra={"reference_us": 1e6 * cpu.REFERENCE_S}),
+        # At incremental_large's dictionary shape: the host's memory speed, which scales its setup_s.
+        Row("calibrate_memory_kernel", 40, none, partial(numbered, CALIBRATION_RUNS),
+            lambda pkg, p, dim, data: [memory(MEMORY_SHAPE)] * len(data),
+            extra={"reference_us": 1e6 * memory.REFERENCE_S, "shape": list(MEMORY_SHAPE)}),
+        Row("generate_dictionary", 39, tuple((p, dim) for p in (1.5, 3.0) for dim in (16, 2048)),
+            partial(seeds, GENERATE_INSTANCES), generate_calls),
     ]
 
 

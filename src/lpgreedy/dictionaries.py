@@ -17,6 +17,7 @@ from .spaces import (
     LpSpace,
     _as_vector,
     _count,
+    _norm_block,
     _norm_mags,
     _norm_rows,
     _row_blocks,
@@ -168,7 +169,8 @@ class TargetSpec:
 def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) -> Dictionary:
     """Build a seeded dictionary of unit-norm atoms.
 
-    gaussian       i.i.d. complex-Gaussian entries, rows normalized.
+    gaussian       i.i.d. complex-Gaussian entries, rows normalized (tall
+                   shapes drawn here, placed and normalized on one worker).
     fourier_frame  rows of an oversampled DFT matrix, normalized
                    (requires count >= dim).
     canonical      the dim standard basis vectors (count must equal dim).
@@ -178,11 +180,12 @@ def generate_dictionary(space: LpSpace, count: int, kind: str, seed: int = 0) ->
 
 def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
     """``generate_dictionary`` for each seed: gaussian atoms drawn seed by seed into one array
-    (the other kinds draw nothing and share theirs), normalized in one pass of row norms."""
+    (the other kinds draw nothing and share theirs), normalized in one pass of row norms, or,
+    when they span several row blocks, drawn here and placed and normalized on one worker."""
     count = _count("count", count)
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"kind must be one of {DICTIONARY_KINDS}; got {kind!r}")
-    if kind == "canonical":
+    if kind == "canonical":  # a canonical atom's norm is exactly 1
         if count != space.dim:
             raise ValueError(
                 f"canonical dictionary requires count == dim; got count={count}, dim={space.dim}"
@@ -196,29 +199,51 @@ def _dictionaries(space: LpSpace, count: int, kind: str, seeds: list) -> list:
         rngs = [np.random.default_rng(seed) for seed in seeds]
         atoms = np.empty((len(seeds) * count, space.dim), dtype=np.complex128)
         blocks = _row_blocks(atoms[:count])
-        for i, rng in enumerate(rngs):
-            one = atoms[i * count : (i + 1) * count]
-            if len(blocks) == 1:
+        if len(blocks) > 1:
+            _draw_blocks(space.p, atoms, blocks, rngs)
+        else:
+            for i, rng in enumerate(rngs):
+                one = atoms[i * count : (i + 1) * count]
                 one.real, one.imag = rng.standard_normal((2, count, space.dim))
-            else:
-                for part in (one.real, one.imag):
-                    for start in blocks:
-                        block = part[start : start + blocks.step]
-                        block[...] = rng.standard_normal(block.shape)
+            atoms /= _norm_rows(space.p, atoms)[:, None]
     else:  # fourier_frame
         if count < space.dim:
             raise ValueError(
                 f"fourier_frame requires count >= dim; got count={count}, dim={space.dim}"
             )
-        k = np.arange(count)[:, None]
-        j = np.arange(space.dim)[None, :]
-        atoms = np.exp(2j * np.pi * k * j / count)
-    if kind != "canonical":  # a canonical atom's norm is exactly 1
+        # k j reduced mod count in integers, so that no phase carries the rounding of a large one
+        kj = np.arange(count)[:, None] * np.arange(space.dim)[None, :] % count
+        atoms = np.exp(2j * np.pi * kj / count)
         atoms /= _norm_rows(space.p, atoms)[:, None]
     # One dictionary keeps the array itself; a batch's are row slices of it.
     return [Dictionary._wrap(space, atoms if len(atoms) == count
                              else atoms[i * count : (i + 1) * count], kind, seed)
             for i, seed in enumerate(seeds)]
+
+
+def _draw_blocks(p: float, atoms: np.ndarray, blocks: range, rngs: list) -> None:
+    """Each generator's equal share of the rows of ``atoms``, normalized: drawn here into two
+    buffers in turn, each block copied in and, once whole, normalized on one worker thread."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing lpgreedy skips it
+
+    def place(block, buf, rows):
+        block[...] = buf
+        if rows is not None:  # the block's imaginary part: its atoms are whole
+            rows /= _norm_block(p, rows)[:, None]
+
+    step, bufs, placed = blocks.step, np.empty((2, blocks.step, atoms.shape[1])), [None, None]
+    tasks = [(rng, part[s : s + step], one[s : s + step] if imag else None)
+             for one, rng in zip(np.split(atoms, len(rngs)), rngs)
+             for imag, part in enumerate((one.real, one.imag)) for s in blocks]
+    with ThreadPoolExecutor(1) as worker:  # joined on leaving, by return or by exception
+        for n, (rng, block, rows) in enumerate(tasks):
+            if placed[n % 2]:  # wait until the buffer is free; raises the worker's exception
+                placed[n % 2].result()
+            buf = bufs[n % 2, : len(block)]
+            rng.standard_normal(out=buf)
+            placed[n % 2] = worker.submit(place, block, buf, rows)
+        for future in placed:
+            future.result()
 
 
 def _check_dim(F: DualFunctional, dictionary: Dictionary) -> None:

@@ -98,7 +98,7 @@ def test_the_table_names_each_row_once_and_holds_every_layer():
               "check_monotone", "check_ml1_trace", "check_mt2_bound", "check_ml3_trace",
               "check_barycentric", "check_trivial_step", "fit_log_slope", "suite_stage_iac",
               "run_sweep_p_wgafr", "run_sweep_p_iacc", "import_lpgreedy", "lpgreedy_run",
-              "calibrate_cpu_kernel",
+              "calibrate_cpu_kernel", "calibrate_memory_kernel", "generate_dictionary",
               *(f"verify_{n:02d}_{name}" for n, name, _ in lpgreedy.acceptance.ALL_CRITERIA)}
     assert layers <= set(ROWS)
     assert {(p, dim) for p, dim in ROWS["weak_select"].cases} == {

@@ -1,6 +1,8 @@
 import dataclasses
 import struct
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from lpgreedy import (
 )
 from lpgreedy import dictionaries
 from lpgreedy.dictionaries import DICTIONARY_KINDS
-from lpgreedy.spaces import _BLOCK_ENTRIES, _norm_mags, _norm_rows
+from lpgreedy.spaces import _BLOCK_ENTRIES, _norm_block, _norm_mags, _norm_rows, _row_blocks
 
 
 class TestGenerateDictionary:
@@ -105,6 +107,61 @@ class TestGenerateDictionary:
         atoms /= np.array([_norm_mags(p, np.abs(row)) for row in atoms])[:, None]
         d = generate_dictionary(LpSpace(p, dim), count, "gaussian", seed=9)
         assert d.atoms.tobytes() == atoms.tobytes()
+
+    def test_blocked_dictionary_equals_a_serial_oracle(self):
+        # Drawn on this thread, placed and normalized on a worker, block by
+        # block, with a short last block: the bits of one serial pass.
+        dim, count, p = 2048, 70, 3.0
+        blocks = _row_blocks(np.empty((count, dim)))
+        assert [min(blocks.step, count - start) for start in blocks] == [32, 32, 6]
+        rng = np.random.default_rng(17)
+        atoms = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        atoms /= np.array([_norm_mags(p, np.abs(row)) for row in atoms])[:, None]
+        before = threading.enumerate()
+        d = generate_dictionary(LpSpace(p, dim), count, "gaussian", seed=17)
+        assert threading.enumerate() == before
+        assert d.atoms.tobytes() == atoms.tobytes()
+
+    def test_worker_exception_comes_out_and_leaves_no_thread(self, monkeypatch):
+        calls = []
+
+        def failing(p, rows):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise RuntimeError("norm of the second block")
+            return _norm_block(p, rows)
+
+        monkeypatch.setattr(dictionaries, "_norm_block", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="norm of the second block"):
+            generate_dictionary(LpSpace(1.5, 2048), 70, "gaussian", seed=3)
+        assert threading.enumerate() == before
+        assert calls[:2] == [32, 32]
+
+    @pytest.mark.parametrize("kind, dim, count", [("gaussian", 16, 32), ("gaussian", 32, 2048),
+                                                  ("fourier_frame", 16, 64), ("canonical", 8, 8)])
+    def test_a_single_block_dictionary_starts_no_thread(self, monkeypatch, kind, dim, count):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert len(dictionaries._dictionaries(LpSpace(2.0, dim), count, kind, [1, 2])) == 2
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_fourier_atoms_match_40_digit_values(self, p):
+        # The exponent 2 pi i k j / count is reduced mod count before it is
+        # rounded, so the atoms far from the origin are as exact as the rest.
+        dim, count = 512, 1024
+        d = generate_dictionary(LpSpace(p, dim), count, "fourier_frame")
+        mpmath.mp.dps = 40
+        scale = mpmath.mpf(dim) ** (-1 / mpmath.mpf(p))
+        worst = 0.0
+        for k in [1, 511, *range(count - 4, count)]:
+            for j in [1, 255, *range(dim - 4, dim)]:
+                exact = mpmath.expjpi(mpmath.mpf(2 * (k * j % count)) / count) * scale
+                got = mpmath.mpc(d.atoms[k, j].real, d.atoms[k, j].imag)
+                worst = max(worst, float(abs(got - exact) / abs(exact)))
+        assert worst <= 2e-15
 
     @pytest.mark.parametrize(
         "kind, dim, count",
