@@ -153,14 +153,14 @@ class TestGenerateDictionary:
         # rounded, so the atoms far from the origin are as exact as the rest.
         dim, count = 512, 1024
         d = generate_dictionary(LpSpace(p, dim), count, "fourier_frame")
-        mpmath.mp.dps = 40
-        scale = mpmath.mpf(dim) ** (-1 / mpmath.mpf(p))
         worst = 0.0
-        for k in [1, 511, *range(count - 4, count)]:
-            for j in [1, 255, *range(dim - 4, dim)]:
-                exact = mpmath.expjpi(mpmath.mpf(2 * (k * j % count)) / count) * scale
-                got = mpmath.mpc(d.atoms[k, j].real, d.atoms[k, j].imag)
-                worst = max(worst, float(abs(got - exact) / abs(exact)))
+        with mpmath.workdps(40):
+            scale = mpmath.mpf(dim) ** (-1 / mpmath.mpf(p))
+            for k in [1, 511, *range(count - 4, count)]:
+                for j in [1, 255, *range(dim - 4, dim)]:
+                    exact = mpmath.expjpi(mpmath.mpf(2 * (k * j % count)) / count) * scale
+                    got = mpmath.mpc(d.atoms[k, j].real, d.atoms[k, j].imag)
+                    worst = max(worst, float(abs(got - exact) / abs(exact)))
         assert worst <= 2e-15
 
     @pytest.mark.parametrize(
