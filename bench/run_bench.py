@@ -7,10 +7,11 @@ and, with ``--baseline``, of a second source tree ("parent", e.g. a ``git
 clone`` of the parent commit) on the same seeded inputs. Each ``Row`` of
 ``table`` is one layer, named by its JSON ``entry``: the inner solves, norm
 and functional, the dictionary scan and selection, one step of each loop
-(also as a batch of one), the checkers and the slope fit, the suites of a
-sweep cell, ``run_sweep`` over p, each ``verify --profile full`` criterion
-(the calls of its row in the battery's table), child processes, the
-drawing of a gaussian dictionary and perfbench's two calibration kernels.
+(also as a batch of one), the checkers and the slope fit, the trace CSV's
+writer and reader, the suites of a sweep cell, ``run_sweep`` over p, each
+``verify --profile full`` criterion (the calls of its row in the battery's
+table), child processes, the drawing of a gaussian dictionary and
+perfbench's two calibration kernels.
 A case ``(p, dim)`` of a row draws its inputs from ``default_rng([row.seed,
 int(10 * p), dim])``, and a row's seed never changes, so BENCH files compare
 row for row.
@@ -189,6 +190,22 @@ def checker_calls(name, algorithms, pkg, p, dim, data):
             for i, seeds in enumerate(data)]
 
 
+def trace_csv_calls(name, pkg, p, dim, data):
+    """Per input, a sweep cell's trace written as its CSV text (``trace_csv_write``) or read
+    back from a file written once (``trace_csv_read``); the cells take the four algorithms in
+    turn, and the files live in a temporary directory that lives as long as the calls."""
+    out_dir = tempfile.TemporaryDirectory(prefix="run_bench_trace_")
+    calls = []
+    for i, seeds in enumerate(data):
+        algorithm = ("wgafr", "gawr", "iac", "iacc")[i % 4]
+        trace, _ = pkg.run_experiment(cell_config(pkg, algorithm, p, *seeds))
+        path = Path(out_dir.name) / f"{i}.csv"
+        trace.write_csv(path)
+        calls.append(trace.to_csv_string if name == "trace_csv_write"
+                     else lambda path=path, out_dir=out_dir: pkg.read_trace_csv(path))
+    return calls
+
+
 def suite_stage_calls(algorithm, pkg, p, dim, data):
     """Per input (the seeds of a cell's first replicate), the checker suites of the cell's
     CELL_REPLICATES runs, built and checked as ``harness._run_batch`` builds and checks them."""
@@ -319,6 +336,8 @@ def table(pkg) -> list:
           for name, seed in (("weak_select", 34), ("eps_select", 35))),
         *(Row(name, seed, cell, partial(seed_pairs, CELL_RUNS), partial(checker_calls, name, algos))
           for name, seed, algos in checkers),
+        *(Row(name, seed, cell, partial(seed_pairs, CELL_RUNS), partial(trace_csv_calls, name))
+          for name, seed in (("trace_csv_write", 41), ("trace_csv_read", 42))),
         *(Row(f"suite_stage_{algo}", seed, cell, partial(seed_pairs, CELL_RUNS),
               partial(suite_stage_calls, algo), "cell")
           for algo, seed in (("iac", 23), ("iacc", 24))),

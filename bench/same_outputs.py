@@ -49,10 +49,12 @@ same outputs, and writes the sha256 and path of every file of the quick
 corpus (the outputs without the full battery) to MANIFEST, and of each
 full-profile criterion report ``verify_full/NN_name.json`` to
 FULL_MANIFEST, each under a header that names the Python, numpy and scipy
-versions. ``tests/test_outputs.py`` writes the quick corpus again and
-compares it with MANIFEST file by file; ``tests/test_acceptance.py``
+versions, numpy's enabled SIMD dispatch targets and the core of numpy's
+bundled OpenBLAS. ``tests/test_outputs.py`` writes the quick corpus again
+and compares it with MANIFEST file by file; ``tests/test_acceptance.py``
 compares each full report it computes with its line of FULL_MANIFEST, so
-the full battery (about 7 s) runs once in Tier-1.
+the full battery (about 7 s) runs once in Tier-1. Both refuse to compare
+under a header that differs from this host's, and name what differs.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -260,8 +263,35 @@ def files(root: Path) -> set[str]:
 
 
 def versions() -> str:
-    """The header line of MANIFEST: the versions that made the outputs."""
-    return f"# python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}"
+    """The header line of MANIFEST: the versions and host features that made the outputs, as
+    name-value pairs. The features are numpy's enabled dispatch targets and the core that
+    numpy's bundled OpenBLAS runs; either one moves the last bits of many outputs."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    simd = ",".join(target for target in __cpu_dispatch__ if __cpu_features__[target])
+    return (f"# python {platform.python_version()} numpy {np.__version__} "
+            f"scipy {scipy.__version__} simd {simd} openblas {openblas_core()}")
+
+
+def openblas_core() -> str:
+    """The core name of numpy's bundled OpenBLAS, read through ctypes, or ``unknown``."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob(
+            "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def header_differences(header: str) -> list[str]:
+    """Each name of a manifest header whose value differs from ``versions()``'s, with both."""
+    pinned, here = ({name: value for name, value in zip(words[::2], words[1::2])}
+                    for words in (header[2:].split(), versions()[2:].split()))
+    return [f"{name} {pinned.get(name, '(none)')} in the pins, {here.get(name, '(none)')} here"
+            for name in {**here, **pinned} if pinned.get(name) != here.get(name)]
 
 
 def digests(root: Path) -> dict[str, str]:

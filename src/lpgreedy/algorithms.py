@@ -15,8 +15,8 @@ them in lockstep (see ``_greedy_loop``); a single run is a batch of one.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -52,21 +52,48 @@ RESIDUAL_STOP = 1e-12
 # value to this tolerance at every step.
 BARYCENTRIC_TOL = 1e-10
 
-CSV_COLUMNS = (
-    "m",
-    "algo",
-    "selected_index",
-    "phase_re",
-    "phase_im",
-    "lambda_re",
-    "lambda_im",
-    "w_or_r_re",
-    "w_or_r_im",
-    "residual_norm",
-    "dual_norm",
-    "eps_m",
-    "solver_converged",
+
+def _parse_bool(cells: list, i: int) -> bool:
+    if cells[i] not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cells[i]!r}")
+    return cells[i] == "true"
+
+
+# The kinds of trace field, each as its CSV columns, (name suffix, attribute path under the
+# field, cell writer) per column, and the parser of the field from a row's cells and its first
+# column. A complex field is two columns, <stem>_re and <stem>_im.
+_INT = ((("", "", str),), lambda cells, i: int(cells[i]))
+_FLOAT = ((("", "", repr),), lambda cells, i: float(cells[i]))
+_OPTIONAL_FLOAT = ((("", "", lambda x: "" if x is None else repr(x)),),
+                   lambda cells, i: None if cells[i] == "" else float(cells[i]))
+_COMPLEX = ((("_re", ".real", repr), ("_im", ".imag", repr)),
+            lambda cells, i: complex(float(cells[i]), float(cells[i + 1])))
+_BOOL = ((("", "", lambda b: "true" if b else "false"),), _parse_bool)
+# The trace CSV, in column order: (column stem, TraceRecord field, kind). The fields are
+# TraceRecord's, in its order. ``algo`` is the trace's algorithm, not a record's: the writer
+# repeats it on every row and the reader checks it against the header's.
+_TRACE_CSV = (
+    ("m", "m", _INT),
+    ("algo", None, ((("", "", None),), None)),
+    ("selected_index", "selected_index", _INT),
+    ("phase", "phase", _COMPLEX),
+    ("lambda", "lam", _COMPLEX),
+    ("w_or_r", "w_or_r", _COMPLEX),
+    ("residual_norm", "residual_norm", _FLOAT),
+    ("dual_norm", "dual_norm", _FLOAT),
+    ("eps_m", "eps_m", _OPTIONAL_FLOAT),
+    ("solver_converged", "solver_converged", _BOOL),
 )
+CSV_COLUMNS = tuple(stem + suffix for stem, _, (columns, _) in _TRACE_CSV
+                    for suffix, _, _ in columns)
+_ALGO = CSV_COLUMNS.index("algo")
+# A record's column values in one call, each column's cell writer, and per field its first
+# column and its parser.
+_CELLS = attrgetter(*(field + path for _, field, (columns, _) in _TRACE_CSV if field
+                      for _, path, _ in columns))
+_WRITERS = [write for _, field, (columns, _) in _TRACE_CSV if field for _, _, write in columns]
+_PARSERS = [(CSV_COLUMNS.index(stem + columns[0][0]), parse)
+            for stem, field, (columns, parse) in _TRACE_CSV if field]
 
 
 @dataclass(frozen=True)
@@ -198,35 +225,17 @@ class GreedyTrace:
         )
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        meta = (
-            f"# lpgreedy-trace algorithm={self.algorithm} "
-            f"config_hash={self.config_hash or '-'} "
-            f"initial_residual_norm={self.initial_residual_norm!r} "
-            f"stop_reason={self.stop_reason}"
-        )
-        buf.write(meta + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        """The trace CSV. No cell holds a comma, a quote or a line break, so a row is its cells
+        joined by commas."""
+        lines = [f"# lpgreedy-trace algorithm={self.algorithm} "
+                 f"config_hash={self.config_hash or '-'} "
+                 f"initial_residual_norm={self.initial_residual_norm!r} "
+                 f"stop_reason={self.stop_reason}", ",".join(CSV_COLUMNS)]
         for r in self.records:
-            writer.writerow(
-                [
-                    r.m,
-                    self.algorithm,
-                    r.selected_index,
-                    repr(r.phase.real),
-                    repr(r.phase.imag),
-                    repr(r.lam.real),
-                    repr(r.lam.imag),
-                    repr(r.w_or_r.real),
-                    repr(r.w_or_r.imag),
-                    repr(r.residual_norm),
-                    repr(r.dual_norm),
-                    "" if r.eps_m is None else repr(r.eps_m),
-                    "true" if r.solver_converged else "false",
-                ]
-            )
-        return buf.getvalue()
+            row = [write(value) for write, value in zip(_WRITERS, _CELLS(r))]
+            row.insert(_ALGO, self.algorithm)
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -235,39 +244,27 @@ class GreedyTrace:
 
 def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
     """Parse a trace CSV; malformed content raises with the 1-based line number."""
-    meta: dict = {}
     records: list[TraceRecord] = []
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# lpgreedy-trace"):
         raise ValueError(f"{path}: line 1: missing trace header comment")
-    for token in lines[0][1:].split()[1:]:
-        key, _, val = token.partition("=")
-        meta[key] = val
+    meta = dict(token.partition("=")[::2] for token in lines[0][1:].split()[1:])
     if len(lines) < 2 or tuple(lines[1].split(",")) != CSV_COLUMNS:
         raise ValueError(f"{path}: line 2: expected column header {','.join(CSV_COLUMNS)}")
+    algorithm, width = meta.get("algorithm"), len(CSV_COLUMNS)
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        parts = next(csv.reader([line]))
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}"
-            )
+        # Without a quote, a row splits at its commas as the csv reader would split it.
+        parts = line.split(",") if '"' not in line else next(csv.reader([line]))
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
+        if parts[_ALGO] != algorithm:
+            raise ValueError(f"{path}: line {lineno}: algo {parts[_ALGO]!r} is not the header's "
+                             f"algorithm={algorithm}")
         try:
-            records.append(
-                TraceRecord(
-                    m=int(parts[0]),
-                    selected_index=int(parts[2]),
-                    phase=complex(float(parts[3]), float(parts[4])),
-                    lam=complex(float(parts[5]), float(parts[6])),
-                    w_or_r=complex(float(parts[7]), float(parts[8])),
-                    residual_norm=float(parts[9]),
-                    dual_norm=float(parts[10]),
-                    eps_m=None if parts[11] == "" else float(parts[11]),
-                    solver_converged=parts[12] == "true",
-                )
-            )
+            records.append(TraceRecord(*[parse(parts, i) for i, parse in _PARSERS]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return meta, records

@@ -52,9 +52,9 @@ ATOM_NORM_TOL = 1e-12
 class InfeasibleSelectionError(RuntimeError):
     """No dictionary element meets the near-optimality threshold.
 
-    Raised by :func:`eps_select`; certifies that the target violates its
-    membership contract (f not in A_1(D) resp. conv(D)) rather than
-    silently falling back.
+    Raised by :func:`eps_select` rather than silently falling back. In exact
+    arithmetic no target in its set (A_1(D) resp. conv(D)) raises it; in
+    floats one can, when F(f) and the best atom's score tie to round-off.
     """
 
 
@@ -353,12 +353,12 @@ def eps_select(
     """Pick an atom phi with Re F(phi) - Re F(f) >= -eps_m.
 
     In ``circle`` mode each atom is taken with its optimal phase, so its
-    score is |F(g)|; feasibility is guaranteed for f in A_1(D). In
-    ``plain`` mode the phase is fixed to one and the score is Re F(g);
-    feasibility is guaranteed for f in conv(D). ``argmax`` returns the
+    score is |F(g)|; in exact arithmetic some atom qualifies for f in
+    A_1(D). In ``plain`` mode the phase is fixed to one and the score is
+    Re F(g); some atom qualifies for f in conv(D). ``argmax`` returns the
     best-scoring atom, ``first_qualifying`` the smallest index over the
-    threshold, ties always to the smallest index. No qualifying atom
-    raises InfeasibleSelectionError.
+    threshold, ties to the smallest index. No qualifying atom raises
+    InfeasibleSelectionError, also for an f in its set at a round-off tie.
     """
     eps_m = float(eps_m)
     if not 0.0 <= eps_m < np.inf:

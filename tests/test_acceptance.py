@@ -48,9 +48,10 @@ def test_acceptance_criterion(number, name, criterion, same_outputs):
         f"details={report.details}"
     )
     header, pins = same_outputs.read_manifest(same_outputs.FULL_MANIFEST)
-    assert header == same_outputs.versions(), (
-        f"the pins were made with {header[2:]!r} but this is {same_outputs.versions()[2:]!r}: "
-        "make them again with these versions before comparing reports")
+    differences = same_outputs.header_differences(header)
+    assert not differences, (
+        f"the pins were made on another host or with other versions ({'; '.join(differences)}): "
+        "make them again here before comparing reports")
     digest = hashlib.sha256(same_outputs.report_text(report).encode()).hexdigest()
     assert digest == pins[f"verify_full/{number:02d}_{name}.json"], (
         f"criterion {number} ({name}): its full report JSON moved from its pin")

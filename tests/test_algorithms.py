@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -592,3 +594,61 @@ class TestTraceSerialization:
         path.write_text("m,algo\n1,wgafr\n")
         with pytest.raises(ValueError, match="line 1"):
             read_trace_csv(path)
+
+    def rewritten(self, tmp_path, edit):
+        """The path of the trace CSV with its lines passed through ``edit``."""
+        lines = self.make_trace().to_csv_string().splitlines()
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    def refusal(self, path) -> str:
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(path)
+        return str(info.value)
+
+    def test_wrong_column_header_is_refused_on_line_2(self, tmp_path):
+        path = self.rewritten(tmp_path, lambda lines: [lines[0], lines[1][:-1], *lines[2:]])
+        assert self.refusal(path) == (
+            f"{path}: line 2: expected column header m,algo,selected_index,phase_re,phase_im,"
+            "lambda_re,lambda_im,w_or_r_re,w_or_r_im,residual_norm,dual_norm,eps_m,"
+            "solver_converged")
+
+    def test_row_with_wrong_field_count_is_refused_with_its_line(self, tmp_path):
+        path = self.rewritten(tmp_path, lambda lines: [*lines[:5], lines[5] + ",1", *lines[6:]])
+        assert self.refusal(path) == f"{path}: line 6: expected 13 fields, got 14"
+        path = self.rewritten(tmp_path, lambda lines: [*lines[:3], lines[3].rsplit(",", 2)[0]])
+        assert self.refusal(path) == f"{path}: line 4: expected 13 fields, got 11"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = self.rewritten(tmp_path, lambda lines: [*lines[:3], "", "   ", *lines[3:], ""])
+        assert read_trace_csv(path)[1] == self.make_trace().records
+
+    def test_quoted_cells_parse_as_the_bare_ones(self, tmp_path):
+        def quoted(lines):
+            return [*lines[:2], *(",".join(f'"{cell}"' for cell in line.split(","))
+                                  for line in lines[2:])]
+
+        assert read_trace_csv(self.rewritten(tmp_path, quoted))[1] == self.make_trace().records
+
+    @pytest.mark.parametrize("cell", ["maybe", "True", "False", "1", ""])
+    def test_solver_converged_other_than_true_or_false_is_refused(self, tmp_path, cell):
+        def edit(lines):
+            lines[4] = lines[4].rsplit(",", 1)[0] + "," + cell
+            return lines
+
+        path = self.rewritten(tmp_path, edit)
+        assert self.refusal(path) == f"{path}: line 5: expected true or false, got {cell!r}"
+
+    def test_algo_cell_other_than_the_header_algorithm_is_refused(self, tmp_path):
+        def edit(lines):
+            lines[6] = lines[6].replace(",iac,", ",gawr,", 1)
+            return lines
+
+        path = self.rewritten(tmp_path, edit)
+        assert self.refusal(path) == (
+            f"{path}: line 7: algo 'gawr' is not the header's algorithm=iac")
+
+    def test_the_table_lists_every_record_field_in_order(self):
+        table_fields = [name for _, name, _ in algorithms._TRACE_CSV if name]
+        assert table_fields == [f.name for f in dataclasses.fields(algorithms.TraceRecord)]

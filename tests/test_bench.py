@@ -91,12 +91,14 @@ def test_quartiles_of_one_value_are_the_value():
 
 def test_the_table_names_each_row_once_and_holds_every_layer():
     """Aim 1's layers: norm and functional, scan and selection, the inner solve, a step of
-    each loop, the checkers, sweeps, each verify criterion, the processes, the calibration."""
+    each loop, the checkers, the trace CSV, sweeps, each verify criterion, the processes,
+    the calibration."""
     assert len(ROWS) == len(run_bench.table(lpgreedy))
     layers = {"lp_norm", "norming_functional", "weak_select", "eps_select", "minimize_over_line",
               "minimize_free_relax", "run_wgafr", "run_gawr", "run_iac", "run_iacc",
               "check_monotone", "check_ml1_trace", "check_mt2_bound", "check_ml3_trace",
-              "check_barycentric", "check_trivial_step", "fit_log_slope", "suite_stage_iac",
+              "check_barycentric", "check_trivial_step", "fit_log_slope", "trace_csv_write",
+              "trace_csv_read", "suite_stage_iac",
               "run_sweep_p_wgafr", "run_sweep_p_iacc", "import_lpgreedy", "lpgreedy_run",
               "calibrate_cpu_kernel", "calibrate_memory_kernel", "generate_dictionary",
               *(f"verify_{n:02d}_{name}" for n, name, _ in lpgreedy.acceptance.ALL_CRITERIA)}

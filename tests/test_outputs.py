@@ -4,7 +4,8 @@ The corpus is the traces, reports, per-step margins, checker reports, quick
 ``verify`` outputs, sweep summaries and selections that ``write_outputs``
 writes. A change that moves any of them on purpose regenerates the manifest
 with ``python bench/same_outputs.py --write-manifest`` and names every moved
-path in CHANGES.md.
+path in CHANGES.md. The same corpus, written once, also holds every trace CSV
+to its round trip through ``read_trace_csv``.
 """
 
 from __future__ import annotations
@@ -12,22 +13,48 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import pytest
+
 import lpgreedy
+from lpgreedy import GreedyTrace, read_trace_csv
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_output_matches_the_manifest(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(BENCH))
-    same_outputs = importlib.import_module("same_outputs")
+@pytest.fixture(scope="module")
+def same_outputs():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        return importlib.import_module("same_outputs")
+
+
+@pytest.fixture(scope="module")
+def corpus(same_outputs, tmp_path_factory):
+    """The quick corpus, written once for the tests of this file."""
+    out = tmp_path_factory.mktemp("corpus")
+    same_outputs.write_outputs(lpgreedy, out, profiles=("quick",))
+    return out
+
+
+def test_every_output_matches_the_manifest(same_outputs, corpus):
     header, expected = same_outputs.read_manifest()
-    assert header == same_outputs.versions(), (
-        f"the manifest was made with {header[2:]!r} but this is {same_outputs.versions()[2:]!r}: "
-        "make it again with these versions before comparing outputs")
-    same_outputs.write_outputs(lpgreedy, tmp_path, profiles=("quick",))
-    written = same_outputs.digests(tmp_path)
+    differences = same_outputs.header_differences(header)
+    assert not differences, (
+        f"the manifest was made on another host or with other versions ({'; '.join(differences)}): "
+        "make it again here before comparing outputs")
+    written = same_outputs.digests(corpus)
     moved = sorted(name for name in expected.keys() | written.keys()
                    if expected.get(name) != written.get(name))
     assert not moved, f"{len(moved)} of {len(expected)} outputs moved:\n" + "\n".join(
         f"{name} ({'differs' if name in expected and name in written else 'on one side only'})"
         for name in moved)
+
+
+def test_every_corpus_trace_parses_and_writes_back_to_its_bytes(corpus):
+    paths = sorted(corpus.glob("runs/*/trace.csv"))
+    assert len(paths) == 98
+    for path in paths:
+        meta, records = read_trace_csv(path)
+        trace = GreedyTrace(meta["algorithm"], float(meta["initial_residual_norm"]), records,
+                            stop_reason=meta["stop_reason"], config_hash=meta["config_hash"])
+        assert trace.to_csv_string() == path.read_text(), path.parent.name

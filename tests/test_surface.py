@@ -16,8 +16,8 @@ _ROOT = Path(__file__).resolve().parents[1]
 _MODULES = (
     "spaces", "dictionaries", "solvers", "algorithms", "analysis", "config", "harness", "acceptance"
 )
-# The trace schema v2 (ROADMAP item 1) extends read_trace_csv to read both
-# header versions, so it stays without a caller until then.
+# read_trace_csv waits for its caller in src/: the replay checker of ROADMAP
+# item 9, which rebuilds each run from its trace CSV.
 _EXCEPTIONS = {"read_trace_csv"}
 # "module.function.parameter" -> why the parameter stays without a caller that sets it.
 _PARAMETER_EXCEPTIONS = {
