@@ -264,11 +264,12 @@ def files(root: Path) -> set[str]:
 
 def versions() -> str:
     """The header line of MANIFEST: the versions and host features that made the outputs, as
-    name-value pairs. The features are numpy's enabled dispatch targets and the core that
-    numpy's bundled OpenBLAS runs; either one moves the last bits of many outputs."""
+    name-value pairs. The features are numpy's enabled dispatch targets (``none`` when it enables
+    none) and the core that numpy's bundled OpenBLAS runs; either one moves the last bits of many
+    outputs."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    simd = ",".join(target for target in __cpu_dispatch__ if __cpu_features__[target])
+    simd = ",".join(target for target in __cpu_dispatch__ if __cpu_features__[target]) or "none"
     return (f"# python {platform.python_version()} numpy {np.__version__} "
             f"scipy {scipy.__version__} simd {simd} openblas {openblas_core()}")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -59,22 +58,22 @@ def _parse_bool(cells: list, i: int) -> bool:
     return cells[i] == "true"
 
 
-# The kinds of trace field, each as its CSV columns, (name suffix, attribute path under the
-# field, cell writer) per column, and the parser of the field from a row's cells and its first
-# column. A complex field is two columns, <stem>_re and <stem>_im.
-_INT = ((("", "", str),), lambda cells, i: int(cells[i]))
-_FLOAT = ((("", "", repr),), lambda cells, i: float(cells[i]))
-_OPTIONAL_FLOAT = ((("", "", lambda x: "" if x is None else repr(x)),),
+# The kinds of trace value: its columns' name suffixes and cell writers (of the value), and its
+# parser from a row's cells and its first column. A complex value is <stem>_re and <stem>_im.
+_INT = (("",), (str,), lambda cells, i: int(cells[i]))
+_FLOAT = (("",), (repr,), lambda cells, i: float(cells[i]))
+_OPTIONAL_FLOAT = (("",), (lambda x: "" if x is None else repr(x),),
                    lambda cells, i: None if cells[i] == "" else float(cells[i]))
-_COMPLEX = ((("_re", ".real", repr), ("_im", ".imag", repr)),
+_COMPLEX = (("_re", "_im"), (lambda z: repr(z.real), lambda z: repr(z.imag)),
             lambda cells, i: complex(float(cells[i]), float(cells[i + 1])))
-_BOOL = ((("", "", lambda b: "true" if b else "false"),), _parse_bool)
-# The trace CSV, in column order: (column stem, TraceRecord field, kind). The fields are
-# TraceRecord's, in its order. ``algo`` is the trace's algorithm, not a record's: the writer
-# repeats it on every row and the reader checks it against the header's.
+_BOOL = (("",), (lambda b: "true" if b else "false",), _parse_bool)
+_TEXT = (("",), (str,), lambda cells, i: cells[i])
+# The trace CSV, in column order: (column stem, the value it holds, kind). The values are
+# TraceRecord's fields, in its order, and ``algorithm``, the trace's: every row repeats it, and
+# the reader checks it against the header's.
 _TRACE_CSV = (
     ("m", "m", _INT),
-    ("algo", None, ((("", "", None),), None)),
+    ("algo", "algorithm", _TEXT),
     ("selected_index", "selected_index", _INT),
     ("phase", "phase", _COMPLEX),
     ("lambda", "lam", _COMPLEX),
@@ -84,16 +83,16 @@ _TRACE_CSV = (
     ("eps_m", "eps_m", _OPTIONAL_FLOAT),
     ("solver_converged", "solver_converged", _BOOL),
 )
-CSV_COLUMNS = tuple(stem + suffix for stem, _, (columns, _) in _TRACE_CSV
-                    for suffix, _, _ in columns)
-_ALGO = CSV_COLUMNS.index("algo")
-# A record's column values in one call, each column's cell writer, and per field its first
-# column and its parser.
-_CELLS = attrgetter(*(field + path for _, field, (columns, _) in _TRACE_CSV if field
-                      for _, path, _ in columns))
-_WRITERS = [write for _, field, (columns, _) in _TRACE_CSV if field for _, _, write in columns]
-_PARSERS = [(CSV_COLUMNS.index(stem + columns[0][0]), parse)
-            for stem, field, (columns, parse) in _TRACE_CSV if field]
+CSV_COLUMNS = tuple(stem + suffix for stem, _, (suffixes, _, _) in _TRACE_CSV
+                    for suffix in suffixes)
+# Per column, its value and cell writer; per value, its first column and parser; and where
+# ``algorithm`` is among the values.
+_WRITERS = [(name, write) for _, name, (_, writers, _) in _TRACE_CSV for write in writers]
+_PARSERS = [(CSV_COLUMNS.index(stem + suffixes[0]), parse)
+            for stem, _, (suffixes, _, parse) in _TRACE_CSV]
+_ALGO = [name for _, name, _ in _TRACE_CSV].index("algorithm")
+# csv's default dialect, looked up once rather than by each row's reader.
+_EXCEL = csv.get_dialect("excel")
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,8 @@ class GreedyTrace:
                  f"initial_residual_norm={self.initial_residual_norm!r} "
                  f"stop_reason={self.stop_reason}", ",".join(CSV_COLUMNS)]
         for r in self.records:
-            row = [write(value) for write, value in zip(_WRITERS, _CELLS(r))]
-            row.insert(_ALGO, self.algorithm)
-            lines.append(",".join(row))
+            values = {**vars(r), "algorithm": self.algorithm}
+            lines.append(",".join([write(values[name]) for name, write in _WRITERS]))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -244,29 +242,32 @@ class GreedyTrace:
 
 def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
     """Parse a trace CSV; malformed content raises with the 1-based line number."""
+    meta: dict = {}
     records: list[TraceRecord] = []
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# lpgreedy-trace"):
         raise ValueError(f"{path}: line 1: missing trace header comment")
-    meta = dict(token.partition("=")[::2] for token in lines[0][1:].split()[1:])
+    for token in lines[0][1:].split()[1:]:
+        key, _, val = token.partition("=")
+        meta[key] = val
     if len(lines) < 2 or tuple(lines[1].split(",")) != CSV_COLUMNS:
         raise ValueError(f"{path}: line 2: expected column header {','.join(CSV_COLUMNS)}")
     algorithm, width = meta.get("algorithm"), len(CSV_COLUMNS)
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        # Without a quote, a row splits at its commas as the csv reader would split it.
-        parts = line.split(",") if '"' not in line else next(csv.reader([line]))
+        parts = next(csv.reader([line], _EXCEL))
         if len(parts) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
-        if parts[_ALGO] != algorithm:
-            raise ValueError(f"{path}: line {lineno}: algo {parts[_ALGO]!r} is not the header's "
-                             f"algorithm={algorithm}")
         try:
-            records.append(TraceRecord(*[parse(parts, i) for i, parse in _PARSERS]))
+            values = [parse(parts, i) for i, parse in _PARSERS]
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if (algo := values.pop(_ALGO)) != algorithm:
+            raise ValueError(f"{path}: line {lineno}: algo {algo!r} is not the header's "
+                             f"algorithm={algorithm}")
+        records.append(TraceRecord(*values))
     return meta, records
 
 

@@ -58,3 +58,17 @@ def test_every_corpus_trace_parses_and_writes_back_to_its_bytes(corpus):
         trace = GreedyTrace(meta["algorithm"], float(meta["initial_residual_norm"]), records,
                             stop_reason=meta["stop_reason"], config_hash=meta["config_hash"])
         assert trace.to_csv_string() == path.read_text(), path.parent.name
+
+
+def test_a_host_without_simd_targets_keeps_the_header_in_name_value_pairs(same_outputs,
+                                                                           monkeypatch):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    here = same_outputs.versions()
+    simd = here.split(" simd ")[1].split()[0]
+    for feature in __cpu_features__:
+        monkeypatch.setitem(__cpu_features__, feature, False)
+    words = same_outputs.versions()[2:].split()
+    assert len(words) % 2 == 0 and dict(zip(words[::2], words[1::2]))["simd"] == "none"
+    assert same_outputs.header_differences(here) == (
+        [] if simd == "none" else [f"simd {simd} in the pins, none here"])
