@@ -19,7 +19,10 @@ row for row.
 Every case takes one path (``run_case``): both trees make the row's calls,
 the first to build alternating over the cases of a dim, an untimed warm-up
 pass records the counters, and each call is timed TIMINGS times per tree,
-the trees alternating, keeping its least time (``time_calls``, ``ratios``).
+the trees alternating, keeping its least time (``time_calls``, ``ratios``). A
+``verify`` row of fewer than MIN_RATIOS calls times them in rounds, so that its
+median is of at least MIN_RATIOS per-call ratios; its reducer still gets each
+call's result once.
 Against the same ``src/`` the in-process rows read within about 5 % of 1;
 a process row keeps a shared host's noise. The summary pools the ``verify``
 rows and each loop row over p, and gives per tree the batch-of-one over
@@ -64,6 +67,8 @@ CELL_SHAPE, CELL_RUNS = (12, 24, 6, 6), 40
 SWEEP_RUNS, CELL_REPLICATES = 20, 4
 # Timings per call and tree (the least is kept); loop runs whose calls are counted.
 TIMINGS, CALL_COUNT_RUNS = 3, 10
+# Per-call ratios a verify row gives at least: a criterion of fewer calls is timed in rounds.
+MIN_RATIOS = 20
 VERIFY_PROFILE, VERIFY_SEED = "full", 0
 PROCESS_RUNS, CALIBRATION_RUNS = 5, 40
 RUN_CONFIG = ("space.p = 1.5\nspace.dim = 16\ndictionary.count = 32\ntarget.sparsity = 8\n"
@@ -72,10 +77,11 @@ RUN_CONFIG = ("space.p = 1.5\nspace.dim = 16\ndictionary.count = 32\ntarget.spar
 # own memory map; ru_maxrss would start from this process's, which the child inherits to its exec.
 PEAK_RSS = "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')))"
 STATISTIC = (f"least of {TIMINGS} wall times per call and tree, the trees back to back and "
-             "alternating call by call; a row's time per unit is the sum of its calls' least "
-             "times over its units, change_over_parent the median of the per-call ratios of least "
-             "times, with their first and third quartiles, and summed_ratio the ratio of the "
-             "summed least times")
+             "alternating call by call; a verify row of fewer than "
+             f"{MIN_RATIOS} calls times them in rounds, each round a ratio per call; a row's time "
+             "per unit is the sum of its calls' least times over its units (and rounds), "
+             "change_over_parent the median of the per-call ratios of least times, with their "
+             "first and third quartiles, and summed_ratio the ratio of the summed least times")
 
 
 def load_package(src: Path):
@@ -288,7 +294,9 @@ def process_stats(pkg, results) -> dict:
 class Row:
     """A named call on seeded inputs at each of its cases. ``stats`` (None: units only) gives
     a tree's counters of the warm-up pass, ``counter`` those of one more pass; ``batch_of`` names
-    the loop row whose inputs a batch-of-one row runs; ``extra`` holds fields of the JSON row."""
+    the loop row whose inputs a batch-of-one row runs; ``rounds`` is how often each call is
+    timed, each round giving one ratio per call (the warm-up makes each call once); ``extra``
+    holds fields of the JSON row."""
 
     name: str
     seed: int
@@ -299,6 +307,7 @@ class Row:
     stats: Callable | None = None
     counter: Callable | None = None
     batch_of: str | None = None
+    rounds: int = 1
     extra: dict = field(default_factory=dict)
 
 
@@ -345,11 +354,11 @@ def table(pkg) -> list:
               partial(sweep_calls, algo, replicates), "cell", sweep_stats)
           for algo, seed, replicates in (("wgafr", 26, 1), ("gawr", 27, 1), ("iac", 28, 4),
                                          ("iacc", 29, 4))),
-        *(Row(f"verify_{number:02d}_{name}", 36, none,
-              partial(numbered, len(calls(VERIFY_SEED, VERIFY_PROFILE))),
+        *(Row(f"verify_{number:02d}_{name}", 36, none, partial(numbered, n),
               partial(verify_calls, number), stats=partial(criterion_stats, number),
-              extra={"profile": VERIFY_PROFILE, "seed": VERIFY_SEED})
-          for number, (name, calls, _) in pkg.acceptance._TABLE.items()),
+              rounds=-(-MIN_RATIOS // n), extra={"profile": VERIFY_PROFILE, "seed": VERIFY_SEED})
+          for number, (name, calls, _) in pkg.acceptance._TABLE.items()
+          for n in [len(calls(VERIFY_SEED, VERIFY_PROFILE))]),
         *(Row(name, 37, none, partial(numbered, PROCESS_RUNS), partial(process_calls, code),
               "process", process_stats)
           for name, code in (("import_lpgreedy", "import lpgreedy"), ("lpgreedy_run", run_code))),
@@ -425,10 +434,12 @@ def run_case(pkgs: dict, row: Row, p, dim, flip=False) -> tuple[dict, dict]:
     if len({len(tree_calls) for tree_calls in calls.values()}) > 1:
         raise SystemExit(f"{row.name}: the trees make different numbers of calls")
     stats = {label: warm_up(pkgs[label], row, calls[label]) for label in pkgs}
-    times = time_calls(calls)
+    times = time_calls({label: tree_calls * row.rounds for label, tree_calls in calls.items()})
     result = {"entry": row.name, "p": p, "dim": dim, "instances": len(calls["change"]), **row.extra}
+    if row.rounds > 1:
+        result["rounds"] = row.rounds
     for label, counters in stats.items():
-        unit_s = sum(times[label]) / counters.pop("units")
+        unit_s = sum(times[label]) / row.rounds / counters.pop("units")
         result[label] = {f"{row.unit}_us": 1e6 * unit_s}
         iters = counters.get("iters_mean")  # a solve row's; 0 at p = 2, where Newton never runs
         if iters is not None:
@@ -578,9 +589,9 @@ def main(argv=None) -> int:
             results.append(result)
             print(json.dumps(result))
 
-    def pooled(names):
-        return {label: [t for (name, *_), per_tree in times.items() if name in names
-                        for t in per_tree[label]] for label in pkgs}
+    def pooled(names):  # a row's least times over its rounds, so that the sums are of one pass
+        return {label: [t / rows[name].rounds for (name, *_), per_tree in times.items()
+                        if name in names for t in per_tree[label]] for label in pkgs}
 
     verify = [name for name in rows if name.startswith("verify_")]
     battery = {label: {"battery_s": sum(s)} for label, s in pooled(verify).items()}

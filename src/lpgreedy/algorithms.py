@@ -7,9 +7,10 @@ and the update rule. A run stops early, and records the stop reason,
 once the residual norm falls below 1e-12 (``residual_below_threshold``:
 the norming functional is undefined at zero) or when every atom
 annihilates the functional (``stagnated_zero_dual_norm``: no atom can
-reduce the residual). Each ``run_*`` function also takes equal-length
-lists of spaces, dictionaries and targets, the runs of a batch, and steps
-them in lockstep (see ``_greedy_loop``); a single run is a batch of one.
+reduce the residual). Each ``run_*`` function takes one run or
+equal-length lists of spaces, dictionaries and targets, the runs of a
+batch, and steps them in lockstep (see ``_greedy_loop``): a single run is
+a batch of one, wrapped into lists of one on entry and unwrapped on exit.
 """
 
 from __future__ import annotations
@@ -272,36 +273,25 @@ def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
 
 
 def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
-    """The iteration all four algorithms share, for one run or for a batch of runs in lockstep.
+    """The iteration all four algorithms share, stepping the runs of a batch in lockstep.
 
-    ``space``, ``dictionary`` and ``target`` are one run's, or equal-length
-    lists (a batch; its dictionaries share one shape, its spaces may differ
-    in p). Row k of the targets ``f``, approximants ``G`` and residuals is
-    the k-th live run's; a single run's arrays are 1-D. ``select(m, live,
-    coeffs, atoms, f)`` gives one Selection per row
-    (``dictionaries._selections``) for the residuals' norming functionals, a
-    batch's a list of rows; ``update(m, live, f, G, sels, phis)``, ``phis``
-    the selected atoms (a batch's a list of rows), gives G_m, a new array
-    whose rows the traces keep, and per row ``(lam, w_or_r, eps_m,
-    solver_converged)``.
-    ``live`` holds the rows' places in the batch. A selection or a step may
-    instead be an exception, as is a non-finite residual (ValueError): a
-    single run raises it, a batch makes it that run's result, its entry in
-    the returned list. Each target is checked once; the norms and functionals
-    of a batch are formed once per run of rows of equal p (``_p_runs``), and a
-    run of one row takes the 1-D kernels, on the loop's own magnitudes.
+    ``space``, ``dictionary`` and ``target`` are equal-length lists, and each
+    run's entry of the returned list is its trace or the exception that ended
+    it; one run each is a batch of one, whose trace is returned or exception
+    raised. Row k of ``f``, ``G`` and the residuals is the k-th live run's,
+    ``live`` the rows' places in the batch. ``select(m, live, coeffs, atoms,
+    f)`` gives one Selection per row (``dictionaries._selections``);
+    ``update(m, live, f, G, sels, phis)`` gives G_m, a new array whose rows
+    the traces keep, and per row ``(lam, w_or_r, eps_m, solver_converged)``.
+    A selection or a step may instead be an exception, as is a non-finite
+    residual (ValueError): it ends its run. Norms and functionals are formed
+    once per run of rows of equal p (``_p_runs``), a run of one row by the
+    1-D kernels.
     """
-    batch = type(target) is list
-    if len({len(x) if type(x) is list else -1 for x in (space, dictionary, target)}) > 1:
-        raise ValueError("space, dictionary and target must be one run each or lists of equal "
-                         "length; got " + ", ".join(f"a list of {len(x)}" if type(x) is list
-                                                     else "one run" for x in (space, dictionary,
-                                                                              target)))
+    spaces, dictionaries, targets = _batch(space, dictionary, target)
     iters = _count("iters", iters)
-    spaces = space if batch else [space]
     results, live, traces, norms = [], [], [], []
-    for k, (s, d, t) in enumerate(zip(spaces, dictionary, target) if batch
-                                  else [(space, dictionary, target)]):
+    for k, (s, d, t) in enumerate(zip(spaces, dictionaries, targets)):
         try:
             if d.space is not s and d.space != s:
                 raise ValueError("dictionary was built for a different space")
@@ -313,8 +303,6 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
             if norm0 == 0.0:
                 raise ValueError("target.f must be nonzero")
         except ValueError as exc:
-            if not batch:
-                raise
             results.append(exc)
             continue
         results.append(trace := GreedyTrace(algorithm=algorithm, initial_residual_norm=norm0))
@@ -324,91 +312,95 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
             live.append(k)
             traces.append(trace)
             norms.append(norm0)
-    if not traces:
-        return results if batch else results[0]
-    if batch:
-        atoms, f = [dictionary[k].atoms for k in live], np.stack([target[k].f for k in live])
-        runs = _p_runs(spaces, live)
-    else:
-        atoms, f = [dictionary.atoms], target.f
-    G, ended = np.zeros(f.shape, dtype=np.complex128), {}
+    atoms, f = [dictionaries[k].atoms for k in live], np.array([targets[k].f for k in live])
+    runs, G, ended = _p_runs(spaces, live), np.zeros(f.shape, dtype=np.complex128), {}
     residual, mags = f, np.abs(f)
     for m in range(1, iters + 1):
-        if batch:  # a run of one row as a single run: a float norm, 1-D arrays
-            coeffs = []
-            for p, rows in runs:
-                norm = norms[rows] if type(rows) is int else np.array(norms[rows])[:, None]
-                c = _norming_coeffs(p, residual[rows], norm, mags[rows])
-                coeffs += [c] if type(rows) is int else list(c)
-        else:
-            coeffs = _norming_coeffs(space.p, residual, norms[0], mags)
-        sels = select(m, live, coeffs, atoms, f)
-        for k, sel in enumerate(sels):
-            if type(sel) is not Selection or not sel.dual_norm:
+        if not live:
+            break
+        coeffs = []
+        for p, a, b in runs:  # a run of one row as one vector and a float norm
+            if b - a == 1:
+                coeffs.append(_norming_coeffs(p, residual[a], norms[a], mags[a]))
+            else:
+                coeffs.extend(_norming_coeffs(p, residual[a:b], np.array(norms[a:b])[:, None],
+                                              mags[a:b]))
+        sels, phis = select(m, live, coeffs, atoms, f), []
+        for k, (sel, rows) in enumerate(zip(sels, atoms)):
+            if type(sel) is Selection and sel.dual_norm:
+                phis.append(rows[sel.index])
+            else:
                 ended[k] = "stagnated_zero_dual_norm" if type(sel) is Selection else sel
         if ended:
-            if not (keep := _settle(ended, results, live, traces, batch)):
+            runs, live, traces, atoms, sels, f, G, residual, mags = _settle(
+                ended, results, spaces, live, traces, atoms, sels, f, G, residual, mags)
+            if not live:
                 break
-            traces, atoms, live, sels, f, G, residual, mags = _take(
-                keep, traces, atoms, live, sels, f, G, residual, mags)
-            runs = _p_runs(spaces, live)
-        phis = ([rows[sel.index] for rows, sel in zip(atoms, sels)] if batch
-                else atoms[0][sels[0].index])
         G, steps = update(m, live, f, G, sels, phis)
         residual = f - G
         mags = np.abs(residual)
-        if batch:
-            norms = []
-            for p, rows in runs:
-                norms += ([_norm_mags(p, mags[rows])] if type(rows) is int
-                          else _norm_rows(p, residual[rows]).tolist())
-        else:
-            norms = [_norm_mags(space.p, mags)]
-        for k, (trace, sel, step, norm) in enumerate(zip(traces, sels, steps, norms)):
+        norms = []
+        for p, a, b in runs:  # a run of one row through the 1-D norm, on the loop's magnitudes
+            norms += ([_norm_mags(p, mags[a])] if b - a == 1
+                      else _norm_rows(p, residual[a:b]).tolist())
+        for k, (trace, sel, step, norm, row) in enumerate(zip(traces, sels, steps, norms, G)):
             if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
                 ended[k] = ValueError("v contains non-finite entries") if norm != norm else step
                 continue
             lam, w_or_r, eps_m, converged = step
             trace.records.append(TraceRecord(m, sel.index, sel.phase, complex(lam), complex(w_or_r),
                                              norm, sel.dual_norm, eps_m, converged))
-            trace.approximants.append(G[k] if batch else G)
+            trace.approximants.append(row)
             if norm <= RESIDUAL_STOP and m < iters:  # step m + 1 stops it
                 ended[k] = "residual_below_threshold"
         if ended:
-            if not (keep := _settle(ended, results, live, traces, batch)):
-                break
-            traces, atoms, live, norms, f, G, residual, mags = _take(
-                keep, traces, atoms, live, norms, f, G, residual, mags)
-            runs = _p_runs(spaces, live)
-    return results if batch else results[0]
+            runs, live, traces, atoms, norms, f, G, residual, mags = _settle(
+                ended, results, spaces, live, traces, atoms, norms, f, G, residual, mags)
+    if type(target) is not list and isinstance(results[0], Exception):
+        raise results[0]
+    return results if type(target) is list else results[0]
+
+
+def _batch(space, dictionary, target) -> tuple[list, list, list]:
+    """The runs as lists of spaces, dictionaries and targets, one run's as lists of one; refused
+    unless they are one run each or lists of one length whose dictionaries share one shape."""
+    if list not in (type(space), type(dictionary), type(target)):
+        return [space], [dictionary], [target]
+    given = (space, dictionary, target)
+    if len({len(x) if type(x) is list else -1 for x in given}) > 1:
+        raise ValueError("space, dictionary and target must be one run each or lists of equal "
+                         "length; got " + ", ".join(f"a list of {len(x)}" if type(x) is list
+                                                     else "one run" for x in given))
+    if len(shapes := {d.atoms.shape for d in dictionary}) > 1:
+        raise ValueError("the runs of a batch must share one dictionary shape (count, dim); got "
+                         + ", ".join(map(str, sorted(shapes))))
+    return given
 
 
 def _p_runs(spaces: list, live: list) -> list:
-    """``(p, rows)`` for each run of consecutive live rows of equal p: ``rows`` is the row's index
-    for a run of one row, else a slice. Each run's kernels take its scalar p, which keeps each
-    row's single-run bits: its fast paths (``sqrt`` at 0.5, ``square`` at 2) are not an array p's."""
-    ps = [spaces[k].p for k in live]
-    starts = [i for i in range(len(ps)) if not i or ps[i] != ps[i - 1]] + [len(ps)]
-    return [(ps[a], a if b - a == 1 else slice(a, b)) for a, b in zip(starts, starts[1:])]
+    """``[p, start, stop]`` per run of consecutive live rows of equal p. Its kernels take the scalar
+    p, whose fast paths (``sqrt`` at 0.5, ``square`` at 2) keep each row's bits as if alone."""
+    runs = []
+    for i, k in enumerate(live):
+        if runs and runs[-1][0] == spaces[k].p:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([spaces[k].p, i, i + 1])
+    return runs
 
 
-def _settle(ended: dict, results: list, live, traces: list, batch: bool) -> list:
-    """End the rows of ``ended`` (row -> stop reason or exception) and empty it; the rows left."""
+def _settle(ended: dict, results: list, spaces: list, live: list, traces: list, *rows) -> list:
+    """End the rows of ``ended`` (row -> stop reason or exception) and empty it; the p-runs of
+    the rows left, and ``live``, ``traces`` and each list or array of ``rows``, of those rows."""
     for k, outcome in ended.items():
         if type(outcome) is str:
             traces[k].stop_reason = outcome
-        elif batch:
-            results[live[k]] = outcome
         else:
-            raise outcome
+            results[live[k]] = outcome
     keep = [k for k in range(len(traces)) if k not in ended]
     ended.clear()
-    return keep
-
-
-def _take(keep: list, *rows) -> list:
-    """Rows ``keep`` of each list or array of per-row values."""
-    return [a[keep] if type(a) is np.ndarray else [a[k] for k in keep] for a in rows]
+    return [_p_runs(spaces, [live[k] for k in keep]), *(
+        a[keep] if type(a) is np.ndarray else [a[k] for k in keep] for a in (live, traces, *rows))]
 
 
 def _check_covers(name: str, schedule, iters) -> None:
@@ -420,23 +412,22 @@ def _check_covers(name: str, schedule, iters) -> None:
 def _relaxed(space, dictionary, target, tau, iters, policy, algorithm, solve):
     """The loop of ``run_wgafr``/``run_gawr``: weak selection at t_m, then a solve per row.
 
-    ``solve(m, space, f, G, phi)`` returns a row's G_m and ``[(lam, w_or_r,
-    None, converged)]``, solved in the row's own space; in a batch, an
-    exception it raises is that row's step.
+    ``solve(m, space, f, G, phi)`` returns a row's G_m and ``(lam, w_or_r,
+    None, converged)``, solved in the row's own space; an exception it raises
+    is that row's step.
     """
     _check_policy(policy)
+    spaces = _batch(space, dictionary, target)[0]
 
     def update(m, live, f, G, sels, phis):
-        if G.ndim == 1:  # a single run raises what its step raises
-            return solve(m, space, f, G, phis)
-        new, steps = np.empty(G.shape, dtype=np.complex128), []
-        for i, k in enumerate(live):
+        solved = []
+        for k, f_k, G_k, phi in zip(live, f, G, phis):
             try:
-                new[i], (step,) = solve(m, space[k], f[i], G[i], phis[i])
+                solved.append(solve(m, spaces[k], f_k, G_k, phi))
             except Exception as exc:  # the row's step failed; the batch steps on
-                new[i], step = G[i], exc
-            steps.append(step)
-        return new, steps
+                solved.append((G_k, exc))
+        rows, steps = zip(*solved)
+        return np.array(rows), steps
 
     return _greedy_loop(
         space, dictionary, target, iters, algorithm,
@@ -465,8 +456,8 @@ def run_wgafr(
 
     def solve(m, space, f, G, phi):
         result = _free_relax(space, f, G, phi, cfg)
-        w, lam = result.minimizer
-        return (1.0 - w) * G + lam * phi, [(lam, w, None, result.converged)]
+        w, lam = result.minimizer.tolist()
+        return (1.0 - w) * G + lam * phi, (lam, w, None, result.converged)
 
     return _relaxed(space, dictionary, target, tau, iters, policy, "wgafr", solve)
 
@@ -495,8 +486,8 @@ def run_gawr(
         r_m = r.value(m)
         shrunk = (1.0 - r_m) * G
         result = _descend(space, f - shrunk, phi[:, None], cfg)
-        lam = result.minimizer[0]
-        return shrunk + lam * phi, [(lam, r_m, None, result.converged)]
+        lam = result.minimizer.item(0)
+        return shrunk + lam * phi, (lam, r_m, None, result.converged)
 
     return _relaxed(space, dictionary, target, tau, iters, policy, "gawr", solve)
 
@@ -509,8 +500,8 @@ def _averaging(space, dictionary, target, K1, iters, policy, mode, membership):
     in plain mode); a running sum per run asserts G_m = (1/m) sum_j nu_j phi_j.
     """
     algorithm = "iac" if mode == "circle" else "iacc"
-    batch = type(target) is list
-    for t in target if batch else [target]:
+    spaces, _, targets = _batch(space, dictionary, target)
+    for t in targets:
         if t.membership != membership:
             raise ValueError(f"run_{algorithm} requires {'an' if membership == 'a1' else 'a'} "
                              f"{membership} target; got membership={t.membership!r}")
@@ -518,34 +509,36 @@ def _averaging(space, dictionary, target, K1, iters, policy, mode, membership):
             raise ValueError(f"run_{algorithm} requires an exact target (eps = 0)")
     # epsilon_schedule at n = 1 is K1 gamma^(1/q), checked once per p; times
     # float(m) ** (-1/p_dual) it is epsilon_schedule at m, bit for bit.
-    spaces, schedules = space if type(space) is list else [space], {}  # _greedy_loop checks
-    for p, s in {s.p: s for s in spaces}.items():
-        params = smoothness_params(s)
-        schedules[p] = epsilon_schedule(K1, params, 1), -1.0 / params.p_dual
+    schedules = {s.p: (epsilon_schedule(K1, params := smoothness_params(s), 1),
+                       -1.0 / params.p_dual) for s in {s.p: s for s in spaces}.values()}
     _check_policy(policy)
-    dim = spaces[0].dim if spaces else 0
-    running_sum = np.zeros((len(target), dim) if batch else dim, dtype=np.complex128)
+    running_sum = np.zeros((len(targets), spaces[0].dim if spaces else 0), dtype=np.complex128)
     eps_m = {}  # each row's eps_m at the current step, by its place in the batch
 
     def select(m, live, coeffs, atoms, f):
+        rows = []
         for k in live:
             eps_1, power = schedules[spaces[k].p]
-            eps_m[k] = eps_1 * float(m) ** power
-        return _selections(coeffs, atoms, policy, f=f, eps_m=[eps_m[k] for k in live], mode=mode)
+            rows.append(eps := eps_1 * float(m) ** power)
+            eps_m[k] = eps
+        return _selections(coeffs, atoms, policy, f=f, eps_m=rows, mode=mode)
 
     def update(m, live, f, G, sels, phis):
-        batch = G.ndim == 2
-        nus = [sel.phase for sel in sels] if batch else [sels[0].phase]
-        step = (np.array(nus)[:, None] if batch else nus[0]) * phis
-        # The m = 1 step needs no special-casing: (1 - 1/1) = 0 literally.
-        G = (1.0 - 1.0 / m) * G + step / m
-        if batch and len(live) < len(running_sum):  # rows of the batch have ended
+        step = np.empty(G.shape, dtype=np.complex128)
+        for sel, phi, row in zip(sels, phis, step):
+            np.multiply(sel.phase, phi, out=row)
+        # The m = 1 step needs no special-casing: (1 - 1/1) = 0 literally. Both scalars are
+        # complex: numpy casts a real one to complex against a complex array anyway, only slower.
+        shrink, count = complex(1.0 - 1.0 / m), complex(m)
+        G = shrink * G + step / count
+        if len(live) < len(running_sum):  # rows of the batch have ended
             running_sum[live] = total = running_sum[live] + step
         else:
             total = np.add(running_sum, step, out=running_sum)
-        drifts = np.maximum.reduce(np.abs(total / m - G), axis=-1)
+        drifts = np.maximum.reduce(np.abs(total / count - G), axis=-1).tolist()
         steps = []
-        for nu, drift, k in zip(nus, drifts if batch else [drifts], live):
+        for sel, drift, k in zip(sels, drifts, live):
+            nu = sel.phase
             if drift > BARYCENTRIC_TOL:
                 steps.append(AssertionError(
                     f"barycentric representation drifted by {drift:.3e} at step {m}"))

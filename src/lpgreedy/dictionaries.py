@@ -269,41 +269,37 @@ def _selections(coeffs, atoms, policy, t=1.0, f=None, eps_m=None, mode="circle")
 
     One per functional: row i of ``coeffs`` (a 2-D array or a list of rows)
     over the atoms ``atoms[i]`` (and row i of the targets ``f``, at
-    tolerance ``eps_m[i]``); a 1-D array ``coeffs`` is one functional,
-    scanned as ``atoms[0] @ coeffs``. Each Selection is built unchecked; a
-    functional no atom meets gets an InfeasibleSelectionError in its place.
+    tolerance ``eps_m[i]``). Each Selection is built unchecked; a functional
+    no atom meets gets an InfeasibleSelectionError in its place.
     """
-    if type(coeffs) is not list and coeffs.ndim == 1:
-        values = (atoms[0] @ coeffs)[None]
-        coeffs, f = [coeffs], f if f is None else [f]
-    else:
-        values = np.empty((len(coeffs), atoms[0].shape[0]), dtype=np.complex128)
-        for rows, c, out in zip(atoms, coeffs, values):
-            np.matmul(rows, c, out=out)  # one gemv per row, as a single scan makes it
+    values = np.empty((len(coeffs), atoms[0].shape[0]), dtype=np.complex128)
+    for rows, c, out in zip(atoms, coeffs, values):
+        np.matmul(rows, c, out=out)  # one gemv per row, as a single scan makes it
     mags = np.abs(values)
-    duals = np.maximum.reduce(mags, axis=-1).tolist()
-    phased = mode == "circle"
+    phased, argmax = mode == "circle", policy == "argmax"
     scores = mags if phased else values.real
-    argmax = policy == "argmax"
     picks = scores.argmax(axis=-1).tolist() if argmax else None
+    # A row's first greatest modulus (NaN once it has one) is its dual norm.
+    duals = (list(map(mags.item, range(len(picks)), picks)) if argmax and phased
+             else np.maximum.reduce(mags, axis=-1).tolist())
     sels = [None] * len(duals)
     for i, dual in enumerate(duals):
-        eps = 0.0 if f is None else eps_m[i]
         if f is None:
             threshold = t * dual if t > 0.0 else min(dual, 5e-324)
         else:
-            threshold = float(np.dot(coeffs[i], f[i]).real) - eps
+            threshold = float(np.dot(coeffs[i], f[i]).real) - eps_m[i]
         qualifying = None if argmax else scores[i] >= threshold
         idx = picks[i] if argmax else int(qualifying.argmax())
-        missed = scores[i, idx] < threshold if argmax else not qualifying[idx]
+        missed = scores.item(i, idx) < threshold if argmax else not qualifying[idx]
         if missed:
+            eps = 0.0 if f is None else eps_m[i]
             sels[i] = InfeasibleSelectionError(
                 f"no atom within eps_m={eps:g} of the target functional value; "
                 f"best score {scores[i].max()!r} < required {threshold!r} "
                 f"(target violates its {mode} membership contract)"
             )
             continue
-        value = complex(values[i, idx])
+        value = values.item(i, idx)
         phase = complex_sign(value).conjugate() if phased else 1.0 + 0.0j
         sels[i] = sel = object.__new__(Selection)
         sel.__dict__.update(index=idx, phase=phase, value=value, dual_norm=dual)
@@ -339,7 +335,7 @@ def weak_select(
         raise ValueError(f"t must lie in [0, 1]; got {t}")
     _check_policy(policy)
     _check_dim(F, dictionary)
-    return _selections(F.coeffs, [dictionary.atoms], policy, t=t)[0]
+    return _selections([F.coeffs], [dictionary.atoms], policy, t=t)[0]
 
 
 def eps_select(
@@ -368,7 +364,7 @@ def eps_select(
     _check_policy(policy)
     _check_dim(F, dictionary)
     f = _as_vector(dictionary.space, f, "f")
-    (sel,) = _selections(F.coeffs, [dictionary.atoms], policy, f=f, eps_m=[eps_m], mode=mode)
+    sel = _selections([F.coeffs], [dictionary.atoms], policy, f=[f], eps_m=[eps_m], mode=mode)[0]
     if isinstance(sel, InfeasibleSelectionError):
         raise sel
     return sel

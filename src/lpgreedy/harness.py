@@ -134,11 +134,11 @@ def _run_batch(configs: list, out_dir: str | None = None) -> list:
     """``run_experiment`` of configs that differ at most in their seeds and ``space.p``, each
     stage once per batch.
 
-    ``_build`` normalizes each p's dictionaries in one pass, the runs step in lockstep, each in
-    its own space, and ``_suites`` checks iac/iacc traces in stacked passes over all p. Each
-    config's entry is its ``(trace, reports)`` or the exception ``run_experiment`` would raise
-    (from ``validate``, ``_build``, a step or a checker). ``out_dir`` is created once the batch
-    has been built.
+    ``_build`` normalizes each p's dictionaries in one pass, the runs step in lockstep as lists
+    (one config's as lists of one), each in its own space, and ``_suites`` checks iac/iacc traces
+    in stacked passes over all p. Each config's entry is its ``(trace, reports)`` or the
+    exception ``run_experiment`` would raise (from ``validate``, ``_build``, a step or a
+    checker). ``out_dir`` is created once the batch has been built.
     """
     results, valid = [None] * len(configs), []
     for i, config in enumerate(configs):
@@ -152,12 +152,11 @@ def _run_batch(configs: list, out_dir: str | None = None) -> list:
     batch = [configs[i] for i in valid]
     config, a = batch[0], batch[0].algorithm
     try:
-        spaces, dictionaries, targets = _build(batch)
+        runs = _build(batch)
     except Exception as exc:  # a build error depends on neither seeds nor p: it fails every config
         return [exc if i in valid else result for i, result in enumerate(results)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    runs = [x if len(valid) > 1 else x[0] for x in (spaces, dictionaries, targets)]
     try:
         if a.id == "wgafr":
             traces = run_wgafr(*runs, config.weakness(), a.iters, a.policy, config.solver)
@@ -168,9 +167,7 @@ def _run_batch(configs: list, out_dir: str | None = None) -> list:
             traces = (run_iac if a.id == "iac" else run_iacc)(*runs, a.k1, a.iters, a.policy)
     except Exception as exc:  # a run that failed before its steps fails every config
         traces = [exc] * len(valid)
-    traces = traces if type(traces) is list else [traces]
-    for i, trace, suite in zip(valid, traces,
-                               _suites(batch, spaces, dictionaries, targets, traces)):
+    for i, trace, suite in zip(valid, traces, _suites(batch, *runs, traces)):
         if not isinstance(suite, Exception):
             trace.config_hash = configs[i].hash()
             suite = (trace, suite)

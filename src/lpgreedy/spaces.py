@@ -7,7 +7,7 @@ or mutated, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,11 +192,12 @@ def _norming_coeffs(p: float, h: np.ndarray, norm, mags=None) -> np.ndarray:
     """
     if mags is None:
         mags = np.abs(h)
-    conj_signs = np.conj(h) / np.maximum(mags, _TINY)
-    if np.minimum.reduce(mags, axis=None) < _TINY:
+    tiny = np.minimum.reduce(mags, axis=None) < _TINY  # else the floor would change nothing
+    conj_signs = np.conj(h) / (np.maximum(mags, _TINY) if tiny else mags)
+    if tiny:
         small = mags < _TINY
         conj_signs[small] = np.exp(-1j * np.angle(h[small]))
-    return conj_signs * (mags / norm) ** (p - 1.0)
+    return conj_signs * (mags / norm if p == 2.0 else (mags / norm) ** (p - 1.0))  # x ** 1.0 is x
 
 
 def lp_norm(space: LpSpace, v) -> float:
@@ -207,11 +208,9 @@ def lp_norm(space: LpSpace, v) -> float:
 def complex_sign(z) -> complex:
     """z/|z| for z != 0, and 1 for z = 0, so the result always has modulus 1."""
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"complex_sign requires a finite scalar; got {z!r}")
-    if z == 0:
-        return 1.0 + 0.0j
-    return z / abs(z)
+    return z / abs(z) if z else 1.0 + 0.0j
 
 
 def norming_functional(space: LpSpace, h) -> DualFunctional:

@@ -452,11 +452,11 @@ class TestSharedLoop:
         def select(m, live, coeffs, atoms, f):
             return _selections(coeffs, atoms, "argmax")
 
-        def update(m, live, f, G, sels, phis):
+        def update(m, live, f, G, sels, phis):  # rows of G and a list of phis, a batch of one
             steps.append(m)
-            G = 0.5 * G + 0.25 * phis
+            G = 0.5 * G + 0.25 * np.asarray(phis)
             if m == 3:
-                G[1] = bad
+                G[0, 1] = bad
             return G, [(0.25, 0.5, None, True)]
 
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):

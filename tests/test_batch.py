@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lpgreedy import ExperimentConfig, LpSpace, SweepSpec, harness, run_sweep
+from lpgreedy import (
+    ExperimentConfig,
+    LpSpace,
+    SweepSpec,
+    TargetSpec,
+    algorithms,
+    harness,
+    run_sweep,
+)
 from lpgreedy.analysis import _barycentric, _trivial_steps, check_barycentric, check_trivial_step
 from lpgreedy.algorithms import (
     RelaxationSchedule,
@@ -259,9 +269,98 @@ def test_selection_rows_match_single_functionals():
         for policy in ("argmax", "first_qualifying"):
             rows = _selections(coeffs, atoms, policy, **kwargs)
             for i, row in enumerate(rows):
-                one = {**kwargs, "f": f[i], "eps_m": eps_m[i:i + 1]} if "f" in kwargs else kwargs
-                (alone,) = _selections(coeffs[i], [atoms[i]], policy, **one)
+                one = ({**kwargs, "f": f[i:i + 1], "eps_m": eps_m[i:i + 1]} if "f" in kwargs
+                       else kwargs)
+                (alone,) = _selections(coeffs[i:i + 1], [atoms[i]], policy, **one)
                 if isinstance(alone, InfeasibleSelectionError):
                     assert str(row) == str(alone)
                 else:
                     assert vars(row) == vars(alone)
+
+
+RUNS = {
+    "wgafr": lambda s, d, t: run_wgafr(s, d, t, WeaknessSequence.constant(1.0), 4),
+    "gawr": lambda s, d, t: run_gawr(s, d, t, WeaknessSequence.constant(1.0),
+                                     RelaxationSchedule.harmonic(), 4),
+    "iac": lambda s, d, t: run_iac(s, d, t, 1.0, 4),
+    "iacc": lambda s, d, t: run_iacc(s, d, t, 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
+def test_run_functions_refuse_a_batch_of_unequal_dims(algorithm):
+    spaces = [LpSpace(1.5, 8), LpSpace(1.5, 12)]
+    d = [generate_dictionary(s, 16, "gaussian", seed=k) for k, s in enumerate(spaces)]
+    t = [make_target(x, "conv" if algorithm == "iacc" else "a1", 2, seed=1) for x in d]
+    with pytest.raises(ValueError, match=r"^the runs of a batch must share one dictionary shape "
+                                         r"\(count, dim\); got \(16, 8\), \(16, 12\)$"):
+        RUNS[algorithm](spaces, d, t)
+
+
+@pytest.mark.parametrize("algorithm", ["wgafr", "gawr", "iac", "iacc"])
+def test_run_functions_refuse_a_batch_of_unequal_dictionary_counts(algorithm):
+    space = LpSpace(1.5, 8)
+    d = [generate_dictionary(space, count, "gaussian", seed=3) for count in (20, 16, 20)]
+    t = [make_target(x, "conv" if algorithm == "iacc" else "a1", 2, seed=1) for x in d]
+    with pytest.raises(ValueError, match=r"^the runs of a batch must share one dictionary shape "
+                                         r"\(count, dim\); got \(16, 8\), \(20, 8\)$"):
+        RUNS[algorithm]([space] * 3, d, t)
+
+
+def failing_solve(monkeypatch, name, at_call, minimizer=None):
+    """Make the loops' solver core ``name`` raise (or, given ``minimizer``, return it) at its
+    ``at_call``-th call."""
+    original, calls = getattr(algorithms, name), []
+
+    def solve(*args):
+        calls.append(None)
+        result = original(*args)
+        if len(calls) != at_call:
+            return result
+        if minimizer is None:
+            raise RuntimeError(f"solver failed at call {at_call}")
+        return dataclasses.replace(result, minimizer=np.full_like(result.minimizer, minimizer))
+
+    monkeypatch.setattr(algorithms, name, solve)
+
+
+@pytest.mark.parametrize("algorithm, kind", [
+    *((a, kind) for a in ("wgafr", "gawr", "iac", "iacc") for kind in ("completed", "zero_target")),
+    ("iac", "infeasible"), ("iacc", "infeasible"),
+    *((a, kind) for a in ("wgafr", "gawr") for kind in ("solver_raises", "non_finite")),
+])
+def test_a_single_run_is_its_batch_of_one(monkeypatch, algorithm, kind):
+    # One run returns the trace, or raises exactly the exception, that its batch-of-one row holds.
+    space = LpSpace(2.0 if kind == "infeasible" else 1.5, 8)
+    d = generate_dictionary(space, 16, "gaussian", seed=5)
+    t = make_target(d, "conv" if algorithm == "iacc" else "a1", 3, seed=6)
+    if kind in ("zero_target", "infeasible"):  # ||f|| = 0, or ||f|| = 2 > 1 for a unit-ball set
+        f = 2.0 * d.atoms[0] if kind == "infeasible" else np.zeros(8)
+        t = TargetSpec(f=f, f_eps=f, eps=0.0, A_eps=1.0, membership=t.membership)
+    core = "_free_relax" if algorithm == "wgafr" else "_descend"
+
+    def outcome(*run):
+        if kind == "solver_raises":
+            failing_solve(monkeypatch, core, 2)
+        elif kind == "non_finite":
+            failing_solve(monkeypatch, core, 3, np.nan)
+        try:
+            with np.errstate(invalid="ignore"):
+                return RUNS[algorithm](*run)
+        except Exception as exc:
+            return exc
+        finally:
+            monkeypatch.undo()
+
+    alone, (row,) = outcome(space, d, t), outcome([space], [d], [t])
+    if kind == "completed":
+        assert alone.to_csv_string() == row.to_csv_string()
+        assert len(alone.records) == 4
+        return
+    assert isinstance(row, Exception)
+    assert (type(alone), str(alone)) == (type(row), str(row))
+    expected = {"zero_target": (ValueError, "target.f must be nonzero"),
+                "infeasible": (InfeasibleSelectionError, "no atom within eps_m"),
+                "solver_raises": (RuntimeError, "solver failed at call 2"),
+                "non_finite": (ValueError, "v contains non-finite entries")}[kind]
+    assert type(row) is expected[0] and str(row).startswith(expected[1])

@@ -84,6 +84,45 @@ def test_batch_over_single_times_the_pairs_call_by_call(monkeypatch):
     assert [i for _, i in log] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
 
 
+def test_a_row_in_rounds_reduces_each_call_once_and_times_it_each_round(monkeypatch):
+    monkeypatch.setattr(run_bench, "TIMINGS", 1)
+    clock, log, reduced = Clock(), [], {}
+    monkeypatch.setattr(run_bench, "time", clock)
+
+    def calls(pkg, p, dim, data):
+        def call(i):
+            log.append((pkg, i))
+            clock.now += {"parent": 2.0, "change": 1.0}[pkg] * (i + 1)
+            return i
+        return [lambda i=i: call(i) for i in data]
+
+    def stats(pkg, results):
+        reduced[pkg] = results
+        return {"units": len(results)}
+
+    row = run_bench.Row("fake", 0, ((None, None),), lambda rng, p, dim: [0, 1], calls,
+                        stats=stats, rounds=3)
+    result, times = run_bench.run_case({"parent": "parent", "change": "change"}, row, None, None)
+    assert reduced == {"parent": [0, 1], "change": [0, 1]}  # the warm-up pass, once per call
+    assert [len(times[label]) for label in ("parent", "change")] == [6, 6]
+    assert log.count(("change", 0)) == 1 + 3 and log.count(("parent", 1)) == 1 + 3
+    assert (result["instances"], result["rounds"]) == (2, 3)
+    # the time per unit is of one pass: (1 + 2) us per round, three rounds, two units
+    assert result["change"]["call_us"] == pytest.approx(1e6 * 3 * 3.0 / 3 / 2)
+    assert result["change_over_parent"] == 0.5
+
+
+def test_every_verify_row_gives_at_least_min_ratios_per_call_ratios():
+    for name, row in ROWS.items():
+        if name.startswith("verify_"):
+            calls = len(run_bench.instances(row, None, None))
+            assert calls * row.rounds >= run_bench.MIN_RATIOS > calls * (row.rounds - 1), name
+        else:
+            assert row.rounds == 1, name
+    assert ROWS["verify_14_determinism"].rounds == 10
+    assert ROWS["verify_01_duality_identities"].rounds == 5
+
+
 def test_quartiles_of_one_value_are_the_value():
     assert run_bench.quartiles([4.0]) == [4.0, 4.0]
     assert run_bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == [1.5, 4.5]

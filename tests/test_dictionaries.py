@@ -316,21 +316,24 @@ class TestWeakSelect:
         values = [complex(a * x, b * y) for a in (one, -one) for b in (one, -one)
                   for x, y in ((zero, zero), (3.0, zero), (zero, 2.0), (0.6, -0.8), (5e-324, zero))]
 
-        class Rows:  # atom rows whose scan is exactly ``value``, signed zeros included
+        class Rows:  # one atom whose scan is exactly ``value``, signed zeros included
+            shape = (1, 1)
+
             def __init__(self, value):
                 self.value = value
 
-            def __matmul__(self, coeffs):
-                return np.array([self.value])
+            def __array_ufunc__(self, ufunc, method, rows, coeffs, out):  # np.matmul into out
+                out[0][...] = self.value
+                return out[0]
 
         # A BLAS scan sums from +0, so no real one-atom scan yields a negative-zero
         # part; each bit pattern reaches the phase rule through the stand-in rows.
         coeffs = np.array([1.0 + 0.0j])
         for value in values:
-            (sel,) = dictionaries._selections(coeffs, [Rows(value)], "argmax")
+            (sel,) = dictionaries._selections([coeffs], [Rows(value)], "argmax")
             assert type(sel.phase) is complex and bits(sel.value) == bits(value)
             assert bits(sel.phase) == bits(complex(np.conj(complex_sign(value))))
-            (sel,) = dictionaries._selections(coeffs, [np.array([[value]])], "argmax")
+            (sel,) = dictionaries._selections([coeffs], [np.array([[value]])], "argmax")
             assert bits(sel.phase) == bits(complex(np.conj(complex_sign(sel.value))))
         space = LpSpace(1.5, 6)
         d = generate_dictionary(space, 12, "gaussian", seed=2)
