@@ -275,18 +275,15 @@ def read_trace_csv(path) -> tuple[dict, list[TraceRecord]]:
 def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
     """The iteration all four algorithms share, stepping the runs of a batch in lockstep.
 
-    ``space``, ``dictionary`` and ``target`` are equal-length lists, and each
-    run's entry of the returned list is its trace or the exception that ended
-    it; one run each is a batch of one, whose trace is returned or exception
-    raised. Row k of ``f``, ``G`` and the residuals is the k-th live run's,
-    ``live`` the rows' places in the batch. ``select(m, live, coeffs, atoms,
-    f)`` gives one Selection per row (``dictionaries._selections``);
-    ``update(m, live, f, G, sels, phis)`` gives G_m, a new array whose rows
-    the traces keep, and per row ``(lam, w_or_r, eps_m, solver_converged)``.
-    A selection or a step may instead be an exception, as is a non-finite
-    residual (ValueError): it ends its run. Norms and functionals are formed
-    once per run of rows of equal p (``_p_runs``), a run of one row by the
-    1-D kernels.
+    ``space``, ``dictionary`` and ``target`` are equal-length lists, and each run's entry of the
+    returned list is its trace or the exception that ended it; one run each is a batch of one,
+    whose trace is returned or exception raised. Row k of ``f``, ``G`` and the residuals is the
+    k-th live run's, ``live`` the rows' places in the batch. ``select(m, live, coeffs, atoms,
+    f)`` gives one Selection per row (``dictionaries._selections``); ``update(m, live, f, G,
+    sels, phis)`` gives G_m, a new array whose rows the traces keep, and per row ``(lam, w_or_r,
+    eps_m, solver_converged)``. A selection or a step may instead be an exception, as is a
+    non-finite residual (ValueError): it ends its run. Norms and functionals are formed once per
+    run of rows of equal p (``_p_runs``), a run of one row by the 1-D kernels.
     """
     spaces, dictionaries, targets = _batch(space, dictionary, target)
     iters = _count("iters", iters)
@@ -320,7 +317,7 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
             break
         coeffs = []
         for p, a, b in runs:  # a run of one row as one vector and a float norm
-            if b - a == 1:
+            if b is None:
                 coeffs.append(_norming_coeffs(p, residual[a], norms[a], mags[a]))
             else:
                 coeffs.extend(_norming_coeffs(p, residual[a:b], np.array(norms[a:b])[:, None],
@@ -341,7 +338,7 @@ def _greedy_loop(space, dictionary, target, iters, algorithm, select, update):
         mags = np.abs(residual)
         norms = []
         for p, a, b in runs:  # a run of one row through the 1-D norm, on the loop's magnitudes
-            norms += ([_norm_mags(p, mags[a])] if b - a == 1
+            norms += ([_norm_mags(p, mags[a])] if b is None
                       else _norm_rows(p, residual[a:b]).tolist())
         for k, (trace, sel, step, norm, row) in enumerate(zip(traces, sels, steps, norms, G)):
             if type(step) is not tuple or norm != norm:  # lp_norm's text for a NaN norm
@@ -378,14 +375,14 @@ def _batch(space, dictionary, target) -> tuple[list, list, list]:
 
 
 def _p_runs(spaces: list, live: list) -> list:
-    """``[p, start, stop]`` per run of consecutive live rows of equal p. Its kernels take the scalar
-    p, whose fast paths (``sqrt`` at 0.5, ``square`` at 2) keep each row's bits as if alone."""
+    """``[p, start, stop]`` per run of consecutive live rows of equal p, ``stop`` None for one row.
+    A run's kernels take a scalar p: an array p would miss its fast paths (``sqrt``, ``square``)."""
     runs = []
     for i, k in enumerate(live):
         if runs and runs[-1][0] == spaces[k].p:
             runs[-1][2] = i + 1
         else:
-            runs.append([spaces[k].p, i, i + 1])
+            runs.append([spaces[k].p, i, None])
     return runs
 
 
@@ -412,22 +409,21 @@ def _check_covers(name: str, schedule, iters) -> None:
 def _relaxed(space, dictionary, target, tau, iters, policy, algorithm, solve):
     """The loop of ``run_wgafr``/``run_gawr``: weak selection at t_m, then a solve per row.
 
-    ``solve(m, space, f, G, phi)`` returns a row's G_m and ``(lam, w_or_r,
-    None, converged)``, solved in the row's own space; an exception it raises
-    is that row's step.
+    ``solve(m, space, f, G, phi, out)`` writes a row's G_m, solved in its own space, into ``out``
+    and returns ``(lam, w_or_r, None, converged)``; an exception it raises is the row's step.
     """
     _check_policy(policy)
     spaces = _batch(space, dictionary, target)[0]
 
     def update(m, live, f, G, sels, phis):
-        solved = []
-        for k, f_k, G_k, phi in zip(live, f, G, phis):
+        new, steps = np.empty(G.shape, dtype=np.complex128), []
+        for k, f_k, G_k, phi, out in zip(live, f, G, phis, new):
             try:
-                solved.append(solve(m, spaces[k], f_k, G_k, phi))
+                steps.append(solve(m, spaces[k], f_k, G_k, phi, out))
             except Exception as exc:  # the row's step failed; the batch steps on
-                solved.append((G_k, exc))
-        rows, steps = zip(*solved)
-        return np.array(rows), steps
+                out[...] = G_k
+                steps.append(exc)
+        return new, steps
 
     return _greedy_loop(
         space, dictionary, target, iters, algorithm,
@@ -454,10 +450,11 @@ def run_wgafr(
     cfg = cfg or SolverConfig()
     _check_covers("weakness sequence", tau, iters)
 
-    def solve(m, space, f, G, phi):
+    def solve(m, space, f, G, phi, out):
         result = _free_relax(space, f, G, phi, cfg)
         w, lam = result.minimizer.tolist()
-        return (1.0 - w) * G + lam * phi, (lam, w, None, result.converged)
+        np.add(np.multiply(1.0 - w, G, out=out), lam * phi, out=out)
+        return lam, w, None, result.converged
 
     return _relaxed(space, dictionary, target, tau, iters, policy, "wgafr", solve)
 
@@ -482,12 +479,13 @@ def run_gawr(
     _check_covers("weakness sequence", tau, iters)
     _check_covers("relaxation schedule", r, iters)
 
-    def solve(m, space, f, G, phi):
+    def solve(m, space, f, G, phi, out):
         r_m = r.value(m)
-        shrunk = (1.0 - r_m) * G
+        shrunk = np.multiply(1.0 - r_m, G, out=out)
         result = _descend(space, f - shrunk, phi[:, None], cfg)
         lam = result.minimizer.item(0)
-        return shrunk + lam * phi, (lam, r_m, None, result.converged)
+        np.add(shrunk, lam * phi, out=out)
+        return lam, r_m, None, result.converged
 
     return _relaxed(space, dictionary, target, tau, iters, policy, "gawr", solve)
 
